@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Jet, boundary_frame
+from .geometry import Jet, boundary_frame, jet_first_order, metric_inner
 from .integrate import degree_integral_circle, degree_integral_sphere
 
 
@@ -134,28 +134,14 @@ def total_indices(interior_results, split: BoundarySplit, tangential_results):
 # -- boundary work --------------------------------------------------------------
 
 def _field_frame_components(bpatch, components, t):
-    """Values and t-gradients of <V, e_A> along the boundary, plus norms.
+    """Values (n,) and t-gradients (n, m) of <V, e_A> along the boundary.
 
     Uses the parameter-aligned (unoriented) frame: indices are insensitive to
     the ambient orientation but the winding loop must match the frame.
     """
-    m = bpatch.m
-    x_jets = bpatch.embed_jets(t)
-    V = [v if isinstance(v, Jet) else Jet.constant(v, m)
-         for v in components(x_jets)]
-    raw = bpatch.parent._metric(x_jets)
-    G = [[e if isinstance(e, Jet) else Jet.constant(e, m) for e in row]
-         for row in raw]
     bf = boundary_frame(bpatch, t, oriented=False)
-    comps = []
-    n = bpatch.parent.n
-    for A in range(n):
-        total = Jet.constant(0.0, m)
-        for i in range(n):
-            for j in range(n):
-                total = total + G[i][j] * V[i] * bf.frame_jets[A][j]
-        comps.append(total)
-    return comps, bf
+    V, dV = jet_first_order(components(bf.x_jets), bpatch.m)
+    return metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
 
 
 def boundary_decompose(field_spec: VectorFieldSpec, bpatch, boundary_index=0,
@@ -183,8 +169,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch, boundary_index=0,
         if any(np.linalg.norm(t - np.asarray(s.location)) < 1.5 * s.radius
                for s in declared):
             continue
-        comps, _bf = _field_frame_components(bpatch, field_spec.components, t)
-        vals = np.array([c.v for c in comps])
+        vals, _ = _field_frame_components(bpatch, field_spec.components, t)
         norm = float(np.linalg.norm(vals))
         if norm < field_spec.margin:
             raise GenericityError(
@@ -212,9 +197,8 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch, boundary_index=0,
 
     minus, plus = [], []
     for s in declared:
-        comps, _bf = _field_frame_components(bpatch, field_spec.components,
-                                             np.asarray(s.location, dtype=float))
-        vals = np.array([c.v for c in comps])
+        vals, _ = _field_frame_components(bpatch, field_spec.components,
+                                          np.asarray(s.location, dtype=float))
         norm = float(np.linalg.norm(vals))
         if norm < field_spec.margin:
             raise GenericityError(f"field vanishes at declared tangential "
@@ -252,9 +236,9 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
     if m == 1:
         # one-dimensional boundary: two-point sign count in the chart frame
         def tangential(tval):
-            comps, _ = _field_frame_components(bpatch, field_spec.components,
-                                               np.array([tval]))
-            return comps[1].v
+            vals, _ = _field_frame_components(bpatch, field_spec.components,
+                                              np.array([tval]))
+            return vals[1]
 
         f_plus = tangential(loc[0] + r)
         f_minus = tangential(loc[0] - r)
@@ -268,11 +252,9 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
         def map_fn(theta):
             t = loc + r * np.array([theta.cos().v, theta.sin().v])
             dt = r * np.array([-theta.sin().v, theta.cos().v])
-            comps, _ = _field_frame_components(bpatch, field_spec.components, t)
-            out = []
-            for c in comps[1:]:
-                out.append(Jet(c.v, [float(np.dot(c.g, dt))], [[0.0]]))
-            return out
+            vals, grads = _field_frame_components(bpatch, field_spec.components, t)
+            return [Jet(v, [float(g @ dt)], [[0.0]])
+                    for v, g in zip(vals[1:], grads[1:])]
 
         raw = degree_integral_circle(map_fn, order=order)
         value = round(raw)

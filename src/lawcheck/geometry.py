@@ -1,10 +1,12 @@
 """Numerical differential geometry on parametrized patches.
 
-Differentiation is second-order forward mode: a Jet carries a value, a
-gradient and a Hessian with respect to the chart parameters, so Christoffel
-symbols (first metric derivatives) and curvature (second derivatives) come
-out exact to roundoff.  Finite differences appear only in tests, as
-independent oracles.
+Differentiation is forward mode, truncated to the order that is consumed.  A
+Jet carries a value, a gradient and a Hessian with respect to the chart
+parameters, so Christoffel symbols (first metric derivatives) and curvature
+(second derivatives) come out exact to roundoff.  Frames carry values and
+first derivatives only, as small arrays: the connection form needs the first
+derivatives of the frame and nothing reads its second ones.  Finite
+differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches; curvature uses nabla e_A = sum_B omega(A,B) e_B and
@@ -261,27 +263,35 @@ class FrameData:
                                    - np.eye(len(self.frame)))))
 
 
-def _gram_schmidt_jets(G, vectors, m):
-    """Orthonormalize jet-valued vectors against a jet-valued metric."""
-    def inner(u, w):
-        total = Jet.constant(0.0, m)
-        for i, ui in enumerate(u):
-            for j, wj in enumerate(w):
-                total = total + G[i][j] * ui * wj
-        return total
+def metric_inner(G, dG, a, da, b, db):
+    """<a, b> under the metric G and its parameter gradient, to first order.
 
-    out = []
-    for v in vectors:
-        w = [as_jet(c, m) for c in v]
-        for e in out:
-            c = inner(w, e)
-            w = [wi - c * ei for wi, ei in zip(w, e)]
-        norm2 = inner(w, w)
-        if norm2.v <= 1e-14:
+    G is (n, n) with dG[k, l, i] its derivative along parameter i; b is (n,)
+    with db[k, i]; a is (n,) with da (n, m), or a stack of rows (r, n) with
+    da (r, n, m), which pairs every row with b.
+    """
+    Gb = G @ b
+    dGb = dG.transpose(0, 2, 1) @ b + G @ db
+    return a @ Gb, Gb @ da + a @ dGb
+
+
+def _gram_schmidt(G, dG, vectors, dvectors):
+    """Orthonormalize the rows of ``vectors`` against G, carrying first
+    derivatives: dvectors[r, k, i] is the derivative of vectors[r, k] along
+    parameter i.  Returns the frame rows and their derivatives."""
+    rows, drows = [], []
+    for w, dw in zip(vectors, dvectors):
+        for e, de in zip(rows, drows):
+            c, dc = metric_inner(G, dG, w, dw, e, de)
+            w = w - c * e
+            dw = dw - c * de - np.outer(e, dc)
+        norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
+        if norm2 <= 1e-14:
             raise ValueError("degenerate frame candidate in Gram-Schmidt")
-        inv = 1.0 / norm2.sqrt()
-        out.append([wi * inv for wi in w])
-    return out
+        inv = 1.0 / math.sqrt(norm2)
+        rows.append(w * inv)
+        drows.append(dw * inv - np.outer(w, dnorm2) * (0.5 * inv ** 3))
+    return np.array(rows), np.array(drows)
 
 
 def orthonormal_frame(patch, point, first=None):
@@ -299,9 +309,8 @@ def orthonormal_frame(patch, point, first=None):
         mat = np.array(trial)
         if np.linalg.matrix_rank(mat, tol=1e-12) == len(trial):
             vectors.append(list(b))
-    Gj = [[Jet.constant(G[i][j], n) for j in range(n)] for i in range(n)]
-    frame_jets = _gram_schmidt_jets(Gj, vectors, n)
-    E = np.array([[c.v for c in row] for row in frame_jets])
+    E, _ = _gram_schmidt(G, np.zeros((n, n, 0)), np.array(vectors, dtype=float),
+                         np.zeros((len(vectors), n, 0)))
     fd = FrameData(point=np.asarray(point, dtype=float), frame=E, metric=G)
     if fd.orthonormality_residual > 1e-9:
         raise ValueError("frame failed orthonormality check")
@@ -311,7 +320,7 @@ def orthonormal_frame(patch, point, first=None):
 class _GeometryCore:
     """One evaluation pass shared by Christoffels, curvature, and frames."""
 
-    __slots__ = ("Gj", "G", "Gamma", "dGamma", "riemann")
+    __slots__ = ("G", "dG", "Gamma", "dGamma", "riemann")
 
     def __init__(self, patch, point):
         n = patch.n
@@ -337,8 +346,8 @@ class _GeometryCore:
         Rup = (np.einsum("pjmi->pijm", dGamma) - np.einsum("pimj->pijm", dGamma)
                + np.einsum("piq,qjm->pijm", Gamma, Gamma)
                - np.einsum("pjq,qim->pijm", Gamma, Gamma))
-        self.Gj = Gj
         self.G = G
+        self.dG = dG
         self.Gamma = Gamma
         self.dGamma = dGamma
         self.riemann = np.einsum("pq,qijm->ijmp", G, Rup)
@@ -365,9 +374,7 @@ def connection_curvature(patch, point):
     n = patch.n
     core = _GeometryCore(patch, point)
     G = core.G
-    frame_jets = _gram_schmidt_jets(core.Gj, list(np.eye(n)), n)
-    E = np.array([[c.v for c in row] for row in frame_jets])
-    dE = np.array([[c.g for c in row] for row in frame_jets])  # [A,k,i]
+    E, dE = _gram_schmidt(G, core.dG, np.eye(n), np.zeros((n, n, n)))  # dE[A,k,i]
     Gamma = core.Gamma
     R = core.riemann
     # nabla_{d_i} e_A = (d_i E[A,k] + Gamma^k_im E[A,m]) d_k
@@ -435,58 +442,71 @@ def _sign(perm):
 
 @dataclass
 class BoundaryFrame:
-    """Everything a section pullback needs at one boundary parameter point."""
+    """Everything a section pullback needs at one boundary parameter point.
+
+    Frame and metric carry values and first t-derivatives only: section
+    pullbacks need the derivatives of their frame components for theta and
+    of the frame for omega, and nothing reads second derivatives.
+    """
     t: np.ndarray
     x: np.ndarray
+    x_jets: list                   # embedding as second-order jets in t
     dx: np.ndarray                 # dx[k,i] = d x^k / d t_i
-    frame_jets: list               # adapted frame rows as jets in t
-    frame: np.ndarray
     metric: np.ndarray
+    dmetric: np.ndarray            # dmetric[k,l,i] = d g_kl / d t_i
+    normal: np.ndarray             # untwisted outward unit normal
+    dnormal: np.ndarray            # dnormal[k,i]
+    frame: np.ndarray              # adapted frame rows e_A
+    dframe: np.ndarray             # dframe[A,k,i] = d e_A^k / d t_i
     omega: np.ndarray              # omega[A,B,i] on boundary coordinate directions
     curvature: np.ndarray          # curvature[A,B,i,j] on boundary bivectors
     orientation: float             # sign of det[e_1 | dx/dt_1 | ...]
 
 
+def jet_first_order(values, m):
+    """Values and gradients of a list of jets (or floats) in m parameters."""
+    jets = [as_jet(v, m) for v in values]
+    return (np.array([j.v for j in jets]),
+            np.array([j.g for j in jets]).reshape(len(jets), m))
+
+
 def boundary_frame(bpatch, t, frame_twist=None, oriented=True):
     """Adapted orthonormal frame along the boundary, outward normal first.
 
-    With ``oriented`` the frame is corrected to be positively oriented in the
-    ambient chart (the secondary-form template presumes oriented frames) by
-    flipping the last tangential vector; index computations pass False to
-    keep the frame aligned with the boundary parameters instead.
+    The frame comes with values and first t-derivatives only, from a
+    first-order Gram-Schmidt on the outward vector and the tangents: omega
+    and the section pullbacks read no second derivatives.  The metric
+    derivative along the boundary follows by the chain rule from the parent
+    metric jets at x.  With ``oriented`` the frame is corrected to be positively
+    oriented in the ambient chart (the secondary-form template presumes
+    oriented frames) by flipping the last tangential vector; index
+    computations pass False to keep the frame aligned with the boundary
+    parameters instead.  ``frame_twist`` maps t-jets to an n x n rotation R
+    and replaces the frame E by R E; ``normal`` stays the untwisted e_1.
     """
     parent = bpatch.parent
-    n, m = parent.n, bpatch.m
+    m = bpatch.m
     x_jets = bpatch.embed_jets(t)
     x = np.array([c.v for c in x_jets])
     dx = np.array([c.g for c in x_jets])          # [k,i]
-    G_raw = parent._metric(x_jets)                # jets in t via composition
-    Gj = [[as_jet(e, m) for e in row] for row in G_raw]
-    G = np.array([[Gj[i][j].v for j in range(n)] for i in range(n)])
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"metric not positive definite at {list(x)}") from None
-
-    outward = bpatch.outward_jets(t, x_jets)
-    # tangent coordinate vectors as jets in t; third derivatives of the
-    # embedding are unknown at order 2, so their Hessians are truncated --
-    # only frame values and first derivatives are consumed downstream
-    tangents = [[Jet(dx[k, i], x_jets[k].h[i], np.zeros((m, m)))
-                 for k in range(n)] for i in range(m)]
-    frame_jets = _gram_schmidt_jets(Gj, [outward] + tangents, m)
-    if oriented and np.linalg.det(
-            np.array([[c.v for c in row] for row in frame_jets])) < 0:
-        frame_jets[-1] = [-c for c in frame_jets[-1]]
-    if frame_twist is not None:
-        R = frame_twist(Jet.variables(list(t)))
-        frame_jets = [[sum_jets([as_jet(R[a][b], m) * frame_jets[b][k]
-                                 for b in range(n)], m) for k in range(n)]
-                      for a in range(n)]
-    E = np.array([[c.v for c in row] for row in frame_jets])
-    dE = np.array([[c.g for c in row] for row in frame_jets])   # [A,k,i]
-
+    d2x = np.array([c.h for c in x_jets])         # [k,i,j]
     core = _GeometryCore(parent, x)
+    G = core.G
+    dG = np.einsum("kla,ai->kli", core.dG, dx)
+
+    outward, doutward = jet_first_order(bpatch.outward_jets(t, x_jets), m)
+    E, dE = _gram_schmidt(G, dG, np.vstack([outward, dx.T]),
+                          np.concatenate([doutward[None], d2x.transpose(1, 0, 2)]))
+    normal, dnormal = E[0].copy(), dE[0].copy()
+    if oriented and np.linalg.det(E) < 0:
+        E[-1], dE[-1] = -E[-1], -dE[-1]
+    if frame_twist is not None:
+        R, dR = zip(*(jet_first_order(row, m)
+                      for row in frame_twist(Jet.variables(list(t)))))
+        R, dR = np.array(R), np.array(dR)
+        E, dE = (R @ E, np.einsum("abi,bk->aki", dR, E)
+                 + np.einsum("ab,bki->aki", R, dE))
+
     Gamma, R4 = core.Gamma, core.riemann
     # nabla along boundary direction i: d_i e_A^k + Gamma^k_{lm} dx^l_i e_A^m
     nabla = (np.einsum("Aki->Aik", dE)
@@ -495,15 +515,8 @@ def boundary_frame(bpatch, t, frame_twist=None, oriented=True):
     omega = 0.5 * (omega - omega.transpose(1, 0, 2))
     curv = np.einsum("lrmp,li,rj,Am,Bp->ABij", R4, dx, dx, E, E)
 
-    basis = np.column_stack([E[0]] + [dx[:, i] for i in range(m)])
-    orientation = 1.0 if np.linalg.det(basis) > 0 else -1.0
-    return BoundaryFrame(t=np.asarray(t, dtype=float), x=x, dx=dx,
-                         frame_jets=frame_jets, frame=E, metric=G,
-                         omega=omega, curvature=curv, orientation=orientation)
-
-
-def sum_jets(jets, m):
-    total = Jet.constant(0.0, m)
-    for j in jets:
-        total = total + j
-    return total
+    orientation = 1.0 if np.linalg.det(np.column_stack([normal, dx])) > 0 else -1.0
+    return BoundaryFrame(t=np.asarray(t, dtype=float), x=x, x_jets=x_jets,
+                         dx=dx, metric=G, dmetric=dG, normal=normal,
+                         dnormal=dnormal, frame=E, dframe=dE, omega=omega,
+                         curvature=curv, orientation=orientation)

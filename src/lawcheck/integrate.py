@@ -18,7 +18,14 @@ import numpy as np
 
 from .algebra import DEGREE, K_DPHI, K_THETA, K_U
 from .chern import build_phi, perm_sign
-from .geometry import Jet, boundary_frame, euler_form_density, sum_jets
+from .geometry import (
+    Jet,
+    as_jet,
+    boundary_frame,
+    euler_form_density,
+    jet_first_order,
+    metric_inner,
+)
 from .trig import sphere_volume
 
 
@@ -224,103 +231,41 @@ class SectionPullback:
     boundary patch: frame components, their derivatives, and the connection
     and curvature values a form template needs at each node."""
 
-    def __init__(self, bpatch, section=None, frame_twist=None):
+    def __init__(self, bpatch, section=None):
         self.bpatch = bpatch
         self.section = section            # None means the outward normal
-        self.frame_twist = frame_twist
-        self.n = bpatch.parent.n
 
-    def bind(self, t):
-        n, m = self.n, self.bpatch.m
-        bf = boundary_frame(self.bpatch, t)
-        frame_jets = bf.frame_jets
-        if self.frame_twist is not None:
-            R = self.frame_twist(Jet.variables(list(t)))
-            twisted = [[sum_jets([_jmul(R[a][b], frame_jets[b][k], m)
-                                  for b in range(n)], m) for k in range(n)]
-                       for a in range(n)]
-            bf = _retwist_frame(self.bpatch, t, bf, twisted)
-            frame_jets = twisted
+    def bind(self, t, frame=None):
+        """Pull the section back at t through ``frame`` (a BoundaryFrame at
+        t, built here when None).
 
+        The frame components s_A = <W, e_A> and their t-gradients come from
+        first-order arrays; u = s / |W| and theta_A = du_A + u_B omega(B, A).
+        """
+        bf = frame if frame is not None else boundary_frame(self.bpatch, t)
         if self.section is None:
-            W = [row for row in _first_row_jets(bf, m)]
+            W, dW = bf.normal, bf.dnormal
         else:
-            x_jets = self.bpatch.embed_jets(t)
-            W = [_as_jet_m(v, m) for v in self.section(x_jets)]
-
-        Gj = self._metric_jets(t)
-        norm2 = _inner(Gj, W, W, m)
-        if norm2.v < 1e-18:
+            W, dW = jet_first_order(self.section(bf.x_jets), self.bpatch.m)
+        G, dG = bf.metric, bf.dmetric
+        norm2, dnorm2 = metric_inner(G, dG, W, dW, W, dW)
+        if norm2 < 1e-18:
             raise ValueError(f"section norm below 1e-9 at boundary point {list(t)}")
-        inv_norm = 1.0 / norm2.sqrt()
-        u_jets = []
-        for A in range(n):
-            u_jets.append(_inner(Gj, W, frame_jets[A], m) * inv_norm)
-        unit_residual = abs(sum(uj.v ** 2 for uj in u_jets) - 1.0)
-        theta = np.zeros((n, m))
-        for A in range(n):
-            for i in range(m):
-                theta[A, i] = u_jets[A].g[i] + sum(
-                    u_jets[B].v * bf.omega[B, A, i] for B in range(n))
-        u = np.array([uj.v for uj in u_jets])
+        s, ds = metric_inner(G, dG, bf.frame, bf.dframe, W, dW)
+        inv_norm = 1.0 / math.sqrt(norm2)
+        u = s * inv_norm
+        du = ds * inv_norm - np.outer(s, dnorm2) * (0.5 * inv_norm ** 3)
+        theta = du + np.einsum("B,BAi->Ai", u, bf.omega)
         extras = {
             "x": bf.x,
             "u": u,
             "angle": math.atan2(math.sqrt(max(0.0, 1.0 - min(1.0, u[0] ** 2))), u[0]),
-            "v_norm": math.sqrt(norm2.v),
-            "v_dot_n": _inner(Gj, W, _first_row_jets(bf, m), m).v,
-            "unit_residual": unit_residual,
+            "v_norm": math.sqrt(norm2),
+            "v_dot_n": float(W @ G @ bf.normal),
+            "unit_residual": abs(float(u @ u) - 1.0),
             "orientation": bf.orientation,
         }
         return u, theta, bf.omega, bf.curvature, extras
-
-    def _metric_jets(self, t):
-        x_jets = self.bpatch.embed_jets(t)
-        raw = self.bpatch.parent._metric(x_jets)
-        m = self.bpatch.m
-        return [[_as_jet_m(e, m) for e in row] for row in raw]
-
-
-def _as_jet_m(v, m):
-    return v if isinstance(v, Jet) else Jet.constant(v, m)
-
-
-def _jmul(a, b, m):
-    return _as_jet_m(a, m) * b
-
-
-def _inner(G, u, w, m):
-    total = Jet.constant(0.0, m)
-    for i, ui in enumerate(u):
-        for j, wj in enumerate(w):
-            total = total + G[i][j] * ui * wj
-    return total
-
-
-def _first_row_jets(bf, m):
-    # untwisted outward normal (first adapted frame row) as jets
-    return bf.frame_jets[0] if not hasattr(bf, "_normal") else bf._normal
-
-
-def _retwist_frame(bpatch, t, bf, twisted):
-    """Recompute connection/curvature data for a twisted frame field."""
-    from .geometry import _GeometryCore
-    parent = bpatch.parent
-    n, m = parent.n, bpatch.m
-    E = np.array([[c.v for c in row] for row in twisted])
-    dE = np.array([[c.g for c in row] for row in twisted])
-    core = _GeometryCore(parent, bf.x)
-    Gamma, R4 = core.Gamma, core.riemann
-    nabla = (np.einsum("Aki->Aik", dE)
-             + np.einsum("klm,li,Am->Aik", Gamma, bf.dx, E))
-    omega = np.einsum("Aik,kl,Bl->ABi", nabla, bf.metric, E)
-    omega = 0.5 * (omega - omega.transpose(1, 0, 2))
-    curv = np.einsum("lrmp,li,rj,Am,Bp->ABij", R4, bf.dx, bf.dx, E, E)
-    out = type(bf)(t=bf.t, x=bf.x, dx=bf.dx, frame_jets=twisted, frame=E,
-                   metric=bf.metric, omega=omega, curvature=curv,
-                   orientation=bf.orientation)
-    out._normal = bf.frame_jets[0]
-    return out
 
 
 # -- the integrals -------------------------------------------------------------------
@@ -341,27 +286,34 @@ def integrate_phi_over_section(bpatch, section, grid, frame_twist=None,
     """Integral of the secondary form over a section of the boundary bundle.
 
     ``section`` is None for the outward normal or a callable mapping embedded
-    chart jets to vector components; ``collect`` receives one profile row per
-    node when given.  ``orientation=-1`` integrates over the boundary with
-    its induced orientation reversed.
+    chart jets to vector components; a tuple of such sections is integrated
+    through one boundary frame per node and gives a tuple of integrals.
+    ``collect`` receives one profile row per node when given, with the
+    density, angle and v_dot_n of each section (tuples for a tuple of
+    sections).  ``orientation=-1`` integrates over the boundary with its
+    induced orientation reversed.
     """
-    n = bpatch.parent.n
-    tpl = phi_template(n)
-    pull = SectionPullback(bpatch, section, frame_twist)
-    vals = []
+    single = not isinstance(section, tuple)
+    sections = (section,) if single else section
+    tpl = phi_template(bpatch.parent.n)
+    pulls = [SectionPullback(bpatch, s) for s in sections]
+    vals = [[] for _ in sections]
     for tnode, w in zip(grid.nodes, grid.weights):
-        u, theta, omega, curv, extras = pull.bind(tnode)
-        dens = evaluate_template(tpl, u, theta, omega, curv)
-        vals.append(w * dens * extras["orientation"] * orientation)
+        bf = boundary_frame(bpatch, tnode, frame_twist)
+        bound = [pull.bind(tnode, bf) for pull in pulls]
+        dens = tuple(evaluate_template(tpl, *b[:4]) for b in bound)
+        for acc, d in zip(vals, dens):
+            acc.append(w * d * bf.orientation * orientation)
         if collect is not None:
-            collect.append({
-                "t": list(map(float, tnode)),
-                "weight": float(w),
-                "density": float(dens),
-                "angle": extras["angle"],
-                "v_dot_n": extras["v_dot_n"],
-            })
-    return pairwise_sum(vals)
+            row = {"density": dens,
+                   "angle": tuple(b[4]["angle"] for b in bound),
+                   "v_dot_n": tuple(b[4]["v_dot_n"] for b in bound)}
+            if single:
+                row = {key: value[0] for key, value in row.items()}
+            collect.append({"t": list(map(float, tnode)), "weight": float(w),
+                            **row})
+    totals = tuple(pairwise_sum(acc) for acc in vals)
+    return totals[0] if single else totals
 
 
 def fiber_coordinates(n, angles):
@@ -416,7 +368,7 @@ def degree_integral_circle(map_fn, order=256):
     for (t,), w in zip(grid.nodes, grid.weights):
         j = Jet.variables([t])
         comp = map_fn(j[0])
-        w1, w2 = (_as_jet_m(c, 1) for c in comp)
+        w1, w2 = (as_jet(c, 1) for c in comp)
         norm2 = w1 * w1 + w2 * w2
         if norm2.v < 1e-18:
             raise ValueError(f"map vanishes on the integration circle at t={t}")
@@ -432,7 +384,7 @@ def degree_integral_sphere(map_fn, order=48):
     vals = []
     for node, w in zip(grid.nodes, grid.weights):
         jets = Jet.variables(list(node))
-        comp = [_as_jet_m(c, 2) for c in map_fn(jets)]
+        comp = [as_jet(c, 2) for c in map_fn(jets)]
         norm2 = comp[0] * comp[0] + comp[1] * comp[1] + comp[2] * comp[2]
         if norm2.v < 1e-18:
             raise ValueError(f"map vanishes on the integration sphere at {list(node)}")

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import chern
 from .fields import (
@@ -80,23 +78,22 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
         normal = 0.0
         section = 0.0
         profile = []
-        for b_index, bpatch in enumerate(scenario.boundaries):
+        for bpatch in scenario.boundaries:
             grid = gauss_grid(bpatch.box, k)
-            rows_n = [] if collect_rows else None
-            rows_s = [] if collect_rows else None
-            normal += integrate_phi_over_section(bpatch, None, grid,
-                                                 collect=rows_n)
-            section += integrate_phi_over_section(
-                bpatch, scenario.field_spec.components, grid, collect=rows_s)
-            if collect_rows:
-                for node, (rn, rs) in enumerate(zip(rows_n, rows_s)):
-                    profile.append({
-                        "boundary": bpatch.name, "node": node, "t": rn["t"],
-                        "weight": rn["weight"],
-                        "density_normal": rn["density"],
-                        "density_section": rs["density"],
-                        "angle": rs["angle"], "v_dot_n": rs["v_dot_n"],
-                    })
+            rows = [] if collect_rows else None
+            phi_n, phi_s = integrate_phi_over_section(
+                bpatch, (None, scenario.field_spec.components), grid,
+                collect=rows)
+            normal += phi_n
+            section += phi_s
+            for node, row in enumerate(rows or ()):
+                profile.append({
+                    "boundary": bpatch.name, "node": node, "t": row["t"],
+                    "weight": row["weight"],
+                    "density_normal": row["density"][0],
+                    "density_section": row["density"][1],
+                    "angle": row["angle"][1], "v_dot_n": row["v_dot_n"][1],
+                })
         return normal, section, profile
 
     omega_x = euler_integral(interior_order)
@@ -184,17 +181,6 @@ def run_symbolic(identity, n) -> SymbolicReport:
 
 # -- suites ------------------------------------------------------------------------
 
-def _max_workers():
-    raw = os.environ.get("LAWCHECK_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return cap
-
-
 def run_suite(filter_regex="", order=None) -> SuiteReport:
     """Run the matching catalog scenarios and symbolic identity checks.
 
@@ -212,9 +198,7 @@ def run_suite(filter_regex="", order=None) -> SuiteReport:
     symbolic = [(ident, n) for ident, n in SYMBOLIC_CHECKS
                 if match(f"symbolic-{ident}-n{n} n{n} symbolic")]
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        scenario_reports = list(pool.map(lambda s: run_scenario(s, order=order),
-                                         scenarios))
+    scenario_reports = [run_scenario(s, order=order) for s in scenarios]
     scenario_reports.sort(key=lambda r: r.name)
     symbolic_reports = [run_symbolic(ident, n) for ident, n in symbolic]
     symbolic_reports.sort(key=lambda r: r.name)

@@ -155,13 +155,6 @@ def test_suite_dimension_filter_selects_scenarios():
     assert suite.all_passed
 
 
-def test_suite_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("LAWCHECK_THREADS", "1")
-    suite = run_suite("disk-constant")
-    assert suite.all_passed
-    assert len(suite.scenario_reports) == 1
-
-
 # -- command line ------------------------------------------------------------------
 
 def test_cli_list(capsys):

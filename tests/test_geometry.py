@@ -326,3 +326,74 @@ def test_boundary_frame_normal_is_unit_and_orthogonal():
     assert bf.frame[0] @ G @ bf.frame[0] == pytest.approx(1.0, abs=1e-12)
     for s in (1, 2):
         assert bf.frame[0] @ G @ bf.frame[s] == pytest.approx(0.0, abs=1e-12)
+
+
+# wavy rims, so that the frame and the metric really vary along the boundary
+
+def wavy_disk_rim():
+    disk = RiemannianPatch(2, [(0, 1.5), (0, 2 * math.pi)],
+                           lambda x: [[1, 0], [0, x[0] * x[0]]])
+    return BoundaryPatch(disk, [(0, 2 * math.pi)],
+                         embed=lambda t: [1.0 + 0.2 * jet_cos(t[0]), t[0]],
+                         outward=lambda t, x: [1.0, 0.0])
+
+
+def wavy_cap_rim():
+    cap = RiemannianPatch(2, [(0, 1.5), (0, 2 * math.pi)],
+                          lambda x: [[1, 0], [0, jet_sin(x[0]) * jet_sin(x[0])]])
+    return BoundaryPatch(cap, [(0, 2 * math.pi)],
+                         embed=lambda t: [1.0 + 0.1 * jet_sin(t[0] * 2.0), t[0]],
+                         outward=lambda t, x: [1.0, 0.1 * jet_cos(t[0])])
+
+
+def wavy_ball3_sphere():
+    ball = RiemannianPatch(3, [(0, 1.5), (0, math.pi), (0, 2 * math.pi)],
+                           lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
+                                      [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]])
+    return BoundaryPatch(ball, [(0, math.pi), (0, 2 * math.pi)],
+                         embed=lambda t: [1.0 + 0.1 * jet_sin(t[0]) * jet_cos(t[1]),
+                                          t[0], t[1]],
+                         outward=lambda t, x: [1.0, 0.0, 0.0])
+
+
+def sphere_twist(t_jets):
+    gamma = t_jets[0].cos() * 0.5 + t_jets[1].sin() * 0.3
+    c, s = gamma.cos(), gamma.sin()
+    return [[1.0, 0.0, 0.0], [0.0, c, -1.0 * s], [0.0, s, c]]
+
+
+@pytest.mark.parametrize("oriented", [True, False])
+@pytest.mark.parametrize("rim, t, twist", [
+    (wavy_disk_rim, [1.2], None),
+    (wavy_disk_rim, [4.0], None),
+    (wavy_cap_rim, [2.5], None),
+    (wavy_ball3_sphere, [1.1, 0.7], None),
+    (wavy_ball3_sphere, [1.1, 0.7], sphere_twist),
+], ids=["disk", "disk-back", "cap", "ball3", "ball3-twisted"])
+def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
+                                                              oriented):
+    bpatch = rim()
+    bf = boundary_frame(bpatch, t, frame_twist=twist, oriented=oriented)
+    assert abs(bf.frame @ bf.metric @ bf.frame.T - np.eye(len(t) + 1)).max() < 1e-12
+    h = 1e-5
+    for i in range(bpatch.m):
+        step = h * np.eye(bpatch.m)[i]
+        plus = boundary_frame(bpatch, t + step, frame_twist=twist, oriented=oriented)
+        minus = boundary_frame(bpatch, t - step, frame_twist=twist, oriented=oriented)
+        for name in ("frame", "metric", "normal"):
+            fd = (getattr(plus, name) - getattr(minus, name)) / (2 * h)
+            exact = getattr(bf, "d" + name)[..., i]
+            assert np.max(np.abs(fd - exact)) <= 1e-6, name
+    assert np.max(np.abs(bf.dframe)) > 0.01
+    assert np.max(np.abs(bf.dmetric)) > 0.01
+
+
+def test_boundary_frame_twist_rotates_frame_but_not_normal():
+    bpatch = wavy_ball3_sphere()
+    plain = boundary_frame(bpatch, [1.1, 0.7])
+    twisted = boundary_frame(bpatch, [1.1, 0.7], frame_twist=sphere_twist)
+    assert np.array_equal(twisted.normal, plain.normal)
+    assert twisted.orientation == plain.orientation
+    assert abs(twisted.frame @ twisted.metric @ twisted.frame.T
+               - np.eye(3)).max() < 1e-12
+    assert np.max(np.abs(twisted.frame[1:] - plain.frame[1:])) > 0.1

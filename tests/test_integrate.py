@@ -191,6 +191,23 @@ def test_euler_grid_dimension_mismatch():
         integrate_euler(disk_patch(), gauss_grid([(0, 1)], [8]))
 
 
+def test_section_tuple_shares_frames_and_matches_single_calls():
+    rim = cap_rim(1.2)
+    grid = gauss_grid(rim.box, [24])
+    field = lambda x: [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)]
+    rows_n, rows_f, rows = [], [], []
+    normal = integrate_phi_over_section(rim, None, grid, collect=rows_n)
+    section = integrate_phi_over_section(rim, field, grid, collect=rows_f)
+    both = integrate_phi_over_section(rim, (None, field), grid, collect=rows)
+    assert both == (normal, section)
+    assert len(rows) == len(grid)
+    for row, rn, rf in zip(rows, rows_n, rows_f):
+        assert row["t"] == rn["t"] == rf["t"]
+        assert row["weight"] == rn["weight"]
+        for key in ("density", "angle", "v_dot_n"):
+            assert row[key] == (rn[key], rf[key])
+
+
 def test_section_norm_guard():
     rim = disk_rim()
     dying = lambda x: [jet_cos(x[1]) - jet_cos(x[1]), 0.0]
