@@ -275,23 +275,35 @@ def metric_inner(G, dG, a, da, b, db):
     return a @ Gb, Gb @ da + a @ dGb
 
 
-def _gram_schmidt(G, dG, vectors, dvectors):
-    """Orthonormalize the rows of ``vectors`` against G, carrying first
-    derivatives: dvectors[r, k, i] is the derivative of vectors[r, k] along
-    parameter i.  Returns the frame rows and their derivatives."""
+def _gram_schmidt(G, vectors, dG=None, dvectors=None):
+    """Orthonormalize the rows of ``vectors`` against G.
+
+    Given dG[k, l, i] and dvectors[r, k, i], the derivatives of G and of the
+    rows along parameter i, the frame derivatives are carried to first order;
+    otherwise only values are computed and the derivatives come back None.
+    """
+    first = dvectors is not None
     rows, drows = [], []
-    for w, dw in zip(vectors, dvectors):
+    for r, w in enumerate(vectors):
+        dw = dvectors[r] if first else None
         for e, de in zip(rows, drows):
-            c, dc = metric_inner(G, dG, w, dw, e, de)
+            if first:
+                c, dc = metric_inner(G, dG, w, dw, e, de)
+                dw = dw - c * de - np.outer(e, dc)
+            else:
+                c = w @ G @ e
             w = w - c * e
-            dw = dw - c * de - np.outer(e, dc)
-        norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
+        if first:
+            norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
+        else:
+            norm2 = w @ G @ w
         if norm2 <= 1e-14:
             raise ValueError("degenerate frame candidate in Gram-Schmidt")
         inv = 1.0 / math.sqrt(norm2)
         rows.append(w * inv)
-        drows.append(dw * inv - np.outer(w, dnorm2) * (0.5 * inv ** 3))
-    return np.array(rows), np.array(drows)
+        drows.append(dw * inv - np.outer(w, dnorm2) * (0.5 * inv ** 3)
+                     if first else None)
+    return np.array(rows), (np.array(drows) if first else None)
 
 
 def orthonormal_frame(patch, point, first=None):
@@ -309,8 +321,7 @@ def orthonormal_frame(patch, point, first=None):
         mat = np.array(trial)
         if np.linalg.matrix_rank(mat, tol=1e-12) == len(trial):
             vectors.append(list(b))
-    E, _ = _gram_schmidt(G, np.zeros((n, n, 0)), np.array(vectors, dtype=float),
-                         np.zeros((len(vectors), n, 0)))
+    E, _ = _gram_schmidt(G, np.array(vectors, dtype=float))
     fd = FrameData(point=np.asarray(point, dtype=float), frame=E, metric=G)
     if fd.orthonormality_residual > 1e-9:
         raise ValueError("frame failed orthonormality check")
@@ -374,7 +385,7 @@ def connection_curvature(patch, point):
     n = patch.n
     core = _GeometryCore(patch, point)
     G = core.G
-    E, dE = _gram_schmidt(G, core.dG, np.eye(n), np.zeros((n, n, n)))  # dE[A,k,i]
+    E, dE = _gram_schmidt(G, np.eye(n), core.dG, np.zeros((n, n, n)))  # dE[A,k,i]
     Gamma = core.Gamma
     R = core.riemann
     # nabla_{d_i} e_A = (d_i E[A,k] + Gamma^k_im E[A,m]) d_k
@@ -389,30 +400,15 @@ def connection_curvature(patch, point):
     return fd
 
 
-def _gram_schmidt_floats(G):
-    """Float-only orthonormalization of the coordinate basis against G."""
-    n = len(G)
-    rows = []
-    for v in np.eye(n):
-        w = v.copy()
-        for e in rows:
-            w = w - (w @ G @ e) * e
-        norm2 = w @ G @ w
-        if norm2 <= 1e-14:
-            raise ValueError("degenerate frame candidate in Gram-Schmidt")
-        rows.append(w / math.sqrt(norm2))
-    return np.array(rows)
-
-
 def euler_form_density(patch, point):
     """Euler curvature density against the chart coordinates (0 for odd n)."""
     n = patch.n
     if n % 2:
         return 0.0
     m = n // 2
-    # only frame values enter the density, so skip the jet frame entirely
+    # only frame values enter the density, so no frame derivatives
     core = _GeometryCore(patch, point)
-    E = _gram_schmidt_floats(core.G)
+    E, _ = _gram_schmidt(core.G, np.eye(n))
     omega_val = np.einsum("ijmp,Am,Bp->ABij", core.riemann, E, E)
     total = 0.0
     idx = list(range(n))
@@ -495,7 +491,7 @@ def boundary_frame(bpatch, t, frame_twist=None, oriented=True):
     dG = np.einsum("kla,ai->kli", core.dG, dx)
 
     outward, doutward = jet_first_order(bpatch.outward_jets(t, x_jets), m)
-    E, dE = _gram_schmidt(G, dG, np.vstack([outward, dx.T]),
+    E, dE = _gram_schmidt(G, np.vstack([outward, dx.T]), dG,
                           np.concatenate([doutward[None], d2x.transpose(1, 0, 2)]))
     normal, dnormal = E[0].copy(), dE[0].copy()
     if oriented and np.linalg.det(E) < 0:

@@ -301,7 +301,7 @@ def integrate_phi_over_section(bpatch, section, grid, frame_twist=None,
     for tnode, w in zip(grid.nodes, grid.weights):
         bf = boundary_frame(bpatch, tnode, frame_twist)
         bound = [pull.bind(tnode, bf) for pull in pulls]
-        dens = tuple(evaluate_template(tpl, *b[:4]) for b in bound)
+        dens = tuple(float(evaluate_template(tpl, *b[:4])) for b in bound)
         for acc, d in zip(vals, dens):
             acc.append(w * d * bf.orientation * orientation)
         if collect is not None:

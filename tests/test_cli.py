@@ -1,5 +1,7 @@
 """Scenario configs, reports, and the command-line surface."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -98,6 +100,16 @@ def test_csv_rows_cover_all_components():
     rows = payload.strip().splitlines()[1:]
     assert len(rows) == 2 * report.quadrature["boundary_order"]
     assert {r.split(",")[1] for r in rows} == {"outer", "inner"}
+
+
+def test_csv_numeric_cells_parse_as_floats(disk_report):
+    rows = list(csv.DictReader(io.StringIO(emit_report(disk_report, fmt="csv"))))
+    assert rows
+    for row in rows:
+        for key in ("weight", "density_normal", "density_section",
+                    "section_angle", "v_dot_n"):
+            assert math.isfinite(float(row[key])), (key, row[key])
+        assert all(math.isfinite(float(v)) for v in row["t_params"].split(";"))
 
 
 def test_text_table_labels_law_residual(disk_report):
