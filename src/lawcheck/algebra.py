@@ -51,10 +51,6 @@ def signed_pair(kind, a, b):
     return 1, (kind, a, b)
 
 
-def gen_degree(gen):
-    return DEGREE[gen[0]]
-
-
 def mono_degree(mono):
     evens, odds = mono
     return sum(DEGREE[g[0]] for g in evens) + len(odds)
@@ -394,22 +390,8 @@ class Form:
     def degrees(self):
         return sorted({mono_degree(m) for m in self.terms})
 
-    def homogeneous_part(self, degree):
-        res = Form(self.n, boundary=self.boundary)
-        for mono, coeff in self.terms.items():
-            if mono_degree(mono) == degree:
-                res.terms[mono] = coeff
-        return res
-
     def coefficient_of(self, mono: Monomial):
         return self.terms.get(mono, TrigScalar.zero())
-
-    def max_abs_float(self, angle_values=None):
-        """Crude size estimate used by tests for near-zero checks."""
-        best = 0.0
-        for coeff in self.terms.values():
-            best = max(best, abs(coeff.to_float(angle_values or {})))
-        return best
 
     def render(self):
         if not self.terms:

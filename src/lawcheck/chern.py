@@ -27,7 +27,7 @@ from itertools import permutations
 from .algebra import Form, K_CURV, K_OMEGA, K_THETA, K_U
 from .trig import TrigScalar, sphere_volume
 
-MAX_BUILD_N = 6
+MAX_BUILD_N = 5
 
 
 def double_factorial(k):
@@ -45,6 +45,12 @@ def perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+@lru_cache(maxsize=None)
+def signed_permutations(k):
+    """Every permutation of range(k) with its sign, in itertools order."""
+    return tuple((p, perm_sign(p)) for p in permutations(range(k)))
 
 
 def _invert_constant(ts: TrigScalar) -> TrigScalar:

@@ -56,7 +56,7 @@ def _build_parser():
     p_sym = sub.add_parser("symbolic-check",
                            help="verify one symbolic identity exactly")
     p_sym.add_argument("--n", type=int, required=True,
-                       help="ambient dimension, 2..5")
+                       help=f"ambient dimension, 2..{chern.MAX_BUILD_N}")
     p_sym.add_argument("--identity",
                        choices=("dphi", "upsilon", "gamma", "all"),
                        default="all")
@@ -104,15 +104,16 @@ def _cmd_suite(args):
 
 def _cmd_symbolic(args):
     n = args.n
-    if not 2 <= n <= 5:
-        raise ConfigError("symbolic checks support dimensions 2..5")
+    if not 2 <= n <= chern.MAX_BUILD_N:
+        raise ConfigError(
+            f"symbolic checks support dimensions 2..{chern.MAX_BUILD_N}")
     identities = ["dphi", "upsilon", "gamma"] if args.identity == "all" \
         else [args.identity]
     if n == 2:
         skipped = [i for i in identities if i != "dphi"]
         if args.identity != "all" and skipped:
             raise ConfigError("the boundary identities start at dimension 3; "
-                              "use --n 3..5")
+                              f"use --n 3..{chern.MAX_BUILD_N}")
         identities = [i for i in identities if i == "dphi"]
     if args.print_form == "phi":
         print(chern.build_phi(n).phi.render())

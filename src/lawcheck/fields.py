@@ -122,15 +122,6 @@ def index_at(sing: InteriorSingularity, radius=None, order=None) -> IndexResult:
     return IndexResult(name=sing.name, value=int(value), residual=residual, raw=raw)
 
 
-def total_indices(interior_results, split: BoundarySplit, tangential_results):
-    """Sums of local indices; tangential_results maps singularity name to
-    IndexResult."""
-    ind_v = sum(r.value for r in interior_results)
-    ind_minus = sum(tangential_results[s.name].value for s in split.minus)
-    ind_plus = sum(tangential_results[s.name].value for s in split.plus)
-    return {"ind_v": ind_v, "ind_dminus": ind_minus, "ind_dplus": ind_plus}
-
-
 # -- boundary work --------------------------------------------------------------
 
 def _field_frame_components(bpatch, components, t):

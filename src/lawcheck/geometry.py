@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
+
+from .chern import signed_permutations
 
 
 class Jet:
@@ -175,11 +176,23 @@ def jet_exp(x):
     return x.exp() if isinstance(x, Jet) else math.exp(x)
 
 
-def jet_sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
-
-
 # -- patches ---------------------------------------------------------------------
+
+class ConfigError(ValueError):
+    """Malformed scenario configuration, such as a metric that is not
+    positive definite somewhere on its chart."""
+
+
+def _positive_definite(G, point):
+    """Return the metric matrix G at the chart point, or raise ConfigError
+    when its Cholesky factorization fails."""
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise ConfigError("metric not positive definite at chart point "
+                          f"{[float(v) for v in point]}") from None
+    return G
+
 
 class RiemannianPatch:
     """Chart of an n-manifold: box domain, metric callable, optional embedding.
@@ -205,13 +218,9 @@ class RiemannianPatch:
 
     def metric_values(self, x):
         raw = self._metric(list(map(float, x)))
-        G = np.array([[entry.v if isinstance(entry, Jet) else float(entry)
-                       for entry in row] for row in raw])
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"metric not positive definite at {list(x)}") from None
-        return G
+        return _positive_definite(
+            np.array([[entry.v if isinstance(entry, Jet) else float(entry)
+                       for entry in row] for row in raw]), x)
 
     def ambient(self, x):
         if self._chart_map is None:
@@ -336,14 +345,10 @@ class _GeometryCore:
     def __init__(self, patch, point):
         n = patch.n
         Gj = patch.metric_jets(point)
-        G = np.array([[Gj[i][j].v for j in range(n)] for i in range(n)])
+        G = _positive_definite(
+            np.array([[Gj[i][j].v for j in range(n)] for i in range(n)]), point)
         dG = np.array([[Gj[i][j].g for j in range(n)] for i in range(n)])
         d2G = np.array([[Gj[i][j].h for j in range(n)] for i in range(n)])
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                f"metric not positive definite at {list(point)}") from None
         Ginv = np.linalg.inv(G)
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         bracket = (np.einsum("jli->lij", dG) + np.einsum("ilj->lij", dG)
@@ -411,8 +416,7 @@ def euler_form_density(patch, point):
     E, _ = _gram_schmidt(core.G, np.eye(n))
     omega_val = np.einsum("ijmp,Am,Bp->ABij", core.riemann, E, E)
     total = 0.0
-    idx = list(range(n))
-    perms = [(p, _sign(p)) for p in permutations(idx)]
+    perms = signed_permutations(n)
     for pa, sa in perms:
         for ps, ss in perms:
             prod = sa * ss
@@ -423,15 +427,6 @@ def euler_form_density(patch, point):
             total += prod
     scale = (-1.0) ** m / ((2 * math.pi) ** m * 2 ** m * math.factorial(m) * 2 ** m)
     return float(total * scale)
-
-
-def _sign(perm):
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
 
 
 # -- boundary-adapted frames ------------------------------------------------------

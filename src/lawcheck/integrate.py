@@ -3,8 +3,8 @@
 The symbolic secondary form is the single source of truth: its monomials are
 compiled into a numeric template whose generators are bound, per quadrature
 node, to frame/connection/curvature values produced by the geometry layer.
-Accumulation uses pairwise summation so results do not depend on evaluation
-order.
+Accumulation uses math.fsum, which is exactly rounded, so results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
 from .algebra import DEGREE, K_DPHI, K_THETA, K_U
-from .chern import build_phi, perm_sign
+from .chern import build_phi, signed_permutations
 from .geometry import (
     Jet,
     as_jet,
@@ -26,32 +25,6 @@ from .geometry import (
     jet_first_order,
     metric_inner,
 )
-from .trig import sphere_volume
-
-
-def pairwise_sum(values):
-    """Sum with pairwise splitting to bound floating-point error growth."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-
-    def rec(lo, hi):
-        if hi - lo <= 8:
-            total = 0.0
-            for k in range(lo, hi):
-                total += vals[k]
-            return total
-        mid = (lo + hi) // 2
-        return rec(lo, mid) + rec(mid, hi)
-
-    return float(rec(0, len(vals)))
-
-
-def c_volume(r):
-    """Volume of the unit r-sphere as a float."""
-    if r < 1:
-        raise ValueError("sphere dimension must be >= 1")
-    return sphere_volume(r).to_float()
 
 
 # -- grids -----------------------------------------------------------------------
@@ -65,10 +38,6 @@ class QuadratureGrid:
 
     def __len__(self):
         return len(self.weights)
-
-    @property
-    def total_weight(self):
-        return pairwise_sum(self.weights)
 
 
 def _gauss_1d(lo, hi, order):
@@ -90,61 +59,6 @@ def gauss_grid(box, orders):
         weights = weights * wg.ravel()
     return QuadratureGrid(nodes=nodes, weights=weights, box=list(box),
                           orders=list(orders))
-
-
-def _box_minus_box(outer, inner):
-    """Decompose outer \\ inner (both axis-aligned, inner inside outer) into
-    disjoint boxes by slab splitting."""
-    pieces = []
-    cur = [list(b) for b in outer]
-    for axis in range(len(outer)):
-        lo, hi = cur[axis]
-        ilo, ihi = inner[axis]
-        if ilo > lo:
-            piece = [tuple(b) for b in cur]
-            piece[axis] = (lo, ilo)
-            pieces.append(piece)
-        if ihi < hi:
-            piece = [tuple(b) for b in cur]
-            piece[axis] = (ihi, hi)
-            pieces.append(piece)
-        cur[axis] = [max(lo, ilo), min(hi, ihi)]
-    return pieces
-
-
-def grid_with_rings(box, orders, center, radius, levels=6, ratio=0.5,
-                    ring_order=8):
-    """Grid over the box with geometric ring refinement around one point.
-
-    The square of half-width ``radius`` around the point is carved out of the
-    base grid and replaced by ``levels`` shrinking square annuli (ratio 1/2),
-    each covered by its own product rule; the innermost square is the puncture
-    and carries no nodes.
-    """
-    center = list(map(float, center))
-    d = len(box)
-    for (lo, hi), c in zip(box, center):
-        if not (lo < c < hi):
-            raise ValueError("refinement center must be interior to the box")
-    square = [(c - radius, c + radius) for c in center]
-    pieces = [(b, orders) for b in _box_minus_box(box, square)]
-    for k in range(levels):
-        inner = [(c - radius * ratio ** (k + 1), c + radius * ratio ** (k + 1))
-                 for c in center]
-        for piece in _box_minus_box(square, inner):
-            pieces.append((piece, ring_order))
-        square = inner
-    all_nodes, all_weights = [], []
-    for piece, order in pieces:
-        if any(hi - lo <= 0 for lo, hi in piece):
-            continue
-        g = gauss_grid(piece, order)
-        all_nodes.append(g.nodes)
-        all_weights.append(g.weights)
-    return QuadratureGrid(nodes=np.concatenate(all_nodes),
-                          weights=np.concatenate(all_weights),
-                          box=list(box),
-                          orders=[orders] if isinstance(orders, int) else list(orders))
 
 
 # -- numeric templates for symbolic forms -----------------------------------------
@@ -178,18 +92,13 @@ def compile_template(form, slots):
     return FormTemplate(n=form.n, slots=slots, entries=tuple(entries))
 
 
-@lru_cache(maxsize=None)
-def _slot_permutations(slots):
-    return tuple((p, perm_sign(p)) for p in permutations(range(slots)))
-
-
 def evaluate_template(tpl, u, theta, omega, curv):
     """Evaluate the compiled density on the chart slots.
 
     u: (n,), theta: (n, slots), omega/curv: (n, n, slots[, slots]).
     """
     total = 0.0
-    perms = _slot_permutations(tpl.slots)
+    perms = signed_permutations(tpl.slots)
     for coeff, us, factors in tpl.entries:
         scalar = coeff
         for a in us:
@@ -276,25 +185,21 @@ def integrate_euler(patch, grid):
         return 0.0
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
-    vals = [w * euler_form_density(patch, x)
-            for x, w in zip(grid.nodes, grid.weights)]
-    return pairwise_sum(vals)
+    return math.fsum(w * euler_form_density(patch, x)
+                     for x, w in zip(grid.nodes, grid.weights))
 
 
-def integrate_phi_over_section(bpatch, section, grid, frame_twist=None,
-                               collect=None, orientation=1):
-    """Integral of the secondary form over a section of the boundary bundle.
+def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
+                               collect=None):
+    """Integrals of the secondary form over sections of the boundary bundle.
 
-    ``section`` is None for the outward normal or a callable mapping embedded
-    chart jets to vector components; a tuple of such sections is integrated
-    through one boundary frame per node and gives a tuple of integrals.
-    ``collect`` receives one profile row per node when given, with the
-    density, angle and v_dot_n of each section (tuples for a tuple of
-    sections).  ``orientation=-1`` integrates over the boundary with its
-    induced orientation reversed.
+    Each of ``sections`` is None for the outward normal or a callable mapping
+    embedded chart jets to vector components; all of them are integrated
+    through one boundary frame per node, and the integrals come back as a
+    tuple in the same order.  ``collect`` receives one profile row per node
+    when given, with a tuple of densities, angles and v_dot_n values, one per
+    section.
     """
-    single = not isinstance(section, tuple)
-    sections = (section,) if single else section
     tpl = phi_template(bpatch.parent.n)
     pulls = [SectionPullback(bpatch, s) for s in sections]
     vals = [[] for _ in sections]
@@ -303,17 +208,13 @@ def integrate_phi_over_section(bpatch, section, grid, frame_twist=None,
         bound = [pull.bind(tnode, bf) for pull in pulls]
         dens = tuple(float(evaluate_template(tpl, *b[:4])) for b in bound)
         for acc, d in zip(vals, dens):
-            acc.append(w * d * bf.orientation * orientation)
+            acc.append(w * d * bf.orientation)
         if collect is not None:
-            row = {"density": dens,
-                   "angle": tuple(b[4]["angle"] for b in bound),
-                   "v_dot_n": tuple(b[4]["v_dot_n"] for b in bound)}
-            if single:
-                row = {key: value[0] for key, value in row.items()}
             collect.append({"t": list(map(float, tnode)), "weight": float(w),
-                            **row})
-    totals = tuple(pairwise_sum(acc) for acc in vals)
-    return totals[0] if single else totals
+                            "density": dens,
+                            "angle": tuple(b[4]["angle"] for b in bound),
+                            "v_dot_n": tuple(b[4]["v_dot_n"] for b in bound)})
+    return tuple(math.fsum(acc) for acc in vals)
 
 
 def fiber_coordinates(n, angles):
@@ -349,7 +250,7 @@ def integrate_fiber_form(form, grid):
         u = np.array([c.v for c in coords])
         theta = np.array([c.g for c in coords])
         vals.append(w * evaluate_template(tpl, u, theta, omega, curv))
-    return pairwise_sum(vals)
+    return math.fsum(vals)
 
 
 def integrate_fiber_volume(n, order=None):
@@ -375,7 +276,7 @@ def degree_integral_circle(map_fn, order=256):
         inv = 1.0 / norm2.sqrt()
         a, b = w1 * inv, w2 * inv
         vals.append(w * (a.v * b.g[0] - b.v * a.g[0]))
-    return pairwise_sum(vals) / (2 * math.pi)
+    return math.fsum(vals) / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order=48):
@@ -394,4 +295,4 @@ def degree_integral_sphere(map_fn, order=48):
                         [c.g[0] for c in wv],
                         [c.g[1] for c in wv]])
         vals.append(w * np.linalg.det(mat))
-    return pairwise_sum(vals) / (4 * math.pi)
+    return math.fsum(vals) / (4 * math.pi)

@@ -49,9 +49,8 @@ class ScenarioReport:
         return cls.from_dict(json.loads(text))
 
 
-def emit_report(report: ScenarioReport, fmt="json", path=None,
-                include_timing=False):
-    """Render a report as json, text, or csv; write to path when given."""
+def emit_report(report: ScenarioReport, fmt="json", include_timing=False):
+    """Render a report as json, text, or csv."""
     if fmt == "json":
         payload = report.to_json(include_timing)
     elif fmt == "text":
@@ -60,9 +59,6 @@ def emit_report(report: ScenarioReport, fmt="json", path=None,
         payload = _profile_csv(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(payload)
     return payload
 
 

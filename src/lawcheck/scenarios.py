@@ -14,11 +14,7 @@ from importlib import resources
 
 from .expressions import ExpressionError, compile_expression, compile_matrix, compile_vector
 from .fields import InteriorSingularity, TangentialSingularity, VectorFieldSpec
-from .geometry import BoundaryPatch, RiemannianPatch
-
-
-class ConfigError(ValueError):
-    """Malformed scenario configuration."""
+from .geometry import BoundaryPatch, ConfigError, RiemannianPatch
 
 
 def _const(value):

@@ -1,0 +1,42 @@
+"""The traced benchmark pass binds program names from outside the package.
+
+``bench/tracing.install()`` wraps lawcheck functions and methods by name, so
+renaming one of them, or a parameter its span reads, breaks the traced pass.
+This test runs one catalog scenario through the tracer in a fresh interpreter
+and reads the per-layer metrics back.
+"""
+
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = textwrap.dedent("""
+    import json, sys
+    sys.path[:0] = [sys.argv[1], sys.argv[2]]
+    import tracing
+    from lawcheck import report, runner, scenarios
+    tracer = tracing.install()
+    scenario = scenarios.load_catalog_scenario("disk-constant")
+    tracer.begin_op(0)
+    text = report.emit_report(runner.run_scenario(scenario), "json")
+    tracer.write(sys.argv[3], {"workload": "hooks"})
+    print(json.dumps({
+        "passed": report.ScenarioReport.from_json(text).passed,
+        "metrics": tracing.layer_metrics(sys.argv[3])}))
+""")
+
+
+def test_traced_pass_records_layers(tmp_path):
+    spans = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
+         str(spans)],
+        capture_output=True, text=True, timeout=300, check=True)
+    out = json.loads(proc.stdout)
+    assert out["passed"]
+    assert out["metrics"]["integrate.phi_nodes"] > 0
+    assert out["metrics"]["geometry.frames_per_boundary_node"] == 1.0

@@ -76,7 +76,7 @@ def test_build_phi_range_errors():
     with pytest.raises(ValueError):
         build_phi(1)
     with pytest.raises(ValueError):
-        build_phi(7)
+        build_phi(6)
 
 
 def test_phi_tilde_zero_normalization():

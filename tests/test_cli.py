@@ -118,15 +118,6 @@ def test_text_table_labels_law_residual(disk_report):
     assert "pass" in text
 
 
-def test_emit_report_to_file(tmp_path, disk_report):
-    path = tmp_path / "report.json"
-    emit_report(disk_report, fmt="json", path=str(path))
-    data = json.loads(path.read_text())
-    assert data["name"] == "disk-constant"
-    assert data["residuals"]["law"] == 0
-    assert "wall_time_s" not in data
-
-
 def test_unknown_format_rejected(disk_report):
     with pytest.raises(ValueError):
         emit_report(disk_report, fmt="yaml")
@@ -235,6 +226,19 @@ def test_cli_symbolic_check_n2_boundary_identity_exit_2(capsys):
 
 def test_cli_symbolic_check_bad_n_exit_2(capsys):
     assert cli.main(["symbolic-check", "--n", "9"]) == 2
+    assert cli.main(["symbolic-check", "--n", "6"]) == 2
+
+
+def test_cli_non_positive_definite_metric_exit_2(tmp_path, capsys):
+    raw = load_catalog_raw("disk-constant")
+    raw["patch"]["metric"][0][0] = "r*r-0.5"
+    path = tmp_path / "bad-metric.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: metric not positive definite")
+    assert "Traceback" not in err and "np.float64" not in err
 
 
 def test_cli_symbolic_print_phi(capsys):

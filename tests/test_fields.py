@@ -14,7 +14,6 @@ from lawcheck.fields import (
     check_interior_nonvanishing,
     index_at,
     index_tangential,
-    total_indices,
 )
 from lawcheck.geometry import BoundaryPatch, RiemannianPatch, jet_cos, jet_sin
 
@@ -129,8 +128,6 @@ def test_disk_constant_field_split_and_indices():
     assert west.value == 1
     east = index_tangential(spec, rim, split.plus[0])
     assert east.value == -1
-    sums = total_indices([], split, {"west": west, "east": east})
-    assert sums == {"ind_v": 0, "ind_dminus": 1, "ind_dplus": -1}
 
 
 def test_pure_normal_field_is_flagged_not_fatal():
