@@ -9,7 +9,9 @@ Builds, over the free algebra of :mod:`lawcheck.algebra`:
   angle);
 * the boundary form family PhiM(i, j) over the index region D1, the
   fiber-angle coefficient functions T, I, a, A, the angular derivative
-  Upsilon and the transgression primitive Gamma.
+  Upsilon and the transgression primitive Gamma;
+* numeric templates, through which the numeric track evaluates Phi and the
+  Euler form on frame, connection and curvature arrays.
 
 Each check_* function returns a residual Form whose vanishing is the
 verified identity.  The closed-manifold check normalizes through the exact
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .algebra import Form, K_CURV, K_OMEGA, K_THETA, K_U
+from .algebra import DEGREE, K_CURV, K_DPHI, K_OMEGA, K_THETA, K_U, Form
 from .trig import TrigScalar, sphere_volume
 
 MAX_BUILD_N = 5
@@ -53,14 +55,87 @@ def signed_permutations(k):
     return tuple((p, perm_sign(p)) for p in permutations(range(k)))
 
 
-def _invert_constant(ts: TrigScalar) -> TrigScalar:
-    """Invert a single-monomial constant (rational times a pi power)."""
-    if len(ts.terms) != 1:
-        raise ValueError("can only invert monomial constants")
-    (d, angles), coeff = next(iter(ts.terms.items()))
-    if angles:
-        raise ValueError("can only invert pi-power constants")
-    return TrigScalar.pi_power(-d, Fraction(1, 1) / coeff)
+# -- numeric templates for symbolic forms ----------------------------------------
+
+@dataclass(frozen=True)
+class FormTemplate:
+    slots: int
+    entries: tuple    # (coeff, u_list, factors) with factors ((kind, a, b, deg), ...)
+
+
+def compile_template(form, slots):
+    """Flatten a constant-coefficient interior form for numeric evaluation."""
+    entries = []
+    for (evens, odds), coeff in form.terms.items():
+        us = []
+        factors = []
+        for kind, a, b in evens:
+            if kind == K_U:
+                us.append(a - 1)
+            else:
+                factors.append((kind, a - 1, b - 1, DEGREE[kind]))
+        for kind, a, b in odds:
+            if kind == K_DPHI:
+                raise ValueError("numeric templates cannot bind formal angles")
+            factors.append((kind, a - 1, b - 1, DEGREE[kind]))
+        total_deg = sum(f[3] for f in factors)
+        if total_deg != slots:
+            continue  # wrong degree; contributes nothing to a top-degree density
+        # a 2-form factor counts each slot pair twice among the permutations
+        pairs = sum(f[3] == 2 for f in factors)
+        entries.append((coeff.to_float() / 2 ** pairs, tuple(us), tuple(factors)))
+    return FormTemplate(slots=slots, entries=tuple(entries))
+
+
+def evaluate_template(tpl, u, theta, omega, curv):
+    """Evaluate the compiled density on the chart slots.
+
+    u: (n,), theta: (n, slots), omega/curv: (n, n, slots[, slots]); an
+    argument whose generators the form lacks is never read.
+    """
+    total = 0.0
+    perms = signed_permutations(tpl.slots)
+    for coeff, us, factors in tpl.entries:
+        scalar = coeff
+        for a in us:
+            scalar *= u[a]
+        if scalar == 0.0:
+            continue
+        acc = 0.0
+        for perm, sign in perms:
+            prod = sign
+            pos = 0
+            for kind, a, b, deg in factors:
+                if deg == 1:
+                    val = theta[a][perm[pos]] if kind == K_THETA else omega[a][b][perm[pos]]
+                    pos += 1
+                else:
+                    val = curv[a][b][perm[pos]][perm[pos + 1]]
+                    pos += 2
+                prod *= val
+                if prod == 0.0:
+                    break
+            acc += prod
+        total += scalar * acc
+    return total
+
+
+@lru_cache(maxsize=None)
+def phi_template(n):
+    return compile_template(build_phi(n).phi, n - 1)
+
+
+@lru_cache(maxsize=None)
+def euler_template(n):
+    return compile_template(build_phi(n).euler, n)
+
+
+@lru_cache(maxsize=None)
+def phi_normalization(n: int) -> TrigScalar:
+    """The constant 1 / ((n-2)!! c_{n-1}) that normalizes Phi, with c_{n-1}
+    the volume of the unit (n-1)-sphere (a rational times a power of pi)."""
+    [((d, _), coeff)] = sphere_volume(n - 1).terms.items()
+    return TrigScalar.pi_power(-d, 1 / (coeff * double_factorial(n - 2)))
 
 
 # -- the secondary form family ------------------------------------------------
@@ -97,14 +172,12 @@ def build_phi(n: int) -> PhiFamily:
         phi_k.append(total)
         raw_counts.append(raw)
 
-    inv_norm = _invert_constant(
-        TrigScalar.rational(double_factorial(n - 2)) * sphere_volume(n - 1))
     phi = Form.zero(n)
     for k, part in enumerate(phi_k):
         coeff = Fraction((-1) ** k,
                          2 ** k * math.factorial(k) * double_factorial(n - 2 * k - 1))
         phi = phi + part.scale(coeff)
-    phi = phi.scale(inv_norm)
+    phi = phi.scale(phi_normalization(n))
 
     euler = Form.zero(n)
     if n % 2 == 0:
@@ -335,8 +408,7 @@ def boundary_family(n: int) -> BoundaryFamily:
         raise ValueError("boundary machinery needs ambient dimension >= 2")
     coeffs = coeff_functions(n)
     phi_m = {(i, j): boundary_form(n, i, j) for (i, j) in region_d1(n)}
-    inv_norm = _invert_constant(
-        TrigScalar.rational(double_factorial(n - 2)) * sphere_volume(n - 1))
+    inv_norm = phi_normalization(n)
     upsilon = specialize_boundary(build_phi(n).phi).interior_dphi()
     gamma = Form.zero(n, boundary=True)
     for (i, j), fm in phi_m.items():
@@ -347,8 +419,7 @@ def boundary_family(n: int) -> BoundaryFamily:
 def build_upsilon_and_check(n: int) -> Form:
     """Residual of the concrete angular-derivative formula; contract: zero."""
     fam = boundary_family(n)
-    inv_norm = _invert_constant(
-        TrigScalar.rational(double_factorial(n - 2)) * sphere_volume(n - 1))
+    inv_norm = phi_normalization(n)
     rhs = Form.zero(n, boundary=True)
     for (i, j), fm in fam.phi_m.items():
         rhs = rhs + fm.scale(fam.coeffs.a(i, j) * inv_norm)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 
-from .geometry import jet_cos, jet_exp, jet_sin
+from .geometry import ConfigError, Jet, jet_cos, jet_exp, jet_sin
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                     r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -151,13 +151,18 @@ def _evaluate(node, env):
 
 
 def compile_expression(text, params):
-    """Compile one expression string into env -> value (floats or Jets)."""
+    """Compile one expression string into env -> value (floats or Jets); an
+    arithmetic fault while evaluating it is a ConfigError."""
     if not isinstance(text, str):
         text = str(text)
     ast = _Parser(_tokenize(text), list(params)).parse()
 
     def fn(env):
-        return _evaluate(ast, env)
+        try:
+            return _evaluate(ast, env)
+        except (ArithmeticError, ValueError) as exc:
+            point = [v.v if isinstance(v, Jet) else float(v) for v in env]
+            raise ConfigError(f"expression {text!r} fails at {point}: {exc}") from None
 
     fn.source = text
     return fn

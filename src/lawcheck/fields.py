@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Jet, boundary_frame, jet_first_order, metric_inner
+from .geometry import (
+    GenericityError,
+    Jet,
+    boundary_frame,
+    jet_first_order,
+    metric_inner,
+)
 from .integrate import degree_integral_circle, degree_integral_sphere
-
-
-class GenericityError(RuntimeError):
-    """The field violates the generic-position assumptions of the law."""
 
 
 def default_index_radius(ambient, other_ambients=(), boundary_points=(),
@@ -95,31 +97,36 @@ def index_at(sing: InteriorSingularity, radius=None, order=None) -> IndexResult:
     if dim == 2:
         order = order or 192
 
-        def map_fn(theta):
+        def map_fn(t):
+            (theta,) = Jet.variables([t])
             x = [sing.center[0] + r * theta.cos(), sing.center[1] + r * theta.sin()]
-            return sing.chart_field(x)
+            return jet_first_order(sing.chart_field(x), 1)
 
         raw = degree_integral_circle(map_fn, order=order)
     elif dim == 3:
         order = order or 48
 
-        def map_fn(jets):
-            a, b = jets
+        def map_fn(node):
+            a, b = Jet.variables(list(node))
             x = [sing.center[0] + r * a.sin() * b.cos(),
                  sing.center[1] + r * a.sin() * b.sin(),
                  sing.center[2] + r * a.cos()]
-            return sing.chart_field(x)
+            return jet_first_order(sing.chart_field(x), 2)
 
         raw = degree_integral_sphere(map_fn, order=order)
     else:
         raise ValueError(f"index computation supports chart dimension 2 or 3, got {dim}")
+    return _degree_index(sing.name, raw, "degree integral")
+
+
+def _degree_index(name, raw, what):
+    """The integer nearest a degree integral, refused when more than 0.01 off."""
     value = round(raw)
     residual = abs(raw - value)
     if residual > 0.01:
-        raise GenericityError(
-            f"degree integral for {sing.name} is {raw:.6f}, "
-            f"residual {residual:.2e} from an integer")
-    return IndexResult(name=sing.name, value=int(value), residual=residual, raw=raw)
+        raise GenericityError(f"{what} for {name} is {raw:.6f}, "
+                              f"residual {residual:.2e} from an integer")
+    return IndexResult(name=name, value=int(value), residual=residual, raw=raw)
 
 
 # -- boundary work --------------------------------------------------------------
@@ -127,12 +134,16 @@ def index_at(sing: InteriorSingularity, radius=None, order=None) -> IndexResult:
 def _field_frame_components(bpatch, components, t):
     """Values (n,) and t-gradients (n, m) of <V, e_A> along the boundary.
 
-    Uses the parameter-aligned (unoriented) frame: indices are insensitive to
-    the ambient orientation but the winding loop must match the frame.
+    Uses the parameter-aligned frame, the boundary frame with its last vector
+    multiplied by ``orientation``: indices are insensitive to the ambient
+    orientation but the winding loop must match the frame.
     """
-    bf = boundary_frame(bpatch, t, oriented=False)
+    bf = boundary_frame(bpatch, t)
     V, dV = jet_first_order(components(bf.x_jets), bpatch.m)
-    return metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
+    s, ds = metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
+    s[-1] *= bf.orientation
+    ds[-1] *= bf.orientation
+    return s, ds
 
 
 def boundary_decompose(field_spec: VectorFieldSpec, bpatch, boundary_index=0,
@@ -241,21 +252,13 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 
     if m == 2:
         def map_fn(theta):
-            t = loc + r * np.array([theta.cos().v, theta.sin().v])
-            dt = r * np.array([-theta.sin().v, theta.cos().v])
+            t = loc + r * np.array([math.cos(theta), math.sin(theta)])
+            dt = r * np.array([-math.sin(theta), math.cos(theta)])
             vals, grads = _field_frame_components(bpatch, field_spec.components, t)
-            return [Jet(v, [float(g @ dt)], [[0.0]])
-                    for v, g in zip(vals[1:], grads[1:])]
+            return vals[1:], (grads[1:] @ dt)[:, None]
 
-        raw = degree_integral_circle(map_fn, order=order)
-        value = round(raw)
-        residual = abs(raw - value)
-        if residual > 0.01:
-            raise GenericityError(
-                f"tangential degree for {sing.name} is {raw:.6f}, "
-                f"residual {residual:.2e} from an integer")
-        return IndexResult(name=sing.name, value=int(value), residual=residual,
-                           raw=raw)
+        return _degree_index(sing.name, degree_integral_circle(map_fn, order=order),
+                             "tangential degree")
 
     raise ValueError("tangential indices support boundary dimensions 1 and 2")
 
@@ -276,8 +279,7 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec,
         amb = patch.ambient(x)
         if any(np.linalg.norm(amb - c) < rad for c, rad in exclusions):
             continue
-        V = np.array([v.v if isinstance(v, Jet) else float(v)
-                      for v in field_spec.components(list(map(float, x)))])
+        V = np.array(field_spec.components(list(map(float, x))), dtype=float)
         G = patch.metric_values(x)
         norm = math.sqrt(max(0.0, float(V @ G @ V)))
         if norm < field_spec.margin:

@@ -22,22 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import signed_permutations
+from .chern import euler_template, evaluate_template
 
 
 class Jet:
-    """Value + gradient + Hessian with respect to m chart parameters.
+    """Value + gradient + Hessian with respect to m chart parameters, built
+    by ``constant`` and ``variables`` and closed under the arithmetic below.
 
     Gradient and Hessian are plain Python lists; chart dimensions are tiny
     (m <= 3) and list arithmetic beats array allocation by a wide margin.
     """
 
     __slots__ = ("v", "g", "h")
-
-    def __init__(self, v, g, h):
-        self.v = float(v)
-        self.g = [float(x) for x in g]
-        self.h = [[float(x) for x in row] for row in h]
 
     @staticmethod
     def constant(value, m):
@@ -151,11 +147,6 @@ class Jet:
     def exp(self):
         return self._chain(math.exp, math.exp, math.exp)
 
-    def sqrt(self):
-        return self._chain(math.sqrt,
-                           lambda x: 0.5 / math.sqrt(x),
-                           lambda x: -0.25 / x ** 1.5)
-
     def __repr__(self):
         return f"Jet({self.v!r})"
 
@@ -181,6 +172,10 @@ def jet_exp(x):
 class ConfigError(ValueError):
     """Malformed scenario configuration, such as a metric that is not
     positive definite somewhere on its chart."""
+
+
+class GenericityError(RuntimeError):
+    """The field violates the generic-position assumptions of the law."""
 
 
 def _positive_definite(G, point):
@@ -218,15 +213,12 @@ class RiemannianPatch:
 
     def metric_values(self, x):
         raw = self._metric(list(map(float, x)))
-        return _positive_definite(
-            np.array([[entry.v if isinstance(entry, Jet) else float(entry)
-                       for entry in row] for row in raw]), x)
+        return _positive_definite(np.array(raw, dtype=float), x)
 
     def ambient(self, x):
         if self._chart_map is None:
             return np.asarray(x, dtype=float)
-        return np.array([v.v if isinstance(v, Jet) else float(v)
-                         for v in self._chart_map(list(map(float, x)))])
+        return np.array(self._chart_map(list(map(float, x))), dtype=float)
 
 
 class BoundaryPatch:
@@ -251,9 +243,9 @@ class BoundaryPatch:
         jt = Jet.variables(list(t))
         return [as_jet(v, self.m) for v in self._embed(jt)]
 
-    def outward_jets(self, t, x_jets):
+    def outward_jets(self, t):
         jt = Jet.variables(list(t))
-        return [as_jet(v, self.m) for v in self._outward(jt, x_jets)]
+        return [as_jet(v, self.m) for v in self._outward(jt)]
 
 
 # -- frames ---------------------------------------------------------------------
@@ -406,27 +398,16 @@ def connection_curvature(patch, point):
 
 
 def euler_form_density(patch, point):
-    """Euler curvature density against the chart coordinates (0 for odd n)."""
+    """Euler curvature density against the chart coordinates (0 for odd n):
+    chern's Euler form evaluated on the frame curvature."""
     n = patch.n
     if n % 2:
         return 0.0
-    m = n // 2
     # only frame values enter the density, so no frame derivatives
     core = _GeometryCore(patch, point)
     E, _ = _gram_schmidt(core.G, np.eye(n))
-    omega_val = np.einsum("ijmp,Am,Bp->ABij", core.riemann, E, E)
-    total = 0.0
-    perms = signed_permutations(n)
-    for pa, sa in perms:
-        for ps, ss in perms:
-            prod = sa * ss
-            for t in range(m):
-                prod *= omega_val[pa[2 * t], pa[2 * t + 1], ps[2 * t], ps[2 * t + 1]]
-                if prod == 0.0:
-                    break
-            total += prod
-    scale = (-1.0) ** m / ((2 * math.pi) ** m * 2 ** m * math.factorial(m) * 2 ** m)
-    return float(total * scale)
+    curv = np.einsum("ijmp,Am,Bp->ABij", core.riemann, E, E)
+    return float(evaluate_template(euler_template(n), None, None, None, curv))
 
 
 # -- boundary-adapted frames ------------------------------------------------------
@@ -461,19 +442,19 @@ def jet_first_order(values, m):
             np.array([j.g for j in jets]).reshape(len(jets), m))
 
 
-def boundary_frame(bpatch, t, frame_twist=None, oriented=True):
+def boundary_frame(bpatch, t, frame_twist=None):
     """Adapted orthonormal frame along the boundary, outward normal first.
 
     The frame comes with values and first t-derivatives only, from a
     first-order Gram-Schmidt on the outward vector and the tangents: omega
     and the section pullbacks read no second derivatives.  The metric
     derivative along the boundary follows by the chain rule from the parent
-    metric jets at x.  With ``oriented`` the frame is corrected to be positively
-    oriented in the ambient chart (the secondary-form template presumes
-    oriented frames) by flipping the last tangential vector; index
-    computations pass False to keep the frame aligned with the boundary
-    parameters instead.  ``frame_twist`` maps t-jets to an n x n rotation R
-    and replaces the frame E by R E; ``normal`` stays the untwisted e_1.
+    metric jets at x.  Gram-Schmidt keeps the sign of det[outward | dx], so
+    flipping the last tangential vector when ``orientation`` is -1 makes the
+    frame positively oriented in the ambient chart (the secondary-form
+    template presumes oriented frames).  ``frame_twist`` maps t-jets to an
+    n x n rotation R and replaces the frame E by R E; ``normal`` stays the
+    untwisted e_1.
     """
     parent = bpatch.parent
     m = bpatch.m
@@ -485,11 +466,12 @@ def boundary_frame(bpatch, t, frame_twist=None, oriented=True):
     G = core.G
     dG = np.einsum("kla,ai->kli", core.dG, dx)
 
-    outward, doutward = jet_first_order(bpatch.outward_jets(t, x_jets), m)
+    outward, doutward = jet_first_order(bpatch.outward_jets(t), m)
     E, dE = _gram_schmidt(G, np.vstack([outward, dx.T]), dG,
                           np.concatenate([doutward[None], d2x.transpose(1, 0, 2)]))
     normal, dnormal = E[0].copy(), dE[0].copy()
-    if oriented and np.linalg.det(E) < 0:
+    orientation = 1.0 if np.linalg.det(np.column_stack([normal, dx])) > 0 else -1.0
+    if orientation < 0:
         E[-1], dE[-1] = -E[-1], -dE[-1]
     if frame_twist is not None:
         R, dR = zip(*(jet_first_order(row, m)
@@ -505,8 +487,6 @@ def boundary_frame(bpatch, t, frame_twist=None, oriented=True):
     omega = np.einsum("Aik,kl,Bl->ABi", nabla, G, E)
     omega = 0.5 * (omega - omega.transpose(1, 0, 2))
     curv = np.einsum("lrmp,li,rj,Am,Bp->ABij", R4, dx, dx, E, E)
-
-    orientation = 1.0 if np.linalg.det(np.column_stack([normal, dx])) > 0 else -1.0
     return BoundaryFrame(t=np.asarray(t, dtype=float), x=x, x_jets=x_jets,
                          dx=dx, metric=G, dmetric=dG, normal=normal,
                          dnormal=dnormal, frame=E, dframe=dE, omega=omega,

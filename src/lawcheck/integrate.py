@@ -1,8 +1,9 @@
 """Quadrature of pulled-back forms: sections, fiber spheres, Euler densities.
 
-The symbolic secondary form is the single source of truth: its monomials are
-compiled into a numeric template whose generators are bound, per quadrature
-node, to frame/connection/curvature values produced by the geometry layer.
+The symbolic forms are the single source of truth: Phi and, like it, Omega
+are compiled by chern into numeric templates whose generators are bound, per
+quadrature node, to frame/connection/curvature values from the geometry layer.
+The fiber sphere is chern's polar parametrization, evaluated in floats.
 Accumulation uses math.fsum, which is exactly rounded, so results do not
 depend on evaluation order.
 """
@@ -11,15 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEGREE, K_DPHI, K_THETA, K_U
-from .chern import build_phi, signed_permutations
+from .chern import (
+    build_phi,
+    compile_template,
+    evaluate_template,
+    phi_template,
+    polar_coordinates,
+)
 from .geometry import (
-    Jet,
-    as_jet,
+    GenericityError,
     boundary_frame,
     euler_form_density,
     jet_first_order,
@@ -61,78 +65,6 @@ def gauss_grid(box, orders):
                           orders=list(orders))
 
 
-# -- numeric templates for symbolic forms -----------------------------------------
-
-@dataclass(frozen=True)
-class FormTemplate:
-    n: int
-    slots: int
-    entries: tuple    # (coeff, u_list, factors) with factors ((kind, a, b, deg), ...)
-
-
-def compile_template(form, slots):
-    """Flatten a constant-coefficient interior form for numeric evaluation."""
-    entries = []
-    for (evens, odds), coeff in form.terms.items():
-        us = []
-        factors = []
-        for kind, a, b in evens:
-            if kind == K_U:
-                us.append(a - 1)
-            else:
-                factors.append((kind, a - 1, b - 1, DEGREE[kind]))
-        for kind, a, b in odds:
-            if kind == K_DPHI:
-                raise ValueError("numeric templates cannot bind formal angles")
-            factors.append((kind, a - 1, b - 1, DEGREE[kind]))
-        total_deg = sum(f[3] for f in factors)
-        if total_deg != slots:
-            continue  # wrong degree; contributes nothing to a top-degree density
-        entries.append((coeff.to_float(), tuple(us), tuple(factors)))
-    return FormTemplate(n=form.n, slots=slots, entries=tuple(entries))
-
-
-def evaluate_template(tpl, u, theta, omega, curv):
-    """Evaluate the compiled density on the chart slots.
-
-    u: (n,), theta: (n, slots), omega/curv: (n, n, slots[, slots]).
-    """
-    total = 0.0
-    perms = signed_permutations(tpl.slots)
-    for coeff, us, factors in tpl.entries:
-        scalar = coeff
-        for a in us:
-            scalar *= u[a]
-        if scalar == 0.0:
-            continue
-        denom = 1.0
-        for f in factors:
-            if f[3] == 2:
-                denom *= 2.0
-        acc = 0.0
-        for perm, sign in perms:
-            prod = sign
-            pos = 0
-            for kind, a, b, deg in factors:
-                if deg == 1:
-                    val = theta[a][perm[pos]] if kind == K_THETA else omega[a][b][perm[pos]]
-                    pos += 1
-                else:
-                    val = curv[a][b][perm[pos]][perm[pos + 1]]
-                    pos += 2
-                prod *= val
-                if prod == 0.0:
-                    break
-            acc += prod
-        total += scalar * acc / denom
-    return total
-
-
-@lru_cache(maxsize=None)
-def phi_template(n):
-    return compile_template(build_phi(n).phi, n - 1)
-
-
 # -- section pullbacks --------------------------------------------------------------
 
 class SectionPullback:
@@ -159,7 +91,8 @@ class SectionPullback:
         G, dG = bf.metric, bf.dmetric
         norm2, dnorm2 = metric_inner(G, dG, W, dW, W, dW)
         if norm2 < 1e-18:
-            raise ValueError(f"section norm below 1e-9 at boundary point {list(t)}")
+            raise GenericityError(
+                f"section norm below 1e-9 at boundary point {[float(v) for v in t]}")
         s, ds = metric_inner(G, dG, bf.frame, bf.dframe, W, dW)
         inv_norm = 1.0 / math.sqrt(norm2)
         u = s * inv_norm
@@ -217,20 +150,6 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
     return tuple(math.fsum(acc) for acc in vals)
 
 
-def fiber_coordinates(n, angles):
-    """Polar parametrization of the fiber sphere as jets in the angles."""
-    jets = Jet.variables(list(angles))
-    out = []
-    for a in range(1, n + 1):
-        val = Jet.constant(1.0, n - 1)
-        for i in range(a - 1):
-            val = val * jets[i].sin()
-        if a < n:
-            val = val * jets[a - 1].cos()
-        out.append(val)
-    return out
-
-
 def fiber_grid(n, order):
     box = [(0.0, math.pi)] * (n - 2) + [(0.0, 2 * math.pi)]
     return gauss_grid(box, order)
@@ -242,13 +161,15 @@ def integrate_fiber_form(form, grid):
     n = form.n
     m = n - 1
     tpl = compile_template(form, m)
+    coords = polar_coordinates(n)
+    dcoords = [[c.deriv(i) for i in range(1, n)] for c in coords]
     omega = np.zeros((n, n, m))
     curv = np.zeros((n, n, m, m))
     vals = []
     for node, w in zip(grid.nodes, grid.weights):
-        coords = fiber_coordinates(n, node)
-        u = np.array([c.v for c in coords])
-        theta = np.array([c.g for c in coords])
+        angles = {i + 1: float(a) for i, a in enumerate(node)}
+        u = np.array([c.to_float(angles) for c in coords])
+        theta = np.array([[d.to_float(angles) for d in row] for row in dcoords])
         vals.append(w * evaluate_template(tpl, u, theta, omega, curv))
     return math.fsum(vals)
 
@@ -263,36 +184,31 @@ def integrate_fiber_volume(n, order=None):
 # -- degree integrals ----------------------------------------------------------------
 
 def degree_integral_circle(map_fn, order=256):
-    """Degree of a nonvanishing plane-valued map over [0, 2pi)."""
+    """Degree of a nonvanishing plane-valued map over [0, 2pi): ``map_fn(t)``
+    returns w (2,) and dw (2, 1), and (w1 w2' - w2 w1') / |w|^2 is integrated."""
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
     vals = []
     for (t,), w in zip(grid.nodes, grid.weights):
-        j = Jet.variables([t])
-        comp = map_fn(j[0])
-        w1, w2 = (as_jet(c, 1) for c in comp)
+        (w1, w2), dw = map_fn(t)
         norm2 = w1 * w1 + w2 * w2
-        if norm2.v < 1e-18:
-            raise ValueError(f"map vanishes on the integration circle at t={t}")
-        inv = 1.0 / norm2.sqrt()
-        a, b = w1 * inv, w2 * inv
-        vals.append(w * (a.v * b.g[0] - b.v * a.g[0]))
+        if norm2 < 1e-18:
+            raise GenericityError(f"map vanishes on the integration circle at t={t}")
+        vals.append(w * (w1 * dw[1][0] - w2 * dw[0][0]) / norm2)
     return math.fsum(vals) / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order=48):
-    """Degree of a nonvanishing space-valued map over the (colat, lon) box."""
+    """Degree of a nonvanishing space-valued map over the (colat, lon) box:
+    ``map_fn(node)`` returns w (3,) and dw (3, 2), and det[w, dw] / |w|^3 is
+    integrated."""
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
     vals = []
     for node, w in zip(grid.nodes, grid.weights):
-        jets = Jet.variables(list(node))
-        comp = [as_jet(c, 2) for c in map_fn(jets)]
-        norm2 = comp[0] * comp[0] + comp[1] * comp[1] + comp[2] * comp[2]
-        if norm2.v < 1e-18:
-            raise ValueError(f"map vanishes on the integration sphere at {list(node)}")
-        inv = 1.0 / norm2.sqrt()
-        wv = [c * inv for c in comp]
-        mat = np.array([[c.v for c in wv],
-                        [c.g[0] for c in wv],
-                        [c.g[1] for c in wv]])
-        vals.append(w * np.linalg.det(mat))
+        wv, dw = map_fn(node)
+        norm2 = float(wv @ wv)
+        if norm2 < 1e-18:
+            raise GenericityError(
+                f"map vanishes on the integration sphere at {[float(a) for a in node]}")
+        mat = np.array([wv, dw[:, 0], dw[:, 1]])
+        vals.append(w * np.linalg.det(mat) / (norm2 * math.sqrt(norm2)))
     return math.fsum(vals) / (4 * math.pi)

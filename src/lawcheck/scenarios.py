@@ -105,7 +105,7 @@ def _load(cfg):
         boundaries.append(BoundaryPatch(
             patch, _box(_require(bc, "box", "boundary")),
             embed=embed,
-            outward=lambda t, x, fn=outward: fn(t),
+            outward=outward,
             name=bc.get("name", f"boundary-{k}")))
 
     fc = _require(cfg, "field", name)

@@ -154,7 +154,7 @@ def test_criterion_8_property_suites():
                            lambda x: [[1, 0], [0, x[0] * x[0]]])
     rim = BoundaryPatch(disk, [(0, 2 * math.pi)],
                         embed=lambda t: [1.0 + 0 * t[0], t[0]],
-                        outward=lambda t, x: [1.0, 0.0])
+                        outward=lambda t: [1.0, 0.0])
     grid = gauss_grid(rim.box, [64])
 
     def twist(t_jets):

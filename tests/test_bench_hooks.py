@@ -2,8 +2,8 @@
 
 ``bench/tracing.install()`` wraps lawcheck functions and methods by name, so
 renaming one of them, or a parameter its span reads, breaks the traced pass.
-This test runs one catalog scenario through the tracer in a fresh interpreter
-and reads the per-layer metrics back.
+This test runs one catalog scenario and both degree integrals through the
+tracer in a fresh interpreter and reads the per-layer metrics back.
 """
 
 import json
@@ -15,14 +15,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = textwrap.dedent("""
-    import json, sys
+    import json, math, sys
     sys.path[:0] = [sys.argv[1], sys.argv[2]]
+    import numpy as np
     import tracing
-    from lawcheck import report, runner, scenarios
+    from lawcheck import integrate, report, runner, scenarios
     tracer = tracing.install()
     scenario = scenarios.load_catalog_scenario("disk-constant")
     tracer.begin_op(0)
     text = report.emit_report(runner.run_scenario(scenario), "json")
+    integrate.degree_integral_circle(
+        lambda t: (np.array([math.cos(t), math.sin(t)]),
+                   np.array([[-math.sin(t)], [math.cos(t)]])), order=16)
+    integrate.degree_integral_sphere(
+        lambda ab: (np.array([0.0, 0.0, 1.0]), np.zeros((3, 2))), order=4)
     tracer.write(sys.argv[3], {"workload": "hooks"})
     print(json.dumps({
         "passed": report.ScenarioReport.from_json(text).passed,
@@ -40,3 +46,5 @@ def test_traced_pass_records_layers(tmp_path):
     assert out["passed"]
     assert out["metrics"]["integrate.phi_nodes"] > 0
     assert out["metrics"]["geometry.frames_per_boundary_node"] == 1.0
+    assert out["metrics"]["integrate.degree_nodes"] == 48
+    assert out["metrics"]["geometry.euler_density_calls"] > 0

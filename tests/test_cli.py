@@ -241,6 +241,18 @@ def test_cli_non_positive_definite_metric_exit_2(tmp_path, capsys):
     assert "Traceback" not in err and "np.float64" not in err
 
 
+def test_cli_expression_fault_exit_2(tmp_path, capsys):
+    raw = load_catalog_raw("disk-constant")
+    raw["patch"]["metric"][1][1] = "r*r/(r-r)"
+    path = tmp_path / "zero-division.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: expression 'r*r/(r-r)' fails at [")
+    assert "Traceback" not in err and "np.float64" not in err
+
+
 def test_cli_symbolic_print_phi(capsys):
     assert cli.main(["symbolic-check", "--n", "2", "--identity", "dphi",
                      "--print", "phi"]) == 0

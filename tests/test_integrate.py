@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from lawcheck.chern import build_phi
-from lawcheck.geometry import BoundaryPatch, RiemannianPatch, jet_cos, jet_sin
+from lawcheck.geometry import (
+    BoundaryPatch,
+    GenericityError,
+    RiemannianPatch,
+    jet_cos,
+    jet_sin,
+)
 from lawcheck.integrate import (
     QuadratureGrid,
     SectionPullback,
@@ -40,7 +46,7 @@ def disk_rim(reverse=False):
     else:
         embed = lambda t: [1.0 + 0 * t[0], t[0]]
     return BoundaryPatch(patch, [(0, 2 * math.pi)], embed=embed,
-                         outward=lambda t, x: [1.0, 0.0])
+                         outward=lambda t: [1.0, 0.0])
 
 
 def cap_patch(theta_max):
@@ -53,7 +59,7 @@ def cap_rim(theta_max):
     patch = cap_patch(theta_max)
     return BoundaryPatch(patch, [(0, 2 * math.pi)],
                          embed=lambda t: [theta_max + 0 * t[0], t[0]],
-                         outward=lambda t, x: [1.0, 0.0])
+                         outward=lambda t: [1.0, 0.0])
 
 
 # -- grids and summation ---------------------------------------------------------
@@ -186,8 +192,10 @@ def test_node_order_does_not_change_integrals():
 def test_section_norm_guard():
     rim = disk_rim()
     dying = lambda x: [jet_cos(x[1]) - jet_cos(x[1]), 0.0]
-    with pytest.raises(ValueError):
+    with pytest.raises(GenericityError):
         integrate_phi_over_section(rim, (dying,), gauss_grid(rim.box, [8]))
+    with pytest.raises(GenericityError, match="section norm below 1e-9"):
+        SectionPullback(rim, lambda x: [0.0, 0.0]).bind([0.3])
 
 
 def test_section_unit_residual():
@@ -222,7 +230,7 @@ def test_integral_is_parametrization_and_chart_invariant():
                                lambda x: [[x[1] * x[1], 0], [0, 1]])
     rim = BoundaryPatch(mirrored, [(0, 2 * math.pi)],
                         embed=lambda t: [t[0], 1.0 + 0 * t[0]],
-                        outward=lambda t, x: [0.0, 1.0])
+                        outward=lambda t: [0.0, 1.0])
     (swapped,) = integrate_phi_over_section(rim, (None,), grid)
     assert swapped == pytest.approx(forward, abs=1e-9)
 
@@ -251,7 +259,7 @@ def test_frame_rotation_invariance_n3():
                                       [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]])
     sph = BoundaryPatch(ball, [(0, math.pi), (0, 2 * math.pi)],
                         embed=lambda t: [1.0 + 0 * t[0], t[0], t[1]],
-                        outward=lambda t, x: [1.0, 0.0, 0.0])
+                        outward=lambda t: [1.0, 0.0, 0.0])
     grid = gauss_grid(sph.box, [20, 20])
 
     def twist(t_jets):
@@ -268,24 +276,46 @@ def test_frame_rotation_invariance_n3():
 
 # -- degree integrals -------------------------------------------------------------
 
+def _circle_map(k):
+    """t -> (cos kt, sin kt) with its t-derivatives, degree k."""
+    return lambda t: (np.array([math.cos(k * t), math.sin(k * t)]),
+                      np.array([[-k * math.sin(k * t)], [k * math.cos(k * t)]]))
+
+
+def _sphere_map(k, sign=1.0):
+    """(a, b) -> sign * (sin a cos kb, sin a sin kb, cos a) with gradients,
+    degree sign * k."""
+    def fn(node):
+        a, b = node
+        w = np.array([math.sin(a) * math.cos(k * b), math.sin(a) * math.sin(k * b),
+                      math.cos(a)])
+        dw = np.array([[math.cos(a) * math.cos(k * b), -k * math.sin(a) * math.sin(k * b)],
+                       [math.cos(a) * math.sin(k * b), k * math.sin(a) * math.cos(k * b)],
+                       [-math.sin(a), 0.0]])
+        return sign * w, sign * dw
+    return fn
+
+
 def test_degree_circle_examples():
-    assert degree_integral_circle(
-        lambda t: [t.cos(), t.sin()]) == pytest.approx(1.0, abs=1e-12)
-    two = lambda t: [(t * 2.0).cos(), (t * 2.0).sin()]
-    assert degree_integral_circle(two) == pytest.approx(2.0, abs=1e-12)
+    assert degree_integral_circle(_circle_map(1)) == pytest.approx(1.0, abs=1e-12)
+    assert degree_integral_circle(_circle_map(2)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_degree_sphere_examples():
-    ident = lambda ab: [ab[0].sin() * ab[1].cos(), ab[0].sin() * ab[1].sin(),
-                        ab[0].cos()]
+    ident = _sphere_map(1)
     assert degree_integral_sphere(ident, order=24) == pytest.approx(1.0, abs=1e-9)
-    anti = lambda ab: [-1.0 * c for c in ident(ab)]
+    anti = _sphere_map(1, sign=-1.0)
     assert degree_integral_sphere(anti, order=24) == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_degree_sphere_degree_two_map():
+    assert degree_integral_sphere(_sphere_map(2), order=24) == \
+        pytest.approx(2.0, abs=1e-9)
+
+
 def test_degree_vanishing_map_raises():
-    with pytest.raises(ValueError):
-        degree_integral_circle(lambda t: [t * 0.0, t * 0.0], order=16)
+    with pytest.raises(GenericityError):
+        degree_integral_circle(lambda t: (np.zeros(2), np.zeros((2, 1))), order=16)
 
 
 def test_phi_template_is_cached_and_top_degree():
