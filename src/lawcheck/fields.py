@@ -26,12 +26,11 @@ from .geometry import (
 from .integrate import degree_integral_circle, degree_integral_sphere
 
 
-def default_index_radius(ambient, other_ambients=(), boundary_points=(),
-                         cap=0.1):
-    """Default integration radius: min(cap, half the distance to the nearest
+def default_index_radius(ambient, other_ambients=(), boundary_points=()):
+    """Default integration radius: min(0.1, half the distance to the nearest
     other singularity or boundary point), measured in ambient coordinates."""
     ambient = np.asarray(ambient, dtype=float)
-    best = cap
+    best = 0.1
     for other in other_ambients:
         best = min(best, 0.5 * float(np.linalg.norm(ambient - np.asarray(other))))
     for pt in boundary_points:
@@ -146,9 +145,10 @@ def _field_frame_components(bpatch, components, t):
     return s, ds
 
 
-def boundary_decompose(field_spec: VectorFieldSpec, bpatch, boundary_index=0,
-                       samples=256) -> BoundarySplit:
-    """Classify declared tangential singularities and sample for genericity.
+def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
+                       boundary_index=0) -> BoundarySplit:
+    """Classify declared tangential singularities and sample for genericity
+    (256 points on a boundary curve, a 24 x 24 grid on a boundary surface).
 
     Undeclared zeros of the tangential projection abort when the field points
     inward or lies on the inward/outward interface there; outward-region
@@ -163,7 +163,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch, boundary_index=0,
     min_proj = math.inf
 
     axes = [np.linspace(lo + (hi - lo) * 1e-3, hi - (hi - lo) * 1e-3,
-                        samples if n == 2 else 24)
+                        256 if n == 2 else 24)
             for lo, hi in bpatch.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
@@ -265,12 +265,11 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 
 # -- interior sampling ------------------------------------------------------------
 
-def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec,
-                                samples_per_dim=16):
-    """Sample the chart box: the field norm must clear the margin outside the
-    declared exclusion balls (ambient distance)."""
-    axes = [np.linspace(lo + (hi - lo) * 1e-3, hi - (hi - lo) * 1e-3,
-                        samples_per_dim) for lo, hi in patch.box]
+def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
+    """Sample the chart box on 16 points per axis: the field norm must clear
+    the margin outside the declared exclusion balls (ambient distance)."""
+    axes = [np.linspace(lo + (hi - lo) * 1e-3, hi - (hi - lo) * 1e-3, 16)
+            for lo, hi in patch.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
     exclusions = [(np.asarray(s.ambient, dtype=float), s.exclusion_radius)

@@ -3,10 +3,14 @@
 Differentiation is forward mode, truncated to the order that is consumed.  A
 Jet carries a value, a gradient and a Hessian with respect to the chart
 parameters, so Christoffel symbols (first metric derivatives) and curvature
-(second derivatives) come out exact to roundoff.  Frames carry values and
-first derivatives only, as small arrays: the connection form needs the first
-derivatives of the frame and nothing reads its second ones.  Finite
-differences appear only in tests, as independent oracles.
+(second derivatives) come out exact to roundoff.  Curvature is computed once,
+in coordinates: the lowered Riemann tensor comes straight from the second
+metric derivatives and the Christoffel symbols of the first kind.  The Euler
+density needs no frame; frames are built only where they are read (boundary
+frames and ``connection_curvature``) and carry values and first derivatives
+only, as small arrays: the connection form needs the first derivatives of
+the frame and nothing reads its second ones.  Finite differences appear only
+in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches; curvature uses nabla e_A = sum_B omega(A,B) e_B and
@@ -179,14 +183,13 @@ class GenericityError(RuntimeError):
 
 
 def _positive_definite(G, point):
-    """Return the metric matrix G at the chart point, or raise ConfigError
-    when its Cholesky factorization fails."""
+    """Cholesky factor of the metric matrix G at the chart point; raise
+    ConfigError when the factorization fails."""
     try:
-        np.linalg.cholesky(G)
+        return np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise ConfigError("metric not positive definite at chart point "
                           f"{[float(v) for v in point]}") from None
-    return G
 
 
 class RiemannianPatch:
@@ -212,8 +215,9 @@ class RiemannianPatch:
         return [[as_jet(entry, self.n) for entry in row] for row in raw]
 
     def metric_values(self, x):
-        raw = self._metric(list(map(float, x)))
-        return _positive_definite(np.array(raw, dtype=float), x)
+        G = np.array(self._metric(list(map(float, x))), dtype=float)
+        _positive_definite(G, x)
+        return G
 
     def ambient(self, x):
         if self._chart_map is None:
@@ -255,8 +259,8 @@ class FrameData:
     point: np.ndarray
     frame: np.ndarray                      # rows are the frame vectors e_A
     metric: np.ndarray
-    omega: np.ndarray | None = None        # omega[A,B,i] on coordinate directions
-    curvature: np.ndarray | None = None    # curvature[A,B,i,j] on coordinate bivectors
+    omega: np.ndarray                      # omega[A,B,i] on coordinate directions
+    curvature: np.ndarray                  # curvature[A,B,i,j] on coordinate bivectors
 
     @property
     def orthonormality_residual(self):
@@ -276,138 +280,106 @@ def metric_inner(G, dG, a, da, b, db):
     return a @ Gb, Gb @ da + a @ dGb
 
 
-def _gram_schmidt(G, vectors, dG=None, dvectors=None):
-    """Orthonormalize the rows of ``vectors`` against G.
+def _gram_schmidt(G, dG, vectors, dvectors):
+    """Orthonormalize the rows of ``vectors`` against G, to first order.
 
-    Given dG[k, l, i] and dvectors[r, k, i], the derivatives of G and of the
-    rows along parameter i, the frame derivatives are carried to first order;
-    otherwise only values are computed and the derivatives come back None.
+    dG[k, l, i] and dvectors[r, k, i] are the derivatives of G and of the
+    rows along parameter i; the frame comes back with dframe[A, k, i].
     """
-    first = dvectors is not None
     rows, drows = [], []
-    for r, w in enumerate(vectors):
-        dw = dvectors[r] if first else None
+    for w, dw in zip(vectors, dvectors):
         for e, de in zip(rows, drows):
-            if first:
-                c, dc = metric_inner(G, dG, w, dw, e, de)
-                dw = dw - c * de - np.outer(e, dc)
-            else:
-                c = w @ G @ e
+            c, dc = metric_inner(G, dG, w, dw, e, de)
             w = w - c * e
-        if first:
-            norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
-        else:
-            norm2 = w @ G @ w
+            dw = dw - c * de - np.outer(e, dc)
+        norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
         if norm2 <= 1e-14:
             raise ValueError("degenerate frame candidate in Gram-Schmidt")
         inv = 1.0 / math.sqrt(norm2)
         rows.append(w * inv)
-        drows.append(dw * inv - np.outer(w, dnorm2) * (0.5 * inv ** 3)
-                     if first else None)
-    return np.array(rows), (np.array(drows) if first else None)
-
-
-def orthonormal_frame(patch, point, first=None):
-    """Gram-Schmidt frame at a point; optionally seed with a leading vector."""
-    n = patch.n
-    G = patch.metric_values(point)
-    vectors = []
-    if first is not None:
-        vectors.append(list(first))
-    basis = list(np.eye(n))
-    for b in basis:
-        if len(vectors) == n:
-            break
-        trial = vectors + [list(b)]
-        mat = np.array(trial)
-        if np.linalg.matrix_rank(mat, tol=1e-12) == len(trial):
-            vectors.append(list(b))
-    E, _ = _gram_schmidt(G, np.array(vectors, dtype=float))
-    fd = FrameData(point=np.asarray(point, dtype=float), frame=E, metric=G)
-    if fd.orthonormality_residual > 1e-9:
-        raise ValueError("frame failed orthonormality check")
-    return fd
+        drows.append(dw * inv - np.outer(w, dnorm2) * (0.5 * inv ** 3))
+    return np.array(rows), np.array(drows)
 
 
 class _GeometryCore:
-    """One evaluation pass shared by Christoffels, curvature, and frames."""
+    """Metric, Christoffel symbols and the lowered Riemann tensor at a chart
+    point, from one evaluation of the metric jets."""
 
-    __slots__ = ("G", "dG", "Gamma", "dGamma", "riemann")
+    __slots__ = ("G", "dG", "sqrt_det", "Gamma", "riemann")
 
     def __init__(self, patch, point):
         n = patch.n
         Gj = patch.metric_jets(point)
-        G = _positive_definite(
-            np.array([[Gj[i][j].v for j in range(n)] for i in range(n)]), point)
+        G = np.array([[Gj[i][j].v for j in range(n)] for i in range(n)])
+        L = _positive_definite(G, point)
         dG = np.array([[Gj[i][j].g for j in range(n)] for i in range(n)])
         d2G = np.array([[Gj[i][j].h for j in range(n)] for i in range(n)])
-        Ginv = np.linalg.inv(G)
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        bracket = (np.einsum("jli->lij", dG) + np.einsum("ilj->lij", dG)
-                   - np.einsum("ijl->lij", dG))
-        Gamma = 0.5 * np.einsum("kl,lij->kij", Ginv, bracket)
-        dGinv = -np.einsum("ka,abm,bl->klm", Ginv, dG, Ginv)
-        dbracket = (np.einsum("jlim->lijm", d2G) + np.einsum("iljm->lijm", d2G)
-                    - np.einsum("ijlm->lijm", d2G))
-        dGamma = (0.5 * np.einsum("klm,lij->kijm", dGinv, bracket)
-                  + 0.5 * np.einsum("kl,lijm->kijm", Ginv, dbracket))
-        Rup = (np.einsum("pjmi->pijm", dGamma) - np.einsum("pimj->pijm", dGamma)
-               + np.einsum("piq,qjm->pijm", Gamma, Gamma)
-               - np.einsum("pjq,qim->pijm", Gamma, Gamma))
+        # first kind: low[l,i,j] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
+        low = 0.5 * (np.einsum("jli->lij", dG) + np.einsum("ilj->lij", dG)
+                     - np.einsum("ijl->lij", dG))
+        Gamma = np.einsum("kl,lij->kij", np.linalg.inv(G), low)
+        # R[i,j,m,p] = <R(d_i, d_j) d_m, d_p>
+        R = 0.5 * (np.einsum("pjmi->ijmp", d2G) - np.einsum("jmpi->ijmp", d2G)
+                   - np.einsum("pimj->ijmp", d2G) + np.einsum("impj->ijmp", d2G))
+        R += (np.einsum("qjp,qim->ijmp", low, Gamma)
+              - np.einsum("qip,qjm->ijmp", low, Gamma))
         self.G = G
         self.dG = dG
+        self.sqrt_det = float(np.prod(np.diag(L)))
         self.Gamma = Gamma
-        self.dGamma = dGamma
-        self.riemann = np.einsum("pq,qijm->ijmp", G, Rup)
+        self.riemann = R
 
 
-def christoffels(patch, point):
-    """Christoffel symbols and their first derivatives from metric jets."""
-    core = _GeometryCore(patch, point)
-    return core.Gamma, core.dGamma
+def _frame_connection(core, E, dE, dx):
+    """Connection and curvature values of the frame rows E along a map into
+    the chart with pushforward dx[k,i] = d x^k / d t_i.
 
-
-def riemann_lowered(patch, point):
-    """Curvature tensor R[i,j,m,p] = <R(d_i, d_j) d_m, d_p>."""
-    return _GeometryCore(patch, point).riemann
+    dE[A,k,i] is the derivative of e_A^k along t_i; omega[A,B,i] and
+    curvature[A,B,i,j] come back on the t coordinate directions.
+    """
+    # nabla along direction i: d_i e_A^k + Gamma^k_{lm} dx^l_i e_A^m
+    nabla = (np.einsum("Aki->Aik", dE)
+             + np.einsum("klm,li,Am->Aik", core.Gamma, dx, E))
+    omega = np.einsum("Aik,kl,Bl->ABi", nabla, core.G, E)
+    omega = 0.5 * (omega - omega.transpose(1, 0, 2))  # kill roundoff asymmetry
+    curv = np.einsum("lrmp,li,rj,Am,Bp->ABij", core.riemann, dx, dx, E, E)
+    return omega, curv
 
 
 def connection_curvature(patch, point):
     """Frame, connection values and curvature values at a point.
 
-    omega[A,B,i] is the connection form of the patch frame on the i-th
-    coordinate direction; curvature[A,B,i,j] the curvature form on the
-    coordinate bivector (i, j).
+    The frame is Gram-Schmidt on the coordinate basis; omega[A,B,i] is its
+    connection form on the i-th coordinate direction and curvature[A,B,i,j]
+    the curvature form on the coordinate bivector (i, j), by the formula the
+    boundary frames use.
     """
     n = patch.n
     core = _GeometryCore(patch, point)
-    G = core.G
-    E, dE = _gram_schmidt(G, np.eye(n), core.dG, np.zeros((n, n, n)))  # dE[A,k,i]
-    Gamma = core.Gamma
-    R = core.riemann
-    # nabla_{d_i} e_A = (d_i E[A,k] + Gamma^k_im E[A,m]) d_k
-    nabla = np.einsum("Aki->Aik", dE) + np.einsum("kim,Am->Aik", Gamma, E)
-    omega = np.einsum("Aik,kl,Bl->ABi", nabla, G, E)
-    omega = 0.5 * (omega - omega.transpose(1, 0, 2))  # kill roundoff asymmetry
-    curv = np.einsum("ijmp,Am,Bp->ABij", R, E, E)
-    fd = FrameData(point=np.asarray(point, dtype=float), frame=E, metric=G,
-                   omega=omega, curvature=curv)
+    eye = np.eye(n)
+    E, dE = _gram_schmidt(core.G, core.dG, eye, np.zeros((n, n, n)))
+    omega, curv = _frame_connection(core, E, dE, eye)
+    fd = FrameData(point=np.asarray(point, dtype=float), frame=E,
+                   metric=core.G, omega=omega, curvature=curv)
     if fd.orthonormality_residual > 1e-9:
         raise ValueError("frame failed orthonormality check")
     return fd
 
 
 def euler_form_density(patch, point):
-    """Euler curvature density against the chart coordinates (0 for odd n):
-    chern's Euler form evaluated on the frame curvature."""
+    """Euler curvature density against the chart coordinates (0 for odd n).
+
+    chern's Euler form is alternating in the frame indices, so on the frame
+    curvature R(E, E) it picks up det E = 1/sqrt(det g) against the
+    coordinate curvature: no frame is built.
+    """
     n = patch.n
     if n % 2:
         return 0.0
-    # only frame values enter the density, so no frame derivatives
     core = _GeometryCore(patch, point)
-    E, _ = _gram_schmidt(core.G, np.eye(n))
-    curv = np.einsum("ijmp,Am,Bp->ABij", core.riemann, E, E)
-    return float(evaluate_template(euler_template(n), None, None, None, curv))
+    curv = core.riemann.transpose(2, 3, 0, 1)  # curv[m,p,i,j] = R[i,j,m,p]
+    return float(evaluate_template(euler_template(n), None, None, None, curv)
+                 / core.sqrt_det)
 
 
 # -- boundary-adapted frames ------------------------------------------------------
@@ -467,7 +439,7 @@ def boundary_frame(bpatch, t, frame_twist=None):
     dG = np.einsum("kla,ai->kli", core.dG, dx)
 
     outward, doutward = jet_first_order(bpatch.outward_jets(t), m)
-    E, dE = _gram_schmidt(G, np.vstack([outward, dx.T]), dG,
+    E, dE = _gram_schmidt(G, dG, np.vstack([outward, dx.T]),
                           np.concatenate([doutward[None], d2x.transpose(1, 0, 2)]))
     normal, dnormal = E[0].copy(), dE[0].copy()
     orientation = 1.0 if np.linalg.det(np.column_stack([normal, dx])) > 0 else -1.0
@@ -479,14 +451,7 @@ def boundary_frame(bpatch, t, frame_twist=None):
         R, dR = np.array(R), np.array(dR)
         E, dE = (R @ E, np.einsum("abi,bk->aki", dR, E)
                  + np.einsum("ab,bki->aki", R, dE))
-
-    Gamma, R4 = core.Gamma, core.riemann
-    # nabla along boundary direction i: d_i e_A^k + Gamma^k_{lm} dx^l_i e_A^m
-    nabla = (np.einsum("Aki->Aik", dE)
-             + np.einsum("klm,li,Am->Aik", Gamma, dx, E))
-    omega = np.einsum("Aik,kl,Bl->ABi", nabla, G, E)
-    omega = 0.5 * (omega - omega.transpose(1, 0, 2))
-    curv = np.einsum("lrmp,li,rj,Am,Bp->ABij", R4, dx, dx, E, E)
+    omega, curv = _frame_connection(core, E, dE, dx)
     return BoundaryFrame(t=np.asarray(t, dtype=float), x=x, x_jets=x_jets,
                          dx=dx, metric=G, dmetric=dG, normal=normal,
                          dnormal=dnormal, frame=E, dframe=dE, omega=omega,

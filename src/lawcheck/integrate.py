@@ -76,38 +76,32 @@ class SectionPullback:
         self.bpatch = bpatch
         self.section = section            # None means the outward normal
 
-    def bind(self, t, frame=None):
-        """Pull the section back at t through ``frame`` (a BoundaryFrame at
-        t, built here when None).
+    def bind(self, t, frame):
+        """Pull the section back at t through ``frame``, the BoundaryFrame at t.
 
         The frame components s_A = <W, e_A> and their t-gradients come from
         first-order arrays; u = s / |W| and theta_A = du_A + u_B omega(B, A).
+        The profile values come back as ``{"angle", "v_dot_n"}``.
         """
-        bf = frame if frame is not None else boundary_frame(self.bpatch, t)
         if self.section is None:
-            W, dW = bf.normal, bf.dnormal
+            W, dW = frame.normal, frame.dnormal
         else:
-            W, dW = jet_first_order(self.section(bf.x_jets), self.bpatch.m)
-        G, dG = bf.metric, bf.dmetric
+            W, dW = jet_first_order(self.section(frame.x_jets), self.bpatch.m)
+        G, dG = frame.metric, frame.dmetric
         norm2, dnorm2 = metric_inner(G, dG, W, dW, W, dW)
         if norm2 < 1e-18:
             raise GenericityError(
                 f"section norm below 1e-9 at boundary point {[float(v) for v in t]}")
-        s, ds = metric_inner(G, dG, bf.frame, bf.dframe, W, dW)
+        s, ds = metric_inner(G, dG, frame.frame, frame.dframe, W, dW)
         inv_norm = 1.0 / math.sqrt(norm2)
         u = s * inv_norm
         du = ds * inv_norm - np.outer(s, dnorm2) * (0.5 * inv_norm ** 3)
-        theta = du + np.einsum("B,BAi->Ai", u, bf.omega)
+        theta = du + np.einsum("B,BAi->Ai", u, frame.omega)
         extras = {
-            "x": bf.x,
-            "u": u,
             "angle": math.atan2(math.sqrt(max(0.0, 1.0 - min(1.0, u[0] ** 2))), u[0]),
-            "v_norm": math.sqrt(norm2),
-            "v_dot_n": float(W @ G @ bf.normal),
-            "unit_residual": abs(float(u @ u) - 1.0),
-            "orientation": bf.orientation,
+            "v_dot_n": float(W @ G @ frame.normal),
         }
-        return u, theta, bf.omega, bf.curvature, extras
+        return u, theta, frame.omega, frame.curvature, extras
 
 
 # -- the integrals -------------------------------------------------------------------

@@ -37,9 +37,9 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
 
     interior_results = []
     for sing in scenario.field_spec.interior:
-        res = index_at(sing, order=scenario.degree_order
-                       if len(sing.center) == 2 else None)
-        half = index_at(sing, radius=sing.radius / 2)
+        res = index_at(sing, order=scenario.degree_order)
+        half = index_at(sing, radius=sing.radius / 2,
+                        order=scenario.degree_order)
         if half.value != res.value:
             failures.append(f"index of {sing.name} changed under radius "
                             f"halving: {res.value} vs {half.value}")

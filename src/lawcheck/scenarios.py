@@ -9,7 +9,7 @@ strings ("pi/2") so the documents stay exact and diffable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .expressions import ExpressionError, compile_expression, compile_matrix, compile_vector
@@ -60,7 +60,6 @@ class Scenario:
     interior_order: int
     degree_order: int
     tolerances: dict
-    raw: dict = field(repr=False, default=None)
 
 
 def _require(cfg, key, where):
@@ -169,7 +168,7 @@ def _load(cfg):
         boundary_order=int(orders.get("boundary", defaults["boundary_order"])),
         interior_order=int(orders.get("interior", defaults["interior_order"])),
         degree_order=int(orders.get("degree", defaults["degree_order"])),
-        tolerances=tolerances, raw=cfg)
+        tolerances=tolerances)
 
 
 def _boundary_point_cloud(patch, boundaries, per_dim=16):

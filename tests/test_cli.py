@@ -9,6 +9,7 @@ import os
 import pytest
 
 from lawcheck import cli
+from lawcheck.fields import index_at
 from lawcheck.report import ScenarioReport, emit_report
 from lawcheck.runner import run_scenario, run_suite
 from lawcheck.scenarios import (
@@ -133,6 +134,18 @@ def test_report_contents(disk_report):
     assert abs(r.residuals["thm"]) < 1e-6
     assert abs(r.residuals["gauss_bonnet"]) < 1e-6
     assert all(d < 1e-8 for d in r.convergence.values())
+
+
+def test_degree_order_reaches_3d_indices():
+    """orders.degree sets the sphere quadrature of 3-D interior indices."""
+    cfg = load_catalog_raw("ball3-radial")
+    cfg["orders"] = {"boundary": 4, "interior": 4, "degree": 6}
+    scenario = load_scenario(cfg)
+    report = run_scenario(scenario)
+    [sing] = scenario.field_spec.interior
+    assert report.quadrature["degree_order"] == 6
+    assert report.indices["interior"][0]["raw"] == index_at(sing, order=6).raw
+    assert report.indices["interior"][0]["raw"] != index_at(sing).raw
 
 
 def test_suite_empty_filter_matches_nothing():

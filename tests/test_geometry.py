@@ -10,14 +10,12 @@ from lawcheck.geometry import (
     BoundaryPatch,
     Jet,
     RiemannianPatch,
+    _GeometryCore,
     boundary_frame,
-    christoffels,
     connection_curvature,
     euler_form_density,
     jet_cos,
     jet_sin,
-    orthonormal_frame,
-    riemann_lowered,
 )
 
 
@@ -88,18 +86,18 @@ def test_jet_powers():
 # -- frames ------------------------------------------------------------------
 
 def test_frame_euclidean_identity():
-    fd = orthonormal_frame(flat_patch(), [0.2, 0.4])
+    fd = connection_curvature(flat_patch(), [0.2, 0.4])
     assert np.allclose(fd.frame, np.eye(2))
 
 
 def test_frame_diagonal_rescaling():
     patch = RiemannianPatch(2, [(-1, 1), (-1, 1)], lambda x: [[4, 0], [0, 1]])
-    fd = orthonormal_frame(patch, [0, 0])
+    fd = connection_curvature(patch, [0, 0])
     assert np.allclose(fd.frame, [[0.5, 0], [0, 1]])
 
 
 def test_frame_round_sphere():
-    fd = orthonormal_frame(sphere_patch(), [0.8, 1.1])
+    fd = connection_curvature(sphere_patch(), [0.8, 1.1])
     # direct normalization oracle: (d_theta, d_psi / sin theta)
     assert np.allclose(fd.frame, [[1, 0], [0, 1 / math.sin(0.8)]])
 
@@ -113,7 +111,7 @@ def test_frame_orthonormality_residual(point):
 def test_frame_rejects_degenerate_metric():
     bad = RiemannianPatch(2, [(-1, 1), (-1, 1)], lambda x: [[1, 0], [0, -1]])
     with pytest.raises(ValueError):
-        orthonormal_frame(bad, [0, 0])
+        _GeometryCore(bad, [0, 0])
     with pytest.raises(ValueError):
         connection_curvature(bad, [0, 0])
 
@@ -121,7 +119,7 @@ def test_frame_rejects_degenerate_metric():
 def test_frame_orientation_positive():
     for patch in (flat_patch(), sphere_patch(), bumpy_patch(3)):
         pt = [0.5, 0.7]
-        fd = orthonormal_frame(patch, pt)
+        fd = connection_curvature(patch, pt)
         assert np.linalg.det(fd.frame) > 0
 
 
@@ -197,7 +195,7 @@ def test_sphere_curvature_against_fd_oracle(point):
 def test_christoffels_match_fd_on_random_metric():
     patch = bumpy_patch(11)
     for pt in ([0.2, 0.3], [-0.5, 0.6]):
-        Gamma, _ = christoffels(patch, pt)
+        Gamma = _GeometryCore(patch, pt).Gamma
         assert np.max(np.abs(Gamma - _fd_christoffels(patch, pt))) < 1e-7
 
 
@@ -272,7 +270,7 @@ def test_second_bianchi_numeric_spot_check():
 
 def test_riemann_symmetries_random_metric():
     patch = bumpy_patch(23)
-    R = riemann_lowered(patch, [0.1, 0.2])
+    R = _GeometryCore(patch, [0.1, 0.2]).riemann
     assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) < 1e-12
     assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
     assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-12
@@ -296,6 +294,19 @@ def test_euler_density_matches_fd_gauss_curvature(point):
     oracle = K * math.sqrt(det) / (2 * math.pi)
     assert abs(oracle) > 1e-3
     assert euler_form_density(patch, point) == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("point", [[0.4, 1.0, 2.2, 3.0], [1.3, 5.0, 0.7, 0.2]])
+def test_euler_density_product_of_spheres(point):
+    """On S^2 x S^2 the n = 4 Pfaffian (three terms) gives
+    sin(theta_1) sin(theta_3) / (2 pi)^2, which integrates to chi = 4."""
+    patch = RiemannianPatch(4, [(0.01, math.pi - 0.01), (0.0, 2 * math.pi)] * 2,
+                            lambda x: [[1, 0, 0, 0],
+                                       [0, jet_sin(x[0]) * jet_sin(x[0]), 0, 0],
+                                       [0, 0, 1, 0],
+                                       [0, 0, 0, jet_sin(x[2]) * jet_sin(x[2])]])
+    oracle = math.sin(point[0]) * math.sin(point[2]) / (2 * math.pi) ** 2
+    assert euler_form_density(patch, point) == pytest.approx(oracle, abs=1e-14)
 
 
 def test_euler_density_sphere_formula():

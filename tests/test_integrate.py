@@ -10,6 +10,7 @@ from lawcheck.geometry import (
     BoundaryPatch,
     GenericityError,
     RiemannianPatch,
+    boundary_frame,
     jet_cos,
     jet_sin,
 )
@@ -195,7 +196,8 @@ def test_section_norm_guard():
     with pytest.raises(GenericityError):
         integrate_phi_over_section(rim, (dying,), gauss_grid(rim.box, [8]))
     with pytest.raises(GenericityError, match="section norm below 1e-9"):
-        SectionPullback(rim, lambda x: [0.0, 0.0]).bind([0.3])
+        SectionPullback(rim, lambda x: [0.0, 0.0]).bind(
+            [0.3], boundary_frame(rim, [0.3]))
 
 
 def test_section_unit_residual():
@@ -203,8 +205,7 @@ def test_section_unit_residual():
     pull = SectionPullback(rim, lambda x: [jet_cos(x[1]),
                                            -1.0 * jet_sin(x[1]) / x[0]])
     for t in (0.3, 2.1, 5.5):
-        u, theta, omega, curv, extras = pull.bind([t])
-        assert extras["unit_residual"] < 1e-12
+        u, theta, omega, curv, extras = pull.bind([t], boundary_frame(rim, [t]))
         assert abs(float(np.dot(u, u)) - 1.0) < 1e-12
 
 
@@ -352,7 +353,7 @@ def test_numeric_transgression_n2():
     angles = {}
     signs = {}
     for t in (a, b):
-        u, _theta, _w, _W, extras = pull.bind([t])
+        u, _theta, _w, _W, extras = pull.bind([t], boundary_frame(rim, [t]))
         angles[t] = extras["angle"]
         signs[t] = math.copysign(1.0, u[1])
     assert signs[a] == signs[b] == -1.0
