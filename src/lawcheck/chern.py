@@ -24,12 +24,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
+
+import numpy as np
 
 from .algebra import DEGREE, K_CURV, K_DPHI, K_OMEGA, K_THETA, K_U, Form
 from .trig import TrigScalar, sphere_volume
 
 MAX_BUILD_N = 5
+_SLOTS = "abcdefgh"  # einsum letters of the form slots
 
 
 def double_factorial(k):
@@ -60,11 +63,16 @@ def signed_permutations(k):
 @dataclass(frozen=True)
 class FormTemplate:
     slots: int
-    entries: tuple    # (coeff, u_list, factors) with factors ((kind, a, b, deg), ...)
+    entries: tuple    # (coeff, u_list, factors, subscripts), factors ((kind, a, b, deg), ...)
+    alternating: np.ndarray  # sign of each permutation of the slots, (slots,) * slots
 
 
 def compile_template(form, slots):
-    """Flatten a constant-coefficient interior form for numeric evaluation."""
+    """Flatten a constant-coefficient interior form for numeric evaluation.
+
+    An entry's sum over signed slot permutations is one einsum of its
+    factors, in slot order, with the alternating tensor of the slots.
+    """
     entries = []
     for (evens, odds), coeff in form.terms.items():
         us = []
@@ -78,45 +86,35 @@ def compile_template(form, slots):
             if kind == K_DPHI:
                 raise ValueError("numeric templates cannot bind formal angles")
             factors.append((kind, a - 1, b - 1, DEGREE[kind]))
-        total_deg = sum(f[3] for f in factors)
-        if total_deg != slots:
+        ends = list(accumulate(f[3] for f in factors))
+        if not ends or ends[-1] != slots:
             continue  # wrong degree; contributes nothing to a top-degree density
         # a 2-form factor counts each slot pair twice among the permutations
         pairs = sum(f[3] == 2 for f in factors)
-        entries.append((coeff.to_float() / 2 ** pairs, tuple(us), tuple(factors)))
-    return FormTemplate(slots=slots, entries=tuple(entries))
+        subscripts = ",".join("..." + _SLOTS[e - f[3]:e] for f, e in zip(factors, ends))
+        entries.append((coeff.to_float() / 2 ** pairs, tuple(us), tuple(factors),
+                        f"{subscripts},{_SLOTS[:slots]}->..."))
+    alternating = np.zeros((slots,) * slots)
+    for perm, sign in signed_permutations(slots):
+        alternating[perm] = sign
+    return FormTemplate(slots=slots, entries=tuple(entries), alternating=alternating)
 
 
 def evaluate_template(tpl, u, theta, omega, curv):
-    """Evaluate the compiled density on the chart slots.
+    """Evaluate the compiled density at a batch of nodes.
 
-    u: (n,), theta: (n, slots), omega/curv: (n, n, slots[, slots]); an
-    argument whose generators the form lacks is never read.
+    u: (N, n), theta: (N, n, slots), omega/curv: (N, n, n, slots[, slots]);
+    an argument whose generators the form lacks is never read.
     """
     total = 0.0
-    perms = signed_permutations(tpl.slots)
-    for coeff, us, factors in tpl.entries:
+    for coeff, us, factors, subscripts in tpl.entries:
         scalar = coeff
         for a in us:
-            scalar *= u[a]
-        if scalar == 0.0:
-            continue
-        acc = 0.0
-        for perm, sign in perms:
-            prod = sign
-            pos = 0
-            for kind, a, b, deg in factors:
-                if deg == 1:
-                    val = theta[a][perm[pos]] if kind == K_THETA else omega[a][b][perm[pos]]
-                    pos += 1
-                else:
-                    val = curv[a][b][perm[pos]][perm[pos + 1]]
-                    pos += 2
-                prod *= val
-                if prod == 0.0:
-                    break
-            acc += prod
-        total += scalar * acc
+            scalar = scalar * u[..., a]
+        operands = [(theta[..., a, :] if kind == K_THETA else omega[..., a, b, :])
+                    if deg == 1 else curv[..., a, b, :, :]
+                    for kind, a, b, deg in factors]
+        total = total + scalar * np.einsum(subscripts, *operands, tpl.alternating)
     return total
 
 

@@ -2,14 +2,18 @@
 
 Supports + - * / with unary minus, integer powers via ^, the functions
 sin, cos, exp, the constant pi, numeric literals and named parameters.
-Compiled expressions evaluate on floats or on Jets, so one config string
-serves values and derivatives alike.
+Compiled expressions evaluate on floats, on node arrays or on Jets, so one
+config string serves values and derivatives alike.  A numpy fault on arrays
+is located by re-evaluating node by node in Python floats, so the ConfigError
+names the first failing node with Python's own message.
 """
 
 from __future__ import annotations
 
 import math
 import re
+
+import numpy as np
 
 from .geometry import ConfigError, Jet, jet_cos, jet_exp, jet_sin
 
@@ -150,19 +154,34 @@ def _evaluate(node, env):
     return a / b
 
 
+def _first_fault(fns, env):
+    """Evaluate ``fns`` node by node on Python floats, in node order, so the
+    first failing node (and in it the first failing function) raises its
+    ConfigError."""
+    values = np.broadcast_arrays(*[v.v if isinstance(v, Jet) else v for v in env])
+    for k in np.ndindex(values[0].shape if values else ()):
+        for f in fns:
+            f([float(v[k]) for v in values])
+
+
 def compile_expression(text, params):
-    """Compile one expression string into env -> value (floats or Jets); an
-    arithmetic fault while evaluating it is a ConfigError."""
+    """Compile one expression string into env -> value (floats, node arrays
+    or Jets); an arithmetic fault while evaluating it is a ConfigError."""
     if not isinstance(text, str):
         text = str(text)
     ast = _Parser(_tokenize(text), list(params)).parse()
 
     def fn(env):
         try:
-            return _evaluate(ast, env)
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                return _evaluate(ast, env)
         except (ArithmeticError, ValueError) as exc:
-            point = [v.v if isinstance(v, Jet) else float(v) for v in env]
-            raise ConfigError(f"expression {text!r} fails at {point}: {exc}") from None
+            if all(type(v) in (int, float) for v in env):
+                raise ConfigError(f"expression {text!r} fails at "
+                                  f"{list(map(float, env))}: {exc}") from None
+        _first_fault([fn], env)
+        with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
+            return _evaluate(ast, env)
 
     fn.source = text
     return fn
@@ -172,15 +191,20 @@ def compile_vector(texts, params):
     fns = [compile_expression(t, params) for t in texts]
 
     def fn(env):
-        return [f(env) for f in fns]
+        try:
+            return [f(env) for f in fns]
+        except ConfigError:
+            _first_fault(fns, env)  # the earliest node across the entries
+            raise
 
     return fn
 
 
 def compile_matrix(rows, params):
-    fns = [[compile_expression(t, params) for t in row] for row in rows]
+    vector = compile_vector([t for row in rows for t in row], params)
 
     def fn(env):
-        return [[f(env) for f in row] for row in fns]
+        values = iter(vector(env))
+        return [[next(values) for _ in row] for row in rows]
 
     return fn

@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    ConfigError,
     GenericityError,
     Jet,
     boundary_frame,
-    jet_first_order,
     metric_inner,
+    node_chunks,
+    stack_jets,
 )
 from .integrate import degree_integral_circle, degree_integral_sphere
 
@@ -29,12 +31,11 @@ from .integrate import degree_integral_circle, degree_integral_sphere
 def default_index_radius(ambient, other_ambients=(), boundary_points=()):
     """Default integration radius: min(0.1, half the distance to the nearest
     other singularity or boundary point), measured in ambient coordinates."""
-    ambient = np.asarray(ambient, dtype=float)
     best = 0.1
-    for other in other_ambients:
-        best = min(best, 0.5 * float(np.linalg.norm(ambient - np.asarray(other))))
-    for pt in boundary_points:
-        best = min(best, 0.5 * float(np.linalg.norm(ambient - np.asarray(pt))))
+    for points in (other_ambients, boundary_points):
+        if len(points):
+            gaps = np.linalg.norm(np.asarray(ambient, dtype=float) - np.asarray(points), axis=1)
+            best = min(best, 0.5 * float(gaps.min()))
     if best <= 0:
         raise GenericityError("declared singularities collide; no valid "
                               "integration radius")
@@ -97,20 +98,21 @@ def index_at(sing: InteriorSingularity, radius=None, order=None) -> IndexResult:
         order = order or 192
 
         def map_fn(t):
-            (theta,) = Jet.variables([t])
+            nodes = t[:, None]
+            (theta,) = Jet.variables(nodes)
             x = [sing.center[0] + r * theta.cos(), sing.center[1] + r * theta.sin()]
-            return jet_first_order(sing.chart_field(x), 1)
+            return stack_jets(sing.chart_field(x), nodes, 1)
 
         raw = degree_integral_circle(map_fn, order=order)
     elif dim == 3:
         order = order or 48
 
-        def map_fn(node):
-            a, b = Jet.variables(list(node))
+        def map_fn(nodes):
+            a, b = Jet.variables(nodes)
             x = [sing.center[0] + r * a.sin() * b.cos(),
                  sing.center[1] + r * a.sin() * b.sin(),
                  sing.center[2] + r * a.cos()]
-            return jet_first_order(sing.chart_field(x), 2)
+            return stack_jets(sing.chart_field(x), nodes, 1)
 
         raw = degree_integral_sphere(map_fn, order=order)
     else:
@@ -131,18 +133,32 @@ def _degree_index(name, raw, what):
 # -- boundary work --------------------------------------------------------------
 
 def _field_frame_components(bpatch, components, t):
-    """Values (n,) and t-gradients (n, m) of <V, e_A> along the boundary.
+    """Values (N, n) and t-gradients (N, n, m) of <V, e_A> at the boundary
+    nodes t (N, m).
 
     Uses the parameter-aligned frame, the boundary frame with its last vector
     multiplied by ``orientation``: indices are insensitive to the ambient
     orientation but the winding loop must match the frame.
     """
     bf = boundary_frame(bpatch, t)
-    V, dV = jet_first_order(components(bf.x_jets), bpatch.m)
+    V, dV = stack_jets(components(bf.x_jets), t, 1)
     s, ds = metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
-    s[-1] *= bf.orientation
-    ds[-1] *= bf.orientation
+    s[:, -1] *= bf.orientation
+    ds[:, -1] *= bf.orientation[:, None]
     return s, ds
+
+
+def _sample_in_point_order(check, points):
+    """Run ``check`` on the sample points chunk by chunk.  A chunk that raises
+    ConfigError is re-run one point at a time, so the error raised is the one
+    a point-by-point sweep meets first, after the checks of earlier points."""
+    for c in node_chunks(len(points)):
+        try:
+            check(points[c])
+        except ConfigError:
+            for k in range(*c.indices(len(points))):  # locate the first bad point
+                check(points[k:k + 1])
+            raise
 
 
 def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
@@ -158,49 +174,52 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
     n = bpatch.parent.n
     declared = [s for s in field_spec.tangential if s.boundary == boundary_index]
     warnings = []
-    warned_outward = False
-    min_norm = math.inf
-    min_proj = math.inf
+    norms, projs = [], []
 
     axes = [np.linspace(lo + (hi - lo) * 1e-3, hi - (hi - lo) * 1e-3,
                         256 if n == 2 else 24)
             for lo, hi in bpatch.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
-    for t in points:
-        if any(np.linalg.norm(t - np.asarray(s.location)) < 1.5 * s.radius
-               for s in declared):
-            continue
+    for s in declared:
+        near = np.linalg.norm(points - np.asarray(s.location), axis=1) < 1.5 * s.radius
+        points = points[~near]
+
+    def check(t):
         vals, _ = _field_frame_components(bpatch, field_spec.components, t)
-        norm = float(np.linalg.norm(vals))
-        if norm < field_spec.margin:
+        norm = np.linalg.norm(vals, axis=1)
+        normal, proj = vals[:, 0], np.linalg.norm(vals[:, 1:], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flat = proj / norm < 1e-9
+            interface = np.abs(normal) / norm <= 1e-9
+        low = norm < field_spec.margin
+        bad = np.flatnonzero(low | (flat & ((normal < 0) | interface)))
+        if bad.size:  # the first bad point, checked as in a point-by-point sweep
+            k = bad[0]
+            where = f"t={list(map(float, t[k]))}"
+            if low[k]:
+                raise GenericityError(f"field norm {norm[k]:.2e} below margin on "
+                                      f"boundary {boundary_index} at {where}")
+            if normal[k] < 0:
+                raise GenericityError(f"undeclared inward tangential zero on "
+                                      f"boundary {boundary_index} at {where}")
             raise GenericityError(
-                f"field norm {norm:.2e} below margin on boundary "
-                f"{boundary_index} at t={list(map(float, t))}")
-        normal = vals[0]
-        proj = float(np.linalg.norm(vals[1:]))
-        min_norm = min(min_norm, norm)
-        min_proj = min(min_proj, proj)
-        if proj / norm < 1e-9:
-            if normal < 0:
-                raise GenericityError(
-                    f"undeclared inward tangential zero on boundary "
-                    f"{boundary_index} at t={list(map(float, t))}")
-            if abs(normal) / norm <= 1e-9:
-                raise GenericityError(
-                    f"tangential zero on the inward/outward interface at "
-                    f"t={list(map(float, t))}")
-            if not warned_outward:
-                warnings.append(
-                    f"boundary {boundary_index}: tangential projection "
-                    f"degenerates in the outward region (normal-like field); "
-                    f"outward indices are not meaningful")
-                warned_outward = True
+                f"tangential zero on the inward/outward interface at {where}")
+        if flat.any() and not warnings:
+            warnings.append(
+                f"boundary {boundary_index}: tangential projection "
+                f"degenerates in the outward region (normal-like field); "
+                f"outward indices are not meaningful")
+        norms.append(norm)
+        projs.append(proj)
+
+    _sample_in_point_order(check, points)
 
     minus, plus = [], []
     for s in declared:
         vals, _ = _field_frame_components(bpatch, field_spec.components,
-                                          np.asarray(s.location, dtype=float))
+                                          np.asarray([s.location], dtype=float))
+        vals = vals[0]
         norm = float(np.linalg.norm(vals))
         if norm < field_spec.margin:
             raise GenericityError(f"field vanishes at declared tangential "
@@ -218,8 +237,8 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
                 f"tangential singularity {s.name} sits on the "
                 f"inward/outward interface")
     return BoundarySplit(minus=minus, plus=plus, warnings=warnings,
-                         min_field_norm=float(min_norm),
-                         min_projection_norm=float(min_proj))
+                         min_field_norm=float(np.concatenate([[math.inf], *norms]).min()),
+                         min_projection_norm=float(np.concatenate([[math.inf], *projs]).min()))
 
 
 def index_tangential(field_spec: VectorFieldSpec, bpatch,
@@ -237,13 +256,9 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 
     if m == 1:
         # one-dimensional boundary: two-point sign count in the chart frame
-        def tangential(tval):
-            vals, _ = _field_frame_components(bpatch, field_spec.components,
-                                              np.array([tval]))
-            return vals[1]
-
-        f_plus = tangential(loc[0] + r)
-        f_minus = tangential(loc[0] - r)
+        vals, _ = _field_frame_components(bpatch, field_spec.components,
+                                          np.array([[loc[0] + r], [loc[0] - r]]))
+        f_plus, f_minus = (float(v) for v in vals[:, 1])
         if abs(f_plus) < 1e-12 or abs(f_minus) < 1e-12:
             raise GenericityError(
                 f"tangential projection vanishes on the test points of {sing.name}")
@@ -252,10 +267,10 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 
     if m == 2:
         def map_fn(theta):
-            t = loc + r * np.array([math.cos(theta), math.sin(theta)])
-            dt = r * np.array([-math.sin(theta), math.cos(theta)])
+            dt = r * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+            t = loc + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
             vals, grads = _field_frame_components(bpatch, field_spec.components, t)
-            return vals[1:], (grads[1:] @ dt)[:, None]
+            return vals[:, 1:], np.einsum("...ki,...i->...k", grads[:, 1:], dt)[..., None]
 
         return _degree_index(sing.name, degree_integral_circle(map_fn, order=order),
                              "tangential degree")
@@ -274,14 +289,21 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
     points = np.stack([g.ravel() for g in mesh], axis=1)
     exclusions = [(np.asarray(s.ambient, dtype=float), s.exclusion_radius)
                   for s in field_spec.interior]
-    for x in points:
+
+    def check(x):
         amb = patch.ambient(x)
-        if any(np.linalg.norm(amb - c) < rad for c, rad in exclusions):
-            continue
-        V = np.array(field_spec.components(list(map(float, x))), dtype=float)
+        keep = np.ones(len(x), dtype=bool)
+        for c, rad in exclusions:
+            keep &= ~(np.linalg.norm(amb - c, axis=1) < rad)
+        x = x[keep]
+        (V,) = stack_jets(field_spec.components(list(x.T)), x, 0)
         G = patch.metric_values(x)
-        norm = math.sqrt(max(0.0, float(V @ G @ V)))
-        if norm < field_spec.margin:
+        norm = np.sqrt(np.maximum(0.0, np.einsum("...k,...kl,...l->...", V, G, V)))
+        low = np.flatnonzero(norm < field_spec.margin)
+        if low.size:
+            k = low[0]
             raise GenericityError(
-                f"undeclared interior zero: |V| = {norm:.2e} at chart point "
-                f"{list(map(float, x))}")
+                f"undeclared interior zero: |V| = {norm[k]:.2e} at chart point "
+                f"{list(map(float, x[k]))}")
+
+    _sample_in_point_order(check, points)

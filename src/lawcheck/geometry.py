@@ -1,16 +1,14 @@
-"""Numerical differential geometry on parametrized patches.
+"""Numerical differential geometry on parametrized patches, batched over nodes.
 
-Differentiation is forward mode, truncated to the order that is consumed.  A
-Jet carries a value, a gradient and a Hessian with respect to the chart
-parameters, so Christoffel symbols (first metric derivatives) and curvature
-(second derivatives) come out exact to roundoff.  Curvature is computed once,
-in coordinates: the lowered Riemann tensor comes straight from the second
-metric derivatives and the Christoffel symbols of the first kind.  The Euler
-density needs no frame; frames are built only where they are read (boundary
-frames and ``connection_curvature``) and carry values and first derivatives
-only, as small arrays: the connection form needs the first derivatives of
-the frame and nothing reads its second ones.  Finite differences appear only
-in tests, as independent oracles.
+Every layer takes N chart (or boundary) points as an (N, dim) array and
+returns arrays with a leading node axis; quadratures pass their grids in
+chunks of CHUNK nodes, which bounds every array.  Differentiation is forward
+mode, truncated to second order: a Jet carries values (N,), gradients (N, m)
+and Hessians (N, m, m), so Christoffel symbols and curvature come out exact
+to roundoff.  Curvature is computed once, in coordinates, from the second
+metric derivatives.  The Euler density needs no frame; boundary frames carry
+values and first derivatives only, as nothing reads second ones.  Finite
+differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches; curvature uses nabla e_A = sum_B omega(A,B) e_B and
@@ -28,147 +26,124 @@ import numpy as np
 
 from .chern import euler_template, evaluate_template
 
+CHUNK = 256  # nodes per batched evaluation
+
+
+def node_chunks(count):
+    """Slices of at most CHUNK consecutive nodes that cover range(count)."""
+    return [slice(k, k + CHUNK) for k in range(0, count, CHUNK)]
+
 
 class Jet:
-    """Value + gradient + Hessian with respect to m chart parameters, built
-    by ``constant`` and ``variables`` and closed under the arithmetic below.
-
-    Gradient and Hessian are plain Python lists; chart dimensions are tiny
-    (m <= 3) and list arithmetic beats array allocation by a wide margin.
-    """
+    """Values v (N,), gradients g (N, m) and Hessians h (N, m, m) of N nodes
+    with respect to m chart parameters, or v (), g (m,), h (m, m) at one
+    point.  Built by ``variables``; plain numbers act as constants."""
 
     __slots__ = ("v", "g", "h")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
-    @staticmethod
-    def constant(value, m):
-        j = Jet.__new__(Jet)
-        j.v = float(value)
-        j.g = [0.0] * m
-        j.h = [[0.0] * m for _ in range(m)]
-        return j
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
 
     @staticmethod
     def variables(values):
-        m = len(values)
-        out = []
-        for i, v in enumerate(values):
-            j = Jet.constant(v, m)
-            j.g[i] = 1.0
-            out.append(j)
-        return out
-
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet.constant(float(other), len(self.g))
-        return None
+        """One Jet per parameter of the points ``values`` (..., m)."""
+        x = np.asarray(values, dtype=float)
+        m = x.shape[-1]
+        eye = np.eye(m)
+        hess = np.zeros(x.shape + (m,))
+        return [Jet(x[..., i].copy(),
+                    np.broadcast_to(eye[i], x.shape), hess) for i in range(m)]
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        j = Jet.__new__(Jet)
-        j.v = self.v + o.v
-        j.g = [a + b for a, b in zip(self.g, o.g)]
-        j.h = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.h, o.h)]
-        return j
+        if isinstance(other, Jet):
+            return Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+        return Jet(self.v + other, self.g, self.h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        j = Jet.__new__(Jet)
-        j.v = -self.v
-        j.g = [-a for a in self.g]
-        j.h = [[-a for a in row] for row in self.h]
-        return j
+        return Jet(-self.v, -self.g, -self.h)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        j = Jet.__new__(Jet)
-        j.v = self.v - o.v
-        j.g = [a - b for a, b in zip(self.g, o.g)]
-        j.h = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.h, o.h)]
-        return j
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        j = Jet.__new__(Jet)
-        v1, v2, g1, g2 = self.v, o.v, self.g, o.g
-        j.v = v1 * v2
-        j.g = [a * v2 + b * v1 for a, b in zip(g1, g2)]
-        j.h = [[h1 * v2 + h2 * v1 + g1[i] * g2[k] + g2[i] * g1[k]
-                for k, (h1, h2) in enumerate(zip(r1, r2))]
-               for i, (r1, r2) in enumerate(zip(self.h, o.h))]
-        return j
+        if isinstance(other, Jet):
+            v1, v2 = self.v[..., None], other.v[..., None]
+            g1, g2 = self.g, other.g
+            outer = g1[..., :, None] * g2[..., None, :]
+            return Jet(self.v * other.v, g1 * v2 + g2 * v1,
+                       self.h * v2[..., None] + other.h * v1[..., None]
+                       + outer + outer.swapaxes(-1, -2))
+        return Jet(self.v * other, self.g * other, self.h * other)
 
     __rmul__ = __mul__
 
+    def _reciprocal(self):
+        x = self.v
+        return self._chain(1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3)
+
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o._chain(lambda x: 1.0 / x,
-                               lambda x: -1.0 / x ** 2,
-                               lambda x: 2.0 / x ** 3)
+        return self * (other._reciprocal() if isinstance(other, Jet) else 1.0 / other)
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return self._reciprocal() * other
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
         if k < 0:
             return 1.0 / self ** (-k)
-        out = Jet.constant(1.0, len(self.g))
+        out = 1.0
         for _ in range(k):
             out = out * self
         return out
 
-    def _chain(self, f, df, d2f):
-        fv, d1, d2 = f(self.v), df(self.v), d2f(self.v)
-        j = Jet.__new__(Jet)
-        j.v = fv
-        j.g = [d1 * a for a in self.g]
-        j.h = [[d1 * h + d2 * self.g[i] * self.g[k]
-                for k, h in enumerate(row)]
-               for i, row in enumerate(self.h)]
-        return j
+    def _chain(self, fv, d1, d2):
+        """f(self) from the values of f, f' and f'' at self.v."""
+        d1 = d1[..., None]
+        return Jet(fv, d1 * self.g,
+                   d1[..., None] * self.h
+                   + (d2[..., None] * self.g)[..., :, None] * self.g[..., None, :])
 
     def sin(self):
-        return self._chain(math.sin, math.cos, lambda x: -math.sin(x))
+        s, c = np.sin(self.v), np.cos(self.v)
+        return self._chain(s, c, -s)
 
     def cos(self):
-        return self._chain(math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x))
+        s, c = np.sin(self.v), np.cos(self.v)
+        return self._chain(c, -s, -c)
 
     def exp(self):
-        return self._chain(math.exp, math.exp, math.exp)
-
-    def __repr__(self):
-        return f"Jet({self.v!r})"
+        e = np.exp(self.v)
+        return self._chain(e, e, e)
 
 
-def as_jet(x, m):
-    return x if isinstance(x, Jet) else Jet.constant(x, m)
+def _dispatch(jet_fn, array_fn, float_fn):
+    return lambda x: (jet_fn if isinstance(x, Jet) else
+                      array_fn if isinstance(x, np.ndarray) else float_fn)(x)
 
 
-def jet_sin(x):
-    return x.sin() if isinstance(x, Jet) else math.sin(x)
+jet_sin = _dispatch(Jet.sin, np.sin, math.sin)
+jet_cos = _dispatch(Jet.cos, np.cos, math.cos)
+jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 
 
-def jet_cos(x):
-    return x.cos() if isinstance(x, Jet) else math.cos(x)
-
-
-def jet_exp(x):
-    return x.exp() if isinstance(x, Jet) else math.exp(x)
+def stack_jets(entries, nodes, order):
+    """Stack k jets (or plain numbers, or value arrays) evaluated at the
+    nodes (N, m): values (N, k) and, up to ``order``, gradients (N, k, m) and
+    Hessians (N, k, m, m), returned as a tuple of ``order + 1`` arrays."""
+    count, m = nodes.shape
+    out = [np.zeros((count, len(entries)) + (m,) * d) for d in range(order + 1)]
+    for i, e in enumerate(entries):
+        if isinstance(e, Jet):
+            for arr, part in zip(out, (e.v, e.g, e.h)):
+                arr[:, i] = part
+        else:
+            out[0][:, i] = e
+    return tuple(out)
 
 
 # -- patches ---------------------------------------------------------------------
@@ -182,22 +157,29 @@ class GenericityError(RuntimeError):
     """The field violates the generic-position assumptions of the law."""
 
 
-def _positive_definite(G, point):
-    """Cholesky factor of the metric matrix G at the chart point; raise
-    ConfigError when the factorization fails."""
+def _positive_definite(G, points):
+    """Cholesky factors of the metric matrices G (N, n, n) at the chart
+    points (N, n); the first node whose factorization fails raises
+    ConfigError."""
     try:
         return np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        raise ConfigError("metric not positive definite at chart point "
-                          f"{[float(v) for v in point]}") from None
+        for k, point in enumerate(points):  # locate the first bad node
+            try:
+                np.linalg.cholesky(G[k])
+            except np.linalg.LinAlgError:
+                raise ConfigError("metric not positive definite at chart point "
+                                  f"{[float(v) for v in point]}") from None
+        raise
 
 
 class RiemannianPatch:
     """Chart of an n-manifold: box domain, metric callable, optional embedding.
 
-    ``metric`` maps a list of n parameters (floats or Jets) to an n x n
-    nested list; ``chart_map`` maps parameters to ambient coordinates and is
-    used for locating singular points, not for geometry.
+    ``metric`` maps a list of n parameters (floats, node arrays or Jets) to an
+    n x n nested list; ``chart_map`` maps parameters to ambient coordinates
+    and is used for locating singular points, not for geometry.  Every method
+    takes chart points as an (N, n) node array.
     """
 
     def __init__(self, dim, box, metric, chart_map=None, name=""):
@@ -210,19 +192,28 @@ class RiemannianPatch:
         self.name = name
 
     def metric_jets(self, x):
-        jx = Jet.variables(list(x))
-        raw = self._metric(jx)
-        return [[as_jet(entry, self.n) for entry in row] for row in raw]
+        """Metric G (N, n, n) with its derivatives dG[..., k, l, i] and
+        d2G[..., k, l, i, j] along the chart parameters, at the nodes x."""
+        x = np.asarray(x, dtype=float)
+        n = self.n
+        raw = self._metric(Jet.variables(x))
+        G, dG, d2G = stack_jets([e for row in raw for e in row], x, 2)
+        return (G.reshape(-1, n, n), dG.reshape(-1, n, n, n),
+                d2G.reshape(-1, n, n, n, n))
 
     def metric_values(self, x):
-        G = np.array(self._metric(list(map(float, x))), dtype=float)
+        x = np.asarray(x, dtype=float)
+        raw = self._metric(list(x.T))
+        (G,) = stack_jets([e for row in raw for e in row], x, 0)
+        G = G.reshape(-1, self.n, self.n)
         _positive_definite(G, x)
         return G
 
     def ambient(self, x):
+        x = np.asarray(x, dtype=float)
         if self._chart_map is None:
-            return np.asarray(x, dtype=float)
-        return np.array(self._chart_map(list(map(float, x))), dtype=float)
+            return x
+        return stack_jets(self._chart_map(list(x.T)), x, 0)[0]
 
 
 class BoundaryPatch:
@@ -230,7 +221,8 @@ class BoundaryPatch:
 
     ``embed`` maps the n-1 boundary parameters into the parent chart and
     ``outward`` gives an outward-pointing vector there (parent-chart
-    components); the adapted frame normalizes it into e_1.
+    components); the adapted frame normalizes it into e_1.  Both map the
+    parameter Jets of N boundary nodes to Jets or plain numbers.
     """
 
     def __init__(self, parent, box, embed, outward, name=""):
@@ -244,19 +236,16 @@ class BoundaryPatch:
         self.name = name
 
     def embed_jets(self, t):
-        jt = Jet.variables(list(t))
-        return [as_jet(v, self.m) for v in self._embed(jt)]
+        return self._embed(Jet.variables(t))
 
     def outward_jets(self, t):
-        jt = Jet.variables(list(t))
-        return [as_jet(v, self.m) for v in self._outward(jt)]
+        return self._outward(Jet.variables(t))
 
 
 # -- frames ---------------------------------------------------------------------
 
 @dataclass
 class FrameData:
-    point: np.ndarray
     frame: np.ndarray                      # rows are the frame vectors e_A
     metric: np.ndarray
     omega: np.ndarray                      # omega[A,B,i] on coordinate directions
@@ -271,83 +260,90 @@ class FrameData:
 def metric_inner(G, dG, a, da, b, db):
     """<a, b> under the metric G and its parameter gradient, to first order.
 
-    G is (n, n) with dG[k, l, i] its derivative along parameter i; b is (n,)
-    with db[k, i]; a is (n,) with da (n, m), or a stack of rows (r, n) with
-    da (r, n, m), which pairs every row with b.
+    G is (N, n, n) with dG[..., k, l, i] its derivative along parameter i; b
+    is (N, n) with db (N, n, m); a is (N, n) with da (N, n, m), or a stack of
+    rows (N, r, n) with da (N, r, n, m), which pairs every row with b.
     """
-    Gb = G @ b
-    dGb = dG.transpose(0, 2, 1) @ b + G @ db
-    return a @ Gb, Gb @ da + a @ dGb
+    Gb = np.einsum("...kl,...l->...k", G, b)
+    dGb = (np.einsum("...kli,...l->...ki", dG, b)
+           + np.einsum("...kl,...li->...ki", G, db))
+    if a.ndim > b.ndim:
+        Gb, dGb = Gb[..., None, :], dGb[..., None, :, :]
+    return ((a * Gb).sum(-1),
+            np.einsum("...k,...ki->...i", Gb, da)
+            + np.einsum("...k,...ki->...i", a, dGb))
 
 
 def _gram_schmidt(G, dG, vectors, dvectors):
-    """Orthonormalize the rows of ``vectors`` against G, to first order.
+    """Orthonormalize the rows of ``vectors`` (N, r, n) against G, to first
+    order.
 
-    dG[k, l, i] and dvectors[r, k, i] are the derivatives of G and of the
-    rows along parameter i; the frame comes back with dframe[A, k, i].
+    dG[..., k, l, i] and dvectors[..., r, k, i] are the derivatives of G and
+    of the rows along parameter i; the frame comes back with
+    dframe[..., A, k, i].
     """
     rows, drows = [], []
-    for w, dw in zip(vectors, dvectors):
+    for w, dw in zip(np.moveaxis(vectors, -2, 0), np.moveaxis(dvectors, -3, 0)):
         for e, de in zip(rows, drows):
             c, dc = metric_inner(G, dG, w, dw, e, de)
-            w = w - c * e
-            dw = dw - c * de - np.outer(e, dc)
+            w = w - c[..., None] * e
+            dw = dw - c[..., None, None] * de - e[..., :, None] * dc[..., None, :]
         norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
-        if norm2 <= 1e-14:
+        if np.any(norm2 <= 1e-14):
             raise ValueError("degenerate frame candidate in Gram-Schmidt")
-        inv = 1.0 / math.sqrt(norm2)
-        rows.append(w * inv)
-        drows.append(dw * inv - np.outer(w, dnorm2) * (0.5 * inv ** 3))
-    return np.array(rows), np.array(drows)
+        inv = 1.0 / np.sqrt(norm2)
+        rows.append(w * inv[..., None])
+        drows.append(dw * inv[..., None, None]
+                     - (w[..., :, None] * dnorm2[..., None, :])
+                     * (0.5 * inv ** 3)[..., None, None])
+    return np.stack(rows, axis=-2), np.stack(drows, axis=-3)
 
 
 class _GeometryCore:
-    """Metric, Christoffel symbols and the lowered Riemann tensor at a chart
-    point, from one evaluation of the metric jets."""
+    """Metric, Christoffel symbols and the lowered Riemann tensor at a batch
+    of chart points (N, n), from one evaluation of the metric jets."""
 
     __slots__ = ("G", "dG", "sqrt_det", "Gamma", "riemann")
 
-    def __init__(self, patch, point):
-        n = patch.n
-        Gj = patch.metric_jets(point)
-        G = np.array([[Gj[i][j].v for j in range(n)] for i in range(n)])
-        L = _positive_definite(G, point)
-        dG = np.array([[Gj[i][j].g for j in range(n)] for i in range(n)])
-        d2G = np.array([[Gj[i][j].h for j in range(n)] for i in range(n)])
+    def __init__(self, patch, points):
+        points = np.asarray(points, dtype=float)
+        G, dG, d2G = patch.metric_jets(points)
+        L = _positive_definite(G, points)
         # first kind: low[l,i,j] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-        low = 0.5 * (np.einsum("jli->lij", dG) + np.einsum("ilj->lij", dG)
-                     - np.einsum("ijl->lij", dG))
-        Gamma = np.einsum("kl,lij->kij", np.linalg.inv(G), low)
+        low = 0.5 * (np.einsum("...jli->...lij", dG) + np.einsum("...ilj->...lij", dG)
+                     - np.einsum("...ijl->...lij", dG))
+        Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
         # R[i,j,m,p] = <R(d_i, d_j) d_m, d_p>
-        R = 0.5 * (np.einsum("pjmi->ijmp", d2G) - np.einsum("jmpi->ijmp", d2G)
-                   - np.einsum("pimj->ijmp", d2G) + np.einsum("impj->ijmp", d2G))
-        R += (np.einsum("qjp,qim->ijmp", low, Gamma)
-              - np.einsum("qip,qjm->ijmp", low, Gamma))
+        R = 0.5 * (np.einsum("...pjmi->...ijmp", d2G) - np.einsum("...jmpi->...ijmp", d2G)
+                   - np.einsum("...pimj->...ijmp", d2G) + np.einsum("...impj->...ijmp", d2G))
+        R += (np.einsum("...qjp,...qim->...ijmp", low, Gamma)
+              - np.einsum("...qip,...qjm->...ijmp", low, Gamma))
         self.G = G
         self.dG = dG
-        self.sqrt_det = float(np.prod(np.diag(L)))
+        self.sqrt_det = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
         self.Gamma = Gamma
         self.riemann = R
 
 
 def _frame_connection(core, E, dE, dx):
     """Connection and curvature values of the frame rows E along a map into
-    the chart with pushforward dx[k,i] = d x^k / d t_i.
+    the chart with pushforward dx[..., k, i] = d x^k / d t_i.
 
-    dE[A,k,i] is the derivative of e_A^k along t_i; omega[A,B,i] and
-    curvature[A,B,i,j] come back on the t coordinate directions.
+    dE[..., A, k, i] is the derivative of e_A^k along t_i; omega[..., A, B, i]
+    and curvature[..., A, B, i, j] come back on the t coordinate directions.
     """
     # nabla along direction i: d_i e_A^k + Gamma^k_{lm} dx^l_i e_A^m
-    nabla = (np.einsum("Aki->Aik", dE)
-             + np.einsum("klm,li,Am->Aik", core.Gamma, dx, E))
-    omega = np.einsum("Aik,kl,Bl->ABi", nabla, core.G, E)
-    omega = 0.5 * (omega - omega.transpose(1, 0, 2))  # kill roundoff asymmetry
-    curv = np.einsum("lrmp,li,rj,Am,Bp->ABij", core.riemann, dx, dx, E, E)
+    nabla = (np.einsum("...Aki->...Aik", dE)
+             + np.einsum("...klm,...li,...Am->...Aik", core.Gamma, dx, E))
+    omega = np.einsum("...Aik,...kl,...Bl->...ABi", nabla, core.G, E)
+    omega = 0.5 * (omega - omega.swapaxes(-3, -2))  # kill roundoff asymmetry
+    curv = np.einsum("...lrmp,...Am,...Bp->...lrAB", core.riemann, E, E)
+    curv = np.einsum("...lrAB,...li,...rj->...ABij", curv, dx, dx)
     return omega, curv
 
 
 def connection_curvature(patch, point):
-    """Frame, connection values and curvature values at a point.
+    """Frame, connection values and curvature values at one chart point.
 
     The frame is Gram-Schmidt on the coordinate basis; omega[A,B,i] is its
     connection form on the i-th coordinate direction and curvature[A,B,i,j]
@@ -355,19 +351,20 @@ def connection_curvature(patch, point):
     boundary frames use.
     """
     n = patch.n
-    core = _GeometryCore(patch, point)
+    core = _GeometryCore(patch, [point])
     eye = np.eye(n)
-    E, dE = _gram_schmidt(core.G, core.dG, eye, np.zeros((n, n, n)))
+    E, dE = _gram_schmidt(core.G, core.dG, eye[None], np.zeros((1, n, n, n)))
     omega, curv = _frame_connection(core, E, dE, eye)
-    fd = FrameData(point=np.asarray(point, dtype=float), frame=E,
-                   metric=core.G, omega=omega, curvature=curv)
+    fd = FrameData(frame=E[0], metric=core.G[0], omega=omega[0],
+                   curvature=curv[0])
     if fd.orthonormality_residual > 1e-9:
         raise ValueError("frame failed orthonormality check")
     return fd
 
 
-def euler_form_density(patch, point):
-    """Euler curvature density against the chart coordinates (0 for odd n).
+def euler_form_density(patch, points):
+    """Euler curvature density against the chart coordinates at the nodes
+    points (N, n), as an (N,) array (zeros for odd n).
 
     chern's Euler form is alternating in the frame indices, so on the frame
     curvature R(E, E) it picks up det E = 1/sqrt(det g) against the
@@ -375,27 +372,24 @@ def euler_form_density(patch, point):
     """
     n = patch.n
     if n % 2:
-        return 0.0
-    core = _GeometryCore(patch, point)
-    curv = core.riemann.transpose(2, 3, 0, 1)  # curv[m,p,i,j] = R[i,j,m,p]
-    return float(evaluate_template(euler_template(n), None, None, None, curv)
-                 / core.sqrt_det)
+        return np.zeros(len(points))
+    core = _GeometryCore(patch, points)
+    curv = core.riemann.transpose(0, 3, 4, 1, 2)  # curv[m,p,i,j] = R[i,j,m,p]
+    return evaluate_template(euler_template(n), None, None, None, curv) / core.sqrt_det
 
 
 # -- boundary-adapted frames ------------------------------------------------------
 
 @dataclass
 class BoundaryFrame:
-    """Everything a section pullback needs at one boundary parameter point.
+    """Everything a section pullback needs at a batch of boundary nodes; every
+    array has a leading node axis.
 
     Frame and metric carry values and first t-derivatives only: section
     pullbacks need the derivatives of their frame components for theta and
     of the frame for omega, and nothing reads second derivatives.
     """
-    t: np.ndarray
-    x: np.ndarray
     x_jets: list                   # embedding as second-order jets in t
-    dx: np.ndarray                 # dx[k,i] = d x^k / d t_i
     metric: np.ndarray
     dmetric: np.ndarray            # dmetric[k,l,i] = d g_kl / d t_i
     normal: np.ndarray             # untwisted outward unit normal
@@ -404,55 +398,48 @@ class BoundaryFrame:
     dframe: np.ndarray             # dframe[A,k,i] = d e_A^k / d t_i
     omega: np.ndarray              # omega[A,B,i] on boundary coordinate directions
     curvature: np.ndarray          # curvature[A,B,i,j] on boundary bivectors
-    orientation: float             # sign of det[e_1 | dx/dt_1 | ...]
-
-
-def jet_first_order(values, m):
-    """Values and gradients of a list of jets (or floats) in m parameters."""
-    jets = [as_jet(v, m) for v in values]
-    return (np.array([j.v for j in jets]),
-            np.array([j.g for j in jets]).reshape(len(jets), m))
+    orientation: np.ndarray        # sign of det[e_1 | dx/dt_1 | ...]
 
 
 def boundary_frame(bpatch, t, frame_twist=None):
-    """Adapted orthonormal frame along the boundary, outward normal first.
+    """Adapted orthonormal frames at the boundary nodes t (N, m), outward
+    normal first.
 
     The frame comes with values and first t-derivatives only, from a
     first-order Gram-Schmidt on the outward vector and the tangents: omega
     and the section pullbacks read no second derivatives.  The metric
     derivative along the boundary follows by the chain rule from the parent
     metric jets at x.  Gram-Schmidt keeps the sign of det[outward | dx], so
-    flipping the last tangential vector when ``orientation`` is -1 makes the
+    flipping the last tangential vector where ``orientation`` is -1 makes the
     frame positively oriented in the ambient chart (the secondary-form
     template presumes oriented frames).  ``frame_twist`` maps t-jets to an
     n x n rotation R and replaces the frame E by R E; ``normal`` stays the
     untwisted e_1.
     """
-    parent = bpatch.parent
-    m = bpatch.m
+    t = np.asarray(t, dtype=float)
+    n = bpatch.parent.n
     x_jets = bpatch.embed_jets(t)
-    x = np.array([c.v for c in x_jets])
-    dx = np.array([c.g for c in x_jets])          # [k,i]
-    d2x = np.array([c.h for c in x_jets])         # [k,i,j]
-    core = _GeometryCore(parent, x)
+    x, dx, d2x = stack_jets(x_jets, t, 2)         # dx[k,i], d2x[k,i,j]
+    core = _GeometryCore(bpatch.parent, x)
     G = core.G
-    dG = np.einsum("kla,ai->kli", core.dG, dx)
+    dG = np.einsum("...kla,...ai->...kli", core.dG, dx)
 
-    outward, doutward = jet_first_order(bpatch.outward_jets(t), m)
-    E, dE = _gram_schmidt(G, dG, np.vstack([outward, dx.T]),
-                          np.concatenate([doutward[None], d2x.transpose(1, 0, 2)]))
-    normal, dnormal = E[0].copy(), dE[0].copy()
-    orientation = 1.0 if np.linalg.det(np.column_stack([normal, dx])) > 0 else -1.0
-    if orientation < 0:
-        E[-1], dE[-1] = -E[-1], -dE[-1]
+    outward, doutward = stack_jets(bpatch.outward_jets(t), t, 1)
+    E, dE = _gram_schmidt(G, dG,
+                          np.concatenate([outward[:, None], dx.swapaxes(1, 2)], axis=1),
+                          np.concatenate([doutward[:, None], d2x.swapaxes(1, 2)], axis=1))
+    normal, dnormal = E[:, 0].copy(), dE[:, 0].copy()
+    det = np.linalg.det(np.concatenate([normal[:, :, None], dx], axis=2))
+    orientation = np.where(det > 0, 1.0, -1.0)
+    E[:, -1] *= orientation[:, None]
+    dE[:, -1] *= orientation[:, None, None]
     if frame_twist is not None:
-        R, dR = zip(*(jet_first_order(row, m)
-                      for row in frame_twist(Jet.variables(list(t)))))
-        R, dR = np.array(R), np.array(dR)
-        E, dE = (R @ E, np.einsum("abi,bk->aki", dR, E)
-                 + np.einsum("ab,bki->aki", R, dE))
+        rows = frame_twist(Jet.variables(t))
+        R, dR = stack_jets([e for row in rows for e in row], t, 1)
+        R, dR = R.reshape(-1, n, n), dR.reshape(-1, n, n, t.shape[1])
+        E, dE = (R @ E, np.einsum("...abi,...bk->...aki", dR, E)
+                 + np.einsum("...ab,...bki->...aki", R, dE))
     omega, curv = _frame_connection(core, E, dE, dx)
-    return BoundaryFrame(t=np.asarray(t, dtype=float), x=x, x_jets=x_jets,
-                         dx=dx, metric=G, dmetric=dG, normal=normal,
+    return BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=normal,
                          dnormal=dnormal, frame=E, dframe=dE, omega=omega,
                          curvature=curv, orientation=orientation)

@@ -1,17 +1,19 @@
 """Quadrature of pulled-back forms: sections, fiber spheres, Euler densities.
 
 The symbolic forms are the single source of truth: Phi and, like it, Omega
-are compiled by chern into numeric templates whose generators are bound, per
-quadrature node, to frame/connection/curvature values from the geometry layer.
-The fiber sphere is chern's polar parametrization, evaluated in floats.
-Accumulation uses math.fsum, which is exactly rounded, so results do not
-depend on evaluation order.
+are compiled by chern into numeric templates whose generators are bound to
+frame/connection/curvature arrays from the geometry layer, one chunk of
+quadrature nodes at a time.  The fiber sphere is chern's polar
+parametrization, evaluated on node arrays.  Accumulation uses math.fsum over
+the per-node products, which is exactly rounded, so results depend neither on
+node order nor on the chunking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +28,9 @@ from .geometry import (
     GenericityError,
     boundary_frame,
     euler_form_density,
-    jet_first_order,
     metric_inner,
+    node_chunks,
+    stack_jets,
 )
 
 
@@ -44,8 +47,14 @@ class QuadratureGrid:
         return len(self.weights)
 
 
+@lru_cache(maxsize=None)
+def _legendre(order):
+    """Gauss-Legendre rule on [-1, 1], once per order (a dense eigenproblem)."""
+    return np.polynomial.legendre.leggauss(order)
+
+
 def _gauss_1d(lo, hi, order):
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -77,34 +86,46 @@ class SectionPullback:
         self.section = section            # None means the outward normal
 
     def bind(self, t, frame):
-        """Pull the section back at t through ``frame``, the BoundaryFrame at t.
+        """Pull the section back at the nodes t (N, m) through ``frame``, the
+        BoundaryFrame at t.
 
         The frame components s_A = <W, e_A> and their t-gradients come from
         first-order arrays; u = s / |W| and theta_A = du_A + u_B omega(B, A).
-        The profile values come back as ``{"angle", "v_dot_n"}``.
+        The profile values come back as ``{"angle", "v_dot_n"}``, one per node.
         """
+        t = np.asarray(t, dtype=float)
         if self.section is None:
             W, dW = frame.normal, frame.dnormal
         else:
-            W, dW = jet_first_order(self.section(frame.x_jets), self.bpatch.m)
+            W, dW = stack_jets(self.section(frame.x_jets), t, 1)
         G, dG = frame.metric, frame.dmetric
         norm2, dnorm2 = metric_inner(G, dG, W, dW, W, dW)
-        if norm2 < 1e-18:
-            raise GenericityError(
-                f"section norm below 1e-9 at boundary point {[float(v) for v in t]}")
+        small = np.flatnonzero(norm2 < 1e-18)
+        if small.size:
+            raise GenericityError("section norm below 1e-9 at boundary point "
+                                  f"{[float(v) for v in t[small[0]]]}")
         s, ds = metric_inner(G, dG, frame.frame, frame.dframe, W, dW)
-        inv_norm = 1.0 / math.sqrt(norm2)
-        u = s * inv_norm
-        du = ds * inv_norm - np.outer(s, dnorm2) * (0.5 * inv_norm ** 3)
-        theta = du + np.einsum("B,BAi->Ai", u, frame.omega)
+        inv_norm = 1.0 / np.sqrt(norm2)
+        u = s * inv_norm[:, None]
+        du = (ds * inv_norm[:, None, None]
+              - (s[:, :, None] * dnorm2[:, None, :]) * (0.5 * inv_norm ** 3)[:, None, None])
+        theta = du + np.einsum("...B,...BAi->...Ai", u, frame.omega)
+        u0 = u[:, 0]
         extras = {
-            "angle": math.atan2(math.sqrt(max(0.0, 1.0 - min(1.0, u[0] ** 2))), u[0]),
-            "v_dot_n": float(W @ G @ frame.normal),
+            "angle": np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0),
+            "v_dot_n": np.einsum("...k,...kl,...l->...", W, G, frame.normal),
         }
         return u, theta, frame.omega, frame.curvature, extras
 
 
 # -- the integrals -------------------------------------------------------------------
+
+def _quadrature(grid, density):
+    """math.fsum of weight * density over the grid nodes, with ``density``
+    evaluated on chunks of nodes."""
+    return math.fsum(np.concatenate([grid.weights[c] * density(grid.nodes[c])
+                                     for c in node_chunks(len(grid))]).tolist())
+
 
 def integrate_euler(patch, grid):
     """Integral of the Euler curvature density; 0 immediately for odd n."""
@@ -112,8 +133,7 @@ def integrate_euler(patch, grid):
         return 0.0
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
-    return math.fsum(w * euler_form_density(patch, x)
-                     for x, w in zip(grid.nodes, grid.weights))
+    return _quadrature(grid, lambda nodes: euler_form_density(patch, nodes))
 
 
 def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
@@ -129,19 +149,24 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
     """
     tpl = phi_template(bpatch.parent.n)
     pulls = [SectionPullback(bpatch, s) for s in sections]
-    vals = [[] for _ in sections]
-    for tnode, w in zip(grid.nodes, grid.weights):
-        bf = boundary_frame(bpatch, tnode, frame_twist)
-        bound = [pull.bind(tnode, bf) for pull in pulls]
-        dens = tuple(float(evaluate_template(tpl, *b[:4])) for b in bound)
-        for acc, d in zip(vals, dens):
-            acc.append(w * d * bf.orientation)
-        if collect is not None:
-            collect.append({"t": list(map(float, tnode)), "weight": float(w),
-                            "density": dens,
-                            "angle": tuple(b[4]["angle"] for b in bound),
-                            "v_dot_n": tuple(b[4]["v_dot_n"] for b in bound)})
-    return tuple(math.fsum(acc) for acc in vals)
+    parts = []                     # per chunk: (n_sections, 4, nodes) arrays
+    for c in node_chunks(len(grid)):
+        t = grid.nodes[c]
+        bf = boundary_frame(bpatch, t, frame_twist)
+        bound = [pull.bind(t, bf) for pull in pulls]
+        dens = [evaluate_template(tpl, *b[:4]) for b in bound]
+        parts.append(np.array([[grid.weights[c] * d * bf.orientation, d,
+                                b[4]["angle"], b[4]["v_dot_n"]]
+                               for d, b in zip(dens, bound)]))
+    weighted, dens, angle, v_dot_n = np.concatenate(parts, axis=2).transpose(1, 0, 2)
+    if collect is not None:
+        collect.extend(
+            {"t": t, "weight": w, "density": tuple(d), "angle": tuple(a),
+             "v_dot_n": tuple(v)}
+            for t, w, d, a, v in zip(grid.nodes.tolist(), grid.weights.tolist(),
+                                     dens.T.tolist(), angle.T.tolist(),
+                                     v_dot_n.T.tolist()))
+    return tuple(math.fsum(acc) for acc in weighted.tolist())
 
 
 def fiber_grid(n, order):
@@ -156,16 +181,16 @@ def integrate_fiber_form(form, grid):
     m = n - 1
     tpl = compile_template(form, m)
     coords = polar_coordinates(n)
-    dcoords = [[c.deriv(i) for i in range(1, n)] for c in coords]
-    omega = np.zeros((n, n, m))
-    curv = np.zeros((n, n, m, m))
-    vals = []
-    for node, w in zip(grid.nodes, grid.weights):
-        angles = {i + 1: float(a) for i, a in enumerate(node)}
-        u = np.array([c.to_float(angles) for c in coords])
-        theta = np.array([[d.to_float(angles) for d in row] for row in dcoords])
-        vals.append(w * evaluate_template(tpl, u, theta, omega, curv))
-    return math.fsum(vals)
+    dcoords = [c.deriv(i) for c in coords for i in range(1, n)]
+    flat = np.zeros((n, n, m, m))
+
+    def density(nodes):
+        angles = dict(enumerate(nodes.T, start=1))
+        u, theta = (np.stack([np.broadcast_to(c.to_float(angles), len(nodes))
+                              for c in scalars], axis=-1) for scalars in (coords, dcoords))
+        return evaluate_template(tpl, u, theta.reshape(-1, n, m), flat[..., 0], flat)
+
+    return _quadrature(grid, density)
 
 
 def integrate_fiber_volume(n, order=None):
@@ -177,32 +202,38 @@ def integrate_fiber_volume(n, order=None):
 
 # -- degree integrals ----------------------------------------------------------------
 
+def _norm2(w, where):
+    """|w|^2 per node; a map that vanishes at a node violates genericity."""
+    norm2 = (w * w).sum(-1)
+    small = np.flatnonzero(norm2 < 1e-18)
+    if small.size:
+        raise GenericityError(f"map vanishes on the integration {where(small[0])}")
+    return norm2
+
+
 def degree_integral_circle(map_fn, order=256):
     """Degree of a nonvanishing plane-valued map over [0, 2pi): ``map_fn(t)``
-    returns w (2,) and dw (2, 1), and (w1 w2' - w2 w1') / |w|^2 is integrated."""
+    takes node angles t (N,) and returns w (N, 2) and dw (N, 2, 1), and
+    (w1 w2' - w2 w1') / |w|^2 is integrated."""
+    def density(nodes):
+        t = nodes[:, 0]
+        w, dw = map_fn(t)
+        norm2 = _norm2(w, lambda k: f"circle at t={float(t[k])}")
+        return (w[:, 0] * dw[:, 1, 0] - w[:, 1] * dw[:, 0, 0]) / norm2
+
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
-    vals = []
-    for (t,), w in zip(grid.nodes, grid.weights):
-        (w1, w2), dw = map_fn(t)
-        norm2 = w1 * w1 + w2 * w2
-        if norm2 < 1e-18:
-            raise GenericityError(f"map vanishes on the integration circle at t={t}")
-        vals.append(w * (w1 * dw[1][0] - w2 * dw[0][0]) / norm2)
-    return math.fsum(vals) / (2 * math.pi)
+    return _quadrature(grid, density) / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order=48):
     """Degree of a nonvanishing space-valued map over the (colat, lon) box:
-    ``map_fn(node)`` returns w (3,) and dw (3, 2), and det[w, dw] / |w|^3 is
-    integrated."""
+    ``map_fn(nodes)`` takes nodes (N, 2) and returns w (N, 3) and dw (N, 3, 2),
+    and det[w, dw] / |w|^3 is integrated."""
+    def density(nodes):
+        w, dw = map_fn(nodes)
+        norm2 = _norm2(w, lambda k: f"sphere at {[float(a) for a in nodes[k]]}")
+        return (np.linalg.det(np.concatenate([w[:, None], dw.swapaxes(1, 2)], axis=1))
+                / (norm2 * np.sqrt(norm2)))
+
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
-    vals = []
-    for node, w in zip(grid.nodes, grid.weights):
-        wv, dw = map_fn(node)
-        norm2 = float(wv @ wv)
-        if norm2 < 1e-18:
-            raise GenericityError(
-                f"map vanishes on the integration sphere at {[float(a) for a in node]}")
-        mat = np.array([wv, dw[:, 0], dw[:, 1]])
-        vals.append(w * np.linalg.det(mat) / (norm2 * math.sqrt(norm2)))
-    return math.fsum(vals) / (4 * math.pi)
+    return _quadrature(grid, density) / (4 * math.pi)

@@ -12,9 +12,11 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .expressions import ExpressionError, compile_expression, compile_matrix, compile_vector
 from .fields import InteriorSingularity, TangentialSingularity, VectorFieldSpec
-from .geometry import BoundaryPatch, ConfigError, RiemannianPatch
+from .geometry import BoundaryPatch, ConfigError, RiemannianPatch, stack_jets
 
 
 def _const(value):
@@ -171,16 +173,16 @@ def _load(cfg):
         tolerances=tolerances)
 
 
-def _boundary_point_cloud(patch, boundaries, per_dim=16):
-    """Coarse sample of the embedded boundaries in ambient coordinates."""
-    import numpy as np
+def _boundary_point_cloud(patch, boundaries):
+    """Coarse sample of the embedded boundaries in ambient coordinates, on 16
+    points per boundary parameter."""
     points = []
     for bp in boundaries:
-        axes = [np.linspace(lo, hi, per_dim) for lo, hi in bp.box]
+        axes = [np.linspace(lo, hi, 16) for lo, hi in bp.box]
         mesh = np.meshgrid(*axes, indexing="ij")
-        for t in np.stack([g.ravel() for g in mesh], axis=1):
-            x = [c.v for c in bp.embed_jets(t)]
-            points.append(patch.ambient(x))
+        t = np.stack([g.ravel() for g in mesh], axis=1)
+        (x,) = stack_jets(bp.embed_jets(t), t, 0)
+        points.extend(patch.ambient(x))
     return points
 
 

@@ -20,6 +20,8 @@ import math
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 # A term key is (pi_power, angles) where angles is a sorted tuple of
 # (angle_id, phi_exp, sin_exp, cos_exp) entries with at least one nonzero
 # exponent and cos_exp in {0, 1}.
@@ -285,7 +287,7 @@ class TrigScalar:
                 if aid not in angle_values:
                     raise ValueError(f"no value supplied for angle {aid}")
                 x = angle_values[aid]
-                val *= x ** p * math.sin(x) ** s * math.cos(x) ** c
+                val *= x ** p * np.sin(x) ** s * np.cos(x) ** c
             total += val
         return total
 

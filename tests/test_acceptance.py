@@ -5,9 +5,11 @@ failure) and asserts the criterion.  Scenario runs are shared through a
 module fixture so the whole gate stays fast.
 """
 
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,9 @@ def _line(criterion, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"criterion {criterion}: {status} {detail}".rstrip())
     return passed
+
+
+GOLDEN = Path(__file__).parent / "data" / "catalog_golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +188,32 @@ def test_criterion_8_property_suites():
 
     _line(8, True, "(d^2 = 0 on 800 random forms, wedge laws, frame-rotation "
                    f"shift {max_shift:.1e}, index invariances)")
+
+
+def _assert_agrees(got, want, where):
+    """Floats within 1e-13 absolute; everything else identical, types too."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-13, (where, got, want)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_agrees(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_agrees(a, b, f"{where}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def test_catalog_matches_golden_reports(catalog_reports):
+    """Every report field but the wall time, and the profile rows of the 2-D
+    scenarios, agree with the reports recorded in tests/data from the
+    per-node implementation."""
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(catalog_reports)
+    for name, report in catalog_reports.items():
+        got = report.to_dict()
+        if report.dimension == 2:
+            got["profile"] = report.profile
+        _assert_agrees(json.loads(json.dumps(got)), golden[name], name)

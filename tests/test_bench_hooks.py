@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = textwrap.dedent("""
-    import json, math, sys
+    import json, sys
     sys.path[:0] = [sys.argv[1], sys.argv[2]]
     import numpy as np
     import tracing
@@ -25,10 +25,11 @@ SCRIPT = textwrap.dedent("""
     tracer.begin_op(0)
     text = report.emit_report(runner.run_scenario(scenario), "json")
     integrate.degree_integral_circle(
-        lambda t: (np.array([math.cos(t), math.sin(t)]),
-                   np.array([[-math.sin(t)], [math.cos(t)]])), order=16)
+        lambda t: (np.stack([np.cos(t), np.sin(t)], axis=1),
+                   np.stack([-np.sin(t), np.cos(t)], axis=1)[:, :, None]), order=16)
     integrate.degree_integral_sphere(
-        lambda ab: (np.array([0.0, 0.0, 1.0]), np.zeros((3, 2))), order=4)
+        lambda ab: (np.tile([0.0, 0.0, 1.0], (len(ab), 1)), np.zeros((len(ab), 3, 2))),
+        order=4)
     tracer.write(sys.argv[3], {"workload": "hooks"})
     print(json.dumps({
         "passed": report.ScenarioReport.from_json(text).passed,
@@ -45,6 +46,8 @@ def test_traced_pass_records_layers(tmp_path):
     out = json.loads(proc.stdout)
     assert out["passed"]
     assert out["metrics"]["integrate.phi_nodes"] > 0
-    assert out["metrics"]["geometry.frames_per_boundary_node"] == 1.0
+    # one boundary_frame call per chunk: disk-constant integrates Phi on
+    # grids of 64 and 128 nodes, one chunk each
+    assert out["metrics"]["geometry.frames_per_boundary_node"] == 2 / 192
     assert out["metrics"]["integrate.degree_nodes"] == 48
     assert out["metrics"]["geometry.euler_density_calls"] > 0

@@ -1,8 +1,12 @@
 """Expression grammar: parsing, precedence, evaluation on floats and jets."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lawcheck.expressions import (
     ExpressionError,
@@ -10,7 +14,7 @@ from lawcheck.expressions import (
     compile_matrix,
     compile_vector,
 )
-from lawcheck.geometry import Jet
+from lawcheck.geometry import ConfigError, Jet
 
 
 def ev(text, params=(), env=()):
@@ -76,3 +80,45 @@ def test_vector_and_matrix_compilation():
 def test_source_is_retained():
     f = compile_expression("x + 1", ["x"])
     assert f.source == "x + 1"
+
+
+# -- arrays against Python floats -------------------------------------------------
+
+_LEAVES = st.sampled_from(["x", "y", "pi", "0", "0.5", "2", "3e2", "1e200"])
+_EXPRESSIONS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.builds("-({})".format, inner),
+    st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp"]), inner),
+    st.builds("({})^{}".format, inner, st.integers(-3, 3)),
+    st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+), max_leaves=6)
+_VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e-3, 700.0, 1e200, -1e155])
+
+
+def _first_point_error(fn, points):
+    for point in points:
+        try:
+            fn(point)
+        except ConfigError as exc:
+            return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_EXPRESSIONS, st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=6))
+def test_arrays_agree_with_python_floats(text, points):
+    """On a point array an expression either gives what Python floats give
+    point by point, or raises the ConfigError of the first point that fails
+    under floats; numpy emits no RuntimeWarning either way."""
+    fn = compile_expression(text, ["x", "y"])
+    points = [list(p) for p in points]
+    expected = _first_point_error(fn, points)
+    env = [np.array([p[0] for p in points]), np.array([p[1] for p in points])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if expected is not None:
+            with pytest.raises(ConfigError) as err:
+                fn(env)
+            assert str(err.value) == expected
+        else:
+            got = np.broadcast_to(fn(env), len(points))
+            np.testing.assert_allclose(got, [fn(p) for p in points], rtol=1e-14)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_frame_orthonormality_residual(point):
 def test_frame_rejects_degenerate_metric():
     bad = RiemannianPatch(2, [(-1, 1), (-1, 1)], lambda x: [[1, 0], [0, -1]])
     with pytest.raises(ValueError):
-        _GeometryCore(bad, [0, 0])
+        _GeometryCore(bad, [[0, 0]])
     with pytest.raises(ValueError):
         connection_curvature(bad, [0, 0])
 
@@ -129,7 +130,7 @@ def test_flat_connection_and_curvature_vanish():
     fd = connection_curvature(flat_patch(), [0.1, -0.7])
     assert np.max(np.abs(fd.omega)) == 0.0
     assert np.max(np.abs(fd.curvature)) == 0.0
-    assert euler_form_density(flat_patch(), [0.1, -0.7]) == 0.0
+    assert euler_form_density(flat_patch(), [[0.1, -0.7]]).tolist() == [0.0]
 
 
 def _fd_christoffels(patch, x, h=1e-4):
@@ -141,8 +142,8 @@ def _fd_christoffels(patch, x, h=1e-4):
         xp, xm = x.copy(), x.copy()
         xp[l] += h
         xm[l] -= h
-        dG[:, :, l] = (patch.metric_values(xp) - patch.metric_values(xm)) / (2 * h)
-    Ginv = np.linalg.inv(patch.metric_values(x))
+        dG[:, :, l] = (patch.metric_values([xp])[0] - patch.metric_values([xm])[0]) / (2 * h)
+    Ginv = np.linalg.inv(patch.metric_values([x])[0])
     Gamma = np.zeros((n, n, n))
     for k in range(n):
         for i in range(n):
@@ -157,7 +158,7 @@ def _fd_riemann(patch, x, h=1e-4):
     """Curvature oracle: difference the finite-difference Christoffels."""
     n = patch.n
     x = np.asarray(x, dtype=float)
-    G = patch.metric_values(x)
+    G = patch.metric_values([x])[0]
     Gamma = _fd_christoffels(patch, x)
     dGamma = np.zeros((n, n, n, n))
     for l in range(n):
@@ -195,7 +196,7 @@ def test_sphere_curvature_against_fd_oracle(point):
 def test_christoffels_match_fd_on_random_metric():
     patch = bumpy_patch(11)
     for pt in ([0.2, 0.3], [-0.5, 0.6]):
-        Gamma = _GeometryCore(patch, pt).Gamma
+        Gamma = _GeometryCore(patch, [pt]).Gamma[0]
         assert np.max(np.abs(Gamma - _fd_christoffels(patch, pt))) < 1e-7
 
 
@@ -270,7 +271,7 @@ def test_second_bianchi_numeric_spot_check():
 
 def test_riemann_symmetries_random_metric():
     patch = bumpy_patch(23)
-    R = _GeometryCore(patch, [0.1, 0.2]).riemann
+    R = _GeometryCore(patch, [[0.1, 0.2]]).riemann[0]
     assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) < 1e-12
     assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
     assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-12
@@ -281,19 +282,19 @@ def test_riemann_symmetries_random_metric():
 def test_euler_density_odd_dimension_zero():
     patch = RiemannianPatch(3, [(-1, 1)] * 3,
                             lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert euler_form_density(patch, [0.1, 0.2, 0.3]) == 0.0
+    assert euler_form_density(patch, [[0.1, 0.2, 0.3]]).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("point", [[0.2, 0.3], [0.7, -0.8], [0.9, 0.9]])
 def test_euler_density_matches_fd_gauss_curvature(point):
     """Omega = K sqrt(det g) / (2 pi), K from the finite-difference oracle."""
     patch = bumpy_patch(17)
-    G = patch.metric_values(point)
+    G = patch.metric_values([point])[0]
     det = float(np.linalg.det(G))
     K = -_fd_riemann(patch, point)[0, 1, 0, 1] / det
     oracle = K * math.sqrt(det) / (2 * math.pi)
     assert abs(oracle) > 1e-3
-    assert euler_form_density(patch, point) == pytest.approx(oracle, abs=1e-8)
+    assert euler_form_density(patch, [point])[0] == pytest.approx(oracle, abs=1e-8)
 
 
 @pytest.mark.parametrize("point", [[0.4, 1.0, 2.2, 3.0], [1.3, 5.0, 0.7, 0.2]])
@@ -306,13 +307,13 @@ def test_euler_density_product_of_spheres(point):
                                        [0, 0, 1, 0],
                                        [0, 0, 0, jet_sin(x[2]) * jet_sin(x[2])]])
     oracle = math.sin(point[0]) * math.sin(point[2]) / (2 * math.pi) ** 2
-    assert euler_form_density(patch, point) == pytest.approx(oracle, abs=1e-14)
+    assert euler_form_density(patch, [point])[0] == pytest.approx(oracle, abs=1e-14)
 
 
 def test_euler_density_sphere_formula():
     patch = sphere_patch()
     for pt in ([0.7, 0.3], [1.9, 2.2]):
-        assert euler_form_density(patch, pt) == \
+        assert euler_form_density(patch, [pt])[0] == \
             pytest.approx(math.sin(pt[0]) / (2 * math.pi), abs=1e-12)
 
 
@@ -328,8 +329,15 @@ def disk_boundary():
                          outward=lambda t: [1.0, 0.0])
 
 
+def frame_at(bpatch, t, frame_twist=None):
+    """The boundary frame at one node t, with the node axis dropped."""
+    bf = boundary_frame(bpatch, [t], frame_twist)
+    return SimpleNamespace(**{key: value[0] for key, value in vars(bf).items()
+                              if key != "x_jets"})
+
+
 def test_boundary_frame_outward_normal_first():
-    bf = boundary_frame(disk_boundary(), [1.2])
+    bf = frame_at(disk_boundary(), [1.2])
     assert np.allclose(bf.frame[0], [1.0, 0.0])
     assert abs(bf.frame @ bf.metric @ bf.frame.T - np.eye(2)).max() < 1e-12
     assert bf.orientation == 1.0
@@ -344,7 +352,7 @@ def test_boundary_frame_normal_is_unit_and_orthogonal():
     sph = BoundaryPatch(ball, [(0, math.pi), (0, 2 * math.pi)],
                         embed=lambda t: [1.0 + 0 * t[0], t[0], t[1]],
                         outward=lambda t: [1.0, 0.0, 0.0])
-    bf = boundary_frame(sph, [1.1, 0.7])
+    bf = frame_at(sph, [1.1, 0.7])
     G = bf.metric
     assert bf.frame[0] @ G @ bf.frame[0] == pytest.approx(1.0, abs=1e-12)
     for s in (1, 2):
@@ -399,7 +407,7 @@ def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
     orientation, giving the parameter-aligned frame the tangential indices
     read (see ``fields._field_frame_components``)."""
     def frame(tt):
-        bf = boundary_frame(bpatch, tt, frame_twist=twist)
+        bf = frame_at(bpatch, tt, frame_twist=twist)
         if not oriented:
             bf.frame[-1] *= bf.orientation
             bf.dframe[-1] *= bf.orientation
@@ -423,8 +431,8 @@ def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
 
 def test_boundary_frame_twist_rotates_frame_but_not_normal():
     bpatch = wavy_ball3_sphere()
-    plain = boundary_frame(bpatch, [1.1, 0.7])
-    twisted = boundary_frame(bpatch, [1.1, 0.7], frame_twist=sphere_twist)
+    plain = frame_at(bpatch, [1.1, 0.7])
+    twisted = frame_at(bpatch, [1.1, 0.7], frame_twist=sphere_twist)
     assert np.array_equal(twisted.normal, plain.normal)
     assert twisted.orientation == plain.orientation
     assert abs(twisted.frame @ twisted.metric @ twisted.frame.T

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from lawcheck.chern import build_phi
+from lawcheck import integrate
 from lawcheck.geometry import (
+    CHUNK,
     BoundaryPatch,
     GenericityError,
     RiemannianPatch,
@@ -190,6 +192,37 @@ def test_node_order_does_not_change_integrals():
             == integrate_phi_over_section(rim, sections, grid))
 
 
+def _one_node(grid, k):
+    return QuadratureGrid(nodes=grid.nodes[k:k + 1], weights=grid.weights[k:k + 1],
+                          box=grid.box, orders=grid.orders)
+
+
+def test_chunk_seams_do_not_change_densities(monkeypatch):
+    """On grids of 2 CHUNK + 1 nodes (three chunks, the last of one node)
+    every Euler and Phi density of the chunked path equals, bit for bit, the
+    density of the same node evaluated alone."""
+    scenario = load_catalog_scenario("hemisphere-tilted")
+    patch, rim = scenario.patch, scenario.boundaries[0]
+    grid = gauss_grid(patch.box, [2 * CHUNK + 1, 1])
+    chunked = []
+    density = integrate.euler_form_density
+    monkeypatch.setattr(integrate, "euler_form_density",
+                        lambda p, x: chunked.append(density(p, x)) or chunked[-1])
+    integrate_euler(patch, grid)
+    assert [len(d) for d in chunked] == [CHUNK, CHUNK, 1]
+    alone = [density(patch, grid.nodes[k:k + 1]) for k in range(len(grid))]
+    assert np.array_equal(np.concatenate(chunked), np.concatenate(alone))
+
+    grid = gauss_grid(rim.box, [2 * CHUNK + 1])
+    sections = (None, scenario.field_spec.components)
+    rows = []
+    integrate_phi_over_section(rim, sections, grid, collect=rows)
+    for k, row in enumerate(rows):
+        one = []
+        integrate_phi_over_section(rim, sections, _one_node(grid, k), collect=one)
+        assert one[0] == row
+
+
 def test_section_norm_guard():
     rim = disk_rim()
     dying = lambda x: [jet_cos(x[1]) - jet_cos(x[1]), 0.0]
@@ -197,7 +230,7 @@ def test_section_norm_guard():
         integrate_phi_over_section(rim, (dying,), gauss_grid(rim.box, [8]))
     with pytest.raises(GenericityError, match="section norm below 1e-9"):
         SectionPullback(rim, lambda x: [0.0, 0.0]).bind(
-            [0.3], boundary_frame(rim, [0.3]))
+            [[0.3]], boundary_frame(rim, [[0.3]]))
 
 
 def test_section_unit_residual():
@@ -205,8 +238,8 @@ def test_section_unit_residual():
     pull = SectionPullback(rim, lambda x: [jet_cos(x[1]),
                                            -1.0 * jet_sin(x[1]) / x[0]])
     for t in (0.3, 2.1, 5.5):
-        u, theta, omega, curv, extras = pull.bind([t], boundary_frame(rim, [t]))
-        assert abs(float(np.dot(u, u)) - 1.0) < 1e-12
+        u, theta, omega, curv, extras = pull.bind([[t]], boundary_frame(rim, [[t]]))
+        assert abs(float(np.dot(u[0], u[0])) - 1.0) < 1e-12
 
 
 def test_quadrature_convergence_on_doubling():
@@ -278,21 +311,22 @@ def test_frame_rotation_invariance_n3():
 # -- degree integrals -------------------------------------------------------------
 
 def _circle_map(k):
-    """t -> (cos kt, sin kt) with its t-derivatives, degree k."""
-    return lambda t: (np.array([math.cos(k * t), math.sin(k * t)]),
-                      np.array([[-k * math.sin(k * t)], [k * math.cos(k * t)]]))
+    """t -> (cos kt, sin kt) with its t-derivatives, degree k, on node
+    arrays t (N,)."""
+    return lambda t: (np.stack([np.cos(k * t), np.sin(k * t)], axis=1),
+                      np.stack([-k * np.sin(k * t), k * np.cos(k * t)], axis=1)[:, :, None])
 
 
 def _sphere_map(k, sign=1.0):
     """(a, b) -> sign * (sin a cos kb, sin a sin kb, cos a) with gradients,
-    degree sign * k."""
-    def fn(node):
-        a, b = node
-        w = np.array([math.sin(a) * math.cos(k * b), math.sin(a) * math.sin(k * b),
-                      math.cos(a)])
-        dw = np.array([[math.cos(a) * math.cos(k * b), -k * math.sin(a) * math.sin(k * b)],
-                       [math.cos(a) * math.sin(k * b), k * math.sin(a) * math.cos(k * b)],
-                       [-math.sin(a), 0.0]])
+    degree sign * k, on node arrays (N, 2)."""
+    def fn(nodes):
+        a, b = nodes.T
+        w = np.stack([np.sin(a) * np.cos(k * b), np.sin(a) * np.sin(k * b),
+                      np.cos(a)], axis=1)
+        dw = np.stack([np.stack([np.cos(a) * np.cos(k * b), -k * np.sin(a) * np.sin(k * b)], axis=1),
+                       np.stack([np.cos(a) * np.sin(k * b), k * np.sin(a) * np.cos(k * b)], axis=1),
+                       np.stack([-np.sin(a), 0.0 * a], axis=1)], axis=1)
         return sign * w, sign * dw
     return fn
 
@@ -316,7 +350,8 @@ def test_degree_sphere_degree_two_map():
 
 def test_degree_vanishing_map_raises():
     with pytest.raises(GenericityError):
-        degree_integral_circle(lambda t: (np.zeros(2), np.zeros((2, 1))), order=16)
+        degree_integral_circle(lambda t: (np.zeros((len(t), 2)), np.zeros((len(t), 2, 1))),
+                               order=16)
 
 
 def test_phi_template_is_cached_and_top_degree():
@@ -353,9 +388,9 @@ def test_numeric_transgression_n2():
     angles = {}
     signs = {}
     for t in (a, b):
-        u, _theta, _w, _W, extras = pull.bind([t], boundary_frame(rim, [t]))
-        angles[t] = extras["angle"]
-        signs[t] = math.copysign(1.0, u[1])
+        u, _theta, _w, _W, extras = pull.bind([[t]], boundary_frame(rim, [[t]]))
+        angles[t] = float(extras["angle"][0])
+        signs[t] = math.copysign(1.0, u[0, 1])
     assert signs[a] == signs[b] == -1.0
     rhs = (signs[b] * gamma_coeff.to_float({1: angles[b]})
            - signs[a] * gamma_coeff.to_float({1: angles[a]}))
