@@ -49,8 +49,12 @@ class QuadratureGrid:
 
 @lru_cache(maxsize=None)
 def _legendre(order):
-    """Gauss-Legendre rule on [-1, 1], once per order (a dense eigenproblem)."""
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre rule on [-1, 1], once per order (a dense eigenproblem);
+    the cached arrays are read-only, as every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _gauss_1d(lo, hi, order):
