@@ -82,11 +82,10 @@ def gauss_grid(box, orders):
 
 class SectionPullback:
     """Numeric evaluator of a unit section of the sphere bundle along a
-    boundary patch: frame components, their derivatives, and the connection
-    and curvature values a form template needs at each node."""
+    boundary: frame components, their derivatives, and the connection and
+    curvature values a form template needs at each node."""
 
-    def __init__(self, bpatch, section=None):
-        self.bpatch = bpatch
+    def __init__(self, section=None):
         self.section = section            # None means the outward normal
 
     def bind(self, t, frame):
@@ -124,10 +123,10 @@ class SectionPullback:
 
 # -- the integrals -------------------------------------------------------------------
 
-def _quadrature(grid, density):
-    """math.fsum of weight * density over the grid nodes, with ``density``
-    evaluated on chunks of nodes."""
-    return math.fsum(np.concatenate([grid.weights[c] * density(grid.nodes[c])
+def _quadrature(grid, weighted):
+    """math.fsum of the per-node products ``weighted(nodes, weights)``, which
+    is evaluated on chunks of grid nodes."""
+    return math.fsum(np.concatenate([weighted(grid.nodes[c], grid.weights[c])
                                      for c in node_chunks(len(grid))]).tolist())
 
 
@@ -137,7 +136,7 @@ def integrate_euler(patch, grid):
         return 0.0
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
-    return _quadrature(grid, lambda nodes: euler_form_density(patch, nodes))
+    return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x))
 
 
 def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
@@ -146,13 +145,13 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
 
     Each of ``sections`` is None for the outward normal or a callable mapping
     embedded chart jets to vector components; all of them are integrated
-    through one boundary frame per node, and the integrals come back as a
+    through the same boundary frames, and the integrals come back as a
     tuple in the same order.  ``collect`` receives one profile row per node
     when given, with a tuple of densities, angles and v_dot_n values, one per
     section.
     """
     tpl = phi_template(bpatch.parent.n)
-    pulls = [SectionPullback(bpatch, s) for s in sections]
+    pulls = [SectionPullback(s) for s in sections]
     parts = []                     # per chunk: (n_sections, 4, nodes) arrays
     for c in node_chunks(len(grid)):
         t = grid.nodes[c]
@@ -188,13 +187,14 @@ def integrate_fiber_form(form, grid):
     dcoords = [c.deriv(i) for c in coords for i in range(1, n)]
     flat = np.zeros((n, n, m, m))
 
-    def density(nodes):
+    def weighted(nodes, weights):
         angles = dict(enumerate(nodes.T, start=1))
         u, theta = (np.stack([np.broadcast_to(c.to_float(angles), len(nodes))
                               for c in scalars], axis=-1) for scalars in (coords, dcoords))
-        return evaluate_template(tpl, u, theta.reshape(-1, n, m), flat[..., 0], flat)
+        return weights * evaluate_template(tpl, u, theta.reshape(-1, n, m),
+                                           flat[..., 0], flat)
 
-    return _quadrature(grid, density)
+    return _quadrature(grid, weighted)
 
 
 def integrate_fiber_volume(n, order=None):
@@ -219,25 +219,25 @@ def degree_integral_circle(map_fn, order=256):
     """Degree of a nonvanishing plane-valued map over [0, 2pi): ``map_fn(t)``
     takes node angles t (N,) and returns w (N, 2) and dw (N, 2, 1), and
     (w1 w2' - w2 w1') / |w|^2 is integrated."""
-    def density(nodes):
+    def weighted(nodes, weights):
         t = nodes[:, 0]
         w, dw = map_fn(t)
         norm2 = _norm2(w, lambda k: f"circle at t={float(t[k])}")
-        return (w[:, 0] * dw[:, 1, 0] - w[:, 1] * dw[:, 0, 0]) / norm2
+        return weights * (w[:, 0] * dw[:, 1, 0] - w[:, 1] * dw[:, 0, 0]) / norm2
 
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
-    return _quadrature(grid, density) / (2 * math.pi)
+    return _quadrature(grid, weighted) / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order=48):
     """Degree of a nonvanishing space-valued map over the (colat, lon) box:
     ``map_fn(nodes)`` takes nodes (N, 2) and returns w (N, 3) and dw (N, 3, 2),
     and det[w, dw] / |w|^3 is integrated."""
-    def density(nodes):
+    def weighted(nodes, weights):
         w, dw = map_fn(nodes)
         norm2 = _norm2(w, lambda k: f"sphere at {[float(a) for a in nodes[k]]}")
-        return (np.linalg.det(np.concatenate([w[:, None], dw.swapaxes(1, 2)], axis=1))
-                / (norm2 * np.sqrt(norm2)))
+        mat = np.concatenate([w[:, None], dw.swapaxes(1, 2)], axis=1)
+        return weights * np.linalg.det(mat) / (norm2 * np.sqrt(norm2))
 
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
-    return _quadrature(grid, density) / (4 * math.pi)
+    return _quadrature(grid, weighted) / (4 * math.pi)

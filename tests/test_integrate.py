@@ -229,14 +229,13 @@ def test_section_norm_guard():
     with pytest.raises(GenericityError):
         integrate_phi_over_section(rim, (dying,), gauss_grid(rim.box, [8]))
     with pytest.raises(GenericityError, match="section norm below 1e-9"):
-        SectionPullback(rim, lambda x: [0.0, 0.0]).bind(
+        SectionPullback(lambda x: [0.0, 0.0]).bind(
             [[0.3]], boundary_frame(rim, [[0.3]]))
 
 
 def test_section_unit_residual():
     rim = disk_rim()
-    pull = SectionPullback(rim, lambda x: [jet_cos(x[1]),
-                                           -1.0 * jet_sin(x[1]) / x[0]])
+    pull = SectionPullback(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     for t in (0.3, 2.1, 5.5):
         u, theta, omega, curv, extras = pull.bind([[t]], boundary_frame(rim, [[t]]))
         assert abs(float(np.dot(u[0], u[0])) - 1.0) < 1e-12
@@ -384,7 +383,7 @@ def test_numeric_transgression_n2():
     section, normal = integrate_phi_over_section(rim, (const, None), grid)
     lhs = section - normal
 
-    pull = SectionPullback(rim, const)
+    pull = SectionPullback(const)
     angles = {}
     signs = {}
     for t in (a, b):
