@@ -10,14 +10,10 @@ Two tracks share one source of truth:
 """
 
 from .trig import TrigScalar, sphere_volume
-from .algebra import Form, wedge, differential, interior_dphi, evaluate_at_zero
+from .algebra import Form
 
 __all__ = [
     "TrigScalar",
     "sphere_volume",
     "Form",
-    "wedge",
-    "differential",
-    "interior_dphi",
-    "evaluate_at_zero",
 ]

@@ -81,6 +81,16 @@ def mono_mul(m1: Monomial, m2: Monomial):
     return sign, (evens, tuple(odds))
 
 
+def add_term(terms, mono, coeff):
+    """Add coeff * mono into a Form's term dict in place, dropping zeros."""
+    prev = terms.get(mono)
+    new = coeff if prev is None else prev + coeff
+    if new:
+        terms[mono] = new
+    elif prev is not None:
+        del terms[mono]
+
+
 def _gen_name(gen):
     kind, a, b = gen
     if kind == K_DPHI:
@@ -184,16 +194,10 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono)
-            new = coeff if new is None else new + coeff
-            if new:
-                out[mono] = new
-            elif mono in out:
-                del out[mono]
         res = Form(self.n, boundary=self.boundary)
-        res.terms = out
+        res.terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            add_term(res.terms, mono, coeff)
         return res
 
     def __neg__(self):
@@ -211,7 +215,7 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._compatible(other)
-        out: dict[Monomial, TrigScalar] = {}
+        res = Form(self.n, boundary=self.boundary)
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 hit = mono_mul(m1, m2)
@@ -219,16 +223,7 @@ class Form:
                     continue
                 sign, mono = hit
                 coeff = c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                new = out.get(mono)
-                new = coeff if new is None else new + coeff
-                if new:
-                    out[mono] = new
-                elif mono in out:
-                    del out[mono]
-        res = Form(self.n, boundary=self.boundary)
-        res.terms = out
+                add_term(res.terms, mono, coeff if sign > 0 else -coeff)
         return res
 
     def __rmul__(self, other):
@@ -289,13 +284,7 @@ class Form:
                 if gen == target:
                     sign = -1 if pos % 2 else 1
                     mono = (evens, odds[:pos] + odds[pos + 1:])
-                    c = coeff if sign > 0 else -coeff
-                    prev = out.terms.get(mono)
-                    new = c if prev is None else prev + c
-                    if new:
-                        out.terms[mono] = new
-                    elif mono in out.terms:
-                        del out.terms[mono]
+                    add_term(out.terms, mono, coeff if sign > 0 else -coeff)
                     break
         return out
 
@@ -308,13 +297,7 @@ class Form:
                 continue
             c = coeff.eval_angle(1, "0")
             if c:
-                mono = (evens, odds)
-                prev = out.terms.get(mono)
-                new = c if prev is None else prev + c
-                if new:
-                    out.terms[mono] = new
-                elif mono in out.terms:
-                    del out.terms[mono]
+                add_term(out.terms, (evens, odds), c)
         return out
 
     # -- boundary dimension bookkeeping -------------------------------------
@@ -421,13 +404,7 @@ def _mono_sandwich(prefix: Monomial, form: Form, suffix: Monomial):
         if right is None:
             continue
         s2, m2 = right
-        c = coeff if s1 * s2 > 0 else -coeff
-        prev = out.terms.get(m2)
-        new = c if prev is None else prev + c
-        if new:
-            out.terms[m2] = new
-        elif m2 in out.terms:
-            del out.terms[m2]
+        add_term(out.terms, m2, coeff if s1 * s2 > 0 else -coeff)
     return out
 
 
@@ -498,20 +475,3 @@ def _d_generator(gen, n, boundary):
     _D_CACHE[key] = out
     return out
 
-
-# -- module-level operation surface -----------------------------------------
-
-def wedge(a: Form, b: Form) -> Form:
-    return a * b
-
-
-def differential(a: Form) -> Form:
-    return a.d()
-
-
-def interior_dphi(a: Form) -> Form:
-    return a.interior_dphi()
-
-
-def evaluate_at_zero(a: Form) -> Form:
-    return a.evaluate_at_zero()

@@ -28,7 +28,7 @@ from itertools import accumulate, permutations
 
 import numpy as np
 
-from .algebra import DEGREE, K_CURV, K_DPHI, K_OMEGA, K_THETA, K_U, Form
+from .algebra import DEGREE, K_CURV, K_DPHI, K_OMEGA, K_THETA, K_U, Form, add_term
 from .trig import TrigScalar, sphere_volume
 
 MAX_BUILD_N = 5
@@ -246,7 +246,8 @@ def polar_substitute(f: Form) -> Form:
             wedge_cache[tail] = hit
         return hit
 
-    out = Form.zero(n)
+    # group the terms by what the wedge sees, so each group wedges once
+    groups: dict[tuple, TrigScalar] = {}
     for (evens, odds), coeff in f.terms.items():
         rest_evens = []
         for gen in evens:
@@ -257,9 +258,15 @@ def polar_substitute(f: Form) -> Form:
         split = len(odds)
         while split and odds[split - 1][0] == K_THETA:
             split -= 1
-        head, tail = odds[:split], odds[split:]
-        piece = Form(n, {(tuple(rest_evens), head): coeff})
-        out = out + piece * theta_wedge(tail)
+        key = (tuple(rest_evens), odds[:split], odds[split:])
+        prev = groups.get(key)
+        groups[key] = coeff if prev is None else prev + coeff
+    out = Form.zero(n)
+    for (rest_evens, head, tail), coeff in groups.items():
+        if coeff:
+            piece = Form(n, {(rest_evens, head): coeff})
+            for mono, c in (piece * theta_wedge(tail)).terms.items():
+                add_term(out.terms, mono, c)
     return out
 
 

@@ -6,9 +6,18 @@ Elements are rational linear combinations of monomials
 
 over a finite set of formal angles phi_1, phi_2, ...  The cos-exponent of
 every angle is kept at most 1 by the eager rewrite cos^2 -> 1 - sin^2, which
-makes the representation canonical: an element is zero iff its term dict is
-empty.  The pi power may be negative (normalization constants such as unit
-sphere volumes are rational multiples of integer pi powers).
+makes the representation canonical.  The pi power may be negative
+(normalization constants such as unit sphere volumes are rational multiples
+of integer pi powers).
+
+The canonical form is fraction-free: an element stores integer numerators
+per monomial over one positive common denominator that shares no factor with
+all of them, and the zero element is no numerator over 1.  So an element is
+zero iff it has no numerators, and two elements are equal iff their
+numerators and denominators are.  A product of canonical elements merges
+their sorted angle tuples; a shared angle needs at most one cos^2 split
+because both cos-exponents are at most 1, so products never re-run the
+general reduction.  ``terms`` gives the same element as {monomial: Fraction}.
 
 Angle 1 is the distinguished boundary angle; higher angles only appear in the
 fiber-sphere parametrization used by the symbolic identity checks.
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -26,8 +35,6 @@ import numpy as np
 # (angle_id, phi_exp, sin_exp, cos_exp) entries with at least one nonzero
 # exponent and cos_exp in {0, 1}.
 TermKey = tuple[int, tuple[tuple[int, int, int, int], ...]]
-
-_ZERO = Fraction(0)
 
 
 def _reduce_angles(angles, coeff):
@@ -49,52 +56,125 @@ def _clean_angles(angles):
     return tuple(sorted(a for a in angles if a[1] or a[2] or a[3]))
 
 
+def _merge_angles(a1, a2):
+    """Product of two canonical angle tuples as ((angles, sign), ...)."""
+    if not a1 or not a2:
+        return ((a1 or a2, 1),)
+    merged = []
+    splits = []
+    i = j = 0
+    n1, n2 = len(a1), len(a2)
+    while i < n1 and j < n2:
+        x, y = a1[i], a2[j]
+        if x[0] == y[0]:
+            c = x[3] + y[3]
+            if c == 2:  # cos^2 = 1 - sin^2
+                splits.append(len(merged))
+                c = 0
+            merged.append((x[0], x[1] + y[1], x[2] + y[2], c))
+            i += 1
+            j += 1
+        elif x[0] < y[0]:
+            merged.append(x)
+            i += 1
+        else:
+            merged.append(y)
+            j += 1
+    merged.extend(a1[i:])
+    merged.extend(a2[j:])
+    if not splits:
+        return ((tuple(merged), 1),)
+    # each split entry (aid, p, s, 0) stands for cos^2 = 1 - sin^2: keep it
+    # (dropped when it is 1) with the sign, or lift it by sin^2 against it
+    out = [((), 1)]
+    start = 0
+    for pos in splits:
+        aid, p, s, _ = merged[pos]
+        low = tuple(merged[start:pos + 1] if p or s else merged[start:pos])
+        high = tuple(merged[start:pos]) + ((aid, p, s + 2, 0),)
+        out = ([(head + low, sign) for head, sign in out]
+               + [(head + high, -sign) for head, sign in out])
+        start = pos + 1
+    tail = tuple(merged[start:])
+    return [(head + tail, sign) for head, sign in out]
+
+
+def _make(num, den):
+    """Wrap canonical numerators (no zeros, gcd with den already 1)."""
+    out = TrigScalar.__new__(TrigScalar)
+    out.num = num
+    out.den = den
+    return out
+
+
+def _reduced(num, den):
+    """Divide nonzero numerators and den by their common factor."""
+    if not num:
+        return _make(num, 1)
+    if den > 1:
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    return _make(num, den)
+
+
+def _canonical(raw, den):
+    """Canonical element of {key: int} over den, with keys in any form."""
+    acc: dict[TermKey, int] = {}
+    for (d, angles), coeff in raw.items():
+        if not coeff:
+            continue
+        for red, factor in _reduce_angles(_clean_angles(angles), coeff):
+            key = (d, _clean_angles(red))
+            acc[key] = acc.get(key, 0) + factor
+    return _reduced({k: v for k, v in acc.items() if v}, den)
+
+
 class TrigScalar:
     """Canonical-form element of the exact trig/pi coefficient ring."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        acc: dict[TermKey, Fraction] = {}
-        if terms:
-            for (d, angles), coeff in terms.items():
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                for red, factor in _reduce_angles(_clean_angles(angles), coeff):
-                    key = (d, _clean_angles(red))
-                    val = acc.get(key, _ZERO) + factor
-                    if val:
-                        acc[key] = val
-                    elif key in acc:
-                        del acc[key]
-        self.terms = acc
+        fracs = [(key, Fraction(c)) for key, c in (terms or {}).items()]
+        den = lcm(*(f.denominator for _, f in fracs))
+        canon = _canonical({key: f.numerator * (den // f.denominator)
+                            for key, f in fracs}, den)
+        self.num = canon.num
+        self.den = canon.den
+
+    @property
+    def terms(self) -> dict[TermKey, Fraction]:
+        den = self.den
+        return {key: Fraction(v, den) for key, v in self.num.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _make({}, 1)
 
     @classmethod
     def rational(cls, num, den=1):
-        return cls({(0, ()): Fraction(num, den)})
+        return cls.pi_power(0, Fraction(num, den))
 
     @classmethod
     def pi_power(cls, d, coeff=1):
-        return cls({(d, ()): Fraction(coeff)})
+        coeff = Fraction(coeff)
+        return _make({(d, ()): coeff.numerator} if coeff else {}, coeff.denominator)
 
     @classmethod
     def phi(cls, angle=1):
-        return cls({(0, ((angle, 1, 0, 0),)): Fraction(1)})
+        return _make({(0, ((angle, 1, 0, 0),)): 1}, 1)
 
     @classmethod
     def sin(cls, angle=1):
-        return cls({(0, ((angle, 0, 1, 0),)): Fraction(1)})
+        return _make({(0, ((angle, 0, 1, 0),)): 1}, 1)
 
     @classmethod
     def cos(cls, angle=1):
-        return cls({(0, ((angle, 0, 0, 1),)): Fraction(1)})
+        return _make({(0, ((angle, 0, 0, 1),)): 1}, 1)
 
     @classmethod
     def monomial(cls, coeff=1, pi=0, **angle_exps):
@@ -125,23 +205,23 @@ class TrigScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            new = out.get(key, _ZERO) + val
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        out = dict(self.num)
+        if f1 > 1:
+            out = {key: val * f1 for key, val in out.items()}
+        for key, val in other.num.items():
+            new = out.get(key, 0) + val * f2
             if new:
                 out[key] = new
-            elif key in out:
+            else:
                 del out[key]
-        result = TrigScalar.__new__(TrigScalar)
-        result.terms = out
-        return result
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = TrigScalar.__new__(TrigScalar)
-        result.terms = {k: -v for k, v in self.terms.items()}
-        return result
+        return _make({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -156,19 +236,19 @@ class TrigScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw: dict[TermKey, Fraction] = {}
-        for (d1, a1), c1 in self.terms.items():
-            for (d2, a2), c2 in other.terms.items():
-                merged: dict[int, list[int]] = {}
-                for aid, p, s, c in a1 + a2:
-                    e = merged.setdefault(aid, [0, 0, 0])
-                    e[0] += p
-                    e[1] += s
-                    e[2] += c
-                key = (d1 + d2,
-                       tuple((aid, *e) for aid, e in sorted(merged.items())))
-                raw[key] = raw.get(key, _ZERO) + c1 * c2
-        return TrigScalar(raw)
+        out: dict[TermKey, int] = {}
+        get = out.get
+        for (d1, a1), c1 in self.num.items():
+            for (d2, a2), c2 in other.num.items():
+                coeff = c1 * c2
+                for angles, sign in _merge_angles(a1, a2):
+                    key = (d1 + d2, angles)
+                    new = get(key, 0) + (coeff if sign > 0 else -coeff)
+                    if new:
+                        out[key] = new
+                    else:
+                        del out[key]
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -189,12 +269,12 @@ class TrigScalar:
 
     def deriv(self, angle=1):
         """Derivative with respect to the given formal angle."""
-        raw: dict[TermKey, Fraction] = {}
+        raw: dict[TermKey, int] = {}
 
         def emit(key, coeff):
-            raw[key] = raw.get(key, _ZERO) + coeff
+            raw[key] = raw.get(key, 0) + coeff
 
-        for (d, angles), coeff in self.terms.items():
+        for (d, angles), coeff in self.num.items():
             for idx, (aid, p, s, c) in enumerate(angles):
                 if aid != angle:
                     continue
@@ -205,7 +285,7 @@ class TrigScalar:
                     emit((d, rest + ((aid, p, s - 1, c + 1),)), coeff * s)
                 if c:
                     emit((d, rest + ((aid, p, s + 1, c - 1),)), -coeff * c)
-        return TrigScalar(raw)
+        return _canonical(raw, self.den)
 
     def eval_angle(self, angle, at):
         """Substitute the angle at one of the exact points '0', 'pi', 'pi/2'."""
@@ -241,48 +321,49 @@ class TrigScalar:
             if dead:
                 continue
             key = (dpi, tuple(rest))
-            raw[key] = raw.get(key, _ZERO) + factor
+            raw[key] = raw.get(key, 0) + factor
         return TrigScalar(raw)
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def angles(self):
         out = set()
-        for _, angle_part in self.terms:
+        for _, angle_part in self.num:
             out.update(a[0] for a in angle_part)
         return out
 
     def as_fraction(self):
         """Return the value as a Fraction if the element is a pure rational."""
-        if not self.terms:
+        if not self.num:
             return Fraction(0)
-        if len(self.terms) == 1:
-            (d, angles), coeff = next(iter(self.terms.items()))
+        if len(self.num) == 1:
+            (d, angles), coeff = next(iter(self.num.items()))
             if d == 0 and not angles:
-                return coeff
+                return Fraction(coeff, self.den)
         raise ValueError(f"not a pure rational: {self.render()}")
 
     def to_float(self, angle_values=None):
         angle_values = angle_values or {}
         total = 0.0
-        for (d, angles), coeff in self.terms.items():
-            val = float(coeff) * math.pi ** d
+        for (d, angles), coeff in self.num.items():
+            # int true division rounds correctly, as float(Fraction) does
+            val = coeff / self.den * math.pi ** d
             for aid, p, s, c in angles:
                 if aid not in angle_values:
                     raise ValueError(f"no value supplied for angle {aid}")
@@ -294,7 +375,7 @@ class TrigScalar:
     # -- rendering ---------------------------------------------------------
 
     def render(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for (d, angles), coeff in sorted(self.terms.items()):

@@ -2,8 +2,9 @@
 
 ``bench/tracing.install()`` wraps lawcheck functions and methods by name, so
 renaming one of them, or a parameter its span reads, breaks the traced pass.
-This test runs one catalog scenario and both degree integrals through the
-tracer in a fresh interpreter and reads the per-layer metrics back.
+This test runs one catalog scenario, both degree integrals and one symbolic
+identity through the tracer in a fresh interpreter and reads the per-layer
+metrics back.
 """
 
 import json
@@ -30,9 +31,12 @@ SCRIPT = textwrap.dedent("""
     integrate.degree_integral_sphere(
         lambda ab: (np.tile([0.0, 0.0, 1.0], (len(ab), 1)), np.zeros((len(ab), 3, 2))),
         order=4)
+    tracer.begin_op(1)
+    symbolic = runner.run_symbolic("dphi", 3)
     tracer.write(sys.argv[3], {"workload": "hooks"})
     print(json.dumps({
         "passed": report.ScenarioReport.from_json(text).passed,
+        "symbolic_passed": symbolic.passed,
         "metrics": tracing.layer_metrics(sys.argv[3])}))
 """)
 
@@ -51,3 +55,8 @@ def test_traced_pass_records_layers(tmp_path):
     assert out["metrics"]["geometry.frames_per_boundary_node"] == 2 / 192
     assert out["metrics"]["integrate.degree_nodes"] == 48
     assert out["metrics"]["geometry.euler_density_calls"] > 0
+    # the symbolic hooks: coefficient and form products, polar substitution
+    assert out["symbolic_passed"]
+    assert out["metrics"]["trig.muls"] > 0
+    assert out["metrics"]["algebra.form_muls"] > 0
+    assert out["metrics"]["chern.polar_substitute_s"] > 0
