@@ -3,14 +3,20 @@
 Supports + - * / with unary minus, integer powers via ^, the functions
 sin, cos, exp, the constant pi, numeric literals and named parameters.
 Compiled expressions evaluate on floats, on node arrays or on Jets, so one
-config string serves values and derivatives alike.  A numpy fault on arrays
-is located by re-evaluating node by node in Python floats, so the ConfigError
-names the first failing node with Python's own message.
+config string serves values and derivatives alike.  The entries of a vector
+or matrix are parsed into one straight-line program by value numbering:
+structurally equal subtrees, across all entries, share one slot, computed
+once per call by the operation a tree walk would run, so values are
+bit-identical.  A numpy fault on arrays is located by re-evaluating node by
+node in Python floats, so the ConfigError names the first failing node and,
+in it, the first failing entry (the one that emitted the first faulting
+instruction), with Python's own message.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -21,6 +27,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                     r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
 _FUNCTIONS = {"sin": jet_sin, "cos": jet_cos, "exp": jet_exp}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ExpressionError(ValueError):
@@ -49,10 +56,22 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, params):
+    """Recursive descent that emits each parsed subtree, children first, as
+    one instruction of a straight-line program and returns its slot."""
+
+    def __init__(self, tokens, params, slots, program):
         self.tokens = tokens
         self.pos = 0
         self.params = params
+        self.slots = slots      # instruction -> slot, shared by all entries
+        self.program = program
+
+    def emit(self, *ins):
+        """Slot of ``ins``, an op with its operand slots and literals."""
+        if ins not in self.slots:
+            self.slots[ins] = len(self.program)
+            self.program.append(ins)
+        return self.slots[ins]
 
     def peek(self):
         return self.tokens[self.pos]
@@ -78,7 +97,7 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take()[1]
             rhs = self.term()
-            node = (op, node, rhs)
+            node = self.emit(op, node, rhs)
         return node
 
     def term(self):
@@ -86,13 +105,13 @@ class _Parser:
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.take()[1]
             rhs = self.factor()
-            node = (op, node, rhs)
+            node = self.emit(op, node, rhs)
         return node
 
     def factor(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return ("neg", self.factor())
+            return self.emit("neg", self.factor())
         return self.power()
 
     def power(self):
@@ -106,23 +125,23 @@ class _Parser:
                 kind, val = self.take()
             if kind != "num" or val != int(val):
                 raise ExpressionError("exponent must be an integer literal")
-            node = ("pow", node, -int(val) if neg else int(val))
+            node = self.emit("pow", node, -int(val) if neg else int(val))
         return node
 
     def atom(self):
         kind, val = self.take()
         if kind == "num":
-            return ("const", val)
+            return self.emit("const", val)
         if kind == "name":
             if val in _FUNCTIONS:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return ("call", val, arg)
+                return self.emit("call", val, arg)
             if val == "pi":
-                return ("const", math.pi)
+                return self.emit("const", math.pi)
             if val in self.params:
-                return ("param", self.params.index(val))
+                return self.emit("param", self.params.index(val))
             raise ExpressionError(f"unknown name {val!r} (parameters: {self.params})")
         if (kind, val) == ("op", "("):
             node = self.expr()
@@ -131,72 +150,73 @@ class _Parser:
         raise ExpressionError(f"unexpected token {val!r}")
 
 
-def _evaluate(node, env):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "param":
-        return env[node[1]]
-    if op == "neg":
-        return -_evaluate(node[1], env)
-    if op == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], env))
-    if op == "pow":
-        return _evaluate(node[1], env) ** node[2]
-    a = _evaluate(node[1], env)
-    b = _evaluate(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a / b
+def _run(program, env, values):
+    """Append the value of each instruction of ``program`` to ``values``;
+    after a fault, ``len(values)`` is the failing instruction."""
+    for ins in program:
+        op = ins[0]
+        if op == "const":
+            x = ins[1]
+        elif op == "param":
+            x = env[ins[1]]
+        elif op == "neg":
+            x = -values[ins[1]]
+        elif op == "call":
+            x = _FUNCTIONS[ins[1]](values[ins[2]])
+        elif op == "pow":
+            x = values[ins[1]] ** ins[2]
+        else:
+            x = _BINARY[op](values[ins[1]], values[ins[2]])
+        values.append(x)
 
 
-def _first_fault(fns, env):
-    """Evaluate ``fns`` node by node on Python floats, in node order, so the
-    first failing node (and in it the first failing function) raises its
+def _first_fault(fn, env):
+    """Evaluate ``fn`` node by node on Python floats, in node order, so the
+    first failing node (and in it the first failing entry) raises its
     ConfigError."""
     values = np.broadcast_arrays(*[v.v if isinstance(v, Jet) else v for v in env])
     for k in np.ndindex(values[0].shape if values else ()):
-        for f in fns:
-            f([float(v[k]) for v in values])
+        fn([float(v[k]) for v in values])
+
+
+def compile_vector(texts, params):
+    """Compile expression strings into env -> list of values (floats, node
+    arrays or Jets), all evaluated by one shared straight-line program; an
+    arithmetic fault while evaluating them is a ConfigError."""
+    texts = list(map(str, texts))
+    params = list(params)
+    slots, program, owner, outputs = {}, [], [], []
+    for entry, text in enumerate(texts):
+        outputs.append(_Parser(_tokenize(text), params, slots, program).parse())
+        owner += [entry] * (len(program) - len(owner))
+
+    def fn(env):
+        values = []
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                _run(program, env, values)
+        except (ArithmeticError, ValueError) as exc:
+            if all(type(v) in (int, float) for v in env):
+                raise ConfigError(f"expression {texts[owner[len(values)]]!r} fails at "
+                                  f"{list(map(float, env))}: {exc}") from None
+            _first_fault(fn, env)
+            values = []
+            with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
+                _run(program, env, values)
+        return [values[s] for s in outputs]
+
+    return fn
 
 
 def compile_expression(text, params):
     """Compile one expression string into env -> value (floats, node arrays
     or Jets); an arithmetic fault while evaluating it is a ConfigError."""
-    if not isinstance(text, str):
-        text = str(text)
-    ast = _Parser(_tokenize(text), list(params)).parse()
+    vector = compile_vector([text], params)
 
     def fn(env):
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                return _evaluate(ast, env)
-        except (ArithmeticError, ValueError) as exc:
-            if all(type(v) in (int, float) for v in env):
-                raise ConfigError(f"expression {text!r} fails at "
-                                  f"{list(map(float, env))}: {exc}") from None
-        _first_fault([fn], env)
-        with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
-            return _evaluate(ast, env)
+        return vector(env)[0]
 
-    fn.source = text
-    return fn
-
-
-def compile_vector(texts, params):
-    fns = [compile_expression(t, params) for t in texts]
-
-    def fn(env):
-        try:
-            return [f(env) for f in fns]
-        except ConfigError:
-            _first_fault(fns, env)  # the earliest node across the entries
-            raise
-
+    fn.source = str(text)
     return fn
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 
 @dataclass
@@ -28,7 +28,7 @@ class ScenarioReport:
     profile: list = field(default_factory=list, repr=False)
 
     def to_dict(self, include_timing=False):
-        out = asdict(self)
+        out = asdict(replace(self, profile=[]))  # no deep copy of the dropped profile
         del out["profile"]
         if not include_timing:
             del out["wall_time_s"]

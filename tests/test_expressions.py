@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lawcheck import expressions
 from lawcheck.expressions import (
     ExpressionError,
     compile_expression,
@@ -122,3 +124,77 @@ def test_arrays_agree_with_python_floats(text, points):
         else:
             got = np.broadcast_to(fn(env), len(points))
             np.testing.assert_allclose(got, [fn(p) for p in points], rtol=1e-14)
+
+
+# -- shared subexpressions --------------------------------------------------------
+
+@st.composite
+def _shared_entries(draw):
+    """Two or three entries built from one pool of subexpressions, so that
+    whole subtrees repeat within and across entries, beside fresh ones."""
+    pick = st.sampled_from(draw(st.lists(_EXPRESSIONS, min_size=1, max_size=3)))
+    entry = st.one_of(
+        pick,
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp"]), pick),
+        st.builds("({}) {} ({})".format, pick, st.sampled_from("+-*/"),
+                  st.one_of(pick, _EXPRESSIONS)),
+    )
+    return draw(st.lists(entry, min_size=2, max_size=3))
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.shape, value.dtype, value.tobytes()
+
+
+def _jet_bits(value):
+    parts = (value.v, value.g, value.h) if isinstance(value, Jet) else (value,)
+    return [_bits(p) for p in parts]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_shared_entries(), st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=6))
+@example(["(x) - (y)", "(y) - (x)", "(y) / (x) + (x) / (y)"], [(0.5, 2.0)])
+def test_shared_program_agrees_with_entries_one_by_one(texts, points):
+    """compile_vector and compile_matrix give bit for bit what the entries
+    compiled one by one give, on node arrays and on Jets, or raise the
+    ConfigError of the first failing node and, in it, the first failing
+    entry; numpy emits no RuntimeWarning either way."""
+    params = ["x", "y"]
+    single = [compile_expression(t, params) for t in texts]
+    vector = compile_vector(texts, params)
+    rows = [texts[:1], texts[1:]]
+    matrix = compile_matrix(rows, params)
+    expected = _first_point_error(lambda p: [f(p) for f in single],
+                                  [list(p) for p in points])
+    arrays = [np.array([p[0] for p in points]), np.array([p[1] for p in points])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for env in (arrays, Jet.variables(points)):
+            if expected is not None:
+                for fn in (vector, matrix):
+                    with pytest.raises(ConfigError) as err:
+                        fn(env)
+                    assert str(err.value) == expected
+                continue
+            want = [_jet_bits(f(env)) for f in single]
+            assert [_jet_bits(v) for v in vector(env)] == want
+            assert [_jet_bits(v) for row in matrix(env) for v in row] == want
+
+
+def test_shared_calls_run_once_per_evaluation(monkeypatch):
+    """A conformal metric exp(2*f) * g with f and g sharing sin(th) calls sin,
+    cos and exp once each per evaluation, however often they repeat."""
+    calls = Counter()
+    for name, function in list(expressions._FUNCTIONS.items()):
+        def counted(x, name=name, function=function):
+            calls[name] += 1
+            return function(x)
+        monkeypatch.setitem(expressions._FUNCTIONS, name, counted)
+    factor = "exp(2*(0.1*sin(th) - 0.2*sin(th)*cos(ps) + 0.05*sin(th)*sin(th)))"
+    metric = compile_matrix([[f"{factor}*(1)", "0"],
+                             ["0", f"{factor}*(sin(th)*sin(th))"]], ["th", "ps"])
+    jets = Jet.variables(np.array([[0.3, 0.1], [0.7, -0.4], [1.1, 2.0]]))
+    for evaluations in (1, 2):
+        metric(jets)
+        assert calls == {"sin": evaluations, "cos": evaluations, "exp": evaluations}
