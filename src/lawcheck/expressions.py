@@ -56,8 +56,7 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent that emits each parsed subtree, children first, as
-    one instruction of a straight-line program and returns its slot."""
+    """Recursive descent that emits each subtree, children first, as a slot."""
 
     def __init__(self, tokens, params, slots, program):
         self.tokens = tokens
@@ -195,14 +194,15 @@ def compile_vector(texts, params):
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 _run(program, env, values)
+            return [values[s] for s in outputs]
         except (ArithmeticError, ValueError) as exc:
             if all(type(v) in (int, float) for v in env):
                 raise ConfigError(f"expression {texts[owner[len(values)]]!r} fails at "
                                   f"{list(map(float, env))}: {exc}") from None
-            _first_fault(fn, env)
-            values = []
-            with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
-                _run(program, env, values)
+        _first_fault(fn, env)
+        values = []
+        with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
+            _run(program, env, values)
         return [values[s] for s in outputs]
 
     return fn
