@@ -2,9 +2,9 @@
 
 A reference is a name, an attribute or an import anywhere in src/lawcheck
 outside the definition itself and outside ``__init__.py``: a re-export is
-not a caller.  A definition that only tests read is dead
-code kept alive by its own test; the few paper checks that exist to be
-called by the tests are listed below, each with its reason.
+not a caller.  A definition that only tests read is dead code kept alive by
+its own test; the few paper checks that exist to be called by the tests are
+listed below, each with its reason.
 """
 
 import ast
