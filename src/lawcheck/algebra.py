@@ -34,21 +34,13 @@ K_DPHI, K_OMEGA, K_THETA = 0, 1, 2
 K_U, K_CURV, K_CURVM = 3, 4, 5
 
 _ODD = (K_DPHI, K_OMEGA, K_THETA)
+_PAIRS = (K_OMEGA, K_CURV, K_CURVM)
 DEGREE = {K_DPHI: 1, K_OMEGA: 1, K_THETA: 1, K_U: 0, K_CURV: 2, K_CURVM: 2}
 
 Gen = tuple[int, int, int]
 Monomial = tuple[tuple[Gen, ...], tuple[Gen, ...]]  # (evens, odds)
 
 _EMPTY_MONO: Monomial = ((), ())
-
-
-def signed_pair(kind, a, b):
-    """Normalize an antisymmetric index pair; returns (sign, gen) or None."""
-    if a == b:
-        return None
-    if a > b:
-        return -1, (kind, b, a)
-    return 1, (kind, a, b)
 
 
 def mono_degree(mono):
@@ -133,49 +125,48 @@ class Form:
         return cls(n, {_EMPTY_MONO: coeff}, boundary=boundary)
 
     @classmethod
-    def of_gen(cls, n, gen, sign=1, boundary=False):
-        kind = gen[0]
+    def generator(cls, n, kind, a, b=0, boundary=False):
+        """The generator (kind, a, b) with coefficient 1.  A pair kind is
+        antisymmetric: a > b gives minus (kind, b, a) and a == b gives 0."""
+        sign = ONE
+        if kind in _PAIRS:
+            if a == b:
+                return cls.zero(n, boundary)
+            if a > b:
+                a, b, sign = b, a, -ONE
+        gen = (kind, a, b)
         mono = ((), (gen,)) if kind in _ODD else ((gen,), ())
-        return cls(n, {mono: TrigScalar.rational(sign)}, boundary=boundary)
+        return cls(n, {mono: sign}, boundary=boundary)
 
     @classmethod
     def omega(cls, n, a, b, boundary=False):
         cls._check_index(n, a), cls._check_index(n, b)
-        sp = signed_pair(K_OMEGA, a, b)
-        if sp is None:
-            return cls.zero(n, boundary)
-        return cls.of_gen(n, sp[1], sp[0], boundary)
+        return cls.generator(n, K_OMEGA, a, b, boundary)
 
     @classmethod
     def curvature(cls, n, a, b, boundary=False):
         cls._check_index(n, a), cls._check_index(n, b)
-        sp = signed_pair(K_CURV, a, b)
-        if sp is None:
-            return cls.zero(n, boundary)
-        return cls.of_gen(n, sp[1], sp[0], boundary)
+        return cls.generator(n, K_CURV, a, b, boundary)
 
     @classmethod
     def boundary_curvature(cls, n, s, t):
         if not (2 <= s <= n and 2 <= t <= n):
             raise ValueError(f"boundary curvature indices must lie in 2..{n}")
-        sp = signed_pair(K_CURVM, s, t)
-        if sp is None:
-            return cls.zero(n, boundary=True)
-        return cls.of_gen(n, sp[1], sp[0], boundary=True)
+        return cls.generator(n, K_CURVM, s, t, boundary=True)
 
     @classmethod
     def theta(cls, n, a):
         cls._check_index(n, a)
-        return cls.of_gen(n, (K_THETA, a, 0))
+        return cls.generator(n, K_THETA, a)
 
     @classmethod
     def coordinate(cls, n, a):
         cls._check_index(n, a)
-        return cls.of_gen(n, (K_U, a, 0))
+        return cls.generator(n, K_U, a)
 
     @classmethod
     def dphi(cls, n, angle=1, boundary=False):
-        return cls.of_gen(n, (K_DPHI, angle, 0), boundary=boundary)
+        return cls.generator(n, K_DPHI, angle, boundary=boundary)
 
     @staticmethod
     def _check_index(n, a):
@@ -343,9 +334,7 @@ class Form:
             for gen in evens + odds:
                 rep = mapping.get(gen)
                 if rep is None:
-                    kind = gen[0]
-                    mono = ((), (gen,)) if kind in _ODD else ((gen,), ())
-                    rep = Form(self.n, {mono: ONE}, boundary=boundary)
+                    rep = Form.generator(self.n, *gen, boundary=boundary)
                 acc = acc * rep
                 if not acc.terms:
                     break
@@ -414,64 +403,57 @@ _D_CACHE: dict[tuple[int, bool, Gen], Form | None] = {}
 
 
 def _d_generator(gen, n, boundary):
+    """Differential of one generator by the structure equations.
+
+    dw(A,B) = W(A,B) + sum_C w(A,C) w(C,B) and the Bianchi identity
+    dW(A,B) = sum_C (w(A,C) W(C,B) - W(A,C) w(C,B)) hold on both algebras:
+    C runs over 1..n in the interior and over 2..n on the boundary, where
+    W(C,D) stands for WM(C,D) unless C = 1.
+    """
     key = (n, boundary, gen)
     hit = _D_CACHE.get(key, False)
     if hit is not False:
         return hit
     kind, a, b = gen
+    if boundary and kind in (K_U, K_THETA):
+        raise ValueError("fiber coordinates and theta forms do not live on the "
+                         "boundary algebra")
+    if boundary and kind == K_CURV and a != 1:
+        raise ValueError("interior curvature with both indices >= 2 "
+                         "does not live on the boundary algebra")
+    if not boundary and kind == K_CURVM:
+        raise ValueError("boundary curvature in the interior algebra")
+
+    def w(c, d):
+        return Form.generator(n, K_OMEGA, c, d, boundary)
+
+    def W(c, d):
+        return Form.generator(n, K_CURVM if boundary and c != 1 else K_CURV,
+                              c, d, boundary)
+
+    inner = range(2 if boundary else 1, n + 1)
     out: Form | None
     if kind == K_DPHI:
         out = None
     elif kind == K_OMEGA:
-        if boundary:
-            if a == 1:
-                out = Form.curvature(n, 1, b, boundary=True)
-                for c in range(2, n + 1):
-                    out = out + Form.omega(n, 1, c, True) * Form.omega(n, c, b, True)
-            else:
-                out = Form.boundary_curvature(n, a, b)
-                for r in range(2, n + 1):
-                    out = out + Form.omega(n, a, r, True) * Form.omega(n, r, b, True)
-        else:
-            out = Form.curvature(n, a, b)
-            for c in range(1, n + 1):
-                out = out + Form.omega(n, a, c) * Form.omega(n, c, b)
-    elif kind == K_CURV:
-        if boundary:
-            if a != 1:
-                raise ValueError("interior curvature with both indices >= 2 "
-                                 "does not live on the boundary algebra")
-            out = Form.zero(n, True)
-            for t in range(2, n + 1):
-                out = out + Form.omega(n, 1, t, True) * Form.boundary_curvature(n, t, b)
-                out = out - Form.curvature(n, 1, t, True) * Form.omega(n, t, b, True)
-        else:
-            out = Form.zero(n)
-            for c in range(1, n + 1):
-                out = out + Form.omega(n, a, c) * Form.curvature(n, c, b)
-                out = out - Form.curvature(n, a, c) * Form.omega(n, c, b)
-    elif kind == K_CURVM:
-        if not boundary:
-            raise ValueError("boundary curvature in the interior algebra")
-        out = Form.zero(n, True)
-        for r in range(2, n + 1):
-            out = out + Form.omega(n, a, r, True) * Form.boundary_curvature(n, r, b)
-            out = out - Form.boundary_curvature(n, a, r) * Form.omega(n, r, b, True)
+        out = W(a, b)
+        for c in inner:
+            out = out + w(a, c) * w(c, b)
+    elif kind in (K_CURV, K_CURVM):
+        out = Form.zero(n, boundary)
+        for c in inner:
+            out = out + w(a, c) * W(c, b)
+            out = out - W(a, c) * w(c, b)
     elif kind == K_U:
-        if boundary:
-            raise ValueError("coordinate functions do not live on the boundary algebra")
         out = Form.theta(n, a)
-        for c in range(1, n + 1):
-            out = out - Form.coordinate(n, c) * Form.omega(n, c, a)
+        for c in inner:
+            out = out - Form.coordinate(n, c) * w(c, a)
     elif kind == K_THETA:
-        if boundary:
-            raise ValueError("theta forms do not live on the boundary algebra")
         out = Form.zero(n)
-        for c in range(1, n + 1):
-            out = out + Form.theta(n, c) * Form.omega(n, c, a)
-            out = out + Form.coordinate(n, c) * Form.curvature(n, c, a)
+        for c in inner:
+            out = out + Form.theta(n, c) * w(c, a)
+            out = out + Form.coordinate(n, c) * W(c, a)
     else:
         raise ValueError(f"unknown generator kind {kind}")
     _D_CACHE[key] = out
     return out
-

@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, permutations
+from functools import lru_cache, partial
+from itertools import accumulate, islice, permutations
 
 import numpy as np
 
-from .algebra import DEGREE, K_CURV, K_DPHI, K_OMEGA, K_THETA, K_U, Form, add_term
+from .algebra import DEGREE, K_CURV, K_DPHI, K_THETA, K_U, Form, add_term
 from .trig import TrigScalar, sphere_volume
 
 MAX_BUILD_N = 5
@@ -56,6 +56,22 @@ def perm_sign(perm):
 def signed_permutations(k):
     """Every permutation of range(k) with its sign, in itertools order."""
     return tuple((p, perm_sign(p)) for p in permutations(range(k)))
+
+
+def _alternating_sum(n, first, factors, boundary=False):
+    """Sum over the permutations p of the indices first, first + 1, ... of
+    sign(p) times the wedge of the factors, in order.  A factor is
+    (width, make): make takes the next width permuted indices."""
+    total = Form.zero(n, boundary)
+    for perm, sign in signed_permutations(sum(width for width, _ in factors)):
+        indices = iter([first + i for i in perm])
+        forms = ([make(*islice(indices, width)) for width, make in factors]
+                 or [Form.scalar(n, 1, boundary)])
+        term = forms[0].scale(sign)
+        for f in forms[1:]:
+            term = term * f
+        total = total + term
+    return total
 
 
 # -- numeric templates for symbolic forms ----------------------------------------
@@ -144,31 +160,17 @@ class PhiFamily:
     phi_k: tuple[Form, ...]          # unnormalized permutation sums
     phi: Form                        # normalized secondary form, degree n-1
     euler: Form                      # Euler curvature form, degree n (0 if odd)
-    raw_term_counts: tuple[int, ...]  # permutation terms fed in, per k
 
 
 @lru_cache(maxsize=None)
 def build_phi(n: int) -> PhiFamily:
     if not 2 <= n <= MAX_BUILD_N:
         raise ValueError(f"supported ambient dimensions are 2..{MAX_BUILD_N}, got {n}")
-    phi_k = []
-    raw_counts = []
-    for k in range((n - 1) // 2 + 1):
-        total = Form.zero(n)
-        raw = 0
-        n_theta = n - 2 * k - 1
-        for perm in permutations(range(1, n + 1)):
-            raw += 1
-            term = Form.coordinate(n, perm[0]).scale(perm_sign(perm))
-            for pos in range(1, 1 + n_theta):
-                term = term * Form.theta(n, perm[pos])
-            for pair in range(k):
-                a = perm[1 + n_theta + 2 * pair]
-                b = perm[2 + n_theta + 2 * pair]
-                term = term * Form.curvature(n, a, b)
-            total = total + term
-        phi_k.append(total)
-        raw_counts.append(raw)
+    u, theta, curv = (partial(make, n) for make in
+                      (Form.coordinate, Form.theta, Form.curvature))
+    phi_k = tuple(_alternating_sum(n, 1, [(1, u)] + [(1, theta)] * (n - 2 * k - 1)
+                                   + [(2, curv)] * k)
+                  for k in range((n - 1) // 2 + 1))
 
     phi = Form.zero(n)
     for k, part in enumerate(phi_k):
@@ -182,14 +184,9 @@ def build_phi(n: int) -> PhiFamily:
         m = n // 2
         scale = TrigScalar.pi_power(
             -m, Fraction((-1) ** m, 2 ** (2 * m) * math.factorial(m)))
-        for perm in permutations(range(1, n + 1)):
-            term = Form.scalar(n, perm_sign(perm))
-            for pair in range(m):
-                term = term * Form.curvature(n, perm[2 * pair], perm[2 * pair + 1])
-            euler = euler + term
-        euler = euler.scale(scale)
+        euler = _alternating_sum(n, 1, [(2, curv)] * m).scale(scale)
 
-    return PhiFamily(n, tuple(phi_k), phi, euler, tuple(raw_counts))
+    return PhiFamily(n, phi_k, phi, euler)
 
 
 # -- polar parametrization of the fiber sphere --------------------------------
@@ -382,20 +379,11 @@ def boundary_form(n: int, i: int, j: int) -> Form:
     normal filling the rest; zero outside the region D1."""
     if (i, j) not in region_d1(n):
         return Form.zero(n, boundary=True)
-    n_omega1 = n - 2 * i - j - 2
-    total = Form.zero(n, boundary=True)
-    for perm in permutations(range(2, n)):
-        term = Form.scalar(n, perm_sign(perm), boundary=True)
-        for pos in range(n_omega1):
-            term = term * Form.omega(n, 1, perm[pos], True)
-        for pair in range(i):
-            s = perm[n_omega1 + 2 * pair]
-            t = perm[n_omega1 + 2 * pair + 1]
-            term = term * Form.boundary_curvature(n, s, t)
-        for pos in range(n_omega1 + 2 * i, n - 2):
-            term = term * Form.omega(n, perm[pos], n, True)
-        total = total + term
-    return total
+    to_normal = (1, lambda s: Form.omega(n, 1, s, True))
+    curv = (2, partial(Form.boundary_curvature, n))
+    to_direction = (1, lambda s: Form.omega(n, s, n, True))
+    return _alternating_sum(n, 2, [to_normal] * (n - 2 * i - j - 2) + [curv] * i
+                            + [to_direction] * j, boundary=True)
 
 
 @dataclass(frozen=True)
@@ -447,68 +435,27 @@ def check_boundary_closure(n: int) -> Form:
 
 # -- frame-rotation invariance --------------------------------------------------
 
-def _rotation_matrix(n, p, q, c=Fraction(3, 5), s=Fraction(4, 5)):
-    g = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-    g[p][p], g[p][q], g[q][p], g[q][q] = c, -s, s, c
-    return g
-
-
 def rotate_frame(f: Form, p: int, q: int) -> Form:
-    """Substitute a constant rational rotation of the frame in the (p, q)
-    plane into every generator of an interior-algebra form."""
+    """Substitute the constant rational rotation with cosine 3/5 in the (p, q)
+    plane for every frame index of every generator.  The boundary algebra
+    keeps the normal 1 and the direction n fixed, so its plane is tangential:
+    2 <= p < q <= n - 1."""
     n = f.n
-    g = _rotation_matrix(n, p, q)
+    lo, hi = (2, n - 1) if f.boundary else (1, n)
+    if not lo <= p < q <= hi:
+        raise ValueError(f"rotation plane indices must satisfy {lo} <= p < q <= {hi}")
+    rows = {p: ((p, Fraction(3, 5)), (q, Fraction(-4, 5))),
+            q: ((p, Fraction(4, 5)), (q, Fraction(3, 5)))}
     mapping = {}
-    for a in (p, q):
-        mapping[(K_U, a, 0)] = (Form.coordinate(n, p).scale(g[a][p])
-                                + Form.coordinate(n, q).scale(g[a][q]))
-        mapping[(K_THETA, a, 0)] = (Form.theta(n, p).scale(g[a][p])
-                                    + Form.theta(n, q).scale(g[a][q]))
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if a not in (p, q) and b not in (p, q):
+    for evens, odds in f.terms:
+        for gen in evens + odds:
+            kind, a, b = gen
+            if kind == K_DPHI or gen in mapping or not {a, b} & {p, q}:
                 continue
-            w = Form.zero(n)
-            W = Form.zero(n)
-            for cc in range(1, n + 1):
-                if not g[a][cc]:
-                    continue
-                for dd in range(1, n + 1):
-                    if not g[b][dd]:
-                        continue
-                    coeff = g[a][cc] * g[b][dd]
-                    w = w + Form.omega(n, cc, dd).scale(coeff)
-                    W = W + Form.curvature(n, cc, dd).scale(coeff)
-            mapping[(K_OMEGA, a, b)] = w
-            mapping[(K_CURV, a, b)] = W
+            image = Form.zero(n, f.boundary)
+            for c, gc in rows.get(a, ((a, 1),)):
+                for d, gd in rows.get(b, ((b, 1),)):
+                    rotated = Form.generator(n, kind, c, d, f.boundary)
+                    image = image + rotated.scale(gc * gd)
+            mapping[gen] = image
     return f.substitute(mapping)
-
-
-def rotate_tangential_frame(f: Form, p: int, q: int) -> Form:
-    """Rotation in a tangential plane (indices in 2..n-1) on the boundary
-    algebra, acting on the partial frame used by the boundary family."""
-    n = f.n
-    if not (2 <= p < q <= n - 1):
-        raise ValueError("tangential plane indices must lie in 2..n-1")
-    g = _rotation_matrix(n, p, q)
-    mapping = {}
-    for a in (p, q):
-        mapping[(K_OMEGA, 1, a)] = (Form.omega(n, 1, p, True).scale(g[a][p])
-                                    + Form.omega(n, 1, q, True).scale(g[a][q]))
-        mapping[(K_OMEGA, a, n)] = (Form.omega(n, p, n, True).scale(g[a][p])
-                                    + Form.omega(n, q, n, True).scale(g[a][q]))
-    from .algebra import K_CURVM
-    for s in range(2, n + 1):
-        for t in range(s + 1, n + 1):
-            if s not in (p, q) and t not in (p, q):
-                continue
-            W = Form.zero(n, True)
-            for cc in range(2, n + 1):
-                if not g[s][cc]:
-                    continue
-                for dd in range(2, n + 1):
-                    if not g[t][dd]:
-                        continue
-                    W = W + Form.boundary_curvature(n, cc, dd).scale(g[s][cc] * g[t][dd])
-            mapping[(K_CURVM, s, t)] = W
-    return f.substitute(mapping, boundary=True)

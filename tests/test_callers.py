@@ -19,9 +19,8 @@ TEST_ENTRY_POINTS = {
     "integrate_fiber_volume": "fiber normalization of Phi (criterion 4)",
     "check_boundary_closure": "closure of the boundary family, a symbolic "
                               "identity of the paper",
-    "rotate_frame": "frame-rotation invariance of Phi",
-    "rotate_tangential_frame": "tangential frame-rotation invariance of the "
-                               "boundary family",
+    "rotate_frame": "frame-rotation invariance of Phi and of the boundary "
+                    "family",
 }
 
 
