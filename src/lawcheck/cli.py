@@ -28,8 +28,25 @@ EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as a ConfigError, one line and exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lawcheck",
         description="Verify the Law of Vector Fields and the secondary "
                     "Chern-Euler form identities, symbolically and "
@@ -39,7 +56,7 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("--scenario", required=True,
                        help="catalog name or path to a scenario JSON file")
-    p_run.add_argument("--order", type=int, default=None,
+    p_run.add_argument("--order", type=_positive_int, default=None,
                        help="override the boundary quadrature order")
     p_run.add_argument("--format", choices=("json", "text", "csv"),
                        default="text")
@@ -49,7 +66,7 @@ def _build_parser():
                                            "identity checks")
     p_suite.add_argument("--filter", default="",
                          help="regex matched against 'name nD kind' tags")
-    p_suite.add_argument("--order", type=int, default=None)
+    p_suite.add_argument("--order", type=_positive_int, default=None)
     p_suite.add_argument("--format", choices=("json", "text"), default="text")
     p_suite.add_argument("--out", default=None)
 
@@ -140,8 +157,8 @@ def _cmd_list(_args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "suite":

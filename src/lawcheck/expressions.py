@@ -186,7 +186,11 @@ def compile_vector(texts, params):
     params = list(params)
     slots, program, owner, outputs = {}, [], [], []
     for entry, text in enumerate(texts):
-        outputs.append(_Parser(_tokenize(text), params, slots, program).parse())
+        try:
+            outputs.append(_Parser(_tokenize(text), params, slots, program).parse())
+        except RecursionError:
+            raise ExpressionError(f"expression of {len(text)} characters is nested "
+                                  f"too deeply to parse") from None
         owner += [entry] * (len(program) - len(owner))
 
     def fn(env):

@@ -14,7 +14,7 @@ from .fields import (
 )
 from .integrate import gauss_grid, integrate_euler, integrate_phi_over_section
 from .report import ScenarioReport, SuiteReport, SymbolicReport
-from .scenarios import Scenario, load_full_catalog
+from .scenarios import ConfigError, Scenario, load_full_catalog
 
 
 def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
@@ -188,7 +188,10 @@ def run_suite(filter_regex="", order=None) -> SuiteReport:
     two-dimensional scenarios and "symbolic" the identity checks; an empty
     result is a pass.
     """
-    pattern = re.compile(filter_regex) if filter_regex else None
+    try:
+        pattern = re.compile(filter_regex) if filter_regex else None
+    except re.error as exc:
+        raise ConfigError(f"bad filter regex {filter_regex!r}: {exc}") from None
 
     def match(tag):
         return pattern.search(tag) if pattern else True

@@ -9,6 +9,7 @@ strings ("pi/2") so the documents stay exact and diffable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -29,12 +30,44 @@ def _const(value):
         raise ConfigError(f"bad constant {value!r}: {exc}") from exc
 
 
-def _const_list(values):
-    return [_const(v) for v in values]
+def _const_list(values, count, what):
+    return [_const(v) for v in _counted(values, count, what)]
 
 
-def _box(raw):
-    return [(_const(lo), _const(hi)) for lo, hi in raw]
+def _counted(values, count, what):
+    """``values`` as a list, which must hold ``count`` entries."""
+    values = list(values)
+    if len(values) != count:
+        raise ConfigError(f"{what} has {len(values)} entries where {count} belong")
+    return values
+
+
+def _box(raw, count, what):
+    return [tuple(_const_list(interval, 2, f"an interval of {what}"))
+            for interval in _counted(raw, count, what)]
+
+
+def _integer(value, what, least=None):
+    """An integral number, or a string int() reads, of at least ``least``."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _positive(value, what):
+    x = _const(value)
+    if not x > 0:
+        raise ConfigError(f"{what} must be positive, got {value!r}")
+    return x
 
 
 _DEFAULTS = {
@@ -73,103 +106,124 @@ def _require(cfg, key, where):
 def load_scenario(cfg: dict) -> Scenario:
     try:
         return _load(cfg)
-    except (ExpressionError, KeyError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario configuration: {exc}") from exc
 
 
 def _load(cfg):
     name = _require(cfg, "name", "scenario")
-    n = int(_require(cfg, "dimension", name))
+    n = _integer(_require(cfg, "dimension", name), "dimension")
     if n not in (2, 3):
         raise ConfigError(f"scenario dimension must be 2 or 3, got {n}")
-    chi = int(_require(cfg, "chi", name))
+    chi = _integer(_require(cfg, "chi", name), "chi")
 
     pc = _require(cfg, "patch", name)
-    params = list(_require(pc, "params", "patch"))
-    if len(params) != n:
-        raise ConfigError(f"patch of {name} needs {n} parameters")
-    metric_fn = compile_matrix(_require(pc, "metric", "patch"), params)
+    params = _counted(_require(pc, "params", "patch"), n, f"patch params of {name}")
+    metric = _counted(_require(pc, "metric", "patch"), n, "metric")
+    metric_fn = compile_matrix([_counted(row, n, "metric row") for row in metric],
+                               params)
     chart_fn = None
+    ambient_dim = n
     if "chart_map" in pc:
-        cm = compile_vector(pc["chart_map"], params)
-        chart_fn = cm
-    patch = RiemannianPatch(n, _box(_require(pc, "box", "patch")), metric_fn,
-                            chart_map=chart_fn, name=name)
+        chart_fn = compile_vector(pc["chart_map"], params)
+        ambient_dim = len(pc["chart_map"])
+    patch = RiemannianPatch(n, _box(_require(pc, "box", "patch"), n, "patch box"),
+                            metric_fn, chart_map=chart_fn, name=name)
 
     boundaries = []
     for k, bc in enumerate(_require(cfg, "boundaries", name)):
-        bparams = list(_require(bc, "params", "boundary"))
-        if len(bparams) != n - 1:
-            raise ConfigError(f"boundary {k} of {name} needs {n - 1} parameters")
-        embed = compile_vector(_require(bc, "embed", "boundary"), bparams)
-        outward = compile_vector(_require(bc, "outward", "boundary"), bparams)
+        bparams = _counted(_require(bc, "params", "boundary"), n - 1,
+                           f"params of boundary {k}")
+        embed = compile_vector(_counted(_require(bc, "embed", "boundary"), n,
+                                        f"embed of boundary {k}"), bparams)
+        outward = compile_vector(_counted(_require(bc, "outward", "boundary"), n,
+                                          f"outward of boundary {k}"), bparams)
         boundaries.append(BoundaryPatch(
-            patch, _box(_require(bc, "box", "boundary")),
+            patch, _box(_require(bc, "box", "boundary"), n - 1, f"box of boundary {k}"),
             embed=embed,
             outward=outward,
             name=bc.get("name", f"boundary-{k}")))
 
     fc = _require(cfg, "field", name)
-    comps = compile_vector(_require(fc, "components", "field"), params)
+    comps = compile_vector(_counted(_require(fc, "components", "field"), n,
+                                    "field components"), params)
     interior = []
     sing_cfgs = cfg.get("interior_singularities", [])
     for k, sc in enumerate(sing_cfgs):
-        chart_params = list(_require(sc, "chart_params", "singularity"))
-        ambient = _const_list(_require(sc, "ambient", "singularity"))
+        sname = _require(sc, "name", "singularity")
+        chart_params = _counted(_require(sc, "chart_params", "singularity"), n,
+                                f"chart_params of {sname}")
+        ambient = _const_list(_require(sc, "ambient", "singularity"), ambient_dim,
+                              f"ambient of {sname}")
         if "radius" in sc:
-            radius = _const(sc["radius"])
+            radius = _positive(sc["radius"], f"radius of {sname}")
         else:
             # default rule: half the distance to the nearest other
             # singularity or boundary point, capped at 0.1
             from .fields import GenericityError, default_index_radius
-            others = [_const_list(o["ambient"]) for j, o in enumerate(sing_cfgs)
-                      if j != k]
+            others = [_const_list(o["ambient"], ambient_dim, "ambient")
+                      for j, o in enumerate(sing_cfgs) if j != k]
             try:
                 radius = default_index_radius(
                     ambient, others, _boundary_point_cloud(patch, boundaries))
             except GenericityError as exc:
                 raise ConfigError(str(exc)) from exc
         interior.append(InteriorSingularity(
-            name=_require(sc, "name", "singularity"),
+            name=sname,
             ambient=ambient,
-            exclusion_radius=_const(_require(sc, "exclusion_radius", "singularity")),
+            exclusion_radius=_positive(_require(sc, "exclusion_radius", "singularity"),
+                                       f"exclusion_radius of {sname}"),
             chart_params=chart_params,
-            center=_const_list(_require(sc, "center", "singularity")),
+            center=_const_list(_require(sc, "center", "singularity"), n,
+                               f"center of {sname}"),
             radius=radius,
-            chart_field=compile_vector(_require(sc, "field", "singularity"),
-                                       chart_params)))
+            chart_field=compile_vector(
+                _counted(_require(sc, "field", "singularity"), n, f"field of {sname}"),
+                chart_params)))
     tangential = []
     for sc in cfg.get("tangential_singularities", []):
+        sname = _require(sc, "name", "tangential singularity")
         tangential.append(TangentialSingularity(
-            name=_require(sc, "name", "tangential singularity"),
-            boundary=int(sc.get("boundary", 0)),
-            location=_const_list(_require(sc, "location", "tangential singularity")),
-            radius=_const(sc.get("radius", 0.1))))
+            name=sname,
+            boundary=_integer(sc.get("boundary", 0), f"boundary of {sname}", 0),
+            location=_const_list(_require(sc, "location", "tangential singularity"),
+                                 n - 1, f"location of {sname}"),
+            radius=_positive(sc.get("radius", 0.1), f"radius of {sname}")))
         if tangential[-1].boundary >= len(boundaries):
             raise ConfigError(f"tangential singularity {tangential[-1].name} "
                               f"references missing boundary")
     field_spec = VectorFieldSpec(components=comps,
-                                 margin=float(fc.get("margin", 1e-6)),
+                                 margin=_const(fc.get("margin", 1e-6)),
                                  interior=interior, tangential=tangential)
 
     defaults = _DEFAULTS[n]
-    orders = cfg.get("orders", {})
+    orders = dict(cfg.get("orders", {}))
     tolerances = dict(defaults["tolerances"])
     tolerances.update(cfg.get("tolerances", {}))
+    for key, value in tolerances.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"tolerance {key!r} must be a finite number, got {value!r}")
     expected = dict(_require(cfg, "expected", name))
     for key in ("ind_v", "ind_dminus"):
         if key not in expected:
             raise ConfigError(f"expected integers of {name} need {key!r}")
+        expected[key] = _integer(expected[key], f"expected {key}")
+
+    def order(key):
+        return _integer(orders.get(key, defaults[f"{key}_order"]), f"{key} order", 1)
 
     return Scenario(
         name=name, dimension=n, chi=chi,
         description=cfg.get("description", ""),
-        seed=int(cfg.get("seed", 0)),
+        seed=_integer(cfg.get("seed", 0), "seed"),
         patch=patch, boundaries=boundaries, field_spec=field_spec,
         expected=expected,
-        boundary_order=int(orders.get("boundary", defaults["boundary_order"])),
-        interior_order=int(orders.get("interior", defaults["interior_order"])),
-        degree_order=int(orders.get("degree", defaults["degree_order"])),
+        boundary_order=order("boundary"),
+        interior_order=order("interior"),
+        degree_order=order("degree"),
         tolerances=tolerances)
 
 

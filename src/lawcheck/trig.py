@@ -252,14 +252,6 @@ class TrigScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = TrigScalar.rational(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * TrigScalar.rational(Fraction(1, 1) / Fraction(other))
@@ -347,16 +339,6 @@ class TrigScalar:
         for _, angle_part in self.num:
             out.update(a[0] for a in angle_part)
         return out
-
-    def as_fraction(self):
-        """Return the value as a Fraction if the element is a pure rational."""
-        if not self.num:
-            return Fraction(0)
-        if len(self.num) == 1:
-            (d, angles), coeff = next(iter(self.num.items()))
-            if d == 0 and not angles:
-                return Fraction(coeff, self.den)
-        raise ValueError(f"not a pure rational: {self.render()}")
 
     def to_float(self, angle_values=None):
         angle_values = angle_values or {}

@@ -1,5 +1,6 @@
 """Scenario configs, reports, and the command-line surface."""
 
+import copy
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lawcheck import cli
 from lawcheck.fields import index_at
@@ -63,6 +66,126 @@ def test_config_validation_errors(mutation, message):
     mutation(cfg)
     with pytest.raises(ConfigError):
         load_scenario(cfg)
+
+
+_DEEP = ["(" * 400 + "1" + ")" * 400, "-" * 3000 + "1"]
+
+
+def _set(*path_and_value):
+    """Mutation that sets cfg[path] to value."""
+    *path, key, value = path_and_value
+
+    def mutate(cfg):
+        for step in path:
+            cfg = cfg[step]
+        cfg[key] = value
+    return mutate
+
+
+_SADDLE = ("interior_singularities", 0)
+_MALFORMED = {
+    "dimension-abc": ("disk-constant", _set("dimension", "abc")),
+    "seed-abc": ("disk-constant", _set("seed", "abc")),
+    "margin-abc": ("disk-constant", _set("field", "margin", "abc")),
+    "order-abc": ("disk-constant", _set("orders", {"boundary": "abc"})),
+    "order-0": ("disk-constant", _set("orders", {"interior": 0})),
+    "order-negative": ("disk-constant", _set("orders", {"degree": -3})),
+    "tolerance-x": ("disk-constant", _set("tolerances", {"thm": "x"})),
+    "patch-box-one-interval": ("disk-constant", _set("patch", "box", [[0, 1]])),
+    "patch-box-short-interval": ("disk-constant",
+                                 _set("patch", "box", [[0], [0, "2*pi"]])),
+    "boundary-box-empty": ("disk-constant", _set("boundaries", 0, "box", [])),
+    "metric-1x1": ("disk-constant", _set("patch", "metric", [["1"]])),
+    "embed-1-entry": ("disk-constant", _set("boundaries", 0, "embed", ["1"])),
+    "outward-3-entries": ("disk-constant",
+                          _set("boundaries", 0, "outward", ["1", "0", "0"])),
+    "location-empty": ("disk-constant",
+                       _set("tangential_singularities", 0, "location", [])),
+    "ambient-length": ("disk-saddle", _set(*_SADDLE, "ambient", [0])),
+    "center-length": ("disk-saddle", _set(*_SADDLE, "center", [0, 0, 0])),
+    "singularity-field-length": ("disk-saddle", _set(*_SADDLE, "field", ["x"])),
+    "chart-params-length": ("disk-saddle", _set(*_SADDLE, "chart_params", ["x"])),
+    "component-400-deep": ("disk-constant", _set("field", "components", 0, _DEEP[0])),
+    "components-1-entry": ("disk-constant", _set("field", "components", ["1"])),
+    "radius-0": ("disk-saddle", _set(*_SADDLE, "radius", 0)),
+    "tangential-radius-0": ("disk-saddle",
+                            _set("tangential_singularities", 0, "radius", 0)),
+    "chi-fraction": ("disk-constant", _set("chi", 1.5)),
+    "expected-fraction": ("disk-constant", _set("expected", "ind_v", 0.5)),
+}
+
+
+def _assert_one_config_error_line(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_cli_malformed_scenario_exit_2(case, tmp_path, capsys):
+    base, mutate = _MALFORMED[case]
+    cfg = load_catalog_raw(base)
+    mutate(cfg)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    _assert_one_config_error_line(cli.main(["run", "--scenario", str(path)]), capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "disk-constant", "--order", "-4"],
+    ["run", "--scenario", "disk-constant", "--order", "0"],
+    ["suite", "--filter", "("],
+], ids=["order-negative", "order-0", "filter-bad-regex"])
+def test_cli_bad_argument_exit_2(argv, capsys):
+    _assert_one_config_error_line(cli.main(argv), capsys)
+
+
+_CATALOG = {name: load_catalog_raw(name) for name in catalog_names()}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON tree."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _parent(cfg, path):
+    for step in path[:-1]:
+        cfg = cfg[step]
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_load_scenario_raises_only_config_error(data):
+    """A catalog config with one key dropped, or one leaf replaced by an
+    arbitrary JSON value or a deeply nested expression, loads or raises
+    ConfigError."""
+    cfg = copy.deepcopy(_CATALOG[data.draw(st.sampled_from(sorted(_CATALOG)))])
+    nodes = list(_nodes(cfg))
+    if data.draw(st.booleans()):
+        keys = [p for p, _ in nodes if p and isinstance(_parent(cfg, p), dict)]
+        path = data.draw(st.sampled_from(keys))
+        del _parent(cfg, path)[path[-1]]
+    else:
+        leaves = [p for p, v in nodes if not isinstance(v, (dict, list))]
+        path = data.draw(st.sampled_from(leaves))
+        _parent(cfg, path)[path[-1]] = data.draw(_JSON | st.sampled_from(_DEEP))
+    try:
+        load_scenario(cfg)
+    except ConfigError:
+        pass
 
 
 def test_tangential_singularity_boundary_reference_checked():

@@ -66,10 +66,22 @@ def test_jets_flow_through():
 
 @pytest.mark.parametrize("bad", [
     "2 +", "sin(", "foo(3)", "x", "2 ** 3", "1 @ 2", "(1", "3 ^ x", "2 ^ 1.5",
+    pytest.param("(" * 400 + "1" + ")" * 400, id="400-deep-parentheses"),
+    pytest.param("-" * 3000 + "1", id="3000-unary-minuses"),
 ])
 def test_parse_errors(bad):
     with pytest.raises(ExpressionError):
         compile_expression(bad, ["y"])([1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=12),
+                 st.text(alphabet="()-+*/^.e1xy sin", max_size=40)))
+def test_arbitrary_text_parses_or_raises_expression_error(text):
+    try:
+        compile_vector([text], ["x", "y"])
+    except ExpressionError:
+        pass
 
 
 def test_vector_and_matrix_compilation():

@@ -119,12 +119,6 @@ def test_sphere_volumes():
     assert sphere_volume(5) == TrigScalar.pi_power(3, 1)
 
 
-def test_as_fraction():
-    assert TrigScalar.rational(3, 4).as_fraction() == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        TrigScalar.sin().as_fraction()
-
-
 def test_render_deterministic():
     a = TrigScalar.monomial(coeff=Fraction(-1, 2), sin=1) + TrigScalar.pi_power(1)
     assert a.render() == "-1/2*sin + pi"
