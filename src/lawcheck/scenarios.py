@@ -63,6 +63,12 @@ def _integer(value, what, least=None):
     return value
 
 
+def _text(value, what):
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _positive(value, what):
     x = _const(value)
     if not x > 0:
@@ -113,7 +119,7 @@ def load_scenario(cfg: dict) -> Scenario:
 
 
 def _load(cfg):
-    name = _require(cfg, "name", "scenario")
+    name = _text(_require(cfg, "name", "scenario"), "scenario name")
     n = _integer(_require(cfg, "dimension", name), "dimension")
     if n not in (2, 3):
         raise ConfigError(f"scenario dimension must be 2 or 3, got {n}")
@@ -144,7 +150,7 @@ def _load(cfg):
             patch, _box(_require(bc, "box", "boundary"), n - 1, f"box of boundary {k}"),
             embed=embed,
             outward=outward,
-            name=bc.get("name", f"boundary-{k}")))
+            name=_text(bc.get("name", f"boundary-{k}"), f"name of boundary {k}")))
 
     fc = _require(cfg, "field", name)
     comps = compile_vector(_counted(_require(fc, "components", "field"), n,
@@ -152,7 +158,7 @@ def _load(cfg):
     interior = []
     sing_cfgs = cfg.get("interior_singularities", [])
     for k, sc in enumerate(sing_cfgs):
-        sname = _require(sc, "name", "singularity")
+        sname = _text(_require(sc, "name", "singularity"), "singularity name")
         chart_params = _counted(_require(sc, "chart_params", "singularity"), n,
                                 f"chart_params of {sname}")
         ambient = _const_list(_require(sc, "ambient", "singularity"), ambient_dim,
@@ -184,7 +190,8 @@ def _load(cfg):
                 chart_params)))
     tangential = []
     for sc in cfg.get("tangential_singularities", []):
-        sname = _require(sc, "name", "tangential singularity")
+        sname = _text(_require(sc, "name", "tangential singularity"),
+                      "tangential singularity name")
         tangential.append(TangentialSingularity(
             name=sname,
             boundary=_integer(sc.get("boundary", 0), f"boundary of {sname}", 0),
@@ -217,7 +224,7 @@ def _load(cfg):
 
     return Scenario(
         name=name, dimension=n, chi=chi,
-        description=cfg.get("description", ""),
+        description=_text(cfg.get("description", ""), "description"),
         seed=_integer(cfg.get("seed", 0), "seed"),
         patch=patch, boundaries=boundaries, field_spec=field_spec,
         expected=expected,

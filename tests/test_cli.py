@@ -112,6 +112,7 @@ _MALFORMED = {
                             _set("tangential_singularities", 0, "radius", 0)),
     "chi-fraction": ("disk-constant", _set("chi", 1.5)),
     "expected-fraction": ("disk-constant", _set("expected", "ind_v", 0.5)),
+    "name-not-string": ("disk-constant", _set("name", None)),
 }
 
 
