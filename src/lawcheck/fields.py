@@ -270,7 +270,7 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
             dt = r * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
             t = loc + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
             vals, grads = _field_frame_components(bpatch, field_spec.components, t)
-            return vals[:, 1:], np.einsum("...ki,...i->...k", grads[:, 1:], dt)[..., None]
+            return vals[:, 1:], grads[:, 1:] @ dt[..., None]  # grads[k,i] dt[i]
 
         return _degree_index(sing.name, degree_integral_circle(map_fn, order=order),
                              "tangential degree")
@@ -298,7 +298,7 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
         x = x[keep]
         (V,) = stack_jets(field_spec.components(list(x.T)), x, 0)
         G = patch.metric_values(x)
-        norm = np.sqrt(np.maximum(0.0, np.einsum("...k,...kl,...l->...", V, G, V)))
+        norm = np.sqrt(np.maximum(0.0, (V[:, None] @ G @ V[..., None])[:, 0, 0]))
         low = np.flatnonzero(norm < field_spec.margin)
         if low.size:
             k = low[0]

@@ -264,23 +264,22 @@ def metric_inner(G, dG, a, da, b, db):
     is (N, n) with db (N, n, m); a is (N, n) with da (N, n, m), or a stack of
     rows (N, r, n) with da (N, r, n, m), which pairs every row with b.
     """
-    Gb = np.einsum("...kl,...l->...k", G, b)
-    dGb = (np.einsum("...kli,...l->...ki", dG, b)
-           + np.einsum("...kl,...li->...ki", G, db))
+    Gb = G @ b[..., None]                                   # Gb[k] = G[k,l] b[l], a column
+    dGb = (b[..., None, None, :] @ dG)[..., 0, :] + G @ db  # dG[k,l,i] b[l] + G[k,l] db[l,i]
+    # <a, b> = a[k] Gb[k] and d<a, b>[i] = Gb[k] da[k,i] + a[k] dGb[k,i]
     if a.ndim > b.ndim:
-        Gb, dGb = Gb[..., None, :], dGb[..., None, :, :]
-    return ((a * Gb).sum(-1),
-            np.einsum("...k,...ki->...i", Gb, da)
-            + np.einsum("...k,...ki->...i", a, dGb))
+        return (a @ Gb)[..., 0], (Gb[:, None].swapaxes(-1, -2) @ da)[..., 0, :] + a @ dGb
+    return (a[:, None] @ Gb)[:, 0, 0], (Gb.swapaxes(-1, -2) @ da + a[:, None] @ dGb)[:, 0]
 
 
-def _gram_schmidt(G, dG, vectors, dvectors):
+def _gram_schmidt(G, dG, vectors, dvectors, points):
     """Orthonormalize the rows of ``vectors`` (N, r, n) against G, to first
-    order.
+    order, at the nodes ``points`` (N, m).
 
     dG[..., k, l, i] and dvectors[..., r, k, i] are the derivatives of G and
     of the rows along parameter i; the frame comes back with
-    dframe[..., A, k, i].
+    dframe[..., A, k, i].  The first node whose rows are linearly dependent
+    raises ConfigError.
     """
     rows, drows = [], []
     for w, dw in zip(np.moveaxis(vectors, -2, 0), np.moveaxis(dvectors, -3, 0)):
@@ -290,7 +289,10 @@ def _gram_schmidt(G, dG, vectors, dvectors):
             dw = dw - c[..., None, None] * de - e[..., :, None] * dc[..., None, :]
         norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
         if np.any(norm2 <= 1e-14):
-            raise ValueError("degenerate frame candidate in Gram-Schmidt")
+            for k in range(len(points)) if len(points) > 1 else ():  # locate the first bad node
+                _gram_schmidt(*(arr[k:k + 1] for arr in (G, dG, vectors, dvectors, points)))
+            raise ConfigError("degenerate frame: outward vector and tangents linearly dependent "
+                              f"at point {[float(v) for v in points[np.argmax(norm2 <= 1e-14)]]}")
         inv = 1.0 / np.sqrt(norm2)
         rows.append(w * inv[..., None])
         drows.append(dw * inv[..., None, None]
@@ -312,12 +314,14 @@ class _GeometryCore:
         # first kind: low[l,i,j] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
         low = 0.5 * (np.einsum("...jli->...lij", dG) + np.einsum("...ilj->...lij", dG)
                      - np.einsum("...ijl->...lij", dG))
-        Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
+        low2 = low.reshape(len(G), patch.n, -1)                   # low2[l,ij] = low[l,i,j]
+        Gamma = (np.linalg.inv(G) @ low2).reshape(low.shape)      # Ginv[k,l] low[l,i,j]
         # R[i,j,m,p] = <R(d_i, d_j) d_m, d_p>
         R = 0.5 * (np.einsum("...pjmi->...ijmp", d2G) - np.einsum("...jmpi->...ijmp", d2G)
                    - np.einsum("...pimj->...ijmp", d2G) + np.einsum("...impj->...ijmp", d2G))
-        R += (np.einsum("...qjp,...qim->...ijmp", low, Gamma)
-              - np.einsum("...qip,...qjm->...ijmp", low, Gamma))
+        # P[im,jp] = Gamma[q,im] low[q,jp]; R[i,j,m,p] += P[i,m,j,p] - P[j,m,i,p]
+        P = (Gamma.reshape(low2.shape).swapaxes(1, 2) @ low2).reshape(R.shape)
+        R += P.transpose(0, 1, 3, 2, 4) - P.transpose(0, 3, 1, 2, 4)
         self.G = G
         self.dG = dG
         self.sqrt_det = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
@@ -329,17 +333,23 @@ def _frame_connection(core, E, dE, dx):
     """Connection and curvature values of the frame rows E along a map into
     the chart with pushforward dx[..., k, i] = d x^k / d t_i.
 
-    dE[..., A, k, i] is the derivative of e_A^k along t_i; omega[..., A, B, i]
-    and curvature[..., A, B, i, j] come back on the t coordinate directions.
+    Every array has a leading node axis.  dE[..., A, k, i] is the derivative
+    of e_A^k along t_i; omega[..., A, B, i] and curvature[..., A, B, i, j]
+    come back on the t coordinate directions.
     """
-    # nabla along direction i: d_i e_A^k + Gamma^k_{lm} dx^l_i e_A^m
-    nabla = (np.einsum("...Aki->...Aik", dE)
-             + np.einsum("...klm,...li,...Am->...Aik", core.Gamma, dx, E))
-    omega = np.einsum("...Aik,...kl,...Bl->...ABi", nabla, core.G, E)
+    N, n, _, m = dE.shape
+    GE = core.Gamma.reshape(N, n * n, n) @ E.swapaxes(1, 2)  # GE[k,l,A] = Gamma^k_{lm} e_A^m
+    # nabla[A,k,i] along direction i: d_i e_A^k + GE[k,l,A] dx^l_i
+    nabla = dE + (GE.swapaxes(1, 2).reshape(N, n * n, n) @ dx).reshape(dE.shape)
+    # omega[A,B,i] = nabla[A,k,i] G[k,l] e_B^l
+    omega = (nabla.swapaxes(2, 3) @ (core.G @ E.swapaxes(1, 2))[:, None]).swapaxes(2, 3)
     omega = 0.5 * (omega - omega.swapaxes(-3, -2))  # kill roundoff asymmetry
-    curv = np.einsum("...lrmp,...Am,...Bp->...lrAB", core.riemann, E, E)
-    curv = np.einsum("...lrAB,...li,...rj->...ABij", curv, dx, dx)
-    return omega, curv
+    # curv[A,B,i,j] = e_A^m e_B^p R[l,r,m,p] dx^l_i dx^r_j: on index pairs,
+    # curv[AB,ij] = EE[AB,mp] R[lr,mp] DX[lr,ij] with EE = E (x) E, DX = dx (x) dx
+    EE = (E[:, :, None, :, None] * E[:, None, :, None, :]).reshape(N, n * n, n * n)
+    DX = (dx[:, :, None, :, None] * dx[:, None, :, None, :]).reshape(N, n * n, m * m)
+    curv = EE @ core.riemann.reshape(N, n * n, n * n).swapaxes(1, 2) @ DX
+    return omega, curv.reshape(N, n, n, m, m)
 
 
 def connection_curvature(patch, point):
@@ -351,10 +361,11 @@ def connection_curvature(patch, point):
     boundary frames use.
     """
     n = patch.n
-    core = _GeometryCore(patch, [point])
+    x = np.asarray([point], dtype=float)
+    core = _GeometryCore(patch, x)
     eye = np.eye(n)
-    E, dE = _gram_schmidt(core.G, core.dG, eye[None], np.zeros((1, n, n, n)))
-    omega, curv = _frame_connection(core, E, dE, eye)
+    E, dE = _gram_schmidt(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), x)
+    omega, curv = _frame_connection(core, E, dE, eye[None])
     fd = FrameData(frame=E[0], metric=core.G[0], omega=omega[0],
                    curvature=curv[0])
     if fd.orthonormality_residual > 1e-9:
@@ -422,12 +433,12 @@ def boundary_frame(bpatch, t, frame_twist=None):
     x, dx, d2x = stack_jets(x_jets, t, 2)         # dx[k,i], d2x[k,i,j]
     core = _GeometryCore(bpatch.parent, x)
     G = core.G
-    dG = np.einsum("...kla,...ai->...kli", core.dG, dx)
+    dG = core.dG @ dx[:, None]                    # dG[k,l,a] dx[a,i]
 
     outward, doutward = stack_jets(bpatch.outward_jets(t), t, 1)
     E, dE = _gram_schmidt(G, dG,
                           np.concatenate([outward[:, None], dx.swapaxes(1, 2)], axis=1),
-                          np.concatenate([doutward[:, None], d2x.swapaxes(1, 2)], axis=1))
+                          np.concatenate([doutward[:, None], d2x.swapaxes(1, 2)], axis=1), t)
     normal, dnormal = E[:, 0].copy(), dE[:, 0].copy()
     det = np.linalg.det(np.concatenate([normal[:, :, None], dx], axis=2))
     orientation = np.where(det > 0, 1.0, -1.0)
@@ -437,8 +448,9 @@ def boundary_frame(bpatch, t, frame_twist=None):
         rows = frame_twist(Jet.variables(t))
         R, dR = stack_jets([e for row in rows for e in row], t, 1)
         R, dR = R.reshape(-1, n, n), dR.reshape(-1, n, n, t.shape[1])
-        E, dE = (R @ E, np.einsum("...abi,...bk->...aki", dR, E)
-                 + np.einsum("...ab,...bki->...aki", R, dE))
+        # d(R E)[a,k,i] = dR[a,b,i] E[b,k] + R[a,b] dE[b,k,i]
+        E, dE = (R @ E, (dR.swapaxes(2, 3) @ E[:, None]).swapaxes(2, 3)
+                 + (R @ dE.reshape(dE.shape[0], n, -1)).reshape(dE.shape))
     omega, curv = _frame_connection(core, E, dE, dx)
     return BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=normal,
                          dnormal=dnormal, frame=E, dframe=dE, omega=omega,

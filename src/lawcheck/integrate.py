@@ -112,11 +112,12 @@ class SectionPullback:
         u = s * inv_norm[:, None]
         du = (ds * inv_norm[:, None, None]
               - (s[:, :, None] * dnorm2[:, None, :]) * (0.5 * inv_norm ** 3)[:, None, None])
-        theta = du + np.einsum("...B,...BAi->...Ai", u, frame.omega)
+        # theta[A,i] = du[A,i] + u[B] omega[B,A,i]
+        theta = du + (u[:, None] @ frame.omega.reshape(u.shape + (-1,))).reshape(du.shape)
         u0 = u[:, 0]
         extras = {
             "angle": np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0),
-            "v_dot_n": np.einsum("...k,...kl,...l->...", W, G, frame.normal),
+            "v_dot_n": (W[:, None] @ G @ frame.normal[..., None])[:, 0, 0],
         }
         return u, theta, frame.omega, frame.curvature, extras
 

@@ -99,6 +99,8 @@ _MALFORMED = {
     "embed-1-entry": ("disk-constant", _set("boundaries", 0, "embed", ["1"])),
     "outward-3-entries": ("disk-constant",
                           _set("boundaries", 0, "outward", ["1", "0", "0"])),
+    "outward-tangent": ("disk-constant", _set("boundaries", 0, "outward", ["0", "1"])),
+    "embed-constant": ("disk-constant", _set("boundaries", 0, "embed", ["1", "0*t"])),
     "location-empty": ("disk-constant",
                        _set("tangential_singularities", 0, "location", [])),
     "ambient-length": ("disk-saddle", _set(*_SADDLE, "ambient", [0])),

@@ -11,6 +11,7 @@ from lawcheck.geometry import (
     BoundaryPatch,
     Jet,
     RiemannianPatch,
+    _frame_connection,
     _GeometryCore,
     boundary_frame,
     connection_curvature,
@@ -275,6 +276,60 @@ def test_riemann_symmetries_random_metric():
     assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) < 1e-12
     assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
     assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-12
+
+
+def wavy_patch(n, seed):
+    """Analytic perturbation of the flat n-metric, SPD on the box: diagonal
+    entries within 0.2 of 1, off-diagonal ones within 0.1 of 0."""
+    rng = random.Random(seed)
+    terms = {(i, j): (rng.uniform(-0.2, 0.2) if i == j else rng.uniform(-0.1, 0.1),
+                      rng.randrange(n), rng.randrange(n))
+             for i in range(n) for j in range(i, n)}
+
+    def metric(x):
+        def entry(i, j):
+            a, k, l = terms[min(i, j), max(i, j)]
+            return float(i == j) + a * jet_sin(x[k] + 0.3) * jet_cos(x[l] * x[k])
+        return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+    return RiemannianPatch(n, [(-1, 1)] * n, metric)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_contractions_match_einsum_transcription(n):
+    """Christoffels, Riemann tensor, connection and curvature of a batch of
+    nodes equal an einsum transcription of their index formulas, for a
+    non-orthonormal frame with non-zero derivatives along a non-square map."""
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-0.9, 0.9, size=(5, n))
+    patch = wavy_patch(n, seed=n)
+    core = _GeometryCore(patch, points)
+    G, dG, d2G = patch.metric_jets(points)
+    low = 0.5 * (np.einsum("...jli->...lij", dG) + np.einsum("...ilj->...lij", dG)
+                 - np.einsum("...ijl->...lij", dG))
+    Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
+    quadratic = (np.einsum("...qjp,...qim->...ijmp", low, Gamma)
+                 - np.einsum("...qip,...qjm->...ijmp", low, Gamma))
+    R = quadratic + 0.5 * (np.einsum("...pjmi->...ijmp", d2G) - np.einsum("...jmpi->...ijmp", d2G)
+                           - np.einsum("...pimj->...ijmp", d2G)
+                           + np.einsum("...impj->...ijmp", d2G))
+    assert np.max(np.abs(quadratic)) > 1e-3
+    assert np.max(np.abs(core.Gamma - Gamma)) < 1e-13
+    assert np.max(np.abs(core.riemann - R)) < 1e-13
+
+    m = n + 1  # a map with m = 1 would have no curvature to compare
+    E = np.eye(n) + 0.3 * rng.standard_normal((5, n, n))
+    dE = rng.standard_normal((5, n, n, m))
+    dx = rng.standard_normal((5, n, m))
+    omega, curv = _frame_connection(core, E, dE, dx)
+    nabla = (np.einsum("...Aki->...Aik", dE)
+             + np.einsum("...klm,...li,...Am->...Aik", Gamma, dx, E))
+    want = np.einsum("...Aik,...kl,...Bl->...ABi", nabla, G, E)
+    want = 0.5 * (want - want.swapaxes(-3, -2))
+    assert np.max(np.abs(omega - want)) < 1e-13
+    want = np.einsum("...lrmp,...Am,...Bp,...li,...rj->...ABij", R, E, E, dx, dx)
+    assert np.max(np.abs(want)) > 1e-3
+    assert np.max(np.abs(curv - want)) < 1e-13
 
 
 # -- Euler density ----------------------------------------------------------------
