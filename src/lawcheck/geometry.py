@@ -7,8 +7,10 @@ mode, truncated to second order: a Jet carries values (N,), gradients (N, m)
 and Hessians (N, m, m), so Christoffel symbols and curvature come out exact
 to roundoff.  Curvature is computed once, in coordinates, from the second
 metric derivatives.  The Euler density needs no frame; boundary frames carry
-values and first derivatives only, as nothing reads second ones.  Finite
-differences appear only in tests, as independent oracles.
+values and first derivatives only, as nothing reads second ones.  Batched
+contractions are stacked matmuls (``@``), each with its index formula in a
+comment; einsum only transposes.  Finite differences appear only in tests,
+as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches; curvature uses nabla e_A = sum_B omega(A,B) e_B and
@@ -333,9 +335,8 @@ def _frame_connection(core, E, dE, dx):
     """Connection and curvature values of the frame rows E along a map into
     the chart with pushforward dx[..., k, i] = d x^k / d t_i.
 
-    Every array has a leading node axis.  dE[..., A, k, i] is the derivative
-    of e_A^k along t_i; omega[..., A, B, i] and curvature[..., A, B, i, j]
-    come back on the t coordinate directions.
+    dE[..., A, k, i] is the derivative of e_A^k along t_i; omega[..., A, B, i]
+    and curvature[..., A, B, i, j] come back on the t coordinate directions.
     """
     N, n, _, m = dE.shape
     GE = core.Gamma.reshape(N, n * n, n) @ E.swapaxes(1, 2)  # GE[k,l,A] = Gamma^k_{lm} e_A^m
@@ -361,10 +362,9 @@ def connection_curvature(patch, point):
     boundary frames use.
     """
     n = patch.n
-    x = np.asarray([point], dtype=float)
-    core = _GeometryCore(patch, x)
+    core = _GeometryCore(patch, [point])
     eye = np.eye(n)
-    E, dE = _gram_schmidt(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), x)
+    E, dE = _gram_schmidt(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), [point])
     omega, curv = _frame_connection(core, E, dE, eye[None])
     fd = FrameData(frame=E[0], metric=core.G[0], omega=omega[0],
                    curvature=curv[0])
