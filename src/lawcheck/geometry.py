@@ -161,8 +161,17 @@ class GenericityError(RuntimeError):
 
 def _positive_definite(G, points):
     """Cholesky factors of the metric matrices G (N, n, n) at the chart
-    points (N, n); the first node whose factorization fails raises
-    ConfigError."""
+    points (N, n); the first node whose matrix is asymmetric beyond round-off
+    (Cholesky reads only the lower triangle), or whose factorization fails,
+    raises ConfigError."""
+    GT = G.swapaxes(-1, -2)
+    if not (G == GT).all():  # entries written differently may differ by round-off
+        flat = len(G), -1
+        skew = np.abs(G - GT).reshape(flat).max(axis=1)
+        bad = np.flatnonzero(skew > 1e-12 * np.abs(G).reshape(flat).max(axis=1))
+        if bad.size:
+            raise ConfigError("metric not symmetric at chart point "
+                              f"{[float(v) for v in points[bad[0]]]}")
     try:
         return np.linalg.cholesky(G)
     except np.linalg.LinAlgError:

@@ -47,11 +47,41 @@ class QuadratureGrid:
         return len(self.weights)
 
 
+def _legendre_p(order, x):
+    """P_order(x) and P_order'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, order + 1):
+        # P_j = ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j, in four array operations
+        xp = x * p1
+        p0, p1 = p1, xp + (xp - p0) * ((j - 1) / j)
+    return p1, order * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _legendre(order):
-    """Gauss-Legendre rule on [-1, 1], once per order (a dense eigenproblem);
-    the cached arrays are read-only, as every caller shares them."""
-    rule = np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre rule on [-1, 1], once per order, in O(order) memory.
+
+    Newton's method on the three-term recurrence (Numerical Recipes 4.6,
+    ``gauleg``), from Tricomi's estimates, finds the (order + 1) // 2
+    non-negative nodes to round-off in at most 10 steps; the others are their
+    exact mirror images, and an odd order's centre node is exactly 0.  The
+    weights are 2 / ((1 - x^2) P'(x)^2) at the converged nodes.  The cached
+    arrays are read-only, as every caller shares them.
+    """
+    k = np.arange(1, (order + 1) // 2 + 1)
+    x = (np.cos(math.pi * (k - 0.25) / (order + 0.5))
+         * (1.0 - (order - 1) / (8.0 * order ** 3)))
+    if order % 2:
+        x[-1] = 0.0
+    for _ in range(10):
+        p, dp = _legendre_p(order, x)
+        step = p / dp
+        if np.abs(step).max() <= 2 * np.finfo(float).eps:
+            break
+        x = x - step
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    half = order // 2
+    rule = (np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]]))
     for a in rule:
         a.setflags(write=False)
     return rule

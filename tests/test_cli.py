@@ -96,6 +96,8 @@ _MALFORMED = {
                                  _set("patch", "box", [[0], [0, "2*pi"]])),
     "boundary-box-empty": ("disk-constant", _set("boundaries", 0, "box", [])),
     "metric-1x1": ("disk-constant", _set("patch", "metric", [["1"]])),
+    "metric-asymmetric": ("disk-constant",
+                          _set("patch", "metric", [["1", "0.5"], ["0", "r*r"]])),
     "embed-1-entry": ("disk-constant", _set("boundaries", 0, "embed", ["1"])),
     "outward-3-entries": ("disk-constant",
                           _set("boundaries", 0, "outward", ["1", "0", "0"])),

@@ -9,6 +9,7 @@ import pytest
 
 from lawcheck.geometry import (
     BoundaryPatch,
+    ConfigError,
     Jet,
     RiemannianPatch,
     _frame_connection,
@@ -117,6 +118,20 @@ def test_frame_rejects_degenerate_metric():
     with pytest.raises(ValueError):
         connection_curvature(bad, [0, 0])
 
+
+
+def test_metric_symmetry_allows_round_off_only():
+    """Entries written differently may differ by round-off; a larger
+    asymmetry, which Cholesky would not see, names its first chart point."""
+    x = np.array([[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+    written = lambda d: RiemannianPatch(
+        2, [(0, 1), (0, 1)], lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
+                                        [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]])
+    assert _GeometryCore(written(0.0), x).G.shape == (3, 2, 2)
+    assert written(0.0).metric_values(x).shape == (3, 2, 2)
+    for make in (lambda p: _GeometryCore(p, x), lambda p: p.metric_values(x)):
+        with pytest.raises(ConfigError, match=r"not symmetric at chart point \[0\.3, 0\.4\]"):
+            make(written(1e-3))
 
 def test_frame_orientation_positive():
     for patch in (flat_patch(), sphere_patch(), bumpy_patch(3)):

@@ -1,6 +1,7 @@
 """Quadrature and form-pullback integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lawcheck.integrate import (
     integrate_phi_over_section,
     phi_template,
 )
+from lawcheck.runner import run_scenario
 from lawcheck.scenarios import load_catalog_scenario
 from lawcheck.trig import sphere_volume
 
@@ -77,6 +79,71 @@ def test_grid_polynomial_exactness():
     grid = gauss_grid([(0, 1)], [6])
     val = math.fsum(w * x ** 11 for (x,), w in zip(grid.nodes, grid.weights))
     assert val == pytest.approx(1 / 12, abs=1e-15)
+
+
+# -- Gauss-Legendre rules ------------------------------------------------------
+
+def test_legendre_rule_matches_eigenvalue_rule():
+    """numpy's Golub-Welsch rule as the oracle, in absolute terms: its end
+    weights are the less accurate ones at large orders."""
+    for order in range(1, 257):
+        x, w = integrate._legendre(order)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+        assert np.abs(x - x_ref).max() <= 1e-15, order
+        assert np.abs(w - w_ref).max() <= 5e-14, order
+
+
+def test_legendre_rule_integrates_monomials_exactly():
+    for order in range(1, 65):
+        x, w = integrate._legendre(order)
+        for k in range(2 * order):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            got = math.fsum((w * x ** k).tolist())
+            assert got == pytest.approx(exact, abs=4e-15), (order, k)
+
+
+def test_legendre_rule_closed_forms():
+    x, w = integrate._legendre(1)
+    assert x.tolist() == [0.0] and w.tolist() == [2.0]
+    x, w = integrate._legendre(2)
+    assert x.tolist() == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
+    assert w.tolist() == pytest.approx([1.0, 1.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 16, 47, 48, 192, 255])
+def test_legendre_rule_symmetric_sorted_and_read_only(order):
+    x, w = integrate._legendre(order)
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    if order % 2:
+        assert x[order // 2] == 0.0 and math.copysign(1.0, x[order // 2]) == 1.0
+    assert integrate._legendre(order) is integrate._legendre(order)
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_numeric_track_solves_no_eigenproblem(monkeypatch):
+    """Every rule of a scenario run comes from the recurrence: with numpy's
+    eigenvalue routes disabled and no rule cached, the run still passes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigenproblem on the numeric track")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    integrate._legendre.cache_clear()
+    assert run_scenario(load_catalog_scenario("disk-saddle"), order=16).passed
+
+
+def test_legendre_rule_memory_is_linear_in_order():
+    """An order-1024 rule peaks well below the 8 MB of one 1024 x 1024 matrix."""
+    tracemalloc.start()
+    try:
+        integrate._legendre.__wrapped__(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # -- sphere volumes ----------------------------------------------------------------

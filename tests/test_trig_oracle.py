@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from lawcheck.chern import phi_normalization
 from lawcheck.trig import TrigScalar, sphere_volume
 
 ANGLES = (1, 2)
@@ -127,3 +128,14 @@ def test_sphere_volume_matches_gamma_formula():
         assert not angles
         got = sp.Rational(coeff.numerator, coeff.denominator) * sp.pi ** d
         assert sp.simplify(got - expected) == 0, m
+
+
+def test_phi_normalization_matches_gamma_formula():
+    for n in range(2, 9):
+        k = sp.Rational(n, 2)
+        expected = sp.gamma(k) / (sp.factorial2(n - 2) * 2 * sp.pi ** k)
+        [((d, angles), coeff)] = phi_normalization(n).terms.items()
+        assert not angles
+        rational = sp.simplify(expected / sp.pi ** d)
+        assert rational.is_Rational, n
+        assert rational == sp.Rational(coeff.numerator, coeff.denominator), n
