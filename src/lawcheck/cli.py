@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import chern
 from .fields import GenericityError
 from .report import emit_report
@@ -159,13 +161,16 @@ def _cmd_list(_args):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
-        if args.command == "symbolic-check":
-            return _cmd_symbolic(args)
-        return _cmd_list(args)
+        # overflow and NaN end in the checks' finiteness gates, with one line
+        # on stderr, so numpy's floating-point warnings would only repeat them
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "suite":
+                return _cmd_suite(args)
+            if args.command == "symbolic-check":
+                return _cmd_symbolic(args)
+            return _cmd_list(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,8 @@ from .geometry import (
     ConfigError,
     GenericityError,
     Jet,
-    boundary_frame,
+    adapted_frame,
+    grid_points,
     metric_inner,
     node_chunks,
     stack_jets,
@@ -121,10 +122,11 @@ def index_at(sing: InteriorSingularity, radius=None, order=None) -> IndexResult:
 
 
 def _degree_index(name, raw, what):
-    """The integer nearest a degree integral, refused when more than 0.01 off."""
-    value = round(raw)
+    """The integer nearest a degree integral, refused when more than 0.01 off
+    or not finite."""
+    value = round(raw) if math.isfinite(raw) else 0
     residual = abs(raw - value)
-    if residual > 0.01:
+    if not residual <= 0.01:
         raise GenericityError(f"{what} for {name} is {raw:.6f}, "
                               f"residual {residual:.2e} from an integer")
     return IndexResult(name=name, value=int(value), residual=residual, raw=raw)
@@ -133,19 +135,23 @@ def _degree_index(name, raw, what):
 # -- boundary work --------------------------------------------------------------
 
 def _field_frame_components(bpatch, components, t):
-    """Values (N, n) and t-gradients (N, n, m) of <V, e_A> at the boundary
-    nodes t (N, m).
-
-    Uses the parameter-aligned frame, the boundary frame with its last vector
-    multiplied by ``orientation``: indices are insensitive to the ambient
-    orientation but the winding loop must match the frame.
-    """
-    bf = boundary_frame(bpatch, t)
+    """Values s[A] (N, n) and t-gradients ds[i,A] (N, m, n) of <V, e_A> at the
+    boundary nodes t (N, m), in the frame of ``adapted_frame`` (no connection
+    or curvature) with its last vector multiplied by ``orientation``: indices
+    are insensitive to the ambient orientation but the winding loop must
+    match the frame."""
+    bf, _, _ = adapted_frame(bpatch, t)
     V, dV = stack_jets(components(bf.x_jets), t, 1)
     s, ds = metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
     s[:, -1] *= bf.orientation
-    ds[:, -1] *= bf.orientation[:, None]
+    ds[:, :, -1] *= bf.orientation[:, None]
     return s, ds
+
+
+def _sample_points(box, count):
+    """``count`` points per axis of the box, inset by 1e-3 of each interval."""
+    return grid_points([np.linspace(lo + (hi - lo) * 1e-3, hi - (hi - lo) * 1e-3, count)
+                        for lo, hi in box])
 
 
 def _sample_in_point_order(check, points):
@@ -173,17 +179,11 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
     """
     n = bpatch.parent.n
     declared = [s for s in field_spec.tangential if s.boundary == boundary_index]
-    warnings = []
-    norms, projs = [], []
+    warnings, norms, projs = [], [], []
 
-    axes = [np.linspace(lo + (hi - lo) * 1e-3, hi - (hi - lo) * 1e-3,
-                        256 if n == 2 else 24)
-            for lo, hi in bpatch.box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=1)
+    points = _sample_points(bpatch.box, 256 if n == 2 else 24)
     for s in declared:
-        near = np.linalg.norm(points - np.asarray(s.location), axis=1) < 1.5 * s.radius
-        points = points[~near]
+        points = points[np.linalg.norm(points - np.asarray(s.location), axis=1) >= 1.5 * s.radius]
 
     def check(t):
         vals, _ = _field_frame_components(bpatch, field_spec.components, t)
@@ -203,13 +203,11 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
             if normal[k] < 0:
                 raise GenericityError(f"undeclared inward tangential zero on "
                                       f"boundary {boundary_index} at {where}")
-            raise GenericityError(
-                f"tangential zero on the inward/outward interface at {where}")
+            raise GenericityError(f"tangential zero on the inward/outward interface at {where}")
         if flat.any() and not warnings:
-            warnings.append(
-                f"boundary {boundary_index}: tangential projection "
-                f"degenerates in the outward region (normal-like field); "
-                f"outward indices are not meaningful")
+            warnings.append(f"boundary {boundary_index}: tangential projection degenerates in "
+                            f"the outward region (normal-like field); outward indices are "
+                            f"not meaningful")
         norms.append(norm)
         projs.append(proj)
 
@@ -217,25 +215,21 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
 
     minus, plus = [], []
     for s in declared:
-        vals, _ = _field_frame_components(bpatch, field_spec.components,
-                                          np.asarray([s.location], dtype=float))
-        vals = vals[0]
+        vals = _field_frame_components(bpatch, field_spec.components,
+                                       np.asarray([s.location], dtype=float))[0][0]
         norm = float(np.linalg.norm(vals))
         if norm < field_spec.margin:
-            raise GenericityError(f"field vanishes at declared tangential "
-                                  f"singularity {s.name}")
+            raise GenericityError(f"field vanishes at declared tangential singularity {s.name}")
         if np.linalg.norm(vals[1:]) / norm > 1e-6:
-            raise GenericityError(
-                f"declared tangential singularity {s.name} has a "
-                f"non-vanishing projection ({np.linalg.norm(vals[1:]):.2e})")
+            raise GenericityError(f"declared tangential singularity {s.name} has a non-vanishing "
+                                  f"projection ({np.linalg.norm(vals[1:]):.2e})")
         if vals[0] < 0:
             minus.append(s)
         elif vals[0] > 0:
             plus.append(s)
         else:
-            raise GenericityError(
-                f"tangential singularity {s.name} sits on the "
-                f"inward/outward interface")
+            raise GenericityError(f"tangential singularity {s.name} sits on the "
+                                  f"inward/outward interface")
     return BoundarySplit(minus=minus, plus=plus, warnings=warnings,
                          min_field_norm=float(np.concatenate([[math.inf], *norms]).min()),
                          min_projection_norm=float(np.concatenate([[math.inf], *projs]).min()))
@@ -270,7 +264,7 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
             dt = r * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
             t = loc + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
             vals, grads = _field_frame_components(bpatch, field_spec.components, t)
-            return vals[:, 1:], grads[:, 1:] @ dt[..., None]  # grads[k,i] dt[i]
+            return vals[:, 1:], dt[:, None] @ grads[:, :, 1:]  # dt[i] grads[i,k]
 
         return _degree_index(sing.name, degree_integral_circle(map_fn, order=order),
                              "tangential degree")
@@ -283,10 +277,7 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
     """Sample the chart box on 16 points per axis: the field norm must clear
     the margin outside the declared exclusion balls (ambient distance)."""
-    axes = [np.linspace(lo + (hi - lo) * 1e-3, hi - (hi - lo) * 1e-3, 16)
-            for lo, hi in patch.box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=1)
+    points = _sample_points(patch.box, 16)
     exclusions = [(np.asarray(s.ambient, dtype=float), s.exclusion_radius)
                   for s in field_spec.interior]
 

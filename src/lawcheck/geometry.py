@@ -7,10 +7,12 @@ mode, truncated to second order: a Jet carries values (N,), gradients (N, m)
 and Hessians (N, m, m), so Christoffel symbols and curvature come out exact
 to roundoff.  Curvature is computed once, in coordinates, from the second
 metric derivatives.  The Euler density needs no frame; boundary frames carry
-values and first derivatives only, as nothing reads second ones.  Batched
-contractions are stacked matmuls (``@``), each with its index formula in a
-comment; einsum only transposes.  Finite differences appear only in tests,
-as independent oracles.
+values and first derivatives only, as nothing reads second ones.  Derivative
+arrays put the parameter axes right after the node axis (dG[:, i, k, l] =
+d_i g_kl), so a contraction is one stacked matmul (``@``) per node, each with
+its index formula in a comment, and no einsum is needed.  Connection and
+curvature values keep chern's template layout omega[:, A, B, i].  Finite
+differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches; curvature uses nabla e_A = sum_B omega(A,B) e_B and
@@ -135,17 +137,23 @@ jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 
 def stack_jets(entries, nodes, order):
     """Stack k jets (or plain numbers, or value arrays) evaluated at the
-    nodes (N, m): values (N, k) and, up to ``order``, gradients (N, k, m) and
-    Hessians (N, k, m, m), returned as a tuple of ``order + 1`` arrays."""
+    nodes (N, m): values (N, k) and, up to ``order``, gradients (N, m, k) and
+    Hessians (N, m, m, k), returned as a tuple of ``order + 1`` arrays."""
     count, m = nodes.shape
-    out = [np.zeros((count, len(entries)) + (m,) * d) for d in range(order + 1)]
+    out = [np.zeros((count,) + (m,) * d + (len(entries),)) for d in range(order + 1)]
     for i, e in enumerate(entries):
         if isinstance(e, Jet):
             for arr, part in zip(out, (e.v, e.g, e.h)):
-                arr[:, i] = part
+                arr[..., i] = part
         else:
             out[0][:, i] = e
     return tuple(out)
+
+
+def grid_points(axes):
+    """Product grid of the 1-D node arrays ``axes`` as (N, len(axes)) points,
+    the last axis varying fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 # -- patches ---------------------------------------------------------------------
@@ -157,6 +165,23 @@ class ConfigError(ValueError):
 
 class GenericityError(RuntimeError):
     """The field violates the generic-position assumptions of the law."""
+
+
+def _cholesky(M, points, floor, fault):
+    """Cholesky factors of M (N, r, r); the first of ``points`` whose factorization
+    fails, or has a pivot L_jj^2 <= floor, raises ConfigError(fault, point)."""
+    def factor(A):
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            return None
+        return None if (np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= floor).any() else L
+
+    L = factor(M)
+    for k, point in enumerate(points if L is None else ()):  # locate the first bad node
+        if factor(M[k]) is None:
+            raise ConfigError(f"{fault} {[float(v) for v in point]}")
+    return L
 
 
 def _positive_definite(G, points):
@@ -172,16 +197,7 @@ def _positive_definite(G, points):
         if bad.size:
             raise ConfigError("metric not symmetric at chart point "
                               f"{[float(v) for v in points[bad[0]]]}")
-    try:
-        return np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        for k, point in enumerate(points):  # locate the first bad node
-            try:
-                np.linalg.cholesky(G[k])
-            except np.linalg.LinAlgError:
-                raise ConfigError("metric not positive definite at chart point "
-                                  f"{[float(v) for v in point]}") from None
-        raise
+    return _cholesky(G, points, 0.0, "metric not positive definite at chart point")
 
 
 class RiemannianPatch:
@@ -203,14 +219,13 @@ class RiemannianPatch:
         self.name = name
 
     def metric_jets(self, x):
-        """Metric G (N, n, n) with its derivatives dG[..., k, l, i] and
-        d2G[..., k, l, i, j] along the chart parameters, at the nodes x."""
+        """Metric G (N, n, n) with its derivatives dG[:, i, k, l] and
+        d2G[:, i, j, k, l] along the chart parameters, at the nodes x."""
         x = np.asarray(x, dtype=float)
         n = self.n
         raw = self._metric(Jet.variables(x))
         G, dG, d2G = stack_jets([e for row in raw for e in row], x, 2)
-        return (G.reshape(-1, n, n), dG.reshape(-1, n, n, n),
-                d2G.reshape(-1, n, n, n, n))
+        return G.reshape(-1, n, n), dG.reshape(-1, n, n, n), d2G.reshape(-1, n, n, n, n)
 
     def metric_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -269,97 +284,97 @@ class FrameData:
 
 
 def metric_inner(G, dG, a, da, b, db):
-    """<a, b> under the metric G and its parameter gradient, to first order.
+    """<a_A, b> under the metric G for a stack of rows a_A, to first order.
 
-    G is (N, n, n) with dG[..., k, l, i] its derivative along parameter i; b
-    is (N, n) with db (N, n, m); a is (N, n) with da (N, n, m), or a stack of
-    rows (N, r, n) with da (N, r, n, m), which pairs every row with b.
+    G is (N, n, n), symmetric, with dG[:, i, k, l] its derivative along
+    parameter i; the rows a are (N, r, n) with da[:, i, A, k], and b is (N, n)
+    with db[:, i, k].  Returns the values (N, r) and their gradients (N, m, r).
     """
-    Gb = G @ b[..., None]                                   # Gb[k] = G[k,l] b[l], a column
-    dGb = (b[..., None, None, :] @ dG)[..., 0, :] + G @ db  # dG[k,l,i] b[l] + G[k,l] db[l,i]
-    # <a, b> = a[k] Gb[k] and d<a, b>[i] = Gb[k] da[k,i] + a[k] dGb[k,i]
-    if a.ndim > b.ndim:
-        return (a @ Gb)[..., 0], (Gb[:, None].swapaxes(-1, -2) @ da)[..., 0, :] + a @ dGb
-    return (a[:, None] @ Gb)[:, 0, 0], (Gb.swapaxes(-1, -2) @ da + a[:, None] @ dGb)[:, 0]
+    N, m, n = db.shape
+    Gb = G @ b[..., None]                                    # Gb[k] = G[k,l] b[l], a column
+    # dGb[i,k] = dG[i,k,l] b[l] + db[i,l] G[l,k]
+    dGb = (dG.reshape(N, m * n, n) @ b[..., None]).reshape(N, m, n) + db @ G
+    # <a_A, b> = a[A,k] Gb[k] and d<a_A, b>[i] = da[i,A,k] Gb[k] + dGb[i,k] a[A,k]
+    return ((a @ Gb)[..., 0],
+            (da.reshape(N, -1, n) @ Gb).reshape(da.shape[:3]) + dGb @ a.swapaxes(1, 2))
 
 
-def _gram_schmidt(G, dG, vectors, dvectors, points):
-    """Orthonormalize the rows of ``vectors`` (N, r, n) against G, to first
-    order, at the nodes ``points`` (N, m).
+def _lower_inverse(L):
+    """Inverses of the lower-triangular L (N, n, n) by forward substitution,
+    at a third of the cost of np.linalg.inv's general solve per node."""
+    inv = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        inv[:, i, i] = d = 1.0 / L[:, i, i]
+        inv[:, i, :i] = (L[:, i, None, :i] @ inv[:, :i, :i])[:, 0] * -d[:, None]
+    return inv
 
-    dG[..., k, l, i] and dvectors[..., r, k, i] are the derivatives of G and
-    of the rows along parameter i; the frame comes back with
-    dframe[..., A, k, i].  The first node whose rows are linearly dependent
-    raises ConfigError.
-    """
-    rows, drows = [], []
-    for w, dw in zip(np.moveaxis(vectors, -2, 0), np.moveaxis(dvectors, -3, 0)):
-        for e, de in zip(rows, drows):
-            c, dc = metric_inner(G, dG, w, dw, e, de)
-            w = w - c[..., None] * e
-            dw = dw - c[..., None, None] * de - e[..., :, None] * dc[..., None, :]
-        norm2, dnorm2 = metric_inner(G, dG, w, dw, w, dw)
-        if np.any(norm2 <= 1e-14):
-            for k in range(len(points)) if len(points) > 1 else ():  # locate the first bad node
-                _gram_schmidt(*(arr[k:k + 1] for arr in (G, dG, vectors, dvectors, points)))
-            raise ConfigError("degenerate frame: outward vector and tangents linearly dependent "
-                              f"at point {[float(v) for v in points[np.argmax(norm2 <= 1e-14)]]}")
-        inv = 1.0 / np.sqrt(norm2)
-        rows.append(w * inv[..., None])
-        drows.append(dw * inv[..., None, None]
-                     - (w[..., :, None] * dnorm2[..., None, :])
-                     * (0.5 * inv ** 3)[..., None, None])
-    return np.stack(rows, axis=-2), np.stack(drows, axis=-3)
+
+def _orthonormal_rows(G, dG, V, dV, points):
+    """Gram-Schmidt on the rows of V (N, r, n) against G, with derivatives
+    dG[:, i, k, l] and dV[:, i, A, k], as the Cholesky factorization
+    V G V^T = L L^T: E = L^-1 V and, in the frame, dE_i = (K_i - Phi(S_i)) E
+    (Murray, arXiv:1602.07527), where S_i = E dG_i E^T, K_i = U - U^T for U the
+    strict upper triangle of L^-1 dV_i G E^T, and Phi keeps the strict lower
+    triangle and half the diagonal.  The first node with a pivot
+    L_jj^2 <= 1e-14 raises ConfigError."""
+    N, m, r, n = dV.shape
+    L = _cholesky(V @ G @ V.swapaxes(1, 2), points, 1e-14, "degenerate frame: outward "
+                  "vector and tangents linearly dependent at point")
+    Linv = _lower_inverse(L)
+    E = Linv @ V
+    Et = E.swapaxes(1, 2)
+    # U[i,A,B] = (L^-1 dV_i)[A,k] (G E^T)[k,B] for A < B; S[i,A,B] = E[A,k] dG[i,k,l] E[B,l]
+    U = np.triu(((Linv[:, None] @ dV).reshape(N, m * r, n) @ (G @ Et)).reshape(N, m, r, r), 1)
+    S = E[:, None] @ (dG.reshape(N, m * n, n) @ Et).reshape(N, m, n, r)
+    return E, (U - U.swapaxes(-1, -2) - np.tril(S, -1) - 0.5 * np.eye(r) * S) @ E[:, None]
 
 
 class _GeometryCore:
     """Metric, Christoffel symbols and the lowered Riemann tensor at a batch
-    of chart points (N, n), from one evaluation of the metric jets."""
+    of chart points (N, n), from one evaluation of the metric jets; ``jets``
+    are (G, dG, d2G) and the Cholesky factor of G when the caller has them."""
 
     __slots__ = ("G", "dG", "sqrt_det", "Gamma", "riemann")
 
-    def __init__(self, patch, points):
-        points = np.asarray(points, dtype=float)
-        G, dG, d2G = patch.metric_jets(points)
-        L = _positive_definite(G, points)
-        # first kind: low[l,i,j] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-        low = 0.5 * (np.einsum("...jli->...lij", dG) + np.einsum("...ilj->...lij", dG)
-                     - np.einsum("...ijl->...lij", dG))
-        low2 = low.reshape(len(G), patch.n, -1)                   # low2[l,ij] = low[l,i,j]
-        Gamma = (np.linalg.inv(G) @ low2).reshape(low.shape)      # Ginv[k,l] low[l,i,j]
-        # R[i,j,m,p] = <R(d_i, d_j) d_m, d_p>
-        R = 0.5 * (np.einsum("...pjmi->...ijmp", d2G) - np.einsum("...jmpi->...ijmp", d2G)
-                   - np.einsum("...pimj->...ijmp", d2G) + np.einsum("...impj->...ijmp", d2G))
-        # P[im,jp] = Gamma[q,im] low[q,jp]; R[i,j,m,p] += P[i,m,j,p] - P[j,m,i,p]
-        P = (Gamma.reshape(low2.shape).swapaxes(1, 2) @ low2).reshape(R.shape)
-        R += P.transpose(0, 1, 3, 2, 4) - P.transpose(0, 3, 1, 2, 4)
-        self.G = G
-        self.dG = dG
+    def __init__(self, patch, points, jets=None):
+        if jets is None:
+            points = np.asarray(points, dtype=float)
+            G, dG, d2G = patch.metric_jets(points)
+            jets = G, dG, d2G, _positive_definite(G, points)
+        G, dG, d2G, L = jets
+        N, n = G.shape[:2]
+        Linv = _lower_inverse(L)
+        # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
+        low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
+        Gamma = low @ (Linv.swapaxes(1, 2) @ Linv)    # Gamma[ij,k] = low[ij,l] Ginv[l,k]
+        # K[i,m,j,p] = R[i,j,m,p] = <R(d_i, d_j) d_m, d_p> = Alt_ij (Alt_mp d2G / 2 + P)
+        # (Alt: swap and subtract), P[im,jp] = Gamma[im,q] low[jp,q]; as P is symmetric
+        # on index pairs, K = (U + U^T) / 2 on index pairs with U = Alt_mp (d2G + P)
+        U = d2G + (Gamma @ low.swapaxes(1, 2)).reshape(d2G.shape)
+        U = (U - U.swapaxes(2, 4)).reshape(N, n * n, n * n)
+        K = (0.5 * (U + U.swapaxes(1, 2))).reshape(d2G.shape)
+        self.G, self.dG = G, dG
         self.sqrt_det = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
-        self.Gamma = Gamma
-        self.riemann = R
+        self.Gamma = Gamma.reshape(N, n, n, n).transpose(0, 3, 1, 2)  # Gamma[k,i,j], a view
+        self.riemann = K.swapaxes(2, 3)                               # R[i,j,m,p], a view
 
 
 def _frame_connection(core, E, dE, dx):
-    """Connection and curvature values of the frame rows E along a map into
-    the chart with pushforward dx[..., k, i] = d x^k / d t_i.
-
-    dE[..., A, k, i] is the derivative of e_A^k along t_i; omega[..., A, B, i]
-    and curvature[..., A, B, i, j] come back on the t coordinate directions.
-    """
-    N, n, _, m = dE.shape
-    GE = core.Gamma.reshape(N, n * n, n) @ E.swapaxes(1, 2)  # GE[k,l,A] = Gamma^k_{lm} e_A^m
-    # nabla[A,k,i] along direction i: d_i e_A^k + GE[k,l,A] dx^l_i
-    nabla = dE + (GE.swapaxes(1, 2).reshape(N, n * n, n) @ dx).reshape(dE.shape)
-    # omega[A,B,i] = nabla[A,k,i] G[k,l] e_B^l
-    omega = (nabla.swapaxes(2, 3) @ (core.G @ E.swapaxes(1, 2))[:, None]).swapaxes(2, 3)
-    omega = 0.5 * (omega - omega.swapaxes(-3, -2))  # kill roundoff asymmetry
-    # curv[A,B,i,j] = e_A^m e_B^p R[l,r,m,p] dx^l_i dx^r_j: on index pairs,
-    # curv[AB,ij] = EE[AB,mp] R[lr,mp] DX[lr,ij] with EE = E (x) E, DX = dx (x) dx
-    EE = (E[:, :, None, :, None] * E[:, None, :, None, :]).reshape(N, n * n, n * n)
-    DX = (dx[:, :, None, :, None] * dx[:, None, :, None, :]).reshape(N, n * n, m * m)
-    curv = EE @ core.riemann.reshape(N, n * n, n * n).swapaxes(1, 2) @ DX
-    return omega, curv.reshape(N, n, n, m, m)
+    """Connection and curvature values of the frame rows E, with dE[:, i, A, k]
+    = d e_A^k / d t_i, along a map into the chart with pushforward dx[:, i, k]
+    = d x^k / d t_i: omega[:, A, B, i] and curvature[:, A, B, i, j]."""
+    N, m, n, _ = dE.shape
+    # Y[i,q,k] = dx[i,l] Gamma^k_{lq}; core.Gamma transposed back is [l,q,k]
+    Y = (dx @ core.Gamma.transpose(0, 2, 3, 1).reshape(N, n, n * n)).reshape(N, m, n, n)
+    nabla = dE + E[:, None] @ Y                # nabla[i,A,k] = dE[i,A,k] + e_A^q Y[i,q,k]
+    # omega[i,A,B] = nabla[i,A,k] G[k,l] e_B^l
+    omega = (nabla.reshape(N, m * n, n) @ (core.G @ E.swapaxes(1, 2))).reshape(dE.shape)
+    omega = 0.5 * (omega - omega.swapaxes(-1, -2))  # kill roundoff asymmetry
+    # curv[A,B,i,j] = e_A^q e_B^p R[l,r,q,p] dx^l_i dx^r_j: on index pairs,
+    # curv[Ai,Bj] = F[Ai,lq] K[lq,rp] F[Bj,rp] with F = E (x) dx, K[l,q,r,p] = R[l,r,q,p]
+    F = (E[:, :, None, None, :] * dx[:, None, :, :, None]).reshape(N, n * m, n * n)
+    curv = F @ core.riemann.swapaxes(2, 3).reshape(N, n * n, n * n) @ F.swapaxes(1, 2)
+    return omega.transpose(0, 2, 3, 1), curv.reshape(N, n, m, n, m).transpose(0, 1, 3, 2, 4)
 
 
 def connection_curvature(patch, point):
@@ -373,10 +388,9 @@ def connection_curvature(patch, point):
     n = patch.n
     core = _GeometryCore(patch, [point])
     eye = np.eye(n)
-    E, dE = _gram_schmidt(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), [point])
+    E, dE = _orthonormal_rows(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), [point])
     omega, curv = _frame_connection(core, E, dE, eye[None])
-    fd = FrameData(frame=E[0], metric=core.G[0], omega=omega[0],
-                   curvature=curv[0])
+    fd = FrameData(frame=E[0], metric=core.G[0], omega=omega[0], curvature=curv[0])
     if fd.orthonormality_residual > 1e-9:
         raise ValueError("frame failed orthonormality check")
     return fd
@@ -402,65 +416,60 @@ def euler_form_density(patch, points):
 
 @dataclass
 class BoundaryFrame:
-    """Everything a section pullback needs at a batch of boundary nodes; every
-    array has a leading node axis.
-
-    Frame and metric carry values and first t-derivatives only: section
-    pullbacks need the derivatives of their frame components for theta and
-    of the frame for omega, and nothing reads second derivatives.
-    """
+    """Everything a section pullback needs at a batch of boundary nodes: each
+    array has a leading node axis, each derivative its t-axis next.  Frame
+    and metric carry first t-derivatives only, as nothing reads second ones;
+    ``adapted_frame`` leaves omega and curvature None."""
     x_jets: list                   # embedding as second-order jets in t
     metric: np.ndarray
-    dmetric: np.ndarray            # dmetric[k,l,i] = d g_kl / d t_i
+    dmetric: np.ndarray            # dmetric[i,k,l] = d g_kl / d t_i
     normal: np.ndarray             # untwisted outward unit normal
-    dnormal: np.ndarray            # dnormal[k,i]
+    dnormal: np.ndarray            # dnormal[i,k]
     frame: np.ndarray              # adapted frame rows e_A
-    dframe: np.ndarray             # dframe[A,k,i] = d e_A^k / d t_i
-    omega: np.ndarray              # omega[A,B,i] on boundary coordinate directions
-    curvature: np.ndarray          # curvature[A,B,i,j] on boundary bivectors
+    dframe: np.ndarray             # dframe[i,A,k] = d e_A^k / d t_i
     orientation: np.ndarray        # sign of det[e_1 | dx/dt_1 | ...]
+    omega: np.ndarray = None       # omega[A,B,i] on boundary coordinate directions
+    curvature: np.ndarray = None   # curvature[A,B,i,j] on boundary bivectors
+
+
+def adapted_frame(bpatch, t):
+    """Adapted orthonormal frames at the boundary nodes t (N, m), outward
+    normal first, without connection or curvature; returns the BoundaryFrame,
+    the pushforward dx[:, i, k] = d x^k / d t_i and the parent metric jets.
+    Gram-Schmidt keeps the sign of det[outward | dx]; flipping the last vector
+    where ``orientation`` is -1 orients the frame positively in the ambient
+    chart, as the secondary-form template presumes."""
+    t = np.asarray(t, dtype=float)
+    N, m = t.shape
+    x_jets = bpatch.embed_jets(t)
+    x, dx, d2x = stack_jets(x_jets, t, 2)            # dx[i,k], d2x[i,j,k]
+    G, dGx, d2G = bpatch.parent.metric_jets(x)
+    jets = G, dGx, d2G, _positive_definite(G, x)
+    dG = (dx @ dGx.reshape(N, m + 1, -1)).reshape(N, m, m + 1, m + 1)  # dx[i,a] dGx[a,k,l]
+    outward, doutward = stack_jets(bpatch.outward_jets(t), t, 1)
+    E, dE = _orthonormal_rows(G, dG, np.concatenate([outward[:, None], dx], axis=1),
+                              np.concatenate([doutward[:, :, None], d2x], axis=2), t)
+    normal, dnormal = E[:, 0].copy(), dE[:, :, 0].copy()
+    orientation = np.sign(np.linalg.det(np.concatenate([normal[:, None], dx], axis=1)))
+    E[:, -1] *= orientation[:, None]
+    dE[:, :, -1] *= orientation[:, None, None]
+    return (BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=normal,
+                          dnormal=dnormal, frame=E, dframe=dE, orientation=orientation),
+            dx, jets)
 
 
 def boundary_frame(bpatch, t, frame_twist=None):
-    """Adapted orthonormal frames at the boundary nodes t (N, m), outward
-    normal first.
-
-    The frame comes with values and first t-derivatives only, from a
-    first-order Gram-Schmidt on the outward vector and the tangents: omega
-    and the section pullbacks read no second derivatives.  The metric
-    derivative along the boundary follows by the chain rule from the parent
-    metric jets at x.  Gram-Schmidt keeps the sign of det[outward | dx], so
-    flipping the last tangential vector where ``orientation`` is -1 makes the
-    frame positively oriented in the ambient chart (the secondary-form
-    template presumes oriented frames).  ``frame_twist`` maps t-jets to an
-    n x n rotation R and replaces the frame E by R E; ``normal`` stays the
-    untwisted e_1.
-    """
+    """``adapted_frame`` at the boundary nodes t (N, m) with its connection
+    and curvature values, from the same metric jets.  ``frame_twist`` maps
+    t-jets to an n x n rotation R and replaces the frame E by R E; ``normal``
+    stays the untwisted e_1."""
     t = np.asarray(t, dtype=float)
-    n = bpatch.parent.n
-    x_jets = bpatch.embed_jets(t)
-    x, dx, d2x = stack_jets(x_jets, t, 2)         # dx[k,i], d2x[k,i,j]
-    core = _GeometryCore(bpatch.parent, x)
-    G = core.G
-    dG = core.dG @ dx[:, None]                    # dG[k,l,a] dx[a,i]
-
-    outward, doutward = stack_jets(bpatch.outward_jets(t), t, 1)
-    E, dE = _gram_schmidt(G, dG,
-                          np.concatenate([outward[:, None], dx.swapaxes(1, 2)], axis=1),
-                          np.concatenate([doutward[:, None], d2x.swapaxes(1, 2)], axis=1), t)
-    normal, dnormal = E[:, 0].copy(), dE[:, 0].copy()
-    det = np.linalg.det(np.concatenate([normal[:, :, None], dx], axis=2))
-    orientation = np.where(det > 0, 1.0, -1.0)
-    E[:, -1] *= orientation[:, None]
-    dE[:, -1] *= orientation[:, None, None]
+    bf, dx, jets = adapted_frame(bpatch, t)
     if frame_twist is not None:
-        rows = frame_twist(Jet.variables(t))
-        R, dR = stack_jets([e for row in rows for e in row], t, 1)
-        R, dR = R.reshape(-1, n, n), dR.reshape(-1, n, n, t.shape[1])
-        # d(R E)[a,k,i] = dR[a,b,i] E[b,k] + R[a,b] dE[b,k,i]
-        E, dE = (R @ E, (dR.swapaxes(2, 3) @ E[:, None]).swapaxes(2, 3)
-                 + (R @ dE.reshape(dE.shape[0], n, -1)).reshape(dE.shape))
-    omega, curv = _frame_connection(core, E, dE, dx)
-    return BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=normal,
-                         dnormal=dnormal, frame=E, dframe=dE, omega=omega,
-                         curvature=curv, orientation=orientation)
+        R, dR = stack_jets([e for row in frame_twist(Jet.variables(t)) for e in row], t, 1)
+        R, dR = R.reshape(bf.frame.shape), dR.reshape(bf.dframe.shape)
+        # d(R E)[i,a,k] = dR[i,a,b] E[b,k] + R[a,b] dE[i,b,k]
+        bf.frame, bf.dframe = R @ bf.frame, dR @ bf.frame[:, None] + R[:, None] @ bf.dframe
+    core = _GeometryCore(bpatch.parent, None, jets)
+    bf.omega, bf.curvature = _frame_connection(core, bf.frame, bf.dframe, dx)
+    return bf

@@ -28,6 +28,7 @@ from .geometry import (
     GenericityError,
     boundary_frame,
     euler_form_density,
+    grid_points,
     metric_inner,
     node_chunks,
     stack_jets,
@@ -97,15 +98,9 @@ def gauss_grid(box, orders):
     """Product Gauss-Legendre grid over a box."""
     if isinstance(orders, int):
         orders = [orders] * len(box)
-    axes = [_gauss_1d(lo, hi, k) for (lo, hi), k in zip(box, orders)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(len(nodes))
-    for wg in wgrids:
-        weights = weights * wg.ravel()
-    return QuadratureGrid(nodes=nodes, weights=weights, box=list(box),
-                          orders=list(orders))
+    nodes, weights = zip(*[_gauss_1d(lo, hi, k) for (lo, hi), k in zip(box, orders)])
+    return QuadratureGrid(nodes=grid_points(nodes), weights=grid_points(weights).prod(axis=1),
+                          box=list(box), orders=list(orders))
 
 
 # -- section pullbacks --------------------------------------------------------------
@@ -122,8 +117,8 @@ class SectionPullback:
         """Pull the section back at the nodes t (N, m) through ``frame``, the
         BoundaryFrame at t.
 
-        The frame components s_A = <W, e_A> and their t-gradients come from
-        first-order arrays; u = s / |W| and theta_A = du_A + u_B omega(B, A).
+        The frame components s_A = <W, e_A> and their gradients ds[i,A] come
+        from first-order arrays; u = s / |W| and theta_A = du_A + u_B omega(B, A).
         The profile values come back as ``{"angle", "v_dot_n"}``, one per node.
         """
         t = np.asarray(t, dtype=float)
@@ -131,18 +126,21 @@ class SectionPullback:
             W, dW = frame.normal, frame.dnormal
         else:
             W, dW = stack_jets(self.section(frame.x_jets), t, 1)
-        G, dG = frame.metric, frame.dmetric
-        norm2, dnorm2 = metric_inner(G, dG, W, dW, W, dW)
+        G = frame.metric
+        # s_A = <W, e_A> and, as one more row, |W|^2 = <W, W>
+        s, ds = metric_inner(G, frame.dmetric, np.concatenate([frame.frame, W[:, None]], axis=1),
+                             np.concatenate([frame.dframe, dW[:, :, None]], axis=2), W, dW)
+        s, ds, norm2, dnorm2 = s[:, :-1], ds[..., :-1], s[:, -1], ds[..., -1]
         small = np.flatnonzero(norm2 < 1e-18)
         if small.size:
             raise GenericityError("section norm below 1e-9 at boundary point "
                                   f"{[float(v) for v in t[small[0]]]}")
-        s, ds = metric_inner(G, dG, frame.frame, frame.dframe, W, dW)
         inv_norm = 1.0 / np.sqrt(norm2)
         u = s * inv_norm[:, None]
         du = (ds * inv_norm[:, None, None]
-              - (s[:, :, None] * dnorm2[:, None, :]) * (0.5 * inv_norm ** 3)[:, None, None])
-        # theta[A,i] = du[A,i] + u[B] omega[B,A,i]
+              - (dnorm2[:, :, None] * s[:, None, :]) * (0.5 * inv_norm ** 3)[:, None, None])
+        # theta[A,i] = du[i,A] + u[B] omega[B,A,i]
+        du = du.swapaxes(1, 2)
         theta = du + (u[:, None] @ frame.omega.reshape(u.shape + (-1,))).reshape(du.shape)
         u0 = u[:, 0]
         extras = {
@@ -248,13 +246,13 @@ def _norm2(w, where):
 
 def degree_integral_circle(map_fn, order=256):
     """Degree of a nonvanishing plane-valued map over [0, 2pi): ``map_fn(t)``
-    takes node angles t (N,) and returns w (N, 2) and dw (N, 2, 1), and
+    takes node angles t (N,) and returns w (N, 2) and dw (N, 1, 2), and
     (w1 w2' - w2 w1') / |w|^2 is integrated."""
     def weighted(nodes, weights):
         t = nodes[:, 0]
         w, dw = map_fn(t)
         norm2 = _norm2(w, lambda k: f"circle at t={float(t[k])}")
-        return weights * (w[:, 0] * dw[:, 1, 0] - w[:, 1] * dw[:, 0, 0]) / norm2
+        return weights * (w[:, 0] * dw[:, 0, 1] - w[:, 1] * dw[:, 0, 0]) / norm2
 
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
     return _quadrature(grid, weighted) / (2 * math.pi)
@@ -262,12 +260,12 @@ def degree_integral_circle(map_fn, order=256):
 
 def degree_integral_sphere(map_fn, order=48):
     """Degree of a nonvanishing space-valued map over the (colat, lon) box:
-    ``map_fn(nodes)`` takes nodes (N, 2) and returns w (N, 3) and dw (N, 3, 2),
+    ``map_fn(nodes)`` takes nodes (N, 2) and returns w (N, 3) and dw (N, 2, 3),
     and det[w, dw] / |w|^3 is integrated."""
     def weighted(nodes, weights):
         w, dw = map_fn(nodes)
         norm2 = _norm2(w, lambda k: f"sphere at {[float(a) for a in nodes[k]]}")
-        mat = np.concatenate([w[:, None], dw.swapaxes(1, 2)], axis=1)
+        mat = np.concatenate([w[:, None], dw], axis=1)
         return weights * np.linalg.det(mat) / (norm2 * np.sqrt(norm2))
 
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .expressions import ExpressionError, compile_expression, compile_matrix, compile_vector
 from .fields import InteriorSingularity, TangentialSingularity, VectorFieldSpec
-from .geometry import BoundaryPatch, ConfigError, RiemannianPatch, stack_jets
+from .geometry import BoundaryPatch, ConfigError, RiemannianPatch, grid_points, stack_jets
 
 
 def _const(value):
@@ -42,9 +42,21 @@ def _counted(values, count, what):
     return values
 
 
+def _finite_list(values, count, what):
+    point = _const_list(values, count, what)
+    if not all(map(math.isfinite, point)):
+        raise ConfigError(f"{what} must be finite, got {point}")
+    return point
+
+
 def _box(raw, count, what):
-    return [tuple(_const_list(interval, 2, f"an interval of {what}"))
-            for interval in _counted(raw, count, what)]
+    """One finite interval (lo, hi) with lo < hi per dimension."""
+    box = [tuple(_finite_list(interval, 2, f"an interval of {what}"))
+           for interval in _counted(raw, count, what)]
+    for lo, hi in box:
+        if not lo < hi:
+            raise ConfigError(f"interval [{lo}, {hi}] of {what} is empty or reversed")
+    return box
 
 
 def _integer(value, what, least=None):
@@ -124,6 +136,8 @@ def _load(cfg):
     if n not in (2, 3):
         raise ConfigError(f"scenario dimension must be 2 or 3, got {n}")
     chi = _integer(_require(cfg, "chi", name), "chi")
+    if abs(chi) > 2 ** 53:  # the Gauss-Bonnet residual holds chi as a float
+        raise ConfigError("chi must be an integer a float holds exactly, |chi| <= 2**53")
 
     pc = _require(cfg, "patch", name)
     params = _counted(_require(pc, "params", "patch"), n, f"patch params of {name}")
@@ -161,15 +175,15 @@ def _load(cfg):
         sname = _text(_require(sc, "name", "singularity"), "singularity name")
         chart_params = _counted(_require(sc, "chart_params", "singularity"), n,
                                 f"chart_params of {sname}")
-        ambient = _const_list(_require(sc, "ambient", "singularity"), ambient_dim,
-                              f"ambient of {sname}")
+        ambient = _finite_list(_require(sc, "ambient", "singularity"), ambient_dim,
+                               f"ambient of {sname}")
         if "radius" in sc:
             radius = _positive(sc["radius"], f"radius of {sname}")
         else:
             # default rule: half the distance to the nearest other
             # singularity or boundary point, capped at 0.1
             from .fields import GenericityError, default_index_radius
-            others = [_const_list(o["ambient"], ambient_dim, "ambient")
+            others = [_finite_list(o["ambient"], ambient_dim, "ambient")
                       for j, o in enumerate(sing_cfgs) if j != k]
             try:
                 radius = default_index_radius(
@@ -182,8 +196,8 @@ def _load(cfg):
             exclusion_radius=_positive(_require(sc, "exclusion_radius", "singularity"),
                                        f"exclusion_radius of {sname}"),
             chart_params=chart_params,
-            center=_const_list(_require(sc, "center", "singularity"), n,
-                               f"center of {sname}"),
+            center=_finite_list(_require(sc, "center", "singularity"), n,
+                                f"center of {sname}"),
             radius=radius,
             chart_field=compile_vector(
                 _counted(_require(sc, "field", "singularity"), n, f"field of {sname}"),
@@ -195,8 +209,8 @@ def _load(cfg):
         tangential.append(TangentialSingularity(
             name=sname,
             boundary=_integer(sc.get("boundary", 0), f"boundary of {sname}", 0),
-            location=_const_list(_require(sc, "location", "tangential singularity"),
-                                 n - 1, f"location of {sname}"),
+            location=_finite_list(_require(sc, "location", "tangential singularity"),
+                                  n - 1, f"location of {sname}"),
             radius=_positive(sc.get("radius", 0.1), f"radius of {sname}")))
         if tangential[-1].boundary >= len(boundaries):
             raise ConfigError(f"tangential singularity {tangential[-1].name} "
@@ -239,9 +253,7 @@ def _boundary_point_cloud(patch, boundaries):
     points per boundary parameter."""
     points = []
     for bp in boundaries:
-        axes = [np.linspace(lo, hi, 16) for lo, hi in bp.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        t = np.stack([g.ravel() for g in mesh], axis=1)
+        t = grid_points([np.linspace(lo, hi, 16) for lo, hi in bp.box])
         (x,) = stack_jets(bp.embed_jets(t), t, 0)
         points.extend(patch.ambient(x))
     return points

@@ -27,9 +27,9 @@ SCRIPT = textwrap.dedent("""
     text = report.emit_report(runner.run_scenario(scenario), "json")
     integrate.degree_integral_circle(
         lambda t: (np.stack([np.cos(t), np.sin(t)], axis=1),
-                   np.stack([-np.sin(t), np.cos(t)], axis=1)[:, :, None]), order=16)
+                   np.stack([-np.sin(t), np.cos(t)], axis=1)[:, None, :]), order=16)
     integrate.degree_integral_sphere(
-        lambda ab: (np.tile([0.0, 0.0, 1.0], (len(ab), 1)), np.zeros((len(ab), 3, 2))),
+        lambda ab: (np.tile([0.0, 0.0, 1.0], (len(ab), 1)), np.zeros((len(ab), 2, 3))),
         order=4)
     tracer.begin_op(1)
     symbolic = runner.run_symbolic("dphi", 3)

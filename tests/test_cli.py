@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lawcheck import cli
+from lawcheck import cli, runner
 from lawcheck.fields import index_at
 from lawcheck.report import ScenarioReport, emit_report
 from lawcheck.runner import run_scenario, run_suite
@@ -117,6 +117,16 @@ _MALFORMED = {
     "chi-fraction": ("disk-constant", _set("chi", 1.5)),
     "expected-fraction": ("disk-constant", _set("expected", "ind_v", 0.5)),
     "name-not-string": ("disk-constant", _set("name", None)),
+    "patch-box-reversed": ("disk-constant", _set("patch", "box", [[1, 0], [0, "2*pi"]])),
+    "patch-box-empty-interval": ("disk-constant",
+                                 _set("patch", "box", [[0.5, 0.5], [0, "2*pi"]])),
+    "patch-box-infinite": ("disk-saddle", _set("patch", "box", [[0, 1e400], [0, "2*pi"]])),
+    "boundary-box-reversed": ("disk-constant", _set("boundaries", 0, "box", [["2*pi", 0]])),
+    "center-infinite": ("disk-saddle", _set(*_SADDLE, "center", [1e400, 0])),
+    "ambient-nan": ("disk-saddle", _set(*_SADDLE, "ambient", [math.nan, 0])),
+    "location-infinite": ("disk-constant",
+                          _set("tangential_singularities", 0, "location", [1e400])),
+    "chi-huge": ("disk-constant", _set("chi", 10 ** 400)),
 }
 
 
@@ -349,6 +359,36 @@ def test_cli_run_failing_scenario_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--scenario", str(path)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_nan_integral_fails_its_gates(monkeypatch):
+    """A gate passes only when its value is <= the tolerance, so a NaN
+    integral fails the convergence and Gauss-Bonnet gates."""
+    monkeypatch.setattr(runner, "integrate_euler", lambda patch, grid: math.nan)
+    report = run_scenario(load_catalog_scenario("disk-saddle"))
+    assert not report.passed
+    assert any("moves omega_x by nan" in f for f in report.failures)
+    assert any("Gauss-Bonnet residual nan" in f for f in report.failures)
+
+
+def test_nan_section_integral_fails_the_boundary_identity(monkeypatch):
+    monkeypatch.setattr(runner, "integrate_phi_over_section",
+                        lambda *args, **kwargs: (math.nan, math.nan))
+    report = run_scenario(load_catalog_scenario("disk-constant"))
+    assert not report.passed
+    assert any("boundary-term identity residual nan" in f for f in report.failures)
+
+
+def test_cli_non_finite_degree_is_one_genericity_line(tmp_path, capsys):
+    """A huge index radius makes the degree integral NaN: exit 1 with one
+    ``genericity violation:`` line and no numpy warnings."""
+    cfg = load_catalog_raw("disk-saddle")
+    cfg["interior_singularities"][0]["radius"] = 1e300
+    path = tmp_path / "huge-radius.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("genericity violation:") and len(err.splitlines()) == 1
 
 
 def test_cli_run_unwritable_output_exit_2(tmp_path):

@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from lawcheck import geometry
 from lawcheck.fields import (
     GenericityError,
     InteriorSingularity,
     TangentialSingularity,
     VectorFieldSpec,
+    _degree_index,
     boundary_decompose,
     check_interior_nonvanishing,
     index_at,
     index_tangential,
 )
 from lawcheck.geometry import BoundaryPatch, RiemannianPatch, jet_cos, jet_sin
+from lawcheck.scenarios import load_catalog_scenario
 
 
 def sing2(field, name="s", center=(0, 0), radius=0.2):
@@ -105,6 +108,12 @@ def test_index_error_on_non_integer_residual():
         index_at(osc, order=8)
 
 
+@pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
+def test_non_finite_degree_is_a_genericity_error(raw):
+    with pytest.raises(GenericityError, match="from an integer"):
+        _degree_index("center", raw, "degree integral")
+
+
 def test_index_unsupported_dimension():
     s = InteriorSingularity(name="bad", ambient=[0], exclusion_radius=0.1,
                             chart_params=["x"], center=[0], radius=0.1,
@@ -174,6 +183,28 @@ def test_tangential_two_point_rule_needs_nonvanishing_tests():
         tangential=[TangentialSingularity("west", 0, [math.pi], 0.1)])
     with pytest.raises(GenericityError):
         index_tangential(spec, disk_rim(), spec.tangential[0])
+
+
+@pytest.mark.parametrize("name", ["disk-saddle", "ball3-radial", "ball3-constant"])
+def test_boundary_sweep_builds_no_connection_or_curvature(name, monkeypatch):
+    """boundary_decompose and index_tangential read the frame step only:
+    with the connection and the geometry core refusing to run, they pass."""
+    scenario = load_catalog_scenario(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connection or curvature built for a frame-only sweep")
+
+    monkeypatch.setattr(geometry, "_frame_connection", refuse)
+    monkeypatch.setattr(geometry, "_GeometryCore", refuse)
+    indexed = 0
+    for k, bpatch in enumerate(scenario.boundaries):
+        with pytest.raises(AssertionError):  # the patch bites where curvature is built
+            geometry.boundary_frame(bpatch, np.asarray([bpatch.box])[:, :, 0] + 0.1)
+        split = boundary_decompose(scenario.field_spec, bpatch, k)
+        for sing in split.minus + split.plus:
+            index_tangential(scenario.field_spec, bpatch, sing)
+            indexed += 1
+    assert indexed == len(scenario.field_spec.tangential)
 
 
 # -- 3-dimensional boundary -------------------------------------------------------

@@ -14,6 +14,7 @@ from lawcheck.geometry import (
     RiemannianPatch,
     _frame_connection,
     _GeometryCore,
+    _orthonormal_rows,
     boundary_frame,
     connection_curvature,
     euler_form_density,
@@ -320,31 +321,84 @@ def test_contractions_match_einsum_transcription(n):
     patch = wavy_patch(n, seed=n)
     core = _GeometryCore(patch, points)
     G, dG, d2G = patch.metric_jets(points)
-    low = 0.5 * (np.einsum("...jli->...lij", dG) + np.einsum("...ilj->...lij", dG)
-                 - np.einsum("...ijl->...lij", dG))
+    low = 0.5 * (np.einsum("...ijl->...lij", dG) + np.einsum("...jil->...lij", dG)
+                 - np.einsum("...lij->...lij", dG))
     Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
     quadratic = (np.einsum("...qjp,...qim->...ijmp", low, Gamma)
                  - np.einsum("...qip,...qjm->...ijmp", low, Gamma))
-    R = quadratic + 0.5 * (np.einsum("...pjmi->...ijmp", d2G) - np.einsum("...jmpi->...ijmp", d2G)
-                           - np.einsum("...pimj->...ijmp", d2G)
-                           + np.einsum("...impj->...ijmp", d2G))
+    R = quadratic + 0.5 * (np.einsum("...mipj->...ijmp", d2G) - np.einsum("...pijm->...ijmp", d2G)
+                           - np.einsum("...mjpi->...ijmp", d2G)
+                           + np.einsum("...pjim->...ijmp", d2G))
     assert np.max(np.abs(quadratic)) > 1e-3
     assert np.max(np.abs(core.Gamma - Gamma)) < 1e-13
     assert np.max(np.abs(core.riemann - R)) < 1e-13
 
     m = n + 1  # a map with m = 1 would have no curvature to compare
     E = np.eye(n) + 0.3 * rng.standard_normal((5, n, n))
-    dE = rng.standard_normal((5, n, n, m))
-    dx = rng.standard_normal((5, n, m))
+    dE = rng.standard_normal((5, m, n, n))
+    dx = rng.standard_normal((5, m, n))
     omega, curv = _frame_connection(core, E, dE, dx)
-    nabla = (np.einsum("...Aki->...Aik", dE)
-             + np.einsum("...klm,...li,...Am->...Aik", Gamma, dx, E))
+    nabla = (np.einsum("...iAk->...Aik", dE)
+             + np.einsum("...klm,...il,...Am->...Aik", Gamma, dx, E))
     want = np.einsum("...Aik,...kl,...Bl->...ABi", nabla, G, E)
     want = 0.5 * (want - want.swapaxes(-3, -2))
     assert np.max(np.abs(omega - want)) < 1e-13
-    want = np.einsum("...lrmp,...Am,...Bp,...li,...rj->...ABij", R, E, E, dx, dx)
+    want = np.einsum("...lrmp,...Am,...Bp,...il,...jr->...ABij", R, E, E, dx, dx)
     assert np.max(np.abs(want)) > 1e-3
     assert np.max(np.abs(curv - want)) < 1e-13
+
+
+def _row_gram_schmidt(G, dG, vectors, dvectors):
+    """Oracle: Gram-Schmidt one row at a time, to first order, in the layout
+    with the derivative axis last (dG[..., k, l, i], dvectors[..., r, k, i])."""
+    def inner(a, da, b, db):  # <a, b> and its gradient, a one vector or rows
+        Gb = G @ b[..., None]
+        dGb = (b[..., None, None, :] @ dG)[..., 0, :] + G @ db
+        if a.ndim > b.ndim:
+            return (a @ Gb)[..., 0], (Gb[:, None].swapaxes(-1, -2) @ da)[..., 0, :] + a @ dGb
+        return (a[:, None] @ Gb)[:, 0, 0], (Gb.swapaxes(-1, -2) @ da + a[:, None] @ dGb)[:, 0]
+
+    rows, drows = [], []
+    for w, dw in zip(np.moveaxis(vectors, -2, 0), np.moveaxis(dvectors, -3, 0)):
+        for e, de in zip(rows, drows):
+            c, dc = inner(w, dw, e, de)
+            w = w - c[..., None] * e
+            dw = dw - c[..., None, None] * de - e[..., :, None] * dc[..., None, :]
+        norm2, dnorm2 = inner(w, dw, w, dw)
+        inv = 1.0 / np.sqrt(norm2)
+        rows.append(w * inv[..., None])
+        drows.append(dw * inv[..., None, None]
+                     - (w[..., :, None] * dnorm2[..., None, :]) * (0.5 * inv ** 3)[..., None, None])
+    return np.stack(rows, axis=-2), np.stack(drows, axis=-3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cholesky_frame_matches_row_by_row_gram_schmidt(n):
+    """The frame as one Cholesky factorization, with its first-order
+    derivative, equals Gram-Schmidt row by row, for non-orthonormal rows, a
+    random metric and a random symmetric metric derivative."""
+    rng = np.random.default_rng(10 + n)
+    N, m = 7, n - 1 if n > 2 else 2
+    A = rng.standard_normal((N, n, n))
+    G = A @ A.swapaxes(1, 2) + n * np.eye(n)
+    dG = rng.standard_normal((N, m, n, n))
+    dG = dG + dG.swapaxes(-1, -2)
+    V = np.eye(n) + 0.4 * rng.standard_normal((N, n, n))
+    dV = rng.standard_normal((N, m, n, n))
+    E, dE = _orthonormal_rows(G, dG, V, dV, np.zeros((N, m)))
+    want, dwant = _row_gram_schmidt(G, np.moveaxis(dG, 1, -1), V, np.moveaxis(dV, 1, -1))
+    assert np.max(np.abs(E - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(dE - np.moveaxis(dwant, -1, 1))) <= 1e-13 * np.max(np.abs(dwant))
+    assert abs(E @ G @ E.swapaxes(1, 2) - np.eye(n)).max() < 1e-12
+
+
+def test_degenerate_frame_names_the_first_dependent_node():
+    V = np.tile(np.eye(2), (4, 1, 1))
+    V[2, 1] = V[2, 0]  # dependent rows at node 2 only
+    points = np.arange(4.0)[:, None]
+    with pytest.raises(ConfigError, match=r"linearly dependent at point \[2.0\]"):
+        _orthonormal_rows(np.tile(np.eye(2), (4, 1, 1)), np.zeros((4, 1, 2, 2)), V,
+                          np.zeros((4, 1, 2, 2)), points)
 
 
 # -- Euler density ----------------------------------------------------------------
@@ -480,7 +534,7 @@ def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
         bf = frame_at(bpatch, tt, frame_twist=twist)
         if not oriented:
             bf.frame[-1] *= bf.orientation
-            bf.dframe[-1] *= bf.orientation
+            bf.dframe[:, -1] *= bf.orientation
         return bf
 
     bpatch = rim()
@@ -493,7 +547,7 @@ def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
         minus = frame(t - step)
         for name in ("frame", "metric", "normal"):
             fd = (getattr(plus, name) - getattr(minus, name)) / (2 * h)
-            exact = getattr(bf, "d" + name)[..., i]
+            exact = getattr(bf, "d" + name)[i]
             assert np.max(np.abs(fd - exact)) <= 1e-6, name
     assert np.max(np.abs(bf.dframe)) > 0.01
     assert np.max(np.abs(bf.dmetric)) > 0.01

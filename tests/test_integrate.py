@@ -380,7 +380,7 @@ def _circle_map(k):
     """t -> (cos kt, sin kt) with its t-derivatives, degree k, on node
     arrays t (N,)."""
     return lambda t: (np.stack([np.cos(k * t), np.sin(k * t)], axis=1),
-                      np.stack([-k * np.sin(k * t), k * np.cos(k * t)], axis=1)[:, :, None])
+                      np.stack([-k * np.sin(k * t), k * np.cos(k * t)], axis=1)[:, None, :])
 
 
 def _sphere_map(k, sign=1.0):
@@ -392,7 +392,7 @@ def _sphere_map(k, sign=1.0):
                       np.cos(a)], axis=1)
         dw = np.stack([np.stack([np.cos(a) * np.cos(k * b), -k * np.sin(a) * np.sin(k * b)], axis=1),
                        np.stack([np.cos(a) * np.sin(k * b), k * np.sin(a) * np.cos(k * b)], axis=1),
-                       np.stack([-np.sin(a), 0.0 * a], axis=1)], axis=1)
+                       np.stack([-np.sin(a), 0.0 * a], axis=1)], axis=2)
         return sign * w, sign * dw
     return fn
 
@@ -416,7 +416,7 @@ def test_degree_sphere_degree_two_map():
 
 def test_degree_vanishing_map_raises():
     with pytest.raises(GenericityError):
-        degree_integral_circle(lambda t: (np.zeros((len(t), 2)), np.zeros((len(t), 2, 1))),
+        degree_integral_circle(lambda t: (np.zeros((len(t), 2)), np.zeros((len(t), 1, 2))),
                                order=16)
 
 
