@@ -266,9 +266,9 @@ class Form:
                 prefix_deg += DEGREE[gen[0]]
         return out
 
-    def interior_dphi(self, angle=1):
+    def interior_dphi(self):
         """Interior product with the vector field dual to dphi (odd derivation)."""
-        target = (K_DPHI, angle, 0)
+        target = (K_DPHI, 1, 0)
         out = Form.zero(self.n, self.boundary)
         for (evens, odds), coeff in self.terms.items():
             for pos, gen in enumerate(odds):

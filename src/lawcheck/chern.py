@@ -279,7 +279,7 @@ def check_dphi(n: int) -> Form:
 
 # -- boundary specialization ---------------------------------------------------
 
-def specialize_boundary(f: Form, n: int | None = None) -> Form:
+def specialize_boundary(f: Form) -> Form:
     """Restrict a sphere-bundle form to the boundary-adapted frame.
 
     Substitutes the two-coordinate fiber slice (u_1, u_n) = (cos, sin) of the
@@ -287,10 +287,7 @@ def specialize_boundary(f: Form, n: int | None = None) -> Form:
     eliminates interior curvature among tangential indices through the
     induced-metric curvature.
     """
-    if n is None:
-        n = f.n
-    if f.n != n:
-        raise ValueError(f"form lives in dimension {f.n}, not {n}")
+    n = f.n
     cos, sin = TrigScalar.cos(), TrigScalar.sin()
     dphi_plus = Form.dphi(n, 1, True) + Form.omega(n, 1, n, True)
     mapping = {

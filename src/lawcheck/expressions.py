@@ -172,7 +172,10 @@ def _run(program, env, values):
 def _first_fault(fn, env):
     """Evaluate ``fn`` node by node on Python floats, in node order, so the
     first failing node (and in it the first failing entry) raises its
-    ConfigError."""
+    ConfigError.  The re-run defines the error rather than searching for it:
+    Python floats decide which node fails and with what message, and numpy's
+    array faults differ from theirs (1e200 * 1e200 overflows in numpy and is
+    inf in Python)."""
     values = np.broadcast_arrays(*[v.v if isinstance(v, Jet) else v for v in env])
     for k in np.ndindex(values[0].shape if values else ()):
         fn([float(v[k]) for v in values])

@@ -157,7 +157,9 @@ def _sample_points(box, count):
 def _sample_in_point_order(check, points):
     """Run ``check`` on the sample points chunk by chunk.  A chunk that raises
     ConfigError is re-run one point at a time, so the error raised is the one
-    a point-by-point sweep meets first, after the checks of earlier points."""
+    a point-by-point sweep meets first: ``check`` raises a chunk's ConfigError
+    before it tests genericity, so a GenericityError at an earlier point would
+    otherwise lose to a ConfigError at a later one."""
     for c in node_chunks(len(points)):
         try:
             check(points[c])
@@ -236,15 +238,14 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
 
 
 def index_tangential(field_spec: VectorFieldSpec, bpatch,
-                     sing: TangentialSingularity, radius=None,
-                     order=192) -> IndexResult:
+                     sing: TangentialSingularity, order=192) -> IndexResult:
     """Index of the tangential projection at a declared boundary singularity.
 
     Indices are orientation-free: reversing the boundary orientation flips
     both the loop direction and the frame, which cancels, so the chart
     parametrization is used as-is.
     """
-    r = float(radius if radius is not None else sing.radius)
+    r = float(sing.radius)
     m = bpatch.m
     loc = np.asarray(sing.location, dtype=float)
 
@@ -287,6 +288,8 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
         for c, rad in exclusions:
             keep &= ~(np.linalg.norm(amb - c, axis=1) < rad)
         x = x[keep]
+        if not len(x):  # every point excluded: no point to name in a fault
+            return
         (V,) = stack_jets(field_spec.components(list(x.T)), x, 0)
         G = patch.metric_values(x)
         norm = np.sqrt(np.maximum(0.0, (V[:, None] @ G @ V[..., None])[:, 0, 0]))

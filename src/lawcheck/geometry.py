@@ -167,28 +167,33 @@ class GenericityError(RuntimeError):
     """The field violates the generic-position assumptions of the law."""
 
 
-def _cholesky(M, points, floor, fault):
-    """Cholesky factors of M (N, r, r); the first of ``points`` whose factorization
-    fails, or has a pivot L_jj^2 <= floor, raises ConfigError(fault, point)."""
-    def factor(A):
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            return None
-        return None if (np.diagonal(L, axis1=-2, axis2=-1) ** 2 <= floor).any() else L
-
-    L = factor(M)
-    for k, point in enumerate(points if L is None else ()):  # locate the first bad node
-        if factor(M[k]) is None:
-            raise ConfigError(f"{fault} {[float(v) for v in point]}")
-    return L
+def _cholesky_inverse(M, points, floor, fault):
+    """L^-1 and diag(L) of the Cholesky factorization M = L L^T of each
+    symmetric M (N, r, r), read from its lower triangle, row by row: row i of
+    L is M[i, :i] L[:i, :i]^-T, its pivot L_ii^2 = M_ii - |L[i, :i]|^2, and row
+    i of L^-1 follows by forward substitution.  The first of ``points`` whose
+    node has a pivot that is not finite or is <= floor raises
+    ConfigError(fault, point)."""
+    N, r, _ = M.shape
+    inv, diag, bad = np.zeros_like(M), np.empty((N, r)), np.zeros(N, dtype=bool)
+    with np.errstate(all="ignore"):  # a failing node's inf or NaN ends in ``bad``
+        for i in range(r):
+            row = (M[:, i, None, :i] @ inv[:, :i, :i].swapaxes(1, 2))[:, 0]  # L[i, :i]
+            pivot = M[:, i, i] - (row * row).sum(axis=1)
+            bad |= ~((pivot > floor) & (pivot < np.inf))
+            diag[:, i] = np.sqrt(pivot)
+            inv[:, i, i] = d = 1.0 / diag[:, i]
+            inv[:, i, :i] = (row[:, None] @ inv[:, :i, :i])[:, 0] * -d[:, None]
+    if bad.any():
+        raise ConfigError(f"{fault} {[float(v) for v in points[np.argmax(bad)]]}")
+    return inv, diag
 
 
 def _positive_definite(G, points):
-    """Cholesky factors of the metric matrices G (N, n, n) at the chart
-    points (N, n); the first node whose matrix is asymmetric beyond round-off
-    (Cholesky reads only the lower triangle), or whose factorization fails,
-    raises ConfigError."""
+    """L^-1 and diag(L) of the Cholesky factors L of the metric matrices
+    G (N, n, n) at the chart points (N, n); the first node whose matrix is
+    asymmetric beyond round-off (Cholesky reads only the lower triangle), or
+    has a pivot that is not finite and positive, raises ConfigError."""
     GT = G.swapaxes(-1, -2)
     if not (G == GT).all():  # entries written differently may differ by round-off
         flat = len(G), -1
@@ -197,7 +202,7 @@ def _positive_definite(G, points):
         if bad.size:
             raise ConfigError("metric not symmetric at chart point "
                               f"{[float(v) for v in points[bad[0]]]}")
-    return _cholesky(G, points, 0.0, "metric not positive definite at chart point")
+    return _cholesky_inverse(G, points, 0.0, "metric not positive definite at chart point")
 
 
 class RiemannianPatch:
@@ -220,12 +225,15 @@ class RiemannianPatch:
 
     def metric_jets(self, x):
         """Metric G (N, n, n) with its derivatives dG[:, i, k, l] and
-        d2G[:, i, j, k, l] along the chart parameters, at the nodes x."""
+        d2G[:, i, j, k, l] along the chart parameters at the nodes x, then
+        L^-1 and diag(L) of its checked Cholesky factor L."""
         x = np.asarray(x, dtype=float)
         n = self.n
         raw = self._metric(Jet.variables(x))
         G, dG, d2G = stack_jets([e for row in raw for e in row], x, 2)
-        return G.reshape(-1, n, n), dG.reshape(-1, n, n, n), d2G.reshape(-1, n, n, n, n)
+        G = G.reshape(-1, n, n)
+        return (G, dG.reshape(-1, n, n, n), d2G.reshape(-1, n, n, n, n),
+                *_positive_definite(G, x))
 
     def metric_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -299,28 +307,17 @@ def metric_inner(G, dG, a, da, b, db):
             (da.reshape(N, -1, n) @ Gb).reshape(da.shape[:3]) + dGb @ a.swapaxes(1, 2))
 
 
-def _lower_inverse(L):
-    """Inverses of the lower-triangular L (N, n, n) by forward substitution,
-    at a third of the cost of np.linalg.inv's general solve per node."""
-    inv = np.zeros_like(L)
-    for i in range(L.shape[-1]):
-        inv[:, i, i] = d = 1.0 / L[:, i, i]
-        inv[:, i, :i] = (L[:, i, None, :i] @ inv[:, :i, :i])[:, 0] * -d[:, None]
-    return inv
-
-
 def _orthonormal_rows(G, dG, V, dV, points):
     """Gram-Schmidt on the rows of V (N, r, n) against G, with derivatives
     dG[:, i, k, l] and dV[:, i, A, k], as the Cholesky factorization
     V G V^T = L L^T: E = L^-1 V and, in the frame, dE_i = (K_i - Phi(S_i)) E
     (Murray, arXiv:1602.07527), where S_i = E dG_i E^T, K_i = U - U^T for U the
     strict upper triangle of L^-1 dV_i G E^T, and Phi keeps the strict lower
-    triangle and half the diagonal.  The first node with a pivot
-    L_jj^2 <= 1e-14 raises ConfigError."""
+    triangle and half the diagonal.  The first node with a pivot L_jj^2 that
+    is not finite or is <= 1e-14 raises ConfigError."""
     N, m, r, n = dV.shape
-    L = _cholesky(V @ G @ V.swapaxes(1, 2), points, 1e-14, "degenerate frame: outward "
-                  "vector and tangents linearly dependent at point")
-    Linv = _lower_inverse(L)
+    Linv, _ = _cholesky_inverse(V @ G @ V.swapaxes(1, 2), points, 1e-14, "degenerate frame: "
+                                "outward vector and tangents linearly dependent at point")
     E = Linv @ V
     Et = E.swapaxes(1, 2)
     # U[i,A,B] = (L^-1 dV_i)[A,k] (G E^T)[k,B] for A < B; S[i,A,B] = E[A,k] dG[i,k,l] E[B,l]
@@ -331,19 +328,14 @@ def _orthonormal_rows(G, dG, V, dV, points):
 
 class _GeometryCore:
     """Metric, Christoffel symbols and the lowered Riemann tensor at a batch
-    of chart points (N, n), from one evaluation of the metric jets; ``jets``
-    are (G, dG, d2G) and the Cholesky factor of G when the caller has them."""
+    of chart points, from one evaluation of the metric jets: ``jets`` are what
+    ``RiemannianPatch.metric_jets`` returns there."""
 
     __slots__ = ("G", "dG", "sqrt_det", "Gamma", "riemann")
 
-    def __init__(self, patch, points, jets=None):
-        if jets is None:
-            points = np.asarray(points, dtype=float)
-            G, dG, d2G = patch.metric_jets(points)
-            jets = G, dG, d2G, _positive_definite(G, points)
-        G, dG, d2G, L = jets
+    def __init__(self, jets):
+        G, dG, d2G, Linv, diag = jets
         N, n = G.shape[:2]
-        Linv = _lower_inverse(L)
         # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
         low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
         Gamma = low @ (Linv.swapaxes(1, 2) @ Linv)    # Gamma[ij,k] = low[ij,l] Ginv[l,k]
@@ -354,7 +346,7 @@ class _GeometryCore:
         U = (U - U.swapaxes(2, 4)).reshape(N, n * n, n * n)
         K = (0.5 * (U + U.swapaxes(1, 2))).reshape(d2G.shape)
         self.G, self.dG = G, dG
-        self.sqrt_det = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+        self.sqrt_det = np.prod(diag, axis=-1)
         self.Gamma = Gamma.reshape(N, n, n, n).transpose(0, 3, 1, 2)  # Gamma[k,i,j], a view
         self.riemann = K.swapaxes(2, 3)                               # R[i,j,m,p], a view
 
@@ -386,7 +378,7 @@ def connection_curvature(patch, point):
     boundary frames use.
     """
     n = patch.n
-    core = _GeometryCore(patch, [point])
+    core = _GeometryCore(patch.metric_jets([point]))
     eye = np.eye(n)
     E, dE = _orthonormal_rows(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), [point])
     omega, curv = _frame_connection(core, E, dE, eye[None])
@@ -407,7 +399,7 @@ def euler_form_density(patch, points):
     n = patch.n
     if n % 2:
         return np.zeros(len(points))
-    core = _GeometryCore(patch, points)
+    core = _GeometryCore(patch.metric_jets(points))
     curv = core.riemann.transpose(0, 3, 4, 1, 2)  # curv[m,p,i,j] = R[i,j,m,p]
     return evaluate_template(euler_template(n), None, None, None, curv) / core.sqrt_det
 
@@ -443,8 +435,8 @@ def adapted_frame(bpatch, t):
     N, m = t.shape
     x_jets = bpatch.embed_jets(t)
     x, dx, d2x = stack_jets(x_jets, t, 2)            # dx[i,k], d2x[i,j,k]
-    G, dGx, d2G = bpatch.parent.metric_jets(x)
-    jets = G, dGx, d2G, _positive_definite(G, x)
+    jets = bpatch.parent.metric_jets(x)
+    G, dGx = jets[:2]
     dG = (dx @ dGx.reshape(N, m + 1, -1)).reshape(N, m, m + 1, m + 1)  # dx[i,a] dGx[a,k,l]
     outward, doutward = stack_jets(bpatch.outward_jets(t), t, 1)
     E, dE = _orthonormal_rows(G, dG, np.concatenate([outward[:, None], dx], axis=1),
@@ -470,6 +462,6 @@ def boundary_frame(bpatch, t, frame_twist=None):
         R, dR = R.reshape(bf.frame.shape), dR.reshape(bf.dframe.shape)
         # d(R E)[i,a,k] = dR[i,a,b] E[b,k] + R[a,b] dE[i,b,k]
         bf.frame, bf.dframe = R @ bf.frame, dR @ bf.frame[:, None] + R[:, None] @ bf.dframe
-    core = _GeometryCore(bpatch.parent, None, jets)
+    core = _GeometryCore(jets)
     bf.omega, bf.curvature = _frame_connection(core, bf.frame, bf.dframe, dx)
     return bf

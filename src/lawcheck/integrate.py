@@ -41,7 +41,6 @@ from .geometry import (
 class QuadratureGrid:
     nodes: np.ndarray      # (N, dim)
     weights: np.ndarray    # (N,)
-    box: list
     orders: list
 
     def __len__(self):
@@ -100,7 +99,7 @@ def gauss_grid(box, orders):
         orders = [orders] * len(box)
     nodes, weights = zip(*[_gauss_1d(lo, hi, k) for (lo, hi), k in zip(box, orders)])
     return QuadratureGrid(nodes=grid_points(nodes), weights=grid_points(weights).prod(axis=1),
-                          box=list(box), orders=list(orders))
+                          orders=list(orders))
 
 
 # -- section pullbacks --------------------------------------------------------------
@@ -226,11 +225,9 @@ def integrate_fiber_form(form, grid):
     return _quadrature(grid, weighted)
 
 
-def integrate_fiber_volume(n, order=None):
+def integrate_fiber_volume(n):
     """Total fiber integral of the normalized secondary form (contract: 1)."""
-    if order is None:
-        order = 64 if n == 2 else 32
-    return integrate_fiber_form(build_phi(n).phi, fiber_grid(n, order))
+    return integrate_fiber_form(build_phi(n).phi, fiber_grid(n, 64 if n == 2 else 32))
 
 
 # -- degree integrals ----------------------------------------------------------------

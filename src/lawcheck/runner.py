@@ -48,25 +48,21 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
                             f"{res.residual:.2e} > {tol['integer']:.0e}")
         interior_results.append(res)
 
-    splits = []
-    tangential_results = {}
-    minus_all, plus_all = [], []
+    minus, plus = [], []          # IndexResults, in the order of the splits
     for b_index, bpatch in enumerate(scenario.boundaries):
         split = boundary_decompose(scenario.field_spec, bpatch, b_index)
-        splits.append(split)
         warnings.extend(split.warnings)
-        for sing in split.minus + split.plus:
-            res = index_tangential(scenario.field_spec, bpatch, sing)
-            if res.residual > tol["integer"]:
-                failures.append(f"tangential index residual of {sing.name} is "
-                                f"{res.residual:.2e}")
-            tangential_results[sing.name] = res
-        minus_all.extend(split.minus)
-        plus_all.extend(split.plus)
+        for sings, results in ((split.minus, minus), (split.plus, plus)):
+            for sing in sings:
+                res = index_tangential(scenario.field_spec, bpatch, sing)
+                if res.residual > tol["integer"]:
+                    failures.append(f"tangential index residual of {sing.name} is "
+                                    f"{res.residual:.2e}")
+                results.append(res)
 
     sums = {"ind_v": sum(r.value for r in interior_results),
-            "ind_dminus": sum(tangential_results[s.name].value for s in minus_all),
-            "ind_dplus": sum(tangential_results[s.name].value for s in plus_all)}
+            "ind_dminus": sum(r.value for r in minus),
+            "ind_dplus": sum(r.value for r in plus)}
 
     def euler_integral(k):
         if n % 2:
@@ -134,8 +130,8 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
 
     indices = {
         "interior": [vars(r) for r in interior_results],
-        "tangential_minus": [vars(tangential_results[s.name]) for s in minus_all],
-        "tangential_plus": [vars(tangential_results[s.name]) for s in plus_all],
+        "tangential_minus": [vars(r) for r in minus],
+        "tangential_plus": [vars(r) for r in plus],
     }
     report = ScenarioReport(
         name=scenario.name, dimension=n, chi=scenario.chi, seed=scenario.seed,

@@ -165,8 +165,8 @@ class TrigScalar:
         return _make({(d, ()): coeff.numerator} if coeff else {}, coeff.denominator)
 
     @classmethod
-    def phi(cls, angle=1):
-        return _make({(0, ((angle, 1, 0, 0),)): 1}, 1)
+    def phi(cls):
+        return _make({(0, ((1, 1, 0, 0),)): 1}, 1)
 
     @classmethod
     def sin(cls, angle=1):

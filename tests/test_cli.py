@@ -1,11 +1,13 @@
 """Scenario configs, reports, and the command-line surface."""
 
+import contextlib
 import copy
 import csv
 import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,9 @@ _MALFORMED = {
     "metric-1x1": ("disk-constant", _set("patch", "metric", [["1"]])),
     "metric-asymmetric": ("disk-constant",
                           _set("patch", "metric", [["1", "0.5"], ["0", "r*r"]])),
+    "metric-infinite": ("disk-constant", _set("patch", "metric", 0, 0, "1e200*1e200")),
+    "metric-overflow-near-excluded-points": ("cap-radial",
+                                             _set("patch", "metric", 0, 0, "exp(1000)")),
     "embed-1-entry": ("disk-constant", _set("boundaries", 0, "embed", ["1"])),
     "outward-3-entries": ("disk-constant",
                           _set("boundaries", 0, "outward", ["1", "0", "0"])),
@@ -201,6 +206,48 @@ def test_load_scenario_raises_only_config_error(data):
         load_scenario(cfg)
     except ConfigError:
         pass
+
+
+# leaves that parse, so that runs get past the loader into the numeric track
+_NUMERIC = st.floats() | st.sampled_from(
+    ["0", "-1", "1e-300", "1e200*1e200", "r-r", "r*r-0.5", "1/(r-0.5)", "exp(1000)", "sin(t)"])
+_CATALOG_2D = sorted(name for name, cfg in _CATALOG.items() if cfg["dimension"] == 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_run_of_a_mutated_file_ends_in_an_exit_code(data):
+    """``lawcheck run --order 16`` on a 2-D catalog file with one leaf
+    replaced by an arbitrary JSON value, a number or an expression exits
+    0, 1 or 2 without a traceback, with one stderr line on exit 2."""
+    cfg = copy.deepcopy(_CATALOG[data.draw(st.sampled_from(_CATALOG_2D))])
+    leaves = [p for p, v in _nodes(cfg) if not isinstance(v, (dict, list))]
+    path = data.draw(st.sampled_from(leaves))
+    _parent(cfg, path)[path[-1]] = data.draw(_JSON | st.sampled_from(_DEEP) | _NUMERIC)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = os.path.join(tmp, "mutated.json")
+        with open(scenario, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--scenario", scenario, "--order", "16"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
+
+
+def test_duplicate_tangential_names_keep_their_indices():
+    """Tangential indices are kept per singularity, not per name: two
+    singularities both called west still give ind d-V = -1."""
+    cfg = load_catalog_raw("disk-double-vortex")
+    for sing in cfg["tangential_singularities"]:
+        sing["name"] = "west"
+    report = run_scenario(load_scenario(cfg))
+    assert report.passed, report.failures
+    assert report.sums["ind_dminus"] == -1
+    assert [r["name"] for r in report.indices["tangential_minus"]
+            + report.indices["tangential_plus"]] == ["west", "west"]
 
 
 def test_tangential_singularity_boundary_reference_checked():

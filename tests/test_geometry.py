@@ -6,6 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lawcheck.geometry import (
     BoundaryPatch,
@@ -13,6 +16,7 @@ from lawcheck.geometry import (
     Jet,
     RiemannianPatch,
     _frame_connection,
+    _cholesky_inverse,
     _GeometryCore,
     _orthonormal_rows,
     boundary_frame,
@@ -115,7 +119,7 @@ def test_frame_orthonormality_residual(point):
 def test_frame_rejects_degenerate_metric():
     bad = RiemannianPatch(2, [(-1, 1), (-1, 1)], lambda x: [[1, 0], [0, -1]])
     with pytest.raises(ValueError):
-        _GeometryCore(bad, [[0, 0]])
+        _GeometryCore(bad.metric_jets([[0, 0]]))
     with pytest.raises(ValueError):
         connection_curvature(bad, [0, 0])
 
@@ -128,9 +132,9 @@ def test_metric_symmetry_allows_round_off_only():
     written = lambda d: RiemannianPatch(
         2, [(0, 1), (0, 1)], lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
                                         [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]])
-    assert _GeometryCore(written(0.0), x).G.shape == (3, 2, 2)
+    assert _GeometryCore(written(0.0).metric_jets(x)).G.shape == (3, 2, 2)
     assert written(0.0).metric_values(x).shape == (3, 2, 2)
-    for make in (lambda p: _GeometryCore(p, x), lambda p: p.metric_values(x)):
+    for make in (lambda p: _GeometryCore(p.metric_jets(x)), lambda p: p.metric_values(x)):
         with pytest.raises(ConfigError, match=r"not symmetric at chart point \[0\.3, 0\.4\]"):
             make(written(1e-3))
 
@@ -213,7 +217,7 @@ def test_sphere_curvature_against_fd_oracle(point):
 def test_christoffels_match_fd_on_random_metric():
     patch = bumpy_patch(11)
     for pt in ([0.2, 0.3], [-0.5, 0.6]):
-        Gamma = _GeometryCore(patch, [pt]).Gamma[0]
+        Gamma = _GeometryCore(patch.metric_jets([pt])).Gamma[0]
         assert np.max(np.abs(Gamma - _fd_christoffels(patch, pt))) < 1e-7
 
 
@@ -288,7 +292,7 @@ def test_second_bianchi_numeric_spot_check():
 
 def test_riemann_symmetries_random_metric():
     patch = bumpy_patch(23)
-    R = _GeometryCore(patch, [[0.1, 0.2]]).riemann[0]
+    R = _GeometryCore(patch.metric_jets([[0.1, 0.2]])).riemann[0]
     assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) < 1e-12
     assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
     assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-12
@@ -319,8 +323,8 @@ def test_contractions_match_einsum_transcription(n):
     rng = np.random.default_rng(n)
     points = rng.uniform(-0.9, 0.9, size=(5, n))
     patch = wavy_patch(n, seed=n)
-    core = _GeometryCore(patch, points)
-    G, dG, d2G = patch.metric_jets(points)
+    core = _GeometryCore(patch.metric_jets(points))
+    G, dG, d2G = patch.metric_jets(points)[:3]
     low = 0.5 * (np.einsum("...ijl->...lij", dG) + np.einsum("...jil->...lij", dG)
                  - np.einsum("...lij->...lij", dG))
     Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
@@ -399,6 +403,61 @@ def test_degenerate_frame_names_the_first_dependent_node():
     with pytest.raises(ConfigError, match=r"linearly dependent at point \[2.0\]"):
         _orthonormal_rows(np.tile(np.eye(2), (4, 1, 1)), np.zeros((4, 1, 2, 2)), V,
                           np.zeros((4, 1, 2, 2)), points)
+
+
+@st.composite
+def _cholesky_batches(draw):
+    """A batch of symmetric r x r matrices A A^T + I (r = 2..4), some nodes
+    made indefinite (a negated diagonal entry), singular (a zero row and
+    column), NaN or +-inf (a symmetric pair of entries), and a pivot floor."""
+    r, count = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    A = draw(arrays(np.float64, (count, r, r), elements=st.floats(-2, 2)))
+    M = A @ A.swapaxes(1, 2) + np.eye(r)
+    kinds = ["good", "indefinite", "singular", "nan", "inf", "-inf"]
+    for k in range(count):
+        kind = draw(st.sampled_from(kinds))
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        if kind == "indefinite":
+            M[k, i, i] *= -1.0
+        elif kind == "singular":
+            M[k, i, :] = M[k, :, i] = 0.0
+        elif kind != "good":
+            M[k, i, j] = M[k, j, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return M, draw(st.sampled_from([0.0, 1e-14]))
+
+
+def _lapack_rejects(M, floor):
+    """Oracle: LAPACK's Cholesky fails on M, or a pivot L_jj^2 of its factor
+    is not finite or is <= floor."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return True
+    pivots = np.diagonal(L) ** 2
+    return not (np.isfinite(pivots).all() and (pivots > floor).all())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cholesky_batches())
+def test_cholesky_inverse_matches_lapack(batch):
+    """L^-1 and diag(L) equal LAPACK's on the nodes it accepts, and a batch
+    raises at the first node that LAPACK rejects or whose pivot is at or
+    below the floor."""
+    M, floor = batch
+    points = np.arange(len(M), dtype=float)[:, None]
+    with np.errstate(all="ignore"):  # LAPACK's oracle on inf and NaN nodes
+        rejected = np.array([_lapack_rejects(m, floor) for m in M])
+    good = M[~rejected]
+    inv, diag = _cholesky_inverse(good, points[~rejected], floor, "bad at")
+    for k, m in enumerate(good):
+        L = np.linalg.cholesky(m)
+        want = np.linalg.inv(L)
+        assert np.max(np.abs(inv[k] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(diag[k] - np.diagonal(L))) <= 1e-13 * np.max(np.abs(L))
+    if rejected.any():
+        first = int(np.argmax(rejected))
+        with pytest.raises(ConfigError, match=rf"^bad at \[{first}\.0\]$"):
+            _cholesky_inverse(M, points, floor, "bad at")
 
 
 # -- Euler density ----------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_section_tuple_shares_frames_and_matches_single_calls():
 def _permuted(grid, seed):
     order = np.random.default_rng(seed).permutation(len(grid))
     return QuadratureGrid(nodes=grid.nodes[order], weights=grid.weights[order],
-                          box=grid.box, orders=grid.orders)
+                          orders=grid.orders)
 
 
 def test_node_order_does_not_change_integrals():
@@ -261,7 +261,7 @@ def test_node_order_does_not_change_integrals():
 
 def _one_node(grid, k):
     return QuadratureGrid(nodes=grid.nodes[k:k + 1], weights=grid.weights[k:k + 1],
-                          box=grid.box, orders=grid.orders)
+                          orders=grid.orders)
 
 
 def test_chunk_seams_do_not_change_densities(monkeypatch):
