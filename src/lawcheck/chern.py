@@ -388,7 +388,8 @@ class BoundaryFamily:
     n: int
     coeffs: CoeffFunctions
     phi_m: dict            # (i, j) -> Form on the boundary algebra
-    upsilon: Form          # interior product of the specialized secondary form
+    phi: Form              # the secondary form specialized to the boundary
+    upsilon: Form          # its interior product
     gamma: Form            # transgression primitive, degree n - 2
 
 
@@ -399,11 +400,11 @@ def boundary_family(n: int) -> BoundaryFamily:
     coeffs = coeff_functions(n)
     phi_m = {(i, j): boundary_form(n, i, j) for (i, j) in region_d1(n)}
     inv_norm = phi_normalization(n)
-    upsilon = specialize_boundary(build_phi(n).phi).interior_dphi()
+    phi = specialize_boundary(build_phi(n).phi)
     gamma = Form.zero(n, boundary=True)
     for (i, j), fm in phi_m.items():
         gamma = gamma + fm.scale(coeffs.A(i, j) * inv_norm)
-    return BoundaryFamily(n, coeffs, phi_m, upsilon, gamma)
+    return BoundaryFamily(n, coeffs, phi_m, phi, phi.interior_dphi(), gamma)
 
 
 def build_upsilon_and_check(n: int) -> Form:
@@ -419,15 +420,13 @@ def build_upsilon_and_check(n: int) -> Form:
 def build_gamma_and_check(n: int) -> Form:
     """Residual of d(Gamma) = Phi - (Phi at angle 0) on the boundary algebra."""
     fam = boundary_family(n)
-    phi_b = specialize_boundary(build_phi(n).phi)
-    return fam.gamma.d() - (phi_b - phi_b.evaluate_at_zero())
+    return fam.gamma.d() - (fam.phi - fam.phi.evaluate_at_zero())
 
 
 def check_boundary_closure(n: int) -> Form:
     """d of the specialized secondary form, after imposing the boundary
     dimension on semibasic monomials; contract: zero."""
-    phi_b = specialize_boundary(build_phi(n).phi)
-    return phi_b.d().base_degree_filter(n - 1)
+    return boundary_family(n).phi.d().base_degree_filter(n - 1)
 
 
 # -- frame-rotation invariance --------------------------------------------------

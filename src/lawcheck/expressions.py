@@ -10,7 +10,8 @@ once per call by the operation a tree walk would run, so values are
 bit-identical.  A numpy fault on arrays is located by re-evaluating node by
 node in Python floats, so the ConfigError names the first failing node and,
 in it, the first failing entry (the one that emitted the first faulting
-instruction), with Python's own message.
+instruction), with Python's own message; with no node, none fails, and every
+entry comes back with zero nodes.
 """
 
 from __future__ import annotations
@@ -175,10 +176,12 @@ def _first_fault(fn, env):
     ConfigError.  The re-run defines the error rather than searching for it:
     Python floats decide which node fails and with what message, and numpy's
     array faults differ from theirs (1e200 * 1e200 overflows in numpy and is
-    inf in Python)."""
+    inf in Python).  Returns the node shape when no node fails."""
     values = np.broadcast_arrays(*[v.v if isinstance(v, Jet) else v for v in env])
-    for k in np.ndindex(values[0].shape if values else ()):
+    shape = values[0].shape if values else ()
+    for k in np.ndindex(shape):
         fn([float(v[k]) for v in values])
+    return shape
 
 
 def compile_vector(texts, params):
@@ -206,7 +209,9 @@ def compile_vector(texts, params):
             if all(type(v) in (int, float) for v in env):
                 raise ConfigError(f"expression {texts[owner[len(values)]]!r} fails at "
                                   f"{list(map(float, env))}: {exc}") from None
-        _first_fault(fn, env)
+        shape = _first_fault(fn, env)
+        if 0 in shape:  # no node, so no node fails, constants included
+            return [np.zeros(shape) for _ in outputs]
         values = []
         with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
             _run(program, env, values)
@@ -223,7 +228,6 @@ def compile_expression(text, params):
     def fn(env):
         return vector(env)[0]
 
-    fn.source = str(text)
     return fn
 
 

@@ -48,7 +48,6 @@ class InteriorSingularity:
     name: str
     ambient: list            # location in ambient coordinates, for exclusions
     exclusion_radius: float
-    chart_params: list       # parameter names of the index chart
     center: list             # singular point in index-chart coordinates
     radius: float
     chart_field: object      # callable jets -> components on the index chart
@@ -91,13 +90,12 @@ class BoundarySplit:
 
 # -- interior indices ---------------------------------------------------------
 
-def index_at(sing: InteriorSingularity, radius=None, order=None) -> IndexResult:
-    """Mapping degree of the field direction over a small chart sphere."""
+def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
+    """Mapping degree of the field direction over a small chart sphere, by a
+    rule of ``order`` nodes per circle (2-D) or per colatitude (3-D)."""
     r = float(radius if radius is not None else sing.radius)
     dim = len(sing.center)
     if dim == 2:
-        order = order or 192
-
         def map_fn(t):
             nodes = t[:, None]
             (theta,) = Jet.variables(nodes)
@@ -106,8 +104,6 @@ def index_at(sing: InteriorSingularity, radius=None, order=None) -> IndexResult:
 
         raw = degree_integral_circle(map_fn, order=order)
     elif dim == 3:
-        order = order or 48
-
         def map_fn(nodes):
             a, b = Jet.variables(nodes)
             x = [sing.center[0] + r * a.sin() * b.cos(),
@@ -137,15 +133,13 @@ def _degree_index(name, raw, what):
 def _field_frame_components(bpatch, components, t):
     """Values s[A] (N, n) and t-gradients ds[i,A] (N, m, n) of <V, e_A> at the
     boundary nodes t (N, m), in the frame of ``adapted_frame`` (no connection
-    or curvature) with its last vector multiplied by ``orientation``: indices
-    are insensitive to the ambient orientation but the winding loop must
-    match the frame."""
+    or curvature).  Its tangential vectors follow the boundary chart, with no
+    sign applied, so the winding loop and the sign count run in the chart
+    that defines them: reversing the chart reverses both, and an index does
+    not change."""
     bf, _, _ = adapted_frame(bpatch, t)
     V, dV = stack_jets(components(bf.x_jets), t, 1)
-    s, ds = metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
-    s[:, -1] *= bf.orientation
-    ds[:, :, -1] *= bf.orientation[:, None]
-    return s, ds
+    return metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
 
 
 def _sample_points(box, count):
@@ -241,9 +235,9 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
                      sing: TangentialSingularity, order=192) -> IndexResult:
     """Index of the tangential projection at a declared boundary singularity.
 
-    Indices are orientation-free: reversing the boundary orientation flips
-    both the loop direction and the frame, which cancels, so the chart
-    parametrization is used as-is.
+    Indices do not depend on the boundary chart: reversing it flips both the
+    loop direction and the frame, which cancels, so the chart parametrization
+    is used as-is.
     """
     r = float(sing.radius)
     m = bpatch.m
@@ -288,8 +282,6 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
         for c, rad in exclusions:
             keep &= ~(np.linalg.norm(amb - c, axis=1) < rad)
         x = x[keep]
-        if not len(x):  # every point excluded: no point to name in a fault
-            return
         (V,) = stack_jets(field_spec.components(list(x.T)), x, 0)
         G = patch.metric_values(x)
         norm = np.sqrt(np.maximum(0.0, (V[:, None] @ G @ V[..., None])[:, 0, 0]))

@@ -15,7 +15,9 @@ curvature values keep chern's template layout omega[:, A, B, i].  Finite
 differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
-patches; curvature uses nabla e_A = sum_B omega(A,B) e_B and
+patches; no sign is applied to them, as Phi is odd in e_n just as the measure
+is odd in the boundary chart (see ``adapted_frame``).  Curvature uses
+nabla e_A = sum_B omega(A,B) e_B and
 Omega(A,B) = d omega(A,B) - sum_C omega(A,C) omega(C,B), under which the
 round 2-sphere has Omega(1,2)(e_1, e_2) = -1 and the Euler density still
 integrates to chi.
@@ -419,7 +421,6 @@ class BoundaryFrame:
     dnormal: np.ndarray            # dnormal[i,k]
     frame: np.ndarray              # adapted frame rows e_A
     dframe: np.ndarray             # dframe[i,A,k] = d e_A^k / d t_i
-    orientation: np.ndarray        # sign of det[e_1 | dx/dt_1 | ...]
     omega: np.ndarray = None       # omega[A,B,i] on boundary coordinate directions
     curvature: np.ndarray = None   # curvature[A,B,i,j] on boundary bivectors
 
@@ -428,9 +429,11 @@ def adapted_frame(bpatch, t):
     """Adapted orthonormal frames at the boundary nodes t (N, m), outward
     normal first, without connection or curvature; returns the BoundaryFrame,
     the pushforward dx[:, i, k] = d x^k / d t_i and the parent metric jets.
-    Gram-Schmidt keeps the sign of det[outward | dx]; flipping the last vector
-    where ``orientation`` is -1 orients the frame positively in the ambient
-    chart, as the secondary-form template presumes."""
+    The frame is Gram-Schmidt on (outward, dx/dt_1, ..., dx/dt_m): E = L^-1 V
+    with diag(L) > 0, so det E has the sign of det[outward | dx].  Every
+    monomial of Phi holds the frame index n once, so Phi changes sign with
+    e_n just as the measure dt does with the chart: Phi on E is already the
+    integrand of the outward-first boundary, and no sign is applied."""
     t = np.asarray(t, dtype=float)
     N, m = t.shape
     x_jets = bpatch.embed_jets(t)
@@ -441,13 +444,8 @@ def adapted_frame(bpatch, t):
     outward, doutward = stack_jets(bpatch.outward_jets(t), t, 1)
     E, dE = _orthonormal_rows(G, dG, np.concatenate([outward[:, None], dx], axis=1),
                               np.concatenate([doutward[:, :, None], d2x], axis=2), t)
-    normal, dnormal = E[:, 0].copy(), dE[:, :, 0].copy()
-    orientation = np.sign(np.linalg.det(np.concatenate([normal[:, None], dx], axis=1)))
-    E[:, -1] *= orientation[:, None]
-    dE[:, :, -1] *= orientation[:, None, None]
-    return (BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=normal,
-                          dnormal=dnormal, frame=E, dframe=dE, orientation=orientation),
-            dx, jets)
+    return (BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=E[:, 0],
+                          dnormal=dE[:, :, 0], frame=E, dframe=dE), dx, jets)
 
 
 def boundary_frame(bpatch, t, frame_twist=None):

@@ -186,7 +186,7 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
         bf = boundary_frame(bpatch, t, frame_twist)
         bound = [pull.bind(t, bf) for pull in pulls]
         dens = [evaluate_template(tpl, *b[:4]) for b in bound]
-        parts.append(np.array([[grid.weights[c] * d * bf.orientation, d,
+        parts.append(np.array([[grid.weights[c] * d, d,
                                 b[4]["angle"], b[4]["v_dot_n"]]
                                for d, b in zip(dens, bound)]))
     weighted, dens, angle, v_dot_n = np.concatenate(parts, axis=2).transpose(1, 0, 2)
@@ -241,7 +241,7 @@ def _norm2(w, where):
     return norm2
 
 
-def degree_integral_circle(map_fn, order=256):
+def degree_integral_circle(map_fn, order):
     """Degree of a nonvanishing plane-valued map over [0, 2pi): ``map_fn(t)``
     takes node angles t (N,) and returns w (N, 2) and dw (N, 1, 2), and
     (w1 w2' - w2 w1') / |w|^2 is integrated."""
@@ -255,7 +255,7 @@ def degree_integral_circle(map_fn, order=256):
     return _quadrature(grid, weighted) / (2 * math.pi)
 
 
-def degree_integral_sphere(map_fn, order=48):
+def degree_integral_sphere(map_fn, order):
     """Degree of a nonvanishing space-valued map over the (colat, lon) box:
     ``map_fn(nodes)`` takes nodes (N, 2) and returns w (N, 3) and dw (N, 2, 3),
     and det[w, dw] / |w|^3 is integrated."""

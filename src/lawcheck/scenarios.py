@@ -103,7 +103,6 @@ class Scenario:
     name: str
     dimension: int
     chi: int
-    description: str
     seed: int
     patch: RiemannianPatch
     boundaries: list
@@ -195,7 +194,6 @@ def _load(cfg):
             ambient=ambient,
             exclusion_radius=_positive(_require(sc, "exclusion_radius", "singularity"),
                                        f"exclusion_radius of {sname}"),
-            chart_params=chart_params,
             center=_finite_list(_require(sc, "center", "singularity"), n,
                                 f"center of {sname}"),
             radius=radius,
@@ -236,9 +234,9 @@ def _load(cfg):
     def order(key):
         return _integer(orders.get(key, defaults[f"{key}_order"]), f"{key} order", 1)
 
+    _text(cfg.get("description", ""), "description")
     return Scenario(
         name=name, dimension=n, chi=chi,
-        description=_text(cfg.get("description", ""), "description"),
         seed=_integer(cfg.get("seed", 0), "seed"),
         patch=patch, boundaries=boundaries, field_spec=field_spec,
         expected=expected,

@@ -122,6 +122,7 @@ _MALFORMED = {
     "chi-fraction": ("disk-constant", _set("chi", 1.5)),
     "expected-fraction": ("disk-constant", _set("expected", "ind_v", 0.5)),
     "name-not-string": ("disk-constant", _set("name", None)),
+    "description-not-string": ("disk-constant", _set("description", 5)),
     "patch-box-reversed": ("disk-constant", _set("patch", "box", [[1, 0], [0, "2*pi"]])),
     "patch-box-empty-interval": ("disk-constant",
                                  _set("patch", "box", [[0.5, 0.5], [0, "2*pi"]])),
@@ -330,7 +331,7 @@ def test_degree_order_reaches_3d_indices():
     [sing] = scenario.field_spec.interior
     assert report.quadrature["degree_order"] == 6
     assert report.indices["interior"][0]["raw"] == index_at(sing, order=6).raw
-    assert report.indices["interior"][0]["raw"] != index_at(sing).raw
+    assert report.indices["interior"][0]["raw"] != index_at(sing, order=48).raw
 
 
 def test_suite_empty_filter_matches_nothing():

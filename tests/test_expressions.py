@@ -16,7 +16,7 @@ from lawcheck.expressions import (
     compile_matrix,
     compile_vector,
 )
-from lawcheck.geometry import ConfigError, Jet
+from lawcheck.geometry import ConfigError, Jet, stack_jets
 
 
 def ev(text, params=(), env=()):
@@ -91,11 +91,6 @@ def test_vector_and_matrix_compilation():
     assert m([2.0]) == [[1.0, 0.0], [0.0, 4.0]]
 
 
-def test_source_is_retained():
-    f = compile_expression("x + 1", ["x"])
-    assert f.source == "x + 1"
-
-
 # -- arrays against Python floats -------------------------------------------------
 
 _LEAVES = st.sampled_from(["x", "y", "pi", "0", "0.5", "2", "3e2", "1e200"])
@@ -136,6 +131,21 @@ def test_arrays_agree_with_python_floats(text, points):
         else:
             got = np.broadcast_to(fn(env), len(points))
             np.testing.assert_allclose(got, [fn(p) for p in points], rtol=1e-14)
+
+
+def test_empty_node_batch_has_no_failing_node():
+    """With no node no node fails: every entry comes back with zero nodes,
+    a constant that fails under Python floats included, while one node
+    names the fault."""
+    fn = compile_expression("exp(1000)+x", ["x"])
+    assert fn([np.zeros(0)]).shape == (0,)
+    with pytest.raises(ConfigError, match=r"fails at \[0\.0\]: math range error"):
+        fn([np.zeros(2)])
+    vector = compile_vector(["exp(1000)", "1/0", "x"], ["x"])
+    assert [v.shape for v in vector([np.zeros(0)])] == [(0,)] * 3
+    nodes = np.zeros((0, 1))
+    values, grads = stack_jets(vector(Jet.variables(nodes)), nodes, 1)
+    assert values.shape == (0, 3) and grads.shape == (0, 1, 3)
 
 
 # -- shared subexpressions --------------------------------------------------------

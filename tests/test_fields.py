@@ -24,7 +24,7 @@ from lawcheck.scenarios import load_catalog_scenario
 def sing2(field, name="s", center=(0, 0), radius=0.2):
     return InteriorSingularity(name=name, ambient=list(center),
                                exclusion_radius=2 * radius,
-                               chart_params=["x", "y"], center=list(center),
+                               center=list(center),
                                radius=radius, chart_field=field)
 
 
@@ -48,21 +48,21 @@ CONSTANT_POLAR = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
 # -- interior indices -----------------------------------------------------------
 
 def test_identity_field_has_index_one():
-    assert index_at(sing2(lambda x: [x[0], x[1]])).value == 1
+    assert index_at(sing2(lambda x: [x[0], x[1]]), order=192).value == 1
 
 
 def test_antipodal_3d_has_index_minus_one():
     s = InteriorSingularity(name="a", ambient=[0, 0, 0], exclusion_radius=0.4,
-                            chart_params=["x", "y", "z"], center=[0, 0, 0],
+                            center=[0, 0, 0],
                             radius=0.2,
                             chart_field=lambda x: [-1.0 * x[0], -1.0 * x[1],
                                                    -1.0 * x[2]])
-    assert index_at(s).value == -1
+    assert index_at(s, order=48).value == -1
 
 
 def test_doubled_angle_field_against_winding_oracle():
     field = lambda x: [x[0] * x[0] - x[1] * x[1], 2.0 * x[0] * x[1]]
-    res = index_at(sing2(field))
+    res = index_at(sing2(field), order=192)
     # independent oracle: accumulate the angle of the field over the circle
     samples = 10_000
     total = 0.0
@@ -87,17 +87,17 @@ def test_doubled_angle_field_against_winding_oracle():
 def test_index_invariant_under_radius_halving_and_rescaling():
     field = lambda x: [x[0] * x[0] - x[1] * x[1], 2.0 * x[0] * x[1]]
     s = sing2(field)
-    full = index_at(s)
-    half = index_at(s, radius=s.radius / 2)
+    full = index_at(s, order=192)
+    half = index_at(s, order=192, radius=s.radius / 2)
     assert full.value == half.value
     scaled = sing2(lambda x: [7.0 * c for c in field(x)])
-    assert index_at(scaled).value == full.value
+    assert index_at(scaled, order=192).value == full.value
 
 
 def test_index_error_on_vanishing_field():
     vanishing = sing2(lambda x: [x[0] * 0.0, x[1] * 0.0])
     with pytest.raises(GenericityError):
-        index_at(vanishing)
+        index_at(vanishing, order=192)
 
 
 def test_index_error_on_non_integer_residual():
@@ -116,10 +116,10 @@ def test_non_finite_degree_is_a_genericity_error(raw):
 
 def test_index_unsupported_dimension():
     s = InteriorSingularity(name="bad", ambient=[0], exclusion_radius=0.1,
-                            chart_params=["x"], center=[0], radius=0.1,
+                            center=[0], radius=0.1,
                             chart_field=lambda x: [x[0]])
     with pytest.raises(ValueError):
-        index_at(s)
+        index_at(s, order=192)
 
 
 # -- boundary decomposition -------------------------------------------------------
@@ -255,7 +255,7 @@ def test_interior_sampling_respects_exclusions():
         components=lambda x: [0.0 * x[0], 1.0 + 0 * x[0]], margin=1e-2,
         interior=[InteriorSingularity(
             name="center", ambient=[0, 0], exclusion_radius=0.3,
-            chart_params=["x", "y"], center=[0, 0], radius=0.15,
+            center=[0, 0], radius=0.15,
             chart_field=lambda x: [-1.0 * x[1], x[0]])])
     check_interior_nonvanishing(patch, spec)
 
@@ -284,4 +284,4 @@ def test_scenario_radius_defaulting():
     sc = load_scenario(cfg)
     # center of the unit disk: boundary at distance 1 does not bind the cap
     assert sc.field_spec.interior[0].radius == pytest.approx(0.1)
-    assert index_at(sc.field_spec.interior[0]).value == 1
+    assert index_at(sc.field_spec.interior[0], order=sc.degree_order).value == 1

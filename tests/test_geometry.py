@@ -26,6 +26,8 @@ from lawcheck.geometry import (
     jet_sin,
 )
 
+from test_integrate import disk_rim
+
 
 # -- fixtures ----------------------------------------------------------------
 
@@ -523,7 +525,8 @@ def test_boundary_frame_outward_normal_first():
     bf = frame_at(disk_boundary(), [1.2])
     assert np.allclose(bf.frame[0], [1.0, 0.0])
     assert abs(bf.frame @ bf.metric @ bf.frame.T - np.eye(2)).max() < 1e-12
-    assert bf.orientation == 1.0
+    assert np.linalg.det(frame_at(disk_rim(), [1.2]).frame) > 0
+    assert np.linalg.det(frame_at(disk_rim(reverse=True), [1.2]).frame) < 0
     # geodesic curvature of the unit circle in the adapted frame
     assert bf.omega[0, 1, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -576,7 +579,16 @@ def sphere_twist(t_jets):
     return [[1.0, 0.0, 0.0], [0.0, c, -1.0 * s], [0.0, s, c]]
 
 
-@pytest.mark.parametrize("oriented", [True, False])
+def reversed_rim(bpatch):
+    """``bpatch`` traversed backwards along its first parameter."""
+    (lo, hi), *rest = bpatch.box
+    back = lambda t: [-t[0], *t[1:]]
+    return BoundaryPatch(bpatch.parent, [(-hi, -lo), *rest],
+                         embed=lambda t: bpatch._embed(back(t)),
+                         outward=lambda t: bpatch._outward(back(t)))
+
+
+@pytest.mark.parametrize("reverse", [True, False])
 @pytest.mark.parametrize("rim, t, twist", [
     (wavy_disk_rim, [1.2], None),
     (wavy_disk_rim, [4.0], None),
@@ -585,20 +597,17 @@ def sphere_twist(t_jets):
     (wavy_ball3_sphere, [1.1, 0.7], sphere_twist),
 ], ids=["disk", "disk-back", "cap", "ball3", "ball3-twisted"])
 def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
-                                                              oriented):
-    """With ``oriented`` False the last frame vector is multiplied by the
-    orientation, giving the parameter-aligned frame the tangential indices
-    read (see ``fields._field_frame_components``)."""
+                                                              reverse):
+    """With ``reverse`` the rim runs backwards, so its frames have det < 0,
+    as on the inner circle of an annulus; no sign is applied to them."""
     def frame(tt):
-        bf = frame_at(bpatch, tt, frame_twist=twist)
-        if not oriented:
-            bf.frame[-1] *= bf.orientation
-            bf.dframe[:, -1] *= bf.orientation
-        return bf
+        return frame_at(bpatch, tt, frame_twist=twist)
 
-    bpatch = rim()
+    bpatch = reversed_rim(rim()) if reverse else rim()
+    t = np.array([-t[0], *t[1:]] if reverse else t)
     bf = frame(t)
     assert abs(bf.frame @ bf.metric @ bf.frame.T - np.eye(len(t) + 1)).max() < 1e-12
+    assert np.sign(np.linalg.det(bf.frame)) == (-1 if reverse else 1)
     h = 1e-5
     for i in range(bpatch.m):
         step = h * np.eye(bpatch.m)[i]
@@ -617,7 +626,6 @@ def test_boundary_frame_twist_rotates_frame_but_not_normal():
     plain = frame_at(bpatch, [1.1, 0.7])
     twisted = frame_at(bpatch, [1.1, 0.7], frame_twist=sphere_twist)
     assert np.array_equal(twisted.normal, plain.normal)
-    assert twisted.orientation == plain.orientation
     assert abs(twisted.frame @ twisted.metric @ twisted.frame.T
                - np.eye(3)).max() < 1e-12
     assert np.max(np.abs(twisted.frame[1:] - plain.frame[1:])) > 0.1
