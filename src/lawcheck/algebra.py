@@ -306,15 +306,14 @@ class Form:
                 deg += 1
         return deg
 
-    def base_degree_filter(self, max_degree=None):
-        """Drop monomials whose semibasic degree exceeds the boundary dimension."""
+    def base_degree_filter(self):
+        """Drop monomials whose semibasic degree exceeds the boundary
+        dimension n - 1."""
         if not self.boundary:
             raise ValueError("the semibasic filter lives on the boundary algebra")
-        if max_degree is None:
-            max_degree = self.n - 1
         res = Form(self.n, boundary=self.boundary)
         for mono, coeff in self.terms.items():
-            if self._base_degree(mono) <= max_degree:
+            if self._base_degree(mono) <= self.n - 1:
                 res.terms[mono] = coeff
         return res
 

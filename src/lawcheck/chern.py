@@ -426,7 +426,7 @@ def build_gamma_and_check(n: int) -> Form:
 def check_boundary_closure(n: int) -> Form:
     """d of the specialized secondary form, after imposing the boundary
     dimension on semibasic monomials; contract: zero."""
-    return boundary_family(n).phi.d().base_degree_filter(n - 1)
+    return boundary_family(n).phi.d().base_degree_filter()
 
 
 # -- frame-rotation invariance --------------------------------------------------

@@ -164,7 +164,7 @@ def _sample_in_point_order(check, points):
 
 
 def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
-                       boundary_index=0) -> BoundarySplit:
+                       boundary_index) -> BoundarySplit:
     """Classify declared tangential singularities and sample for genericity
     (256 points on a boundary curve, a 24 x 24 grid on a boundary surface).
 
@@ -232,8 +232,10 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
 
 
 def index_tangential(field_spec: VectorFieldSpec, bpatch,
-                     sing: TangentialSingularity, order=192) -> IndexResult:
-    """Index of the tangential projection at a declared boundary singularity.
+                     sing: TangentialSingularity, order) -> IndexResult:
+    """Index of the tangential projection at a declared boundary singularity;
+    on a two-dimensional boundary, a winding integral by a rule of ``order``
+    nodes.
 
     Indices do not depend on the boundary chart: reversing it flips both the
     loop direction and the frame, which cancels, so the chart parametrization

@@ -118,7 +118,8 @@ class SectionPullback:
 
         The frame components s_A = <W, e_A> and their gradients ds[i,A] come
         from first-order arrays; u = s / |W| and theta_A = du_A + u_B omega(B, A).
-        The profile values come back as ``{"angle", "v_dot_n"}``, one per node.
+        After the four template bindings come the profile values, the angle
+        between the section and the outward normal and <W, n>, one per node.
         """
         t = np.asarray(t, dtype=float)
         if self.section is None:
@@ -142,20 +143,23 @@ class SectionPullback:
         du = du.swapaxes(1, 2)
         theta = du + (u[:, None] @ frame.omega.reshape(u.shape + (-1,))).reshape(du.shape)
         u0 = u[:, 0]
-        extras = {
-            "angle": np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0),
-            "v_dot_n": (W[:, None] @ G @ frame.normal[..., None])[:, 0, 0],
-        }
-        return u, theta, frame.omega, frame.curvature, extras
+        angle = np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0)
+        v_dot_n = (W[:, None] @ G @ frame.normal[..., None])[:, 0, 0]
+        return u, theta, frame.omega, frame.curvature, angle, v_dot_n
 
 
 # -- the integrals -------------------------------------------------------------------
 
+def _node_values(grid, weighted):
+    """``weighted(nodes, weights)`` evaluated on each chunk of grid nodes and
+    joined along its last axis, the node axis."""
+    return np.concatenate([weighted(grid.nodes[c], grid.weights[c])
+                           for c in node_chunks(len(grid))], axis=-1)
+
+
 def _quadrature(grid, weighted):
-    """math.fsum of the per-node products ``weighted(nodes, weights)``, which
-    is evaluated on chunks of grid nodes."""
-    return math.fsum(np.concatenate([weighted(grid.nodes[c], grid.weights[c])
-                                     for c in node_chunks(len(grid))]).tolist())
+    """math.fsum of the per-node products ``weighted(nodes, weights)``."""
+    return math.fsum(_node_values(grid, weighted).tolist())
 
 
 def integrate_euler(patch, grid):
@@ -167,37 +171,27 @@ def integrate_euler(patch, grid):
     return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x))
 
 
-def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None,
-                               collect=None):
+def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
     """Integrals of the secondary form over sections of the boundary bundle.
 
     Each of ``sections`` is None for the outward normal or a callable mapping
     embedded chart jets to vector components; all of them are integrated
-    through the same boundary frames, and the integrals come back as a
-    tuple in the same order.  ``collect`` receives one profile row per node
-    when given, with a tuple of densities, angles and v_dot_n values, one per
-    section.
+    through the same boundary frames.  Returns ``(integrals, densities,
+    angles, v_dot_n)``: a tuple of integrals in the order of ``sections``,
+    then the integrand, the section's angle to the outward normal and <V, n>
+    as (len(sections), N) arrays over the grid nodes.
     """
     tpl = phi_template(bpatch.parent.n)
     pulls = [SectionPullback(s) for s in sections]
-    parts = []                     # per chunk: (n_sections, 4, nodes) arrays
-    for c in node_chunks(len(grid)):
-        t = grid.nodes[c]
+
+    def values(t, _weights):
         bf = boundary_frame(bpatch, t, frame_twist)
         bound = [pull.bind(t, bf) for pull in pulls]
-        dens = [evaluate_template(tpl, *b[:4]) for b in bound]
-        parts.append(np.array([[grid.weights[c] * d, d,
-                                b[4]["angle"], b[4]["v_dot_n"]]
-                               for d, b in zip(dens, bound)]))
-    weighted, dens, angle, v_dot_n = np.concatenate(parts, axis=2).transpose(1, 0, 2)
-    if collect is not None:
-        collect.extend(
-            {"t": t, "weight": w, "density": tuple(d), "angle": tuple(a),
-             "v_dot_n": tuple(v)}
-            for t, w, d, a, v in zip(grid.nodes.tolist(), grid.weights.tolist(),
-                                     dens.T.tolist(), angle.T.tolist(),
-                                     v_dot_n.T.tolist()))
-    return tuple(math.fsum(acc) for acc in weighted.tolist())
+        return np.array([[evaluate_template(tpl, *b[:4]), *b[4:]] for b in bound])
+
+    dens, angle, v_dot_n = _node_values(grid, values).transpose(1, 0, 2)
+    integrals = tuple(math.fsum(acc) for acc in (grid.weights * dens).tolist())
+    return integrals, dens, angle, v_dot_n
 
 
 def fiber_grid(n, order):

@@ -54,7 +54,8 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
         warnings.extend(split.warnings)
         for sings, results in ((split.minus, minus), (split.plus, plus)):
             for sing in sings:
-                res = index_tangential(scenario.field_spec, bpatch, sing)
+                res = index_tangential(scenario.field_spec, bpatch, sing,
+                                       order=scenario.degree_order)
                 if res.residual > tol["integer"]:
                     failures.append(f"tangential index residual of {sing.name} is "
                                     f"{res.residual:.2e}")
@@ -64,54 +65,42 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
             "ind_dminus": sum(r.value for r in minus),
             "ind_dplus": sum(r.value for r in plus)}
 
-    def euler_integral(k):
-        if n % 2:
-            return 0.0
-        return integrate_euler(scenario.patch,
-                               gauss_grid(scenario.patch.box, k))
-
-    def phi_integrals(k, collect_rows=False):
-        normal = 0.0
-        section = 0.0
-        profile = []
+    def integrals(k_interior, k_boundary):
+        """The three integrals at the given orders, and per boundary its grid
+        and the Phi integrand arrays of (normal, field)."""
+        omega_x = 0.0 if n % 2 else integrate_euler(
+            scenario.patch, gauss_grid(scenario.patch.box, k_interior))
+        values = {"omega_x": omega_x, "phi_normal": 0.0, "phi_section": 0.0}
+        arrays = []
         for bpatch in scenario.boundaries:
-            grid = gauss_grid(bpatch.box, k)
-            rows = [] if collect_rows else None
-            phi_n, phi_s = integrate_phi_over_section(
-                bpatch, (None, scenario.field_spec.components), grid,
-                collect=rows)
-            normal += phi_n
-            section += phi_s
-            for node, row in enumerate(rows or ()):
-                profile.append({
-                    "boundary": bpatch.name, "node": node, "t": row["t"],
-                    "weight": row["weight"],
-                    "density_normal": row["density"][0],
-                    "density_section": row["density"][1],
-                    "angle": row["angle"][1], "v_dot_n": row["v_dot_n"][1],
-                })
-        return normal, section, profile
+            grid = gauss_grid(bpatch.box, k_boundary)
+            (phi_n, phi_s), *integrand = integrate_phi_over_section(
+                bpatch, (None, scenario.field_spec.components), grid)
+            values["phi_normal"] += phi_n
+            values["phi_section"] += phi_s
+            arrays.append((bpatch.name, grid, *integrand))
+        return values, arrays
 
-    omega_x = euler_integral(interior_order)
-    omega_x2 = euler_integral(2 * interior_order)
-    phi_normal, phi_section, profile = phi_integrals(boundary_order,
-                                                     collect_rows=True)
-    phi_normal2, phi_section2, _ = phi_integrals(2 * boundary_order)
-
-    convergence = {
-        "omega_x": abs(omega_x2 - omega_x),
-        "phi_normal": abs(phi_normal2 - phi_normal),
-        "phi_section": abs(phi_section2 - phi_section),
-    }
+    values, arrays = integrals(interior_order, boundary_order)
+    doubled = integrals(2 * interior_order, 2 * boundary_order)[0]
+    convergence = {key: abs(doubled[key] - values[key]) for key in values}
     # a gate passes only when its value is <= the tolerance, so NaN fails it
     for key, delta in convergence.items():
         if not delta <= tol["convergence"]:
             failures.append(f"quadrature non-convergence: doubling the order "
                             f"moves {key} by {delta:.2e}")
+    # profile rows of the first order only: the Phi integrand at each node
+    profile = [
+        {"boundary": name, "node": node, "t": t, "weight": w,
+         "density_normal": d_n, "density_section": d_s, "angle": a, "v_dot_n": v}
+        for name, grid, dens, angle, v_dot_n in arrays
+        for node, (t, w, d_n, d_s, a, v) in enumerate(zip(
+            grid.nodes.tolist(), grid.weights.tolist(), *dens.tolist(),
+            angle[1].tolist(), v_dot_n[1].tolist()))]
 
     law_residual = sums["ind_v"] + sums["ind_dminus"] - scenario.chi
-    thm_residual = (phi_normal - phi_section) - sums["ind_dminus"]
-    gb_residual = omega_x + phi_normal - scenario.chi
+    thm_residual = (values["phi_normal"] - values["phi_section"]) - sums["ind_dminus"]
+    gb_residual = values["omega_x"] + values["phi_normal"] - scenario.chi
 
     if law_residual != 0:
         failures.append(f"law residual is {law_residual}, not 0")
@@ -136,9 +125,7 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
     report = ScenarioReport(
         name=scenario.name, dimension=n, chi=scenario.chi, seed=scenario.seed,
         indices=indices, sums=sums,
-        integrals={"omega_x": omega_x, "phi_normal": phi_normal,
-                   "phi_section": phi_section},
-        convergence=convergence,
+        integrals=values, convergence=convergence,
         residuals={"law": law_residual, "thm": thm_residual,
                    "gauss_bonnet": gb_residual},
         tolerances=dict(tol),

@@ -16,7 +16,8 @@ from importlib import resources
 import numpy as np
 
 from .expressions import ExpressionError, compile_expression, compile_matrix, compile_vector
-from .fields import InteriorSingularity, TangentialSingularity, VectorFieldSpec
+from .fields import (GenericityError, InteriorSingularity, TangentialSingularity,
+                     VectorFieldSpec, default_index_radius)
 from .geometry import BoundaryPatch, ConfigError, RiemannianPatch, grid_points, stack_jets
 
 
@@ -181,7 +182,6 @@ def _load(cfg):
         else:
             # default rule: half the distance to the nearest other
             # singularity or boundary point, capped at 0.1
-            from .fields import GenericityError, default_index_radius
             others = [_finite_list(o["ambient"], ambient_dim, "ambient")
                       for j, o in enumerate(sing_cfgs) if j != k]
             try:

@@ -53,3 +53,59 @@ def test_every_definition_has_a_caller_in_src():
     assert not dead, f"no caller in src/: {dead}"
     # an exemption lapses once src/ calls the function or it is deleted
     assert set(TEST_ENTRY_POINTS) <= set(uncalled)
+
+
+# -- dead defaults ----------------------------------------------------------------
+
+DEFAULT_ENTRY_POINTS = {
+    ("main", "argv"): "tests drive the command line in-process; the console "
+                      "script calls main() with no argument",
+    ("integrate_phi_over_section", "frame_twist"): "the SO(n)-invariance seam: "
+                                                   "tests rotate the boundary "
+                                                   "frame through it",
+}
+
+
+def _defaulted(fn):
+    """(position or None, name) of each parameter of ``fn`` with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(k, a.arg) for k, a in enumerate(positional) if k >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def test_every_default_is_set_by_a_caller_in_src():
+    """A defaulted parameter of a module-level function that no call in src/
+    sets, by position or by keyword, is a dead option: every caller gets the
+    default, so it belongs in the body."""
+    functions, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions += [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    set_by_call = set()
+    for call in calls:
+        name = _callee(call)
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        set_by_call.update((name, k) for k in range(len(call.args)))
+        set_by_call.update((name, kw.arg) for kw in call.keywords)
+        if starred or any(kw.arg is None for kw in call.keywords):
+            set_by_call.add((name, "*"))  # unpacked arguments may set any parameter
+    unset = {(fn.name, param) for fn in functions for pos, param in _defaulted(fn)
+             if not {(fn.name, pos), (fn.name, param), (fn.name, "*")} & set_by_call}
+    dead = sorted(f"{name}({param})" for name, param in unset - set(DEFAULT_ENTRY_POINTS))
+    assert not dead, f"defaults no caller in src/ sets: {dead}"
+    # an exemption lapses once src/ sets the parameter or it is gone
+    assert set(DEFAULT_ENTRY_POINTS) <= unset

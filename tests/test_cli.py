@@ -9,6 +9,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -420,8 +421,11 @@ def test_nan_integral_fails_its_gates(monkeypatch):
 
 
 def test_nan_section_integral_fails_the_boundary_identity(monkeypatch):
-    monkeypatch.setattr(runner, "integrate_phi_over_section",
-                        lambda *args, **kwargs: (math.nan, math.nan))
+    def nan_integrals(bpatch, sections, grid):
+        # NaN integrals beside finite densities, angles and v_dot_n arrays
+        return ((math.nan,) * len(sections), *np.zeros((3, len(sections), len(grid))))
+
+    monkeypatch.setattr(runner, "integrate_phi_over_section", nan_integrals)
     report = run_scenario(load_catalog_scenario("disk-constant"))
     assert not report.passed
     assert any("boundary-term identity residual nan" in f for f in report.failures)

@@ -133,9 +133,9 @@ def test_disk_constant_field_split_and_indices():
     split = boundary_decompose(spec, rim, 0)
     assert [s.name for s in split.minus] == ["west"]
     assert [s.name for s in split.plus] == ["east"]
-    west = index_tangential(spec, rim, split.minus[0])
+    west = index_tangential(spec, rim, split.minus[0], order=192)
     assert west.value == 1
-    east = index_tangential(spec, rim, split.plus[0])
+    east = index_tangential(spec, rim, split.plus[0], order=192)
     assert east.value == -1
 
 
@@ -182,7 +182,7 @@ def test_tangential_two_point_rule_needs_nonvanishing_tests():
         components=lambda x: [1.0 + 0.0 * x[0], 0.0 * x[0]],
         tangential=[TangentialSingularity("west", 0, [math.pi], 0.1)])
     with pytest.raises(GenericityError):
-        index_tangential(spec, disk_rim(), spec.tangential[0])
+        index_tangential(spec, disk_rim(), spec.tangential[0], order=192)
 
 
 @pytest.mark.parametrize("name", ["disk-saddle", "ball3-radial", "ball3-constant"])
@@ -202,9 +202,30 @@ def test_boundary_sweep_builds_no_connection_or_curvature(name, monkeypatch):
             geometry.boundary_frame(bpatch, np.asarray([bpatch.box])[:, :, 0] + 0.1)
         split = boundary_decompose(scenario.field_spec, bpatch, k)
         for sing in split.minus + split.plus:
-            index_tangential(scenario.field_spec, bpatch, sing)
+            index_tangential(scenario.field_spec, bpatch, sing,
+                             order=scenario.degree_order)
             indexed += 1
     assert indexed == len(scenario.field_spec.tangential)
+
+
+def test_tangential_indices_follow_the_degree_order():
+    """``orders.degree`` sets the tangential winding rule too: at order 8 each
+    tangential raw value of ball3-constant is its order-8 integral, which is
+    1 + 7.8e-5 where the order-192 rule gives 1 to round-off."""
+    from lawcheck.runner import run_scenario
+    from lawcheck.scenarios import load_catalog_raw, load_scenario
+
+    cfg = load_catalog_raw("ball3-constant")
+    cfg["orders"] = {"degree": 8}
+    scenario = load_scenario(cfg)
+    indices = run_scenario(scenario).indices
+    reported = {r["name"]: r["raw"]
+                for r in indices["tangential_minus"] + indices["tangential_plus"]}
+    expected = {s.name: index_tangential(scenario.field_spec, scenario.boundaries[0], s,
+                                         order=8).raw
+                for s in scenario.field_spec.tangential}
+    assert reported == expected and len(expected) == 2
+    assert reported["back"] == 1.0000784770111077
 
 
 # -- 3-dimensional boundary -------------------------------------------------------

@@ -191,7 +191,7 @@ def test_fiber_curvature_terms_vanish_at_flat_point():
 def test_disk_normal_section():
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
-    (normal,) = integrate_phi_over_section(rim, (None,), grid)
+    (normal,), *_ = integrate_phi_over_section(rim, (None,), grid)
     assert normal == pytest.approx(1.0, abs=1e-6)
 
 
@@ -199,7 +199,7 @@ def test_disk_constant_field_section():
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
     const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
-    (section,) = integrate_phi_over_section(rim, (const,), grid)
+    (section,), *_ = integrate_phi_over_section(rim, (const,), grid)
     assert section == pytest.approx(0.0, abs=1e-6)
 
 
@@ -208,8 +208,8 @@ def test_hemisphere_normal_section_and_euler():
     rim = cap_rim(math.pi / 2)
     assert integrate_euler(hemi, gauss_grid(hemi.box, 48)) == \
         pytest.approx(1.0, abs=1e-6)
-    (normal,) = integrate_phi_over_section(rim, (None,),
-                                           gauss_grid(rim.box, [64]))
+    (normal,), *_ = integrate_phi_over_section(rim, (None,),
+                                               gauss_grid(rim.box, [64]))
     assert normal == pytest.approx(0.0, abs=1e-6)
 
 
@@ -228,17 +228,15 @@ def test_section_tuple_shares_frames_and_matches_single_calls():
     rim = cap_rim(1.2)
     grid = gauss_grid(rim.box, [24])
     field = lambda x: [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)]
-    rows_n, rows_f, rows = [], [], []
-    normal = integrate_phi_over_section(rim, (None,), grid, collect=rows_n)
-    section = integrate_phi_over_section(rim, (field,), grid, collect=rows_f)
-    both = integrate_phi_over_section(rim, (None, field), grid, collect=rows)
+    normal, *arrays_n = integrate_phi_over_section(rim, (None,), grid)
+    section, *arrays_f = integrate_phi_over_section(rim, (field,), grid)
+    both, *arrays = integrate_phi_over_section(rim, (None, field), grid)
     assert both == normal + section
-    assert len(rows) == len(grid)
-    for row, rn, rf in zip(rows, rows_n, rows_f):
-        assert row["t"] == rn["t"] == rf["t"]
-        assert row["weight"] == rn["weight"]
-        for key in ("density", "angle", "v_dot_n"):
-            assert row[key] == rn[key] + rf[key]
+    # densities, angles and v_dot_n: one row per section, one column per node
+    for both_rows, (row_n,), (row_f,) in zip(arrays, arrays_n, arrays_f):
+        assert both_rows.shape == (2, len(grid))
+        assert np.array_equal(both_rows[0], row_n)
+        assert np.array_equal(both_rows[1], row_f)
 
 
 def _permuted(grid, seed):
@@ -255,8 +253,8 @@ def test_node_order_does_not_change_integrals():
     rim = saddle.boundaries[0]
     grid = gauss_grid(rim.box, 64)
     sections = (None, saddle.field_spec.components)
-    assert (integrate_phi_over_section(rim, sections, _permuted(grid, 2))
-            == integrate_phi_over_section(rim, sections, grid))
+    assert (integrate_phi_over_section(rim, sections, _permuted(grid, 2))[0]
+            == integrate_phi_over_section(rim, sections, grid)[0])
 
 
 def _one_node(grid, k):
@@ -266,8 +264,9 @@ def _one_node(grid, k):
 
 def test_chunk_seams_do_not_change_densities(monkeypatch):
     """On grids of 2 CHUNK + 1 nodes (three chunks, the last of one node)
-    every Euler and Phi density of the chunked path equals, bit for bit, the
-    density of the same node evaluated alone."""
+    every Euler density, and every Phi density, angle and v_dot_n, of the
+    chunked path equals, bit for bit, the value at the same node evaluated
+    alone."""
     scenario = load_catalog_scenario("hemisphere-tilted")
     patch, rim = scenario.patch, scenario.boundaries[0]
     grid = gauss_grid(patch.box, [2 * CHUNK + 1, 1])
@@ -282,12 +281,12 @@ def test_chunk_seams_do_not_change_densities(monkeypatch):
 
     grid = gauss_grid(rim.box, [2 * CHUNK + 1])
     sections = (None, scenario.field_spec.components)
-    rows = []
-    integrate_phi_over_section(rim, sections, grid, collect=rows)
-    for k, row in enumerate(rows):
-        one = []
-        integrate_phi_over_section(rim, sections, _one_node(grid, k), collect=one)
-        assert one[0] == row
+    _, *chunked = integrate_phi_over_section(rim, sections, grid)
+    assert [a.shape for a in chunked] == [(2, len(grid))] * 3
+    for k in range(len(grid)):
+        _, *alone = integrate_phi_over_section(rim, sections, _one_node(grid, k))
+        for a_chunked, a_alone in zip(chunked, alone):  # density, angle, v_dot_n
+            assert np.array_equal(a_chunked[:, k:k + 1], a_alone)
 
 
 def test_section_norm_guard():
@@ -304,15 +303,15 @@ def test_section_unit_residual():
     rim = disk_rim()
     pull = SectionPullback(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     for t in (0.3, 2.1, 5.5):
-        u, theta, omega, curv, extras = pull.bind([[t]], boundary_frame(rim, [[t]]))
+        u, theta, omega, curv, angle, v_dot_n = pull.bind([[t]], boundary_frame(rim, [[t]]))
         assert abs(float(np.dot(u[0], u[0])) - 1.0) < 1e-12
 
 
 def test_quadrature_convergence_on_doubling():
     rim = disk_rim()
     const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
-    (v64,) = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [64]))
-    (v128,) = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [128]))
+    (v64,), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [64]))
+    (v128,), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [128]))
     assert abs(v128 - v64) < 1e-8
 
 
@@ -322,8 +321,8 @@ def test_integral_is_parametrization_and_chart_invariant():
     # the ambient chart orientation -- as it must be, since it equals
     # chi - int Omega
     grid = gauss_grid([(0, 2 * math.pi)], [64])
-    (forward,) = integrate_phi_over_section(disk_rim(), (None,), grid)
-    (reparam,) = integrate_phi_over_section(disk_rim(reverse=True), (None,), grid)
+    (forward,), *_ = integrate_phi_over_section(disk_rim(), (None,), grid)
+    (reparam,), *_ = integrate_phi_over_section(disk_rim(reverse=True), (None,), grid)
     assert reparam == pytest.approx(forward, abs=1e-9)
 
     mirrored = RiemannianPatch(2, [(0, 2 * math.pi), (0, 1)],
@@ -331,7 +330,7 @@ def test_integral_is_parametrization_and_chart_invariant():
     rim = BoundaryPatch(mirrored, [(0, 2 * math.pi)],
                         embed=lambda t: [t[0], 1.0 + 0 * t[0]],
                         outward=lambda t: [0.0, 1.0])
-    (swapped,) = integrate_phi_over_section(rim, (None,), grid)
+    (swapped,), *_ = integrate_phi_over_section(rim, (None,), grid)
     assert swapped == pytest.approx(forward, abs=1e-9)
 
 
@@ -347,9 +346,9 @@ def test_frame_rotation_invariance_n2():
         return [[c, -1.0 * s], [s, c]]
 
     for section in (None, const):
-        (base,) = integrate_phi_over_section(rim, (section,), grid)
-        (rotated,) = integrate_phi_over_section(rim, (section,), grid,
-                                                frame_twist=twist)
+        (base,), *_ = integrate_phi_over_section(rim, (section,), grid)
+        (rotated,), *_ = integrate_phi_over_section(rim, (section,), grid,
+                                                    frame_twist=twist)
         assert abs(rotated - base) < 1e-8
 
 
@@ -369,8 +368,8 @@ def test_frame_rotation_invariance_n3():
         zero = t_jets[0] * 0.0
         return [[one, zero, zero], [zero, c, -1.0 * s], [zero, s, c]]
 
-    (base,) = integrate_phi_over_section(sph, (None,), grid)
-    (rotated,) = integrate_phi_over_section(sph, (None,), grid, frame_twist=twist)
+    (base,), *_ = integrate_phi_over_section(sph, (None,), grid)
+    (rotated,), *_ = integrate_phi_over_section(sph, (None,), grid, frame_twist=twist)
     assert abs(rotated - base) < 1e-8
 
 
@@ -447,15 +446,15 @@ def test_numeric_transgression_n2():
 
     a, b = 0.4, 2.7  # inside (0, pi): projection sign is -1 throughout
     grid = gauss_grid([(a, b)], [48])
-    section, normal = integrate_phi_over_section(rim, (const, None), grid)
+    (section, normal), *_ = integrate_phi_over_section(rim, (const, None), grid)
     lhs = section - normal
 
     pull = SectionPullback(const)
     angles = {}
     signs = {}
     for t in (a, b):
-        u, _theta, _w, _W, extras = pull.bind([[t]], boundary_frame(rim, [[t]]))
-        angles[t] = float(extras["angle"][0])
+        u, _theta, _w, _W, angle, _v_dot_n = pull.bind([[t]], boundary_frame(rim, [[t]]))
+        angles[t] = float(angle[0])
         signs[t] = math.copysign(1.0, u[0, 1])
     assert signs[a] == signs[b] == -1.0
     rhs = (signs[b] * gamma_coeff.to_float({1: angles[b]})
