@@ -80,12 +80,10 @@ class IndexResult:
 @dataclass
 class BoundarySplit:
     """Classification of the declared tangential singularities plus the
-    genericity evidence gathered while sampling the boundary."""
+    warnings raised while sampling the boundary."""
     minus: list              # TangentialSingularity in the inward region
     plus: list               # ... in the outward region
     warnings: list
-    min_field_norm: float
-    min_projection_norm: float
 
 
 # -- interior indices ---------------------------------------------------------
@@ -98,14 +96,14 @@ def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
     if dim == 2:
         def map_fn(t):
             nodes = t[:, None]
-            (theta,) = Jet.variables(nodes)
+            (theta,) = Jet.variables(nodes, 1)
             x = [sing.center[0] + r * theta.cos(), sing.center[1] + r * theta.sin()]
             return stack_jets(sing.chart_field(x), nodes, 1)
 
         raw = degree_integral_circle(map_fn, order=order)
     elif dim == 3:
         def map_fn(nodes):
-            a, b = Jet.variables(nodes)
+            a, b = Jet.variables(nodes, 1)
             x = [sing.center[0] + r * a.sin() * b.cos(),
                  sing.center[1] + r * a.sin() * b.sin(),
                  sing.center[2] + r * a.cos()]
@@ -175,7 +173,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
     """
     n = bpatch.parent.n
     declared = [s for s in field_spec.tangential if s.boundary == boundary_index]
-    warnings, norms, projs = [], [], []
+    warnings = []
 
     points = _sample_points(bpatch.box, 256 if n == 2 else 24)
     for s in declared:
@@ -204,8 +202,6 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
             warnings.append(f"boundary {boundary_index}: tangential projection degenerates in "
                             f"the outward region (normal-like field); outward indices are "
                             f"not meaningful")
-        norms.append(norm)
-        projs.append(proj)
 
     _sample_in_point_order(check, points)
 
@@ -226,9 +222,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
         else:
             raise GenericityError(f"tangential singularity {s.name} sits on the "
                                   f"inward/outward interface")
-    return BoundarySplit(minus=minus, plus=plus, warnings=warnings,
-                         min_field_norm=float(np.concatenate([[math.inf], *norms]).min()),
-                         min_projection_norm=float(np.concatenate([[math.inf], *projs]).min()))
+    return BoundarySplit(minus=minus, plus=plus, warnings=warnings)
 
 
 def index_tangential(field_spec: VectorFieldSpec, bpatch,

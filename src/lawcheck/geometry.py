@@ -3,11 +3,12 @@
 Every layer takes N chart (or boundary) points as an (N, dim) array and
 returns arrays with a leading node axis; quadratures pass their grids in
 chunks of CHUNK nodes, which bounds every array.  Differentiation is forward
-mode, truncated to second order: a Jet carries values (N,), gradients (N, m)
-and Hessians (N, m, m), so Christoffel symbols and curvature come out exact
-to roundoff.  Curvature is computed once, in coordinates, from the second
-metric derivatives.  The Euler density needs no frame; boundary frames carry
-values and first derivatives only, as nothing reads second ones.  Derivative
+mode, truncated Taylor arithmetic (Griewank & Walther 2008): a Jet carries
+values (N,), gradients (N, m) and, at second order only, Hessians (N, m, m).
+Only the metric (for curvature, computed once in coordinates, exact to
+roundoff) and the boundary embedding (for d2x) are second order.  The Euler
+density needs no frame; boundary frames carry values and first derivatives
+only, as nothing reads second ones.  Derivative
 arrays put the parameter axes right after the node axis (dG[:, i, k, l] =
 d_i g_kl), so a contraction is one stacked matmul (``@``) per node, each with
 its index formula in a comment, and no einsum is needed.  Connection and
@@ -15,8 +16,9 @@ curvature values keep chern's template layout omega[:, A, B, i].  Finite
 differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
-patches; no sign is applied to them, as Phi is odd in e_n just as the measure
-is odd in the boundary chart (see ``adapted_frame``).  Curvature uses
+patches, whatever outward vector the patch gives; no sign is applied to
+them, as Phi is odd in e_n just as the measure is odd in the boundary chart
+(see ``adapted_frame``).  Curvature uses
 nabla e_A = sum_B omega(A,B) e_B and
 Omega(A,B) = d omega(A,B) - sum_C omega(A,C) omega(C,B), under which the
 round 2-sphere has Omega(1,2)(e_1, e_2) = -1 and the Euler density still
@@ -43,7 +45,8 @@ def node_chunks(count):
 class Jet:
     """Values v (N,), gradients g (N, m) and Hessians h (N, m, m) of N nodes
     with respect to m chart parameters, or v (), g (m,), h (m, m) at one
-    point.  Built by ``variables``; plain numbers act as constants."""
+    point; h is None at first order, and in every result a first-order jet
+    takes part in.  Built by ``variables``; plain numbers act as constants."""
 
     __slots__ = ("v", "g", "h")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
@@ -52,24 +55,25 @@ class Jet:
         self.v, self.g, self.h = v, g, h
 
     @staticmethod
-    def variables(values):
-        """One Jet per parameter of the points ``values`` (..., m)."""
+    def variables(values, order):
+        """One Jet per parameter of the points ``values`` (..., m), of ``order`` 1 or 2."""
         x = np.asarray(values, dtype=float)
         m = x.shape[-1]
         eye = np.eye(m)
-        hess = np.zeros(x.shape + (m,))
+        hess = np.zeros(x.shape + (m,)) if order == 2 else None
         return [Jet(x[..., i].copy(),
                     np.broadcast_to(eye[i], x.shape), hess) for i in range(m)]
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+            h = None if self.h is None or other.h is None else self.h + other.h
+            return Jet(self.v + other.v, self.g + other.g, h)
         return Jet(self.v + other, self.g, self.h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.v, -self.g, -self.h)
+        return Jet(-self.v, -self.g, None if self.h is None else -self.h)
 
     def __sub__(self, other):
         return self + (-other)
@@ -78,20 +82,21 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            v1, v2 = self.v[..., None], other.v[..., None]
-            g1, g2 = self.g, other.g
+        if not isinstance(other, Jet):
+            return Jet(self.v * other, self.g * other, None if self.h is None else self.h * other)
+        v1, v2 = self.v[..., None], other.v[..., None]
+        g1, g2 = self.g, other.g
+        h = None
+        if self.h is not None and other.h is not None:
             outer = g1[..., :, None] * g2[..., None, :]
-            return Jet(self.v * other.v, g1 * v2 + g2 * v1,
-                       self.h * v2[..., None] + other.h * v1[..., None]
-                       + outer + outer.swapaxes(-1, -2))
-        return Jet(self.v * other, self.g * other, self.h * other)
+            h = self.h * v2[..., None] + other.h * v1[..., None] + outer + outer.swapaxes(-1, -2)
+        return Jet(self.v * other.v, g1 * v2 + g2 * v1, h)
 
     __rmul__ = __mul__
 
     def _reciprocal(self):
         x = self.v
-        return self._chain(1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3)
+        return self._chain(1.0 / x, -1.0 / x ** 2, None if self.h is None else 2.0 / x ** 3)
 
     def __truediv__(self, other):
         return self * (other._reciprocal() if isinstance(other, Jet) else 1.0 / other)
@@ -108,11 +113,11 @@ class Jet:
         return out
 
     def _chain(self, fv, d1, d2):
-        """f(self) from the values of f, f' and f'' at self.v."""
+        """f(self) from the values of f, f' and, at second order, f'' at self.v."""
         d1 = d1[..., None]
-        return Jet(fv, d1 * self.g,
-                   d1[..., None] * self.h
-                   + (d2[..., None] * self.g)[..., :, None] * self.g[..., None, :])
+        h = None if self.h is None else (
+            d1[..., None] * self.h + (d2[..., None] * self.g)[..., :, None] * self.g[..., None, :])
+        return Jet(fv, d1 * self.g, h)
 
     def sin(self):
         s, c = np.sin(self.v), np.cos(self.v)
@@ -145,6 +150,8 @@ def stack_jets(entries, nodes, order):
     out = [np.zeros((count,) + (m,) * d + (len(entries),)) for d in range(order + 1)]
     for i, e in enumerate(entries):
         if isinstance(e, Jet):
+            if order == 2 and e.h is None:
+                raise ValueError("a first-order jet has no Hessians to stack")
             for arr, part in zip(out, (e.v, e.g, e.h)):
                 arr[..., i] = part
         else:
@@ -231,7 +238,7 @@ class RiemannianPatch:
         L^-1 and diag(L) of its checked Cholesky factor L."""
         x = np.asarray(x, dtype=float)
         n = self.n
-        raw = self._metric(Jet.variables(x))
+        raw = self._metric(Jet.variables(x, 2))
         G, dG, d2G = stack_jets([e for row in raw for e in row], x, 2)
         G = G.reshape(-1, n, n)
         return (G, dG.reshape(-1, n, n, n), d2G.reshape(-1, n, n, n, n),
@@ -257,8 +264,9 @@ class BoundaryPatch:
 
     ``embed`` maps the n-1 boundary parameters into the parent chart and
     ``outward`` gives an outward-pointing vector there (parent-chart
-    components); the adapted frame normalizes it into e_1.  Both map the
-    parameter Jets of N boundary nodes to Jets or plain numbers.
+    components), not necessarily normal: e_1 of the adapted frame is the unit
+    normal on its side.  Both map the parameter Jets (or node arrays) of N
+    boundary nodes to Jets, node arrays or plain numbers.
     """
 
     def __init__(self, parent, box, embed, outward, name=""):
@@ -267,31 +275,12 @@ class BoundaryPatch:
         self.box = [tuple(map(float, b)) for b in box]
         if len(self.box) != self.m:
             raise ValueError("boundary box must have n-1 intervals")
-        self._embed = embed
-        self._outward = outward
+        self.embed = embed
+        self.outward = outward
         self.name = name
-
-    def embed_jets(self, t):
-        return self._embed(Jet.variables(t))
-
-    def outward_jets(self, t):
-        return self._outward(Jet.variables(t))
 
 
 # -- frames ---------------------------------------------------------------------
-
-@dataclass
-class FrameData:
-    frame: np.ndarray                      # rows are the frame vectors e_A
-    metric: np.ndarray
-    omega: np.ndarray                      # omega[A,B,i] on coordinate directions
-    curvature: np.ndarray                  # curvature[A,B,i,j] on coordinate bivectors
-
-    @property
-    def orthonormality_residual(self):
-        return float(np.max(np.abs(self.frame @ self.metric @ self.frame.T
-                                   - np.eye(len(self.frame)))))
-
 
 def metric_inner(G, dG, a, da, b, db):
     """<a_A, b> under the metric G for a stack of rows a_A, to first order.
@@ -371,25 +360,6 @@ def _frame_connection(core, E, dE, dx):
     return omega.transpose(0, 2, 3, 1), curv.reshape(N, n, m, n, m).transpose(0, 1, 3, 2, 4)
 
 
-def connection_curvature(patch, point):
-    """Frame, connection values and curvature values at one chart point.
-
-    The frame is Gram-Schmidt on the coordinate basis; omega[A,B,i] is its
-    connection form on the i-th coordinate direction and curvature[A,B,i,j]
-    the curvature form on the coordinate bivector (i, j), by the formula the
-    boundary frames use.
-    """
-    n = patch.n
-    core = _GeometryCore(patch.metric_jets([point]))
-    eye = np.eye(n)
-    E, dE = _orthonormal_rows(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), [point])
-    omega, curv = _frame_connection(core, E, dE, eye[None])
-    fd = FrameData(frame=E[0], metric=core.G[0], omega=omega[0], curvature=curv[0])
-    if fd.orthonormality_residual > 1e-9:
-        raise ValueError("frame failed orthonormality check")
-    return fd
-
-
 def euler_form_density(patch, points):
     """Euler curvature density against the chart coordinates at the nodes
     points (N, n), as an (N,) array (zeros for odd n).
@@ -414,7 +384,7 @@ class BoundaryFrame:
     array has a leading node axis, each derivative its t-axis next.  Frame
     and metric carry first t-derivatives only, as nothing reads second ones;
     ``adapted_frame`` leaves omega and curvature None."""
-    x_jets: list                   # embedding as second-order jets in t
+    x_jets: list                   # embedding as first-order jets in t
     metric: np.ndarray
     dmetric: np.ndarray            # dmetric[i,k,l] = d g_kl / d t_i
     normal: np.ndarray             # untwisted outward unit normal
@@ -429,21 +399,26 @@ def adapted_frame(bpatch, t):
     """Adapted orthonormal frames at the boundary nodes t (N, m), outward
     normal first, without connection or curvature; returns the BoundaryFrame,
     the pushforward dx[:, i, k] = d x^k / d t_i and the parent metric jets.
-    The frame is Gram-Schmidt on (outward, dx/dt_1, ..., dx/dt_m): E = L^-1 V
-    with diag(L) > 0, so det E has the sign of det[outward | dx].  Every
-    monomial of Phi holds the frame index n once, so Phi changes sign with
-    e_n just as the measure dt does with the chart: Phi on E is already the
-    integrand of the outward-first boundary, and no sign is applied."""
+    The frame is Gram-Schmidt on (dx/dt_1, ..., dx/dt_m, outward), whose last
+    row, the unit normal on the side of ``outward``, is rolled to the front.
+    L^-1 V with diag(L) > 0 has det of the sign of det[dx | outward], and the
+    roll multiplies it by (-1)^m, as moving outward to the front does: det E
+    has the sign of det[outward | dx].  Every monomial of Phi holds the frame
+    index n once, so Phi changes sign with e_n just as the measure dt does
+    with the chart: Phi on E is already the integrand of the outward-first
+    boundary, and no sign is applied."""
     t = np.asarray(t, dtype=float)
     N, m = t.shape
-    x_jets = bpatch.embed_jets(t)
+    x_jets = bpatch.embed(Jet.variables(t, 2))
     x, dx, d2x = stack_jets(x_jets, t, 2)            # dx[i,k], d2x[i,j,k]
     jets = bpatch.parent.metric_jets(x)
     G, dGx = jets[:2]
     dG = (dx @ dGx.reshape(N, m + 1, -1)).reshape(N, m, m + 1, m + 1)  # dx[i,a] dGx[a,k,l]
-    outward, doutward = stack_jets(bpatch.outward_jets(t), t, 1)
-    E, dE = _orthonormal_rows(G, dG, np.concatenate([outward[:, None], dx], axis=1),
-                              np.concatenate([doutward[:, :, None], d2x], axis=2), t)
+    outward, doutward = stack_jets(bpatch.outward(Jet.variables(t, 1)), t, 1)
+    E, dE = _orthonormal_rows(G, dG, np.concatenate([dx, outward[:, None]], axis=1),
+                              np.concatenate([d2x, doutward[:, :, None]], axis=2), t)
+    E, dE = np.roll(E, 1, axis=1), np.roll(dE, 1, axis=2)
+    x_jets = [Jet(e.v, e.g, None) if isinstance(e, Jet) else e for e in x_jets]
     return (BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=E[:, 0],
                           dnormal=dE[:, :, 0], frame=E, dframe=dE), dx, jets)
 
@@ -456,7 +431,7 @@ def boundary_frame(bpatch, t, frame_twist=None):
     t = np.asarray(t, dtype=float)
     bf, dx, jets = adapted_frame(bpatch, t)
     if frame_twist is not None:
-        R, dR = stack_jets([e for row in frame_twist(Jet.variables(t)) for e in row], t, 1)
+        R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)
         R, dR = R.reshape(bf.frame.shape), dR.reshape(bf.dframe.shape)
         # d(R E)[i,a,k] = dR[i,a,b] E[b,k] + R[a,b] dE[i,b,k]
         bf.frame, bf.dframe = R @ bf.frame, dR @ bf.frame[:, None] + R[:, None] @ bf.dframe

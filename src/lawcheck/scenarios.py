@@ -252,7 +252,7 @@ def _boundary_point_cloud(patch, boundaries):
     points = []
     for bp in boundaries:
         t = grid_points([np.linspace(lo, hi, 16) for lo, hi in bp.box])
-        (x,) = stack_jets(bp.embed_jets(t), t, 0)
+        (x,) = stack_jets(bp.embed(list(t.T)), t, 0)
         points.extend(patch.ambient(x))
     return points
 

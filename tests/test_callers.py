@@ -14,8 +14,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "lawcheck"
 
 TEST_ENTRY_POINTS = {
-    "connection_curvature": "structure equation and Bianchi checks of the "
-                            "connection formula boundary_frame runs",
     "integrate_fiber_volume": "fiber normalization of Phi (criterion 4)",
     "check_boundary_closure": "closure of the boundary family, a symbolic "
                               "identity of the paper",
@@ -109,3 +107,45 @@ def test_every_default_is_set_by_a_caller_in_src():
     assert not dead, f"defaults no caller in src/ sets: {dead}"
     # an exemption lapses once src/ sets the parameter or it is gone
     assert set(DEFAULT_ENTRY_POINTS) <= unset
+
+
+# -- Hessians only where they are read ---------------------------------------------
+
+SECOND_ORDER_SITES = {
+    ("metric_jets", "_metric"): "the Riemann tensor reads the second metric derivatives",
+    ("adapted_frame", "embed"): "the frame's tangent rows differentiate to d2x",
+}
+
+
+def _is_jet_variables(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Attribute) and func.attr == "variables"
+            and isinstance(func.value, ast.Name) and func.value.id == "Jet")
+
+
+def test_second_order_jets_only_where_hessians_are_read():
+    """Every Jet.variables call in src/ passes a literal order, 1 or 2, as
+    its second positional argument, and order 2 appears only where a
+    Hessian is read: as the argument of each (function, callee) pair of
+    SECOND_ORDER_SITES."""
+    orders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so the innermost function wins
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        callee = {id(arg): _callee(call) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) for arg in call.args}
+        for node in ast.walk(tree):
+            if _is_jet_variables(node):
+                order = node.args[1] if len(node.args) == 2 and not node.keywords else None
+                literal = (isinstance(order, ast.Constant) and type(order.value) is int
+                           and order.value in (1, 2))
+                site = (owner.get(id(node)), callee.get(id(node)))
+                orders.append((f"{path.name}:{node.lineno}", site,
+                               order.value if literal else None))
+    assert orders, "no Jet.variables call found"
+    unset = [where for where, _, order in orders if order is None]
+    assert not unset, f"Jet.variables needs a literal order of 1 or 2: {unset}"
+    assert {site for _, site, order in orders if order == 2} == set(SECOND_ORDER_SITES)

@@ -401,6 +401,18 @@ def test_cli_run_custom_config_file(tmp_path, capsys):
     assert "my-disk" in capsys.readouterr().out
 
 
+def test_cli_run_sheared_outward_vector_exit_0(tmp_path, capsys):
+    """An outward vector that points outward but is not normal to the
+    boundary gives the catalog's index sums."""
+    cfg = load_catalog_raw("disk-saddle")
+    cfg["boundaries"][0]["outward"] = ["1", "0.3"]
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--scenario", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sums"] == {
+        "ind_v": -1, "ind_dminus": 2, "ind_dplus": -2}
+
+
 def test_cli_run_failing_scenario_exit_1(tmp_path, capsys):
     cfg = load_catalog_raw("disk-rotational")
     cfg["expected"]["ind_v"] = 5  # force a verification failure

@@ -57,7 +57,7 @@ def test_parameters_positional():
 
 def test_jets_flow_through():
     f = compile_expression("sin(x)*y + x^2", ["x", "y"])
-    jx, jy = Jet.variables([0.5, 2.0])
+    jx, jy = Jet.variables([0.5, 2.0], 1)
     out = f([jx, jy])
     assert out.v == pytest.approx(math.sin(0.5) * 2 + 0.25)
     assert out.g[0] == pytest.approx(math.cos(0.5) * 2 + 1.0)
@@ -144,7 +144,7 @@ def test_empty_node_batch_has_no_failing_node():
     vector = compile_vector(["exp(1000)", "1/0", "x"], ["x"])
     assert [v.shape for v in vector([np.zeros(0)])] == [(0,)] * 3
     nodes = np.zeros((0, 1))
-    values, grads = stack_jets(vector(Jet.variables(nodes)), nodes, 1)
+    values, grads = stack_jets(vector(Jet.variables(nodes, 1)), nodes, 1)
     assert values.shape == (0, 3) and grads.shape == (0, 1, 3)
 
 
@@ -192,7 +192,7 @@ def test_shared_program_agrees_with_entries_one_by_one(texts, points):
     arrays = [np.array([p[0] for p in points]), np.array([p[1] for p in points])]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for env in (arrays, Jet.variables(points)):
+        for env in (arrays, Jet.variables(points, 2)):
             if expected is not None:
                 for fn in (vector, matrix):
                     with pytest.raises(ConfigError) as err:
@@ -216,7 +216,7 @@ def test_shared_calls_run_once_per_evaluation(monkeypatch):
     factor = "exp(2*(0.1*sin(th) - 0.2*sin(th)*cos(ps) + 0.05*sin(th)*sin(th)))"
     metric = compile_matrix([[f"{factor}*(1)", "0"],
                              ["0", f"{factor}*(sin(th)*sin(th))"]], ["th", "ps"])
-    jets = Jet.variables(np.array([[0.3, 0.1], [0.7, -0.4], [1.1, 2.0]]))
+    jets = Jet.variables(np.array([[0.3, 0.1], [0.7, -0.4], [1.1, 2.0]]), 2)
     for evaluations in (1, 2):
         metric(jets)
         assert calls == {"sin": evaluations, "cos": evaluations, "exp": evaluations}

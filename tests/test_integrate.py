@@ -31,7 +31,7 @@ from lawcheck.integrate import (
     phi_template,
 )
 from lawcheck.runner import run_scenario
-from lawcheck.scenarios import load_catalog_scenario
+from lawcheck.scenarios import load_catalog_raw, load_catalog_scenario, load_scenario
 from lawcheck.trig import sphere_volume
 
 
@@ -332,6 +332,29 @@ def test_integral_is_parametrization_and_chart_invariant():
                         outward=lambda t: [0.0, 1.0])
     (swapped,), *_ = integrate_phi_over_section(rim, (None,), grid)
     assert swapped == pytest.approx(forward, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, shear", [
+    ("disk-saddle", ["0.3 + 0.2*cos(t)"]),
+    ("ball3-constant", ["-2", "0.5*sin(b)"]),
+])
+def test_outward_shear_moves_no_integer_and_no_integral(name, shear):
+    """The outward vector need only point outward: adding tangent vectors
+    c_i dx/dt_i to it leaves e_1 the unit normal, so every index stays the
+    same and every integral moves by round-off only."""
+    cfg = load_catalog_raw(name)
+    (rim,) = cfg["boundaries"]
+    assert rim["embed"][1:] == rim["params"]  # dx/dt_i is the (i + 1)-th chart axis
+    base = run_scenario(load_scenario(cfg))
+    for i, c in enumerate(shear):
+        rim["outward"][i + 1] = f"({rim['outward'][i + 1]}) + ({c})"
+    sheared = run_scenario(load_scenario(cfg))
+    assert base.passed and sheared.passed
+    assert sheared.sums == base.sums and sheared.residuals["law"] == base.residuals["law"]
+    for kind, indices in base.indices.items():
+        assert [i["value"] for i in sheared.indices[kind]] == [i["value"] for i in indices]
+    for key, value in base.integrals.items():
+        assert abs(sheared.integrals[key] - value) <= 1e-12, key
 
 
 def test_frame_rotation_invariance_n2():
