@@ -240,30 +240,28 @@ class Form:
             # derivative of the coefficient contributes dphi_i wedge mono
             for angle in sorted(coeff.angles()):
                 dc = coeff.deriv(angle)
-                if not dc:
-                    continue
-                hit = mono_mul(((), ((K_DPHI, angle, 0),)), mono)
-                if hit is None:
-                    continue
-                sign, new_mono = hit
-                out = out + Form(self.n, {new_mono: dc if sign > 0 else -dc},
-                                 self.boundary)
-            # graded Leibniz over the canonical word
+                hit = mono_mul(((), ((K_DPHI, angle, 0),)), mono) if dc else None
+                if hit is not None:
+                    add_term(out.terms, hit[1], dc if hit[0] > 0 else -dc)
+            # graded Leibniz over the canonical word: prefix * d(gen) * suffix,
+            # signed by the parity of the prefix (the number of odd factors)
             evens, odds = mono
-            word = evens + odds
-            prefix_deg = 0
-            for k, gen in enumerate(word):
+            for k, gen in enumerate(evens + odds):
                 dg = _d_generator(gen, self.n, self.boundary)
-                if dg is not None and dg.terms:
-                    prefix = (tuple(g for g in word[:k] if g[0] not in _ODD),
-                              tuple(g for g in word[:k] if g[0] in _ODD))
-                    suffix = (tuple(g for g in word[k + 1:] if g[0] not in _ODD),
-                              tuple(g for g in word[k + 1:] if g[0] in _ODD))
-                    sign = -1 if prefix_deg % 2 else 1
-                    piece = _mono_sandwich(prefix, dg, suffix)
-                    c = coeff if sign > 0 else -coeff
-                    out = out + piece.scale(c)
-                prefix_deg += DEGREE[gen[0]]
+                if not dg:
+                    continue
+                j = k - len(evens)  # position among the odd factors
+                if j < 0:
+                    prefix, suffix, sign = (evens[:k], ()), (evens[k + 1:], odds), 1
+                else:
+                    prefix, suffix, sign = (evens, odds[:j]), ((), odds[j + 1:]), (-1) ** j
+                for m, c in dg.terms.items():
+                    left = mono_mul(prefix, m)
+                    right = left and mono_mul(left[1], suffix)
+                    if right:
+                        c = coeff * c
+                        add_term(out.terms, right[1],
+                                 c if sign * left[0] * right[0] > 0 else -c)
         return out
 
     def interior_dphi(self):
@@ -322,22 +320,55 @@ class Form:
     def substitute(self, mapping, boundary=None):
         """Replace generators by forms; unmapped generators pass through.
 
-        The replacement for an odd generator must have odd degree (and even
-        for even generators) or signs lose meaning; callers own that.
+        A term folds constant replacements into its coefficient, moves its
+        other mapped odd generators behind the unmapped ones (the sign of
+        that shuffle is right because every replacement has its generator's
+        parity, else ValueError), and joins the group of terms that share
+        those mapped generators.  Each group multiplies out one product of
+        replacements, built from the cached product of its prefix.
         """
         if boundary is None:
             boundary = self.boundary
         out = Form.zero(self.n, boundary)
+        consts = {}  # constant replacements; an odd generator's can only be 0
+        for gen, rep in mapping.items():
+            out._compatible(rep)
+            if any(mono_degree(m) % 2 != DEGREE[gen[0]] % 2 for m in rep.terms):
+                raise ValueError(f"replacement for {_gen_name(gen)} has the wrong parity")
+            if rep.terms.keys() <= {_EMPTY_MONO}:
+                consts[gen] = rep.coefficient_of(_EMPTY_MONO)
+        groups: dict[tuple[Gen, ...], dict[Monomial, TrigScalar]] = {}
         for (evens, odds), coeff in self.terms.items():
-            acc = Form.scalar(self.n, coeff, boundary=boundary)
+            kept_evens, kept_odds, key = [], [], []
+            moved = flips = 0
             for gen in evens + odds:
-                rep = mapping.get(gen)
-                if rep is None:
-                    rep = Form.generator(self.n, *gen, boundary=boundary)
-                acc = acc * rep
-                if not acc.terms:
-                    break
-            out = out + acc
+                if gen in consts:
+                    coeff = coeff * consts[gen]
+                    if not coeff:
+                        break
+                elif gen in mapping:
+                    key.append(gen)
+                    moved += gen[0] in _ODD
+                elif gen[0] in _ODD:
+                    kept_odds.append(gen)
+                    flips += moved
+                else:
+                    kept_evens.append(gen)
+            else:
+                add_term(groups.setdefault(tuple(key), {}),
+                         (tuple(kept_evens), tuple(kept_odds)),
+                         -coeff if flips % 2 else coeff)
+        products = {(): Form.scalar(self.n, 1, boundary)}
+        for key, kept in groups.items():
+            for k in range(1, len(key) + 1):
+                if key[:k] not in products:
+                    products[key[:k]] = products[key[:k - 1]] * mapping[key[k - 1]]
+            for mono, coeff in kept.items():
+                for m, c in products[key].terms.items():
+                    hit = mono_mul(mono, m)
+                    if hit is not None:
+                        c = coeff * c
+                        add_term(out.terms, hit[1], c if hit[0] > 0 else -c)
         return out
 
     # -- queries -----------------------------------------------------------
@@ -378,22 +409,6 @@ class Form:
     def __repr__(self):
         kind = "boundary" if self.boundary else "interior"
         return f"Form(n={self.n}, {kind}, {len(self.terms)} terms)"
-
-
-def _mono_sandwich(prefix: Monomial, form: Form, suffix: Monomial):
-    """prefix * form * suffix with monomial multiplication on both sides."""
-    out = Form.zero(form.n, form.boundary)
-    for mono, coeff in form.terms.items():
-        left = mono_mul(prefix, mono)
-        if left is None:
-            continue
-        s1, m1 = left
-        right = mono_mul(m1, suffix)
-        if right is None:
-            continue
-        s2, m2 = right
-        add_term(out.terms, m2, coeff if s1 * s2 > 0 else -coeff)
-    return out
 
 
 # -- structure equations ----------------------------------------------------

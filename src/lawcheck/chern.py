@@ -28,7 +28,7 @@ from itertools import accumulate, islice, permutations
 
 import numpy as np
 
-from .algebra import DEGREE, K_CURV, K_DPHI, K_THETA, K_U, Form, add_term
+from .algebra import DEGREE, K_CURV, K_DPHI, K_THETA, K_U, Form
 from .trig import TrigScalar, sphere_volume
 
 MAX_BUILD_N = 5
@@ -232,39 +232,9 @@ def polar_substitute(f: Form) -> Form:
         if coeff.angles():
             raise ValueError("polar substitution needs constant coefficients; "
                              "the fiber angles would collide")
-    coords = polar_coordinates(n)
-    thetas = _polar_theta(n)
-    wedge_cache: dict[tuple, Form] = {(): Form.scalar(n, 1)}
-
-    def theta_wedge(tail):
-        hit = wedge_cache.get(tail)
-        if hit is None:
-            hit = theta_wedge(tail[:-1]) * thetas[tail[-1][1] - 1]
-            wedge_cache[tail] = hit
-        return hit
-
-    # group the terms by what the wedge sees, so each group wedges once
-    groups: dict[tuple, TrigScalar] = {}
-    for (evens, odds), coeff in f.terms.items():
-        rest_evens = []
-        for gen in evens:
-            if gen[0] == K_U:
-                coeff = coeff * coords[gen[1] - 1]
-            else:
-                rest_evens.append(gen)
-        split = len(odds)
-        while split and odds[split - 1][0] == K_THETA:
-            split -= 1
-        key = (tuple(rest_evens), odds[:split], odds[split:])
-        prev = groups.get(key)
-        groups[key] = coeff if prev is None else prev + coeff
-    out = Form.zero(n)
-    for (rest_evens, head, tail), coeff in groups.items():
-        if coeff:
-            piece = Form(n, {(rest_evens, head): coeff})
-            for mono, c in (piece * theta_wedge(tail)).terms.items():
-                add_term(out.terms, mono, c)
-    return out
+    mapping = {(K_U, a, 0): Form.scalar(n, c) for a, c in enumerate(polar_coordinates(n), 1)}
+    mapping.update({(K_THETA, a, 0): th for a, th in enumerate(_polar_theta(n), 1)})
+    return f.substitute(mapping)
 
 
 def check_dphi(n: int) -> Form:

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lawcheck.algebra import (
+    _ODD,
+    DEGREE,
     Form,
     K_CURV,
     K_CURVM,
@@ -13,7 +15,11 @@ from lawcheck.algebra import (
     K_OMEGA,
     K_THETA,
     K_U,
+    _d_generator,
+    add_term,
+    mono_mul,
 )
+from lawcheck.chern import build_phi, polar_substitute, rotate_frame, specialize_boundary
 from lawcheck.trig import TrigScalar
 
 
@@ -254,6 +260,135 @@ def test_substitute_respects_order_signs():
     f = Form.theta(n, 1) * Form.theta(n, 2)
     swap = {(K_THETA, 1, 0): Form.theta(n, 2), (K_THETA, 2, 0): Form.theta(n, 1)}
     assert f.substitute(swap) == -(f)
+
+
+def test_substitute_rejects_wrong_parity():
+    n = 3
+    f = Form.coordinate(n, 1) * Form.theta(n, 1)
+    with pytest.raises(ValueError, match="th1"):
+        f.substitute({(K_THETA, 1, 0): Form.scalar(n, 2)})
+    with pytest.raises(ValueError, match="u1"):
+        f.substitute({(K_U, 1, 0): Form.theta(n, 2)})
+
+
+# -- reference implementations: one wedge per generator, one sandwich per term --
+
+def reference_substitute(f, mapping, boundary=None):
+    """Multiply each term out one generator at a time, in word order."""
+    if boundary is None:
+        boundary = f.boundary
+    out = Form.zero(f.n, boundary)
+    for (evens, odds), coeff in f.terms.items():
+        acc = Form.scalar(f.n, coeff, boundary=boundary)
+        for gen in evens + odds:
+            rep = mapping.get(gen)
+            if rep is None:
+                rep = Form.generator(f.n, *gen, boundary=boundary)
+            acc = acc * rep
+            if not acc.terms:
+                break
+        out = out + acc
+    return out
+
+
+def _mono_sandwich(prefix, form, suffix):
+    """prefix * form * suffix with monomial multiplication on both sides."""
+    out = Form.zero(form.n, form.boundary)
+    for mono, coeff in form.terms.items():
+        left = mono_mul(prefix, mono)
+        right = left and mono_mul(left[1], suffix)
+        if right:
+            add_term(out.terms, right[1], coeff if left[0] * right[0] > 0 else -coeff)
+    return out
+
+
+def reference_d(f):
+    """Graded Leibniz with each prefix * d(gen) * suffix as its own Form."""
+    out = Form.zero(f.n, f.boundary)
+    for mono, coeff in f.terms.items():
+        for angle in sorted(coeff.angles()):
+            dc = coeff.deriv(angle)
+            hit = mono_mul(((), ((K_DPHI, angle, 0),)), mono)
+            if dc and hit is not None:
+                out = out + Form(f.n, {hit[1]: dc if hit[0] > 0 else -dc}, f.boundary)
+        word = mono[0] + mono[1]
+        prefix_deg = 0
+        for k, gen in enumerate(word):
+            dg = _d_generator(gen, f.n, f.boundary)
+            if dg:
+                prefix = (tuple(g for g in word[:k] if g[0] not in _ODD),
+                          tuple(g for g in word[:k] if g[0] in _ODD))
+                suffix = (tuple(g for g in word[k + 1:] if g[0] not in _ODD),
+                          tuple(g for g in word[k + 1:] if g[0] in _ODD))
+                piece = _mono_sandwich(prefix, dg, suffix)
+                out = out + piece.scale(-coeff if prefix_deg % 2 else coeff)
+            prefix_deg += DEGREE[gen[0]]
+    return out
+
+
+def _oracle_mappings(n):
+    """Constant, zero and non-constant even replacements, and a mapped odd
+    w12 that sorts before the unmapped w23, on both algebras."""
+    cos, sin = TrigScalar.cos(), TrigScalar.sin()
+    interior = {
+        (K_U, 1, 0): Form.scalar(n, -cos),
+        (K_U, 2, 0): Form.zero(n),
+        (K_U, 3, 0): Form.coordinate(n, 4).scale(2) - Form.curvature(n, 1, 2),
+        (K_CURV, 1, 3): Form.curvature(n, 2, 4) + Form.omega(n, 1, 2) * Form.omega(n, 3, 4),
+        (K_CURV, 2, 3): Form.scalar(n, Fraction(-3, 2)),
+        (K_OMEGA, 1, 2): Form.omega(n, 3, 4) - Form.theta(n, 1).scale(cos),
+        (K_THETA, 2, 0): Form.dphi(n).scale(sin) + Form.omega(n, 1, 4),
+    }
+    boundary = {
+        (K_CURV, 1, 2): Form.scalar(n, -sin, True),
+        (K_CURV, 1, 3): Form.zero(n, True),
+        (K_CURVM, 2, 3): (Form.boundary_curvature(n, 2, 4)
+                          + Form.omega(n, 1, 2, True) * Form.omega(n, 1, 3, True)),
+        (K_OMEGA, 1, 2): Form.omega(n, 1, 3, True).scale(sin) + Form.dphi(n, 1, True),
+        (K_DPHI, 1, 0): Form.omega(n, 3, 4, True) - Form.dphi(n, 1, True).scale(cos),
+    }
+    return interior, boundary
+
+
+def test_substitute_matches_reference_on_random_forms():
+    n = 4
+    interior, boundary = _oracle_mappings(n)
+    rng = random.Random(17)
+    for is_boundary, mapping in ((False, interior), (True, boundary)):
+        for _ in range(300):
+            f = rand_form(rng, n, is_boundary, max_terms=6, max_gens=4)
+            assert f.substitute(mapping) == reference_substitute(f, mapping)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chern_substitutions_match_reference(n, monkeypatch):
+    """Polar normalization, boundary specialization and frame rotation agree
+    with the reference on the secondary form."""
+    substitute, seen = Form.substitute, []
+
+    def checked(f, mapping, boundary=None):
+        out = substitute(f, mapping, boundary)
+        assert not out.is_zero and out == reference_substitute(f, mapping, boundary)
+        seen.append(mapping)
+        return out
+
+    monkeypatch.setattr(Form, "substitute", checked)
+    phi = build_phi(n).phi
+    polar_substitute(phi)
+    rotate_frame(phi, 1, 2)
+    special = specialize_boundary(phi)
+    if n > 3:
+        rotate_frame(special, 2, 3)
+    assert len(seen) == 3 + (n > 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_d_matches_reference_on_random_forms(n):
+    rng = random.Random(2000 + n)
+    for is_boundary in (False, True):
+        for _ in range(150):
+            f = rand_form(rng, n, is_boundary, max_terms=6, max_gens=4)
+            assert f.d() == reference_d(f)
 
 
 def test_render_golden():

@@ -357,6 +357,28 @@ def test_outward_shear_moves_no_integer_and_no_integral(name, shear):
         assert abs(sheared.integrals[key] - value) <= 1e-12, key
 
 
+@pytest.mark.parametrize("name", ["disk-saddle", "cap-tilted", "ball3-radial"])
+def test_field_rescaling_moves_no_integer_and_no_integral(name):
+    """V -> e^h V keeps the direction of V: the sections alpha_V are unit
+    vectors and every index is a degree of V/|V|, so no integer moves and
+    every integral moves by round-off only."""
+    cfg = load_catalog_raw(name)
+    base = run_scenario(load_scenario(cfg))
+    params = cfg["patch"]["params"]
+    cfg["field"]["components"] = [f"({c})*exp(0.3*{params[0]} - 0.2*{params[-1]})"
+                                  for c in cfg["field"]["components"]]
+    for sing in cfg["interior_singularities"]:
+        x0 = sing["chart_params"][0]
+        sing["field"] = [f"({c})*exp(0.5*{x0} + 0.1)" for c in sing["field"]]
+    scaled = run_scenario(load_scenario(cfg))
+    assert base.passed and scaled.passed
+    assert scaled.sums == base.sums and scaled.residuals["law"] == base.residuals["law"]
+    for kind, indices in base.indices.items():
+        assert [i["value"] for i in scaled.indices[kind]] == [i["value"] for i in indices]
+    for key, value in base.integrals.items():
+        assert abs(scaled.integrals[key] - value) <= 1e-12, key
+
+
 def test_frame_rotation_invariance_n2():
     # rotating the whole frame by a smooth angle must not move the integral
     rim = disk_rim()
