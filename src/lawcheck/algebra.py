@@ -343,9 +343,9 @@ class Form:
             moved = flips = 0
             for gen in evens + odds:
                 if gen in consts:
-                    coeff = coeff * consts[gen]
-                    if not coeff:
+                    if not consts[gen]:
                         break
+                    coeff = coeff * consts[gen]
                 elif gen in mapping:
                     key.append(gen)
                     moved += gen[0] in _ODD

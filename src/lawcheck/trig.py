@@ -14,10 +14,29 @@ The canonical form is fraction-free: an element stores integer numerators
 per monomial over one positive common denominator that shares no factor with
 all of them, and the zero element is no numerator over 1.  So an element is
 zero iff it has no numerators, and two elements are equal iff their
-numerators and denominators are.  A product of canonical elements merges
-their sorted angle tuples; a shared angle needs at most one cos^2 split
-because both cos-exponents are at most 1, so products never re-run the
-general reduction.  ``terms`` gives the same element as {monomial: Fraction}.
+numerators and denominators are.
+
+A monomial is keyed by one non-negative int, a row of FIELD_BITS-bit fields
+from the least significant end: d + PI_BIAS, then the phi, sin and cos
+exponents of angle 1, of angle 2, and so on.  An absent angle is three zero
+fields, so every monomial has exactly one key, and a key over angles 1..m
+takes (3m + 1) * FIELD_BITS bits (128 at the five fiber angles of n = 6).
+The top bit of each field is a guard that a valid key keeps clear, so a
+field holds 0..MAX_EXP (127), d runs over -PI_BIAS..MAX_EXP - PI_BIAS
+(-64..63) and angle ids over 1..MAX_ANGLE (32).
+
+The key of a product of two monomials is k1 + k2 - PI_BIAS.  Two in-range
+fields sum below 2 ** FIELD_BITS, so no carry crosses a field; an exponent
+past MAX_EXP sets its guard bit, and so does a pi power below -PI_BIAS,
+whose field borrows from the one above.  Every product checks the guards and
+raises OverflowError, so no key is ever silently changed.  Both
+cos-exponents are at most 1, so a cos^2 appears exactly at the cos bits of
+k1 & k2.  A product clears those cos fields and then, once per such angle,
+appends to its (key, coeff) pairs their negated copies with that angle's sin
+field raised by 2, so m shared angles give 2 ** m pairs.
+
+``terms`` decodes the keys to {(d, ((angle, phi, sin, cos), ...)): Fraction}
+with the angles ascending.
 
 Angle 1 is the distinguished boundary angle; higher angles only appear in the
 fiber-sphere parametrization used by the symbolic identity checks.
@@ -31,72 +50,73 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-# A term key is (pi_power, angles) where angles is a sorted tuple of
-# (angle_id, phi_exp, sin_exp, cos_exp) entries with at least one nonzero
-# exponent and cos_exp in {0, 1}.
+# The key that ``terms`` gives: (pi_power, angles), where angles is an
+# ascending tuple of (angle_id, phi_exp, sin_exp, cos_exp) entries with at
+# least one nonzero exponent and cos_exp in {0, 1}.  Inside an element the key
+# is one int, field 0 holding pi_power + PI_BIAS and field 3a - 2 + j exponent
+# j (phi, sin, cos) of angle a.
 TermKey = tuple[int, tuple[tuple[int, int, int, int], ...]]
 
-
-def _reduce_angles(angles, coeff):
-    """Yield (angles, coeff) pairs with all cos-exponents reduced below 2."""
-    for idx, (aid, p, s, c) in enumerate(angles):
-        if c >= 2:
-            q, r = divmod(c, 2)
-            # cos^(2q+r) = (1 - sin^2)^q cos^r
-            for t in range(q + 1):
-                sign = -1 if t % 2 else 1
-                entry = (aid, p, s + 2 * t, r)
-                new = angles[:idx] + (entry,) + angles[idx + 1:]
-                yield from _reduce_angles(new, coeff * comb(q, t) * sign)
-            return
-    yield angles, coeff
+FIELD_BITS = 8
+MAX_EXP = (1 << FIELD_BITS - 1) - 1
+PI_BIAS = 1 << FIELD_BITS - 2
+MAX_ANGLE = 32
+_FIELD = (1 << FIELD_BITS) - 1
+_ANGLE = (1 << 3 * FIELD_BITS) - 1  # the three fields of one angle
+_COS = sum(1 << 3 * a * FIELD_BITS for a in range(1, MAX_ANGLE + 1))
+_COS_HIGH = _COS * (_FIELD - 1)  # a cos field at 2 or more
+_GUARDS = sum(1 << (f + 1) * FIELD_BITS - 1 for f in range(3 * MAX_ANGLE + 1))
+_OVERFLOW = "exponent overflow in a monomial key"
 
 
-def _clean_angles(angles):
-    return tuple(sorted(a for a in angles if a[1] or a[2] or a[3]))
+def _encode(d, angles):
+    """Key of pi^d times the (angle_id, phi, sin, cos) entries, any cos power."""
+    if not -PI_BIAS <= d <= MAX_EXP - PI_BIAS:
+        raise OverflowError(f"pi power {d} is outside the key's range")
+    key = d + PI_BIAS
+    for aid, *exps in angles:
+        if not 1 <= aid <= MAX_ANGLE:
+            raise ValueError(f"angle ids run over 1..{MAX_ANGLE}, got {aid}")
+        for j, e in enumerate(exps):
+            if not 0 <= e <= MAX_EXP:
+                raise OverflowError(f"exponent {e} is outside the key's range")
+            key += e << (3 * aid - 2 + j) * FIELD_BITS
+    if key & _GUARDS:
+        raise OverflowError(_OVERFLOW)
+    return key
 
 
-def _merge_angles(a1, a2):
-    """Product of two canonical angle tuples as ((angles, sign), ...)."""
-    if not a1 or not a2:
-        return ((a1 or a2, 1),)
-    merged = []
-    splits = []
-    i = j = 0
-    n1, n2 = len(a1), len(a2)
-    while i < n1 and j < n2:
-        x, y = a1[i], a2[j]
-        if x[0] == y[0]:
-            c = x[3] + y[3]
-            if c == 2:  # cos^2 = 1 - sin^2
-                splits.append(len(merged))
-                c = 0
-            merged.append((x[0], x[1] + y[1], x[2] + y[2], c))
-            i += 1
-            j += 1
-        elif x[0] < y[0]:
-            merged.append(x)
-            i += 1
-        else:
-            merged.append(y)
-            j += 1
-    merged.extend(a1[i:])
-    merged.extend(a2[j:])
-    if not splits:
-        return ((tuple(merged), 1),)
-    # each split entry (aid, p, s, 0) stands for cos^2 = 1 - sin^2: keep it
-    # (dropped when it is 1) with the sign, or lift it by sin^2 against it
-    out = [((), 1)]
-    start = 0
-    for pos in splits:
-        aid, p, s, _ = merged[pos]
-        low = tuple(merged[start:pos + 1] if p or s else merged[start:pos])
-        high = tuple(merged[start:pos]) + ((aid, p, s + 2, 0),)
-        out = ([(head + low, sign) for head, sign in out]
-               + [(head + high, -sign) for head, sign in out])
-        start = pos + 1
-    tail = tuple(merged[start:])
-    return [(head + tail, sign) for head, sign in out]
+def _angle_exps(key):
+    """Yield (angle_id, phi, sin, cos) for each angle with a nonzero field."""
+    key >>= FIELD_BITS
+    aid = 1
+    while key:
+        if key & _ANGLE:
+            yield aid, key & _FIELD, key >> FIELD_BITS & _FIELD, key >> 2 * FIELD_BITS & _FIELD
+        key >>= 3 * FIELD_BITS
+        aid += 1
+
+
+def _decode(key) -> TermKey:
+    return (key & _FIELD) - PI_BIAS, tuple(_angle_exps(key))
+
+
+def _reduce_cos(key, coeff):
+    """Yield (key, coeff) pairs with all cos-exponents of key reduced below 2."""
+    high = key & _COS_HIGH
+    if not high:
+        if key & _GUARDS:
+            raise OverflowError(_OVERFLOW)
+        yield key, coeff
+        return
+    shift = (high & -high).bit_length() - 1
+    shift -= shift % FIELD_BITS  # the cos field of the lowest such angle
+    q, r = divmod(key >> shift & _FIELD, 2)
+    base = key - (2 * q << shift)
+    # cos^(2q+r) = (1 - sin^2)^q cos^r
+    for t in range(q + 1):
+        yield from _reduce_cos(base + (2 * t << shift - FIELD_BITS),
+                               -coeff * comb(q, t) if t % 2 else coeff * comb(q, t))
 
 
 def _make(num, den):
@@ -120,14 +140,12 @@ def _reduced(num, den):
 
 
 def _canonical(raw, den):
-    """Canonical element of {key: int} over den, with keys in any form."""
-    acc: dict[TermKey, int] = {}
-    for (d, angles), coeff in raw.items():
-        if not coeff:
-            continue
-        for red, factor in _reduce_angles(_clean_angles(angles), coeff):
-            key = (d, _clean_angles(red))
-            acc[key] = acc.get(key, 0) + factor
+    """Canonical element of {key: int} over den, any cos powers in the keys."""
+    acc: dict[int, int] = {}
+    for key, coeff in raw.items():
+        if coeff:
+            for red, factor in _reduce_cos(key, coeff):
+                acc[red] = acc.get(red, 0) + factor
     return _reduced({k: v for k, v in acc.items() if v}, den)
 
 
@@ -137,17 +155,19 @@ class TrigScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        fracs = [(key, Fraction(c)) for key, c in (terms or {}).items()]
+        fracs = [(_encode(*key), Fraction(c)) for key, c in (terms or {}).items()]
         den = lcm(*(f.denominator for _, f in fracs))
-        canon = _canonical({key: f.numerator * (den // f.denominator)
-                            for key, f in fracs}, den)
+        raw: dict[int, int] = {}
+        for key, f in fracs:
+            raw[key] = raw.get(key, 0) + f.numerator * (den // f.denominator)
+        canon = _canonical(raw, den)
         self.num = canon.num
         self.den = canon.den
 
     @property
     def terms(self) -> dict[TermKey, Fraction]:
         den = self.den
-        return {key: Fraction(v, den) for key, v in self.num.items()}
+        return {_decode(key): Fraction(v, den) for key, v in self.num.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -162,19 +182,19 @@ class TrigScalar:
     @classmethod
     def pi_power(cls, d, coeff=1):
         coeff = Fraction(coeff)
-        return _make({(d, ()): coeff.numerator} if coeff else {}, coeff.denominator)
+        return _make({_encode(d, ()): coeff.numerator} if coeff else {}, coeff.denominator)
 
     @classmethod
     def phi(cls):
-        return _make({(0, ((1, 1, 0, 0),)): 1}, 1)
+        return _make({_encode(0, ((1, 1, 0, 0),)): 1}, 1)
 
     @classmethod
     def sin(cls, angle=1):
-        return _make({(0, ((angle, 0, 1, 0),)): 1}, 1)
+        return _make({_encode(0, ((angle, 0, 1, 0),)): 1}, 1)
 
     @classmethod
     def cos(cls, angle=1):
-        return _make({(0, ((angle, 0, 0, 1),)): 1}, 1)
+        return _make({_encode(0, ((angle, 0, 0, 1),)): 1}, 1)
 
     @classmethod
     def monomial(cls, coeff=1, pi=0, **angle_exps):
@@ -236,14 +256,27 @@ class TrigScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[TermKey, int] = {}
+        out: dict[int, int] = {}
         get = out.get
-        for (d1, a1), c1 in self.num.items():
-            for (d2, a2), c2 in other.num.items():
+        terms2 = other.num.items()
+        for k1, c1 in self.num.items():
+            cos1 = k1 & _COS
+            for k2, c2 in terms2:
+                key = k1 + k2 - PI_BIAS
+                if key & _GUARDS:
+                    raise OverflowError(_OVERFLOW)
                 coeff = c1 * c2
-                for angles, sign in _merge_angles(a1, a2):
-                    key = (d1 + d2, angles)
-                    new = get(key, 0) + (coeff if sign > 0 else -coeff)
+                shared = cos1 & k2
+                pairs = [(key - 2 * shared, coeff)]
+                while shared:  # each cos^2 -> 1 - sin^2 doubles the pairs
+                    sin2 = 2 * ((shared & -shared) >> FIELD_BITS)
+                    shared &= shared - 1
+                    pairs += [(k + sin2, -c) for k, c in pairs]
+                    # the last pair has every sin raised so far
+                    if pairs[-1][0] & _GUARDS:
+                        raise OverflowError(_OVERFLOW)
+                for key, c in pairs:
+                    new = get(key, 0) + c
                     if new:
                         out[key] = new
                     else:
@@ -261,22 +294,21 @@ class TrigScalar:
 
     def deriv(self, angle=1):
         """Derivative with respect to the given formal angle."""
-        raw: dict[TermKey, int] = {}
+        raw: dict[int, int] = {}
 
         def emit(key, coeff):
             raw[key] = raw.get(key, 0) + coeff
 
-        for (d, angles), coeff in self.num.items():
-            for idx, (aid, p, s, c) in enumerate(angles):
-                if aid != angle:
-                    continue
-                rest = angles[:idx] + angles[idx + 1:]
-                if p:
-                    emit((d, rest + ((aid, p - 1, s, c),)), coeff * p)
-                if s:
-                    emit((d, rest + ((aid, p, s - 1, c + 1),)), coeff * s)
-                if c:
-                    emit((d, rest + ((aid, p, s + 1, c - 1),)), -coeff * c)
+        shift = (3 * angle - 2) * FIELD_BITS  # the phi field of the angle
+        dp, ds, dc = 1 << shift, 1 << shift + FIELD_BITS, 1 << shift + 2 * FIELD_BITS
+        for key, coeff in self.num.items():
+            p, s, c = (key >> shift + j * FIELD_BITS & _FIELD for j in range(3))
+            if p:
+                emit(key - dp, coeff * p)
+            if s:
+                emit(key - ds + dc, coeff * s)
+            if c:
+                emit(key + ds - dc, -coeff * c)
         return _canonical(raw, self.den)
 
     def eval_angle(self, angle, at):
@@ -335,18 +367,18 @@ class TrigScalar:
         return hash((self.den, frozenset(self.num.items())))
 
     def angles(self):
-        out = set()
-        for _, angle_part in self.num:
-            out.update(a[0] for a in angle_part)
-        return out
+        union = 0  # an angle's fields are nonzero in the union iff in some key
+        for key in self.num:
+            union |= key
+        return {aid for aid, *_ in _angle_exps(union)}
 
     def to_float(self, angle_values=None):
         angle_values = angle_values or {}
         total = 0.0
-        for (d, angles), coeff in self.num.items():
+        for key, coeff in self.num.items():
             # int true division rounds correctly, as float(Fraction) does
-            val = coeff / self.den * math.pi ** d
-            for aid, p, s, c in angles:
+            val = coeff / self.den * math.pi ** ((key & _FIELD) - PI_BIAS)
+            for aid, p, s, c in _angle_exps(key):
                 if aid not in angle_values:
                     raise ValueError(f"no value supplied for angle {aid}")
                 x = angle_values[aid]

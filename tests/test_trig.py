@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lawcheck.trig import TrigScalar, sphere_volume
+from lawcheck.trig import MAX_ANGLE, MAX_EXP, PI_BIAS, TrigScalar, sphere_volume
 
 
 def rand_scalar(rng, angles=(1,)):
@@ -123,3 +123,53 @@ def test_render_deterministic():
     a = TrigScalar.monomial(coeff=Fraction(-1, 2), sin=1) + TrigScalar.pi_power(1)
     assert a.render() == "-1/2*sin + pi"
     assert TrigScalar.zero().render() == "0"
+
+
+# -- limits of the packed monomial key ---------------------------------------------
+
+# every field next to the exponents pushed to their limits is set, so a carry
+# or a borrow out of one field would show in its neighbours
+NEIGHBOURS = dict(pi=1, phi=1, sin=1, cos=1, phi2=2, sin2=3, cos2=1, phi3=1)
+LIMITS = [("pi", MAX_EXP - PI_BIAS), ("pi", -PI_BIAS), ("phi", MAX_EXP),
+          ("sin", MAX_EXP), ("phi2", MAX_EXP), ("sin2", MAX_EXP), ("phi3", MAX_EXP)]
+
+
+@pytest.mark.parametrize("name,limit", LIMITS)
+def test_product_reaching_a_field_limit_is_exact(name, limit):
+    exps = dict(NEIGHBOURS)
+    step = 1 if limit > 0 else -1
+    exps[name] = limit - step
+    base = TrigScalar.monomial(3, **exps)
+    exps[name] = limit
+    product = base * TrigScalar.monomial(**{name: step})
+    assert product.terms == TrigScalar.monomial(3, **exps).terms
+
+
+@pytest.mark.parametrize("name,limit", LIMITS)
+def test_product_past_a_field_limit_raises(name, limit):
+    step = 1 if limit > 0 else -1
+    exps = dict(NEIGHBOURS, **{name: limit})
+    with pytest.raises(OverflowError):
+        TrigScalar.monomial(**exps) * TrigScalar.monomial(**{name: step})
+    with pytest.raises(OverflowError):
+        TrigScalar.monomial(**{name: limit + step})
+
+
+def test_cos_square_split_past_the_sin_limit_raises():
+    # cos^2 -> 1 - sin^2 lifts the sin exponent by 2, on one angle or several
+    one = TrigScalar.monomial(sin2=MAX_EXP - 2, cos2=1) * TrigScalar.cos(2)
+    assert one == TrigScalar.monomial(sin2=MAX_EXP - 2) - TrigScalar.monomial(sin2=MAX_EXP)
+    with pytest.raises(OverflowError):
+        TrigScalar.monomial(sin2=MAX_EXP - 1, cos2=1) * TrigScalar.cos(2)
+    with pytest.raises(OverflowError):
+        (TrigScalar.monomial(cos=1, sin3=MAX_EXP - 1, cos3=1)
+         * TrigScalar.monomial(cos=1, cos3=1))
+    with pytest.raises(OverflowError):
+        TrigScalar.monomial(sin2=MAX_EXP, cos2=1).deriv(2)
+
+
+def test_angle_ids_outside_the_key_are_rejected():
+    TrigScalar.sin(MAX_ANGLE)
+    for bad in (0, MAX_ANGLE + 1):
+        with pytest.raises(ValueError):
+            TrigScalar.sin(bad)

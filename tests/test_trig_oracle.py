@@ -1,13 +1,13 @@
 """The coefficient ring against sympy, exactly and with no float tolerance.
 
 An element is translated term by term from ``terms`` into a polynomial of
-sympy's sparse ring QQ[c1, c2, Q, P, x1, x2, s1, s2]: x_i is the formal angle,
-s_i and c_i its sine and cosine, P stands for pi and Q for 1/pi.  sympy does
-the arithmetic there, and its result is brought to the ring's normal form by
-reduction modulo c_i^2 + s_i^2 - 1 and P Q - 1 in lex order.  The leading
-monomials c_i^2 and P Q are pairwise coprime, so these relations are a
-Groebner basis and the reduced form is unique: the ring's own result must
-translate to the very same polynomial.
+sympy's sparse ring QQ[c_i, Q, P, x_i, s_i] over the angle ids i of IDS: x_i
+is the formal angle, s_i and c_i its sine and cosine, P stands for pi and Q
+for 1/pi.  sympy does the arithmetic there, and its result is brought to the
+ring's normal form by reduction modulo c_i^2 + s_i^2 - 1 and P Q - 1 in lex
+order.  The leading monomials c_i^2 and P Q are pairwise coprime, so these
+relations are a Groebner basis and the reduced form is unique: the ring's own
+result must translate to the very same polynomial.
 """
 
 import random
@@ -20,9 +20,14 @@ from lawcheck.chern import phi_normalization
 from lawcheck.trig import TrigScalar, sphere_volume
 
 ANGLES = (1, 2)
-R, C1, C2, Q, P, X1, X2, S1, S2 = sp.ring("c1,c2,Q,P,x1,x2,s1,s2", sp.QQ, sp.lex)
-X, S, C = {1: X1, 2: X2}, {1: S1, 2: S2}, {1: C1, 2: C2}
-RELATIONS = [C1 ** 2 + S1 ** 2 - 1, C2 ** 2 + S2 ** 2 - 1, P * Q - 1]
+# 1, 3 and 5 leave gaps between the angles of a packed key and reach the
+# fiber angles of n = 6
+GAPPED = (1, 3, 5)
+IDS = (1, 2, 3, 5)
+R, *GENS = sp.ring("c1,c2,c3,c5,Q,P,x1,x2,x3,x5,s1,s2,s3,s5", sp.QQ, sp.lex)
+C, X, S = (dict(zip(IDS, GENS[k:k + 4])) for k in (0, 6, 10))
+Q, P = GENS[4:6]
+RELATIONS = [C[i] ** 2 + S[i] ** 2 - 1 for i in IDS] + [P * Q - 1]
 
 
 def to_poly(terms):
@@ -118,6 +123,50 @@ def test_eval_angle_matches_sympy(at):
         for aid in ANGLES:
             expected = to_poly(a.terms).compose([(X[aid], x), (S[aid], s), (C[aid], c)])
             assert_same(a.eval_angle(aid, at), expected)
+
+
+def gapped_scalar(rng, cos_angles):
+    """Random element over the GAPPED angles with pi powers -3..3, each term
+    carrying cos on every angle of cos_angles."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        parts = tuple((aid, rng.randint(0, 2), rng.randint(0, 2),
+                       1 if aid in cos_angles else rng.randint(0, 1))
+                      for aid in GAPPED if aid in cos_angles or rng.random() < 0.6)
+        key = (rng.randint(-3, 3), parts)
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 5))
+        terms[key] = terms.get(key, 0) + coeff
+    return TrigScalar(terms)
+
+
+@pytest.mark.parametrize("cos_angles", [(1, 3), (3, 5), (1, 5), (1, 3, 5)])
+def test_gapped_angles_and_shared_cos_match_sympy(cos_angles):
+    """Products split cos^2 on two or three angles at once, and pi powers
+    from -3 to 3 meet across the biased pi field of the packed key."""
+    rng = random.Random(8107 + sum(cos_angles))
+    for _ in range(25):
+        a, b = gapped_scalar(rng, cos_angles), gapped_scalar(rng, cos_angles)
+        pa, pb = to_poly(a.terms), to_poly(b.terms)
+        assert_same(a * b, pa * pb)
+        assert_same(a * b * a, pa * pb * pa)
+        assert_same(a - b, pa - pb)
+        assert a.angles() == {aid for _, angles in a.terms for aid, *_ in angles}
+        for aid in GAPPED:
+            assert_same(a.deriv(aid), derivative(pa, aid))
+            for at, (x, s, c) in POINTS.items():
+                assert_same(a.eval_angle(aid, at),
+                            pa.compose([(X[aid], x), (S[aid], s), (C[aid], c)]))
+
+
+def test_every_pi_power_pair_with_three_shared_cos():
+    for d1 in range(-3, 4):
+        for d2 in range(-3, 4):
+            a = TrigScalar.monomial(Fraction(2, 3), pi=d1, cos=1, sin3=1, cos3=1,
+                                    phi5=2, cos5=1)
+            b = TrigScalar.monomial(-5, pi=d2, phi=1, cos=1, cos3=1, sin5=2, cos5=1)
+            product = a * b
+            assert len(product.terms) == 8  # (1 - sin^2) on each of three angles
+            assert_same(product, to_poly(a.terms) * to_poly(b.terms))
 
 
 def test_sphere_volume_matches_gamma_formula():
