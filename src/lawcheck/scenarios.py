@@ -219,12 +219,23 @@ def _load(cfg):
 
     defaults = _DEFAULTS[n]
     orders = dict(cfg.get("orders", {}))
+    for key in orders:
+        if key not in ("boundary", "interior", "degree"):
+            raise ConfigError(f"unknown order {key!r}: orders are boundary, "
+                              f"interior and degree")
     tolerances = dict(defaults["tolerances"])
-    tolerances.update(cfg.get("tolerances", {}))
+    given = dict(cfg.get("tolerances", {}))
+    for key in given:
+        if key not in tolerances:
+            raise ConfigError(f"unknown tolerance {key!r}: tolerances are "
+                              f"{', '.join(tolerances)}")
+    tolerances.update(given)
     for key, value in tolerances.items():
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
             raise ConfigError(f"tolerance {key!r} must be a finite number, got {value!r}")
+        if value < 0:
+            raise ConfigError(f"tolerance {key!r} must not be negative, got {value!r}")
     expected = dict(_require(cfg, "expected", name))
     for key in ("ind_v", "ind_dminus"):
         if key not in expected:

@@ -4,16 +4,12 @@ Elements are rational linear combinations of monomials
 
     pi^d * prod_i  phi_i^a_i * sin(phi_i)^b_i * cos(phi_i)^c_i
 
-over a finite set of formal angles phi_1, phi_2, ...  The cos-exponent of
-every angle is kept at most 1 by the eager rewrite cos^2 -> 1 - sin^2, which
-makes the representation canonical.  The pi power may be negative
-(normalization constants such as unit sphere volumes are rational multiples
-of integer pi powers).
-
-The canonical form is fraction-free: an element stores integer numerators
-per monomial over one positive common denominator that shares no factor with
-all of them, and the zero element is no numerator over 1.  So an element is
-zero iff it has no numerators, and two elements are equal iff their
+over a finite set of formal angles phi_1, phi_2, ...  The pi power may be
+negative (unit sphere volumes are rational multiples of integer pi powers).
+Every cos-exponent is at most 1, which makes the representation canonical,
+and the form is fraction-free: integer numerators per monomial over one
+positive common denominator that shares no factor with all of them, the zero
+element being no numerator over 1.  So two elements are equal iff their
 numerators and denominators are.
 
 A monomial is keyed by one non-negative int, a row of FIELD_BITS-bit fields
@@ -23,38 +19,40 @@ fields, so every monomial has exactly one key, and a key over angles 1..m
 takes (3m + 1) * FIELD_BITS bits (128 at the five fiber angles of n = 6).
 The top bit of each field is a guard that a valid key keeps clear, so a
 field holds 0..MAX_EXP (127), d runs over -PI_BIAS..MAX_EXP - PI_BIAS
-(-64..63) and angle ids over 1..MAX_ANGLE (32).
+(-64..63) and angle ids over 1..MAX_ANGLE (32).  Every key an operation
+makes has its guards checked, and a set guard raises OverflowError, so no
+key is ever silently changed.
 
 The key of a product of two monomials is k1 + k2 - PI_BIAS.  Two in-range
 fields sum below 2 ** FIELD_BITS, so no carry crosses a field; an exponent
 past MAX_EXP sets its guard bit, and so does a pi power below -PI_BIAS,
-whose field borrows from the one above.  Every product checks the guards and
-raises OverflowError, so no key is ever silently changed.  Both
-cos-exponents are at most 1, so a cos^2 appears exactly at the cos bits of
-k1 & k2.  A product clears those cos fields and then, once per such angle,
+whose field borrows from the one above.  A cos^2 appears exactly at the cos
+bits of k1 & k2, and the product's split is the ring's one rewrite
+cos^2 -> 1 - sin^2: it clears those cos fields and, once per such angle,
 appends to its (key, coeff) pairs their negated copies with that angle's sin
-field raised by 2, so m shared angles give 2 ** m pairs.
+field raised by 2, so m shared angles give 2 ** m pairs.  The constructor
+accepts any cos power and builds each term as its cos-free monomial times
+cos(angle) once per power, so the split reduces it.  ``deriv`` and
+``eval_angle`` compute their keys in normal form directly.
 
 ``terms`` decodes the keys to {(d, ((angle, phi, sin, cos), ...)): Fraction}
-with the angles ascending.
-
-Angle 1 is the distinguished boundary angle; higher angles only appear in the
-fiber-sphere parametrization used by the symbolic identity checks.
+with the angles ascending.  Angle 1 is the distinguished boundary angle;
+higher angles only appear in the fiber-sphere parametrization used by the
+symbolic identity checks.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import numpy as np
 
 # The key that ``terms`` gives: (pi_power, angles), where angles is an
 # ascending tuple of (angle_id, phi_exp, sin_exp, cos_exp) entries with at
 # least one nonzero exponent and cos_exp in {0, 1}.  Inside an element the key
-# is one int, field 0 holding pi_power + PI_BIAS and field 3a - 2 + j exponent
-# j (phi, sin, cos) of angle a.
+# is one int whose field 3a - 2 + j holds exponent j (phi, sin, cos) of angle a.
 TermKey = tuple[int, tuple[tuple[int, int, int, int], ...]]
 
 FIELD_BITS = 8
@@ -64,7 +62,6 @@ MAX_ANGLE = 32
 _FIELD = (1 << FIELD_BITS) - 1
 _ANGLE = (1 << 3 * FIELD_BITS) - 1  # the three fields of one angle
 _COS = sum(1 << 3 * a * FIELD_BITS for a in range(1, MAX_ANGLE + 1))
-_COS_HIGH = _COS * (_FIELD - 1)  # a cos field at 2 or more
 _GUARDS = sum(1 << (f + 1) * FIELD_BITS - 1 for f in range(3 * MAX_ANGLE + 1))
 _OVERFLOW = "exponent overflow in a monomial key"
 
@@ -101,24 +98,6 @@ def _decode(key) -> TermKey:
     return (key & _FIELD) - PI_BIAS, tuple(_angle_exps(key))
 
 
-def _reduce_cos(key, coeff):
-    """Yield (key, coeff) pairs with all cos-exponents of key reduced below 2."""
-    high = key & _COS_HIGH
-    if not high:
-        if key & _GUARDS:
-            raise OverflowError(_OVERFLOW)
-        yield key, coeff
-        return
-    shift = (high & -high).bit_length() - 1
-    shift -= shift % FIELD_BITS  # the cos field of the lowest such angle
-    q, r = divmod(key >> shift & _FIELD, 2)
-    base = key - (2 * q << shift)
-    # cos^(2q+r) = (1 - sin^2)^q cos^r
-    for t in range(q + 1):
-        yield from _reduce_cos(base + (2 * t << shift - FIELD_BITS),
-                               -coeff * comb(q, t) if t % 2 else coeff * comb(q, t))
-
-
 def _make(num, den):
     """Wrap canonical numerators (no zeros, gcd with den already 1)."""
     out = TrigScalar.__new__(TrigScalar)
@@ -139,30 +118,24 @@ def _reduced(num, den):
     return _make(num, den)
 
 
-def _canonical(raw, den):
-    """Canonical element of {key: int} over den, any cos powers in the keys."""
-    acc: dict[int, int] = {}
-    for key, coeff in raw.items():
-        if coeff:
-            for red, factor in _reduce_cos(key, coeff):
-                acc[red] = acc.get(red, 0) + factor
-    return _reduced({k: v for k, v in acc.items() if v}, den)
-
-
 class TrigScalar:
     """Canonical-form element of the exact trig/pi coefficient ring."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
+        # every key is checked before any product is taken
         fracs = [(_encode(*key), Fraction(c)) for key, c in (terms or {}).items()]
-        den = lcm(*(f.denominator for _, f in fracs))
-        raw: dict[int, int] = {}
-        for key, f in fracs:
-            raw[key] = raw.get(key, 0) + f.numerator * (den // f.denominator)
-        canon = _canonical(raw, den)
-        self.num = canon.num
-        self.den = canon.den
+        total = _make({}, 1)
+        for key, coeff in fracs:
+            if coeff:
+                cos = [aid for aid, _, _, c in _angle_exps(key) for _ in range(c)]
+                key -= sum(1 << 3 * aid * FIELD_BITS for aid in cos)
+                term = _make({key: coeff.numerator}, coeff.denominator)
+                for aid in cos:  # the product splits each cos^2
+                    term = term * TrigScalar.cos(aid)
+                total = total + term
+        self.num, self.den = total.num, total.den
 
     @property
     def terms(self) -> dict[TermKey, Fraction]:
@@ -293,11 +266,13 @@ class TrigScalar:
     # -- calculus ----------------------------------------------------------
 
     def deriv(self, angle=1):
-        """Derivative with respect to the given formal angle."""
-        raw: dict[int, int] = {}
+        """Derivative with respect to the given formal angle, in normal form."""
+        out: dict[int, int] = {}
 
         def emit(key, coeff):
-            raw[key] = raw.get(key, 0) + coeff
+            if key & _GUARDS:
+                raise OverflowError(_OVERFLOW)
+            out[key] = out.get(key, 0) + coeff
 
         shift = (3 * angle - 2) * FIELD_BITS  # the phi field of the angle
         dp, ds, dc = 1 << shift, 1 << shift + FIELD_BITS, 1 << shift + 2 * FIELD_BITS
@@ -305,48 +280,43 @@ class TrigScalar:
             p, s, c = (key >> shift + j * FIELD_BITS & _FIELD for j in range(3))
             if p:
                 emit(key - dp, coeff * p)
-            if s:
+            if s and c:  # s sin^(s-1) cos^2 = s sin^(s-1) - s sin^(s+1)
+                emit(key - ds - dc, coeff * s)
+                emit(key + ds - dc, -coeff * s)
+            elif s:
                 emit(key - ds + dc, coeff * s)
             if c:
-                emit(key + ds - dc, -coeff * c)
-        return _canonical(raw, self.den)
+                emit(key + ds - dc, -coeff)
+        return _reduced({k: v for k, v in out.items() if v}, self.den)
 
     def eval_angle(self, angle, at):
         """Substitute the angle at one of the exact points '0', 'pi', 'pi/2'."""
         if at not in ("0", "pi", "pi/2"):
             raise ValueError(f"unsupported evaluation point {at!r}")
-        raw: dict[TermKey, Fraction] = {}
-        for (d, angles), coeff in self.terms.items():
-            rest = []
-            factor = coeff
-            dpi = d
-            dead = False
-            for aid, p, s, c in angles:
-                if aid != angle:
-                    rest.append((aid, p, s, c))
+        shift = (3 * angle - 2) * FIELD_BITS  # the phi field of the angle
+        # (pi/2)^p = pi^p / 2^p, so at pi/2 every numerator goes over den * 2^top
+        top = max((k >> shift & _FIELD for k in self.num), default=0) if at == "pi/2" else 0
+        out: dict[int, int] = {}
+        for key, coeff in self.num.items():
+            fields = key >> shift & _ANGLE
+            p, s, c = fields & _FIELD, fields >> FIELD_BITS & _FIELD, fields >> 2 * FIELD_BITS
+            if at == "0":
+                if p or s:
                     continue
-                if at == "0":
-                    if p or s:
-                        dead = True
-                        break
-                elif at == "pi":
-                    if s:
-                        dead = True
-                        break
-                    dpi += p
-                    if c:
-                        factor = -factor
-                else:  # pi/2
-                    if c:
-                        dead = True
-                        break
-                    dpi += p
-                    factor = factor / Fraction(2) ** p
-            if dead:
+            elif at == "pi":
+                if s:
+                    continue
+                if c:
+                    coeff = -coeff
+            elif c:
                 continue
-            key = (dpi, tuple(rest))
-            raw[key] = raw.get(key, 0) + factor
-        return TrigScalar(raw)
+            else:
+                coeff <<= top - p
+            key += p - (fields << shift)  # clear the angle, raise pi by p (0 at '0')
+            if key & _GUARDS:
+                raise OverflowError(_OVERFLOW)
+            out[key] = out.get(key, 0) + coeff
+        return _reduced({k: v for k, v in out.items() if v}, self.den << top)
 
     # -- queries -----------------------------------------------------------
 

@@ -94,6 +94,9 @@ _MALFORMED = {
     "order-0": ("disk-constant", _set("orders", {"interior": 0})),
     "order-negative": ("disk-constant", _set("orders", {"degree": -3})),
     "tolerance-x": ("disk-constant", _set("tolerances", {"thm": "x"})),
+    "tolerance-unknown-key": ("disk-constant", _set("tolerances", {"gauss-bonnet": 1e-30})),
+    "tolerance-negative": ("disk-constant", _set("tolerances", {"thm": -1})),
+    "order-unknown-key": ("disk-constant", _set("orders", {"boundry": 8})),
     "patch-box-one-interval": ("disk-constant", _set("patch", "box", [[0, 1]])),
     "patch-box-short-interval": ("disk-constant",
                                  _set("patch", "box", [[0], [0, "2*pi"]])),

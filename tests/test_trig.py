@@ -3,10 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from lawcheck.trig import MAX_ANGLE, MAX_EXP, PI_BIAS, TrigScalar, sphere_volume
+from lawcheck.trig import (FIELD_BITS, MAX_ANGLE, MAX_EXP, PI_BIAS, TrigScalar,
+                           sphere_volume)
 
 
 def rand_scalar(rng, angles=(1,)):
@@ -125,6 +127,43 @@ def test_render_deterministic():
     assert TrigScalar.zero().render() == "0"
 
 
+def assert_normal_form(x):
+    """The stored form itself, which ``terms`` (reduced Fractions) hides."""
+    assert all(x.num.values()), "a zero numerator is stored"
+    assert x.den >= 1
+    assert gcd(x.den, *x.num.values()) == 1, "numerators and den share a factor"
+    n_fields = 3 * MAX_ANGLE + 1
+    for key in x.num:
+        assert 0 <= key < 1 << n_fields * FIELD_BITS
+        fields = [key >> f * FIELD_BITS & (1 << FIELD_BITS) - 1 for f in range(n_fields)]
+        assert max(fields) <= MAX_EXP, "a guard bit is set"
+        assert max(fields[3::3]) <= 1, "a cos power above 1 is stored"
+
+
+def test_every_operation_keeps_the_normal_form():
+    rng = random.Random(1919)
+    angles = (1, 2, 3)
+
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            parts = tuple((aid, rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 5))
+                          for aid in angles if rng.random() < 0.6)
+            terms[(rng.randint(-2, 2), parts)] = Fraction(rng.randint(-6, 6),
+                                                          rng.randint(1, 6))
+        return TrigScalar(terms)
+
+    for _ in range(150):
+        a, b = element(), element()
+        k = Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 9))
+        results = [a, b, a + b, a - b, a - a, a * b, a / k]
+        for aid in angles:
+            results.append(a.deriv(aid))
+            results += [a.eval_angle(aid, at) for at in ("0", "pi", "pi/2")]
+        for x in results:
+            assert_normal_form(x)
+
+
 # -- limits of the packed monomial key ---------------------------------------------
 
 # every field next to the exponents pushed to their limits is set, so a carry
@@ -173,3 +212,23 @@ def test_angle_ids_outside_the_key_are_rejected():
     for bad in (0, MAX_ANGLE + 1):
         with pytest.raises(ValueError):
             TrigScalar.sin(bad)
+
+
+def test_constructor_checks_every_key_before_any_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(TrigScalar, "__mul__", no_product)
+    with pytest.raises(OverflowError):
+        TrigScalar({(0, ((1, 0, 0, MAX_EXP + 1),)): 1})
+    with pytest.raises(OverflowError):  # the valid cos^2 term comes first
+        TrigScalar({(0, ((1, 0, 0, 2),)): 1, (0, ((2, 0, 0, MAX_EXP + 1),)): 1})
+
+
+@pytest.mark.parametrize("at", ["pi", "pi/2"])
+def test_eval_angle_past_the_pi_limit_raises(at):
+    top = MAX_EXP - PI_BIAS
+    below = TrigScalar.monomial(pi=top - 1, phi=1).eval_angle(1, at)
+    assert below == TrigScalar.pi_power(top, 1 if at == "pi" else Fraction(1, 2))
+    with pytest.raises(OverflowError):
+        TrigScalar.monomial(pi=top, phi=1).eval_angle(1, at)
