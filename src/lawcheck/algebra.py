@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .trig import TrigScalar, ONE
+from .trig import ONE, TrigScalar, collect, mul_add
 
 # generator kind codes; odd kinds sort before a monomial's theta tail
 K_DPHI, K_OMEGA, K_THETA = 0, 1, 2
@@ -206,16 +206,13 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._compatible(other)
-        res = Form(self.n, boundary=self.boundary)
+        accs = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 hit = mono_mul(m1, m2)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                coeff = c1 * c2
-                add_term(res.terms, mono, coeff if sign > 0 else -coeff)
-        return res
+                if hit is not None:
+                    mul_add(accs, hit[1], c1, c2, hit[0] < 0)
+        return Form(self.n, collect(accs), self.boundary)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, TrigScalar)):
@@ -235,14 +232,14 @@ class Form:
     # -- differential ------------------------------------------------------
 
     def d(self):
-        out = Form.zero(self.n, self.boundary)
+        accs = {}
         for mono, coeff in self.terms.items():
             # derivative of the coefficient contributes dphi_i wedge mono
             for angle in sorted(coeff.angles()):
                 dc = coeff.deriv(angle)
                 hit = mono_mul(((), ((K_DPHI, angle, 0),)), mono) if dc else None
                 if hit is not None:
-                    add_term(out.terms, hit[1], dc if hit[0] > 0 else -dc)
+                    mul_add(accs, hit[1], dc, ONE, hit[0] < 0)
             # graded Leibniz over the canonical word: prefix * d(gen) * suffix,
             # signed by the parity of the prefix (the number of odd factors)
             evens, odds = mono
@@ -259,10 +256,8 @@ class Form:
                     left = mono_mul(prefix, m)
                     right = left and mono_mul(left[1], suffix)
                     if right:
-                        c = coeff * c
-                        add_term(out.terms, right[1],
-                                 c if sign * left[0] * right[0] > 0 else -c)
-        return out
+                        mul_add(accs, right[1], coeff, c, sign * left[0] * right[0] < 0)
+        return Form(self.n, collect(accs), self.boundary)
 
     def interior_dphi(self):
         """Interior product with the vector field dual to dphi (odd derivation)."""
@@ -324,15 +319,19 @@ class Form:
         other mapped odd generators behind the unmapped ones (the sign of
         that shuffle is right because every replacement has its generator's
         parity, else ValueError), and joins the group of terms that share
-        those mapped generators.  Each group multiplies out one product of
-        replacements, built from the cached product of its prefix.
+        those mapped generators.  Groups are walked in sorted order, so keys
+        with a common prefix are adjacent: each multiplies out one product
+        of replacements from its prefix's product, and only the live chain
+        of prefix products is kept.  Every coefficient product accumulates
+        raw into its output monomial (``trig.mul_add``) and is normalized
+        once at the end.
         """
         if boundary is None:
             boundary = self.boundary
-        out = Form.zero(self.n, boundary)
+        target = Form.zero(self.n, boundary)  # the algebra of the result
         consts = {}  # constant replacements; an odd generator's can only be 0
         for gen, rep in mapping.items():
-            out._compatible(rep)
+            target._compatible(rep)
             if any(mono_degree(m) % 2 != DEGREE[gen[0]] % 2 for m in rep.terms):
                 raise ValueError(f"replacement for {_gen_name(gen)} has the wrong parity")
             if rep.terms.keys() <= {_EMPTY_MONO}:
@@ -358,18 +357,22 @@ class Form:
                 add_term(groups.setdefault(tuple(key), {}),
                          (tuple(kept_evens), tuple(kept_odds)),
                          -coeff if flips % 2 else coeff)
-        products = {(): Form.scalar(self.n, 1, boundary)}
-        for key, kept in groups.items():
-            for k in range(1, len(key) + 1):
-                if key[:k] not in products:
-                    products[key[:k]] = products[key[:k - 1]] * mapping[key[k - 1]]
-            for mono, coeff in kept.items():
-                for m, c in products[key].terms.items():
+        accs = {}
+        prev, chain = (), [Form.scalar(self.n, 1, boundary)]  # chain[k]: prev[:k]'s product
+        for key in sorted(groups):
+            k = 0
+            while k < min(len(key), len(prev)) and key[k] == prev[k]:
+                k += 1
+            del chain[k + 1:]
+            for gen in key[k:]:
+                chain.append(chain[-1] * mapping[gen])
+            prev = key
+            for mono, coeff in groups[key].items():
+                for m, c in chain[-1].terms.items():
                     hit = mono_mul(mono, m)
                     if hit is not None:
-                        c = coeff * c
-                        add_term(out.terms, hit[1], c if hit[0] > 0 else -c)
-        return out
+                        mul_add(accs, hit[1], coeff, c, hit[0] < 0)
+        return Form(self.n, collect(accs), boundary)
 
     # -- queries -----------------------------------------------------------
 

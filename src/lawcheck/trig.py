@@ -35,6 +35,12 @@ accepts any cos power and builds each term as its cos-free monomial times
 cos(angle) once per power, so the split reduces it.  ``deriv`` and
 ``eval_angle`` compute their keys in normal form directly.
 
+The wedge, ``d`` and substitution of ``algebra`` sum their coefficient
+products with ``mul_add``, which runs the loop, guard checks and split of
+``__mul__`` into an accumulator in place: raw integer numerators over a
+denominator raised by lcm only when a product's does not divide it, with no
+gcd taken.  ``collect`` then normalizes each accumulator once.
+
 ``terms`` decodes the keys to {(d, ((angle, phi, sin, cos), ...)): Fraction}
 with the angles ascending.  Angle 1 is the distinguished boundary angle;
 higher angles only appear in the fiber-sphere parametrization used by the
@@ -66,18 +72,24 @@ _GUARDS = sum(1 << (f + 1) * FIELD_BITS - 1 for f in range(3 * MAX_ANGLE + 1))
 _OVERFLOW = "exponent overflow in a monomial key"
 
 
+def _phi_shift(angle):
+    """Bit offset of the angle's phi field, for an angle id in 1..MAX_ANGLE."""
+    if not 1 <= angle <= MAX_ANGLE:
+        raise ValueError(f"angle ids run over 1..{MAX_ANGLE}, got {angle}")
+    return (3 * angle - 2) * FIELD_BITS
+
+
 def _encode(d, angles):
     """Key of pi^d times the (angle_id, phi, sin, cos) entries, any cos power."""
     if not -PI_BIAS <= d <= MAX_EXP - PI_BIAS:
         raise OverflowError(f"pi power {d} is outside the key's range")
     key = d + PI_BIAS
     for aid, *exps in angles:
-        if not 1 <= aid <= MAX_ANGLE:
-            raise ValueError(f"angle ids run over 1..{MAX_ANGLE}, got {aid}")
+        shift = _phi_shift(aid)
         for j, e in enumerate(exps):
             if not 0 <= e <= MAX_EXP:
                 raise OverflowError(f"exponent {e} is outside the key's range")
-            key += e << (3 * aid - 2 + j) * FIELD_BITS
+            key += e << shift + j * FIELD_BITS
     if key & _GUARDS:
         raise OverflowError(_OVERFLOW)
     return key
@@ -116,6 +128,69 @@ def _reduced(num, den):
             num = {k: v // g for k, v in num.items()}
             den //= g
     return _make(num, den)
+
+
+def _mul_into(num, x, y, scale):
+    """Add the numerators of scale * x * y into num in place, taking no gcd."""
+    get = num.get
+    terms2 = y.num.items()
+    for k1, c1 in x.num.items():
+        cos1 = k1 & _COS
+        c1 *= scale
+        for k2, c2 in terms2:
+            key = k1 + k2 - PI_BIAS
+            if key & _GUARDS:
+                raise OverflowError(_OVERFLOW)
+            shared = cos1 & k2
+            if not shared:
+                new = get(key, 0) + c1 * c2
+                if new:
+                    num[key] = new
+                else:
+                    del num[key]
+                continue
+            pairs = [(key - 2 * shared, c1 * c2)]
+            while shared:  # each cos^2 -> 1 - sin^2 doubles the pairs
+                sin2 = 2 * ((shared & -shared) >> FIELD_BITS)
+                shared &= shared - 1
+                pairs += [(k + sin2, -c) for k, c in pairs]
+                # the last pair has every sin raised so far
+                if pairs[-1][0] & _GUARDS:
+                    raise OverflowError(_OVERFLOW)
+            for key, c in pairs:
+                new = get(key, 0) + c
+                if new:
+                    num[key] = new
+                else:
+                    del num[key]
+
+
+def mul_add(accs, slot, x, y, negate):
+    """Add x * y, or -x * y if negate, into the accumulator accs[slot] in place.
+
+    An accumulator is [num, den]: raw {key: int} numerators over a common
+    denominator.  It is deleted as soon as its numerators cancel, so the
+    slots keep the order that adding elements one by one gives.
+    """
+    pden = x.den * y.den
+    acc = accs.get(slot)
+    if acc is None:
+        acc = accs[slot] = [{}, pden]
+    num, den = acc
+    if den % pden:  # raise den to lcm(den, pden)
+        f = lcm(den, pden) // den
+        for key in num:
+            num[key] *= f
+        acc[1] = den = den * f
+    scale = den // pden
+    _mul_into(num, x, y, -scale if negate else scale)
+    if not num:
+        del accs[slot]
+
+
+def collect(accs):
+    """Normalize each accumulator of ``mul_add`` once: {slot: TrigScalar}."""
+    return {slot: _reduced(dict(num), den) for slot, (num, den) in accs.items()}
 
 
 class TrigScalar:
@@ -230,30 +305,7 @@ class TrigScalar:
         if other is NotImplemented:
             return NotImplemented
         out: dict[int, int] = {}
-        get = out.get
-        terms2 = other.num.items()
-        for k1, c1 in self.num.items():
-            cos1 = k1 & _COS
-            for k2, c2 in terms2:
-                key = k1 + k2 - PI_BIAS
-                if key & _GUARDS:
-                    raise OverflowError(_OVERFLOW)
-                coeff = c1 * c2
-                shared = cos1 & k2
-                pairs = [(key - 2 * shared, coeff)]
-                while shared:  # each cos^2 -> 1 - sin^2 doubles the pairs
-                    sin2 = 2 * ((shared & -shared) >> FIELD_BITS)
-                    shared &= shared - 1
-                    pairs += [(k + sin2, -c) for k, c in pairs]
-                    # the last pair has every sin raised so far
-                    if pairs[-1][0] & _GUARDS:
-                        raise OverflowError(_OVERFLOW)
-                for key, c in pairs:
-                    new = get(key, 0) + c
-                    if new:
-                        out[key] = new
-                    else:
-                        del out[key]
+        _mul_into(out, self, other, 1)
         return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -274,7 +326,7 @@ class TrigScalar:
                 raise OverflowError(_OVERFLOW)
             out[key] = out.get(key, 0) + coeff
 
-        shift = (3 * angle - 2) * FIELD_BITS  # the phi field of the angle
+        shift = _phi_shift(angle)
         dp, ds, dc = 1 << shift, 1 << shift + FIELD_BITS, 1 << shift + 2 * FIELD_BITS
         for key, coeff in self.num.items():
             p, s, c = (key >> shift + j * FIELD_BITS & _FIELD for j in range(3))
@@ -293,7 +345,7 @@ class TrigScalar:
         """Substitute the angle at one of the exact points '0', 'pi', 'pi/2'."""
         if at not in ("0", "pi", "pi/2"):
             raise ValueError(f"unsupported evaluation point {at!r}")
-        shift = (3 * angle - 2) * FIELD_BITS  # the phi field of the angle
+        shift = _phi_shift(angle)
         # (pi/2)^p = pi^p / 2^p, so at pi/2 every numerator goes over den * 2^top
         top = max((k >> shift & _FIELD for k in self.num), default=0) if at == "pi/2" else 0
         out: dict[int, int] = {}

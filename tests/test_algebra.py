@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -20,7 +21,7 @@ from lawcheck.algebra import (
     mono_mul,
 )
 from lawcheck.chern import build_phi, polar_substitute, rotate_frame, specialize_boundary
-from lawcheck.trig import TrigScalar
+from lawcheck.trig import ONE, TrigScalar
 
 
 def rand_form(rng, n, boundary=False, max_terms=4, max_gens=3):
@@ -291,6 +292,19 @@ def reference_substitute(f, mapping, boundary=None):
     return out
 
 
+def reference_mul(f, g):
+    """The wedge as one TrigScalar product and one add_term per pair of terms."""
+    f._compatible(g)
+    out = Form.zero(f.n, f.boundary)
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            hit = mono_mul(m1, m2)
+            if hit is not None:
+                coeff = c1 * c2
+                add_term(out.terms, hit[1], coeff if hit[0] > 0 else -coeff)
+    return out
+
+
 def _mono_sandwich(prefix, form, suffix):
     """prefix * form * suffix with monomial multiplication on both sides."""
     out = Form.zero(form.n, form.boundary)
@@ -380,6 +394,47 @@ def test_chern_substitutions_match_reference(n, monkeypatch):
     if n > 3:
         rotate_frame(special, 2, 3)
     assert len(seen) == 3 + (n > 3)
+
+
+def test_substitute_chain_of_prefixes_matches_reference():
+    """Group keys that share prefixes, met out of sorted order."""
+    n = 5
+    th = {a: (K_THETA, a, 0) for a in range(1, 6)}
+    mapping = {gen: (Form.omega(n, a, a % 5 + 1).scale(TrigScalar.sin(a))
+                     + Form.coordinate(n, 6 - a) * Form.theta(n, a % 5 + 1)
+                     + Form.curvature(n, 1, 2) * Form.omega(n, a, (a + 1) % 5 + 1))
+               for a, gen in th.items()}
+    rng = random.Random(55)
+    for _ in range(40):
+        f = Form.zero(n)
+        for key in ((1, 2, 3), (1, 4), (1, 2, 5), (2,)):
+            term = Form.scalar(n, TrigScalar.monomial(rng.randint(-4, 4) or 1,
+                                                      sin=rng.randint(0, 1),
+                                                      cos=rng.randint(0, 1)))
+            if rng.random() < 0.5:
+                term = term * Form.coordinate(n, rng.randint(1, n))
+            if rng.random() < 0.5:
+                term = term * Form.omega(n, *rng.sample(range(1, n + 1), 2))
+            f = f + term * Form(n, {((), tuple(th[a] for a in key)): ONE})
+        assert f.substitute(mapping) == reference_substitute(f, mapping)
+
+
+def test_wedge_matches_reference_in_value_and_term_order():
+    n = 6
+    w = partial(Form.omega, n)
+    # w12*w34 cancels at the second term of f and comes back at the third
+    f = w(1, 2) + w(3, 4) + Form.scalar(n, 1)
+    g = w(3, 4) + w(1, 2) + w(5, 6) + w(1, 2) * w(3, 4)
+    forms = [(f, g)]
+    rng = random.Random(4242)
+    for is_boundary in (False, True):
+        for _ in range(200):
+            forms.append(tuple(rand_form(rng, 4, is_boundary, max_terms=6, max_gens=3)
+                               for _ in range(2)))
+    for f, g in forms:
+        got, want = f * g, reference_mul(f, g)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -7,8 +7,8 @@ from math import gcd
 
 import pytest
 
-from lawcheck.trig import (FIELD_BITS, MAX_ANGLE, MAX_EXP, PI_BIAS, TrigScalar,
-                           sphere_volume)
+from lawcheck.trig import (_COS, FIELD_BITS, MAX_ANGLE, MAX_EXP, PI_BIAS, ZERO,
+                           TrigScalar, collect, mul_add, sphere_volume)
 
 
 def rand_scalar(rng, angles=(1,)):
@@ -214,6 +214,15 @@ def test_angle_ids_outside_the_key_are_rejected():
             TrigScalar.sin(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: x.deriv(0), lambda x: x.deriv(MAX_ANGLE + 1),
+    lambda x: x.eval_angle(0, "0"), lambda x: x.eval_angle(MAX_ANGLE + 1, "pi"),
+])
+def test_calculus_rejects_angle_ids_outside_the_key(call):
+    with pytest.raises(ValueError, match=rf"angle ids run over 1\.\.{MAX_ANGLE}, got"):
+        call(TrigScalar.sin() + TrigScalar.phi())
+
+
 def test_constructor_checks_every_key_before_any_product(monkeypatch):
     def no_product(self, other):
         raise AssertionError("a product was taken")
@@ -232,3 +241,79 @@ def test_eval_angle_past_the_pi_limit_raises(at):
     assert below == TrigScalar.pi_power(top, 1 if at == "pi" else Fraction(1, 2))
     with pytest.raises(OverflowError):
         TrigScalar.monomial(pi=top, phi=1).eval_angle(1, at)
+
+
+# -- the multiply-accumulate kernel ----------------------------------------------
+
+def _kernel_element(rng):
+    """Seeded element over angles 1..3 with cos powers <= 1 and a mixed den."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        parts = tuple((aid, rng.randint(0, 1), rng.randint(0, 2), rng.randint(0, 1))
+                      for aid in (1, 2, 3) if rng.random() < 0.7)
+        terms[(rng.randint(-1, 1), parts)] = Fraction(rng.randint(-6, 6) or 1,
+                                                      rng.choice((1, 2, 3, 4, 6, 9)))
+    return TrigScalar(terms)
+
+
+def _add_in_order(expected, slot, value):
+    """What adding elements one by one gives, dropping a slot that cancels."""
+    new = expected.get(slot, ZERO) + value
+    if new:
+        expected[slot] = new
+    else:
+        expected.pop(slot, None)
+
+
+def test_mul_add_matches_the_sum_of_products():
+    rng = random.Random(2020)
+    shared_seen, cancelled = set(), 0
+    for _ in range(120):
+        accs, expected, done = {}, {}, []
+        for _ in range(rng.randint(1, 8)):
+            if done and rng.random() < 0.3:  # undo an earlier product
+                slot, x, y, negate = done.pop(rng.randrange(len(done)))
+                negate = not negate
+            else:
+                slot, x, y = rng.randint(0, 2), _kernel_element(rng), _kernel_element(rng)
+                negate = rng.random() < 0.5
+                done.append((slot, x, y, negate))
+            for k1 in x.num:
+                for k2 in y.num:
+                    shared_seen.add(bin(k1 & k2 & _COS).count("1"))
+            had = slot in expected
+            mul_add(accs, slot, x, y, negate)
+            _add_in_order(expected, slot, -(x * y) if negate else x * y)
+            cancelled += had and slot not in expected
+            assert list(accs) == list(expected)
+        got = collect(accs)
+        assert got == expected and list(got) == list(expected)
+        for value in got.values():
+            assert_normal_form(value)
+    assert shared_seen == {0, 1, 2, 3} and cancelled
+
+
+def test_mul_add_cancels_to_zero_then_takes_new_terms():
+    x = TrigScalar.monomial(Fraction(1, 6), sin=1, cos=1) + TrigScalar.cos(2)
+    y = TrigScalar.monomial(Fraction(2, 9), cos=1, cos2=1) - TrigScalar.pi_power(1)
+    z = TrigScalar.monomial(Fraction(3, 4), phi3=1)
+    accs = {}
+    mul_add(accs, "m", x, y, False)
+    mul_add(accs, "m", y, x, True)
+    assert accs == {}
+    mul_add(accs, "m", z, x, True)
+    mul_add(accs, "m", x, y, False)
+    assert collect(accs) == {"m": x * y - z * x}
+
+
+def test_mul_add_past_a_field_limit_raises():
+    # no split: one pair per product
+    with pytest.raises(OverflowError):
+        mul_add({}, 0, TrigScalar.monomial(sin=MAX_EXP), TrigScalar.sin(), False)
+    # the cos^2 split lifts sin by 2
+    accs = {}
+    mul_add(accs, 0, TrigScalar.monomial(sin2=MAX_EXP - 2, cos2=1), TrigScalar.cos(2), False)
+    assert collect(accs) == {0: TrigScalar.monomial(sin2=MAX_EXP - 2)
+                             - TrigScalar.monomial(sin2=MAX_EXP)}
+    with pytest.raises(OverflowError):
+        mul_add({}, 0, TrigScalar.monomial(sin2=MAX_EXP - 1, cos2=1), TrigScalar.cos(2), True)
