@@ -7,11 +7,13 @@ config string serves values and derivatives alike.  The entries of a vector
 or matrix are parsed into one straight-line program by value numbering:
 structurally equal subtrees, across all entries, share one slot, computed
 once per call by the operation a tree walk would run, so values are
-bit-identical.  A numpy fault on arrays is located by re-evaluating node by
-node in Python floats, so the ConfigError names the first failing node and,
-in it, the first failing entry (the one that emitted the first faulting
-instruction), with Python's own message; with no node, none fails, and every
-entry comes back with zero nodes.
+bit-identical.  A slot is dropped after the last instruction that reads it,
+unless it is an entry's value, so a long program holds a few node arrays at
+a time, not one per slot.  A numpy fault on arrays is located by
+re-evaluating node by node in Python floats, so the ConfigError names the
+first failing node and, in it, the first failing entry (the one that emitted
+the first faulting instruction), with Python's own message; with no node,
+none fails, and every entry comes back with zero nodes.
 """
 
 from __future__ import annotations
@@ -150,10 +152,30 @@ class _Parser:
         raise ExpressionError(f"unexpected token {val!r}")
 
 
-def _run(program, env, values):
-    """Append the value of each instruction of ``program`` to ``values``;
-    after a fault, ``len(values)`` is the failing instruction."""
-    for ins in program:
+def _operands(ins):
+    """The slots that the instruction ``ins`` reads."""
+    op = ins[0]
+    if op in ("const", "param"):
+        return ()
+    return ins[2:] if op == "call" else ins[1:2] if op == "pow" else ins[1:]
+
+
+def _dead_after(program, outputs):
+    """For each instruction, the slots it reads for the last time, outputs
+    excepted: those can be dropped once it has run."""
+    last = {s: i for i, ins in enumerate(program) for s in _operands(ins)}
+    dead = [[] for _ in program]
+    for s, i in last.items():
+        if s not in outputs:
+            dead[i].append(s)
+    return dead
+
+
+def _run(program, dead, env, values):
+    """Append the value of each instruction of ``program`` to ``values``,
+    then replace by None the slots ``dead`` lists for it; after a fault,
+    ``len(values)`` is the failing instruction."""
+    for ins, drop in zip(program, dead):
         op = ins[0]
         if op == "const":
             x = ins[1]
@@ -168,6 +190,8 @@ def _run(program, env, values):
         else:
             x = _BINARY[op](values[ins[1]], values[ins[2]])
         values.append(x)
+        for s in drop:
+            values[s] = None
 
 
 def _first_fault(fn, env):
@@ -198,12 +222,13 @@ def compile_vector(texts, params):
             raise ExpressionError(f"expression of {len(text)} characters is nested "
                                   f"too deeply to parse") from None
         owner += [entry] * (len(program) - len(owner))
+    dead = _dead_after(program, set(outputs))
 
     def fn(env):
         values = []
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                _run(program, env, values)
+                _run(program, dead, env, values)
             return [values[s] for s in outputs]
         except (ArithmeticError, ValueError) as exc:
             if all(type(v) in (int, float) for v in env):
@@ -214,7 +239,7 @@ def compile_vector(texts, params):
             return [np.zeros(shape) for _ in outputs]
         values = []
         with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
-            _run(program, env, values)
+            _run(program, dead, env, values)
         return [values[s] for s in outputs]
 
     return fn

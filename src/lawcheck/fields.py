@@ -146,13 +146,14 @@ def _sample_points(box, count):
                         for lo, hi in box])
 
 
-def _sample_in_point_order(check, points):
-    """Run ``check`` on the sample points chunk by chunk.  A chunk that raises
-    ConfigError is re-run one point at a time, so the error raised is the one
-    a point-by-point sweep meets first: ``check`` raises a chunk's ConfigError
-    before it tests genericity, so a GenericityError at an earlier point would
-    otherwise lose to a ConfigError at a later one."""
-    for c in node_chunks(len(points)):
+def _sample_in_point_order(check, points, n):
+    """Run ``check`` on the sample points chunk by chunk, for geometry of
+    dimension n.  A chunk that raises ConfigError is re-run one point at a
+    time, so the error raised is the one a point-by-point sweep meets first:
+    ``check`` raises a chunk's ConfigError before it tests genericity, so a
+    GenericityError at an earlier point would otherwise lose to a ConfigError
+    at a later one."""
+    for c in node_chunks(len(points), n):
         try:
             check(points[c])
         except ConfigError:
@@ -203,7 +204,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
                             f"the outward region (normal-like field); outward indices are "
                             f"not meaningful")
 
-    _sample_in_point_order(check, points)
+    _sample_in_point_order(check, points, n)
 
     minus, plus = [], []
     for s in declared:
@@ -288,4 +289,4 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
                 f"undeclared interior zero: |V| = {norm[k]:.2e} at chart point "
                 f"{list(map(float, x[k]))}")
 
-    _sample_in_point_order(check, points)
+    _sample_in_point_order(check, points, patch.n)

@@ -2,18 +2,22 @@
 
 Every layer takes N chart (or boundary) points as an (N, dim) array and
 returns arrays with a leading node axis; quadratures pass their grids in
-chunks of CHUNK nodes, which bounds every array.  Differentiation is forward
-mode, truncated Taylor arithmetic (Griewank & Walther 2008): a Jet carries
-values (N,), gradients (N, m) and, at second order only, Hessians (N, m, m).
-Only the metric (for curvature, computed once in coordinates, exact to
+chunks of CHUNK_ENTRIES // n^4 nodes for geometry of dimension n, so that the
+n^2 x n^2 curvature, the largest array per node, and with it every array,
+stays bounded in every dimension.  Differentiation is forward mode,
+truncated Taylor arithmetic (Griewank & Walther 2008): a Jet carries values
+(N,), gradients (N, m) and, at second order only, Hessians (N, m, m).  Only
+the metric where a curvature follows (computed once in coordinates, exact to
 roundoff) and the boundary embedding (for d2x) are second order.  The Euler
 density needs no frame; boundary frames carry values and first derivatives
-only, as nothing reads second ones.  Derivative
-arrays put the parameter axes right after the node axis (dG[:, i, k, l] =
-d_i g_kl), so a contraction is one stacked matmul (``@``) per node, each with
-its index formula in a comment, and no einsum is needed.  Connection and
-curvature values keep chern's template layout omega[:, A, B, i].  Finite
-differences appear only in tests, as independent oracles.
+only, as nothing reads second ones.  Derivative arrays put the parameter axes
+right after the node axis (dG[:, i, k, l] = d_i g_kl), so a contraction is
+one stacked matmul (``@``) per node, each with its index formula in a
+comment, and no einsum is needed; an operand that would be a transposed view
+is copied to a contiguous array first, which the matmul reads several times
+faster.  Connection and curvature values keep chern's template layout
+omega[:, A, B, i].  Finite differences appear only in tests, as independent
+oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches, whatever outward vector the patch gives; no sign is applied to
@@ -34,12 +38,22 @@ import numpy as np
 
 from .chern import euler_template, evaluate_template
 
-CHUNK = 256  # nodes per batched evaluation
+CHUNK_ENTRIES = 256 * 3 ** 4  # curvature entries per batched evaluation (256 nodes at n = 3)
 
 
-def node_chunks(count):
-    """Slices of at most CHUNK consecutive nodes that cover range(count)."""
-    return [slice(k, k + CHUNK) for k in range(0, count, CHUNK)]
+def node_chunks(count, n):
+    """Slices of consecutive nodes that cover range(count), for geometry of
+    dimension n: each holds CHUNK_ENTRIES // n^4 nodes (at least one), so the
+    n^2 x n^2 curvature, the largest array per node, keeps at most
+    CHUNK_ENTRIES entries (1296 nodes at n = 2, 256 at n = 3)."""
+    size = max(1, CHUNK_ENTRIES // n ** 4)
+    return [slice(k, k + size) for k in range(0, count, size)]
+
+
+def _transposed(a):
+    """``a`` with its last two axes swapped, as a contiguous array: a stacked
+    matmul reads a transposed view several times more slowly than a copy."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
 class Jet:
@@ -187,7 +201,7 @@ def _cholesky_inverse(M, points, floor, fault):
     inv, diag, bad = np.zeros_like(M), np.empty((N, r)), np.zeros(N, dtype=bool)
     with np.errstate(all="ignore"):  # a failing node's inf or NaN ends in ``bad``
         for i in range(r):
-            row = (M[:, i, None, :i] @ inv[:, :i, :i].swapaxes(1, 2))[:, 0]  # L[i, :i]
+            row = (inv[:, :i, :i] @ M[:, i, :i, None])[..., 0]  # L[i, :i]
             pivot = M[:, i, i] - (row * row).sum(axis=1)
             bad |= ~((pivot > floor) & (pivot < np.inf))
             diag[:, i] = np.sqrt(pivot)
@@ -232,17 +246,19 @@ class RiemannianPatch:
         self._chart_map = chart_map
         self.name = name
 
-    def metric_jets(self, x):
-        """Metric G (N, n, n) with its derivatives dG[:, i, k, l] and
-        d2G[:, i, j, k, l] along the chart parameters at the nodes x, then
-        L^-1 and diag(L) of its checked Cholesky factor L."""
+    def metric_jets(self, x, order=2):
+        """Metric G (N, n, n) with its derivatives dG[:, i, k, l] and, at
+        ``order`` 2 (None at order 1), d2G[:, i, j, k, l] along the chart
+        parameters at the nodes x, then L^-1 and diag(L) of its checked
+        Cholesky factor L.  G and dG do not depend on the order."""
         x = np.asarray(x, dtype=float)
         n = self.n
-        raw = self._metric(Jet.variables(x, 2))
-        G, dG, d2G = stack_jets([e for row in raw for e in row], x, 2)
-        G = G.reshape(-1, n, n)
-        return (G, dG.reshape(-1, n, n, n), d2G.reshape(-1, n, n, n, n),
-                *_positive_definite(G, x))
+        raw = (self._metric(Jet.variables(x, 2)) if order == 2 else
+               self._metric(Jet.variables(x, 1)))
+        parts = stack_jets([e for row in raw for e in row], x, order)
+        G = parts[0].reshape(-1, n, n)
+        d2G = parts[2].reshape(-1, n, n, n, n) if order == 2 else None
+        return (G, parts[1].reshape(-1, n, n, n), d2G, *_positive_definite(G, x))
 
     def metric_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -295,7 +311,7 @@ def metric_inner(G, dG, a, da, b, db):
     dGb = (dG.reshape(N, m * n, n) @ b[..., None]).reshape(N, m, n) + db @ G
     # <a_A, b> = a[A,k] Gb[k] and d<a_A, b>[i] = da[i,A,k] Gb[k] + dGb[i,k] a[A,k]
     return ((a @ Gb)[..., 0],
-            (da.reshape(N, -1, n) @ Gb).reshape(da.shape[:3]) + dGb @ a.swapaxes(1, 2))
+            (da.reshape(N, -1, n) @ Gb).reshape(da.shape[:3]) + dGb @ _transposed(a))
 
 
 def _orthonormal_rows(G, dG, V, dV, points):
@@ -307,10 +323,10 @@ def _orthonormal_rows(G, dG, V, dV, points):
     triangle and half the diagonal.  The first node with a pivot L_jj^2 that
     is not finite or is <= 1e-14 raises ConfigError."""
     N, m, r, n = dV.shape
-    Linv, _ = _cholesky_inverse(V @ G @ V.swapaxes(1, 2), points, 1e-14, "degenerate frame: "
+    Linv, _ = _cholesky_inverse(V @ G @ _transposed(V), points, 1e-14, "degenerate frame: "
                                 "outward vector and tangents linearly dependent at point")
     E = Linv @ V
-    Et = E.swapaxes(1, 2)
+    Et = _transposed(E)
     # U[i,A,B] = (L^-1 dV_i)[A,k] (G E^T)[k,B] for A < B; S[i,A,B] = E[A,k] dG[i,k,l] E[B,l]
     U = np.triu(((Linv[:, None] @ dV).reshape(N, m * r, n) @ (G @ Et)).reshape(N, m, r, r), 1)
     S = E[:, None] @ (dG.reshape(N, m * n, n) @ Et).reshape(N, m, n, r)
@@ -329,13 +345,17 @@ class _GeometryCore:
         N, n = G.shape[:2]
         # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
         low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
-        Gamma = low @ (Linv.swapaxes(1, 2) @ Linv)    # Gamma[ij,k] = low[ij,l] Ginv[l,k]
+        Gamma = low @ (_transposed(Linv) @ Linv)    # Gamma[ij,k] = low[ij,l] Ginv[l,k]
         # K[i,m,j,p] = R[i,j,m,p] = <R(d_i, d_j) d_m, d_p> = Alt_ij (Alt_mp d2G / 2 + P)
         # (Alt: swap and subtract), P[im,jp] = Gamma[im,q] low[jp,q]; as P is symmetric
         # on index pairs, K = (U + U^T) / 2 on index pairs with U = Alt_mp (d2G + P)
-        U = d2G + (Gamma @ low.swapaxes(1, 2)).reshape(d2G.shape)
+        # (in place where it is exact, so a chunk holds two n^4 arrays at a time, not three)
+        U = (Gamma @ _transposed(low)).reshape(d2G.shape)
+        U += d2G
         U = (U - U.swapaxes(2, 4)).reshape(N, n * n, n * n)
-        K = (0.5 * (U + U.swapaxes(1, 2))).reshape(d2G.shape)
+        K = U + U.swapaxes(1, 2)
+        K *= 0.5
+        K = K.reshape(d2G.shape)
         self.G, self.dG = G, dG
         self.sqrt_det = np.prod(diag, axis=-1)
         self.Gamma = Gamma.reshape(N, n, n, n).transpose(0, 3, 1, 2)  # Gamma[k,i,j], a view
@@ -351,12 +371,12 @@ def _frame_connection(core, E, dE, dx):
     Y = (dx @ core.Gamma.transpose(0, 2, 3, 1).reshape(N, n, n * n)).reshape(N, m, n, n)
     nabla = dE + E[:, None] @ Y                # nabla[i,A,k] = dE[i,A,k] + e_A^q Y[i,q,k]
     # omega[i,A,B] = nabla[i,A,k] G[k,l] e_B^l
-    omega = (nabla.reshape(N, m * n, n) @ (core.G @ E.swapaxes(1, 2))).reshape(dE.shape)
+    omega = (nabla.reshape(N, m * n, n) @ (core.G @ _transposed(E))).reshape(dE.shape)
     omega = 0.5 * (omega - omega.swapaxes(-1, -2))  # kill roundoff asymmetry
     # curv[A,B,i,j] = e_A^q e_B^p R[l,r,q,p] dx^l_i dx^r_j: on index pairs,
     # curv[Ai,Bj] = F[Ai,lq] K[lq,rp] F[Bj,rp] with F = E (x) dx, K[l,q,r,p] = R[l,r,q,p]
     F = (E[:, :, None, None, :] * dx[:, None, :, :, None]).reshape(N, n * m, n * n)
-    curv = F @ core.riemann.swapaxes(2, 3).reshape(N, n * n, n * n) @ F.swapaxes(1, 2)
+    curv = F @ core.riemann.swapaxes(2, 3).reshape(N, n * n, n * n) @ _transposed(F)
     return omega.transpose(0, 2, 3, 1), curv.reshape(N, n, m, n, m).transpose(0, 1, 3, 2, 4)
 
 
@@ -395,10 +415,11 @@ class BoundaryFrame:
     curvature: np.ndarray = None   # curvature[A,B,i,j] on boundary bivectors
 
 
-def adapted_frame(bpatch, t):
+def adapted_frame(bpatch, t, order=1):
     """Adapted orthonormal frames at the boundary nodes t (N, m), outward
     normal first, without connection or curvature; returns the BoundaryFrame,
-    the pushforward dx[:, i, k] = d x^k / d t_i and the parent metric jets.
+    the pushforward dx[:, i, k] = d x^k / d t_i and the parent metric jets of
+    ``order`` (2 when a curvature follows; the frame reads first order only).
     The frame is Gram-Schmidt on (dx/dt_1, ..., dx/dt_m, outward), whose last
     row, the unit normal on the side of ``outward``, is rolled to the front.
     L^-1 V with diag(L) > 0 has det of the sign of det[dx | outward], and the
@@ -411,7 +432,7 @@ def adapted_frame(bpatch, t):
     N, m = t.shape
     x_jets = bpatch.embed(Jet.variables(t, 2))
     x, dx, d2x = stack_jets(x_jets, t, 2)            # dx[i,k], d2x[i,j,k]
-    jets = bpatch.parent.metric_jets(x)
+    jets = bpatch.parent.metric_jets(x, order)
     G, dGx = jets[:2]
     dG = (dx @ dGx.reshape(N, m + 1, -1)).reshape(N, m, m + 1, m + 1)  # dx[i,a] dGx[a,k,l]
     outward, doutward = stack_jets(bpatch.outward(Jet.variables(t, 1)), t, 1)
@@ -429,7 +450,7 @@ def boundary_frame(bpatch, t, frame_twist=None):
     t-jets to an n x n rotation R and replaces the frame E by R E; ``normal``
     stays the untwisted e_1."""
     t = np.asarray(t, dtype=float)
-    bf, dx, jets = adapted_frame(bpatch, t)
+    bf, dx, jets = adapted_frame(bpatch, t, 2)
     if frame_twist is not None:
         R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)
         R, dR = R.reshape(bf.frame.shape), dR.reshape(bf.dframe.shape)

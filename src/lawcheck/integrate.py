@@ -150,16 +150,16 @@ class SectionPullback:
 
 # -- the integrals -------------------------------------------------------------------
 
-def _node_values(grid, weighted):
-    """``weighted(nodes, weights)`` evaluated on each chunk of grid nodes and
-    joined along its last axis, the node axis."""
+def _node_values(grid, weighted, n):
+    """``weighted(nodes, weights)`` evaluated on each chunk of grid nodes, for
+    geometry of dimension n, and joined along its last axis, the node axis."""
     return np.concatenate([weighted(grid.nodes[c], grid.weights[c])
-                           for c in node_chunks(len(grid))], axis=-1)
+                           for c in node_chunks(len(grid), n)], axis=-1)
 
 
-def _quadrature(grid, weighted):
+def _quadrature(grid, weighted, n):
     """math.fsum of the per-node products ``weighted(nodes, weights)``."""
-    return math.fsum(_node_values(grid, weighted).tolist())
+    return math.fsum(_node_values(grid, weighted, n).tolist())
 
 
 def integrate_euler(patch, grid):
@@ -168,7 +168,7 @@ def integrate_euler(patch, grid):
         return 0.0
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
-    return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x))
+    return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x), patch.n)
 
 
 def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
@@ -189,7 +189,7 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
         bound = [pull.bind(t, bf) for pull in pulls]
         return np.array([[evaluate_template(tpl, *b[:4]), *b[4:]] for b in bound])
 
-    dens, angle, v_dot_n = _node_values(grid, values).transpose(1, 0, 2)
+    dens, angle, v_dot_n = _node_values(grid, values, bpatch.parent.n).transpose(1, 0, 2)
     integrals = tuple(math.fsum(acc) for acc in (grid.weights * dens).tolist())
     return integrals, dens, angle, v_dot_n
 
@@ -216,7 +216,7 @@ def integrate_fiber_form(form, grid):
         return weights * evaluate_template(tpl, u, theta.reshape(-1, n, m),
                                            flat[..., 0], flat)
 
-    return _quadrature(grid, weighted)
+    return _quadrature(grid, weighted, n)
 
 
 def integrate_fiber_volume(n):
@@ -225,6 +225,8 @@ def integrate_fiber_volume(n):
 
 
 # -- degree integrals ----------------------------------------------------------------
+# A map evaluates geometry of dimension 3 at most (the frames of a tangential
+# index on a boundary surface), so both integrals take the chunks of n = 3.
 
 def _norm2(w, where):
     """|w|^2 per node; a map that vanishes at a node violates genericity."""
@@ -246,7 +248,7 @@ def degree_integral_circle(map_fn, order):
         return weights * (w[:, 0] * dw[:, 0, 1] - w[:, 1] * dw[:, 0, 0]) / norm2
 
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
-    return _quadrature(grid, weighted) / (2 * math.pi)
+    return _quadrature(grid, weighted, 3) / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order):
@@ -260,4 +262,4 @@ def degree_integral_sphere(map_fn, order):
         return weights * np.linalg.det(mat) / (norm2 * np.sqrt(norm2))
 
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
-    return _quadrature(grid, weighted) / (4 * math.pi)
+    return _quadrature(grid, weighted, 3) / (4 * math.pi)

@@ -1,6 +1,7 @@
 """Expression grammar: parsing, precedence, evaluation on floats and jets."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -220,3 +221,48 @@ def test_shared_calls_run_once_per_evaluation(monkeypatch):
     for evaluations in (1, 2):
         metric(jets)
         assert calls == {"sin": evaluations, "cos": evaluations, "exp": evaluations}
+
+
+# -- slot liveness ----------------------------------------------------------------
+
+def test_an_output_that_later_entries_read_is_kept():
+    """A slot is dropped after its last reader unless it is an entry's
+    value: sin(x) is the first entry and an operand of the second, x*y the
+    second entry and an operand of the third."""
+    texts = ["sin(x)", "x*y + sin(x)", "(x*y + sin(x)) * 2 - x"]
+    vector = compile_vector(texts, ["x", "y"])
+    nodes = np.array([[0.3, 1.5], [-0.7, 2.0]])
+    for env in (list(nodes.T), Jet.variables(nodes, 2), [0.3, 1.5]):
+        want = [_jet_bits(compile_expression(t, ["x", "y"])(env)) for t in texts]
+        assert [_jet_bits(v) for v in vector(env)] == want
+
+
+def test_a_fault_after_dropped_slots_names_its_node_and_entry():
+    """By the third entry the slots of x, exp(x) and sin(x) are dropped; the
+    fault in it still names the first failing node and that entry."""
+    vector = compile_vector(["exp(x) * 2", "sin(x) + y", "1 / (y - 1)"], ["x", "y"])
+    fault = r"expression '1 / \(y - 1\)' fails at \[0\.5, 1\.0\]: float division by zero"
+    with pytest.raises(ConfigError, match=fault):
+        vector([0.5, 1.0])
+    nodes = np.array([[0.1, 3.0], [0.5, 1.0], [0.2, 1.0]])
+    for env in (list(nodes.T), Jet.variables(nodes, 2)):
+        with pytest.raises(ConfigError, match=fault):
+            vector(env)
+
+
+def test_a_long_chain_keeps_a_few_slots_alive():
+    """The peak memory of a chain of k products of second-order jets stays
+    within a few slots (a slot: values, gradients and Hessians of every
+    node), whatever k."""
+    nodes = np.random.default_rng(0).random((1000, 2))
+    env = Jet.variables(nodes, 2)
+    slot = nodes.shape[0] * (1 + 2 + 4) * 8
+    for k in (50, 200):
+        fn = compile_expression("x" + "*1.001" * k + " + y", ["x", "y"])
+        tracemalloc.start()
+        try:
+            fn(env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * slot, (k, peak / slot)

@@ -12,6 +12,7 @@ from lawcheck.fields import (
     TangentialSingularity,
     VectorFieldSpec,
     _degree_index,
+    _sample_points,
     boundary_decompose,
     check_interior_nonvanishing,
     index_at,
@@ -187,7 +188,8 @@ def test_tangential_two_point_rule_needs_nonvanishing_tests():
 @pytest.mark.parametrize("name", ["disk-saddle", "ball3-radial", "ball3-constant"])
 def test_boundary_sweep_builds_no_connection_or_curvature(name, monkeypatch):
     """boundary_decompose and index_tangential read the frame step only:
-    with the connection and the geometry core refusing to run, they pass."""
+    with the connection and the geometry core refusing to run, they pass,
+    and they ask for first-order metric jets only."""
     scenario = load_catalog_scenario(name)
 
     def refuse(*args, **kwargs):
@@ -195,16 +197,36 @@ def test_boundary_sweep_builds_no_connection_or_curvature(name, monkeypatch):
 
     monkeypatch.setattr(geometry, "_frame_connection", refuse)
     monkeypatch.setattr(geometry, "_GeometryCore", refuse)
+    orders, metric_jets = [], geometry.RiemannianPatch.metric_jets
+    monkeypatch.setattr(geometry.RiemannianPatch, "metric_jets",
+                        lambda self, x, order=2: orders.append(order) or metric_jets(self, x, order))
     indexed = 0
     for k, bpatch in enumerate(scenario.boundaries):
         with pytest.raises(AssertionError):  # the patch bites where curvature is built
             geometry.boundary_frame(bpatch, np.asarray([bpatch.box])[:, :, 0] + 0.1)
+        orders.clear()
         split = boundary_decompose(scenario.field_spec, bpatch, k)
         for sing in split.minus + split.plus:
             index_tangential(scenario.field_spec, bpatch, sing,
                              order=scenario.degree_order)
             indexed += 1
+        assert orders and set(orders) == {1}
     assert indexed == len(scenario.field_spec.tangential)
+
+
+@pytest.mark.parametrize("name", ["disk-saddle", "hemisphere-tilted", "ball3-radial"])
+def test_first_order_metric_jets_give_the_same_frame(name):
+    """The first-order metric jets of ``adapted_frame`` give, bit for bit, the
+    frame, the metric and their t-gradients that second-order jets give."""
+    for bpatch in load_catalog_scenario(name).boundaries:
+        t = _sample_points(bpatch.box, 24 if bpatch.m == 2 else 256)
+        (first, dx1, jets1), (second, dx2, jets2) = (geometry.adapted_frame(bpatch, t, order)
+                                                     for order in (1, 2))
+        assert jets1[2] is None and jets2[2] is not None
+        for a, b in [(dx1, dx2), *zip(jets1[:2] + jets1[3:], jets2[:2] + jets2[3:]),
+                     (first.metric, second.metric), (first.dmetric, second.dmetric),
+                     (first.frame, second.frame), (first.dframe, second.dframe)]:
+            assert np.array_equal(a, b)
 
 
 def test_tangential_indices_follow_the_degree_order():

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from lawcheck.chern import build_phi
-from lawcheck import integrate
+from lawcheck import geometry, integrate
 from lawcheck.geometry import (
-    CHUNK,
     BoundaryPatch,
     GenericityError,
     RiemannianPatch,
@@ -263,30 +262,40 @@ def _one_node(grid, k):
 
 
 def test_chunk_seams_do_not_change_densities(monkeypatch):
-    """On grids of 2 CHUNK + 1 nodes (three chunks, the last of one node)
-    every Euler density, and every Phi density, angle and v_dot_n, of the
-    chunked path equals, bit for bit, the value at the same node evaluated
-    alone."""
+    """With chunks of 16 nodes at n = 2 and 3 at n = 3, on grids whose node
+    count is no multiple of the chunk (the last chunk is short), every Euler
+    density, and every Phi density, angle and v_dot_n, of the chunked path
+    equals, bit for bit, the value at the same node evaluated alone."""
+    monkeypatch.setattr(geometry, "CHUNK_ENTRIES", 256)
     scenario = load_catalog_scenario("hemisphere-tilted")
-    patch, rim = scenario.patch, scenario.boundaries[0]
-    grid = gauss_grid(patch.box, [2 * CHUNK + 1, 1])
+    patch = scenario.patch
+    grid = gauss_grid(patch.box, [33, 1])
     chunked = []
     density = integrate.euler_form_density
     monkeypatch.setattr(integrate, "euler_form_density",
                         lambda p, x: chunked.append(density(p, x)) or chunked[-1])
     integrate_euler(patch, grid)
-    assert [len(d) for d in chunked] == [CHUNK, CHUNK, 1]
+    assert [len(d) for d in chunked] == [16, 16, 1]
     alone = [density(patch, grid.nodes[k:k + 1]) for k in range(len(grid))]
     assert np.array_equal(np.concatenate(chunked), np.concatenate(alone))
 
-    grid = gauss_grid(rim.box, [2 * CHUNK + 1])
-    sections = (None, scenario.field_spec.components)
-    _, *chunked = integrate_phi_over_section(rim, sections, grid)
-    assert [a.shape for a in chunked] == [(2, len(grid))] * 3
-    for k in range(len(grid)):
-        _, *alone = integrate_phi_over_section(rim, sections, _one_node(grid, k))
-        for a_chunked, a_alone in zip(chunked, alone):  # density, angle, v_dot_n
-            assert np.array_equal(a_chunked[:, k:k + 1], a_alone)
+    frame = integrate.boundary_frame
+    ball = load_catalog_scenario("ball3-radial")
+    for scenario, orders, sizes in ((scenario, [33], [16, 16, 1]),
+                                    (ball, [2, 5], [3, 3, 3, 1])):
+        rim = scenario.boundaries[0]
+        grid = gauss_grid(rim.box, orders)
+        sections = (None, scenario.field_spec.components)
+        frames = []
+        monkeypatch.setattr(integrate, "boundary_frame",
+                            lambda b, t, twist: frames.append(len(t)) or frame(b, t, twist))
+        _, *chunked = integrate_phi_over_section(rim, sections, grid)
+        assert frames[:len(sizes)] == sizes
+        assert [a.shape for a in chunked] == [(2, len(grid))] * 3
+        for k in range(len(grid)):
+            _, *alone = integrate_phi_over_section(rim, sections, _one_node(grid, k))
+            for a_chunked, a_alone in zip(chunked, alone):  # density, angle, v_dot_n
+                assert np.array_equal(a_chunked[:, k:k + 1], a_alone)
 
 
 def test_section_norm_guard():
