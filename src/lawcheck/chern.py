@@ -9,30 +9,29 @@ Builds, over the free algebra of :mod:`lawcheck.algebra`:
   angle);
 * the boundary form family PhiM(i, j) over the index region D1, the
   fiber-angle coefficient functions T, I, a, A, the angular derivative
-  Upsilon and the transgression primitive Gamma;
-* numeric templates, through which the numeric track evaluates Phi and the
-  Euler form on frame, connection and curvature arrays.
+  Upsilon and the transgression primitive Gamma.
 
 Each check_* function returns a residual Form whose vanishing is the
 verified identity.  The closed-manifold check normalizes through the exact
 polar parametrization of the fiber sphere; the boundary checks hold formally.
+``run_symbolic`` runs one of them by name.  This module is exact: the numeric
+track compiles its forms into array templates elsewhere (``templates``).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, islice, permutations
+from itertools import islice, permutations
 
-import numpy as np
-
-from .algebra import DEGREE, K_CURV, K_DPHI, K_THETA, K_U, Form
+from .algebra import K_CURV, K_DPHI, K_THETA, K_U, Form
+from .report import SymbolicReport
 from .trig import TrigScalar, sphere_volume
 
 MAX_BUILD_N = 5
-_SLOTS = "abcdefgh"  # einsum letters of the form slots
 
 
 def double_factorial(k):
@@ -72,76 +71,6 @@ def _alternating_sum(n, first, factors, boundary=False):
             term = term * f
         total = total + term
     return total
-
-
-# -- numeric templates for symbolic forms ----------------------------------------
-
-@dataclass(frozen=True)
-class FormTemplate:
-    slots: int
-    entries: tuple    # (coeff, u_list, factors, subscripts), factors ((kind, a, b, deg), ...)
-    alternating: np.ndarray  # sign of each permutation of the slots, (slots,) * slots
-
-
-def compile_template(form, slots):
-    """Flatten a constant-coefficient interior form for numeric evaluation.
-
-    An entry's sum over signed slot permutations is one einsum of its
-    factors, in slot order, with the alternating tensor of the slots.
-    """
-    entries = []
-    for (evens, odds), coeff in form.terms.items():
-        us = []
-        factors = []
-        for kind, a, b in evens:
-            if kind == K_U:
-                us.append(a - 1)
-            else:
-                factors.append((kind, a - 1, b - 1, DEGREE[kind]))
-        for kind, a, b in odds:
-            if kind == K_DPHI:
-                raise ValueError("numeric templates cannot bind formal angles")
-            factors.append((kind, a - 1, b - 1, DEGREE[kind]))
-        ends = list(accumulate(f[3] for f in factors))
-        if not ends or ends[-1] != slots:
-            continue  # wrong degree; contributes nothing to a top-degree density
-        # a 2-form factor counts each slot pair twice among the permutations
-        pairs = sum(f[3] == 2 for f in factors)
-        subscripts = ",".join("..." + _SLOTS[e - f[3]:e] for f, e in zip(factors, ends))
-        entries.append((coeff.to_float() / 2 ** pairs, tuple(us), tuple(factors),
-                        f"{subscripts},{_SLOTS[:slots]}->..."))
-    alternating = np.zeros((slots,) * slots)
-    for perm, sign in signed_permutations(slots):
-        alternating[perm] = sign
-    return FormTemplate(slots=slots, entries=tuple(entries), alternating=alternating)
-
-
-def evaluate_template(tpl, u, theta, omega, curv):
-    """Evaluate the compiled density at a batch of nodes.
-
-    u: (N, n), theta: (N, n, slots), omega/curv: (N, n, n, slots[, slots]);
-    an argument whose generators the form lacks is never read.
-    """
-    total = 0.0
-    for coeff, us, factors, subscripts in tpl.entries:
-        scalar = coeff
-        for a in us:
-            scalar = scalar * u[..., a]
-        operands = [(theta[..., a, :] if kind == K_THETA else omega[..., a, b, :])
-                    if deg == 1 else curv[..., a, b, :, :]
-                    for kind, a, b, deg in factors]
-        total = total + scalar * np.einsum(subscripts, *operands, tpl.alternating)
-    return total
-
-
-@lru_cache(maxsize=None)
-def phi_template(n):
-    return compile_template(build_phi(n).phi, n - 1)
-
-
-@lru_cache(maxsize=None)
-def euler_template(n):
-    return compile_template(build_phi(n).euler, n)
 
 
 @lru_cache(maxsize=None)
@@ -425,3 +354,26 @@ def rotate_frame(f: Form, p: int, q: int) -> Form:
                     image = image + rotated.scale(gc * gd)
             mapping[gen] = image
     return f.substitute(mapping)
+
+
+# -- identity checks by name --------------------------------------------------------
+
+# the suite's identities; the boundary ones start at dimension 3
+SYMBOLIC_CHECKS = [(ident, n) for ident, first in (("dphi", 2), ("upsilon", 3), ("gamma", 3))
+                   for n in range(first, MAX_BUILD_N + 1)]
+
+
+def run_symbolic(identity, n) -> SymbolicReport:
+    t0 = time.perf_counter()
+    if identity == "dphi":
+        residual = check_dphi(n)
+    elif identity == "upsilon":
+        residual = build_upsilon_and_check(n)
+    elif identity == "gamma":
+        residual = build_gamma_and_check(n)
+    else:
+        raise ValueError(f"unknown identity {identity!r}")
+    return SymbolicReport(name=f"symbolic-{identity}-n{n}", identity=identity,
+                          dimension=n, residual_terms=len(residual),
+                          passed=residual.is_zero,
+                          wall_time_s=time.perf_counter() - t0)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on verification failure, 2 on configuration
 errors (bad arguments, unknown scenarios, malformed configs, unwritable
-output paths).
+output paths).  ``symbolic-check`` runs the exact track alone: the
+commands that load scenarios import numpy and the numeric modules.
 """
 
 from __future__ import annotations
@@ -11,19 +12,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import chern
-from .fields import GenericityError
+from . import ConfigError, GenericityError, chern
 from .report import emit_report
-from .runner import run_scenario, run_suite, run_symbolic
-from .scenarios import (
-    ConfigError,
-    catalog_names,
-    load_catalog_raw,
-    load_catalog_scenario,
-    load_scenario_file,
-)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -99,6 +89,8 @@ def _write_or_print(payload, path):
 
 
 def _cmd_run(args):
+    from .runner import run_scenario
+    from .scenarios import catalog_names, load_catalog_scenario, load_scenario_file
     if os.path.exists(args.scenario):
         scenario = load_scenario_file(args.scenario)
     elif args.scenario in catalog_names():
@@ -114,6 +106,7 @@ def _cmd_run(args):
 
 
 def _cmd_suite(args):
+    from .runner import run_suite
     suite = run_suite(args.filter, order=args.order)
     payload = (suite.to_json() if args.format == "json"
                else suite.to_text(include_timing=True))
@@ -123,24 +116,21 @@ def _cmd_suite(args):
 
 def _cmd_symbolic(args):
     n = args.n
-    if not 2 <= n <= chern.MAX_BUILD_N:
-        raise ConfigError(
-            f"symbolic checks support dimensions 2..{chern.MAX_BUILD_N}")
-    identities = ["dphi", "upsilon", "gamma"] if args.identity == "all" \
-        else [args.identity]
-    if n == 2:
-        skipped = [i for i in identities if i != "dphi"]
-        if args.identity != "all" and skipped:
+    identities = [ident for ident, dim in chern.SYMBOLIC_CHECKS if dim == n]
+    if not identities:
+        raise ConfigError(f"symbolic checks support dimensions 2..{chern.MAX_BUILD_N}")
+    if args.identity != "all":
+        if args.identity not in identities:
             raise ConfigError("the boundary identities start at dimension 3; "
                               f"use --n 3..{chern.MAX_BUILD_N}")
-        identities = [i for i in identities if i == "dphi"]
+        identities = [args.identity]
     if args.print_form == "phi":
         print(chern.build_phi(n).phi.render())
     elif args.print_form == "gamma":
         print(chern.boundary_family(n).gamma.render())
     failed = False
     for ident in identities:
-        rep = run_symbolic(ident, n)
+        rep = chern.run_symbolic(ident, n)
         status = "pass" if rep.passed else "FAIL"
         print(f"{rep.name}: residual terms = {rep.residual_terms} [{status}] "
               f"({rep.wall_time_s:.2f}s)")
@@ -149,6 +139,7 @@ def _cmd_symbolic(args):
 
 
 def _cmd_list(_args):
+    from .scenarios import catalog_names, load_catalog_raw
     for name in catalog_names():
         raw = load_catalog_raw(name)
         exp = raw["expected"]
@@ -161,16 +152,15 @@ def _cmd_list(_args):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        # overflow and NaN end in the checks' finiteness gates, with one line
-        # on stderr, so numpy's floating-point warnings would only repeat them
-        with np.errstate(all="ignore"):
-            if args.command == "run":
-                return _cmd_run(args)
-            if args.command == "suite":
-                return _cmd_suite(args)
-            if args.command == "symbolic-check":
-                return _cmd_symbolic(args)
-            return _cmd_list(args)
+        if args.command in ("run", "suite"):
+            import numpy as np
+            # overflow and NaN end in the checks' finiteness gates, with one line
+            # on stderr, so numpy's floating-point warnings would only repeat them
+            with np.errstate(all="ignore"):
+                return (_cmd_run if args.command == "run" else _cmd_suite)(args)
+        if args.command == "symbolic-check":
+            return _cmd_symbolic(args)
+        return _cmd_list(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

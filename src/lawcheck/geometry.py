@@ -15,7 +15,7 @@ right after the node axis (dG[:, i, k, l] = d_i g_kl), so a contraction is
 one stacked matmul (``@``) per node, each with its index formula in a
 comment, and no einsum is needed; an operand that would be a transposed view
 is copied to a contiguous array first, which the matmul reads several times
-faster.  Connection and curvature values keep chern's template layout
+faster.  Connection and curvature values keep the layout of ``templates``,
 omega[:, A, B, i].  Finite differences appear only in tests, as independent
 oracles.
 
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import euler_template, evaluate_template
+from . import ConfigError, GenericityError
+from .templates import euler_template, evaluate_template
 
 CHUNK_ENTRIES = 256 * 3 ** 4  # curvature entries per batched evaluation (256 nodes at n = 3)
 
@@ -73,10 +74,10 @@ class Jet:
         """One Jet per parameter of the points ``values`` (..., m), of ``order`` 1 or 2."""
         x = np.asarray(values, dtype=float)
         m = x.shape[-1]
-        eye = np.eye(m)
         hess = np.zeros(x.shape + (m,)) if order == 2 else None
-        return [Jet(x[..., i].copy(),
-                    np.broadcast_to(eye[i], x.shape), hess) for i in range(m)]
+        grads = np.zeros((m,) + x.shape)
+        grads[np.arange(m), ..., np.arange(m)] = 1.0  # grads[i, ..., i] = 1
+        return [Jet(x[..., i].copy(), grads[i], hess) for i in range(m)]
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -180,15 +181,6 @@ def grid_points(axes):
 
 
 # -- patches ---------------------------------------------------------------------
-
-class ConfigError(ValueError):
-    """Malformed scenario configuration, such as a metric that is not
-    positive definite somewhere on its chart."""
-
-
-class GenericityError(RuntimeError):
-    """The field violates the generic-position assumptions of the law."""
-
 
 def _cholesky_inverse(M, points, floor, fault):
     """L^-1 and diag(L) of the Cholesky factorization M = L L^T of each

@@ -1,12 +1,12 @@
 """Quadrature of pulled-back forms: sections, fiber spheres, Euler densities.
 
 The symbolic forms are the single source of truth: Phi and, like it, Omega
-are compiled by chern into numeric templates whose generators are bound to
-frame/connection/curvature arrays from the geometry layer, one chunk of
-quadrature nodes at a time.  The fiber sphere is chern's polar
-parametrization, evaluated on node arrays.  Accumulation uses math.fsum over
-the per-node products, which is exactly rounded, so results depend neither on
-node order nor on the chunking.
+are compiled from chern's forms into numeric templates whose generators are
+bound to frame/connection/curvature arrays from the geometry layer, one
+chunk of quadrature nodes at a time.  The fiber sphere is chern's polar
+parametrization, evaluated on node arrays by ``trig_values``.  Accumulation
+uses math.fsum over the per-node products, which is exactly rounded, so
+results depend neither on node order nor on the chunking.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chern import (
-    build_phi,
-    compile_template,
-    evaluate_template,
-    phi_template,
-    polar_coordinates,
-)
+from .chern import build_phi, polar_coordinates
 from .geometry import (
     GenericityError,
     boundary_frame,
@@ -33,6 +27,7 @@ from .geometry import (
     node_chunks,
     stack_jets,
 )
+from .templates import compile_template, evaluate_template, phi_template, trig_values
 
 
 # -- grids -----------------------------------------------------------------------
@@ -211,7 +206,7 @@ def integrate_fiber_form(form, grid):
 
     def weighted(nodes, weights):
         angles = dict(enumerate(nodes.T, start=1))
-        u, theta = (np.stack([np.broadcast_to(c.to_float(angles), len(nodes))
+        u, theta = (np.stack([np.broadcast_to(trig_values(c, angles), len(nodes))
                               for c in scalars], axis=-1) for scalars in (coords, dcoords))
         return weights * evaluate_template(tpl, u, theta.reshape(-1, n, m),
                                            flat[..., 0], flat)

@@ -1,11 +1,11 @@
-"""Verification orchestration: run scenarios, symbolic checks, suites."""
+"""Verification orchestration: run scenarios and suites."""
 
 from __future__ import annotations
 
 import re
 import time
 
-from . import chern
+from .chern import SYMBOLIC_CHECKS, run_symbolic
 from .fields import (
     boundary_decompose,
     check_interior_nonvanishing,
@@ -13,7 +13,7 @@ from .fields import (
     index_tangential,
 )
 from .integrate import gauss_grid, integrate_euler, integrate_phi_over_section
-from .report import ScenarioReport, SuiteReport, SymbolicReport
+from .report import ScenarioReport, SuiteReport
 from .scenarios import ConfigError, Scenario, load_full_catalog
 
 
@@ -136,31 +136,6 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
         wall_time_s=time.perf_counter() - t_start,
         profile=profile)
     return report
-
-
-# -- symbolic checks --------------------------------------------------------------
-
-SYMBOLIC_CHECKS = (
-    [("dphi", n) for n in (2, 3, 4, 5)]
-    + [("upsilon", n) for n in (3, 4, 5)]
-    + [("gamma", n) for n in (3, 4, 5)]
-)
-
-
-def run_symbolic(identity, n) -> SymbolicReport:
-    t0 = time.perf_counter()
-    if identity == "dphi":
-        residual = chern.check_dphi(n)
-    elif identity == "upsilon":
-        residual = chern.build_upsilon_and_check(n)
-    elif identity == "gamma":
-        residual = chern.build_gamma_and_check(n)
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
-    return SymbolicReport(name=f"symbolic-{identity}-n{n}", identity=identity,
-                          dimension=n, residual_terms=len(residual),
-                          passed=residual.is_zero,
-                          wall_time_s=time.perf_counter() - t0)
 
 
 # -- suites ------------------------------------------------------------------------

@@ -53,8 +53,6 @@ import math
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 # The key that ``terms`` gives: (pi_power, angles), where angles is an
 # ascending tuple of (angle_id, phi_exp, sin_exp, cos_exp) entries with at
 # least one nonzero exponent and cos_exp in {0, 1}.  Inside an element the key
@@ -170,7 +168,9 @@ def mul_add(accs, slot, x, y, negate):
 
     An accumulator is [num, den]: raw {key: int} numerators over a common
     denominator.  It is deleted as soon as its numerators cancel, so the
-    slots keep the order that adding elements one by one gives.
+    slots keep the order that adding elements one by one gives, and a Form's
+    terms the order of the term-by-term wedge.  No result reads that order:
+    renders and numeric templates sort the terms first.
     """
     pden = x.den * y.den
     acc = accs.get(slot)
@@ -394,19 +394,14 @@ class TrigScalar:
             union |= key
         return {aid for aid, *_ in _angle_exps(union)}
 
-    def to_float(self, angle_values=None):
-        angle_values = angle_values or {}
-        total = 0.0
-        for key, coeff in self.num.items():
-            # int true division rounds correctly, as float(Fraction) does
-            val = coeff / self.den * math.pi ** ((key & _FIELD) - PI_BIAS)
-            for aid, p, s, c in _angle_exps(key):
-                if aid not in angle_values:
-                    raise ValueError(f"no value supplied for angle {aid}")
-                x = angle_values[aid]
-                val *= x ** p * np.sin(x) ** s * np.cos(x) ** c
-            total += val
-        return total
+    def to_float(self):
+        """The value of a constant element, its terms summed by math.fsum; an
+        element with angles raises ValueError (``templates.trig_values``
+        evaluates those)."""
+        if self.angles():
+            raise ValueError(f"to_float needs a constant, got {self.render()}")
+        # int true division rounds correctly, as float(Fraction) does
+        return math.fsum(v / self.den * math.pi ** (k - PI_BIAS) for k, v in self.num.items())
 
     # -- rendering ---------------------------------------------------------
 

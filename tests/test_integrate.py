@@ -31,6 +31,7 @@ from lawcheck.integrate import (
 )
 from lawcheck.runner import run_scenario
 from lawcheck.scenarios import load_catalog_raw, load_catalog_scenario, load_scenario
+from lawcheck.templates import trig_values
 from lawcheck.trig import sphere_volume
 
 
@@ -511,7 +512,7 @@ def test_numeric_transgression_n2():
         angles[t] = float(angle[0])
         signs[t] = math.copysign(1.0, u[0, 1])
     assert signs[a] == signs[b] == -1.0
-    rhs = (signs[b] * gamma_coeff.to_float({1: angles[b]})
-           - signs[a] * gamma_coeff.to_float({1: angles[a]}))
+    rhs = (signs[b] * trig_values(gamma_coeff, {1: angles[b]})
+           - signs[a] * trig_values(gamma_coeff, {1: angles[a]}))
     assert lhs == pytest.approx(rhs, abs=1e-9)
     assert lhs == pytest.approx(-(b - a) / (2 * math.pi), abs=1e-9)
