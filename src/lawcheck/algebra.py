@@ -14,6 +14,22 @@ Monomials keep even generators (u, W, WM) as a sorted multiset and odd
 generators (w, th, dphi) as a sorted duplicate-free tuple; sorting odd factors
 tracks the Koszul sign, so equality is coefficient comparison.
 
+Products run on packed terms (``trig.Packing``).  At each n one layout
+(``_Layout``) gives every generator of both algebras its place in a
+monomial key: bits 0.. hold one bit per odd generator, dphi_1..dphi_32 then
+w(a,b) then th(a), in the sorted order of the (kind, a, b) tuples, and above
+them lie one guarded FIELD_BITS-bit count field per even generator, u(a),
+W(a,b) and WM(s,t), built like the coefficient key's fields.  The
+coefficient key sits above the monomial key, so one term, monomial and
+coefficient, is one int, and the product of two terms is one step of
+``trig.mul_into``: the odd bits' AND rejects a repeated odd generator, the
+Koszul sign is a popcount parity, and one addition with one guard test
+makes the key.  The wedge, both parts of ``d``, the substitution's group
+products and prefix chain, and the permutation sums of ``chern`` each run
+that loop into one ``trig.Accumulator``, decoded once into a Form whose
+terms are in sorted monomial order.  ``Form.terms`` stays the public dict
+keyed by tuple monomials.
+
 Two modes share the data structure.  The full algebra models the sphere
 bundle over the interior: dw(A,B) = W(A,B) + sum_C w(A,C)w(C,B), the Bianchi
 rewrite for dW, du(A) = th(A) - sum u(B)w(B,A) and the derived rule for dth.
@@ -25,9 +41,12 @@ curvature through W(s,t) = WM(s,t) + w(1,s)w(1,t).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .trig import ONE, TrigScalar, collect, mul_add
+from .trig import FIELD_BITS, MAX_ANGLE, MAX_EXP, ONE, Accumulator, Packing, TrigScalar
 
 # generator kind codes; odd kinds sort before a monomial's theta tail
 K_DPHI, K_OMEGA, K_THETA = 0, 1, 2
@@ -46,31 +65,6 @@ _EMPTY_MONO: Monomial = ((), ())
 def mono_degree(mono):
     evens, odds = mono
     return sum(DEGREE[g[0]] for g in evens) + len(odds)
-
-
-def mono_mul(m1: Monomial, m2: Monomial):
-    """Multiply canonical monomials; returns (sign, monomial) or None."""
-    e1, o1 = m1
-    e2, o2 = m2
-    evens = tuple(sorted(e1 + e2))
-    # merge the two sorted odd tuples, counting the crossings
-    odds = []
-    sign = 1
-    i = j = 0
-    while i < len(o1) and j < len(o2):
-        if o1[i] == o2[j]:
-            return None
-        if o1[i] < o2[j]:
-            odds.append(o1[i])
-            i += 1
-        else:
-            if (len(o1) - i) % 2:
-                sign = -sign
-            odds.append(o2[j])
-            j += 1
-    odds.extend(o1[i:])
-    odds.extend(o2[j:])
-    return sign, (evens, tuple(odds))
 
 
 def add_term(terms, mono, coeff):
@@ -127,7 +121,18 @@ class Form:
     @classmethod
     def generator(cls, n, kind, a, b=0, boundary=False):
         """The generator (kind, a, b) with coefficient 1.  A pair kind is
-        antisymmetric: a > b gives minus (kind, b, a) and a == b gives 0."""
+        antisymmetric: a > b gives minus (kind, b, a) and a == b gives 0.
+
+        This is the one check of a generator: its kind must be known and its
+        indices in range, 1..n (2..n for WM), a dphi angle in the coefficient
+        ring's 1..MAX_ANGLE, and b is 0 for a kind with one index."""
+        gen = (kind, a, b)
+        if kind not in DEGREE:
+            raise ValueError(f"unknown generator kind {kind} in {gen}")
+        lo, hi = (1, MAX_ANGLE) if kind == K_DPHI else (2 if kind == K_CURVM else 1, n)
+        if not (lo <= a <= hi and (lo <= b <= hi if kind in _PAIRS else b == 0)):
+            raise ValueError(f"generator {_gen_name(gen)} {gen} needs indices "
+                             f"in {lo}..{hi} at n = {n}")
         sign = ONE
         if kind in _PAIRS:
             if a == b:
@@ -140,28 +145,22 @@ class Form:
 
     @classmethod
     def omega(cls, n, a, b, boundary=False):
-        cls._check_index(n, a), cls._check_index(n, b)
         return cls.generator(n, K_OMEGA, a, b, boundary)
 
     @classmethod
     def curvature(cls, n, a, b, boundary=False):
-        cls._check_index(n, a), cls._check_index(n, b)
         return cls.generator(n, K_CURV, a, b, boundary)
 
     @classmethod
     def boundary_curvature(cls, n, s, t):
-        if not (2 <= s <= n and 2 <= t <= n):
-            raise ValueError(f"boundary curvature indices must lie in 2..{n}")
         return cls.generator(n, K_CURVM, s, t, boundary=True)
 
     @classmethod
     def theta(cls, n, a):
-        cls._check_index(n, a)
         return cls.generator(n, K_THETA, a)
 
     @classmethod
     def coordinate(cls, n, a):
-        cls._check_index(n, a)
         return cls.generator(n, K_U, a)
 
     @classmethod
@@ -169,9 +168,28 @@ class Form:
         return cls.generator(n, K_DPHI, angle, boundary=boundary)
 
     @staticmethod
-    def _check_index(n, a):
-        if not 1 <= a <= n:
-            raise ValueError(f"frame index {a} outside 1..{n}")
+    def wedge_sum(n, products, boundary=False):
+        """The sum of the products (k, f1, ..., fm), each the integer k times
+        the wedge f1 ... fm (1 for m = 0), accumulated once.  A form that
+        several products share is packed once."""
+        layout = _layout(n)
+        packed = {}  # by id: ``products`` keeps every form alive
+
+        def pack(f):
+            if id(f) not in packed:
+                packed[id(f)] = layout.pack(f.terms.items())
+            return packed[id(f)]
+
+        acc = Accumulator(layout)
+        for k, *forms in products:
+            factors = [pack(f) for f in forms] or [layout.one]
+            head = factors[0] if len(factors) > 1 else layout.one
+            for factor in factors[1:-1]:
+                step = Accumulator(layout)
+                step.add_product(head, factor)
+                head = step.packed()
+            acc.add_product(head, factors[-1], k)
+        return layout.form(acc, boundary)
 
     # -- algebra -----------------------------------------------------------
 
@@ -206,13 +224,7 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._compatible(other)
-        accs = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = mono_mul(m1, m2)
-                if hit is not None:
-                    mul_add(accs, hit[1], c1, c2, hit[0] < 0)
-        return Form(self.n, collect(accs), self.boundary)
+        return Form.wedge_sum(self.n, [(1, self, other)], self.boundary)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, TrigScalar)):
@@ -232,32 +244,35 @@ class Form:
     # -- differential ------------------------------------------------------
 
     def d(self):
-        accs = {}
+        """d(c m) = sum_i dphi_i (dc/dphi_i) m + c sum_g s_g d(g) (m / g).
+
+        d(g) has the parity opposite to g's, so it moves to the front of the
+        rest of m with no sign but the Leibniz one: s_g is the count of an
+        even g, and (-1)^j for the odd g at position j among m's odd
+        generators.  One accumulator takes both sums."""
+        layout = _layout(self.n)
+        acc = Accumulator(layout)
+        by_angle: dict[int, list] = {}
         for mono, coeff in self.terms.items():
-            # derivative of the coefficient contributes dphi_i wedge mono
-            for angle in sorted(coeff.angles()):
-                dc = coeff.deriv(angle)
-                hit = mono_mul(((), ((K_DPHI, angle, 0),)), mono) if dc else None
-                if hit is not None:
-                    mul_add(accs, hit[1], dc, ONE, hit[0] < 0)
-            # graded Leibniz over the canonical word: prefix * d(gen) * suffix,
-            # signed by the parity of the prefix (the number of odd factors)
-            evens, odds = mono
-            for k, gen in enumerate(evens + odds):
-                dg = _d_generator(gen, self.n, self.boundary)
-                if not dg:
-                    continue
-                j = k - len(evens)  # position among the odd factors
-                if j < 0:
-                    prefix, suffix, sign = (evens[:k], ()), (evens[k + 1:], odds), 1
-                else:
-                    prefix, suffix, sign = (evens, odds[:j]), ((), odds[j + 1:]), (-1) ** j
-                for m, c in dg.terms.items():
-                    left = mono_mul(prefix, m)
-                    right = left and mono_mul(left[1], suffix)
-                    if right:
-                        mul_add(accs, right[1], coeff, c, sign * left[0] * right[0] < 0)
-        return Form(self.n, collect(accs), self.boundary)
+            for angle in coeff.angles():
+                by_angle.setdefault(angle, []).append((mono, coeff.deriv(angle)))
+        for angle, items in by_angle.items():
+            acc.add_product(layout.term(K_DPHI, angle, 0), layout.pack(items))
+        units, leibniz = layout.units, {}  # monomial key -> [(g, unit of g, s_g)]
+        for evens, odds in self.terms:
+            leibniz[layout.key((evens, odds))] = (
+                [(g, units[g], count) for g, count in Counter(evens).items()]
+                + [(g, units[g], -1 if j % 2 else 1) for j, g in enumerate(odds)])
+        den, terms = layout.pack(self.terms.items())
+        quotients: dict[Gen, list] = {}
+        for key, c in terms:
+            for gen, unit, factor in leibniz[key & layout.low]:
+                quotients.setdefault(gen, []).append((key - unit, c * factor))
+        for gen, rest in quotients.items():
+            dg = _d_generator(gen, self.n, self.boundary)
+            if dg:
+                acc.add_product(layout.pack(dg.terms.items()), (den, rest))
+        return layout.form(acc, self.boundary)
 
     def interior_dphi(self):
         """Interior product with the vector field dual to dphi (odd derivation)."""
@@ -322,9 +337,8 @@ class Form:
         those mapped generators.  Groups are walked in sorted order, so keys
         with a common prefix are adjacent: each multiplies out one product
         of replacements from its prefix's product, and only the live chain
-        of prefix products is kept.  Every coefficient product accumulates
-        raw into its output monomial (``trig.mul_add``) and is normalized
-        once at the end.
+        of prefix products is kept, packed.  Every product accumulates raw
+        into one accumulator, normalized once at the end.
         """
         if boundary is None:
             boundary = self.boundary
@@ -336,7 +350,7 @@ class Form:
                 raise ValueError(f"replacement for {_gen_name(gen)} has the wrong parity")
             if rep.terms.keys() <= {_EMPTY_MONO}:
                 consts[gen] = rep.coefficient_of(_EMPTY_MONO)
-        groups: dict[tuple[Gen, ...], dict[Monomial, TrigScalar]] = {}
+        groups: dict[tuple[Gen, ...], list[tuple[Monomial, TrigScalar]]] = {}
         for (evens, odds), coeff in self.terms.items():
             kept_evens, kept_odds, key = [], [], []
             moved = flips = 0
@@ -354,25 +368,26 @@ class Form:
                 else:
                     kept_evens.append(gen)
             else:
-                add_term(groups.setdefault(tuple(key), {}),
-                         (tuple(kept_evens), tuple(kept_odds)),
-                         -coeff if flips % 2 else coeff)
-        accs = {}
-        prev, chain = (), [Form.scalar(self.n, 1, boundary)]  # chain[k]: prev[:k]'s product
+                groups.setdefault(tuple(key), []).append(
+                    ((tuple(kept_evens), tuple(kept_odds)), -coeff if flips % 2 else coeff))
+        layout = _layout(self.n)
+        acc = Accumulator(layout)
+        reps = {}
+        prev, chain = (), [layout.one]  # chain[k]: prev[:k]'s product, packed
         for key in sorted(groups):
             k = 0
             while k < min(len(key), len(prev)) and key[k] == prev[k]:
                 k += 1
             del chain[k + 1:]
             for gen in key[k:]:
-                chain.append(chain[-1] * mapping[gen])
+                if gen not in reps:
+                    reps[gen] = layout.pack(mapping[gen].terms.items())
+                step = Accumulator(layout)
+                step.add_product(chain[-1], reps[gen])
+                chain.append(step.packed())
             prev = key
-            for mono, coeff in groups[key].items():
-                for m, c in chain[-1].terms.items():
-                    hit = mono_mul(mono, m)
-                    if hit is not None:
-                        mul_add(accs, hit[1], coeff, c, hit[0] < 0)
-        return Form(self.n, collect(accs), boundary)
+            acc.add_product(layout.pack(groups[key]), chain[-1])
+        return layout.form(acc, boundary)
 
     # -- queries -----------------------------------------------------------
 
@@ -414,6 +429,104 @@ class Form:
         return f"Form(n={self.n}, {kind}, {len(self.terms)} terms)"
 
 
+# -- packed terms -------------------------------------------------------------
+
+class _Layout(Packing):
+    """The monomial keys of packed terms at one n, for both algebras, laid
+    out as the module docstring says.  ``key`` and ``mono`` translate a
+    canonical tuple monomial to its key and back, each translation cached;
+    a count past MAX_EXP raises OverflowError.
+    """
+
+    __slots__ = ("n", "odd_gens", "even_gens", "units", "one", "_keys", "_monos")
+
+    def __init__(self, n):
+        self.n = n
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        odds = ([(K_DPHI, a, 0) for a in range(1, MAX_ANGLE + 1)]
+                + [(K_OMEGA, a, b) for a, b in pairs] + [(K_THETA, a, 0) for a in range(1, n + 1)])
+        evens = ([(K_U, a, 0) for a in range(1, n + 1)] + [(K_CURV, a, b) for a, b in pairs]
+                 + [(K_CURVM, a, b) for a, b in pairs if a > 1])
+        offsets = [len(odds) + f * FIELD_BITS for f in range(len(evens))]
+        super().__init__(len(odds) + len(evens) * FIELD_BITS, (1 << len(odds)) - 1,
+                         sum(1 << p + FIELD_BITS - 1 for p in offsets))
+        self.odd_gens, self.even_gens = odds, evens
+        self.units = dict(zip(odds, (1 << p for p in range(len(odds)))))
+        self.units.update(zip(evens, (1 << p for p in offsets)))
+        self.one = (1, [(self.bias, 1)])  # the scalar 1, packed
+        self._keys: dict[Monomial, int] = {}
+        self._monos: dict[int, Monomial] = {}
+
+    def key(self, mono):
+        """The generator bits of a monomial."""
+        key = self._keys.get(mono)
+        if key is None:
+            evens, odds = mono
+            try:
+                key = sum([self.units[gen] for gen in evens + odds])
+            except KeyError as missing:
+                raise ValueError(f"no generator {missing} at n = {self.n}") from None
+            if len(evens) > MAX_EXP and max(Counter(evens).values()) > MAX_EXP:
+                raise OverflowError("a generator count is outside its field")
+            self._keys[mono] = key
+        return key
+
+    def mono(self, key):
+        mono = self._monos.get(key)
+        if mono is None:
+            odds, rest = [], key & self.odd
+            while rest:
+                low = rest & -rest
+                odds.append(self.odd_gens[low.bit_length() - 1])
+                rest ^= low
+            evens, rest = [], key >> len(self.odd_gens)
+            for gen in self.even_gens:
+                if not rest:
+                    break
+                evens += [gen] * (rest & MAX_EXP)
+                rest >>= FIELD_BITS
+            mono = self._monos[key] = (tuple(evens), tuple(odds))
+        return mono
+
+    def term(self, kind, a, b):
+        """The generator (kind, a, b) with coefficient 1, packed; a pair kind
+        is antisymmetric, so a > b gives minus (kind, b, a) and a == b gives
+        None, the zero term."""
+        if kind not in _PAIRS or a < b:
+            return 1, [(self.bias + self.units[(kind, a, b)], 1)]
+        if a > b:
+            return 1, [(self.bias + self.units[(kind, b, a)], -1)]
+        return None
+
+    def pack(self, items):
+        """(den, packed terms) of the (monomial, coefficient) pairs of a
+        re-iterable, over the lcm of their denominators."""
+        den = 1
+        for _, coeff in items:
+            if den % coeff.den:
+                den = lcm(den, coeff.den)
+        shift, keys, out = self.shift, self._keys, []
+        for mono, coeff in items:
+            bits = keys.get(mono)
+            if bits is None:
+                bits = self.key(mono)
+            f = den // coeff.den
+            for k, v in coeff.num.items():
+                out.append(((k << shift) + bits, v * f))
+        return den, out
+
+    def form(self, acc, boundary):
+        """The accumulated sum as a Form, its monomials in sorted order."""
+        monos = self._monos
+        res = Form(self.n, boundary=boundary)
+        res.terms = dict(sorted([(monos.get(bits) or self.mono(bits), c)
+                                 for bits, c in acc.split().items()]))
+        return res
+
+
+_layout = lru_cache(maxsize=None)(_Layout)  # one layout per n
+
+
 # -- structure equations ----------------------------------------------------
 
 _D_CACHE: dict[tuple[int, bool, Gen], Form | None] = {}
@@ -441,36 +554,37 @@ def _d_generator(gen, n, boundary):
     if not boundary and kind == K_CURVM:
         raise ValueError("boundary curvature in the interior algebra")
 
+    if kind == K_DPHI:
+        return None
+    layout = _layout(n)
+
     def w(c, d):
-        return Form.generator(n, K_OMEGA, c, d, boundary)
+        return layout.term(K_OMEGA, c, d)
 
     def W(c, d):
-        return Form.generator(n, K_CURVM if boundary and c != 1 else K_CURV,
-                              c, d, boundary)
+        return layout.term(K_CURVM if boundary and c != 1 else K_CURV, c, d)
+
+    def th(c):
+        return layout.term(K_THETA, c, 0)
+
+    def u(c):
+        return layout.term(K_U, c, 0)
 
     inner = range(2 if boundary else 1, n + 1)
-    out: Form | None
-    if kind == K_DPHI:
-        out = None
-    elif kind == K_OMEGA:
-        out = W(a, b)
-        for c in inner:
-            out = out + w(a, c) * w(c, b)
+    if kind == K_OMEGA:
+        products = [(1, layout.one, W(a, b))] + [(1, w(a, c), w(c, b)) for c in inner]
     elif kind in (K_CURV, K_CURVM):
-        out = Form.zero(n, boundary)
-        for c in inner:
-            out = out + w(a, c) * W(c, b)
-            out = out - W(a, c) * w(c, b)
+        products = [p for c in inner for p in ((1, w(a, c), W(c, b)), (-1, W(a, c), w(c, b)))]
     elif kind == K_U:
-        out = Form.theta(n, a)
-        for c in inner:
-            out = out - Form.coordinate(n, c) * w(c, a)
+        products = [(1, layout.one, th(a))] + [(-1, u(c), w(c, a)) for c in inner]
     elif kind == K_THETA:
-        out = Form.zero(n)
-        for c in inner:
-            out = out + Form.theta(n, c) * w(c, a)
-            out = out + Form.coordinate(n, c) * W(c, a)
+        products = [p for c in inner for p in ((1, th(c), w(c, a)), (1, u(c), W(c, a)))]
     else:
         raise ValueError(f"unknown generator kind {kind}")
+    acc = Accumulator(layout)
+    for k, x, y in products:
+        if x and y:
+            acc.add_product(x, y, k)
+    out = layout.form(acc, boundary)
     _D_CACHE[key] = out
     return out

@@ -59,18 +59,20 @@ def signed_permutations(k):
 
 def _alternating_sum(n, first, factors, boundary=False):
     """Sum over the permutations p of the indices first, first + 1, ... of
-    sign(p) times the wedge of the factors, in order.  A factor is
-    (width, make): make takes the next width permuted indices."""
-    total = Form.zero(n, boundary)
+    sign(p) times the wedge of the factors, in order, accumulated once.  A
+    factor is (width, make): make takes the next width permuted indices."""
+    made = {}  # each factor form is made once, so it is packed once
+    products = []
     for perm, sign in signed_permutations(sum(width for width, _ in factors)):
         indices = iter([first + i for i in perm])
-        forms = ([make(*islice(indices, width)) for width, make in factors]
-                 or [Form.scalar(n, 1, boundary)])
-        term = forms[0].scale(sign)
-        for f in forms[1:]:
-            term = term * f
-        total = total + term
-    return total
+        product = [sign]
+        for width, make in factors:
+            args = (make, *islice(indices, width))
+            if args not in made:
+                made[args] = make(*args[1:])
+            product.append(made[args])
+        products.append(product)
+    return Form.wedge_sum(n, products, boundary)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +144,7 @@ def _polar_theta(n: int) -> tuple[Form, ...]:
         theta = Form.scalar(n, coords[a - 1]).d()
         for b in range(1, n + 1):
             if b != a:
-                theta = theta + Form.omega(n, b, a).scale(coords[b - 1])
+                theta = theta + Form.omega(n, b, a) * coords[b - 1]
         out.append(theta)
     return tuple(out)
 

@@ -35,11 +35,16 @@ accepts any cos power and builds each term as its cos-free monomial times
 cos(angle) once per power, so the split reduces it.  ``deriv`` and
 ``eval_angle`` compute their keys in normal form directly.
 
-The wedge, ``d`` and substitution of ``algebra`` sum their coefficient
-products with ``mul_add``, which runs the loop, guard checks and split of
-``__mul__`` into an accumulator in place: raw integer numerators over a
-denominator raised by lcm only when a product's does not divide it, with no
-gcd taken.  ``collect`` then normalizes each accumulator once.
+A packed term puts generator bits below the key: one int, (key << shift)
+plus the bits, with one integer numerator (``Packing``; ``algebra`` lays out
+the bits of Form monomials, and ``SCALARS`` has none).  ``mul_into`` is the
+one product loop, for ``__mul__`` and for the wedge, ``d`` and substitution
+of ``algebra``: per pair of terms, a mask test for a repeated odd generator,
+a popcount for the Koszul sign, one addition, one guard test and the split.
+An ``Accumulator`` sums such products as raw integer numerators over one
+denominator, raised by lcm only when a product's does not divide it, with
+no gcd taken, and ``split`` normalizes the coefficient of each set of
+generator bits once.
 
 ``terms`` decodes the keys to {(d, ((angle, phi, sin, cos), ...)): Fraction}
 with the angles ascending.  Angle 1 is the distinguished boundary angle;
@@ -128,16 +133,71 @@ def _reduced(num, den):
     return _make(num, den)
 
 
-def _mul_into(num, x, y, scale):
-    """Add the numerators of scale * x * y into num in place, taking no gcd."""
+class Packing:
+    """The generator bits that a packed term carries below its coefficient key.
+
+    A packed term is a pair: one int key, (coefficient key << shift) plus
+    generator bits, and its integer numerator.  The generator bits, masked by
+    ``low``, are ``odd``, one bit per odd generator, and count fields whose
+    guard bits are ``low_guards``; ``guards`` holds every guard bit of a
+    packed key.  Bit p of ``below(odd)``, cached per mask, is the parity of
+    the number of the mask's bits above p.  ``SCALARS`` packs coefficient
+    keys alone.
+    """
+
+    __slots__ = ("shift", "low", "odd", "guards", "bias", "cos", "_below")
+
+    def __init__(self, shift, odd, low_guards):
+        self.shift = shift
+        self.low = (1 << shift) - 1
+        self.odd = odd
+        self.guards = _GUARDS << shift | low_guards
+        self.bias = PI_BIAS << shift
+        self.cos = _COS << shift
+        self._below = {}
+
+    def below(self, odd):
+        out = self._below.get(odd)
+        if out is None:
+            out, rest = 0, odd
+            while rest:  # every odd bit flips the parity of the bits below it
+                low = rest & -rest
+                rest ^= low
+                out ^= low - 1
+            self._below[odd] = out
+        return out
+
+
+SCALARS = Packing(0, 0, 0)
+
+
+def mul_into(num, xs, ys, packing, scale):
+    """Add scale * x * y into the raw numerators num in place, taking no gcd,
+    for every packed term x of xs and y of the re-iterable ys.
+
+    The product of two terms is one loop step.  A shared odd generator gives
+    0.  The Koszul sign of sorting the odd generators of x then y is the
+    parity of the pairs (p in x, q in y) with p above q, which is
+    popcount(y's odd bits & below(x's odd bits)).  The key is k1 + k2 -
+    bias, one guard test covers every field, and a shared cos splits into
+    2 ** m pairs.
+    """
     get = num.get
-    terms2 = y.num.items()
-    for k1, c1 in x.num.items():
-        cos1 = k1 & _COS
+    odd, bias, guards, cos = packing.odd, packing.bias, packing.guards, packing.cos
+    for k1, c1 in xs:
+        o1 = k1 & odd
+        if o1:
+            b1 = packing.below(o1)
+        cos1 = k1 & cos
         c1 *= scale
-        for k2, c2 in terms2:
-            key = k1 + k2 - PI_BIAS
-            if key & _GUARDS:
+        for k2, c2 in ys:
+            if o1:
+                if o1 & k2:
+                    continue
+                if (b1 & k2).bit_count() & 1:
+                    c2 = -c2
+            key = k1 + k2 - bias
+            if key & guards:
                 raise OverflowError(_OVERFLOW)
             shared = cos1 & k2
             if not shared:
@@ -153,7 +213,7 @@ def _mul_into(num, x, y, scale):
                 shared &= shared - 1
                 pairs += [(k + sin2, -c) for k, c in pairs]
                 # the last pair has every sin raised so far
-                if pairs[-1][0] & _GUARDS:
+                if pairs[-1][0] & guards:
                     raise OverflowError(_OVERFLOW)
             for key, c in pairs:
                 new = get(key, 0) + c
@@ -163,34 +223,46 @@ def _mul_into(num, x, y, scale):
                     del num[key]
 
 
-def mul_add(accs, slot, x, y, negate):
-    """Add x * y, or -x * y if negate, into the accumulator accs[slot] in place.
+class Accumulator:
+    """A sum of products of packed terms: raw numerators over one common
+    denominator, raised by lcm only when a product's does not divide it."""
 
-    An accumulator is [num, den]: raw {key: int} numerators over a common
-    denominator.  It is deleted as soon as its numerators cancel, so the
-    slots keep the order that adding elements one by one gives, and a Form's
-    terms the order of the term-by-term wedge.  No result reads that order:
-    renders and numeric templates sort the terms first.
-    """
-    pden = x.den * y.den
-    acc = accs.get(slot)
-    if acc is None:
-        acc = accs[slot] = [{}, pden]
-    num, den = acc
-    if den % pden:  # raise den to lcm(den, pden)
-        f = lcm(den, pden) // den
-        for key in num:
-            num[key] *= f
-        acc[1] = den = den * f
-    scale = den // pden
-    _mul_into(num, x, y, -scale if negate else scale)
-    if not num:
-        del accs[slot]
+    __slots__ = ("packing", "num", "den")
 
+    def __init__(self, packing):
+        self.packing = packing
+        self.num: dict[int, int] = {}
+        self.den = 1
 
-def collect(accs):
-    """Normalize each accumulator of ``mul_add`` once: {slot: TrigScalar}."""
-    return {slot: _reduced(dict(num), den) for slot, (num, den) in accs.items()}
+    def add_product(self, x, y, scale=1):
+        """Add scale * x * y for packed operands x and y, each (den, terms)."""
+        (xden, xs), (yden, ys) = x, y
+        pden = xden * yden
+        den = self.den
+        if den % pden:
+            f = lcm(den, pden) // den
+            num = self.num
+            for key in num:
+                num[key] *= f
+            self.den = den = den * f
+        mul_into(self.num, xs, ys, self.packing, scale * (den // pden))
+
+    def packed(self):
+        """The sum as a packed operand, not normalized: a view of it."""
+        return self.den, self.num.items()
+
+    def split(self):
+        """{generator bits: coefficient}, each coefficient normalized once."""
+        shift, low = self.packing.shift, self.packing.low
+        parts: dict[int, dict[int, int]] = {}
+        for key, c in self.num.items():
+            bits = key & low
+            if bits in parts:
+                parts[bits][key >> shift] = c
+            else:
+                parts[bits] = {key >> shift: c}
+        den = self.den
+        return {bits: _reduced(num, den) for bits, num in parts.items()}
 
 
 class TrigScalar:
@@ -305,7 +377,7 @@ class TrigScalar:
         if other is NotImplemented:
             return NotImplemented
         out: dict[int, int] = {}
-        _mul_into(out, self, other, 1)
+        mul_into(out, self.num.items(), other.num.items(), SCALARS, 1)
         return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__

@@ -1,6 +1,7 @@
 """Graded algebra: wedge, differential, interior product, evaluations."""
 
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -17,11 +18,11 @@ from lawcheck.algebra import (
     K_THETA,
     K_U,
     _d_generator,
+    _layout,
     add_term,
-    mono_mul,
 )
 from lawcheck.chern import build_phi, polar_substitute, rotate_frame, specialize_boundary
-from lawcheck.trig import ONE, TrigScalar
+from lawcheck.trig import MAX_ANGLE, MAX_EXP, ONE, TrigScalar
 
 
 def rand_form(rng, n, boundary=False, max_terms=4, max_gens=3):
@@ -131,6 +132,105 @@ def test_wedge_graded_commutative_random():
             sign = -1 if (degs_a[0] % 2 and degs_b[0] % 2) else 1
             rhs = (b * a).scale(sign)
             assert a * b == rhs
+
+
+# -- generators and packed monomial keys ------------------------------------------
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: Form.dphi(3, 0), "dphi0"),
+    (lambda: Form.dphi(3, MAX_ANGLE + 1), f"dphi{MAX_ANGLE + 1}"),
+    (lambda: Form.dphi(3, 99, True), "dphi99"),
+    (lambda: Form.generator(3, K_OMEGA, 0, 7), "w07"),
+    (lambda: Form.omega(3, 1, 4), "w14"),
+    (lambda: Form.curvature(3, 0, 2), "W02"),
+    (lambda: Form.boundary_curvature(3, 1, 2), "WM12"),
+    (lambda: Form.boundary_curvature(4, 2, 5), "WM25"),
+    (lambda: Form.theta(3, 4), "th4"),
+    (lambda: Form.coordinate(3, 0), "u0"),
+    (lambda: Form.generator(3, K_THETA, 1, 2), "th1"),
+    (lambda: Form.generator(3, 42, 1, 2), "(42, 1, 2)"),
+])
+def test_generator_rejects_kinds_and_indices_outside_the_algebra(make, name):
+    with pytest.raises(ValueError, match=rf"generator.*{re.escape(name)}"):
+        make()
+
+
+def test_generator_accepts_the_edges_of_each_range():
+    assert Form.dphi(3, MAX_ANGLE).render() == f"(1)*dphi{MAX_ANGLE}"
+    assert Form.dphi(3, 1).render() == "(1)*dphi"
+    assert Form.boundary_curvature(4, 4, 2).render() == "(-1)*WM24"
+    assert Form.generator(3, K_OMEGA, 3, 3).is_zero
+
+
+def _generators(n, boundary):
+    """Every generator of the algebra, with dphi angles 1 and MAX_ANGLE."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    gens = [(K_DPHI, 1, 0), (K_DPHI, MAX_ANGLE, 0)] + [(K_OMEGA, a, b) for a, b in pairs]
+    if boundary:
+        return gens + [(K_CURV, 1, b) for b in range(2, n + 1)] + [
+            (K_CURVM, a, b) for a, b in pairs if a > 1]
+    return gens + [(K_THETA, a, 0) for a in range(1, n + 1)] + [
+        (K_U, a, 0) for a in range(1, n + 1)] + [(K_CURV, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("boundary", [False, True])
+def test_every_generator_round_trips_through_its_key(n, boundary):
+    layout = _layout(n)
+    one = Form.scalar(n, 1, boundary)
+    keys = set()
+    for gen in _generators(n, boundary):
+        g = Form.generator(n, *gen, boundary=boundary)
+        [mono] = g.terms
+        key = layout.key(mono)
+        assert layout.mono(key) == mono
+        keys.add(key)
+        assert one * g == g and g * one == g
+        dphi2 = Form.dphi(n, 2, boundary)
+        assert g * dphi2 == reference_mul(g, dphi2)
+    assert len(keys) == len(_generators(n, boundary))
+    assert all(key & key - 1 == 0 for key in keys), "a generator key is one bit"
+
+
+def _rand_monomial(rng, n, boundary):
+    gens = _generators(n, boundary)
+    odds = sorted(rng.sample([g for g in gens if g[0] in _ODD], rng.randint(0, 4)))
+    evens = sorted(rng.choices([g for g in gens if g[0] not in _ODD], k=rng.randint(0, 3)))
+    return tuple(evens), tuple(odds)
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+def test_packed_product_matches_the_tuple_merge(boundary):
+    """The Koszul sign and the repeated odd generator, on seeded pairs."""
+    n = 5
+    rng = random.Random(505 + boundary)
+    signs, zeros = set(), 0
+    for _ in range(600):
+        m1, m2 = _rand_monomial(rng, n, boundary), _rand_monomial(rng, n, boundary)
+        c1 = TrigScalar.monomial(Fraction(rng.randint(1, 5), rng.randint(1, 4)), cos=1)
+        c2 = TrigScalar.monomial(rng.randint(-3, 3) or 1, cos=1, sin2=1)
+        got = Form(n, {m1: c1}, boundary) * Form(n, {m2: c2}, boundary)
+        hit = mono_mul(m1, m2)
+        if hit is None:
+            assert got.is_zero
+            zeros += 1
+            continue
+        sign, mono = hit
+        assert got == Form(n, {mono: c1 * c2 * sign}, boundary)
+        signs.add(sign)
+    assert signs == {1, -1} and zeros > 20
+
+
+def test_even_count_at_its_field_limit():
+    n = 3
+    u1, w12 = (K_U, 1, 0), (K_OMEGA, 1, 2)
+    below = Form(n, {((u1,) * (MAX_EXP - 1), (w12,)): ONE})
+    at = below * Form.coordinate(n, 1)
+    assert at == Form(n, {((u1,) * MAX_EXP, (w12,)): ONE})
+    with pytest.raises(OverflowError):
+        at * Form.coordinate(n, 1)
+    with pytest.raises(OverflowError):
+        Form(n, {((u1,) * (MAX_EXP + 1), ()): ONE}) * Form.scalar(n, 1)
 
 
 # -- differential -----------------------------------------------------------
@@ -292,6 +392,33 @@ def reference_substitute(f, mapping, boundary=None):
     return out
 
 
+def mono_mul(m1, m2):
+    """Multiply canonical tuple monomials; returns (sign, monomial) or None.
+
+    The reference for the packed product: the evens merge as a multiset, and
+    the odds merge as sorted tuples, each crossing flipping the sign."""
+    e1, o1 = m1
+    e2, o2 = m2
+    evens = tuple(sorted(e1 + e2))
+    odds = []
+    sign = 1
+    i = j = 0
+    while i < len(o1) and j < len(o2):
+        if o1[i] == o2[j]:
+            return None
+        if o1[i] < o2[j]:
+            odds.append(o1[i])
+            i += 1
+        else:
+            if (len(o1) - i) % 2:
+                sign = -sign
+            odds.append(o2[j])
+            j += 1
+    odds.extend(o1[i:])
+    odds.extend(o2[j:])
+    return sign, (evens, tuple(odds))
+
+
 def reference_mul(f, g):
     """The wedge as one TrigScalar product and one add_term per pair of terms."""
     f._compatible(g)
@@ -434,7 +561,7 @@ def test_wedge_matches_reference_in_value_and_term_order():
     for f, g in forms:
         got, want = f * g, reference_mul(f, g)
         assert got == want
-        assert list(got.terms) == list(want.terms)
+        assert list(got.terms) == sorted(want.terms)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -8,8 +8,8 @@ from math import gcd
 import pytest
 
 from lawcheck.templates import trig_values
-from lawcheck.trig import (_COS, FIELD_BITS, MAX_ANGLE, MAX_EXP, PI_BIAS, ZERO,
-                           TrigScalar, collect, mul_add, sphere_volume)
+from lawcheck.trig import (_COS, FIELD_BITS, MAX_ANGLE, MAX_EXP, PI_BIAS, SCALARS, ZERO,
+                           Accumulator, Packing, TrigScalar, sphere_volume)
 
 
 def rand_scalar(rng, angles=(1,)):
@@ -244,7 +244,21 @@ def test_eval_angle_past_the_pi_limit_raises(at):
         TrigScalar.monomial(pi=top, phi=1).eval_angle(1, at)
 
 
-# -- the multiply-accumulate kernel ----------------------------------------------
+# -- the multiply-accumulate loop ------------------------------------------------
+
+# two slot bits below the coefficient key, with no generator in them
+SLOTS = Packing(2, 0, 0)
+
+
+def _packed(x, slot=0, sign=1):
+    """x as a packed operand over SLOTS, its terms tagged with the slot."""
+    return x.den, [((k << 2) + slot, sign * c) for k, c in x.num.items()]
+
+
+def _packed_scalar(x, sign=1):
+    """x as a packed operand over SCALARS."""
+    return x.den, [(k, sign * c) for k, c in x.num.items()]
+
 
 def _kernel_element(rng):
     """Seeded element over angles 1..3 with cos powers <= 1 and a mixed den."""
@@ -266,11 +280,11 @@ def _add_in_order(expected, slot, value):
         expected.pop(slot, None)
 
 
-def test_mul_add_matches_the_sum_of_products():
+def test_accumulator_matches_the_sum_of_products():
     rng = random.Random(2020)
     shared_seen, cancelled = set(), 0
     for _ in range(120):
-        accs, expected, done = {}, {}, []
+        acc, expected, done = Accumulator(SLOTS), {}, []
         for _ in range(rng.randint(1, 8)):
             if done and rng.random() < 0.3:  # undo an earlier product
                 slot, x, y, negate = done.pop(rng.randrange(len(done)))
@@ -283,38 +297,42 @@ def test_mul_add_matches_the_sum_of_products():
                 for k2 in y.num:
                     shared_seen.add(bin(k1 & k2 & _COS).count("1"))
             had = slot in expected
-            mul_add(accs, slot, x, y, negate)
+            acc.add_product(_packed(x, slot, -1 if negate else 1), _packed(y))
             _add_in_order(expected, slot, -(x * y) if negate else x * y)
             cancelled += had and slot not in expected
-            assert list(accs) == list(expected)
-        got = collect(accs)
-        assert got == expected and list(got) == list(expected)
+            assert set(key & 3 for key in acc.num) == set(expected)
+        got = acc.split()
+        assert got == expected
         for value in got.values():
             assert_normal_form(value)
     assert shared_seen == {0, 1, 2, 3} and cancelled
 
 
-def test_mul_add_cancels_to_zero_then_takes_new_terms():
+def test_accumulator_cancels_to_zero_then_takes_new_terms():
     x = TrigScalar.monomial(Fraction(1, 6), sin=1, cos=1) + TrigScalar.cos(2)
     y = TrigScalar.monomial(Fraction(2, 9), cos=1, cos2=1) - TrigScalar.pi_power(1)
     z = TrigScalar.monomial(Fraction(3, 4), phi3=1)
-    accs = {}
-    mul_add(accs, "m", x, y, False)
-    mul_add(accs, "m", y, x, True)
-    assert accs == {}
-    mul_add(accs, "m", z, x, True)
-    mul_add(accs, "m", x, y, False)
-    assert collect(accs) == {"m": x * y - z * x}
+    acc = Accumulator(SCALARS)
+    acc.add_product(_packed_scalar(x), _packed_scalar(y))
+    acc.add_product(_packed_scalar(y), _packed_scalar(x, -1))
+    assert acc.num == {} and acc.split() == {}
+    acc.add_product(_packed_scalar(z), _packed_scalar(x, -1))
+    acc.add_product(_packed_scalar(x), _packed_scalar(y))
+    assert acc.split() == {0: x * y - z * x}
 
 
-def test_mul_add_past_a_field_limit_raises():
+def test_accumulator_past_a_field_limit_raises():
     # no split: one pair per product
     with pytest.raises(OverflowError):
-        mul_add({}, 0, TrigScalar.monomial(sin=MAX_EXP), TrigScalar.sin(), False)
+        Accumulator(SCALARS).add_product(_packed_scalar(TrigScalar.monomial(sin=MAX_EXP)),
+                                         _packed_scalar(TrigScalar.sin()))
     # the cos^2 split lifts sin by 2
-    accs = {}
-    mul_add(accs, 0, TrigScalar.monomial(sin2=MAX_EXP - 2, cos2=1), TrigScalar.cos(2), False)
-    assert collect(accs) == {0: TrigScalar.monomial(sin2=MAX_EXP - 2)
-                             - TrigScalar.monomial(sin2=MAX_EXP)}
+    acc = Accumulator(SCALARS)
+    acc.add_product(_packed_scalar(TrigScalar.monomial(sin2=MAX_EXP - 2, cos2=1)),
+                    _packed_scalar(TrigScalar.cos(2)))
+    assert acc.split() == {0: TrigScalar.monomial(sin2=MAX_EXP - 2)
+                           - TrigScalar.monomial(sin2=MAX_EXP)}
     with pytest.raises(OverflowError):
-        mul_add({}, 0, TrigScalar.monomial(sin2=MAX_EXP - 1, cos2=1), TrigScalar.cos(2), True)
+        Accumulator(SCALARS).add_product(
+            _packed_scalar(TrigScalar.monomial(sin2=MAX_EXP - 1, cos2=1)),
+            _packed_scalar(TrigScalar.cos(2), -1))
