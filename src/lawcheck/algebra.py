@@ -14,21 +14,22 @@ Monomials keep even generators (u, W, WM) as a sorted multiset and odd
 generators (w, th, dphi) as a sorted duplicate-free tuple; sorting odd factors
 tracks the Koszul sign, so equality is coefficient comparison.
 
-Products run on packed terms (``trig.Packing``).  At each n one layout
-(``_Layout``) gives every generator of both algebras its place in a
-monomial key: bits 0.. hold one bit per odd generator, dphi_1..dphi_32 then
-w(a,b) then th(a), in the sorted order of the (kind, a, b) tuples, and above
-them lie one guarded FIELD_BITS-bit count field per even generator, u(a),
-W(a,b) and WM(s,t), built like the coefficient key's fields.  The
-coefficient key sits above the monomial key, so one term, monomial and
-coefficient, is one int, and the product of two terms is one step of
-``trig.mul_into``: the odd bits' AND rejects a repeated odd generator, the
-Koszul sign is a popcount parity, and one addition with one guard test
-makes the key.  The wedge, both parts of ``d``, the substitution's group
-products and prefix chain, and the permutation sums of ``chern`` each run
-that loop into one ``trig.Accumulator``, decoded once into a Form whose
-terms are in sorted monomial order.  ``Form.terms`` stays the public dict
-keyed by tuple monomials.
+A Form stores what a TrigScalar stores (``trig.Packed``), packed terms over
+one denominator, with the layout ``_layout(n)`` for ``trig.SCALARS``.  It
+gives every generator of both algebras its place in a monomial key: bits
+0.. hold one bit per odd generator, dphi_1..dphi_32 then w(a,b) then th(a),
+in the sorted order of the (kind, a, b) tuples, and above them lie one
+guarded FIELD_BITS-bit count field per even generator, u(a), W(a,b) and
+WM(s,t).  The coefficient key sits above, so a term is one int and a Form
+is its own operand of ``trig.mul_into``.  The wedge, both parts of ``d``,
+the substitution's products and the permutation sums of ``chern`` each run
+that loop into one ``trig.Accumulator``, normalized once into a Form with
+its monomials in sorted order.  Sums, ``deriv`` and ``eval_angle`` are the
+ring's own; the interior product with dphi_1 (bit 0, so no sign) and the
+semibasic filter are bit tests.  Tuple monomials enter only through the
+constructor, which rejects a non-canonical one, and leave only through
+``terms``, a decoded view whose monomials keep their order: a sum keeps the
+first operand's in place and appends the second's new ones.
 
 Two modes share the data structure.  The full algebra models the sphere
 bundle over the interior: dw(A,B) = W(A,B) + sum_C w(A,C)w(C,B), the Bianchi
@@ -43,10 +44,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
-from .trig import FIELD_BITS, MAX_ANGLE, MAX_EXP, ONE, Accumulator, Packing, TrigScalar
+from .trig import (FIELD_BITS, MAX_ANGLE, MAX_EXP, ONE, Accumulator, Packed, Packing, TrigScalar,
+                   lowest_terms)
 
 # generator kind codes; odd kinds sort before a monomial's theta tail
 K_DPHI, K_OMEGA, K_THETA = 0, 1, 2
@@ -59,22 +61,12 @@ DEGREE = {K_DPHI: 1, K_OMEGA: 1, K_THETA: 1, K_U: 0, K_CURV: 2, K_CURVM: 2}
 Gen = tuple[int, int, int]
 Monomial = tuple[tuple[Gen, ...], tuple[Gen, ...]]  # (evens, odds)
 
-_EMPTY_MONO: Monomial = ((), ())
+_DPHI1 = 1  # the key bit of dphi_1, the first odd generator of every layout
 
 
 def mono_degree(mono):
     evens, odds = mono
     return sum(DEGREE[g[0]] for g in evens) + len(odds)
-
-
-def add_term(terms, mono, coeff):
-    """Add coeff * mono into a Form's term dict in place, dropping zeros."""
-    prev = terms.get(mono)
-    new = coeff if prev is None else prev + coeff
-    if new:
-        terms[mono] = new
-    elif prev is not None:
-        del terms[mono]
 
 
 def _gen_name(gen):
@@ -92,31 +84,74 @@ def _gen_name(gen):
     return f"WM{a}{b}"
 
 
-class Form:
+def _mono_name(mono):
+    evens, odds = mono
+    return "*".join(_gen_name(g) for g in evens + odds) or "1"
+
+
+def _form(n, boundary, num, den):
+    """Wrap canonical numerators of packed terms as a Form."""
+    out = Form.__new__(Form)
+    out.n, out.boundary, out.num, out.den = n, boundary, num, den
+    return out
+
+
+def _sum_form(n, boundary, acc):
+    """An accumulated sum as a Form, normalized once, its monomials in
+    sorted order."""
+    layout = _layout(n)
+    low, mono = layout.low, layout.mono
+    num, den = lowest_terms(acc.num, acc.den)
+    return _form(n, boundary, dict(sorted(num.items(), key=lambda item: mono(item[0] & low))),
+                 den)
+
+
+class Form(Packed):
     """Element of the graded algebra; immutable by convention."""
 
-    __slots__ = ("n", "boundary", "terms")
+    __slots__ = ("n", "boundary")
 
     def __init__(self, n, terms=None, boundary=False):
         self.n = n
         self.boundary = boundary
-        self.terms: dict[Monomial, TrigScalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    self.terms[mono] = coeff
+        layout = _layout(n)
+        items = [(layout.key(mono), coeff) for mono, coeff in (terms or {}).items() if coeff]
+        # coefficients in lowest terms stay in lowest terms over their lcm
+        self.den = den = lcm(*(coeff.den for _, coeff in items))
+        self.num = {(k << layout.shift) + bits: v * (den // coeff.den)
+                    for bits, coeff in items for k, v in coeff.num.items()}
+
+    @property
+    def packing(self):
+        return _layout(self.n)
+
+    def _new(self, num, den):
+        return _form(self.n, self.boundary, num, den)
+
+    @property
+    def terms(self) -> dict[Monomial, TrigScalar]:
+        """{monomial: coefficient}, decoded; monomials in the order they
+        first appear."""
+        layout = _layout(self.n)
+        shift, low = layout.shift, layout.low
+        parts: dict[int, dict[int, int]] = {}
+        for key, v in self.num.items():
+            parts.setdefault(key & low, {})[key >> shift] = v
+        return {layout.mono(bits): TrigScalar._new(*lowest_terms(num, self.den))
+                for bits, num in parts.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, n, boundary=False):
-        return cls(n, boundary=boundary)
+        return _form(n, boundary, {}, 1)
 
     @classmethod
     def scalar(cls, n, coeff, boundary=False):
         if isinstance(coeff, (int, Fraction)):
             coeff = TrigScalar.rational(coeff)
-        return cls(n, {_EMPTY_MONO: coeff}, boundary=boundary)
+        shift = _layout(n).shift
+        return _form(n, boundary, {k << shift: v for k, v in coeff.num.items()}, coeff.den)
 
     @classmethod
     def generator(cls, n, kind, a, b=0, boundary=False):
@@ -133,15 +168,14 @@ class Form:
         if not (lo <= a <= hi and (lo <= b <= hi if kind in _PAIRS else b == 0)):
             raise ValueError(f"generator {_gen_name(gen)} {gen} needs indices "
                              f"in {lo}..{hi} at n = {n}")
-        sign = ONE
+        sign = 1
         if kind in _PAIRS:
             if a == b:
                 return cls.zero(n, boundary)
             if a > b:
-                a, b, sign = b, a, -ONE
-        gen = (kind, a, b)
-        mono = ((), (gen,)) if kind in _ODD else ((gen,), ())
-        return cls(n, {mono: sign}, boundary=boundary)
+                a, b, sign = b, a, -1
+        layout = _layout(n)
+        return _form(n, boundary, {layout.bias + layout.units[(kind, a, b)]: sign}, 1)
 
     @classmethod
     def omega(cls, n, a, b, boundary=False):
@@ -170,26 +204,19 @@ class Form:
     @staticmethod
     def wedge_sum(n, products, boundary=False):
         """The sum of the products (k, f1, ..., fm), each the integer k times
-        the wedge f1 ... fm (1 for m = 0), accumulated once.  A form that
-        several products share is packed once."""
+        the wedge f1 ... fm (1 for m = 0), accumulated once."""
         layout = _layout(n)
-        packed = {}  # by id: ``products`` keeps every form alive
-
-        def pack(f):
-            if id(f) not in packed:
-                packed[id(f)] = layout.pack(f.terms.items())
-            return packed[id(f)]
-
+        one = Form.scalar(n, ONE, boundary)
         acc = Accumulator(layout)
         for k, *forms in products:
-            factors = [pack(f) for f in forms] or [layout.one]
-            head = factors[0] if len(factors) > 1 else layout.one
-            for factor in factors[1:-1]:
+            *heads, last = forms or [one]
+            head = heads[0] if heads else one
+            for factor in heads[1:]:
                 step = Accumulator(layout)
                 step.add_product(head, factor)
-                head = step.packed()
-            acc.add_product(head, factors[-1], k)
-        return layout.form(acc, boundary)
+                head = step
+            acc.add_product(head, last, k)
+        return _sum_form(n, boundary, acc)
 
     # -- algebra -----------------------------------------------------------
 
@@ -199,23 +226,23 @@ class Form:
         if self.boundary != other.boundary:
             raise ValueError("cannot mix boundary and interior algebra forms")
 
-    def __add__(self, other):
+    def _coerce(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         self._compatible(other)
-        res = Form(self.n, boundary=self.boundary)
-        res.terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            add_term(res.terms, mono, coeff)
-        return res
+        return other
 
-    def __neg__(self):
-        res = Form(self.n, boundary=self.boundary)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
+    def __add__(self, other):
+        out = super().__add__(other)
+        if out is NotImplemented:
+            return out
+        # a monomial keeps its place: first as in self, then as in other
+        low = _layout(self.n).low
+        rank: dict[int, int] = {}
+        for key in (*self.num, *other.num):
+            rank.setdefault(key & low, len(rank))
+        out.num = dict(sorted(out.num.items(), key=lambda item: rank[item[0] & low]))
+        return out
 
     def __mul__(self, other):
         """Wedge product (scalars act as 0-forms)."""
@@ -232,14 +259,10 @@ class Form:
         return NotImplemented
 
     def scale(self, coeff):
-        if isinstance(coeff, (int, Fraction)):
-            coeff = TrigScalar.rational(coeff)
-        res = Form(self.n, boundary=self.boundary)
-        for mono, c in self.terms.items():
-            new = c * coeff
-            if new:
-                res.terms[mono] = new
-        return res
+        """Every coefficient times coeff; the monomials keep their order."""
+        acc = Accumulator(_layout(self.n))
+        acc.add_product(self, Form.scalar(self.n, coeff, self.boundary))
+        return self._reduced(acc.num, acc.den)
 
     # -- differential ------------------------------------------------------
 
@@ -252,160 +275,137 @@ class Form:
         generators.  One accumulator takes both sums."""
         layout = _layout(self.n)
         acc = Accumulator(layout)
-        by_angle: dict[int, list] = {}
-        for mono, coeff in self.terms.items():
-            for angle in coeff.angles():
-                by_angle.setdefault(angle, []).append((mono, coeff.deriv(angle)))
-        for angle, items in by_angle.items():
-            acc.add_product(layout.term(K_DPHI, angle, 0), layout.pack(items))
-        units, leibniz = layout.units, {}  # monomial key -> [(g, unit of g, s_g)]
-        for evens, odds in self.terms:
-            leibniz[layout.key((evens, odds))] = (
-                [(g, units[g], count) for g, count in Counter(evens).items()]
-                + [(g, units[g], -1 if j % 2 else 1) for j, g in enumerate(odds)])
-        den, terms = layout.pack(self.terms.items())
-        quotients: dict[Gen, list] = {}
-        for key, c in terms:
-            for gen, unit, factor in leibniz[key & layout.low]:
-                quotients.setdefault(gen, []).append((key - unit, c * factor))
+        for angle in sorted(self.angles()):
+            acc.add_product(Form.dphi(self.n, angle, self.boundary), self.deriv(angle))
+        leibniz: dict[int, list] = {}  # monomial bits -> [(g, unit of g, s_g)]
+        quotients: dict[Gen, Accumulator] = {}  # g -> the terms m / g, times s_g
+        for key, c in self.num.items():
+            bits = key & layout.low
+            if bits not in leibniz:  # the sign of an odd g: (-1)^(odd bits below it)
+                leibniz[bits] = [(gen, unit, count if not unit & layout.odd
+                                  else -1 if (bits & unit - 1).bit_count() % 2 else 1)
+                                 for gen, unit, count in layout.factors(bits)]
+            for gen, unit, factor in leibniz[bits]:
+                if gen not in quotients:
+                    quotients[gen] = Accumulator(layout, den=self.den)
+                quotients[gen].num[key - unit] = c * factor
         for gen, rest in quotients.items():
             dg = _d_generator(gen, self.n, self.boundary)
             if dg:
-                acc.add_product(layout.pack(dg.terms.items()), (den, rest))
-        return layout.form(acc, self.boundary)
+                acc.add_product(dg, rest)
+        return _sum_form(self.n, self.boundary, acc)
 
     def interior_dphi(self):
-        """Interior product with the vector field dual to dphi (odd derivation)."""
-        target = (K_DPHI, 1, 0)
-        out = Form.zero(self.n, self.boundary)
-        for (evens, odds), coeff in self.terms.items():
-            for pos, gen in enumerate(odds):
-                if gen == target:
-                    sign = -1 if pos % 2 else 1
-                    mono = (evens, odds[:pos] + odds[pos + 1:])
-                    add_term(out.terms, mono, coeff if sign > 0 else -coeff)
-                    break
-        return out
+        """Interior product with the vector field dual to dphi (odd
+        derivation).  dphi_1 comes first among the odd generators, so
+        removing it changes no sign."""
+        return self._reduced({k - _DPHI1: v for k, v in self.num.items() if k & _DPHI1},
+                             self.den)
 
     def evaluate_at_zero(self):
         """Set the boundary angle to 0 and kill every dphi monomial."""
-        out = Form.zero(self.n, self.boundary)
-        target = (K_DPHI, 1, 0)
-        for (evens, odds), coeff in self.terms.items():
-            if target in odds:
-                continue
-            c = coeff.eval_angle(1, "0")
-            if c:
-                add_term(out.terms, (evens, odds), c)
-        return out
+        kept = {k: v for k, v in self.num.items() if not k & _DPHI1}
+        return self._reduced(kept, self.den).eval_angle(1, "0")
 
     # -- boundary dimension bookkeeping -------------------------------------
-
-    @staticmethod
-    def _base_degree(mono):
-        """Total degree of semibasic factors (pulled back from the boundary)."""
-        evens, odds = mono
-        deg = 0
-        for kind, a, _b in evens:
-            if kind in (K_CURV, K_CURVM):
-                deg += 2
-        for kind, a, _b in odds:
-            if kind == K_OMEGA and a == 1:
-                deg += 1
-        return deg
 
     def base_degree_filter(self):
         """Drop monomials whose semibasic degree exceeds the boundary
         dimension n - 1."""
         if not self.boundary:
             raise ValueError("the semibasic filter lives on the boundary algebra")
-        res = Form(self.n, boundary=self.boundary)
-        for mono, coeff in self.terms.items():
-            if self._base_degree(mono) <= self.n - 1:
-                res.terms[mono] = coeff
-        return res
+        layout = _layout(self.n)
+        return self._reduced({k: v for k, v in self.num.items()
+                              if layout.base_degree(k & layout.low) <= self.n - 1}, self.den)
 
     # -- substitution ------------------------------------------------------
 
     def substitute(self, mapping, boundary=None):
         """Replace generators by forms; unmapped generators pass through.
 
-        A term folds constant replacements into its coefficient, moves its
-        other mapped odd generators behind the unmapped ones (the sign of
-        that shuffle is right because every replacement has its generator's
-        parity, else ValueError), and joins the group of terms that share
-        those mapped generators.  Groups are walked in sorted order, so keys
-        with a common prefix are adjacent: each multiplies out one product
-        of replacements from its prefix's product, and only the live chain
-        of prefix products is kept, packed.  Every product accumulates raw
-        into one accumulator, normalized once at the end.
+        A monomial moves its mapped odd generators behind the unmapped ones
+        (the sign of that shuffle is right because every replacement has its
+        generator's parity, else ValueError) and its terms join the group of
+        those that share its mapped generators, times the product of its
+        constant replacements.  Groups are walked in sorted order, so keys
+        with a common prefix are adjacent: each multiplies out one product of
+        replacements from its prefix's product, and only the live chain of
+        prefix products is kept.  Every product accumulates raw into one
+        accumulator, normalized once at the end.
         """
         if boundary is None:
             boundary = self.boundary
         target = Form.zero(self.n, boundary)  # the algebra of the result
+        layout = _layout(self.n)
+        low, odd = layout.low, layout.odd
         consts = {}  # constant replacements; an odd generator's can only be 0
         for gen, rep in mapping.items():
             target._compatible(rep)
-            if any(mono_degree(m) % 2 != DEGREE[gen[0]] % 2 for m in rep.terms):
+            if any((key & odd).bit_count() % 2 != DEGREE[gen[0]] % 2 for key in rep.num):
                 raise ValueError(f"replacement for {_gen_name(gen)} has the wrong parity")
-            if rep.terms.keys() <= {_EMPTY_MONO}:
-                consts[gen] = rep.coefficient_of(_EMPTY_MONO)
-        groups: dict[tuple[Gen, ...], list[tuple[Monomial, TrigScalar]]] = {}
-        for (evens, odds), coeff in self.terms.items():
-            kept_evens, kept_odds, key = [], [], []
-            moved = flips = 0
-            for gen in evens + odds:
-                if gen in consts:
-                    if not consts[gen]:
-                        break
-                    coeff = coeff * consts[gen]
-                elif gen in mapping:
-                    key.append(gen)
-                    moved += gen[0] in _ODD
-                elif gen[0] in _ODD:
-                    kept_odds.append(gen)
-                    flips += moved
-                else:
-                    kept_evens.append(gen)
-            else:
-                groups.setdefault(tuple(key), []).append(
-                    ((tuple(kept_evens), tuple(kept_odds)), -coeff if flips % 2 else coeff))
-        layout = _layout(self.n)
+            if not any(key & low for key in rep.num):
+                consts[gen] = rep
+        plans: dict[int, tuple | None] = {}  # bits -> (mapped, fixed, kept bits, sign)
+        groups: dict[tuple, dict[tuple, dict[int, int]]] = {}  # mapped -> fixed -> terms
+        for key, c in self.num.items():
+            bits = key & low
+            if bits not in plans:
+                plan = mapped, fixed = [], []
+                kept = moved = flips = 0
+                for gen, unit, count in layout.factors(bits):
+                    if gen in consts:
+                        if not consts[gen]:
+                            plan = None
+                            break
+                        fixed += [gen] * count
+                    elif gen in mapping:
+                        mapped += [gen] * count
+                        moved += gen[0] in _ODD
+                    else:
+                        kept += unit * count
+                        if gen[0] in _ODD:
+                            flips += moved
+                plans[bits] = plan and (tuple(mapped), tuple(fixed), kept,
+                                        -1 if flips % 2 else 1)
+            if plans[bits]:
+                mapped, fixed, kept, sign = plans[bits]
+                group = groups.setdefault(mapped, {})
+                group.setdefault(fixed, {})[key - bits + kept] = sign * c
+        one = Form.scalar(self.n, ONE, boundary)
+        fixed_products = {(): one}
         acc = Accumulator(layout)
-        reps = {}
-        prev, chain = (), [layout.one]  # chain[k]: prev[:k]'s product, packed
-        for key in sorted(groups):
+        prev, chain = (), [one]  # chain[k]: prev[:k]'s product
+        for mapped in sorted(groups):
             k = 0
-            while k < min(len(key), len(prev)) and key[k] == prev[k]:
+            while k < min(len(mapped), len(prev)) and mapped[k] == prev[k]:
                 k += 1
             del chain[k + 1:]
-            for gen in key[k:]:
-                if gen not in reps:
-                    reps[gen] = layout.pack(mapping[gen].terms.items())
+            for gen in mapped[k:]:
                 step = Accumulator(layout)
-                step.add_product(chain[-1], reps[gen])
-                chain.append(step.packed())
-            prev = key
-            acc.add_product(layout.pack(groups[key]), chain[-1])
-        return layout.form(acc, boundary)
+                step.add_product(chain[-1], mapping[gen])
+                chain.append(step)
+            prev = mapped
+            terms = Accumulator(layout)
+            for fixed, part in groups[mapped].items():
+                if fixed not in fixed_products:
+                    fixed_products[fixed] = Form.wedge_sum(
+                        self.n, [(1, *(consts[gen] for gen in fixed))], boundary)
+                terms.add_product(Accumulator(layout, part, self.den), fixed_products[fixed])
+            acc.add_product(terms, chain[-1])
+        return _sum_form(self.n, boundary, acc)
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         return (self.n == other.n and self.boundary == other.boundary
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __len__(self):
-        return len(self.terms)
+        """The number of monomials, not of packed terms."""
+        low = _layout(self.n).low
+        return len({key & low for key in self.num})
 
     def degrees(self):
         return sorted({mono_degree(m) for m in self.terms})
@@ -414,19 +414,15 @@ class Form:
         return self.terms.get(mono, TrigScalar.zero())
 
     def render(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        lines = []
-        for mono in sorted(self.terms, key=lambda m: (mono_degree(m), m)):
-            coeff = self.terms[mono]
-            evens, odds = mono
-            gens = "*".join(_gen_name(g) for g in evens + odds) or "1"
-            lines.append(f"({coeff.render()})*{gens}")
-        return " + ".join(lines)
+        return " + ".join(f"({terms[mono].render()})*{_mono_name(mono)}"
+                          for mono in sorted(terms, key=lambda m: (mono_degree(m), m)))
 
     def __repr__(self):
         kind = "boundary" if self.boundary else "interior"
-        return f"Form(n={self.n}, {kind}, {len(self.terms)} terms)"
+        return f"Form(n={self.n}, {kind}, {len(self)} terms)"
 
 
 # -- packed terms -------------------------------------------------------------
@@ -435,10 +431,11 @@ class _Layout(Packing):
     """The monomial keys of packed terms at one n, for both algebras, laid
     out as the module docstring says.  ``key`` and ``mono`` translate a
     canonical tuple monomial to its key and back, each translation cached;
-    a count past MAX_EXP raises OverflowError.
+    ``key`` rejects a monomial that is not canonical with ValueError and a
+    count past MAX_EXP with OverflowError.
     """
 
-    __slots__ = ("n", "odd_gens", "even_gens", "units", "one", "_keys", "_monos")
+    __slots__ = ("n", "odd_gens", "even_gens", "units", "normal", "_keys", "_monos")
 
     def __init__(self, n):
         self.n = n
@@ -453,15 +450,21 @@ class _Layout(Packing):
         self.odd_gens, self.even_gens = odds, evens
         self.units = dict(zip(odds, (1 << p for p in range(len(odds)))))
         self.units.update(zip(evens, (1 << p for p in offsets)))
-        self.one = (1, [(self.bias, 1)])  # the scalar 1, packed
+        self.normal = sum(self.units[(K_OMEGA, 1, b)] for b in range(2, n + 1))  # w(1,b)
         self._keys: dict[Monomial, int] = {}
         self._monos: dict[int, Monomial] = {}
 
     def key(self, mono):
-        """The generator bits of a monomial."""
+        """The generator bits of a monomial, which must be canonical: even
+        generators sorted, then odd ones strictly increasing."""
         key = self._keys.get(mono)
         if key is None:
             evens, odds = mono
+            if not (all(g[0] not in _ODD for g in evens) and list(evens) == sorted(evens)
+                    and all(g[0] in _ODD for g in odds)
+                    and all(g < h for g, h in zip(odds, odds[1:]))):
+                raise ValueError(f"monomial {_mono_name(mono)} {mono} is not canonical: "
+                                 "it needs sorted evens, then strictly increasing odds")
             try:
                 key = sum([self.units[gen] for gen in evens + odds])
             except KeyError as missing:
@@ -471,57 +474,45 @@ class _Layout(Packing):
             self._keys[mono] = key
         return key
 
-    def mono(self, key):
-        mono = self._monos.get(key)
+    def factors(self, bits):
+        """(generator, unit, count) of each generator of a monomial key, in
+        the monomial's order: the even ones by field, then the odd ones by
+        bit, each with count 1."""
+        out = []
+        rest, field = bits >> len(self.odd_gens), 0
+        while rest:
+            if rest & MAX_EXP:
+                gen = self.even_gens[field]
+                out.append((gen, self.units[gen], rest & MAX_EXP))
+            rest >>= FIELD_BITS
+            field += 1
+        rest = bits & self.odd
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out.append((self.odd_gens[low.bit_length() - 1], low, 1))
+        return out
+
+    def mono(self, bits):
+        mono = self._monos.get(bits)
         if mono is None:
-            odds, rest = [], key & self.odd
-            while rest:
-                low = rest & -rest
-                odds.append(self.odd_gens[low.bit_length() - 1])
-                rest ^= low
-            evens, rest = [], key >> len(self.odd_gens)
-            for gen in self.even_gens:
-                if not rest:
-                    break
-                evens += [gen] * (rest & MAX_EXP)
-                rest >>= FIELD_BITS
-            mono = self._monos[key] = (tuple(evens), tuple(odds))
+            factors = self.factors(bits)
+            mono = self._monos[bits] = (
+                tuple(g for g, unit, count in factors if not unit & self.odd
+                      for _ in range(count)),
+                tuple(g for g, unit, _ in factors if unit & self.odd))
         return mono
 
-    def term(self, kind, a, b):
-        """The generator (kind, a, b) with coefficient 1, packed; a pair kind
-        is antisymmetric, so a > b gives minus (kind, b, a) and a == b gives
-        None, the zero term."""
-        if kind not in _PAIRS or a < b:
-            return 1, [(self.bias + self.units[(kind, a, b)], 1)]
-        if a > b:
-            return 1, [(self.bias + self.units[(kind, b, a)], -1)]
-        return None
-
-    def pack(self, items):
-        """(den, packed terms) of the (monomial, coefficient) pairs of a
-        re-iterable, over the lcm of their denominators."""
-        den = 1
-        for _, coeff in items:
-            if den % coeff.den:
-                den = lcm(den, coeff.den)
-        shift, keys, out = self.shift, self._keys, []
-        for mono, coeff in items:
-            bits = keys.get(mono)
-            if bits is None:
-                bits = self.key(mono)
-            f = den // coeff.den
-            for k, v in coeff.num.items():
-                out.append(((k << shift) + bits, v * f))
-        return den, out
-
-    def form(self, acc, boundary):
-        """The accumulated sum as a Form, its monomials in sorted order."""
-        monos = self._monos
-        res = Form(self.n, boundary=boundary)
-        res.terms = dict(sorted([(monos.get(bits) or self.mono(bits), c)
-                                 for bits, c in acc.split().items()]))
-        return res
+    def base_degree(self, bits):
+        """The degree of a monomial's semibasic factors, pulled back from the
+        boundary: one per w(1,b) and two per W or WM, whose fields lie above
+        the n fields of u."""
+        degree = (bits & self.normal).bit_count()
+        rest = bits >> len(self.odd_gens) + self.n * FIELD_BITS
+        while rest:
+            degree += 2 * (rest & MAX_EXP)
+            rest >>= FIELD_BITS
+        return degree
 
 
 _layout = lru_cache(maxsize=None)(_Layout)  # one layout per n
@@ -556,35 +547,24 @@ def _d_generator(gen, n, boundary):
 
     if kind == K_DPHI:
         return None
-    layout = _layout(n)
 
-    def w(c, d):
-        return layout.term(K_OMEGA, c, d)
+    w = partial(Form.omega, n, boundary=boundary)
+    th, u = partial(Form.theta, n), partial(Form.coordinate, n)
 
     def W(c, d):
-        return layout.term(K_CURVM if boundary and c != 1 else K_CURV, c, d)
-
-    def th(c):
-        return layout.term(K_THETA, c, 0)
-
-    def u(c):
-        return layout.term(K_U, c, 0)
+        return Form.generator(n, K_CURVM if boundary and c != 1 else K_CURV, c, d, boundary)
 
     inner = range(2 if boundary else 1, n + 1)
     if kind == K_OMEGA:
-        products = [(1, layout.one, W(a, b))] + [(1, w(a, c), w(c, b)) for c in inner]
+        products = [(1, W(a, b))] + [(1, w(a, c), w(c, b)) for c in inner]
     elif kind in (K_CURV, K_CURVM):
         products = [p for c in inner for p in ((1, w(a, c), W(c, b)), (-1, W(a, c), w(c, b)))]
     elif kind == K_U:
-        products = [(1, layout.one, th(a))] + [(-1, u(c), w(c, a)) for c in inner]
+        products = [(1, th(a))] + [(-1, u(c), w(c, a)) for c in inner]
     elif kind == K_THETA:
         products = [p for c in inner for p in ((1, th(c), w(c, a)), (1, u(c), W(c, a)))]
     else:
         raise ValueError(f"unknown generator kind {kind}")
-    acc = Accumulator(layout)
-    for k, x, y in products:
-        if x and y:
-            acc.add_product(x, y, k)
-    out = layout.form(acc, boundary)
+    out = Form.wedge_sum(n, products, boundary)
     _D_CACHE[key] = out
     return out

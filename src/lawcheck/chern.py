@@ -159,10 +159,9 @@ def polar_substitute(f: Form) -> Form:
     n = f.n
     if f.boundary:
         raise ValueError("polar substitution applies to the interior algebra")
-    for coeff in f.terms.values():
-        if coeff.angles():
-            raise ValueError("polar substitution needs constant coefficients; "
-                             "the fiber angles would collide")
+    if f.angles():
+        raise ValueError("polar substitution needs constant coefficients; "
+                         "the fiber angles would collide")
     mapping = {(K_U, a, 0): Form.scalar(n, c) for a, c in enumerate(polar_coordinates(n), 1)}
     mapping.update({(K_THETA, a, 0): th for a, th in enumerate(_polar_theta(n), 1)})
     return f.substitute(mapping)
@@ -222,7 +221,7 @@ class CoeffFunctions:
     def T(self, p, q):
         if p < 0 or q < 0:
             raise ValueError("powers must be non-negative")
-        return TrigScalar.monomial(cos=p) * TrigScalar.monomial(sin=q)
+        return TrigScalar.monomial(cos=p, sin=q)
 
     def I(self, p, q):
         if p < 0 or q < 0:

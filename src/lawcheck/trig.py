@@ -35,16 +35,19 @@ accepts any cos power and builds each term as its cos-free monomial times
 cos(angle) once per power, so the split reduces it.  ``deriv`` and
 ``eval_angle`` compute their keys in normal form directly.
 
-A packed term puts generator bits below the key: one int, (key << shift)
-plus the bits, with one integer numerator (``Packing``; ``algebra`` lays out
-the bits of Form monomials, and ``SCALARS`` has none).  ``mul_into`` is the
-one product loop, for ``__mul__`` and for the wedge, ``d`` and substitution
-of ``algebra``: per pair of terms, a mask test for a repeated odd generator,
-a popcount for the Koszul sign, one addition, one guard test and the split.
-An ``Accumulator`` sums such products as raw integer numerators over one
-denominator, raised by lcm only when a product's does not divide it, with
-no gcd taken, and ``split`` normalizes the coefficient of each set of
-generator bits once.
+A ring element and a form of ``algebra`` store one representation,
+``Packed``: packed terms over one denominator.  A packed term is one int,
+(coefficient key << shift) plus the generator bits that ``Packing`` lays
+out below it (``SCALARS`` has none, so a ring element's keys are its
+coefficient keys), with one integer numerator.  Sums, ``deriv``,
+``eval_angle`` and ``angles`` are written once over the packing's shift.
+``mul_into`` is the one product loop, for ``__mul__`` and for the wedge,
+``d`` and substitution of ``algebra``: per pair of terms, a mask test for a
+repeated odd generator, a popcount for the Koszul sign, one addition, one
+guard test and the split.  An ``Accumulator`` sums such products as raw
+integer numerators over one denominator, raised by lcm only when a
+product's does not divide it, with no gcd taken; the sum is normalized once,
+when it becomes a result.
 
 ``terms`` decodes the keys to {(d, ((angle, phi, sin, cos), ...)): Fraction}
 with the angles ascending.  Angle 1 is the distinguished boundary angle;
@@ -121,16 +124,16 @@ def _make(num, den):
     return out
 
 
-def _reduced(num, den):
+def lowest_terms(num, den):
     """Divide nonzero numerators and den by their common factor."""
     if not num:
-        return _make(num, 1)
+        return num, 1
     if den > 1:
         g = gcd(den, *num.values())
         if g > 1:
             num = {k: v // g for k, v in num.items()}
             den //= g
-    return _make(num, den)
+    return num, den
 
 
 class Packing:
@@ -224,20 +227,21 @@ def mul_into(num, xs, ys, packing, scale):
 
 
 class Accumulator:
-    """A sum of products of packed terms: raw numerators over one common
-    denominator, raised by lcm only when a product's does not divide it."""
+    """A sum of products of packed operands, each anything with numerators
+    ``num`` over ``den`` (a ring element, a form, an accumulator): raw
+    numerators over one common denominator, raised by lcm only when a
+    product's does not divide it."""
 
     __slots__ = ("packing", "num", "den")
 
-    def __init__(self, packing):
+    def __init__(self, packing, num=None, den=1):
         self.packing = packing
-        self.num: dict[int, int] = {}
-        self.den = 1
+        self.num: dict[int, int] = {} if num is None else num
+        self.den = den
 
     def add_product(self, x, y, scale=1):
-        """Add scale * x * y for packed operands x and y, each (den, terms)."""
-        (xden, xs), (yden, ys) = x, y
-        pden = xden * yden
+        """Add scale * x * y."""
+        pden = x.den * y.den
         den = self.den
         if den % pden:
             f = lcm(den, pden) // den
@@ -245,30 +249,132 @@ class Accumulator:
             for key in num:
                 num[key] *= f
             self.den = den = den * f
-        mul_into(self.num, xs, ys, self.packing, scale * (den // pden))
-
-    def packed(self):
-        """The sum as a packed operand, not normalized: a view of it."""
-        return self.den, self.num.items()
-
-    def split(self):
-        """{generator bits: coefficient}, each coefficient normalized once."""
-        shift, low = self.packing.shift, self.packing.low
-        parts: dict[int, dict[int, int]] = {}
-        for key, c in self.num.items():
-            bits = key & low
-            if bits in parts:
-                parts[bits][key >> shift] = c
-            else:
-                parts[bits] = {key >> shift: c}
-        den = self.den
-        return {bits: _reduced(num, den) for bits, num in parts.items()}
+        mul_into(self.num, x.num.items(), y.num.items(), self.packing, scale * (den // pden))
 
 
-class TrigScalar:
-    """Canonical-form element of the exact trig/pi coefficient ring."""
+class Packed:
+    """Packed terms over one denominator: ``num`` maps each packed key to a
+    nonzero integer numerator, and ``den`` > 0 shares no factor with all of
+    them (zero is no numerator over 1), so two elements are equal iff their
+    numerators and denominators are.  A subclass gives ``packing``, ``_new``
+    (wrap canonical numerators) and ``_coerce`` (the other operand in its
+    algebra, or NotImplemented).
+    """
 
     __slots__ = ("num", "den")
+
+    def _reduced(self, num, den):
+        """An element of self's algebra: nonzero numerators num over den,
+        divided by their common factor."""
+        return self._new(*lowest_terms(num, den))
+
+    # -- sums ----------------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        out = dict(self.num)
+        if f1 > 1:
+            out = {key: val * f1 for key, val in out.items()}
+        for key, val in other.num.items():
+            new = out.get(key, 0) + val * f2
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+        return self._reduced(out, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    # -- calculus, on every coefficient at once ------------------------------
+
+    def deriv(self, angle=1):
+        """Derivative with respect to the given formal angle, in normal form."""
+        out: dict[int, int] = {}
+        guards = self.packing.guards
+
+        def emit(key, coeff):
+            if key & guards:
+                raise OverflowError(_OVERFLOW)
+            out[key] = out.get(key, 0) + coeff
+
+        shift = _phi_shift(angle) + self.packing.shift
+        dp, ds, dc = 1 << shift, 1 << shift + FIELD_BITS, 1 << shift + 2 * FIELD_BITS
+        for key, coeff in self.num.items():
+            p, s, c = (key >> shift + j * FIELD_BITS & _FIELD for j in range(3))
+            if p:
+                emit(key - dp, coeff * p)
+            if s and c:  # s sin^(s-1) cos^2 = s sin^(s-1) - s sin^(s+1)
+                emit(key - ds - dc, coeff * s)
+                emit(key + ds - dc, -coeff * s)
+            elif s:
+                emit(key - ds + dc, coeff * s)
+            if c:
+                emit(key + ds - dc, -coeff)
+        return self._reduced({k: v for k, v in out.items() if v}, self.den)
+
+    def eval_angle(self, angle, at):
+        """Substitute the angle at one of the exact points '0', 'pi', 'pi/2'."""
+        if at not in ("0", "pi", "pi/2"):
+            raise ValueError(f"unsupported evaluation point {at!r}")
+        pi, guards = self.packing.shift, self.packing.guards
+        shift = _phi_shift(angle) + pi
+        # (pi/2)^p = pi^p / 2^p, so at pi/2 every numerator goes over den * 2^top
+        top = max((k >> shift & _FIELD for k in self.num), default=0) if at == "pi/2" else 0
+        out: dict[int, int] = {}
+        for key, coeff in self.num.items():
+            fields = key >> shift & _ANGLE
+            p, s, c = fields & _FIELD, fields >> FIELD_BITS & _FIELD, fields >> 2 * FIELD_BITS
+            if at == "0":
+                if p or s:
+                    continue
+            elif at == "pi":
+                if s:
+                    continue
+                if c:
+                    coeff = -coeff
+            elif c:
+                continue
+            else:
+                coeff <<= top - p
+            key += (p << pi) - (fields << shift)  # clear the angle, raise pi by p (0 at '0')
+            if key & guards:
+                raise OverflowError(_OVERFLOW)
+            out[key] = out.get(key, 0) + coeff
+        return self._reduced({k: v for k, v in out.items() if v}, self.den << top)
+
+    def angles(self):
+        union = 0  # an angle's fields are nonzero in the union iff in some key
+        for key in self.num:
+            union |= key
+        return {aid for aid, *_ in _angle_exps(union >> self.packing.shift)}
+
+    @property
+    def is_zero(self):
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
+
+
+class TrigScalar(Packed):
+    """Canonical-form element of the exact trig/pi coefficient ring."""
+
+    __slots__ = ()
+    packing = SCALARS
+    _new = staticmethod(_make)
 
     def __init__(self, terms=None):
         # every key is checked before any product is taken
@@ -341,44 +447,13 @@ class TrigScalar:
             return TrigScalar.rational(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        den = lcm(self.den, other.den)
-        f1, f2 = den // self.den, den // other.den
-        out = dict(self.num)
-        if f1 > 1:
-            out = {key: val * f1 for key, val in out.items()}
-        for key, val in other.num.items():
-            new = out.get(key, 0) + val * f2
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _reduced(out, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _make({k: -v for k, v in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict[int, int] = {}
         mul_into(out, self.num.items(), other.num.items(), SCALARS, 1)
-        return _reduced(out, self.den * other.den)
+        return self._reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -387,69 +462,7 @@ class TrigScalar:
             return self * TrigScalar.rational(Fraction(1, 1) / Fraction(other))
         return NotImplemented
 
-    # -- calculus ----------------------------------------------------------
-
-    def deriv(self, angle=1):
-        """Derivative with respect to the given formal angle, in normal form."""
-        out: dict[int, int] = {}
-
-        def emit(key, coeff):
-            if key & _GUARDS:
-                raise OverflowError(_OVERFLOW)
-            out[key] = out.get(key, 0) + coeff
-
-        shift = _phi_shift(angle)
-        dp, ds, dc = 1 << shift, 1 << shift + FIELD_BITS, 1 << shift + 2 * FIELD_BITS
-        for key, coeff in self.num.items():
-            p, s, c = (key >> shift + j * FIELD_BITS & _FIELD for j in range(3))
-            if p:
-                emit(key - dp, coeff * p)
-            if s and c:  # s sin^(s-1) cos^2 = s sin^(s-1) - s sin^(s+1)
-                emit(key - ds - dc, coeff * s)
-                emit(key + ds - dc, -coeff * s)
-            elif s:
-                emit(key - ds + dc, coeff * s)
-            if c:
-                emit(key + ds - dc, -coeff)
-        return _reduced({k: v for k, v in out.items() if v}, self.den)
-
-    def eval_angle(self, angle, at):
-        """Substitute the angle at one of the exact points '0', 'pi', 'pi/2'."""
-        if at not in ("0", "pi", "pi/2"):
-            raise ValueError(f"unsupported evaluation point {at!r}")
-        shift = _phi_shift(angle)
-        # (pi/2)^p = pi^p / 2^p, so at pi/2 every numerator goes over den * 2^top
-        top = max((k >> shift & _FIELD for k in self.num), default=0) if at == "pi/2" else 0
-        out: dict[int, int] = {}
-        for key, coeff in self.num.items():
-            fields = key >> shift & _ANGLE
-            p, s, c = fields & _FIELD, fields >> FIELD_BITS & _FIELD, fields >> 2 * FIELD_BITS
-            if at == "0":
-                if p or s:
-                    continue
-            elif at == "pi":
-                if s:
-                    continue
-                if c:
-                    coeff = -coeff
-            elif c:
-                continue
-            else:
-                coeff <<= top - p
-            key += p - (fields << shift)  # clear the angle, raise pi by p (0 at '0')
-            if key & _GUARDS:
-                raise OverflowError(_OVERFLOW)
-            out[key] = out.get(key, 0) + coeff
-        return _reduced({k: v for k, v in out.items() if v}, self.den << top)
-
     # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -459,12 +472,6 @@ class TrigScalar:
 
     def __hash__(self):
         return hash((self.den, frozenset(self.num.items())))
-
-    def angles(self):
-        union = 0  # an angle's fields are nonzero in the union iff in some key
-        for key in self.num:
-            union |= key
-        return {aid for aid, *_ in _angle_exps(union)}
 
     def to_float(self):
         """The value of a constant element, its terms summed by math.fsum; an

@@ -19,7 +19,6 @@ from lawcheck.algebra import (
     K_U,
     _d_generator,
     _layout,
-    add_term,
 )
 from lawcheck.chern import build_phi, polar_substitute, rotate_frame, specialize_boundary
 from lawcheck.trig import MAX_ANGLE, MAX_EXP, ONE, TrigScalar
@@ -233,6 +232,32 @@ def test_even_count_at_its_field_limit():
         Form(n, {((u1,) * (MAX_EXP + 1), ()): ONE}) * Form.scalar(n, 1)
 
 
+def test_constructor_rejects_a_monomial_out_of_canonical_order():
+    n = 3
+    u1, u2 = (K_U, 1, 0), (K_U, 2, 0)
+    w12, w23 = (K_OMEGA, 1, 2), (K_OMEGA, 2, 3)
+    with pytest.raises(ValueError, match=r"monomial w12\*w12 "):
+        Form(n, {((), (w12, w12)): ONE})
+    with pytest.raises(ValueError, match=r"monomial w23\*w12 "):
+        Form(n, {((), (w23, w12)): ONE})
+    with pytest.raises(ValueError, match=r"monomial u2\*u1 "):
+        Form(n, {((u2, u1), ()): ONE})
+    with pytest.raises(ValueError, match=r"monomial w12 "):
+        Form(n, {((w12,), ()): ONE})
+    assert Form(n, {((u1, u1, u2), (w12, w23)): ONE}) == (
+        Form.coordinate(n, 1) * Form.coordinate(n, 1) * Form.coordinate(n, 2)
+        * Form.omega(n, 1, 2) * Form.omega(n, 2, 3))
+
+
+def test_len_counts_monomials_not_packed_terms():
+    """len is SymbolicReport.residual_terms: one per monomial, however many
+    terms its coefficient has."""
+    coeff = TrigScalar.sin() + TrigScalar.cos() + TrigScalar.phi()
+    f = Form(3, {((), ((K_OMEGA, 1, 2),)): coeff})
+    assert len(coeff.terms) == 3
+    assert len(f) == len(f.terms) == 1
+
+
 # -- differential -----------------------------------------------------------
 
 def test_d_of_coefficient_is_calculus():
@@ -419,28 +444,39 @@ def mono_mul(m1, m2):
     return sign, (evens, tuple(odds))
 
 
+def add_term(terms, mono, coeff):
+    """Add coeff * mono into a {monomial: coefficient} dict in place,
+    dropping zeros: a new monomial goes last, a cancelled one leaves."""
+    prev = terms.get(mono)
+    new = coeff if prev is None else prev + coeff
+    if new:
+        terms[mono] = new
+    elif prev is not None:
+        del terms[mono]
+
+
 def reference_mul(f, g):
     """The wedge as one TrigScalar product and one add_term per pair of terms."""
     f._compatible(g)
-    out = Form.zero(f.n, f.boundary)
+    terms = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
             hit = mono_mul(m1, m2)
             if hit is not None:
                 coeff = c1 * c2
-                add_term(out.terms, hit[1], coeff if hit[0] > 0 else -coeff)
-    return out
+                add_term(terms, hit[1], coeff if hit[0] > 0 else -coeff)
+    return Form(f.n, terms, f.boundary)
 
 
 def _mono_sandwich(prefix, form, suffix):
     """prefix * form * suffix with monomial multiplication on both sides."""
-    out = Form.zero(form.n, form.boundary)
+    terms = {}
     for mono, coeff in form.terms.items():
         left = mono_mul(prefix, mono)
         right = left and mono_mul(left[1], suffix)
         if right:
-            add_term(out.terms, right[1], coeff if left[0] * right[0] > 0 else -coeff)
-    return out
+            add_term(terms, right[1], coeff if left[0] * right[0] > 0 else -coeff)
+    return Form(form.n, terms, form.boundary)
 
 
 def reference_d(f):
@@ -465,6 +501,122 @@ def reference_d(f):
                 out = out + piece.scale(-coeff if prefix_deg % 2 else coeff)
             prefix_deg += DEGREE[gen[0]]
     return out
+
+
+# -- reference linear operations: one coefficient operation per monomial --------
+
+def reference_add(f, g):
+    f._compatible(g)
+    terms = dict(f.terms)
+    for mono, coeff in g.terms.items():
+        add_term(terms, mono, coeff)
+    return Form(f.n, terms, f.boundary)
+
+
+def reference_neg(f):
+    return Form(f.n, {m: -c for m, c in f.terms.items()}, f.boundary)
+
+
+def reference_sub(f, g):
+    return reference_add(f, reference_neg(g))
+
+
+def reference_scale(f, coeff):
+    if isinstance(coeff, (int, Fraction)):
+        coeff = TrigScalar.rational(coeff)
+    terms = {}
+    for mono, c in f.terms.items():
+        new = c * coeff
+        if new:
+            terms[mono] = new
+    return Form(f.n, terms, f.boundary)
+
+
+def reference_interior_dphi(f):
+    """Remove dphi from each monomial with the sign of its position."""
+    target = (K_DPHI, 1, 0)
+    terms = {}
+    for (evens, odds), coeff in f.terms.items():
+        for pos, gen in enumerate(odds):
+            if gen == target:
+                mono = (evens, odds[:pos] + odds[pos + 1:])
+                add_term(terms, mono, -coeff if pos % 2 else coeff)
+                break
+    return Form(f.n, terms, f.boundary)
+
+
+def reference_evaluate_at_zero(f):
+    target = (K_DPHI, 1, 0)
+    terms = {}
+    for (evens, odds), coeff in f.terms.items():
+        if target in odds:
+            continue
+        c = coeff.eval_angle(1, "0")
+        if c:
+            add_term(terms, (evens, odds), c)
+    return Form(f.n, terms, f.boundary)
+
+
+def _base_degree(mono):
+    """Total degree of semibasic factors (pulled back from the boundary)."""
+    evens, odds = mono
+    deg = 0
+    for kind, a, _b in evens:
+        if kind in (K_CURV, K_CURVM):
+            deg += 2
+    for kind, a, _b in odds:
+        if kind == K_OMEGA and a == 1:
+            deg += 1
+    return deg
+
+
+def reference_base_degree_filter(f):
+    return Form(f.n, {mono: coeff for mono, coeff in f.terms.items()
+                      if _base_degree(mono) <= f.n - 1}, f.boundary)
+
+
+def _rand_coefficient(rng):
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return (TrigScalar.monomial(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
+                                sin=rng.randint(0, 2), cos=rng.randint(0, 1))
+            + TrigScalar.monomial(rng.randint(-2, 2), phi=rng.randint(0, 1),
+                                  cos=rng.randint(0, 1)))
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+def test_linear_operations_match_reference_in_value_and_term_order(boundary):
+    """Sums with cancellations, negation, scaling, the interior product, the
+    evaluation at 0 and the semibasic filter, on seeded random forms."""
+    n = 4
+    rng = random.Random(2424 + boundary)
+    cases = 0
+    for _ in range(150):
+        f = rand_form(rng, n, boundary, max_terms=6, max_gens=3)
+        g = rand_form(rng, n, boundary, max_terms=6, max_gens=3)
+        if rng.random() < 0.5:  # share f's monomials, cancelling some coefficients
+            g = g + f.scale(_rand_coefficient(rng)) - f
+        coeff = _rand_coefficient(rng)
+        pairs = [(f + g, reference_add(f, g)), (g + f, reference_add(g, f)),
+                 (f - g, reference_sub(f, g)), (-f, reference_neg(f)),
+                 (f.scale(coeff), reference_scale(f, coeff)),
+                 (f.interior_dphi(), reference_interior_dphi(f)),
+                 (g.evaluate_at_zero(), reference_evaluate_at_zero(g))]
+        if boundary:
+            pairs.append((g.base_degree_filter(), reference_base_degree_filter(g)))
+        for got, want in pairs:
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            cases += bool(want)
+    assert cases > 500
+
+
+def test_sum_keeps_a_monomial_whose_first_term_cancels_in_its_place():
+    n = 3
+    a, b = Form.omega(n, 1, 2), Form.omega(n, 2, 3)
+    f = a.scale(TrigScalar.sin()) + b
+    g = a.scale(TrigScalar.cos() - TrigScalar.sin())
+    assert list((f + g).terms) == list(reference_add(f, g).terms) == list(f.terms)
 
 
 def _oracle_mappings(n):
