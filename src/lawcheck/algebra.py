@@ -23,13 +23,13 @@ guarded FIELD_BITS-bit count field per even generator, u(a), W(a,b) and
 WM(s,t).  The coefficient key sits above, so a term is one int and a Form
 is its own operand of ``trig.mul_into``.  The wedge, both parts of ``d``,
 the substitution's products and the permutation sums of ``chern`` each run
-that loop into one ``trig.Accumulator``, normalized once into a Form with
-its monomials in sorted order.  Sums, ``deriv`` and ``eval_angle`` are the
-ring's own; the interior product with dphi_1 (bit 0, so no sign) and the
-semibasic filter are bit tests.  Tuple monomials enter only through the
+that loop into one ``trig.Accumulator``, normalized once into a Form.  Sums,
+``deriv`` and ``eval_angle`` are the ring's own; the interior product with
+dphi_1 (bit 0, so no sign) and the semibasic filter are bit tests.  No
+operation orders its result.  Tuple monomials enter only through the
 constructor, which rejects a non-canonical one, and leave only through
-``terms``, a decoded view whose monomials keep their order: a sum keeps the
-first operand's in place and appends the second's new ones.
+``terms``, a decoded view in sorted monomial order, so equal Forms decode
+to equal lists.
 
 Two modes share the data structure.  The full algebra models the sphere
 bundle over the interior: dw(A,B) = W(A,B) + sum_C w(A,C)w(C,B), the Bianchi
@@ -97,13 +97,8 @@ def _form(n, boundary, num, den):
 
 
 def _sum_form(n, boundary, acc):
-    """An accumulated sum as a Form, normalized once, its monomials in
-    sorted order."""
-    layout = _layout(n)
-    low, mono = layout.low, layout.mono
-    num, den = lowest_terms(acc.num, acc.den)
-    return _form(n, boundary, dict(sorted(num.items(), key=lambda item: mono(item[0] & low))),
-                 den)
+    """An accumulated sum as a Form, normalized once."""
+    return _form(n, boundary, *lowest_terms(acc.num, acc.den))
 
 
 class Form(Packed):
@@ -130,15 +125,14 @@ class Form(Packed):
 
     @property
     def terms(self) -> dict[Monomial, TrigScalar]:
-        """{monomial: coefficient}, decoded; monomials in the order they
-        first appear."""
+        """{monomial: coefficient}, decoded, the monomials sorted: the one
+        place that orders a Form's terms."""
         layout = _layout(self.n)
-        shift, low = layout.shift, layout.low
-        parts: dict[int, dict[int, int]] = {}
+        shift, low, mono = layout.shift, layout.low, layout.mono
+        parts: dict[Monomial, dict[int, int]] = {}
         for key, v in self.num.items():
-            parts.setdefault(key & low, {})[key >> shift] = v
-        return {layout.mono(bits): TrigScalar._new(*lowest_terms(num, self.den))
-                for bits, num in parts.items()}
+            parts.setdefault(mono(key & low), {})[key >> shift] = v
+        return {m: TrigScalar._new(*lowest_terms(parts[m], self.den)) for m in sorted(parts)}
 
     # -- constructors ------------------------------------------------------
 
@@ -232,18 +226,6 @@ class Form(Packed):
         self._compatible(other)
         return other
 
-    def __add__(self, other):
-        out = super().__add__(other)
-        if out is NotImplemented:
-            return out
-        # a monomial keeps its place: first as in self, then as in other
-        low = _layout(self.n).low
-        rank: dict[int, int] = {}
-        for key in (*self.num, *other.num):
-            rank.setdefault(key & low, len(rank))
-        out.num = dict(sorted(out.num.items(), key=lambda item: rank[item[0] & low]))
-        return out
-
     def __mul__(self, other):
         """Wedge product (scalars act as 0-forms)."""
         if isinstance(other, (int, Fraction, TrigScalar)):
@@ -259,7 +241,7 @@ class Form(Packed):
         return NotImplemented
 
     def scale(self, coeff):
-        """Every coefficient times coeff; the monomials keep their order."""
+        """Every coefficient times coeff."""
         acc = Accumulator(_layout(self.n))
         acc.add_product(self, Form.scalar(self.n, coeff, self.boundary))
         return self._reduced(acc.num, acc.den)

@@ -103,12 +103,10 @@ def build_phi(n: int) -> PhiFamily:
                                    + [(2, curv)] * k)
                   for k in range((n - 1) // 2 + 1))
 
-    phi = Form.zero(n)
-    for k, part in enumerate(phi_k):
-        coeff = Fraction((-1) ** k,
-                         2 ** k * math.factorial(k) * double_factorial(n - 2 * k - 1))
-        phi = phi + part.scale(coeff)
-    phi = phi.scale(phi_normalization(n))
+    weights = (Fraction((-1) ** k, 2 ** k * math.factorial(k) * double_factorial(n - 2 * k - 1))
+               for k in range(len(phi_k)))
+    phi = Form.wedge_sum(n, [(1, Form.scalar(n, phi_normalization(n) * w), part)
+                             for w, part in zip(weights, phi_k)])
 
     euler = Form.zero(n)
     if n % 2 == 0:
@@ -301,9 +299,8 @@ def boundary_family(n: int) -> BoundaryFamily:
     phi_m = {(i, j): boundary_form(n, i, j) for (i, j) in region_d1(n)}
     inv_norm = phi_normalization(n)
     phi = specialize_boundary(build_phi(n).phi)
-    gamma = Form.zero(n, boundary=True)
-    for (i, j), fm in phi_m.items():
-        gamma = gamma + fm.scale(coeffs.A(i, j) * inv_norm)
+    gamma = Form.wedge_sum(n, [(1, Form.scalar(n, coeffs.A(i, j) * inv_norm, True), fm)
+                               for (i, j), fm in phi_m.items()], boundary=True)
     return BoundaryFamily(n, coeffs, phi_m, phi, phi.interior_dphi(), gamma)
 
 
@@ -311,9 +308,8 @@ def build_upsilon_and_check(n: int) -> Form:
     """Residual of the concrete angular-derivative formula; contract: zero."""
     fam = boundary_family(n)
     inv_norm = phi_normalization(n)
-    rhs = Form.zero(n, boundary=True)
-    for (i, j), fm in fam.phi_m.items():
-        rhs = rhs + fm.scale(fam.coeffs.a(i, j) * inv_norm)
+    rhs = Form.wedge_sum(n, [(1, Form.scalar(n, fam.coeffs.a(i, j) * inv_norm, True), fm)
+                             for (i, j), fm in fam.phi_m.items()], boundary=True)
     return fam.upsilon - rhs
 
 

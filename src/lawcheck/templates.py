@@ -1,11 +1,13 @@
 """Numeric templates of chern's exact forms: the numeric track's one evaluator.
 
 ``compile_template`` flattens a constant-coefficient interior form into
-einsum entries over its slots, in sorted monomial order, so that no term
-order of the exact track reaches a numeric bit; ``evaluate_template`` binds
-the generators to frame, connection and curvature arrays of a chunk of
-nodes.  ``trig_values`` evaluates a coefficient-ring element at angle values,
-floats or node arrays; the ring itself converts only constants.
+einsum entries over its slots, in the order of ``Form.terms``, which is
+sorted, so that equal forms give equal templates bit for bit;
+``evaluate_template`` binds the generators to frame, connection and
+curvature arrays of a chunk of nodes.  ``trig_values`` evaluates a
+coefficient-ring element at angle values, floats or node arrays, summing in
+the sorted order of ``TrigScalar.terms``; the ring itself converts only
+constants.
 """
 
 import math
@@ -23,9 +25,9 @@ _SLOTS = "abcdefgh"  # einsum letters of the form slots
 
 def trig_values(scalar, angles):
     """The value of ``scalar`` with angle a at ``angles[a]``, a float or a node
-    array, its terms summed in sorted order."""
+    array, its terms summed in the sorted order of ``terms``."""
     total = 0.0
-    for (d, exps), coeff in sorted(scalar.terms.items()):
+    for (d, exps), coeff in scalar.terms.items():
         val = float(coeff) * math.pi ** d
         for aid, p, s, c in exps:
             x = angles[aid]
@@ -48,7 +50,7 @@ def compile_template(form, slots):
     factors, in slot order, with the alternating tensor of the slots.
     """
     entries = []
-    for (evens, odds), coeff in sorted(form.terms.items()):
+    for (evens, odds), coeff in form.terms.items():
         if any(kind == K_DPHI for kind, _, _ in odds):
             raise ValueError("numeric templates cannot bind formal angles")
         us = [a - 1 for kind, a, _ in evens if kind == K_U]

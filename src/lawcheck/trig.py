@@ -50,7 +50,9 @@ product's does not divide it, with no gcd taken; the sum is normalized once,
 when it becomes a result.
 
 ``terms`` decodes the keys to {(d, ((angle, phi, sin, cos), ...)): Fraction}
-with the angles ascending.  Angle 1 is the distinguished boundary angle;
+with the angles ascending and the keys sorted.  It is the one place that
+orders a ring element's terms, so equal elements decode to equal lists; no
+operation orders its result.  Angle 1 is the distinguished boundary angle;
 higher angles only appear in the fiber-sphere parametrization used by the
 symbolic identity checks.
 """
@@ -392,8 +394,8 @@ class TrigScalar(Packed):
 
     @property
     def terms(self) -> dict[TermKey, Fraction]:
-        den = self.den
-        return {_decode(key): Fraction(v, den) for key, v in self.num.items()}
+        decoded = {_decode(key): v for key, v in self.num.items()}
+        return {key: Fraction(decoded[key], self.den) for key in sorted(decoded)}
 
     # -- constructors ------------------------------------------------------
 
@@ -488,7 +490,7 @@ class TrigScalar(Packed):
         if not self.num:
             return "0"
         parts = []
-        for (d, angles), coeff in sorted(self.terms.items()):
+        for (d, angles), coeff in self.terms.items():
             factors = []
             if coeff.denominator == 1:
                 if abs(coeff) != 1 or (d == 0 and not angles):

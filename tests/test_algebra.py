@@ -111,6 +111,14 @@ def test_wedge_dimension_mismatch_raises():
         Form.omega(3, 1, 2) * Form.omega(4, 1, 2)
 
 
+def test_sum_of_forms_from_different_algebras_raises():
+    for other in (Form.omega(4, 1, 2), Form.omega(3, 1, 2, boundary=True)):
+        with pytest.raises(ValueError):
+            Form.omega(3, 1, 2) + other
+        with pytest.raises(ValueError):
+            Form.omega(3, 1, 2) - other
+
+
 def test_wedge_associative_random():
     rng = random.Random(11)
     for n in (2, 3, 4):
@@ -617,6 +625,26 @@ def test_sum_keeps_a_monomial_whose_first_term_cancels_in_its_place():
     f = a.scale(TrigScalar.sin()) + b
     g = a.scale(TrigScalar.cos() - TrigScalar.sin())
     assert list((f + g).terms) == list(reference_add(f, g).terms) == list(f.terms)
+
+
+def test_equal_elements_decode_to_equal_sorted_terms():
+    """The decoded views are the one place that orders terms: elements built
+    by different histories, with their packed terms stored in different
+    orders, list the same sorted terms."""
+    n = 3
+    w = partial(Form.omega, n)
+    a, b = w(1, 2), w(2, 3)
+    f = a.scale(TrigScalar.sin()) + b
+    g = a.scale(TrigScalar.cos() - TrigScalar.sin())
+    u = partial(Form.coordinate, n)
+    pairs = [(w(2, 3) + w(1, 2), w(1, 2) + w(2, 3)),
+             (f + g, g + f),
+             (TrigScalar.sin() + 1, 1 + TrigScalar.sin()),
+             (ONE + TrigScalar.sin(), TrigScalar.sin() + ONE),
+             ((u(3) + u(1)) * (w(2, 3) + w(1, 3)), (u(1) + u(3)) * (w(1, 3) + w(2, 3)))]
+    for first, second in pairs:
+        assert first == second
+        assert list(first.terms) == list(second.terms) == sorted(first.terms)
 
 
 def _oracle_mappings(n):

@@ -6,6 +6,10 @@ tuple-keyed dict beside them would be a second representation that every
 operation has to keep in step, so these checks read the source: ``terms``
 is a property on both classes, and no module of src/lawcheck assigns to a
 ``.terms`` attribute.
+
+The views are also the one place that orders terms.  Both classes add
+through the one ``Packed.__add__``, and no module sorts a ``terms`` view
+again: a second order decision would be a second place to keep in step.
 """
 
 import ast
@@ -55,3 +59,35 @@ def test_the_check_sees_an_assignment():
     source = "f.terms = {}\nf.terms[m] = c\nx.terms += y\nsetattr(f, 'terms', {})\n"
     names = [name for _, name in _assigned_attributes(ast.parse(source))]
     assert names.count("terms") == 3  # f.terms[m] = c stores into the dict, not the attribute
+
+
+def test_one_summation_routine():
+    for cls in (Form, TrigScalar):
+        assert "__add__" not in cls.__dict__, cls.__name__
+
+
+def _sorted_views(tree):
+    """Line of each sorted() call whose first argument is a ``.terms`` view,
+    or its ``.items()``, ``.keys()`` or ``.values()``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sorted" and node.args):
+            continue
+        arg = node.args[0]
+        if (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                and arg.func.attr in ("items", "keys", "values")):
+            arg = arg.func.value
+        if isinstance(arg, ast.Attribute) and arg.attr == "terms":
+            yield node.lineno
+
+
+def test_no_module_sorts_a_terms_view():
+    calls = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _sorted_views(ast.parse(path.read_text()))]
+    assert not calls, f"a terms view is sorted again: {calls}"
+
+
+def test_the_check_sees_a_sorted_view():
+    source = ("sorted(f.terms)\nsorted(f.terms.items())\nsorted(x.terms.keys(), key=k)\n"
+              "sorted(x.terms.values())\nsorted(f.num.items())\nsorted(terms)\n")
+    assert list(_sorted_views(ast.parse(source))) == [1, 2, 3, 4]

@@ -76,7 +76,7 @@ def test_template_entries_do_not_depend_on_term_order():
     phi = build_phi(4).phi
     items = list(phi.terms.items())
     forward, backward = Form(4, dict(items)), Form(4, dict(reversed(items)))
-    assert list(forward.terms) != list(backward.terms)
+    assert list(forward.num) != list(backward.num)
     tpl, other = compile_template(forward, 3), compile_template(backward, 3)
     assert tpl.entries == other.entries
     rng = np.random.default_rng(7)
