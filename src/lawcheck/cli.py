@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on verification failure, 2 on configuration
 errors (bad arguments, unknown scenarios, malformed configs, unwritable
-output paths).  ``symbolic-check`` runs the exact track alone: the
-commands that load scenarios import numpy and the numeric modules.
+output paths).  ``symbolic-check``, ``list`` and a ``suite`` whose filter
+selects no scenario run without numpy: only the commands that load
+scenarios import it and the numeric modules.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import ConfigError, GenericityError, chern
 from .report import emit_report
@@ -106,7 +108,7 @@ def _cmd_run(args):
 
 
 def _cmd_suite(args):
-    from .runner import run_suite
+    from .suite import run_suite
     suite = run_suite(args.filter, order=args.order)
     payload = (suite.to_json() if args.format == "json"
                else suite.to_text(include_timing=True))
@@ -139,7 +141,7 @@ def _cmd_symbolic(args):
 
 
 def _cmd_list(_args):
-    from .scenarios import catalog_names, load_catalog_raw
+    from .suite import catalog_names, load_catalog_raw
     for name in catalog_names():
         raw = load_catalog_raw(name)
         exp = raw["expected"]
@@ -152,15 +154,14 @@ def _cmd_list(_args):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        if args.command in ("run", "suite"):
-            import numpy as np
+        command = {"run": _cmd_run, "suite": _cmd_suite,
+                   "symbolic-check": _cmd_symbolic, "list": _cmd_list}[args.command]
+        with warnings.catch_warnings():
             # overflow and NaN end in the checks' finiteness gates, with one line
-            # on stderr, so numpy's floating-point warnings would only repeat them
-            with np.errstate(all="ignore"):
-                return (_cmd_run if args.command == "run" else _cmd_suite)(args)
-        if args.command == "symbolic-check":
-            return _cmd_symbolic(args)
-        return _cmd_list(args)
+            # on stderr, so numpy's floating-point warnings (RuntimeWarning)
+            # would only repeat them; a filter needs no numpy import
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

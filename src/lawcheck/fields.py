@@ -146,19 +146,19 @@ def _sample_points(box, count):
                         for lo, hi in box])
 
 
-def _sample_in_point_order(check, points, n):
-    """Run ``check`` on the sample points chunk by chunk, for geometry of
-    dimension n.  A chunk that raises ConfigError is re-run one point at a
-    time, so the error raised is the one a point-by-point sweep meets first:
-    ``check`` raises a chunk's ConfigError before it tests genericity, so a
-    GenericityError at an earlier point would otherwise lose to a ConfigError
-    at a later one."""
-    for c in node_chunks(len(points), n):
+def _sample_in_point_order(check, count, n):
+    """Run ``check`` on slices of ``count`` points chunk by chunk, for
+    geometry of dimension n.  A chunk that raises ConfigError is re-run one
+    point at a time, so the error raised is the one a point-by-point sweep
+    meets first: ``check`` raises a chunk's ConfigError before it tests
+    genericity, so a GenericityError at an earlier point would otherwise lose
+    to a ConfigError at a later one."""
+    for c in node_chunks(count, n):
         try:
-            check(points[c])
+            check(c)
         except ConfigError:
-            for k in range(*c.indices(len(points))):  # locate the first bad point
-                check(points[k:k + 1])
+            for k in range(*c.indices(count)):  # locate the first bad point
+                check(slice(k, k + 1))
             raise
 
 
@@ -180,7 +180,8 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
     for s in declared:
         points = points[np.linalg.norm(points - np.asarray(s.location), axis=1) >= 1.5 * s.radius]
 
-    def check(t):
+    def check(chunk):
+        t = points[chunk]
         vals, _ = _field_frame_components(bpatch, field_spec.components, t)
         norm = np.linalg.norm(vals, axis=1)
         normal, proj = vals[:, 0], np.linalg.norm(vals[:, 1:], axis=1)
@@ -204,25 +205,31 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
                             f"the outward region (normal-like field); outward indices are "
                             f"not meaningful")
 
-    _sample_in_point_order(check, points, n)
+    _sample_in_point_order(check, len(points), n)
 
     minus, plus = [], []
-    for s in declared:
-        vals = _field_frame_components(bpatch, field_spec.components,
-                                       np.asarray([s.location], dtype=float))[0][0]
-        norm = float(np.linalg.norm(vals))
-        if norm < field_spec.margin:
-            raise GenericityError(f"field vanishes at declared tangential singularity {s.name}")
-        if np.linalg.norm(vals[1:]) / norm > 1e-6:
-            raise GenericityError(f"declared tangential singularity {s.name} has a non-vanishing "
-                                  f"projection ({np.linalg.norm(vals[1:]):.2e})")
-        if vals[0] < 0:
-            minus.append(s)
-        elif vals[0] > 0:
-            plus.append(s)
-        else:
-            raise GenericityError(f"tangential singularity {s.name} sits on the "
-                                  f"inward/outward interface")
+    locations = np.asarray([s.location for s in declared], dtype=float).reshape(-1, n - 1)
+
+    def classify(chunk):
+        """Sort the declared singularities of the slice ``chunk`` by the sign
+        of the normal component, from one frame evaluation at their locations."""
+        frame_vals, _ = _field_frame_components(bpatch, field_spec.components, locations[chunk])
+        for s, vals in zip(declared[chunk], frame_vals):
+            norm = float(np.linalg.norm(vals))
+            if norm < field_spec.margin:
+                raise GenericityError(f"field vanishes at declared tangential singularity {s.name}")
+            if np.linalg.norm(vals[1:]) / norm > 1e-6:
+                raise GenericityError(f"declared tangential singularity {s.name} has a "
+                                      f"non-vanishing projection ({np.linalg.norm(vals[1:]):.2e})")
+            if vals[0] < 0:
+                minus.append(s)
+            elif vals[0] > 0:
+                plus.append(s)
+            else:
+                raise GenericityError(f"tangential singularity {s.name} sits on the "
+                                      f"inward/outward interface")
+
+    _sample_in_point_order(classify, len(declared), n)
     return BoundarySplit(minus=minus, plus=plus, warnings=warnings)
 
 
@@ -273,7 +280,8 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
     exclusions = [(np.asarray(s.ambient, dtype=float), s.exclusion_radius)
                   for s in field_spec.interior]
 
-    def check(x):
+    def check(chunk):
+        x = points[chunk]
         amb = patch.ambient(x)
         keep = np.ones(len(x), dtype=bool)
         for c, rad in exclusions:
@@ -289,4 +297,4 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
                 f"undeclared interior zero: |V| = {norm[k]:.2e} at chart point "
                 f"{list(map(float, x[k]))}")
 
-    _sample_in_point_order(check, points, patch.n)
+    _sample_in_point_order(check, len(points), patch.n)

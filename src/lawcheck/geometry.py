@@ -6,18 +6,20 @@ chunks of CHUNK_ENTRIES // n^4 nodes for geometry of dimension n, so that the
 n^2 x n^2 curvature, the largest array per node, and with it every array,
 stays bounded in every dimension.  Differentiation is forward mode,
 truncated Taylor arithmetic (Griewank & Walther 2008): a Jet carries values
-(N,), gradients (N, m) and, at second order only, Hessians (N, m, m).  Only
-the metric where a curvature follows (computed once in coordinates, exact to
-roundoff) and the boundary embedding (for d2x) are second order.  The Euler
-density needs no frame; boundary frames carry values and first derivatives
-only, as nothing reads second ones.  Derivative arrays put the parameter axes
-right after the node axis (dG[:, i, k, l] = d_i g_kl), so a contraction is
-one stacked matmul (``@``) per node, each with its index formula in a
-comment, and no einsum is needed; an operand that would be a transposed view
-is copied to a contiguous array first, which the matmul reads several times
-faster.  Connection and curvature values keep the layout of ``templates``,
-omega[:, A, B, i].  Finite differences appear only in tests, as independent
-oracles.
+(N,), gradients (m, N) and, at second order only, Hessians (m, m, N), the
+node axis last, so that each jet operation loops over nodes rather than over
+the 2 or 3 parameters.  Only the metric where a curvature follows (computed
+once in coordinates, exact to roundoff) and the boundary embedding (for d2x)
+are second order.  The Euler density needs no frame; boundary frames carry
+values and first derivatives only, as nothing reads second ones.
+``stack_jets`` hands the jets on node-first: the derivative arrays the
+contractions read put the parameter axes right after the node axis
+(dG[:, i, k, l] = d_i g_kl), so a contraction is one stacked matmul (``@``)
+per node, each with its index formula in a comment, and no einsum is needed;
+an operand that would be a transposed view is copied to a contiguous array
+first, which the matmul reads several times faster.  Connection and
+curvature values keep the layout of ``templates``, omega[:, A, B, i].
+Finite differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches, whatever outward vector the patch gives; no sign is applied to
@@ -58,10 +60,12 @@ def _transposed(a):
 
 
 class Jet:
-    """Values v (N,), gradients g (N, m) and Hessians h (N, m, m) of N nodes
+    """Values v (N,), gradients g (m, N) and Hessians h (m, m, N) of N nodes
     with respect to m chart parameters, or v (), g (m,), h (m, m) at one
     point; h is None at first order, and in every result a first-order jet
-    takes part in.  Built by ``variables``; plain numbers act as constants."""
+    takes part in.  The node axis is last, so each numpy operation runs its
+    inner loop over the nodes, and a node array (N,) or a plain number acts
+    as a constant.  Built by ``variables``."""
 
     __slots__ = ("v", "g", "h")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
@@ -74,9 +78,10 @@ class Jet:
         """One Jet per parameter of the points ``values`` (..., m), of ``order`` 1 or 2."""
         x = np.asarray(values, dtype=float)
         m = x.shape[-1]
-        hess = np.zeros(x.shape + (m,)) if order == 2 else None
-        grads = np.zeros((m,) + x.shape)
-        grads[np.arange(m), ..., np.arange(m)] = 1.0  # grads[i, ..., i] = 1
+        shape = (m, m) + x.shape[:-1]
+        hess = np.zeros(shape) if order == 2 else None
+        grads = np.zeros(shape)
+        grads[np.arange(m), np.arange(m)] = 1.0  # grads[i, i, ...] = 1
         return [Jet(x[..., i].copy(), grads[i], hess) for i in range(m)]
 
     def __add__(self, other):
@@ -99,13 +104,12 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.v * other, self.g * other, None if self.h is None else self.h * other)
-        v1, v2 = self.v[..., None], other.v[..., None]
-        g1, g2 = self.g, other.g
+        v1, v2, g1, g2 = self.v, other.v, self.g, other.g
         h = None
         if self.h is not None and other.h is not None:
-            outer = g1[..., :, None] * g2[..., None, :]
-            h = self.h * v2[..., None] + other.h * v1[..., None] + outer + outer.swapaxes(-1, -2)
-        return Jet(self.v * other.v, g1 * v2 + g2 * v1, h)
+            outer = g1[:, None] * g2[None, :]  # outer[i,j] = g1[i] g2[j]
+            h = self.h * v2 + other.h * v1 + outer + outer.swapaxes(0, 1)
+        return Jet(v1 * v2, g1 * v2 + g2 * v1, h)
 
     __rmul__ = __mul__
 
@@ -129,10 +133,9 @@ class Jet:
 
     def _chain(self, fv, d1, d2):
         """f(self) from the values of f, f' and, at second order, f'' at self.v."""
-        d1 = d1[..., None]
-        h = None if self.h is None else (
-            d1[..., None] * self.h + (d2[..., None] * self.g)[..., :, None] * self.g[..., None, :])
-        return Jet(fv, d1 * self.g, h)
+        g = self.g
+        h = None if self.h is None else d1 * self.h + (d2 * g)[:, None] * g[None, :]
+        return Jet(fv, d1 * g, h)
 
     def sin(self):
         s, c = np.sin(self.v), np.cos(self.v)
@@ -160,15 +163,18 @@ jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 def stack_jets(entries, nodes, order):
     """Stack k jets (or plain numbers, or value arrays) evaluated at the
     nodes (N, m): values (N, k) and, up to ``order``, gradients (N, m, k) and
-    Hessians (N, m, m, k), returned as a tuple of ``order + 1`` arrays."""
+    Hessians (N, m, m, k), returned as a tuple of ``order + 1`` arrays.  The
+    stacks put the node axis first, as the contractions read them; each jet
+    part, node axis last, is written through a transposed view of its stack."""
     count, m = nodes.shape
     out = [np.zeros((count,) + (m,) * d + (len(entries),)) for d in range(order + 1)]
+    node_last = [arr.transpose(*range(1, d + 2), 0) for d, arr in enumerate(out)]  # [..., k, N]
     for i, e in enumerate(entries):
         if isinstance(e, Jet):
             if order == 2 and e.h is None:
                 raise ValueError("a first-order jet has no Hessians to stack")
-            for arr, part in zip(out, (e.v, e.g, e.h)):
-                arr[..., i] = part
+            for arr, part in zip(node_last, (e.v, e.g, e.h)):
+                arr[..., i, :] = part
         else:
             out[0][:, i] = e
     return tuple(out)

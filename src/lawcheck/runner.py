@@ -1,11 +1,15 @@
-"""Verification orchestration: run scenarios and suites."""
+"""Verification orchestration: run scenarios and suites.
+
+``run_scenario`` is the numeric track's entry point.  ``run_symbolic`` and
+``run_suite`` live in ``chern`` and ``suite``, which import no numpy, and are
+re-exported here so that one module runs every kind of check.
+"""
 
 from __future__ import annotations
 
-import re
 import time
 
-from .chern import SYMBOLIC_CHECKS, run_symbolic
+from .chern import run_symbolic
 from .fields import (
     boundary_decompose,
     check_interior_nonvanishing,
@@ -13,8 +17,11 @@ from .fields import (
     index_tangential,
 )
 from .integrate import gauss_grid, integrate_euler, integrate_phi_over_section
-from .report import ScenarioReport, SuiteReport
-from .scenarios import ConfigError, Scenario, load_full_catalog
+from .report import ScenarioReport
+from .scenarios import Scenario
+from .suite import run_suite
+
+__all__ = ["run_scenario", "run_suite", "run_symbolic"]
 
 
 def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
@@ -137,35 +144,3 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
         profile=profile)
     return report
 
-
-# -- suites ------------------------------------------------------------------------
-
-def run_suite(filter_regex="", order=None) -> SuiteReport:
-    """Run the matching catalog scenarios and symbolic identity checks.
-
-    Matching tests a regex against "name nD kind" tags, so "n2" selects all
-    two-dimensional scenarios and "symbolic" the identity checks; an empty
-    result is a pass.
-    """
-    try:
-        pattern = re.compile(filter_regex) if filter_regex else None
-    except re.error as exc:
-        raise ConfigError(f"bad filter regex {filter_regex!r}: {exc}") from None
-
-    def match(tag):
-        return pattern.search(tag) if pattern else True
-
-    scenarios = [s for s in load_full_catalog()
-                 if match(f"{s.name} n{s.dimension} scenario")]
-    symbolic = [(ident, n) for ident, n in SYMBOLIC_CHECKS
-                if match(f"symbolic-{ident}-n{n} n{n} symbolic")]
-
-    scenario_reports = [run_scenario(s, order=order) for s in scenarios]
-    scenario_reports.sort(key=lambda r: r.name)
-    symbolic_reports = [run_symbolic(ident, n) for ident, n in symbolic]
-    symbolic_reports.sort(key=lambda r: r.name)
-    all_passed = (all(r.passed for r in scenario_reports)
-                  and all(r.passed for r in symbolic_reports))
-    return SuiteReport(scenario_reports=scenario_reports,
-                       symbolic_reports=symbolic_reports,
-                       all_passed=all_passed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .expressions import ExpressionError, compile_expression, compile_matrix, co
 from .fields import (GenericityError, InteriorSingularity, TangentialSingularity,
                      VectorFieldSpec, default_index_radius)
 from .geometry import BoundaryPatch, ConfigError, RiemannianPatch, grid_points, stack_jets
+from .suite import catalog_names, load_catalog_raw  # re-exported: the catalog reads no numpy
 
 
 def _const(value):
@@ -277,23 +277,5 @@ def load_scenario_file(path) -> Scenario:
     return load_scenario(cfg)
 
 
-def catalog_names():
-    files = resources.files("lawcheck").joinpath("catalog")
-    return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
-
-
-def load_catalog_raw(name) -> dict:
-    files = resources.files("lawcheck").joinpath("catalog")
-    path = files.joinpath(f"{name}.json")
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"unknown catalog scenario {name!r}: {exc}") from exc
-
-
 def load_catalog_scenario(name) -> Scenario:
     return load_scenario(load_catalog_raw(name))
-
-
-def load_full_catalog():
-    return [load_catalog_scenario(name) for name in catalog_names()]

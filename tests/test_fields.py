@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lawcheck import geometry
+from lawcheck import ConfigError, fields, geometry
 from lawcheck.fields import (
     GenericityError,
     InteriorSingularity,
@@ -169,6 +169,40 @@ def test_declared_singularity_with_nonzero_projection_rejected():
         tangential=[TangentialSingularity("wrong", 0, [math.pi / 3], 0.1)])
     with pytest.raises(GenericityError):
         boundary_decompose(spec, disk_rim(), 0)
+
+
+def test_declared_singularities_share_one_frame_evaluation(monkeypatch):
+    """The declared singularities of a boundary are classified from one frame
+    evaluation at all their locations, after the sampling sweep's."""
+    sizes, frame_components = [], fields._field_frame_components
+    monkeypatch.setattr(fields, "_field_frame_components",
+                        lambda b, c, t: sizes.append(len(t)) or frame_components(b, c, t))
+    spec = VectorFieldSpec(
+        components=CONSTANT_POLAR,
+        tangential=[TangentialSingularity("west", 0, [math.pi], 0.1),
+                    TangentialSingularity("east", 0, [0.0], 0.1)])
+    split = boundary_decompose(spec, disk_rim(), 0)
+    assert [s.name for s in split.minus + split.plus] == ["west", "east"]
+    assert len(sizes) == 2 and sizes[1] == 2
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_declared_singularity_errors_follow_declaration_order(first):
+    """Of two offending declared singularities the first one declared names
+    the error: a non-vanishing projection at one, and at the other a
+    degenerate frame (outward parallel to the rim there), which a batched
+    frame evaluation would otherwise raise first."""
+    corner = 2 * math.pi / 3
+    rim = disk_rim()
+    rim.outward = lambda t: [(t[0] - corner) * (t[0] - corner), 1.0]
+    declared = [TangentialSingularity("skewed", 0, [math.pi / 3], 0.1),
+                TangentialSingularity("corner", 0, [corner], 0.1)]
+    spec = VectorFieldSpec(components=CONSTANT_POLAR,
+                           tangential=declared[first:] + declared[:first])
+    error, match = ((GenericityError, "skewed has a non-vanishing projection") if first == 0
+                    else (ConfigError, "degenerate frame"))
+    with pytest.raises(error, match=match):
+        boundary_decompose(spec, rim, 0)
 
 
 def test_field_vanishing_on_boundary_aborts():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lawcheck.expressions import compile_vector
 from lawcheck.geometry import (
     BoundaryPatch,
     ConfigError,
@@ -119,6 +120,79 @@ def test_jet_powers():
     assert p.h[0][0] == pytest.approx(6 * 1.5)
     inv = x ** -1
     assert inv.v == pytest.approx(1 / 1.5)
+
+
+def _node(jet, k):
+    """The value, gradient and Hessian of node k of a batched jet."""
+    return (jet.v[k], jet.g[..., k], None if jet.h is None else jet.h[..., k])
+
+
+def _assert_same_bits(batched, points, k):
+    """Node k of the batched jet equals the point jet, bit for bit."""
+    for a, b in zip(_node(batched, k), (points.v, points.g, points.h)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_jet_variables_layout():
+    """Parameter axes first, the node axis last; one point has no node axis."""
+    x, y = Jet.variables([0.5, -1.5], 2)
+    assert (x.v.shape, x.g.shape, x.h.shape) == ((), (2,), (2, 2))
+    assert x.g.tolist() == [1.0, 0.0] and y.g.tolist() == [0.0, 1.0]
+    nodes = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    for order in (1, 2):
+        a, b, c = Jet.variables(np.hstack([nodes, nodes[:, :1]]), order)
+        assert (a.v.shape, a.g.shape) == ((3,), (3, 3))
+        assert a.h is None if order == 1 else a.h.shape == (3, 3, 3)
+        assert b.v.tolist() == [0.2, 0.4, 0.6]
+        assert b.g.tolist() == [[0.0] * 3, [1.0] * 3, [0.0] * 3]  # g[i, node]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_jet_times_a_node_array_scales_each_node(count):
+    """A node array (N,) acts as a constant per node in *, +, / and _chain:
+    each node's value, gradient and Hessian is the point jet's at that node
+    combined with the array's entry there (with N = m = 2, ``x * [10, 100]``
+    once scaled the gradient by parameter instead of by node)."""
+    nodes = np.array([[0.7, -0.3], [1.1, 0.4], [-0.6, 2.0]])[:count]
+    a = np.array([10.0, 100.0, -3.5])[:count]
+    x, y = Jet.variables(nodes, 2)
+    f = x * y + x.sin()
+    ops = [lambda f, a: f * a, lambda f, a: a * f, lambda f, a: f + a,
+           lambda f, a: a - f, lambda f, a: f / a, lambda f, a: a / f,
+           lambda f, a: f._chain(a * f.v, a, a * a)]
+    scaled = x * a
+    assert scaled.g.tolist()[0] == a.tolist() and scaled.g.tolist()[1] == [0.0] * count
+    for op in ops:
+        batched = op(f, a)
+        for k in range(count):
+            px, py = Jet.variables(nodes[k], 2)
+            _assert_same_bits(batched, op(px * py + px.sin(), a[k]), k)
+
+
+_LAYOUT_TEXTS = ["x * y - y", "(x + 2) / (y * y + 1)", "x^3 * y^-2", "(x - y)^2 / x",
+                 "sin(x * y) + cos(x)^2", "exp(sin(y) * cos(x)) / (1 + x^2)",
+                 "cos(exp(x - y)) * sin(y)^-1"]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_batched_jets_equal_point_jets(order):
+    """Jets of compiled expressions on a node batch give, at each node and
+    bit for bit, the jet that the same expressions give at that node alone;
+    stack_jets keeps its node-first shapes and puts each node's parts in
+    place."""
+    fn = compile_vector(_LAYOUT_TEXTS, ["x", "y"])
+    nodes = np.array([[0.7, -0.3], [1.1, 0.4], [-0.6, 2.0], [0.25, 1.5]])
+    batched = fn(Jet.variables(nodes, order))
+    stacked = stack_jets(batched, nodes, order)
+    assert [s.shape for s in stacked] == [(4,) + (2,) * d + (len(_LAYOUT_TEXTS),)
+                                          for d in range(order + 1)]
+    for k, point in enumerate(nodes):
+        single = fn(Jet.variables(point, order))
+        for entry, (b, p) in enumerate(zip(batched, single)):
+            _assert_same_bits(b, p, k)
+            for part, stack in zip((p.v, p.g, p.h), stacked):
+                assert stack[k, ..., entry].tobytes() == np.asarray(part).tobytes()
 
 
 # -- frames ------------------------------------------------------------------

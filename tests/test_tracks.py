@@ -50,6 +50,30 @@ def test_symbolic_check_runs_without_numpy():
     assert not out["numpy"]
 
 
+CATALOG_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    sys.path.insert(0, sys.argv[1])
+    from lawcheck import cli
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes = [cli.main(["list"]), cli.main(["suite", "--filter", "symbolic"])]
+    print(json.dumps({"codes": codes, "stdout": out.getvalue(),
+                      "numpy": "numpy" in sys.modules}))
+""")
+
+
+def test_list_and_symbolic_suite_run_without_numpy():
+    """``lawcheck list`` reads the raw catalog, and a suite filters on the
+    raw names and dimensions before it compiles a scenario, so neither
+    imports numpy when no scenario is selected."""
+    proc = subprocess.run([sys.executable, "-c", CATALOG_SCRIPT, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0]
+    assert "ball3-radial" in out["stdout"] and "symbolic-dphi-n5" in out["stdout"]
+    assert not out["numpy"]
+
+
 def _imported_modules(source):
     """(level, dotted name) of every import in ``source``, nested ones included;
     ``from . import a`` yields (1, "a")."""
