@@ -1,25 +1,28 @@
 """Numerical differential geometry on parametrized patches, batched over nodes.
 
-Every layer takes N chart (or boundary) points as an (N, dim) array and
-returns arrays with a leading node axis; quadratures pass their grids in
-chunks of CHUNK_ENTRIES // n^4 nodes for geometry of dimension n, so that the
-n^2 x n^2 curvature, the largest array per node, and with it every array,
-stays bounded in every dimension.  Differentiation is forward mode,
-truncated Taylor arithmetic (Griewank & Walther 2008): a Jet carries values
-(N,), gradients (m, N) and, at second order only, Hessians (m, m, N), the
-node axis last, so that each jet operation loops over nodes rather than over
-the 2 or 3 parameters.  Only the metric where a curvature follows (computed
-once in coordinates, exact to roundoff) and the boundary embedding (for d2x)
-are second order.  The Euler density needs no frame; boundary frames carry
-values and first derivatives only, as nothing reads second ones.
-``stack_jets`` hands the jets on node-first: the derivative arrays the
-contractions read put the parameter axes right after the node axis
-(dG[:, i, k, l] = d_i g_kl), so a contraction is one stacked matmul (``@``)
-per node, each with its index formula in a comment, and no einsum is needed;
-an operand that would be a transposed view is copied to a contiguous array
-first, which the matmul reads several times faster.  Connection and
-curvature values keep the layout of ``templates``, omega[:, A, B, i].
-Finite differences appear only in tests, as independent oracles.
+Every layer takes N chart (or boundary) points as an (N, dim) array;
+quadratures pass their grids in chunks of CHUNK_ENTRIES // n^4 nodes in
+dimension n, so that the metric Hessians, n^4 entries per node, and with
+them every array, stay bounded.  Differentiation is forward mode, truncated
+Taylor arithmetic (Griewank & Walther 2008): a Jet carries values (N,),
+gradients (m, N) and, at second order only, Hessians (m, m, N), the node
+axis last, so that each jet operation loops over nodes rather than over the
+2 or 3 parameters.  Only the metric where a curvature follows and the
+boundary embedding (for d2x) are second order; frames carry values and
+first derivatives only, as nothing reads second ones.  Two idioms contract:
+- ``stack_jets`` hands the jets on node-first, parameter axes right after
+  the node axis (dG[:, i, k, l] = d_i g_kl), so a frame contraction is one
+  stacked matmul (``@``) per node, its index formula in a comment, with no
+  einsum and no transposed view as an operand (a contiguous copy is read
+  several times faster);
+- curvature, read only on index pairs i < j (of ``pairs``), is kept on
+  them, elementwise on node-last arrays (..., N) as the Jet is: small
+  leading axes are sliced by indexing into contiguous rows of N values, so
+  every numpy call loops over the nodes, with no matmul or einsum on 2 x 2
+  or 3 x 3 matrices.
+Connection and curvature values keep the layouts of ``templates``,
+omega[:, A, B, i] and curv[:, I, J] on index pairs.  Finite differences
+appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches, whatever outward vector the patch gives; no sign is applied to
@@ -30,25 +33,25 @@ Omega(A,B) = d omega(A,B) - sum_C omega(A,C) omega(C,B), under which the
 round 2-sphere has Omega(1,2)(e_1, e_2) = -1 and the Euler density still
 integrates to chi.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import ConfigError, GenericityError
-from .templates import euler_template, evaluate_template
+from .templates import euler_template, evaluate_template, pairs, phi_template
 
-CHUNK_ENTRIES = 256 * 3 ** 4  # curvature entries per batched evaluation (256 nodes at n = 3)
+CHUNK_ENTRIES = 256 * 3 ** 4  # metric Hessian entries per batched evaluation (256 nodes at n = 3)
 
 
 def node_chunks(count, n):
     """Slices of consecutive nodes that cover range(count), for geometry of
     dimension n: each holds CHUNK_ENTRIES // n^4 nodes (at least one), so the
-    n^2 x n^2 curvature, the largest array per node, keeps at most
-    CHUNK_ENTRIES entries (1296 nodes at n = 2, 256 at n = 3)."""
+    metric Hessians, n^4 entries per node and the largest array at n <= 3,
+    keep at most CHUNK_ENTRIES entries (1296 nodes at n = 2, 256 at n = 3)."""
     size = max(1, CHUNK_ENTRIES // n ** 4)
     return [slice(k, k + size) for k in range(0, count, size)]
 
@@ -245,18 +248,21 @@ class RiemannianPatch:
         self.name = name
 
     def metric_jets(self, x, order=2):
-        """Metric G (N, n, n) with its derivatives dG[:, i, k, l] and, at
-        ``order`` 2 (None at order 1), d2G[:, i, j, k, l] along the chart
-        parameters at the nodes x, then L^-1 and diag(L) of its checked
-        Cholesky factor L.  G and dG do not depend on the order."""
+        """Metric G (N, n, n) with its derivatives dG[:, i, k, l] along the
+        chart parameters at the nodes x and, at ``order`` 2 (None at order
+        1), d2G[k, l, i, j] = d_i d_j g_kl node-last, as the curvature reads
+        it, then L^-1 and diag(L) of its checked Cholesky factor L.  G and dG
+        do not depend on the order."""
         x = np.asarray(x, dtype=float)
         n = self.n
         raw = (self._metric(Jet.variables(x, 2)) if order == 2 else
                self._metric(Jet.variables(x, 1)))
-        parts = stack_jets([e for row in raw for e in row], x, order)
-        G = parts[0].reshape(-1, n, n)
-        d2G = parts[2].reshape(-1, n, n, n, n) if order == 2 else None
-        return (G, parts[1].reshape(-1, n, n, n), d2G, *_positive_definite(G, x))
+        entries = [e for row in raw for e in row]
+        G, dG = stack_jets(entries, x, 1)
+        G = G.reshape(-1, n, n)
+        d2G = np.array([np.broadcast_to(e.h if isinstance(e, Jet) else 0.0, (n, n, len(x)))
+                        for e in entries]).reshape(n, n, n, n, -1) if order == 2 else None
+        return (G, dG.reshape(-1, n, n, n), d2G, *_positive_definite(G, x))
 
     def metric_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -331,51 +337,61 @@ def _orthonormal_rows(G, dG, V, dV, points):
     return E, (U - U.swapaxes(-1, -2) - np.tril(S, -1) - 0.5 * np.eye(r) * S) @ E[:, None]
 
 
-class _GeometryCore:
-    """Metric, Christoffel symbols and the lowered Riemann tensor at a batch
-    of chart points, from one evaluation of the metric jets: ``jets`` are what
-    ``RiemannianPatch.metric_jets`` returns there."""
-
-    __slots__ = ("G", "dG", "sqrt_det", "Gamma", "riemann")
-
-    def __init__(self, jets):
-        G, dG, d2G, Linv, diag = jets
-        N, n = G.shape[:2]
-        # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-        low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
-        Gamma = low @ (_transposed(Linv) @ Linv)    # Gamma[ij,k] = low[ij,l] Ginv[l,k]
-        # K[i,m,j,p] = R[i,j,m,p] = <R(d_i, d_j) d_m, d_p> = Alt_ij (Alt_mp d2G / 2 + P)
-        # (Alt: swap and subtract), P[im,jp] = Gamma[im,q] low[jp,q]; as P is symmetric
-        # on index pairs, K = (U + U^T) / 2 on index pairs with U = Alt_mp (d2G + P)
-        # (in place where it is exact, so a chunk holds two n^4 arrays at a time, not three)
-        U = (Gamma @ _transposed(low)).reshape(d2G.shape)
-        U += d2G
-        U = (U - U.swapaxes(2, 4)).reshape(N, n * n, n * n)
-        K = U + U.swapaxes(1, 2)
-        K *= 0.5
-        K = K.reshape(d2G.shape)
-        self.G, self.dG = G, dG
-        self.sqrt_det = np.prod(diag, axis=-1)
-        self.Gamma = Gamma.reshape(N, n, n, n).transpose(0, 3, 1, 2)  # Gamma[k,i,j], a view
-        self.riemann = K.swapaxes(2, 3)                               # R[i,j,m,p], a view
+def christoffel_symbols(dG, Linv):
+    """Christoffel symbols, node-last (n, n, n, N), from the dG and L^-1 of
+    ``metric_jets``: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij) and
+    Gamma[i,j,k] = Gamma^k_ij = low[i,j,l] Ginv[l,k]."""
+    d, L = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (dG, Linv))  # d[i,k,l] = d_i g_kl
+    low = 0.5 * (d + d.swapaxes(0, 1) - d.transpose(1, 2, 0, 3))
+    Ginv = (L[:, :, None] * L[:, None]).sum(axis=0)          # Ginv[k,l] = L[r,k] L[r,l]
+    return low, (low[:, :, :, None] * Ginv).sum(axis=2)
 
 
-def _frame_connection(core, E, dE, dx):
-    """Connection and curvature values of the frame rows E, with dE[:, i, A, k]
-    = d e_A^k / d t_i, along a map into the chart with pushforward dx[:, i, k]
-    = d x^k / d t_i: omega[:, A, B, i] and curvature[:, A, B, i, j]."""
+@lru_cache(maxsize=None)
+def _pair_terms(n):
+    """Indices (a, b, c, d), each (4, E), of the U[a,b,c,d] in the E entries
+    R[I, J], I <= J, of ``pair_curvature``, and those entries' I and J."""
+    ps = np.array(pairs(n), dtype=int).T
+    I, J = np.triu_indices(ps.shape[1])
+    (i, j), (m, p) = ps[:, I], ps[:, J]
+    return np.array([[i, i, j, j], [m, p, p, m], [j, j, i, i], [p, m, m, p]]), I, J
+
+
+def pair_curvature(low, Gamma, d2G):
+    """R[I, J] = <R(d_i, d_j) d_m, d_p> on the pairs I = (i, j), J = (m, p),
+    a symmetric (P, P, N), from ``christoffel_symbols`` and the node-last d2G:
+    with U[a,b,c,d] = Gamma[a,b,q] low[c,d,q] + d_a d_b g_cd, each R[I, J],
+    I <= J, is 1/2 (U[i,m,j,p] - U[i,p,j,m] + U[j,p,i,m] - U[j,m,i,p])."""
+    (a, b, c, d), I, J = _pair_terms(len(low))
+    U = (Gamma[a, b] * low[c, d]).sum(axis=2) + d2G[c, d, a, b]   # U[term, entry]
+    R = np.empty((J[-1] + 1,) * 2 + low.shape[-1:])
+    R[I, J] = R[J, I] = 0.5 * ((U[0] - U[1]) + (U[2] - U[3]))
+    return R
+
+
+def _frame_connection(G, Gamma, E, dE, dx):
+    """Connection values omega[:, A, B, i] of the frame rows E, with
+    dE[:, i, A, k] = d e_A^k / d t_i, along a map with pushforward
+    dx[:, i, k] = d x^k / d t_i, from the Gamma of ``christoffel_symbols``."""
     N, m, n, _ = dE.shape
-    # Y[i,q,k] = dx[i,l] Gamma^k_{lq}; core.Gamma transposed back is [l,q,k]
-    Y = (dx @ core.Gamma.transpose(0, 2, 3, 1).reshape(N, n, n * n)).reshape(N, m, n, n)
-    nabla = dE + E[:, None] @ Y                # nabla[i,A,k] = dE[i,A,k] + e_A^q Y[i,q,k]
-    # omega[i,A,B] = nabla[i,A,k] G[k,l] e_B^l
-    omega = (nabla.reshape(N, m * n, n) @ (core.G @ _transposed(E))).reshape(dE.shape)
-    omega = 0.5 * (omega - omega.swapaxes(-1, -2))  # kill roundoff asymmetry
-    # curv[A,B,i,j] = e_A^q e_B^p R[l,r,q,p] dx^l_i dx^r_j: on index pairs,
-    # curv[Ai,Bj] = F[Ai,lq] K[lq,rp] F[Bj,rp] with F = E (x) dx, K[l,q,r,p] = R[l,r,q,p]
-    F = (E[:, :, None, None, :] * dx[:, None, :, :, None]).reshape(N, n * m, n * n)
-    curv = F @ core.riemann.swapaxes(2, 3).reshape(N, n * n, n * n) @ _transposed(F)
-    return omega.transpose(0, 2, 3, 1), curv.reshape(N, n, m, n, m).transpose(0, 1, 3, 2, 4)
+    # Y[i,q,k] = dx[i,l] Gamma^k_{lq}; nabla[i,A,k] = dE[i,A,k] + e_A^q Y[i,q,k]
+    Y = dx @ np.ascontiguousarray(np.moveaxis(Gamma, -1, 0)).reshape(N, n, n * n)
+    nabla = dE + E[:, None] @ Y.reshape(N, m, n, n)
+    # omega[i,A,B] = nabla[i,A,k] G[k,l] e_B^l, its roundoff asymmetry killed
+    omega = (nabla.reshape(N, m * n, n) @ (G @ _transposed(E))).reshape(dE.shape)
+    return (0.5 * (omega - omega.swapaxes(-1, -2))).transpose(0, 2, 3, 1)
+
+
+def _frame_curvature(R, E, dx):
+    """curv[:, I, J] = e_A^q e_B^p R[l,r,q,p] dx^l_i dx^r_j, I = (A, B) and
+    J = (i, j), of the frame rows E along pushforward dx: Lambda^2 E R Lambda^2 dx^T."""
+    def wedge2(M):  # node-last W[I,J] = M[a,q] M[b,p] - M[a,p] M[b,q], I = (a, b), J = (q, p)
+        M = np.ascontiguousarray(np.moveaxis(M, 0, -1))
+        (a, b), (q, p) = (np.array(pairs(k), dtype=int).reshape(-1, 2).T for k in M.shape[:2])
+        return M[a[:, None], q] * M[b[:, None], p] - M[a[:, None], p] * M[b[:, None], q]
+
+    R_dx = (R[:, None] * wedge2(dx)[None]).sum(axis=2)  # R_dx[qp,ij] = R[qp,lr] W[ij,lr]
+    return np.moveaxis((wedge2(E)[:, :, None] * R_dx).sum(axis=1), -1, 0)
 
 
 def euler_form_density(patch, points):
@@ -389,9 +405,10 @@ def euler_form_density(patch, points):
     n = patch.n
     if n % 2:
         return np.zeros(len(points))
-    core = _GeometryCore(patch.metric_jets(points))
-    curv = core.riemann.transpose(0, 3, 4, 1, 2)  # curv[m,p,i,j] = R[i,j,m,p]
-    return evaluate_template(euler_template(n), None, None, None, curv) / core.sqrt_det
+    _, dG, d2G, Linv, diag = patch.metric_jets(points)
+    R = pair_curvature(*christoffel_symbols(dG, Linv), d2G)
+    return (evaluate_template(euler_template(n), None, None, None, np.moveaxis(R, -1, 0))
+            / math.prod(diag.T))
 
 
 # -- boundary-adapted frames ------------------------------------------------------
@@ -401,7 +418,8 @@ class BoundaryFrame:
     """Everything a section pullback needs at a batch of boundary nodes: each
     array has a leading node axis, each derivative its t-axis next.  Frame
     and metric carry first t-derivatives only, as nothing reads second ones;
-    ``adapted_frame`` leaves omega and curvature None."""
+    ``adapted_frame`` leaves omega and curvature None, and so does
+    ``boundary_frame`` the curvature where Phi reads none (n = 2)."""
     x_jets: list                   # embedding as first-order jets in t
     metric: np.ndarray
     dmetric: np.ndarray            # dmetric[i,k,l] = d g_kl / d t_i
@@ -410,7 +428,7 @@ class BoundaryFrame:
     frame: np.ndarray              # adapted frame rows e_A
     dframe: np.ndarray             # dframe[i,A,k] = d e_A^k / d t_i
     omega: np.ndarray = None       # omega[A,B,i] on boundary coordinate directions
-    curvature: np.ndarray = None   # curvature[A,B,i,j] on boundary bivectors
+    curvature: np.ndarray = None   # curvature[I,J], frame pairs I on boundary bivectors J
 
 
 def adapted_frame(bpatch, t, order=1):
@@ -444,16 +462,19 @@ def adapted_frame(bpatch, t, order=1):
 
 def boundary_frame(bpatch, t, frame_twist=None):
     """``adapted_frame`` at the boundary nodes t (N, m) with its connection
-    and curvature values, from the same metric jets.  ``frame_twist`` maps
-    t-jets to an n x n rotation R and replaces the frame E by R E; ``normal``
-    stays the untwisted e_1."""
+    values and, where Phi has a 2-form factor, its curvature values, from the
+    same metric jets.  ``frame_twist`` maps t-jets to an n x n rotation R and
+    replaces the frame E by R E; ``normal`` stays the untwisted e_1."""
     t = np.asarray(t, dtype=float)
-    bf, dx, jets = adapted_frame(bpatch, t, 2)
+    curved = any(deg == 2 for e in phi_template(bpatch.parent.n).entries for *_, deg in e[2])
+    bf, dx, (G, dG, d2G, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
     if frame_twist is not None:
         R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)
         R, dR = R.reshape(bf.frame.shape), dR.reshape(bf.dframe.shape)
         # d(R E)[i,a,k] = dR[i,a,b] E[b,k] + R[a,b] dE[i,b,k]
         bf.frame, bf.dframe = R @ bf.frame, dR @ bf.frame[:, None] + R[:, None] @ bf.dframe
-    core = _GeometryCore(jets)
-    bf.omega, bf.curvature = _frame_connection(core, bf.frame, bf.dframe, dx)
+    low, Gamma = christoffel_symbols(dG, Linv)
+    bf.omega = _frame_connection(G, Gamma, bf.frame, bf.dframe, dx)
+    if curved:
+        bf.curvature = _frame_curvature(pair_curvature(low, Gamma, d2G), bf.frame, dx)
     return bf

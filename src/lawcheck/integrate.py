@@ -202,14 +202,14 @@ def integrate_fiber_form(form, grid):
     tpl = compile_template(form, m)
     coords = polar_coordinates(n)
     dcoords = [c.deriv(i) for c in coords for i in range(1, n)]
-    flat = np.zeros((n, n, m, m))
+    flat_omega, flat_curv = np.zeros((n, n, m)), np.zeros((n * (n - 1) // 2, m * (m - 1) // 2))
 
     def weighted(nodes, weights):
         angles = dict(enumerate(nodes.T, start=1))
         u, theta = (np.stack([np.broadcast_to(trig_values(c, angles), len(nodes))
                               for c in scalars], axis=-1) for scalars in (coords, dcoords))
         return weights * evaluate_template(tpl, u, theta.reshape(-1, n, m),
-                                           flat[..., 0], flat)
+                                           flat_omega, flat_curv)
 
     return _quadrature(grid, weighted, n)
 
@@ -249,12 +249,13 @@ def degree_integral_circle(map_fn, order):
 def degree_integral_sphere(map_fn, order):
     """Degree of a nonvanishing space-valued map over the (colat, lon) box:
     ``map_fn(nodes)`` takes nodes (N, 2) and returns w (N, 3) and dw (N, 2, 3),
-    and det[w, dw] / |w|^3 is integrated."""
+    and det[w, dw] / |w|^3, det by cofactors along w, is integrated."""
     def weighted(nodes, weights):
         w, dw = map_fn(nodes)
         norm2 = _norm2(w, lambda k: f"sphere at {[float(a) for a in nodes[k]]}")
-        mat = np.concatenate([w[:, None], dw], axis=1)
-        return weights * np.linalg.det(mat) / (norm2 * np.sqrt(norm2))
+        (w0, w1, w2), (a0, a1, a2), (b0, b1, b2) = w.T, dw[:, 0].T, dw[:, 1].T
+        det = w0 * (a1 * b2 - a2 * b1) - w1 * (a0 * b2 - a2 * b0) + w2 * (a0 * b1 - a1 * b0)
+        return weights * det / (norm2 * np.sqrt(norm2))
 
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
     return _quadrature(grid, weighted, 3) / (4 * math.pi)

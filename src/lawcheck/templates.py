@@ -4,7 +4,8 @@
 einsum entries over its slots, in the order of ``Form.terms``, which is
 sorted, so that equal forms give equal templates bit for bit;
 ``evaluate_template`` binds the generators to frame, connection and
-curvature arrays of a chunk of nodes.  ``trig_values`` evaluates a
+curvature arrays of a chunk of nodes, a 2-form on the index pairs of
+``pairs``.  ``trig_values`` evaluates a
 coefficient-ring element at angle values, floats or node arrays, summing in
 the sorted order of ``TrigScalar.terms``; the ring itself converts only
 constants.
@@ -13,14 +14,18 @@ constants.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 from .algebra import DEGREE, K_DPHI, K_THETA, K_U
-from .chern import build_phi, signed_permutations
+from .chern import build_phi, perm_sign
 
-_SLOTS = "abcdefgh"  # einsum letters of the form slots
+_FACTORS = "abcdefgh"  # einsum letters of the factors of an entry
+
+
+def pairs(n):
+    """Index pairs (a, b), a < b < n, by b, then a: (a, b) is at b (b - 1) / 2 + a."""
+    return [(a, b) for b in range(n) for a in range(b)]
 
 
 def trig_values(scalar, angles):
@@ -40,48 +45,59 @@ def trig_values(scalar, angles):
 class FormTemplate:
     slots: int
     entries: tuple    # (coeff, u_list, factors, subscripts), factors ((kind, a, b, deg), ...)
-    alternating: np.ndarray  # sign of each permutation of the slots, (slots,) * slots
+    signs: tuple      # each entry's ``_slot_signs``
+
+
+@lru_cache(maxsize=None)
+def _slot_signs(degrees):
+    """Sign of each assignment of the slots to factors of ``degrees`` (1 or
+    2), one axis per factor, over the slots or the slot ``pairs``; 0 where a
+    slot repeats.  A 2-form takes each pair once, not once in each order."""
+    slots = sum(degrees)
+    choices = [[(s,) for s in range(slots)] if d == 1 else pairs(slots) for d in degrees]
+    signs = np.zeros([len(c) for c in choices])
+    for index in np.ndindex(signs.shape):
+        perm = sum((c[i] for c, i in zip(choices, index)), ())
+        signs[index] = perm_sign(perm) if len(set(perm)) == slots else 0
+    return signs
 
 
 def compile_template(form, slots):
     """Flatten a constant-coefficient interior form for numeric evaluation.
 
-    An entry's sum over signed slot permutations is one einsum of its
-    factors, in slot order, with the alternating tensor of the slots.
+    An entry's sum over signed slot assignments is one einsum of its
+    factors, in order, with the ``_slot_signs`` of their degrees.
     """
-    entries = []
+    entries, signs = [], []
     for (evens, odds), coeff in form.terms.items():
         if any(kind == K_DPHI for kind, _, _ in odds):
             raise ValueError("numeric templates cannot bind formal angles")
         us = [a - 1 for kind, a, _ in evens if kind == K_U]
         factors = [(k, a - 1, b - 1, DEGREE[k]) for k, a, b in evens + odds if k != K_U]
-        ends = list(accumulate(f[3] for f in factors))
-        if not ends or ends[-1] != slots:
+        degrees = tuple(f[3] for f in factors)
+        if not factors or sum(degrees) != slots:
             continue  # wrong degree; contributes nothing to a top-degree density
-        # a 2-form factor counts each slot pair twice among the permutations
-        pairs = sum(f[3] == 2 for f in factors)
-        subscripts = ",".join("..." + _SLOTS[e - f[3]:e] for f, e in zip(factors, ends))
-        entries.append((coeff.to_float() / 2 ** pairs, tuple(us), tuple(factors),
-                        f"{subscripts},{_SLOTS[:slots]}->..."))
-    alternating = np.zeros((slots,) * slots)
-    for perm, sign in signed_permutations(slots):
-        alternating[perm] = sign
-    return FormTemplate(slots=slots, entries=tuple(entries), alternating=alternating)
+        letters = _FACTORS[:len(factors)]
+        subscripts = ",".join("..." + x for x in letters)
+        entries.append((coeff.to_float(), tuple(us), tuple(factors),
+                        f"{subscripts},{letters}->..."))
+        signs.append(_slot_signs(degrees))
+    return FormTemplate(slots=slots, entries=tuple(entries), signs=tuple(signs))
 
 
 def evaluate_template(tpl, u, theta, omega, curv):
     """Evaluate the compiled density at a batch of nodes.
 
-    u: (N, n), theta: (N, n, slots), omega/curv: (N, n, n, slots[, slots]);
-    an argument whose generators the form lacks is never read.
+    u: (N, n), theta: (N, n, slots), omega: (N, n, n, slots), curv: (N, P, Q)
+    on frame and slot ``pairs``; an argument the form lacks is never read.
     """
     total = 0.0
-    for coeff, us, factors, subscripts in tpl.entries:
+    for (coeff, us, factors, subscripts), signs in zip(tpl.entries, tpl.signs):
         scalar = math.prod((u[..., a] for a in us), start=coeff)
         operands = [(theta[..., a, :] if kind == K_THETA else omega[..., a, b, :])
-                    if deg == 1 else curv[..., a, b, :, :]
+                    if deg == 1 else curv[..., b * (b - 1) // 2 + a, :]
                     for kind, a, b, deg in factors]
-        total = total + scalar * np.einsum(subscripts, *operands, tpl.alternating)
+        total = total + scalar * np.einsum(subscripts, *operands, signs)
     return total
 
 

@@ -222,15 +222,16 @@ def test_tangential_two_point_rule_needs_nonvanishing_tests():
 @pytest.mark.parametrize("name", ["disk-saddle", "ball3-radial", "ball3-constant"])
 def test_boundary_sweep_builds_no_connection_or_curvature(name, monkeypatch):
     """boundary_decompose and index_tangential read the frame step only:
-    with the connection and the geometry core refusing to run, they pass,
-    and they ask for first-order metric jets only."""
+    with the connection, the Christoffel symbols and the curvature refusing
+    to run, they pass, and they ask for first-order metric jets only."""
     scenario = load_catalog_scenario(name)
 
     def refuse(*args, **kwargs):
         raise AssertionError("connection or curvature built for a frame-only sweep")
 
     monkeypatch.setattr(geometry, "_frame_connection", refuse)
-    monkeypatch.setattr(geometry, "_GeometryCore", refuse)
+    monkeypatch.setattr(geometry, "christoffel_symbols", refuse)
+    monkeypatch.setattr(geometry, "pair_curvature", refuse)
     orders, metric_jets = [], geometry.RiemannianPatch.metric_jets
     monkeypatch.setattr(geometry.RiemannianPatch, "metric_jets",
                         lambda self, x, order=2: orders.append(order) or metric_jets(self, x, order))

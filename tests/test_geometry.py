@@ -10,22 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lawcheck import geometry
 from lawcheck.expressions import compile_vector
 from lawcheck.geometry import (
     BoundaryPatch,
     ConfigError,
     Jet,
     RiemannianPatch,
-    _frame_connection,
     _cholesky_inverse,
-    _GeometryCore,
+    _frame_connection,
+    _frame_curvature,
     _orthonormal_rows,
     boundary_frame,
+    christoffel_symbols,
     euler_form_density,
     jet_cos,
     jet_sin,
+    pair_curvature,
     stack_jets,
 )
+from lawcheck.templates import pairs
 
 from test_integrate import disk_rim
 
@@ -57,6 +61,59 @@ def bumpy_patch(seed=0):
     return RiemannianPatch(2, [(-1, 1), (-1, 1)], metric)
 
 
+def unpack_pairs(values, n, m):
+    """The array (N, n, n, m, m), antisymmetric in each index pair, whose
+    entries on the index pairs of ``pairs`` are ``values`` (N, P, Q)."""
+    out = np.zeros((len(values), n, n, m, m))
+    for I, (a, b) in enumerate(pairs(n)):
+        for J, (i, j) in enumerate(pairs(m)):
+            v = values[:, I, J]
+            out[:, a, b, i, j], out[:, b, a, i, j] = v, -v
+            out[:, a, b, j, i], out[:, b, a, j, i] = -v, v
+    return out
+
+
+def pair_core(patch, points):
+    """Christoffel symbols Gamma[:, k, i, j] = Gamma^k_ij and the lowered
+    Riemann tensor riemann[:, i, j, m, p], unpacked from the pair curvature,
+    at ``points``: the layout of ``reference_core``."""
+    G, dG, d2G, Linv, _ = patch.metric_jets(points)
+    low, Gamma = christoffel_symbols(dG, Linv)
+    R = np.moveaxis(pair_curvature(low, Gamma, d2G), -1, 0)
+    return SimpleNamespace(Gamma=np.moveaxis(Gamma, -1, 0).transpose(0, 3, 1, 2),
+                           riemann=unpack_pairs(R, patch.n, patch.n))
+
+
+def reference_core(jets):
+    """Reference for the pair curvature: Christoffel symbols
+    Gamma[:, k, i, j] and the whole lowered Riemann tensor R[:, i, j, m, p],
+    n^4 entries per node, built by stacked matmuls and two antisymmetrization
+    passes over all index pairs, from ``RiemannianPatch.metric_jets``."""
+    G, dG, d2G, Linv, _ = jets
+    d2G = np.moveaxis(d2G, -1, 0).transpose(0, 3, 4, 1, 2)  # d2G[:, i, j, k, l] = d_i d_j g_kl
+    N, n = G.shape[:2]
+    # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
+    low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
+    Gamma = low @ (np.ascontiguousarray(Linv.swapaxes(-1, -2)) @ Linv)
+    # K[i,m,j,p] = R[i,j,m,p] = Alt_ij (Alt_mp d2G / 2 + P), P[im,jp] = Gamma[im,q] low[jp,q]
+    U = (Gamma @ np.ascontiguousarray(low.swapaxes(-1, -2))).reshape(d2G.shape) + d2G
+    U = (U - U.swapaxes(2, 4)).reshape(N, n * n, n * n)
+    K = (0.5 * (U + U.swapaxes(1, 2))).reshape(d2G.shape)
+    return SimpleNamespace(Gamma=Gamma.reshape(N, n, n, n).transpose(0, 3, 1, 2),
+                           riemann=K.swapaxes(2, 3))
+
+
+def reference_frame_curvature(riemann, E, dx):
+    """Reference for ``_frame_curvature``: curv[:, A, B, i, j] = e_A^q e_B^p
+    R[l,r,q,p] dx^l_i dx^r_j as one n^2 x n^2 sandwich per node,
+    curv[Ai,Bj] = F[Ai,lq] K[lq,rp] F[Bj,rp] with F = E (x) dx, K[l,q,r,p] = R[l,r,q,p]."""
+    N, m, n = dx.shape
+    F = (E[:, :, None, None, :] * dx[:, None, :, :, None]).reshape(N, n * m, n * n)
+    K = np.ascontiguousarray(riemann.swapaxes(2, 3)).reshape(N, n * n, n * n)
+    curv = F @ K @ np.ascontiguousarray(F.swapaxes(-1, -2))
+    return curv.reshape(N, n, m, n, m).transpose(0, 1, 3, 2, 4)
+
+
 def connection_curvature(patch, point):
     """Frame, metric, connection values and curvature values at one chart
     point, by the formula the boundary frames use: the frame is Gram-Schmidt
@@ -64,11 +121,13 @@ def connection_curvature(patch, point):
     coordinate direction and curvature[A,B,i,j] the curvature form on the
     coordinate bivector (i, j)."""
     n = patch.n
-    core = _GeometryCore(patch.metric_jets([point]))
+    G, dG, d2G, Linv, _ = patch.metric_jets([point])
+    low, Gamma = christoffel_symbols(dG, Linv)
     eye = np.eye(n)
-    E, dE = _orthonormal_rows(core.G, core.dG, eye[None], np.zeros((1, n, n, n)), [point])
-    omega, curv = _frame_connection(core, E, dE, eye[None])
-    return SimpleNamespace(frame=E[0], metric=core.G[0], omega=omega[0], curvature=curv[0])
+    E, dE = _orthonormal_rows(G, dG, eye[None], np.zeros((1, n, n, n)), [point])
+    omega = _frame_connection(G, Gamma, E, dE, eye[None])
+    curv = unpack_pairs(_frame_curvature(pair_curvature(low, Gamma, d2G), E, eye[None]), n, n)
+    return SimpleNamespace(frame=E[0], metric=G[0], omega=omega[0], curvature=curv[0])
 
 
 # -- jets --------------------------------------------------------------------
@@ -223,7 +282,7 @@ def test_frame_orthonormality_residual(point):
 def test_frame_rejects_degenerate_metric():
     bad = RiemannianPatch(2, [(-1, 1), (-1, 1)], lambda x: [[1, 0], [0, -1]])
     with pytest.raises(ValueError):
-        _GeometryCore(bad.metric_jets([[0, 0]]))
+        bad.metric_jets([[0, 0]])
     with pytest.raises(ValueError):
         connection_curvature(bad, [0, 0])
 
@@ -236,9 +295,9 @@ def test_metric_symmetry_allows_round_off_only():
     written = lambda d: RiemannianPatch(
         2, [(0, 1), (0, 1)], lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
                                         [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]])
-    assert _GeometryCore(written(0.0).metric_jets(x)).G.shape == (3, 2, 2)
+    assert written(0.0).metric_jets(x)[0].shape == (3, 2, 2)
     assert written(0.0).metric_values(x).shape == (3, 2, 2)
-    for make in (lambda p: _GeometryCore(p.metric_jets(x)), lambda p: p.metric_values(x)):
+    for make in (lambda p: p.metric_jets(x), lambda p: p.metric_values(x)):
         with pytest.raises(ConfigError, match=r"not symmetric at chart point \[0\.3, 0\.4\]"):
             make(written(1e-3))
 
@@ -321,7 +380,7 @@ def test_sphere_curvature_against_fd_oracle(point):
 def test_christoffels_match_fd_on_random_metric():
     patch = bumpy_patch(11)
     for pt in ([0.2, 0.3], [-0.5, 0.6]):
-        Gamma = _GeometryCore(patch.metric_jets([pt])).Gamma[0]
+        Gamma = pair_core(patch, [pt]).Gamma[0]
         assert np.max(np.abs(Gamma - _fd_christoffels(patch, pt))) < 1e-7
 
 
@@ -396,7 +455,7 @@ def test_second_bianchi_numeric_spot_check():
 
 def test_riemann_symmetries_random_metric():
     patch = bumpy_patch(23)
-    R = _GeometryCore(patch.metric_jets([[0.1, 0.2]])).riemann[0]
+    R = pair_core(patch, [[0.1, 0.2]]).riemann[0]
     assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) < 1e-12
     assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-12
     assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-12
@@ -427,8 +486,11 @@ def test_contractions_match_einsum_transcription(n):
     rng = np.random.default_rng(n)
     points = rng.uniform(-0.9, 0.9, size=(5, n))
     patch = wavy_patch(n, seed=n)
-    core = _GeometryCore(patch.metric_jets(points))
-    G, dG, d2G = patch.metric_jets(points)[:3]
+    core = pair_core(patch, points)
+    G, dG, d2G, Linv = patch.metric_jets(points)[:4]
+    src_low, src_Gamma = christoffel_symbols(dG, Linv)
+    R_pairs = pair_curvature(src_low, src_Gamma, d2G)
+    d2G = np.moveaxis(d2G, -1, 0).transpose(0, 3, 4, 1, 2)  # d2G[:, i, j, k, l] = d_i d_j g_kl
     low = 0.5 * (np.einsum("...ijl->...lij", dG) + np.einsum("...jil->...lij", dG)
                  - np.einsum("...lij->...lij", dG))
     Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
@@ -445,7 +507,8 @@ def test_contractions_match_einsum_transcription(n):
     E = np.eye(n) + 0.3 * rng.standard_normal((5, n, n))
     dE = rng.standard_normal((5, m, n, n))
     dx = rng.standard_normal((5, m, n))
-    omega, curv = _frame_connection(core, E, dE, dx)
+    omega = _frame_connection(G, src_Gamma, E, dE, dx)
+    curv = unpack_pairs(_frame_curvature(R_pairs, E, dx), n, m)
     nabla = (np.einsum("...iAk->...Aik", dE)
              + np.einsum("...klm,...il,...Am->...Aik", Gamma, dx, E))
     want = np.einsum("...Aik,...kl,...Bl->...ABi", nabla, G, E)
@@ -454,6 +517,68 @@ def test_contractions_match_einsum_transcription(n):
     want = np.einsum("...lrmp,...Am,...Bp,...il,...jr->...ABij", R, E, E, dx, dx)
     assert np.max(np.abs(want)) > 1e-3
     assert np.max(np.abs(curv - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n, patch", [(2, bumpy_patch(4)), (2, wavy_patch(2, 5)),
+                                      (3, wavy_patch(3, 6)), (4, wavy_patch(4, 7))])
+def test_pair_curvature_matches_reference(n, patch):
+    """The Christoffel symbols and the pair curvature, unpacked, equal the
+    whole n^4 Riemann tensor of the reference on random metrics, and the
+    pair curvature is symmetric on index pairs, bit for bit."""
+    points = np.random.default_rng(n).uniform(-0.9, 0.9, size=(9, n))
+    want, got = reference_core(patch.metric_jets(points)), pair_core(patch, points)
+    assert np.max(np.abs(want.riemann)) > 1e-3
+    assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
+    assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
+    G, dG, d2G, Linv, _ = patch.metric_jets(points)
+    R = pair_curvature(*christoffel_symbols(dG, Linv), d2G)
+    assert R.shape == (n * (n - 1) // 2,) * 2 + (len(points),)
+    assert np.array_equal(R, R.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_frame_curvature_matches_reference_sandwich(n):
+    """Alt E R Alt dx^T on index pairs equals the reference's n^2 x n^2
+    sandwich F K F^T for non-orthonormal frames along non-square maps."""
+    rng = np.random.default_rng(20 + n)
+    points = rng.uniform(-0.9, 0.9, size=(5, n))
+    core = reference_core(wavy_patch(n, seed=n).metric_jets(points))
+    R = np.moveaxis(np.array([[core.riemann[:, i, j, m, p] for m, p in pairs(n)]
+                              for i, j in pairs(n)]), 2, -1)
+    for m in (2, n - 1, n + 1):
+        E = np.eye(n) + 0.3 * rng.standard_normal((5, n, n))
+        dx = rng.standard_normal((5, m, n))
+        want = reference_frame_curvature(core.riemann, E, dx)
+        got = _frame_curvature(R, E, dx)
+        assert got.shape == (5, n * (n - 1) // 2, m * (m - 1) // 2)
+        assert np.max(np.abs(want)) > 1e-2
+        assert np.max(np.abs(unpack_pairs(got, n, m) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("curvature built where no form reads it")
+
+
+def test_two_dimensional_boundary_frame_builds_no_curvature(monkeypatch):
+    """Phi at n = 2 reads theta only: the boundary frame builds the
+    connection from first-order metric jets, and no curvature."""
+    monkeypatch.setattr(geometry, "pair_curvature", _refuse)
+    orders, metric_jets = [], RiemannianPatch.metric_jets
+    monkeypatch.setattr(RiemannianPatch, "metric_jets", lambda self, x, order=2:
+                        orders.append(order) or metric_jets(self, x, order))
+    bf = boundary_frame(disk_rim(), [[0.3], [1.2]])
+    assert bf.curvature is None and bf.omega.shape == (2, 2, 2, 1)
+    assert orders == [1]
+
+
+def test_odd_euler_density_builds_no_curvature(monkeypatch):
+    """At odd n the Euler form is zero: no metric jet, Christoffel symbol or
+    curvature is computed."""
+    for name in ("pair_curvature", "christoffel_symbols"):
+        monkeypatch.setattr(geometry, name, _refuse)
+    monkeypatch.setattr(RiemannianPatch, "metric_jets", _refuse)
+    points = np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6]])
+    assert euler_form_density(wavy_patch(3, seed=1), points).tolist() == [0.0, 0.0]
 
 
 def _row_gram_schmidt(G, dG, vectors, dvectors):
@@ -620,7 +745,7 @@ def frame_at(bpatch, t, frame_twist=None):
     """The boundary frame at one node t, with the node axis dropped."""
     bf = boundary_frame(bpatch, [t], frame_twist)
     return SimpleNamespace(**{key: value[0] for key, value in vars(bf).items()
-                              if key != "x_jets"})
+                              if key != "x_jets" and value is not None})
 
 
 def test_boundary_frame_outward_normal_first():

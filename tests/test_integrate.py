@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lawcheck.chern import build_phi
+from lawcheck.algebra import DEGREE, K_U
+from lawcheck.chern import build_phi, signed_permutations
 from lawcheck import geometry, integrate
 from lawcheck.geometry import (
     BoundaryPatch,
@@ -31,7 +32,7 @@ from lawcheck.integrate import (
 )
 from lawcheck.runner import run_scenario
 from lawcheck.scenarios import load_catalog_raw, load_catalog_scenario, load_scenario
-from lawcheck.templates import trig_values
+from lawcheck.templates import euler_template, evaluate_template, pairs, trig_values
 from lawcheck.trig import sphere_volume
 
 
@@ -478,6 +479,48 @@ def test_phi_template_is_cached_and_top_degree():
     tpl = phi_template(3)
     assert tpl.slots == 2
     assert phi_template(3) is tpl
+
+
+def _alternation_reference(form, slots, u, theta, curv):
+    """Reference for ``evaluate_template``: each term of ``form`` summed over
+    every signed permutation of the slots, a 2-form read as the full array
+    curv[:, a, b, s, t], so that each slot pair counts twice."""
+    total = 0.0
+    for (evens, odds), coeff in form.terms.items():
+        factors = [(k, a - 1, b - 1, DEGREE[k]) for k, a, b in evens + odds if k != K_U]
+        if not factors or sum(f[3] for f in factors) != slots:
+            continue
+        alternated = 0.0
+        for perm, sign in signed_permutations(slots):
+            value, at = sign, 0
+            for kind, a, b, deg in factors:
+                value = value * (theta[:, a, perm[at]] if deg == 1
+                                 else curv[:, a, b, perm[at], perm[at + 1]])
+                at += deg
+            alternated = alternated + value
+        scalar = math.prod((u[:, a - 1] for k, a, _ in evens if k == K_U), start=coeff.to_float())
+        total = total + scalar * alternated / 2 ** sum(f[3] == 2 for f in factors)
+    return total
+
+
+@pytest.mark.parametrize("which, n", [("phi", 3), ("phi", 4), ("phi", 5),
+                                      ("euler", 2), ("euler", 4)])
+def test_templates_on_pairs_match_the_full_alternation(which, n):
+    """A template bound to curvature on index pairs gives the sum over all
+    signed slot permutations of the full antisymmetric curvature."""
+    form, slots = ((build_phi(n).phi, n - 1) if which == "phi" else (build_phi(n).euler, n))
+    tpl = phi_template(n) if which == "phi" else euler_template(n)
+    rng = np.random.default_rng(n)
+    u, theta = rng.normal(size=(16, n)), rng.normal(size=(16, n, slots))
+    curv = rng.normal(size=(16, n, n, slots, slots))
+    curv = curv - curv.swapaxes(1, 2)
+    curv = curv - curv.swapaxes(3, 4)
+    packed = np.array([[curv[:, a, b, s, t] for s, t in pairs(slots)]
+                       for a, b in pairs(n)]).transpose(2, 0, 1)
+    want = _alternation_reference(form, slots, u, theta, curv)
+    got = evaluate_template(tpl, u, theta, None, packed)
+    assert np.max(np.abs(want)) > 1e-2
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_numeric_transgression_n2():

@@ -106,7 +106,7 @@ def test_template_entries_do_not_depend_on_term_order():
     rng = np.random.default_rng(7)
     nodes = 64
     args = (rng.normal(size=(nodes, 4)), rng.normal(size=(nodes, 4, 3)),
-            rng.normal(size=(nodes, 4, 4, 3)), rng.normal(size=(nodes, 4, 4, 3, 3)))
+            rng.normal(size=(nodes, 4, 4, 3)), rng.normal(size=(nodes, 6, 3)))
     assert np.array_equal(evaluate_template(tpl, *args), evaluate_template(other, *args))
 
 
