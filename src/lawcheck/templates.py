@@ -5,10 +5,9 @@ einsum entries over its slots, in the order of ``Form.terms``, which is
 sorted, so that equal forms give equal templates bit for bit;
 ``evaluate_template`` binds the generators to frame, connection and
 curvature arrays of a chunk of nodes, a 2-form on the index pairs of
-``pairs``.  ``trig_values`` evaluates a
-coefficient-ring element at angle values, floats or node arrays, summing in
-the sorted order of ``TrigScalar.terms``; the ring itself converts only
-constants.
+``pairs``.  ``trig_values`` evaluates a coefficient-ring element at angle
+values, floats or node arrays, summing in the sorted order of
+``TrigScalar.terms``; the ring itself converts only constants.
 """
 
 import math
