@@ -1,15 +1,15 @@
 """Numerical differential geometry on parametrized patches, batched over nodes.
 
 Every layer takes N chart (or boundary) points as an (N, dim) array;
-quadratures pass their grids in chunks of CHUNK_ENTRIES // n^4 nodes in
-dimension n, so that the metric Hessians, n^4 entries per node, and with
-them every array, stay bounded.  Differentiation is forward mode, truncated
-Taylor arithmetic (Griewank & Walther 2008): a Jet carries values (N,),
-gradients (m, N) and, at second order only, Hessians (m, m, N), the node
-axis last, so that each jet operation loops over nodes rather than over the
-2 or 3 parameters.  Only the metric where a curvature follows and the
-boundary embedding (for d2x) are second order; frames carry values and
-first derivatives only, as nothing reads second ones.  Two idioms contract:
+quadratures pass their grids in chunks of CHUNK_ENTRIES // n^2 nodes in
+dimension n (see ``node_chunks``), so that every array stays bounded.
+Differentiation is forward mode, truncated Taylor arithmetic (Griewank &
+Walther 2008): a Jet carries values (N,), gradients (m, N) and, at second
+order only, Hessians (m, m, N), the node axis last, so that each jet
+operation loops over nodes rather than over the 2 or 3 parameters.  Only
+the metric where a curvature follows, and then only its varying entries,
+and the boundary embedding (for d2x) are second order; frames carry values
+and first derivatives only, as nothing reads second ones.  Two idioms contract:
 - ``stack_jets`` hands the jets on node-first, parameter axes right after
   the node axis (dG[:, i, k, l] = d_i g_kl), so a frame contraction is one
   stacked matmul (``@``) per node, its index formula in a comment, with no
@@ -37,22 +37,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import iadd
 
 import numpy as np
 
 from . import ConfigError, GenericityError
 from .templates import euler_template, evaluate_template, pairs, phi_template
 
-CHUNK_ENTRIES = 256 * 3 ** 4  # metric Hessian entries per batched evaluation (256 nodes at n = 3)
+CHUNK_ENTRIES = 5184  # metric entries per batched evaluation (576 nodes at n = 3)
 
 
 def node_chunks(count, n):
     """Slices of consecutive nodes that cover range(count), for geometry of
-    dimension n: each holds CHUNK_ENTRIES // n^4 nodes (at least one), so the
-    metric Hessians, n^4 entries per node and the largest array at n <= 3,
-    keep at most CHUNK_ENTRIES entries (1296 nodes at n = 2, 256 at n = 3)."""
-    size = max(1, CHUNK_ENTRIES // n ** 4)
+    dimension n: each holds CHUNK_ENTRIES // n^2 nodes (at least one), 1296
+    at n = 2 and 576 at n = 3.  The chunked layers' traced peaks, in arrays
+    of one float per node, are about 66 (Euler density) and 79 (boundary
+    frame) at n = 2 and 274 (boundary frame, with curvature) at n = 3."""
+    size = max(1, CHUNK_ENTRIES // n ** 2)
     return [slice(k, k + size) for k in range(0, count, size)]
 
 
@@ -250,19 +252,19 @@ class RiemannianPatch:
     def metric_jets(self, x, order=2):
         """Metric G (N, n, n) with its derivatives dG[:, i, k, l] along the
         chart parameters at the nodes x and, at ``order`` 2 (None at order
-        1), d2G[k, l, i, j] = d_i d_j g_kl node-last, as the curvature reads
-        it, then L^-1 and diag(L) of its checked Cholesky factor L.  G and dG
-        do not depend on the order."""
+        1), the Hessians hess[k, l] = d_i d_j g_kl node-last, (n, n, N), of
+        the entries that vary: a constant entry, a plain number, has none.
+        Then L^-1 and diag(L) of its checked Cholesky factor L.  G and dG do
+        not depend on the order."""
         x = np.asarray(x, dtype=float)
         n = self.n
         raw = (self._metric(Jet.variables(x, 2)) if order == 2 else
                self._metric(Jet.variables(x, 1)))
-        entries = [e for row in raw for e in row]
-        G, dG = stack_jets(entries, x, 1)
+        G, dG = stack_jets([e for row in raw for e in row], x, 1)
         G = G.reshape(-1, n, n)
-        d2G = np.array([np.broadcast_to(e.h if isinstance(e, Jet) else 0.0, (n, n, len(x)))
-                        for e in entries]).reshape(n, n, n, n, -1) if order == 2 else None
-        return (G, dG.reshape(-1, n, n, n), d2G, *_positive_definite(G, x))
+        hess = {(k, l): e.h for k, row in enumerate(raw) for l, e in enumerate(row)
+                if isinstance(e, Jet)} if order == 2 else None
+        return (G, dG.reshape(-1, n, n, n), hess, *_positive_definite(G, x))
 
     def metric_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -343,27 +345,36 @@ def christoffel_symbols(dG, Linv):
     Gamma[i,j,k] = Gamma^k_ij = low[i,j,l] Ginv[l,k]."""
     d, L = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (dG, Linv))  # d[i,k,l] = d_i g_kl
     low = 0.5 * (d + d.swapaxes(0, 1) - d.transpose(1, 2, 0, 3))
-    Ginv = (L[:, :, None] * L[:, None]).sum(axis=0)          # Ginv[k,l] = L[r,k] L[r,l]
-    return low, (low[:, :, :, None] * Ginv).sum(axis=2)
+    del d  # read: freed before the products
+    n = len(L)
+    Ginv = reduce(iadd, (L[r, :, None] * L[r] for r in range(n)))  # Ginv[k,l] = L[r,k] L[r,l]
+    return low, reduce(iadd, (low[:, :, l, None] * Ginv[l] for l in range(n)))
 
 
 @lru_cache(maxsize=None)
 def _pair_terms(n):
     """Indices (a, b, c, d), each (4, E), of the U[a,b,c,d] in the E entries
-    R[I, J], I <= J, of ``pair_curvature``, and those entries' I and J."""
+    R[I, J], I <= J, of ``pair_curvature``, those entries' I and J, and for
+    each metric entry (k, l) the (term, entry) positions where (c, d) = (k, l)."""
     ps = np.array(pairs(n), dtype=int).T
     I, J = np.triu_indices(ps.shape[1])
     (i, j), (m, p) = ps[:, I], ps[:, J]
-    return np.array([[i, i, j, j], [m, p, p, m], [j, j, i, i], [p, m, m, p]]), I, J
+    c, d = np.array([[j, j, i, i], [p, m, m, p]])
+    slots = {(k, l): np.nonzero((c == k) & (d == l)) for k in range(n) for l in range(n)}
+    return np.array([[i, i, j, j], [m, p, p, m], c, d]), I, J, slots
 
 
-def pair_curvature(low, Gamma, d2G):
+def pair_curvature(low, Gamma, hess):
     """R[I, J] = <R(d_i, d_j) d_m, d_p> on the pairs I = (i, j), J = (m, p),
-    a symmetric (P, P, N), from ``christoffel_symbols`` and the node-last d2G:
-    with U[a,b,c,d] = Gamma[a,b,q] low[c,d,q] + d_a d_b g_cd, each R[I, J],
-    I <= J, is 1/2 (U[i,m,j,p] - U[i,p,j,m] + U[j,p,i,m] - U[j,m,i,p])."""
-    (a, b, c, d), I, J = _pair_terms(len(low))
-    U = (Gamma[a, b] * low[c, d]).sum(axis=2) + d2G[c, d, a, b]   # U[term, entry]
+    a symmetric (P, P, N), from ``christoffel_symbols`` and the Hessians of
+    ``metric_jets``: with U[a,b,c,d] = Gamma[a,b,q] low[c,d,q] + d_a d_b g_cd,
+    the second term only where g_cd has a Hessian, each R[I, J], I <= J, is
+    1/2 (U[i,m,j,p] - U[i,p,j,m] + U[j,p,i,m] - U[j,m,i,p])."""
+    (a, b, c, d), I, J, slots = _pair_terms(len(low))
+    U = reduce(iadd, (Gamma[a, b, q] * low[c, d, q] for q in range(len(low))))  # U[term, entry]
+    for kl, h in hess.items():
+        t, e = slots[kl]
+        U[t, e] += h[a[t, e], b[t, e]]
     R = np.empty((J[-1] + 1,) * 2 + low.shape[-1:])
     R[I, J] = R[J, I] = 0.5 * ((U[0] - U[1]) + (U[2] - U[3]))
     return R
@@ -405,8 +416,8 @@ def euler_form_density(patch, points):
     n = patch.n
     if n % 2:
         return np.zeros(len(points))
-    _, dG, d2G, Linv, diag = patch.metric_jets(points)
-    R = pair_curvature(*christoffel_symbols(dG, Linv), d2G)
+    _, dG, hess, Linv, diag = patch.metric_jets(points)
+    R = pair_curvature(*christoffel_symbols(dG, Linv), hess)
     return (evaluate_template(euler_template(n), None, None, None, np.moveaxis(R, -1, 0))
             / math.prod(diag.T))
 
@@ -467,14 +478,17 @@ def boundary_frame(bpatch, t, frame_twist=None):
     replaces the frame E by R E; ``normal`` stays the untwisted e_1."""
     t = np.asarray(t, dtype=float)
     curved = any(deg == 2 for e in phi_template(bpatch.parent.n).entries for *_, deg in e[2])
-    bf, dx, (G, dG, d2G, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
+    bf, dx, (G, dG, hess, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
+    low, Gamma = christoffel_symbols(dG, Linv)
+    del dG, Linv  # read: freed before the curvature's products
+    curv = pair_curvature(low, Gamma, hess) if curved else None
+    del hess, low  # read: freed before the frame's products
     if frame_twist is not None:
         R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)
         R, dR = R.reshape(bf.frame.shape), dR.reshape(bf.dframe.shape)
         # d(R E)[i,a,k] = dR[i,a,b] E[b,k] + R[a,b] dE[i,b,k]
         bf.frame, bf.dframe = R @ bf.frame, dR @ bf.frame[:, None] + R[:, None] @ bf.dframe
-    low, Gamma = christoffel_symbols(dG, Linv)
-    bf.omega = _frame_connection(G, Gamma, bf.frame, bf.dframe, dx)
     if curved:
-        bf.curvature = _frame_curvature(pair_curvature(low, Gamma, d2G), bf.frame, dx)
+        bf.curvature = _frame_curvature(curv, bf.frame, dx)
+    bf.omega = _frame_connection(G, Gamma, bf.frame, bf.dframe, dx)
     return bf

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,7 @@ from lawcheck.geometry import (
     pair_curvature,
     stack_jets,
 )
+from lawcheck.scenarios import load_catalog_scenario
 from lawcheck.templates import pairs
 
 from test_integrate import disk_rim
@@ -77,11 +79,20 @@ def pair_core(patch, points):
     """Christoffel symbols Gamma[:, k, i, j] = Gamma^k_ij and the lowered
     Riemann tensor riemann[:, i, j, m, p], unpacked from the pair curvature,
     at ``points``: the layout of ``reference_core``."""
-    G, dG, d2G, Linv, _ = patch.metric_jets(points)
+    G, dG, hess, Linv, _ = patch.metric_jets(points)
     low, Gamma = christoffel_symbols(dG, Linv)
-    R = np.moveaxis(pair_curvature(low, Gamma, d2G), -1, 0)
+    R = np.moveaxis(pair_curvature(low, Gamma, hess), -1, 0)
     return SimpleNamespace(Gamma=np.moveaxis(Gamma, -1, 0).transpose(0, 3, 1, 2),
                            riemann=unpack_pairs(R, patch.n, patch.n))
+
+
+def dense_hessians(hess, N, n):
+    """The whole d2G[:, i, j, k, l] = d_i d_j g_kl, node first, from the
+    Hessians of ``metric_jets``: zero where an entry g_kl has none."""
+    d2G = np.zeros((N, n, n, n, n))
+    for (k, l), h in hess.items():
+        d2G[:, :, :, k, l] = np.moveaxis(h, -1, 0)
+    return d2G
 
 
 def reference_core(jets):
@@ -89,9 +100,9 @@ def reference_core(jets):
     Gamma[:, k, i, j] and the whole lowered Riemann tensor R[:, i, j, m, p],
     n^4 entries per node, built by stacked matmuls and two antisymmetrization
     passes over all index pairs, from ``RiemannianPatch.metric_jets``."""
-    G, dG, d2G, Linv, _ = jets
-    d2G = np.moveaxis(d2G, -1, 0).transpose(0, 3, 4, 1, 2)  # d2G[:, i, j, k, l] = d_i d_j g_kl
+    G, dG, hess, Linv, _ = jets
     N, n = G.shape[:2]
+    d2G = dense_hessians(hess, N, n)  # d2G[:, i, j, k, l] = d_i d_j g_kl
     # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
     low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
     Gamma = low @ (np.ascontiguousarray(Linv.swapaxes(-1, -2)) @ Linv)
@@ -121,12 +132,12 @@ def connection_curvature(patch, point):
     coordinate direction and curvature[A,B,i,j] the curvature form on the
     coordinate bivector (i, j)."""
     n = patch.n
-    G, dG, d2G, Linv, _ = patch.metric_jets([point])
+    G, dG, hess, Linv, _ = patch.metric_jets([point])
     low, Gamma = christoffel_symbols(dG, Linv)
     eye = np.eye(n)
     E, dE = _orthonormal_rows(G, dG, eye[None], np.zeros((1, n, n, n)), [point])
     omega = _frame_connection(G, Gamma, E, dE, eye[None])
-    curv = unpack_pairs(_frame_curvature(pair_curvature(low, Gamma, d2G), E, eye[None]), n, n)
+    curv = unpack_pairs(_frame_curvature(pair_curvature(low, Gamma, hess), E, eye[None]), n, n)
     return SimpleNamespace(frame=E[0], metric=G[0], omega=omega[0], curvature=curv[0])
 
 
@@ -461,9 +472,10 @@ def test_riemann_symmetries_random_metric():
     assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-12
 
 
-def wavy_patch(n, seed):
+def wavy_patch(n, seed, frozen=()):
     """Analytic perturbation of the flat n-metric, SPD on the box: diagonal
-    entries within 0.2 of 1, off-diagonal ones within 0.1 of 0."""
+    entries within 0.2 of 1, off-diagonal ones within 0.1 of 0.  The entries
+    (i, j), i <= j, in ``frozen`` and their mirrors are plain numbers."""
     rng = random.Random(seed)
     terms = {(i, j): (rng.uniform(-0.2, 0.2) if i == j else rng.uniform(-0.1, 0.1),
                       rng.randrange(n), rng.randrange(n))
@@ -472,6 +484,8 @@ def wavy_patch(n, seed):
     def metric(x):
         def entry(i, j):
             a, k, l = terms[min(i, j), max(i, j)]
+            if (min(i, j), max(i, j)) in frozen:
+                return float(i == j) + 0.5 * a
             return float(i == j) + a * jet_sin(x[k] + 0.3) * jet_cos(x[l] * x[k])
         return [[entry(i, j) for j in range(n)] for i in range(n)]
 
@@ -487,10 +501,10 @@ def test_contractions_match_einsum_transcription(n):
     points = rng.uniform(-0.9, 0.9, size=(5, n))
     patch = wavy_patch(n, seed=n)
     core = pair_core(patch, points)
-    G, dG, d2G, Linv = patch.metric_jets(points)[:4]
+    G, dG, hess, Linv = patch.metric_jets(points)[:4]
     src_low, src_Gamma = christoffel_symbols(dG, Linv)
-    R_pairs = pair_curvature(src_low, src_Gamma, d2G)
-    d2G = np.moveaxis(d2G, -1, 0).transpose(0, 3, 4, 1, 2)  # d2G[:, i, j, k, l] = d_i d_j g_kl
+    R_pairs = pair_curvature(src_low, src_Gamma, hess)
+    d2G = dense_hessians(hess, *G.shape[:2])  # d2G[:, i, j, k, l] = d_i d_j g_kl
     low = 0.5 * (np.einsum("...ijl->...lij", dG) + np.einsum("...jil->...lij", dG)
                  - np.einsum("...lij->...lij", dG))
     Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
@@ -530,10 +544,72 @@ def test_pair_curvature_matches_reference(n, patch):
     assert np.max(np.abs(want.riemann)) > 1e-3
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
-    G, dG, d2G, Linv, _ = patch.metric_jets(points)
-    R = pair_curvature(*christoffel_symbols(dG, Linv), d2G)
+    G, dG, hess, Linv, _ = patch.metric_jets(points)
+    R = pair_curvature(*christoffel_symbols(dG, Linv), hess)
     assert R.shape == (n * (n - 1) // 2,) * 2 + (len(points),)
     assert np.array_equal(R, R.swapaxes(0, 1))
+
+
+def test_metric_jets_build_hessians_for_varying_entries_only():
+    """ball3-radial's metric diag(1, rho^2, rho^2 sin^2 th) has two varying
+    entries of nine: ``metric_jets`` builds Hessians for exactly those two, at
+    order 2 only, and its flat curvature from them equals the reference's."""
+    patch = load_catalog_scenario("ball3-radial").patch
+    rng = np.random.default_rng(3)
+    points = np.stack([rng.uniform(0.5, 1, 9), rng.uniform(0.4, 2.7, 9),
+                       rng.uniform(0, 2 * math.pi, 9)], axis=1)
+    jets = patch.metric_jets(points)
+    assert sorted(jets[2]) == [(1, 1), (2, 2)]
+    assert all(h.shape == (3, 3, 9) for h in jets[2].values())
+    assert patch.metric_jets(points, order=1)[2] is None
+    want, got = reference_core(jets), pair_core(patch, points)
+    assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
+    assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
+
+
+@pytest.mark.parametrize("n, frozen", [(2, {(0, 0)}), (2, {(0, 1)}),
+                                       (3, {(0, 0), (0, 1), (1, 2)}),
+                                       (4, {(0, 0), (1, 1), (0, 2), (1, 3), (2, 3)})])
+def test_sparse_hessians_give_the_reference_curvature(n, frozen):
+    """On metrics that mix constant and varying entries, the Hessians are
+    those of the varying entries, and the pair curvature from them equals the
+    reference's, from the whole d2G, within 1e-15."""
+    patch = wavy_patch(n, 40 + n, frozen)
+    points = np.random.default_rng(n).uniform(-0.9, 0.9, size=(9, n))
+    jets = patch.metric_jets(points)
+    assert set(jets[2]) == {(i, j) for i in range(n) for j in range(n)
+                            if (min(i, j), max(i, j)) not in frozen}
+    want, got = reference_core(jets), pair_core(patch, points)
+    assert np.max(np.abs(want.riemann)) > 1e-3
+    assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
+    assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
+
+
+def _traced_beyond_result(fn):
+    """Bytes that ``fn()`` allocates at its peak beyond the arrays it returns, a tuple."""
+    fn()  # fills caches
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in result)
+
+
+def test_curvature_builds_no_n4_or_gathered_product_temporaries():
+    """At n = 4 on 2048 nodes the Christoffel symbols allocate less than one
+    n^4 node array beyond their outputs, and the pair curvature less than one
+    (4, E, n) array of gathered products, E its P(P + 1)/2 entries."""
+    n, N = 4, 2048
+    points = np.random.default_rng(4).uniform(-0.9, 0.9, size=(N, n))
+    _, dG, hess, Linv, _ = wavy_patch(n, 4).metric_jets(points)
+    low, Gamma = christoffel_symbols(dG, Linv)
+    P = n * (n - 1) // 2
+    node_array = 8 * N
+    assert _traced_beyond_result(lambda: christoffel_symbols(dG, Linv)) < n ** 4 * node_array
+    assert (_traced_beyond_result(lambda: (pair_curvature(low, Gamma, hess),))
+            < 4 * P * (P + 1) // 2 * n * node_array)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from lawcheck.algebra import DEGREE, K_U
 from lawcheck.chern import build_phi, signed_permutations
@@ -264,11 +265,11 @@ def _one_node(grid, k):
 
 
 def test_chunk_seams_do_not_change_densities(monkeypatch):
-    """With chunks of 16 nodes at n = 2 and 3 at n = 3, on grids whose node
+    """With chunks of 16 nodes at n = 2 and 7 at n = 3, on grids whose node
     count is no multiple of the chunk (the last chunk is short), every Euler
     density, and every Phi density, angle and v_dot_n, of the chunked path
     equals, bit for bit, the value at the same node evaluated alone."""
-    monkeypatch.setattr(geometry, "CHUNK_ENTRIES", 256)
+    monkeypatch.setattr(geometry, "CHUNK_ENTRIES", 64)
     scenario = load_catalog_scenario("hemisphere-tilted")
     patch = scenario.patch
     grid = gauss_grid(patch.box, [33, 1])
@@ -284,7 +285,7 @@ def test_chunk_seams_do_not_change_densities(monkeypatch):
     frame = integrate.boundary_frame
     ball = load_catalog_scenario("ball3-radial")
     for scenario, orders, sizes in ((scenario, [33], [16, 16, 1]),
-                                    (ball, [2, 5], [3, 3, 3, 1])):
+                                    (ball, [2, 5], [7, 3])):
         rim = scenario.boundaries[0]
         grid = gauss_grid(rim.box, orders)
         sections = (None, scenario.field_spec.components)
@@ -345,6 +346,14 @@ def test_integral_is_parametrization_and_chart_invariant():
     assert swapped == pytest.approx(forward, abs=1e-9)
 
 
+def _assert_same_integers(base, other):
+    """Both reports pass, with the same indices, sums and law residual."""
+    assert base.passed and other.passed, (base.failures, other.failures)
+    assert other.sums == base.sums and other.residuals["law"] == base.residuals["law"]
+    for kind, indices in base.indices.items():
+        assert [i["value"] for i in other.indices[kind]] == [i["value"] for i in indices]
+
+
 @pytest.mark.parametrize("name, shear", [
     ("disk-saddle", ["0.3 + 0.2*cos(t)"]),
     ("ball3-constant", ["-2", "0.5*sin(b)"]),
@@ -360,10 +369,7 @@ def test_outward_shear_moves_no_integer_and_no_integral(name, shear):
     for i, c in enumerate(shear):
         rim["outward"][i + 1] = f"({rim['outward'][i + 1]}) + ({c})"
     sheared = run_scenario(load_scenario(cfg))
-    assert base.passed and sheared.passed
-    assert sheared.sums == base.sums and sheared.residuals["law"] == base.residuals["law"]
-    for kind, indices in base.indices.items():
-        assert [i["value"] for i in sheared.indices[kind]] == [i["value"] for i in indices]
+    _assert_same_integers(base, sheared)
     for key, value in base.integrals.items():
         assert abs(sheared.integrals[key] - value) <= 1e-12, key
 
@@ -382,12 +388,78 @@ def test_field_rescaling_moves_no_integer_and_no_integral(name):
         x0 = sing["chart_params"][0]
         sing["field"] = [f"({c})*exp(0.5*{x0} + 0.1)" for c in sing["field"]]
     scaled = run_scenario(load_scenario(cfg))
-    assert base.passed and scaled.passed
-    assert scaled.sums == base.sums and scaled.residuals["law"] == base.residuals["law"]
-    for kind, indices in base.indices.items():
-        assert [i["value"] for i in scaled.indices[kind]] == [i["value"] for i in indices]
+    _assert_same_integers(base, scaled)
     for key, value in base.integrals.items():
         assert abs(scaled.integrals[key] - value) <= 1e-12, key
+
+
+def _conformal(cfg, f):
+    """Scale the metric of the raw scenario ``cfg`` by e^(2f), ``f`` an expression."""
+    cfg["patch"]["metric"] = [[e if e == "0" else f"exp(2*({f}))*({e})" for e in row]
+                              for row in cfg["patch"]["metric"]]
+
+
+def _ambient_quadratic(cfg):
+    """A quadratic in the chart map's ambient coordinates: smooth wherever
+    the chart degenerates."""
+    X = [f"({x})" for x in cfg["patch"]["chart_map"]]
+    return (f"0.1 + 0.12*{X[0]} - 0.08*{X[1]} + 0.06*{X[-1]} + 0.1*{X[0]}*{X[0]}"
+            f" + 0.05*{X[0]}*{X[1]} - 0.07*{X[1]}*{X[-1]}")
+
+
+def _normal_flux(cfg, f, order=64):
+    """(1/2pi) times the boundary integral of the outward normal derivative
+    of f, d_nu f ds, on a 2-D scenario with a diagonal metric and one
+    boundary at a constant first chart coordinate, with outward d/dx_1, by a
+    Gauss-Legendre rule in the boundary parameter."""
+    (rim,) = cfg["boundaries"]
+    assert rim["outward"] == ["1", "0"] and rim["embed"][1] == rim["params"][0]
+    x = sp.symbols(cfg["patch"]["params"])
+    names = dict(zip(cfg["patch"]["params"], x))
+    (g11, g12), (g21, g22) = [[sp.sympify(e, locals=names) for e in row]
+                              for row in cfg["patch"]["metric"]]
+    assert g12 == g21 == 0
+    flux = sp.diff(sp.sympify(f, locals=names), x[0]) * sp.sqrt(g22 / g11)
+    density = sp.lambdify(x[1], flux.subs(x[0], sp.sympify(rim["embed"][0])), "numpy")
+    lo, hi = (float(sp.sympify(b)) for b in rim["box"][0])
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    t = lo + (hi - lo) * (nodes + 1) / 2
+    values = density(t) * np.ones_like(t)  # a constant flux lambdifies to a number
+    return float(weights @ values) * (hi - lo) / 2 / (2 * math.pi)
+
+
+@pytest.mark.parametrize("name", ["disk-saddle", "hemisphere-tilted"])
+def test_conformal_change_moves_the_integrals_by_the_normal_flux(name):
+    """g -> e^(2f) g, with every nonzero metric entry varying: no integer
+    moves and every gate passes, while the integral of Phi(n) moves by
+    (1/2pi) times the boundary integral of d_nu f ds and that of Omega by the
+    opposite amount (Gauss-Bonnet), each within 1e-10."""
+    cfg = load_catalog_raw(name)
+    base = run_scenario(load_scenario(cfg))
+    f = _ambient_quadratic(cfg)
+    shift = _normal_flux(cfg, f)
+    _conformal(cfg, f)
+    changed = run_scenario(load_scenario(cfg))
+    _assert_same_integers(base, changed)
+    assert abs(shift) > 1e-2
+    moved = {k: changed.integrals[k] - v for k, v in base.integrals.items()}
+    assert abs(moved["phi_normal"] - shift) <= 1e-10, (moved, shift)
+    assert abs(moved["omega_x"] + shift) <= 1e-10, (moved, shift)
+
+
+def test_conformal_change_of_the_ball_moves_densities_not_integers():
+    """At n = 3 the integral of Phi(n) is chi for every metric: under
+    g -> e^(2f) g on ``ball3-radial`` no integer moves and every gate passes,
+    while the profile (CSV) densities at the same nodes do move."""
+    cfg = load_catalog_raw("ball3-radial")
+    base = run_scenario(load_scenario(cfg))
+    _conformal(cfg, _ambient_quadratic(cfg))
+    changed = run_scenario(load_scenario(cfg))
+    _assert_same_integers(base, changed)
+    assert [r["t"] for r in changed.profile] == [r["t"] for r in base.profile]
+    for column in ("density_normal", "density_section"):
+        moved = max(abs(a[column] - b[column]) for a, b in zip(base.profile, changed.profile))
+        assert moved > 1e-3, column
 
 
 def test_frame_rotation_invariance_n2():
