@@ -502,9 +502,7 @@ _layout = lru_cache(maxsize=None)(_Layout)  # one layout per n
 
 # -- structure equations ----------------------------------------------------
 
-_D_CACHE: dict[tuple[int, bool, Gen], Form | None] = {}
-
-
+@lru_cache(maxsize=None)
 def _d_generator(gen, n, boundary):
     """Differential of one generator by the structure equations.
 
@@ -513,10 +511,6 @@ def _d_generator(gen, n, boundary):
     C runs over 1..n in the interior and over 2..n on the boundary, where
     W(C,D) stands for WM(C,D) unless C = 1.
     """
-    key = (n, boundary, gen)
-    hit = _D_CACHE.get(key, False)
-    if hit is not False:
-        return hit
     kind, a, b = gen
     if boundary and kind in (K_U, K_THETA):
         raise ValueError("fiber coordinates and theta forms do not live on the "
@@ -547,6 +541,4 @@ def _d_generator(gen, n, boundary):
         products = [p for c in inner for p in ((1, th(c), w(c, a)), (1, u(c), W(c, a)))]
     else:
         raise ValueError(f"unknown generator kind {kind}")
-    out = Form.wedge_sum(n, products, boundary)
-    _D_CACHE[key] = out
-    return out
+    return Form.wedge_sum(n, products, boundary)

@@ -227,10 +227,10 @@ class CoeffFunctions:
         return _integral_tcs(p, q)
 
     def a(self, i, j):
-        return self._series(i, j, lambda p, q: self.T(p, q))
+        return self._series(i, j, self.T)
 
     def A(self, i, j):
-        return self._series(i, j, lambda p, q: self.I(p, q))
+        return self._series(i, j, self.I)
 
     def _series(self, i, j, primitive):
         n = self.n
@@ -259,10 +259,6 @@ def _integral_tcs(p, q):
     head = -(TrigScalar.monomial(cos=p + 1) * TrigScalar.monomial(sin=q - 1))
     prev = _integral_tcs(p, q - 2)
     return (head + TrigScalar.rational(q - 1) * prev) / Fraction(p + q)
-
-
-def coeff_functions(n: int) -> CoeffFunctions:
-    return CoeffFunctions(n)
 
 
 # -- boundary form family ------------------------------------------------------
@@ -295,7 +291,7 @@ class BoundaryFamily:
 def boundary_family(n: int) -> BoundaryFamily:
     if n < 2:
         raise ValueError("boundary machinery needs ambient dimension >= 2")
-    coeffs = coeff_functions(n)
+    coeffs = CoeffFunctions(n)
     phi_m = {(i, j): boundary_form(n, i, j) for (i, j) in region_d1(n)}
     inv_norm = phi_normalization(n)
     phi = specialize_boundary(build_phi(n).phi)

@@ -84,8 +84,8 @@ def _text(value, what):
 
 def _positive(value, what):
     x = _const(value)
-    if not x > 0:
-        raise ConfigError(f"{what} must be positive, got {value!r}")
+    if not 0 < x < math.inf:
+        raise ConfigError(f"{what} must be finite and positive, got {value!r}")
     return x
 
 
@@ -214,7 +214,7 @@ def _load(cfg):
             raise ConfigError(f"tangential singularity {tangential[-1].name} "
                               f"references missing boundary")
     field_spec = VectorFieldSpec(components=comps,
-                                 margin=_const(fc.get("margin", 1e-6)),
+                                 margin=_positive(fc.get("margin", 1e-6), "field margin"),
                                  interior=interior, tangential=tangential)
 
     defaults = _DEFAULTS[n]

@@ -149,3 +149,33 @@ def test_second_order_jets_only_where_hessians_are_read():
     unset = [where for where, _, order in orders if order is None]
     assert not unset, f"Jet.variables needs a literal order of 1 or 2: {unset}"
     assert {site for _, site, order in orders if order == 2} == set(SECOND_ORDER_SITES)
+
+
+# -- one gate table ------------------------------------------------------------------
+
+def _is_failures(node):
+    return (isinstance(node, ast.Name) and node.id == "failures"
+            or isinstance(node, ast.Attribute) and node.attr == "failures")
+
+
+def test_failures_come_only_from_the_gate_table():
+    """Nothing in src/ appends to, extends or augments a ``failures`` list,
+    and ``run_scenario`` binds ``failures`` once: every pass/fail decision is
+    a record of its gate table, judged by the one rule there."""
+    grown, bindings = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and _is_failures(func.value)
+                    and func.attr in ("append", "extend", "insert")
+                    or isinstance(node, ast.AugAssign) and _is_failures(node.target)):
+                grown.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "run_scenario":
+                bindings += [sub.lineno for sub in ast.walk(node)
+                             if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign,
+                                                 ast.NamedExpr, ast.For))
+                             and any(_is_failures(target) for target in (
+                                 sub.targets if isinstance(sub, ast.Assign) else [sub.target]))]
+    assert not grown, f"failures grown outside the gate table: {grown}"
+    assert len(bindings) == 1, f"run_scenario binds failures at lines {bindings}"

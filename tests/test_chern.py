@@ -7,6 +7,7 @@ import pytest
 
 from lawcheck.algebra import Form
 from lawcheck.chern import (
+    CoeffFunctions,
     boundary_family,
     boundary_form,
     build_gamma_and_check,
@@ -14,7 +15,6 @@ from lawcheck.chern import (
     build_upsilon_and_check,
     check_boundary_closure,
     check_dphi,
-    coeff_functions,
     double_factorial,
     perm_sign,
     polar_coordinates,
@@ -155,7 +155,7 @@ def test_region_d1():
 
 def test_integral_derivative_property():
     # d/dphi I(p,q) = cos^p sin^q and I(p,q)(0) = 0, for a grid of powers
-    c = coeff_functions(5)
+    c = CoeffFunctions(5)
     for p in range(5):
         for q in range(5):
             I = c.I(p, q)
@@ -164,7 +164,7 @@ def test_integral_derivative_property():
 
 
 def test_integral_examples():
-    c = coeff_functions(3)
+    c = CoeffFunctions(3)
     assert c.I(0, 1) == TrigScalar.rational(1) - TrigScalar.cos()
     # closed form phi/2 - sin cos / 2 evaluated at pi
     val = c.I(0, 2).eval_angle(1, "pi")
@@ -178,7 +178,7 @@ def test_integral_examples():
 
 
 def test_integral_negative_powers_raise():
-    c = coeff_functions(3)
+    c = CoeffFunctions(3)
     with pytest.raises(ValueError):
         c.I(-1, 0)
     with pytest.raises(ValueError):
@@ -187,14 +187,14 @@ def test_integral_negative_powers_raise():
 
 def test_capital_a_vanishes_at_zero():
     for n in (3, 4, 5):
-        c = coeff_functions(n)
+        c = CoeffFunctions(n)
         for (i, j) in region_d1(n):
             assert c.A(i, j).eval_angle(1, "0").is_zero
 
 
 def test_a_is_derivative_of_capital_a():
     for n in (3, 4, 5):
-        c = coeff_functions(n)
+        c = CoeffFunctions(n)
         for (i, j) in region_d1(n):
             assert (c.A(i, j).deriv() - c.a(i, j)).is_zero
 
@@ -202,7 +202,7 @@ def test_a_is_derivative_of_capital_a():
 def test_leading_transgression_coefficient():
     # A(0, n-2) is (n-2)!!/(n-2)! times the pure sine antiderivative
     for n in (3, 4, 5):
-        c = coeff_functions(n)
+        c = CoeffFunctions(n)
         ratio = TrigScalar.rational(
             Fraction(double_factorial(n - 2), math.factorial(n - 2)))
         assert (c.A(0, n - 2) - c.I(0, n - 2) * ratio).is_zero

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lawcheck import cli, runner
-from lawcheck.fields import index_at
+from lawcheck.fields import index_at, index_tangential
+from lawcheck.integrate import integrate_euler, integrate_phi_over_section
 from lawcheck.report import ScenarioReport, emit_report
 from lawcheck.runner import run_scenario, run_suite
 from lawcheck.scenarios import (
@@ -123,6 +125,13 @@ _MALFORMED = {
     "radius-0": ("disk-saddle", _set(*_SADDLE, "radius", 0)),
     "tangential-radius-0": ("disk-saddle",
                             _set("tangential_singularities", 0, "radius", 0)),
+    "radius-infinite": ("disk-saddle", _set(*_SADDLE, "radius", 1e400)),
+    "exclusion-radius-infinite": ("disk-saddle", _set(*_SADDLE, "exclusion_radius", 1e400)),
+    "tangential-radius-infinite": ("disk-saddle",
+                                   _set("tangential_singularities", 0, "radius", 1e400)),
+    "margin-0": ("disk-constant", _set("field", "margin", 0)),
+    "margin-negative": ("disk-constant", _set("field", "margin", -1)),
+    "margin-infinite": ("disk-constant", _set("field", "margin", "1e200*1e200")),
     "chi-fraction": ("disk-constant", _set("chi", 1.5)),
     "expected-fraction": ("disk-constant", _set("expected", "ind_v", 0.5)),
     "name-not-string": ("disk-constant", _set("name", None)),
@@ -444,6 +453,54 @@ def test_nan_section_integral_fails_the_boundary_identity(monkeypatch):
     report = run_scenario(load_catalog_scenario("disk-constant"))
     assert not report.passed
     assert any("boundary-term identity residual nan" in f for f in report.failures)
+
+
+def test_every_gate_fails_with_its_message_in_order(monkeypatch):
+    """Zero tolerances, shifted ``expected``, chi + 1, an index that changes
+    under radius halving, nonzero index residuals and integrals that move
+    with the order fail every gate of ``disk-saddle``; ``failures`` lists
+    each message once, in report order."""
+    def interior(sing, order, radius=None):
+        res = index_at(sing, order, radius)
+        return dataclasses.replace(res, value=res.value + (radius is not None),
+                                   residual=0.25)
+
+    def tangential(*args, **kwargs):
+        return dataclasses.replace(index_tangential(*args, **kwargs), residual=0.125)
+
+    def euler(patch, grid):
+        return integrate_euler(patch, grid) + 1e-6 * len(grid)
+
+    def phi(bpatch, sections, grid):
+        (phi_n, phi_s), *integrand = integrate_phi_over_section(bpatch, sections, grid)
+        return (phi_n + 1e-6 * len(grid), phi_s + 2e-6 * len(grid)), *integrand
+
+    for name, patched in (("index_at", interior), ("index_tangential", tangential),
+                          ("integrate_euler", euler),
+                          ("integrate_phi_over_section", phi)):
+        monkeypatch.setattr(runner, name, patched)
+    cfg = load_catalog_raw("disk-saddle")
+    cfg["tolerances"] = dict.fromkeys(("integer", "thm", "gauss_bonnet", "convergence"), 0)
+    cfg["expected"] = {"ind_v": 0, "ind_dminus": 3}
+    cfg["chi"] = 2
+    report = run_scenario(load_scenario(cfg))
+    moved, residuals = report.convergence, report.residuals
+    tangential_names = [r["name"] for key in ("tangential_minus", "tangential_plus")
+                        for r in report.indices[key]]
+    assert sorted(tangential_names) == ["east", "north", "south", "west"]
+    assert report.failures == [
+        "index of center changed under radius halving: -1 vs 0",
+        "index residual of center is 2.50e-01 > 0e+00",
+        *(f"tangential index residual of {name} is 1.25e-01" for name in tangential_names),
+        *(f"quadrature non-convergence: doubling the order moves {key} by {moved[key]:.2e}"
+          for key in ("omega_x", "phi_normal", "phi_section")),
+        "law residual is -1, not 0",
+        f"boundary-term identity residual {residuals['thm']:.3e} exceeds 0e+00",
+        f"relative Gauss-Bonnet residual {residuals['gauss_bonnet']:.3e} exceeds 0e+00",
+        "ind V = -1, catalog expects 0",
+        "ind d-V = 2, catalog expects 3",
+    ]
+    assert all(moved.values()) and residuals["thm"] and not report.passed
 
 
 def test_cli_non_finite_degree_is_one_genericity_line(tmp_path, capsys):

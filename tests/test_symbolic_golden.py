@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from lawcheck.chern import (boundary_family, build_phi, coeff_functions,
+from lawcheck.chern import (CoeffFunctions, boundary_family, build_phi,
                             polar_substitute, region_d1, specialize_boundary)
 
 GOLDEN = Path(__file__).parent / "data" / "symbolic_golden.json"
@@ -31,7 +31,7 @@ def symbolic_forms():
         forms[f"boundary_family({n}).upsilon"] = fam.upsilon
     for n in range(2, 5):
         forms[f"polar_substitute(build_phi({n}).phi)"] = polar_substitute(build_phi(n).phi)
-    coeffs = coeff_functions(5)
+    coeffs = CoeffFunctions(5)  # recorded under the names coeff_functions(5).*
     for i, j in region_d1(5):
         forms[f"coeff_functions(5).a({i}, {j})"] = coeffs.a(i, j)
         forms[f"coeff_functions(5).A({i}, {j})"] = coeffs.A(i, j)
