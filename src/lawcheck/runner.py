@@ -61,7 +61,7 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
                 res = index_tangential(scenario.field_spec, bpatch, sing,
                                        order=scenario.degree_order)
                 gates.append((res.residual, tol["integer"], "tangential index residual "
-                              f"of {sing.name} is {res.residual:.2e}"))
+                              f"of {sing.name} is {res.residual:.2e} > {tol['integer']:.0e}"))
                 results.append(res)
 
     sums = {"ind_v": sum(r.value for r in interior_results),

@@ -491,7 +491,7 @@ def test_every_gate_fails_with_its_message_in_order(monkeypatch):
     assert report.failures == [
         "index of center changed under radius halving: -1 vs 0",
         "index residual of center is 2.50e-01 > 0e+00",
-        *(f"tangential index residual of {name} is 1.25e-01" for name in tangential_names),
+        *(f"tangential index residual of {name} is 1.25e-01 > 0e+00" for name in tangential_names),
         *(f"quadrature non-convergence: doubling the order moves {key} by {moved[key]:.2e}"
           for key in ("omega_x", "phi_normal", "phi_section")),
         "law residual is -1, not 0",

@@ -281,7 +281,7 @@ def test_tangential_indices_follow_the_degree_order():
                                          order=8).raw
                 for s in scenario.field_spec.tangential}
     assert reported == expected and len(expected) == 2
-    assert reported["back"] == 1.0000784770111077
+    assert reported["back"] == 1.0000784770111073
 
 
 # -- 3-dimensional boundary -------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -93,6 +94,43 @@ def test_legendre_rule_matches_eigenvalue_rule():
         x_ref, w_ref = np.polynomial.legendre.leggauss(order)
         assert np.abs(x - x_ref).max() <= 1e-15, order
         assert np.abs(w - w_ref).max() <= 5e-14, order
+
+
+def _legendre_oracle(order, x0):
+    """Node near x0 and its weight, by Newton's method on the same recurrence
+    in 32-digit mpmath arithmetic."""
+    with mpmath.workdps(32):
+        def p_dp(x):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(2, order + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            return p1, order * (x * p1 - p0) / (x * x - 1)
+
+        x = mpmath.mpf(float(x0))
+        for _ in range(3):
+            p, dp = p_dp(x)
+            x -= p / dp
+        p, dp = p_dp(x)
+        return float(x), float(2 / ((1 - x * x) * dp * dp))
+
+
+@pytest.mark.parametrize("order", [512, 1024, 4096])
+def test_legendre_rule_matches_a_high_precision_oracle(order):
+    """Beyond leggauss's range: both end nodes and one middle node."""
+    x, w = integrate._legendre(order)
+    for i in (0, order // 2, order - 1):
+        x_ref, w_ref = _legendre_oracle(order, x[i])
+        assert abs(x[i] - x_ref) <= 1e-15, (order, i)
+        assert abs(w[i] - w_ref) <= 5e-14, (order, i)
+
+
+@pytest.mark.parametrize("order", [1, 2, 48, 192, 1024])
+def test_legendre_rule_runs_the_recurrence_twice(monkeypatch, order):
+    calls, legendre_p = [], integrate._legendre_p
+    monkeypatch.setattr(integrate, "_legendre_p",
+                        lambda n, x: calls.append(n) or legendre_p(n, x))
+    integrate._legendre.__wrapped__(order)
+    assert calls == [order, order]
 
 
 def test_legendre_rule_integrates_monomials_exactly():
