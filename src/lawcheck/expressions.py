@@ -2,18 +2,27 @@
 
 Supports + - * / with unary minus, integer powers via ^, the functions
 sin, cos, exp, the constant pi, numeric literals and named parameters.
-Compiled expressions evaluate on floats, on node arrays or on Jets, so one
-config string serves values and derivatives alike.  The entries of a vector
-or matrix are parsed into one straight-line program by value numbering:
-structurally equal subtrees, across all entries, share one slot, computed
-once per call by the operation a tree walk would run, so values are
-bit-identical.  A slot is dropped after the last instruction that reads it,
-unless it is an entry's value, so a long program holds a few node arrays at
-a time, not one per slot.  A numpy fault on arrays is located by
+Compiled expressions evaluate on floats, on node arrays or on Jets.  The
+entries of a vector or matrix are parsed into one straight-line program by
+value numbering: structurally equal subtrees, across all entries, share one
+slot, computed once per call by the operation a tree walk would run, so
+values are bit-identical.  A slot is dropped after the last instruction that
+reads it, unless it is an entry's value, so a long program holds a few node
+arrays at a time, not one per slot.  A numpy fault on arrays is located by
 re-evaluating node by node in Python floats, so the ConfigError names the
 first failing node and, in it, the first failing entry (the one that emitted
 the first faulting instruction), with Python's own message; with no node,
 none fails, and every entry comes back with zero nodes.
+
+The compiled vectors and matrices also give ``jets(x, order)``: values and
+derivatives at the nodes x (N, m) from a derivative program on (N,) arrays,
+differentiated from the value program on the first call and pruned to the
+derivatives each order (and selection of Hessians) reads.  Its values
+are the value program's, bit for bit, and a value that fails raises the
+same ConfigError.  A derivative that overflows where no value fails
+(exp(705*r) at r = 1, or d(a/b) = -a db/b^2) comes back inf or NaN, and
+``RiemannianPatch.metric_jets`` raises the ConfigError that names its metric
+entry, for a Python-callable metric on Jets too.
 """
 
 from __future__ import annotations
@@ -177,7 +186,9 @@ def _run(program, dead, env, values):
     ``len(values)`` is the failing instruction."""
     for ins, drop in zip(program, dead):
         op = ins[0]
-        if op == "const":
+        if op in _BINARY:  # most instructions of a derivative program
+            x = _BINARY[op](values[ins[1]], values[ins[2]])
+        elif op == "const":
             x = ins[1]
         elif op == "param":
             x = env[ins[1]]
@@ -185,13 +196,114 @@ def _run(program, dead, env, values):
             x = -values[ins[1]]
         elif op == "call":
             x = _FUNCTIONS[ins[1]](values[ins[2]])
-        elif op == "pow":
-            x = values[ins[1]] ** ins[2]
         else:
-            x = _BINARY[op](values[ins[1]], values[ins[2]])
+            x = values[ins[1]] ** ins[2]
         values.append(x)
         for s in drop:
             values[s] = None
+
+
+def _differentiate(program, outputs, m, hessians):
+    """The forward-mode derivative program (Griewank & Walther 2008) of
+    ``program`` in m parameters, in the same instruction set: each value
+    instruction, then its derivatives d_i and those d_i d_j, i <= j, that
+    the ``hessians`` of the outputs (a set of (i, j) per output) read, each
+    where it is not structurally zero, by the Jet arithmetic's formula (^k
+    by k x^(k-1)) with zero terms dropped and products with one folded;
+    value numbering shares equal instructions.  Returns the program, its
+    dead slots and, per output, its value slot, {i: slot} and {(i, j): slot}."""
+    prog, slots = [], {}
+
+    def emit(*ins):
+        slot = slots.get(ins)
+        if slot is None:
+            slot = slots[ins] = len(prog)
+            prog.append(ins)
+        return slot
+
+    one = emit("const", 1.0)
+    pairs = list(enumerate([(i, j) for i in range(m) for j in range(i, m)], m))
+    zero = [None] * (m + len(pairs))  # the derivatives of a slot that reads no parameter
+    wanted = [set() for _ in program]  # the d_i d_j of each slot that an output reads
+    for s, keys in zip(outputs, hessians):
+        wanted[s] |= keys
+    for s in reversed(range(len(program))):
+        for t in _operands(program[s]):
+            wanted[t] |= wanted[s]
+
+    def mul(a, b):  # None is a structural zero
+        if a is None or b is None:
+            return None
+        return (b if a == one else a if b == one else
+                emit("*", a, b) if a < b else emit("*", b, a))
+
+    def add(*terms):  # left to right, as the Jet arithmetic sums
+        total = None
+        for t in terms:
+            total = t if total is None else total if t is None else emit("+", total, t)
+        return total
+
+    def sub(a, b):
+        return a if b is None else emit("neg", b) if a is None else emit("-", a, b)
+
+    def power(a, k):
+        return one if k == 0 else a if k == 1 else emit("pow", a, k)
+
+    def keyed(grad, hess):  # the d_i, and the d_i d_j of ``hp``, by their rules
+        d = [grad(i) for i in range(m)] + zero[m:]
+        for k, (i, j) in hp:
+            d[k] = hess(k, i, j)
+        return d
+
+    def chain(d1, d2, du):  # f(u) from d1 = f'(u) and d2 = f''(u)
+        return keyed(lambda i: mul(d1, du[i]), lambda k, i, j: add(
+            mul(d1, du[k]), mul(mul(d2, du[i]), du[j])))
+
+    def product(a, da, b, db):
+        return keyed(lambda i: add(mul(da[i], b), mul(db[i], a)), lambda k, i, j: add(
+            mul(da[k], b), mul(db[k], a), mul(da[i], db[j]), mul(da[j], db[i])))
+
+    new, ders = [], []  # each old slot's new slot and its derivatives' slots, by key
+    for ins, want in zip(program, wanted):
+        op, operands = ins[0], _operands(ins)
+        args = [new[s] for s in operands]
+        v = emit(*ins[:2], *args) if op == "call" else emit(op, *args, *ins[1 + len(args):])
+        a, b = (args + [None, None])[:2]
+        da, db = ([ders[s] for s in operands] + [zero, zero])[:2]
+        hp = [(k, ij) for k, ij in pairs if ij in want]  # the keys of the d_i d_j it gives
+        if op == "param":
+            d = [one if i == ins[1] else None for i in range(m)] + zero[m:]
+        elif da is zero and db is zero:
+            d = zero
+        elif op == "neg":
+            d = keyed(lambda i: sub(None, da[i]), lambda k, i, j: sub(None, da[k]))
+        elif op in ("+", "-"):
+            combine = add if op == "+" else sub
+            d = keyed(lambda i: combine(da[i], db[i]), lambda k, i, j: combine(da[k], db[k]))
+        elif op == "*":
+            d = product(a, da, b, db)
+        elif op == "/":  # a times the reciprocal r of b
+            r = emit("/", one, b)
+            dr = db if db is zero else chain(
+                emit("/", emit("const", -1.0), power(b, 2)),
+                emit("/", emit("const", 2.0), power(b, 3)) if hp else None, db)
+            d = product(a, da, r, dr)
+        elif op == "pow":
+            k = ins[2]
+            d = da if k == 1 else zero if k == 0 else chain(
+                mul(emit("const", float(k)), power(a, k - 1)),
+                mul(emit("const", float(k * (k - 1))), power(a, k - 2)) if hp else None, da)
+        else:  # sin' = cos, cos' = -sin, exp' = exp
+            d1 = (emit("call", "cos", a) if ins[1] == "sin" else
+                  emit("neg", emit("call", "sin", a)) if ins[1] == "cos" else v)
+            d = chain(d1, (v if ins[1] == "exp" else emit("neg", v)) if hp else None, da)
+        new.append(v)
+        ders.append(d)
+    spec = [(new[s], {i: t for i, t in enumerate(ders[s][:m]) if t is not None},
+             {ij: ders[s][k] for k, ij in pairs if ij in keys and ders[s][k] is not None})
+            for s, keys in zip(outputs, hessians)]
+    live = {t for v, grad, hess in spec for t in (v, *grad.values(), *hess.values())}
+    return prog, _dead_after(prog, live), spec
 
 
 def _first_fault(fn, env):
@@ -242,6 +354,39 @@ def compile_vector(texts, params):
             _run(program, dead, env, values)
         return [values[s] for s in outputs]
 
+    derivatives = {}
+
+    def jets(x, order, hessians=None):
+        """(value, {i: d_i}, {(i, j): d_i d_j for i <= j}) of each entry at
+        the nodes x (N, m), where not structurally zero: no Hessian at
+        ``order`` 1, and at order 2 those ``hessians`` lists for the entry
+        (a tuple of one frozenset of (i, j) per entry), or all when it is
+        None.  The program of each order and selection is built on its
+        first call."""
+        if (order, hessians) not in derivatives:
+            m = len(params)
+            every = {(i, j) for i in range(m) for j in range(i, m)} if order == 2 else set()
+            derivatives[order, hessians] = _differentiate(program, outputs, m, [
+                every if hessians is None else hessians[e] & every for e in range(len(outputs))])
+        prog, drop, spec = derivatives[order, hessians]
+        x = np.asarray(x, dtype=float)
+        env = list(x.T.copy())
+        values = []
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                _run(prog, drop, env, values)
+        except (ArithmeticError, ValueError):
+            fn(env)  # a failing value raises the ConfigError of its first node and entry
+            if not len(x):  # no node, so no node fails, constants included
+                values = [np.zeros(0)] * len(prog)
+            else:  # no value fails: a derivative overflowed
+                values = []
+                with np.errstate(all="ignore"):
+                    _run(prog, drop, env, values)
+        return [(values[v], {i: values[t] for i, t in grad.items()},
+                 {ij: values[t] for ij, t in hess.items()}) for v, grad, hess in spec]
+
+    fn.jets = jets
     return fn
 
 
@@ -259,8 +404,12 @@ def compile_expression(text, params):
 def compile_matrix(rows, params):
     vector = compile_vector([t for row in rows for t in row], params)
 
-    def fn(env):
-        values = iter(vector(env))
-        return [[next(values) for _ in row] for row in rows]
+    def nest(entries):
+        entries = iter(entries)
+        return [[next(entries) for _ in row] for row in rows]
 
+    def fn(env):
+        return nest(vector(env))
+
+    fn.jets = lambda x, order, hessians=None: nest(vector.jets(x, order, hessians))
     return fn

@@ -6,10 +6,13 @@ dimension n (see ``node_chunks``), so that every array stays bounded.
 Differentiation is forward mode, truncated Taylor arithmetic (Griewank &
 Walther 2008): a Jet carries values (N,), gradients (m, N) and, at second
 order only, Hessians (m, m, N), the node axis last, so that each jet
-operation loops over nodes rather than over the 2 or 3 parameters.  Only
-the metric where a curvature follows, and then only its varying entries,
-and the boundary embedding (for d2x) are second order; frames carry values
-and first derivatives only, as nothing reads second ones.  Two idioms contract:
+operation loops over nodes rather than over the 2 or 3 parameters.  The
+metric takes no Jets: ``metric_jets`` fills G, dG and the Hessians from the
+derivative program of the compiled metric (``expressions``), second order
+only where a curvature follows, and then only the d_i d_j g_kl that
+``pair_curvature`` reads.  The boundary embedding (for d2x) is a
+second-order Jet; frames carry values and first derivatives only, as
+nothing reads second ones.  Two idioms contract:
 - ``stack_jets`` hands the jets on node-first, parameter axes right after
   the node axis (dG[:, i, k, l] = d_i g_kl), so a frame contraction is one
   stacked matmul (``@``) per node, its index formula in a comment, with no
@@ -131,10 +134,11 @@ class Jet:
     def __pow__(self, k):
         if k < 0:
             return 1.0 / self ** (-k)
-        out = 1.0
-        for _ in range(k):
-            out = out * self
-        return out
+        if k < 2:
+            return self if k else 1.0
+        x = self.v
+        return self._chain(x ** k, k * x ** (k - 1),
+                           None if self.h is None else k * (k - 1) * x ** (k - 2))
 
     def _chain(self, fv, d1, d2):
         """f(self) from the values of f, f' and, at second order, f'' at self.v."""
@@ -231,11 +235,44 @@ def _positive_definite(G, points):
     return _cholesky_inverse(G, points, 0.0, "metric not positive definite at chart point")
 
 
+def _finite_derivatives(dG, hess, points):
+    """Raise ConfigError naming the first node of ``points`` where a metric
+    derivative, of dG[:, i, k, l] or of the node-last Hessians hess[k, l],
+    is not finite, and in it the first such entry (k, l)."""
+    if np.isfinite(dG).all() and all(np.isfinite(h).all() for h in hess.values()):
+        return
+    finite = np.isfinite(dG).all(axis=1)  # finite[:, k, l]
+    for (k, l), h in hess.items():
+        finite[:, k, l] &= np.isfinite(h).all(axis=(0, 1))
+    node = np.argmin(finite.reshape(len(finite), -1).all(axis=1))
+    k, l = divmod(int(np.argmin(finite[node])), finite.shape[-1])
+    raise ConfigError(f"metric entry ({k}, {l}) has a derivative that is not finite at "
+                      f"chart point {[float(v) for v in points[node]]}")
+
+
+def _callable_jets(metric):
+    """The ``jets`` of a metric callable, as the compiled metrics give it:
+    the callable runs on the parameter Jets of the nodes, and each entry that
+    is a Jet gives all its derivatives, a plain number none.  numpy faults
+    are left to the checks of ``metric_jets``, which see their inf or NaN."""
+    def jets(x, order, hessians):  # Jets carry every Hessian, read or not
+        m = x.shape[1]
+        with np.errstate(all="ignore"):
+            rows = metric(Jet.variables(x, 2)) if order == 2 else metric(Jet.variables(x, 1))
+        return [[(e.v, dict(enumerate(e.g)), {} if e.h is None else
+                  {(i, j): e.h[i, j] for i in range(m) for j in range(i, m)})
+                 if isinstance(e, Jet) else (e, {}, {}) for e in row] for row in rows]
+
+    return jets
+
+
 class RiemannianPatch:
     """Chart of an n-manifold: box domain, metric callable, optional embedding.
 
     ``metric`` maps a list of n parameters (floats, node arrays or Jets) to an
-    n x n nested list; ``chart_map`` maps parameters to ambient coordinates
+    n x n nested list: a compiled matrix (``expressions.compile_matrix``),
+    whose ``jets`` the metric jets read, or a Python callable, run on Jets by
+    ``_callable_jets``.  ``chart_map`` maps parameters to ambient coordinates
     and is used for locating singular points, not for geometry.  Every method
     takes chart points as an (N, n) node array.
     """
@@ -246,6 +283,7 @@ class RiemannianPatch:
         if len(self.box) != dim:
             raise ValueError("box must have one interval per dimension")
         self._metric = metric
+        self._jets = getattr(metric, "jets", None) or _callable_jets(metric)
         self._chart_map = chart_map
         self.name = name
 
@@ -253,18 +291,27 @@ class RiemannianPatch:
         """Metric G (N, n, n) with its derivatives dG[:, i, k, l] along the
         chart parameters at the nodes x and, at ``order`` 2 (None at order
         1), the Hessians hess[k, l] = d_i d_j g_kl node-last, (n, n, N), of
-        the entries that vary: a constant entry, a plain number, has none.
+        the entries with a d_i d_j that ``pair_curvature`` reads and that is
+        not structurally zero (a compiled metric leaves the others zero).
         Then L^-1 and diag(L) of its checked Cholesky factor L.  G and dG do
-        not depend on the order."""
+        not depend on the order.  A derivative that is not finite where G is
+        positive definite (it overflowed) raises ConfigError naming the entry."""
         x = np.asarray(x, dtype=float)
-        n = self.n
-        raw = (self._metric(Jet.variables(x, 2)) if order == 2 else
-               self._metric(Jet.variables(x, 1)))
-        G, dG = stack_jets([e for row in raw for e in row], x, 1)
-        G = G.reshape(-1, n, n)
-        hess = {(k, l): e.h for k, row in enumerate(raw) for l, e in enumerate(row)
-                if isinstance(e, Jet)} if order == 2 else None
-        return (G, dG.reshape(-1, n, n, n), hess, *_positive_definite(G, x))
+        N, n = len(x), self.n
+        G, dG = np.empty((N, n, n)), np.zeros((N, n, n, n))
+        hess = {} if order == 2 else None
+        for k, row in enumerate(self._jets(x, order, _hessians_read(n))):
+            for l, (value, grad, hessian) in enumerate(row):
+                G[:, k, l] = value
+                for i, d in grad.items():
+                    dG[:, i, k, l] = d
+                if hessian:
+                    h = hess[k, l] = np.zeros((n, n, N))
+                    for (i, j), d in hessian.items():
+                        h[i, j] = h[j, i] = d
+        factors = _positive_definite(G, x)
+        _finite_derivatives(dG, hess or {}, x)
+        return (G, dG, hess, *factors)
 
     def metric_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -362,6 +409,16 @@ def _pair_terms(n):
     c, d = np.array([[j, j, i, i], [p, m, m, p]])
     slots = {(k, l): np.nonzero((c == k) & (d == l)) for k in range(n) for l in range(n)}
     return np.array([[i, i, j, j], [m, p, p, m], c, d]), I, J, slots
+
+
+@lru_cache(maxsize=None)
+def _hessians_read(n):
+    """For each metric entry (k, l), row by row, the (i, j), i <= j, of the
+    d_i d_j g_kl that ``pair_curvature`` reads."""
+    (a, b, _, _), _, _, slots = _pair_terms(n)
+    return tuple(frozenset((min(i, j), max(i, j)) for i, j in
+                           zip(a[slots[kl]].tolist(), b[slots[kl]].tolist()))
+                 for kl in sorted(slots))
 
 
 def pair_curvature(low, Gamma, hess):

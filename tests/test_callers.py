@@ -112,9 +112,18 @@ def test_every_default_is_set_by_a_caller_in_src():
 # -- Hessians only where they are read ---------------------------------------------
 
 SECOND_ORDER_SITES = {
-    ("metric_jets", "_metric"): "the Riemann tensor reads the second metric derivatives",
+    ("jets", "metric"): "a Python-callable metric (the tests' patches) gives the "
+                        "Hessians that a curvature path asks ``metric_jets`` for",
     ("adapted_frame", "embed"): "the frame's tangent rows differentiate to d2x",
 }
+
+CURVATURE_PATHS = {
+    "euler_form_density": "the Euler density reads the Riemann tensor",
+    "boundary_frame": "Phi's 2-form factors read the Riemann tensor",
+}
+
+# callees that take a derivative order, and its position among their arguments
+ORDER_POSITION = {"jets": 1, "_jets": 1, "metric_jets": 1, "adapted_frame": 2}
 
 
 def _is_jet_variables(node):
@@ -149,6 +158,65 @@ def test_second_order_jets_only_where_hessians_are_read():
     unset = [where for where, _, order in orders if order is None]
     assert not unset, f"Jet.variables needs a literal order of 1 or 2: {unset}"
     assert {site for _, site, order in orders if order == 2} == set(SECOND_ORDER_SITES)
+
+
+def _literal_orders(node):
+    """The orders a literal or a conditional between literals can take,
+    None for anything else."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        body, orelse = _literal_orders(node.body), _literal_orders(node.orelse)
+        return None if body is None or orelse is None else body | orelse
+    return None
+
+
+def test_second_order_programs_only_on_curvature_paths():
+    """Every call of a callee of ORDER_POSITION in src/ passes its order as
+    a literal (or the callee's default), a conditional between literals, or
+    the ``order`` parameter of the function or lambda it is in, which
+    forwards its own caller's order; an order of 2 starts only on the
+    curvature paths of CURVATURE_PATHS, so only they build second-order
+    derivative programs."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    defaults = {}
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                args = fn.args.args[len(fn.args.args) - len(fn.args.defaults):]
+                defaults.update((fn.name, v.value) for a, v in zip(args, fn.args.defaults)
+                                if a.arg == "order")
+    starts, bad, calls = set(), [], 0
+    for tree in trees:
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so the innermost function wins
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                owner.update((id(node), fn) for node in ast.walk(fn))
+        for call in ast.walk(tree):
+            name = _callee(call) if isinstance(call, ast.Call) else None
+            if name not in ORDER_POSITION:
+                continue
+            calls += 1
+            fn = owner[id(call)]
+            where = f"{getattr(fn, 'name', 'lambda')}:{call.lineno}"
+            pos = ORDER_POSITION[name]
+            arg = (call.args[pos] if len(call.args) > pos else
+                   next((kw.value for kw in call.keywords if kw.arg == "order"), None))
+            if arg is None:
+                orders = {defaults.get(name)}
+            elif isinstance(arg, ast.Name) and arg.id == "order":
+                if "order" not in [a.arg for a in fn.args.args]:
+                    bad.append(where)
+                continue
+            else:
+                orders = _literal_orders(arg)
+            if orders is None or not orders <= {1, 2}:
+                bad.append(where)
+            elif 2 in orders:
+                starts.add(fn.name)
+    assert calls >= len(ORDER_POSITION)
+    assert not bad, f"order neither 1, 2 nor forwarded: {bad}"
+    assert starts == set(CURVATURE_PATHS)
 
 
 # -- one gate table ------------------------------------------------------------------

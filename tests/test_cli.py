@@ -558,6 +558,21 @@ def test_cli_expression_fault_exit_2(tmp_path, capsys):
     assert "Traceback" not in err and "np.float64" not in err
 
 
+def test_cli_overflowing_metric_derivative_exit_2(tmp_path, capsys):
+    """An entry whose value is finite on the disk but whose derivative
+    overflows at its rim exits 2 with one line that names the entry."""
+    raw = load_catalog_raw("disk-constant")
+    raw["patch"]["metric"][0][0] = "exp(705*r)"
+    path = tmp_path / "steep-metric.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: metric entry (0, 0) has a derivative "
+                          "that is not finite at chart point [1.0, ")
+    assert "Traceback" not in err and "np.float64" not in err
+
+
 def test_cli_symbolic_print_phi(capsys):
     assert cli.main(["symbolic-check", "--n", "2", "--identity", "dphi",
                      "--print", "phi"]) == 0

@@ -147,6 +147,8 @@ def test_empty_node_batch_has_no_failing_node():
     nodes = np.zeros((0, 1))
     values, grads = stack_jets(vector(Jet.variables(nodes, 1)), nodes, 1)
     assert values.shape == (0, 3) and grads.shape == (0, 1, 3)
+    for order in (1, 2):
+        assert [np.shape(v) for v, _, _ in vector.jets(nodes, order)] == [(0,)] * 3
 
 
 # -- shared subexpressions --------------------------------------------------------
@@ -207,7 +209,8 @@ def test_shared_program_agrees_with_entries_one_by_one(texts, points):
 
 def test_shared_calls_run_once_per_evaluation(monkeypatch):
     """A conformal metric exp(2*f) * g with f and g sharing sin(th) calls sin,
-    cos and exp once each per evaluation, however often they repeat."""
+    cos and exp once each per evaluation, however often they repeat, and its
+    derivative program once per distinct argument."""
     calls = Counter()
     for name, function in list(expressions._FUNCTIONS.items()):
         def counted(x, name=name, function=function):
@@ -217,10 +220,16 @@ def test_shared_calls_run_once_per_evaluation(monkeypatch):
     factor = "exp(2*(0.1*sin(th) - 0.2*sin(th)*cos(ps) + 0.05*sin(th)*sin(th)))"
     metric = compile_matrix([[f"{factor}*(1)", "0"],
                              ["0", f"{factor}*(sin(th)*sin(th))"]], ["th", "ps"])
-    jets = Jet.variables(np.array([[0.3, 0.1], [0.7, -0.4], [1.1, 2.0]]), 2)
+    nodes = np.array([[0.3, 0.1], [0.7, -0.4], [1.1, 2.0]])
+    jets = Jet.variables(nodes, 2)
     for evaluations in (1, 2):
         metric(jets)
         assert calls == {"sin": evaluations, "cos": evaluations, "exp": evaluations}
+    # the derivatives add sin' = cos(th) and cos' = -sin(ps), each once, at either order
+    for order in (1, 2):
+        calls.clear()
+        metric.jets(nodes, order)
+        assert calls == {"sin": 2, "cos": 2, "exp": 1}
 
 
 # -- slot liveness ----------------------------------------------------------------
@@ -248,21 +257,146 @@ def test_a_fault_after_dropped_slots_names_its_node_and_entry():
     for env in (list(nodes.T), Jet.variables(nodes, 2)):
         with pytest.raises(ConfigError, match=fault):
             vector(env)
+    for order in (1, 2):
+        with pytest.raises(ConfigError, match=fault):
+            vector.jets(nodes, order)
 
 
 def test_a_long_chain_keeps_a_few_slots_alive():
-    """The peak memory of a chain of k products of second-order jets stays
-    within a few slots (a slot: values, gradients and Hessians of every
-    node), whatever k."""
+    """The peak memory of a chain of k products of second-order jets, or of
+    its second-order derivative program, stays within a few slots (a slot:
+    values, gradients and Hessians of every node), whatever k."""
     nodes = np.random.default_rng(0).random((1000, 2))
     env = Jet.variables(nodes, 2)
     slot = nodes.shape[0] * (1 + 2 + 4) * 8
     for k in (50, 200):
         fn = compile_expression("x" + "*1.001" * k + " + y", ["x", "y"])
-        tracemalloc.start()
-        try:
-            fn(env)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * slot, (k, peak / slot)
+        vector = compile_vector(["sin(x)" + "*sin(x*1.001)" * k + " + y"], ["x", "y"])
+        vector.jets(nodes, 2)  # builds the program
+        for run in (lambda: fn(env), lambda: vector.jets(nodes, 2)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * slot, (k, peak / slot)
+
+
+# -- derivative programs ------------------------------------------------------------
+
+def _grammar(params):
+    """Expressions over the whole grammar in ``params``, read as often as
+    the literals."""
+    leaves = st.sampled_from(params * 2 + ["pi", "0.5", "2", "3", "1.25"])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("-({})".format, inner),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp"]), inner),
+        st.builds("({})^{}".format, inner, st.integers(-3, 4)),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+    ), max_leaves=8)
+
+
+@st.composite
+def _programs(draw):
+    """One to three entries in two or three parameters, at 1 to 4 nodes."""
+    params = ["x", "y", "z"][:draw(st.sampled_from([2, 3]))]
+    texts = draw(st.lists(_grammar(params), min_size=1, max_size=3))
+    coords = st.floats(-1.5, 1.5, allow_nan=False).map(lambda v: round(v, 3))
+    nodes = draw(st.lists(st.lists(coords, min_size=len(params), max_size=len(params)),
+                          min_size=1, max_size=4))
+    return texts, params, np.array(nodes)
+
+
+def _reads(text, params):
+    return any(kind == "name" and value in params
+               for kind, value in expressions._tokenize(text))
+
+
+def _largest_intermediate(texts, params, nodes):
+    """At each node, the largest magnitude of any slot, value or derivative,
+    of the second-order derivative program of ``texts``: the scale of the
+    round-off in each derivative it gives."""
+    slots, program, outputs = {}, [], []
+    for text in texts:
+        outputs.append(expressions._Parser(expressions._tokenize(text), params,
+                                           slots, program).parse())
+    every = {(i, j) for i in range(len(params)) for j in range(i, len(params))}
+    derived = expressions._differentiate(program, outputs, len(params),
+                                         [every] * len(outputs))[0]
+    values = []
+    with np.errstate(all="ignore"):
+        expressions._run(derived, [()] * len(derived), list(nodes.T), values)
+    return np.max(np.abs(np.broadcast_arrays(*values)), axis=0)
+
+
+_ARRAY_OPERATIONS = {"__truediv__": lambda a, b: a / b, "__rtruediv__": lambda a, b: b / a,
+                     "__pow__": lambda a, k: a ** k}
+
+
+def _with_array_values(name):
+    """The Jet operator ``name`` with the values of the array arithmetic:
+    Jet division and negative powers go through reciprocals, which round
+    the value differently from a / b and x ** k."""
+    operation, values = getattr(Jet, name), _ARRAY_OPERATIONS[name]
+
+    def apply(a, b):
+        out = operation(a, b)
+        if isinstance(out, Jet):
+            out.v = values(a.v, b.v if isinstance(b, Jet) else b)
+        return out
+    return apply
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_programs())
+@example((["(x)^2 * sin(y)", "3 - pi", "exp(x*y) / (y)^-2"], ["x", "y"],
+          np.array([[0.5, -1.25], [1.0, 0.75]])))
+def test_derivative_programs_agree_with_jet_arithmetic(program):
+    """The derivative program of a compiled vector gives, at each node, the
+    bits of the value program's values, and gradients and Hessians within
+    1e-13 of the Jet evaluation of the same program on the same values,
+    relative to the program's largest intermediate there; order 1 gives the
+    gradients of order 2 bit for
+    bit, and so does a selection of Hessians the ones it selects; an entry
+    that reads no parameter has no derivative.  Where a value fails, both
+    raise the same ConfigError."""
+    texts, params, nodes = program
+    fn = compile_vector(texts, params)
+    m = len(params)
+    try:
+        values = fn(list(nodes.T))
+    except ConfigError as exc:
+        for order in (1, 2):
+            with pytest.raises(ConfigError) as err:
+                fn.jets(nodes, order)
+            assert str(err.value) == str(exc)
+        return
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        for name in _ARRAY_OPERATIONS:
+            patch.setattr(Jet, name, _with_array_values(name))
+        reference = fn(Jet.variables(nodes, 2))
+    first, second = fn.jets(nodes, 1), fn.jets(nodes, 2)
+    diagonal = tuple(frozenset((i, i) for i in range(m)) for _ in texts)
+    selected = fn.jets(nodes, 2, diagonal)
+    scale = _largest_intermediate(texts, params, nodes)
+    for text, value, want, (v1, g1, h1), (v2, g2, h2), (v3, g3, h3) in zip(
+            texts, values, reference, first, second, selected):
+        assert _bits(v1) == _bits(v2) == _bits(v3) == _bits(value)
+        assert h1 == {} and set(g1) == set(g2) == set(g3)
+        assert [_bits(g1[i]) for i in g1] == [_bits(g2[i]) for i in g1] == [
+            _bits(g3[i]) for i in g1]
+        assert set(h3) == {ij for ij in h2 if ij[0] == ij[1]}
+        assert [_bits(h3[ij]) for ij in h3] == [_bits(h2[ij]) for ij in h3]
+        if not _reads(text, params):
+            assert g2 == {} and h2 == {}
+        if not isinstance(want, Jet):
+            assert g2 == {} and h2 == {}
+            continue
+        got = [g2.get(i, 0.0) for i in range(m)]
+        got += [h2.get((i, j), 0.0) for i in range(m) for j in range(i, m)]
+        ref = list(want.g) + [want.h[i, j] for i in range(m) for j in range(i, m)]
+        got, ref = np.broadcast_arrays(*got, *ref)[:len(got)], np.array(ref)
+        if not (np.isfinite(ref).all() and np.isfinite(scale).all()):
+            continue  # a derivative that overflows is compared by its own test
+        assert (np.abs(np.array(got) - ref) <= 1e-13 * scale).all(), (text, got, ref)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lawcheck import geometry
-from lawcheck.expressions import compile_vector
+from lawcheck.expressions import compile_matrix, compile_vector
 from lawcheck.geometry import (
     BoundaryPatch,
     ConfigError,
@@ -26,6 +27,7 @@ from lawcheck.geometry import (
     christoffel_symbols,
     euler_form_density,
     jet_cos,
+    jet_exp,
     jet_sin,
     pair_curvature,
     stack_jets,
@@ -182,14 +184,35 @@ def test_jet_arithmetic_against_finite_differences():
             stack_jets([first], nodes, 2)
 
 
-def test_jet_powers():
-    (x,) = Jet.variables([1.5], 2)
-    p = x ** 3
-    assert p.v == pytest.approx(3.375)
-    assert p.g[0] == pytest.approx(3 * 1.5 ** 2)
-    assert p.h[0][0] == pytest.approx(6 * 1.5)
-    inv = x ** -1
-    assert inv.v == pytest.approx(1 / 1.5)
+def test_jet_powers(monkeypatch):
+    """x^k has value x^k, gradient k x^(k-1) and Hessian k(k-1) x^(k-2)
+    along x and none along y, at first and second order, from at most one
+    Jet product whatever k (the reciprocal's, for k < 0); x^0 is the number
+    1 and x^1 is x itself."""
+    products = []
+    monkeypatch.setattr(Jet, "__mul__", lambda a, b, mul=Jet.__mul__:
+                        products.append(1) or mul(a, b))
+    for k in (-3, -1, 0, 1, 2, 7, 10 ** 5):
+        base = [0.99999, 1.000004, 1.00001] if k == 10 ** 5 else [0.7, 1.3, -1.6]
+        nodes = np.array([[b, 0.25] for b in base])
+        products.clear()
+        for order in (1, 2):
+            x, _ = Jet.variables(nodes, order)
+            p = x ** k
+            if k in (0, 1):
+                assert p is x if k else (p == 1.0 and type(p) is float)
+                continue
+            want = np.array([[math.pow(b, k) for b in base],
+                             [k * math.pow(b, k - 1) for b in base],
+                             [k * (k - 1) * math.pow(b, k - 2) for b in base]])
+            np.testing.assert_allclose(p.v, want[0], rtol=1e-13)
+            np.testing.assert_allclose(p.g, [want[1], [0.0] * 3], rtol=1e-13)
+            if order == 1:
+                assert p.h is None
+            else:
+                np.testing.assert_allclose(p.h, [[want[2], [0.0] * 3], [[0.0] * 3] * 2],
+                                           rtol=1e-13)
+        assert len(products) <= 2, k
 
 
 def _node(jet, k):
@@ -311,6 +334,33 @@ def test_metric_symmetry_allows_round_off_only():
     for make in (lambda p: p.metric_jets(x), lambda p: p.metric_values(x)):
         with pytest.raises(ConfigError, match=r"not symmetric at chart point \[0\.3, 0\.4\]"):
             make(written(1e-3))
+
+_OVERFLOWING = {  # entry: (as a callable, an r where its value is finite and d_r overflows)
+    "exp(705*r)": (lambda s, r: jet_exp(705 * r), 1.0),
+    "1e300/r": (lambda s, r: 1e300 / r, 1e-5),  # d(a/b) = -a db/b^2
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OVERFLOWING))
+def test_overflowing_metric_derivative_names_its_entry(entry):
+    """A metric entry whose value is finite but whose derivative overflows
+    raises the ConfigError that names the entry and the first node where a
+    derivative is not finite, at either order, whether the metric is
+    compiled or a Python callable on Jets."""
+    function, r = _OVERFLOWING[entry]
+    points = np.array([[0.1, 0.5], [0.2, r], [0.3, r]])
+    compiled = compile_matrix([["1", "0"], ["0", entry]], ["s", "r"])
+    written = lambda x: [[1.0, 0.0], [0.0, function(*x)]]
+    fault = (r"metric entry \(1, 1\) has a derivative that is not finite "
+             rf"at chart point \[0\.2, {re.escape(repr(r))}\]")
+    for metric in (compiled, written):
+        patch = RiemannianPatch(2, [(0, 1), (0, 1)], metric)
+        assert np.isfinite(patch.metric_values(points)).all()
+        assert np.isfinite(patch.metric_jets(points[:1])[1]).all()
+        for order in (1, 2):
+            with pytest.raises(ConfigError, match=fault):
+                patch.metric_jets(points, order)
+
 
 def test_frame_orientation_positive():
     for patch in (flat_patch(), sphere_patch(), bumpy_patch(3)):
@@ -583,6 +633,29 @@ def test_sparse_hessians_give_the_reference_curvature(n, frozen):
     assert np.max(np.abs(want.riemann)) > 1e-3
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_curvature_reads_only_the_listed_hessians(n):
+    """The pair curvature from Hessians whose components outside
+    ``_hessians_read`` are NaN equals, bit for bit, the one from the whole
+    Hessians: the derivative programs of compiled metrics leave those
+    components out.  At n = 2 each entry has one."""
+    rng = np.random.default_rng(n)
+    low, Gamma = rng.standard_normal((2, n, n, n, 5))
+    d2G = rng.standard_normal((n, n, n, n, 5))
+    d2G = d2G + d2G.transpose(1, 0, 2, 3, 4)  # d2G[i, j, k, l] = d_i d_j g_kl
+    whole, listed = {}, {}
+    for (k, l), read in zip(np.ndindex(n, n), geometry._hessians_read(n)):
+        whole[k, l] = d2G[..., k, l, :]
+        listed[k, l] = np.full((n, n, 5), np.nan)
+        for i, j in read:
+            listed[k, l][i, j] = listed[k, l][j, i] = d2G[i, j, k, l]
+    R = pair_curvature(low, Gamma, listed)
+    assert np.isfinite(R).all()
+    assert np.array_equal(R, pair_curvature(low, Gamma, whole))
+    if n == 2:
+        assert geometry._hessians_read(2) == ({(1, 1)}, {(0, 1)}, {(0, 1)}, {(0, 0)})
 
 
 def _traced_beyond_result(fn):
