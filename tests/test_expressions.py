@@ -356,11 +356,10 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
     """The derivative program of a compiled vector gives, at each node, the
     bits of the value program's values, and gradients and Hessians within
     1e-13 of the Jet evaluation of the same program on the same values,
-    relative to the program's largest intermediate there; order 1 gives the
-    gradients of order 2 bit for
-    bit, and so does a selection of Hessians the ones it selects; an entry
-    that reads no parameter has no derivative.  Where a value fails, both
-    raise the same ConfigError."""
+    relative to the program's largest intermediate there.  Order 1 gives
+    the gradients of order 2 bit for bit, and a selection of Hessians the
+    Hessians it selects; an entry that reads no parameter has no
+    derivative.  Where a value fails, both raise the same ConfigError."""
     texts, params, nodes = program
     fn = compile_vector(texts, params)
     m = len(params)
