@@ -16,11 +16,11 @@ none fails, and every entry comes back with zero nodes.
 
 The compiled vectors and matrices also give ``jets(x, order)``: values and
 derivatives at the nodes x (N, m) from a derivative program on (N,) arrays,
-differentiated from the value program on the first call and pruned to the
-derivatives each order (and selection of Hessians) reads.  Its values
-are the value program's, bit for bit, and a value that fails raises the
-same ConfigError.  A derivative that overflows where no value fails
-(exp(705*r) at r = 1, or d(a/b) = -a db/b^2) comes back inf or NaN, and
+differentiated from the value program on the first call of each order and
+free of the derivatives that are structurally zero.  Its values are the
+value program's, bit for bit, and a value that fails raises the same
+ConfigError.  A derivative that overflows where no value fails (exp(705*r)
+at r = 1, or d(a/b) = -a db/b^2) comes back inf or NaN, and
 ``RiemannianPatch.metric_jets`` raises the ConfigError that names its metric
 entry, for a Python-callable metric on Jets too.
 """
@@ -186,9 +186,7 @@ def _run(program, dead, env, values):
     ``len(values)`` is the failing instruction."""
     for ins, drop in zip(program, dead):
         op = ins[0]
-        if op in _BINARY:  # most instructions of a derivative program
-            x = _BINARY[op](values[ins[1]], values[ins[2]])
-        elif op == "const":
+        if op == "const":
             x = ins[1]
         elif op == "param":
             x = env[ins[1]]
@@ -196,22 +194,24 @@ def _run(program, dead, env, values):
             x = -values[ins[1]]
         elif op == "call":
             x = _FUNCTIONS[ins[1]](values[ins[2]])
-        else:
+        elif op == "pow":
             x = values[ins[1]] ** ins[2]
+        else:
+            x = _BINARY[op](values[ins[1]], values[ins[2]])
         values.append(x)
         for s in drop:
             values[s] = None
 
 
-def _differentiate(program, outputs, m, hessians):
+def _differentiate(program, outputs, m, order):
     """The forward-mode derivative program (Griewank & Walther 2008) of
     ``program`` in m parameters, in the same instruction set: each value
-    instruction, then its derivatives d_i and those d_i d_j, i <= j, that
-    the ``hessians`` of the outputs (a set of (i, j) per output) read, each
-    where it is not structurally zero, by the Jet arithmetic's formula (^k
-    by k x^(k-1)) with zero terms dropped and products with one folded;
-    value numbering shares equal instructions.  Returns the program, its
-    dead slots and, per output, its value slot, {i: slot} and {(i, j): slot}."""
+    instruction, then its derivatives d_i and, at ``order`` 2, d_i d_j,
+    i <= j, each where it is not structurally zero, by the Jet arithmetic's
+    formula (^k by k x^(k-1)) with zero terms dropped and products with one
+    folded; value numbering shares equal instructions.  Returns the program,
+    its dead slots and, per output, its value slot, {i: slot} and
+    {(i, j): slot}."""
     prog, slots = [], {}
 
     def emit(*ins):
@@ -222,14 +222,8 @@ def _differentiate(program, outputs, m, hessians):
         return slot
 
     one = emit("const", 1.0)
-    pairs = list(enumerate([(i, j) for i in range(m) for j in range(i, m)], m))
-    zero = [None] * (m + len(pairs))  # the derivatives of a slot that reads no parameter
-    wanted = [set() for _ in program]  # the d_i d_j of each slot that an output reads
-    for s, keys in zip(outputs, hessians):
-        wanted[s] |= keys
-    for s in reversed(range(len(program))):
-        for t in _operands(program[s]):
-            wanted[t] |= wanted[s]
+    hp = list(enumerate([(i, j) for i in range(m) for j in range(i, m) if order == 2], m))
+    zero = [None] * (m + len(hp))  # the derivatives of a slot that reads no parameter
 
     def mul(a, b):  # None is a structural zero
         if a is None or b is None:
@@ -249,11 +243,8 @@ def _differentiate(program, outputs, m, hessians):
     def power(a, k):
         return one if k == 0 else a if k == 1 else emit("pow", a, k)
 
-    def keyed(grad, hess):  # the d_i, and the d_i d_j of ``hp``, by their rules
-        d = [grad(i) for i in range(m)] + zero[m:]
-        for k, (i, j) in hp:
-            d[k] = hess(k, i, j)
-        return d
+    def keyed(grad, hess):  # the d_i, then the d_i d_j keyed by ``hp``, by their rules
+        return [grad(i) for i in range(m)] + [hess(k, i, j) for k, (i, j) in hp]
 
     def chain(d1, d2, du):  # f(u) from d1 = f'(u) and d2 = f''(u)
         return keyed(lambda i: mul(d1, du[i]), lambda k, i, j: add(
@@ -264,13 +255,12 @@ def _differentiate(program, outputs, m, hessians):
             mul(da[k], b), mul(db[k], a), mul(da[i], db[j]), mul(da[j], db[i])))
 
     new, ders = [], []  # each old slot's new slot and its derivatives' slots, by key
-    for ins, want in zip(program, wanted):
+    for ins in program:
         op, operands = ins[0], _operands(ins)
         args = [new[s] for s in operands]
         v = emit(*ins[:2], *args) if op == "call" else emit(op, *args, *ins[1 + len(args):])
         a, b = (args + [None, None])[:2]
         da, db = ([ders[s] for s in operands] + [zero, zero])[:2]
-        hp = [(k, ij) for k, ij in pairs if ij in want]  # the keys of the d_i d_j it gives
         if op == "param":
             d = [one if i == ins[1] else None for i in range(m)] + zero[m:]
         elif da is zero and db is zero:
@@ -300,8 +290,7 @@ def _differentiate(program, outputs, m, hessians):
         new.append(v)
         ders.append(d)
     spec = [(new[s], {i: t for i, t in enumerate(ders[s][:m]) if t is not None},
-             {ij: ders[s][k] for k, ij in pairs if ij in keys and ders[s][k] is not None})
-            for s, keys in zip(outputs, hessians)]
+             {ij: ders[s][k] for k, ij in hp if ders[s][k] is not None}) for s in outputs]
     live = {t for v, grad, hess in spec for t in (v, *grad.values(), *hess.values())}
     return prog, _dead_after(prog, live), spec
 
@@ -356,19 +345,14 @@ def compile_vector(texts, params):
 
     derivatives = {}
 
-    def jets(x, order, hessians=None):
+    def jets(x, order):
         """(value, {i: d_i}, {(i, j): d_i d_j for i <= j}) of each entry at
-        the nodes x (N, m), where not structurally zero: no Hessian at
-        ``order`` 1, and at order 2 those ``hessians`` lists for the entry
-        (a tuple of one frozenset of (i, j) per entry), or all when it is
-        None.  The program of each order and selection is built on its
-        first call."""
-        if (order, hessians) not in derivatives:
-            m = len(params)
-            every = {(i, j) for i in range(m) for j in range(i, m)} if order == 2 else set()
-            derivatives[order, hessians] = _differentiate(program, outputs, m, [
-                every if hessians is None else hessians[e] & every for e in range(len(outputs))])
-        prog, drop, spec = derivatives[order, hessians]
+        the nodes x (N, m), where not structurally zero, the Hessians at
+        ``order`` 2 only.  The program of each order is built on its first
+        call."""
+        if order not in derivatives:
+            derivatives[order] = _differentiate(program, outputs, len(params), order)
+        prog, drop, spec = derivatives[order]
         x = np.asarray(x, dtype=float)
         env = list(x.T.copy())
         values = []
@@ -411,5 +395,5 @@ def compile_matrix(rows, params):
     def fn(env):
         return nest(vector(env))
 
-    fn.jets = lambda x, order, hessians=None: nest(vector.jets(x, order, hessians))
+    fn.jets = lambda x, order: nest(vector.jets(x, order))
     return fn

@@ -9,8 +9,8 @@ order only, Hessians (m, m, N), the node axis last, so that each jet
 operation loops over nodes rather than over the 2 or 3 parameters.  The
 metric takes no Jets: ``metric_jets`` fills G, dG and the Hessians from the
 derivative program of the compiled metric (``expressions``), second order
-only where a curvature follows, and then only the d_i d_j g_kl that
-``pair_curvature`` reads.  The boundary embedding (for d2x) is a
+only where a curvature follows, and then only where a d_i d_j g_kl is not
+structurally zero.  The boundary embedding (for d2x) is a
 second-order Jet; frames carry values and first derivatives only, as
 nothing reads second ones.  Two idioms contract:
 - ``stack_jets`` hands the jets on node-first, parameter axes right after
@@ -255,7 +255,7 @@ def _callable_jets(metric):
     the callable runs on the parameter Jets of the nodes, and each entry that
     is a Jet gives all its derivatives, a plain number none.  numpy faults
     are left to the checks of ``metric_jets``, which see their inf or NaN."""
-    def jets(x, order, hessians):  # Jets carry every Hessian, read or not
+    def jets(x, order):
         m = x.shape[1]
         with np.errstate(all="ignore"):
             rows = metric(Jet.variables(x, 2)) if order == 2 else metric(Jet.variables(x, 1))
@@ -291,16 +291,16 @@ class RiemannianPatch:
         """Metric G (N, n, n) with its derivatives dG[:, i, k, l] along the
         chart parameters at the nodes x and, at ``order`` 2 (None at order
         1), the Hessians hess[k, l] = d_i d_j g_kl node-last, (n, n, N), of
-        the entries with a d_i d_j that ``pair_curvature`` reads and that is
-        not structurally zero (a compiled metric leaves the others zero).
-        Then L^-1 and diag(L) of its checked Cholesky factor L.  G and dG do
-        not depend on the order.  A derivative that is not finite where G is
-        positive definite (it overflowed) raises ConfigError naming the entry."""
+        the entries with a d_i d_j g_kl that is not structurally zero (a
+        constant entry has none).  Then L^-1 and diag(L) of its checked
+        Cholesky factor L.  G and dG do not depend on the order.  A
+        derivative that is not finite where G is positive definite (it
+        overflowed) raises ConfigError naming the entry."""
         x = np.asarray(x, dtype=float)
         N, n = len(x), self.n
         G, dG = np.empty((N, n, n)), np.zeros((N, n, n, n))
         hess = {} if order == 2 else None
-        for k, row in enumerate(self._jets(x, order, _hessians_read(n))):
+        for k, row in enumerate(self._jets(x, order)):
             for l, (value, grad, hessian) in enumerate(row):
                 G[:, k, l] = value
                 for i, d in grad.items():
@@ -409,16 +409,6 @@ def _pair_terms(n):
     c, d = np.array([[j, j, i, i], [p, m, m, p]])
     slots = {(k, l): np.nonzero((c == k) & (d == l)) for k in range(n) for l in range(n)}
     return np.array([[i, i, j, j], [m, p, p, m], c, d]), I, J, slots
-
-
-@lru_cache(maxsize=None)
-def _hessians_read(n):
-    """For each metric entry (k, l), row by row, the (i, j), i <= j, of the
-    d_i d_j g_kl that ``pair_curvature`` reads."""
-    (a, b, _, _), _, _, slots = _pair_terms(n)
-    return tuple(frozenset((min(i, j), max(i, j)) for i, j in
-                           zip(a[slots[kl]].tolist(), b[slots[kl]].tolist()))
-                 for kl in sorted(slots))
 
 
 def pair_curvature(low, Gamma, hess):

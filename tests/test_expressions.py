@@ -313,17 +313,13 @@ def _reads(text, params):
                for kind, value in expressions._tokenize(text))
 
 
-def _largest_intermediate(texts, params, nodes):
+def _largest_intermediate(text, params, nodes):
     """At each node, the largest magnitude of any slot, value or derivative,
-    of the second-order derivative program of ``texts``: the scale of the
-    round-off in each derivative it gives."""
-    slots, program, outputs = {}, [], []
-    for text in texts:
-        outputs.append(expressions._Parser(expressions._tokenize(text), params,
-                                           slots, program).parse())
-    every = {(i, j) for i in range(len(params)) for j in range(i, len(params))}
-    derived = expressions._differentiate(program, outputs, len(params),
-                                         [every] * len(outputs))[0]
+    of the second-order derivative program of the one expression ``text``:
+    the scale of the round-off in each derivative it gives."""
+    program = []
+    output = expressions._Parser(expressions._tokenize(text), params, {}, program).parse()
+    derived = expressions._differentiate(program, [output], len(params), 2)[0]
     values = []
     with np.errstate(all="ignore"):
         expressions._run(derived, [()] * len(derived), list(nodes.T), values)
@@ -356,10 +352,10 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
     """The derivative program of a compiled vector gives, at each node, the
     bits of the value program's values, and gradients and Hessians within
     1e-13 of the Jet evaluation of the same program on the same values,
-    relative to the program's largest intermediate there.  Order 1 gives
-    the gradients of order 2 bit for bit, and a selection of Hessians the
-    Hessians it selects; an entry that reads no parameter has no
-    derivative.  Where a value fails, both raise the same ConfigError."""
+    relative to the largest intermediate of the entry's own program there.
+    Order 1 gives the gradients of order 2 bit for bit; an entry that reads
+    no parameter has no derivative.  Where a value fails, both raise the
+    same ConfigError."""
     texts, params, nodes = program
     fn = compile_vector(texts, params)
     m = len(params)
@@ -376,17 +372,11 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
             patch.setattr(Jet, name, _with_array_values(name))
         reference = fn(Jet.variables(nodes, 2))
     first, second = fn.jets(nodes, 1), fn.jets(nodes, 2)
-    diagonal = tuple(frozenset((i, i) for i in range(m)) for _ in texts)
-    selected = fn.jets(nodes, 2, diagonal)
-    scale = _largest_intermediate(texts, params, nodes)
-    for text, value, want, (v1, g1, h1), (v2, g2, h2), (v3, g3, h3) in zip(
-            texts, values, reference, first, second, selected):
-        assert _bits(v1) == _bits(v2) == _bits(v3) == _bits(value)
-        assert h1 == {} and set(g1) == set(g2) == set(g3)
-        assert [_bits(g1[i]) for i in g1] == [_bits(g2[i]) for i in g1] == [
-            _bits(g3[i]) for i in g1]
-        assert set(h3) == {ij for ij in h2 if ij[0] == ij[1]}
-        assert [_bits(h3[ij]) for ij in h3] == [_bits(h2[ij]) for ij in h3]
+    for text, value, want, (v1, g1, h1), (v2, g2, h2) in zip(
+            texts, values, reference, first, second):
+        assert _bits(v1) == _bits(v2) == _bits(value)
+        assert h1 == {} and set(g1) == set(g2)
+        assert [_bits(g1[i]) for i in g1] == [_bits(g2[i]) for i in g1]
         if not _reads(text, params):
             assert g2 == {} and h2 == {}
         if not isinstance(want, Jet):
@@ -396,6 +386,7 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
         got += [h2.get((i, j), 0.0) for i in range(m) for j in range(i, m)]
         ref = list(want.g) + [want.h[i, j] for i in range(m) for j in range(i, m)]
         got, ref = np.broadcast_arrays(*got, *ref)[:len(got)], np.array(ref)
+        scale = _largest_intermediate(text, params, nodes)
         if not (np.isfinite(ref).all() and np.isfinite(scale).all()):
             continue  # a derivative that overflows is compared by its own test
         assert (np.abs(np.array(got) - ref) <= 1e-13 * scale).all(), (text, got, ref)

@@ -635,29 +635,6 @@ def test_sparse_hessians_give_the_reference_curvature(n, frozen):
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_pair_curvature_reads_only_the_listed_hessians(n):
-    """The pair curvature from Hessians whose components outside
-    ``_hessians_read`` are NaN equals, bit for bit, the one from the whole
-    Hessians: the derivative programs of compiled metrics leave those
-    components out.  At n = 2 each entry has one."""
-    rng = np.random.default_rng(n)
-    low, Gamma = rng.standard_normal((2, n, n, n, 5))
-    d2G = rng.standard_normal((n, n, n, n, 5))
-    d2G = d2G + d2G.transpose(1, 0, 2, 3, 4)  # d2G[i, j, k, l] = d_i d_j g_kl
-    whole, listed = {}, {}
-    for (k, l), read in zip(np.ndindex(n, n), geometry._hessians_read(n)):
-        whole[k, l] = d2G[..., k, l, :]
-        listed[k, l] = np.full((n, n, 5), np.nan)
-        for i, j in read:
-            listed[k, l][i, j] = listed[k, l][j, i] = d2G[i, j, k, l]
-    R = pair_curvature(low, Gamma, listed)
-    assert np.isfinite(R).all()
-    assert np.array_equal(R, pair_curvature(low, Gamma, whole))
-    if n == 2:
-        assert geometry._hessians_read(2) == ({(1, 1)}, {(0, 1)}, {(0, 1)}, {(0, 0)})
-
-
 def _traced_beyond_result(fn):
     """Bytes that ``fn()`` allocates at its peak beyond the arrays it returns, a tuple."""
     fn()  # fills caches
