@@ -1,28 +1,25 @@
 """Numerical differential geometry on parametrized patches, batched over nodes.
 
-Every layer takes N chart (or boundary) points as an (N, dim) array;
-quadratures pass their grids in chunks of CHUNK_ENTRIES // n^2 nodes in
-dimension n (see ``node_chunks``), so that every array stays bounded.
-Differentiation is forward mode, truncated Taylor arithmetic (Griewank &
-Walther 2008): a Jet carries values (N,), gradients (m, N) and, at second
-order only, Hessians (m, m, N), the node axis last, so that each jet
-operation loops over nodes rather than over the 2 or 3 parameters.  The
-metric takes no Jets: ``metric_jets`` fills G, dG and the Hessians from the
-derivative program of the compiled metric (``expressions``), second order
-only where a curvature follows, and then only where a d_i d_j g_kl is not
-structurally zero.  The boundary embedding (for d2x) is a
-second-order Jet; frames carry values and first derivatives only, as
-nothing reads second ones.  Two idioms contract:
-- ``stack_jets`` hands the jets on node-first, parameter axes right after
-  the node axis (dG[:, i, k, l] = d_i g_kl), so a frame contraction is one
-  stacked matmul (``@``) per node, its index formula in a comment, with no
-  einsum and no transposed view as an operand (a contiguous copy is read
-  several times faster);
-- curvature, read only on index pairs i < j (of ``pairs``), is kept on
-  them, elementwise on node-last arrays (..., N) as the Jet is: small
-  leading axes are sliced by indexing into contiguous rows of N values, so
-  every numpy call loops over the nodes, with no matmul or einsum on 2 x 2
-  or 3 x 3 matrices.
+Every layer takes N chart (or boundary) points as an (N, dim) array, in
+chunks of ``node_chunks`` when a quadrature passes its grid.  Derivatives are
+forward mode, truncated Taylor arithmetic (Griewank & Walther 2008): Jets,
+node axis last, for the boundary embedding (second order, for d2x), outward
+vectors and fields; the derivative program of the compiled metric
+(``expressions``) for the metric, second order only where a curvature
+follows.  Frames carry first derivatives only, as nothing reads second ones.
+Two idioms contract:
+- the metric layer is node-last and knows its structure: ``metric_jets``
+  keeps dG, the Hessians and L^-1 as maps from the indices that are not
+  structurally zero (a literal 0 entry, a derivative the program drops) to
+  (N,) arrays, and the one Cholesky routine, the Christoffel symbols and the
+  curvature on index pairs i < j (of ``pairs``) add only the products of
+  entries present, with index lists built once per structure: a diagonal
+  metric multiplies no zeros, and a dense one runs the same code;
+- frames are node-first, parameter axes right after the node axis
+  (``stack_jets``, ``_node_first``), so a frame contraction is one stacked
+  matmul (``@``) per node, its index formula in a comment, with no einsum and
+  no transposed view as an operand (a contiguous copy is read several times
+  faster).
 Connection and curvature values keep the layouts of ``templates``,
 omega[:, A, B, i] and curv[:, I, J] on index pairs.  Finite differences
 appear only in tests, as independent oracles.
@@ -41,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import iadd
+from operator import add
 
 import numpy as np
 
@@ -55,8 +52,8 @@ def node_chunks(count, n):
     """Slices of consecutive nodes that cover range(count), for geometry of
     dimension n: each holds CHUNK_ENTRIES // n^2 nodes (at least one), 1296
     at n = 2 and 576 at n = 3.  The chunked layers' traced peaks, in arrays
-    of one float per node, are about 66 (Euler density) and 79 (boundary
-    frame) at n = 2 and 274 (boundary frame, with curvature) at n = 3."""
+    of one float per node, are about 22 (Euler density) and 76 (boundary
+    frame) at n = 2 and 244 (boundary frame, with curvature) at n = 3."""
     size = max(1, CHUNK_ENTRIES // n ** 2)
     return [slice(k, k + size) for k in range(0, count, size)]
 
@@ -197,33 +194,62 @@ def grid_points(axes):
 
 # -- patches ---------------------------------------------------------------------
 
-def _cholesky_inverse(M, points, floor, fault):
-    """L^-1 and diag(L) of the Cholesky factorization M = L L^T of each
-    symmetric M (N, r, r), read from its lower triangle, row by row: row i of
-    L is M[i, :i] L[:i, :i]^-T, its pivot L_ii^2 = M_ii - |L[i, :i]|^2, and row
-    i of L^-1 follows by forward substitution.  The first of ``points`` whose
-    node has a pivot that is not finite or is <= floor raises
+def _node_first(entries, shape):
+    """The array of ``shape``, node axis first, holding the node-last
+    ``entries`` {index: (N,)} and zeros elsewhere."""
+    out = np.zeros(shape)
+    for index, values in entries.items():
+        out[(slice(None), *index)] = values
+    return out
+
+
+def _sum(terms):
+    """The terms added in order, None (a structural zero) left out; None for none."""
+    terms = [t for t in terms if t is not None]
+    return reduce(add, terms) if terms else None
+
+
+def _minus(a, b):
+    """a - b, where None is a structural zero."""
+    return a if b is None else -b if a is None else a - b
+
+
+def _cholesky_inverse(M, r, points, floor, fault):
+    """L^-1 and diag(L) of the Cholesky factorization M = L L^T of N
+    symmetric r x r matrices, node-last: M maps the entries (i, j), i >= j,
+    that are not structurally zero to values (N,); so does L^-1, and diag(L)
+    is a list of r.  Row by row, L[i, j] = L^-1[j, c] M[i, c], L_ii^2 = M_ii
+    - L[i, j]^2 and L^-1[i, c] = -L[i, j] L^-1[j, c] / L_ii, each sum over
+    the products with no structurally zero factor.  The first of ``points``
+    with a pivot L_ii^2 that is not finite or is <= floor raises
     ConfigError(fault, point)."""
-    N, r, _ = M.shape
-    inv, diag, bad = np.zeros_like(M), np.empty((N, r)), np.zeros(N, dtype=bool)
+    inv, diag, bad = {}, [], np.zeros(len(points), dtype=bool)
     with np.errstate(all="ignore"):  # a failing node's inf or NaN ends in ``bad``
         for i in range(r):
-            row = (inv[:, :i, :i] @ M[:, i, :i, None])[..., 0]  # L[i, :i]
-            pivot = M[:, i, i] - (row * row).sum(axis=1)
+            row = {j: v for j in range(i) if (v := _sum([  # L[i, j]
+                inv[j, c] * M[i, c] for c in range(j + 1) if (j, c) in inv and (i, c) in M]))
+                is not None}
+            pivot = _minus(M.get((i, i), np.zeros(len(points))),
+                           _sum([v * v for v in row.values()]))
             bad |= ~((pivot > floor) & (pivot < np.inf))
-            diag[:, i] = np.sqrt(pivot)
-            inv[:, i, i] = d = 1.0 / diag[:, i]
-            inv[:, i, :i] = (row[:, None] @ inv[:, :i, :i])[:, 0] * -d[:, None]
+            diag.append(np.sqrt(pivot))
+            inv[i, i] = d = 1.0 / diag[i]
+            inv.update({(i, c): v * -d for c in range(i) if (v := _sum([
+                row[j] * inv[j, c] for j in range(c, i) if j in row and (j, c) in inv]))
+                is not None})
     if bad.any():
         raise ConfigError(f"{fault} {[float(v) for v in points[np.argmax(bad)]]}")
     return inv, diag
 
 
-def _positive_definite(G, points):
-    """L^-1 and diag(L) of the Cholesky factors L of the metric matrices
-    G (N, n, n) at the chart points (N, n); the first node whose matrix is
+def _positive_definite(entries, points):
+    """The metric matrices G (N, n, n) at the chart points (N, n) from their
+    ``entries`` {(k, l): value}, a plain number 0 structurally zero, with
+    L^-1 and diag(L) of ``_cholesky_inverse``; the first node whose matrix is
     asymmetric beyond round-off (Cholesky reads only the lower triangle), or
     has a pivot that is not finite and positive, raises ConfigError."""
+    n = 1 + max(k for k, _ in entries)
+    G = _node_first(entries, (len(points), n, n))
     GT = G.swapaxes(-1, -2)
     if not (G == GT).all():  # entries written differently may differ by round-off
         flat = len(G), -1
@@ -232,22 +258,10 @@ def _positive_definite(G, points):
         if bad.size:
             raise ConfigError("metric not symmetric at chart point "
                               f"{[float(v) for v in points[bad[0]]]}")
-    return _cholesky_inverse(G, points, 0.0, "metric not positive definite at chart point")
-
-
-def _finite_derivatives(dG, hess, points):
-    """Raise ConfigError naming the first node of ``points`` where a metric
-    derivative, of dG[:, i, k, l] or of the node-last Hessians hess[k, l],
-    is not finite, and in it the first such entry (k, l)."""
-    if np.isfinite(dG).all() and all(np.isfinite(h).all() for h in hess.values()):
-        return
-    finite = np.isfinite(dG).all(axis=1)  # finite[:, k, l]
-    for (k, l), h in hess.items():
-        finite[:, k, l] &= np.isfinite(h).all(axis=(0, 1))
-    node = np.argmin(finite.reshape(len(finite), -1).all(axis=1))
-    k, l = divmod(int(np.argmin(finite[node])), finite.shape[-1])
-    raise ConfigError(f"metric entry ({k}, {l}) has a derivative that is not finite at "
-                      f"chart point {[float(v) for v in points[node]]}")
+    lower = {(k, l): G[:, k, l] for (k, l), v in entries.items()
+             if k >= l and (isinstance(v, np.ndarray) or v != 0)}
+    return G, *_cholesky_inverse(lower, n, points, 0.0,
+                                 "metric not positive definite at chart point")
 
 
 def _callable_jets(metric):
@@ -288,38 +302,38 @@ class RiemannianPatch:
         self.name = name
 
     def metric_jets(self, x, order=2):
-        """Metric G (N, n, n) with its derivatives dG[:, i, k, l] along the
-        chart parameters at the nodes x and, at ``order`` 2 (None at order
-        1), the Hessians hess[k, l] = d_i d_j g_kl node-last, (n, n, N), of
-        the entries with a d_i d_j g_kl that is not structurally zero (a
-        constant entry has none).  Then L^-1 and diag(L) of its checked
-        Cholesky factor L.  G and dG do not depend on the order.  A
-        derivative that is not finite where G is positive definite (it
-        overflowed) raises ConfigError naming the entry."""
+        """Metric G (N, n, n) at the nodes x, its derivatives dG along the
+        chart parameters and, at ``order`` 2 (None at order 1), its Hessians
+        hess, then L^-1 and diag(L) of its checked Cholesky factor L
+        (``_cholesky_inverse``).  dG and hess map each (i, k, l) and (i, j,
+        k, l) whose d_i g_kl or d_i d_j g_kl is not structurally zero to its
+        values (N,).  G and dG do not depend on the order.  A derivative that
+        is not finite where G is positive definite (it overflowed) raises
+        ConfigError naming the entry."""
         x = np.asarray(x, dtype=float)
-        N, n = len(x), self.n
-        G, dG = np.empty((N, n, n)), np.zeros((N, n, n, n))
-        hess = {} if order == 2 else None
+        values, dG, hess = {}, {}, {} if order == 2 else None
         for k, row in enumerate(self._jets(x, order)):
             for l, (value, grad, hessian) in enumerate(row):
-                G[:, k, l] = value
-                for i, d in grad.items():
-                    dG[:, i, k, l] = d
-                if hessian:
-                    h = hess[k, l] = np.zeros((n, n, N))
-                    for (i, j), d in hessian.items():
-                        h[i, j] = h[j, i] = d
-        factors = _positive_definite(G, x)
-        _finite_derivatives(dG, hess or {}, x)
+                values[k, l] = value
+                for i, d in grad.items():  # a constant derivative is a plain number
+                    dG[i, k, l] = np.full(len(x), d) if np.isscalar(d) else d
+                for (i, j), d in hessian.items():
+                    d = np.full(len(x), d) if np.isscalar(d) else d
+                    hess[i, j, k, l] = hess[j, i, k, l] = d
+        G, *factors = _positive_definite(values, x)
+        bad = [(int(np.argmin(np.isfinite(d))), k, l)  # each derivative's first bad node
+               for (*_, k, l), d in [*dG.items(), *(hess or {}).items()]
+               if not np.isfinite(d).all()]
+        if bad:  # the least is the first bad node, and in it the first entry
+            node, k, l = min(bad)
+            raise ConfigError(f"metric entry ({k}, {l}) has a derivative that is not finite "
+                              f"at chart point {[float(v) for v in x[node]]}")
         return (G, dG, hess, *factors)
 
     def metric_values(self, x):
         x = np.asarray(x, dtype=float)
-        raw = self._metric(list(x.T))
-        (G,) = stack_jets([e for row in raw for e in row], x, 0)
-        G = G.reshape(-1, self.n, self.n)
-        _positive_definite(G, x)
-        return G
+        return _positive_definite({(k, l): e for k, row in enumerate(self._metric(list(x.T)))
+                                   for l, e in enumerate(row)}, x)[0]
 
     def ambient(self, x):
         x = np.asarray(x, dtype=float)
@@ -376,8 +390,11 @@ def _orthonormal_rows(G, dG, V, dV, points):
     triangle and half the diagonal.  The first node with a pivot L_jj^2 that
     is not finite or is <= 1e-14 raises ConfigError."""
     N, m, r, n = dV.shape
-    Linv, _ = _cholesky_inverse(V @ G @ _transposed(V), points, 1e-14, "degenerate frame: "
-                                "outward vector and tangents linearly dependent at point")
+    M = V @ G @ _transposed(V)
+    inv, _ = _cholesky_inverse({(i, j): M[:, i, j] for i in range(r) for j in range(i + 1)}, r,
+                               points, 1e-14, "degenerate frame: outward vector and tangents "
+                               "linearly dependent at point")
+    Linv = _node_first(inv, M.shape)
     E = Linv @ V
     Et = _transposed(E)
     # U[i,A,B] = (L^-1 dV_i)[A,k] (G E^T)[k,B] for A < B; S[i,A,B] = E[A,k] dG[i,k,l] E[B,l]
@@ -386,44 +403,59 @@ def _orthonormal_rows(G, dG, V, dV, points):
     return E, (U - U.swapaxes(-1, -2) - np.tril(S, -1) - 0.5 * np.eye(r) * S) @ E[:, None]
 
 
+@lru_cache(maxsize=None)
+def _christoffel_terms(n, dG, Linv):
+    """Given the keys of dG and L^-1, the terms that are not structurally
+    zero: the d_i g_jl, d_j g_il, d_l g_ij (or None) of each low[i,j,l], the
+    r of each Ginv[k,l], k <= l, and the l of each Gamma[i,j,k]."""
+    idx = range(n)
+    low = {(i, j, l): t for i in idx for j in idx for l in idx if any(
+        t := tuple(key if key in dG else None for key in ((i, j, l), (j, i, l), (l, i, j))))}
+    ginv = {(k, l): rs for k in idx for l in range(k, n)
+            if (rs := [r for r in idx if (r, k) in Linv and (r, l) in Linv])}
+    return low, ginv, {(i, j, k): ls for i in idx for j in idx for k in idx if (ls := [
+        l for l in idx if (i, j, l) in low and (min(l, k), max(l, k)) in ginv])}
+
+
 def christoffel_symbols(dG, Linv):
-    """Christoffel symbols, node-last (n, n, n, N), from the dG and L^-1 of
-    ``metric_jets``: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij) and
-    Gamma[i,j,k] = Gamma^k_ij = low[i,j,l] Ginv[l,k]."""
-    d, L = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (dG, Linv))  # d[i,k,l] = d_i g_kl
-    low = 0.5 * (d + d.swapaxes(0, 1) - d.transpose(1, 2, 0, 3))
-    del d  # read: freed before the products
-    n = len(L)
-    Ginv = reduce(iadd, (L[r, :, None] * L[r] for r in range(n)))  # Ginv[k,l] = L[r,k] L[r,l]
-    return low, reduce(iadd, (low[:, :, l, None] * Ginv[l] for l in range(n)))
+    """Christoffel symbols from the dG and L^-1 of ``metric_jets``, each a
+    map from its indices that are not structurally zero to values (N,):
+    low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij) and Gamma[i,j,k] =
+    Gamma^k_ij = low[i,j,l] Ginv[l,k], with Ginv[k,l] = L^-1[r,k] L^-1[r,l],
+    each sum over the terms of ``_christoffel_terms``."""
+    terms = _christoffel_terms(1 + max(i for i, _ in Linv), frozenset(dG), frozenset(Linv))
+    low = {key: 0.5 * _minus(_sum([dG.get(a), dG.get(b)]), dG.get(c))
+           for key, (a, b, c) in terms[0].items()}
+    Ginv = {(k, l): _sum([Linv[r, k] * Linv[r, l] for r in rs]) for (k, l), rs in terms[1].items()}
+    return low, {(i, j, k): _sum([low[i, j, l] * Ginv[min(l, k), max(l, k)] for l in ls])
+                 for (i, j, k), ls in terms[2].items()}
 
 
 @lru_cache(maxsize=None)
-def _pair_terms(n):
-    """Indices (a, b, c, d), each (4, E), of the U[a,b,c,d] in the E entries
-    R[I, J], I <= J, of ``pair_curvature``, those entries' I and J, and for
-    each metric entry (k, l) the (term, entry) positions where (c, d) = (k, l)."""
-    ps = np.array(pairs(n), dtype=int).T
-    I, J = np.triu_indices(ps.shape[1])
-    (i, j), (m, p) = ps[:, I], ps[:, J]
-    c, d = np.array([[j, j, i, i], [p, m, m, p]])
-    slots = {(k, l): np.nonzero((c == k) & (d == l)) for k in range(n) for l in range(n)}
-    return np.array([[i, i, j, j], [m, p, p, m], c, d]), I, J, slots
+def _pair_terms(n, low, Gamma):
+    """Given the keys of low and Gamma, for each entry R[I, J], I <= J, of
+    ``pair_curvature``: I, J and its four U[a,b,c,d], each as (a, b, c, d)
+    and the q of its products Gamma[a,b,q] low[c,d,q] that are not
+    structurally zero."""
+    return [(I, J, [(a, b, c, d, [q for q in range(n) if (a, b, q) in Gamma and (c, d, q) in low])
+                    for a, b, c, d in ((i, m, j, p), (i, p, j, m), (j, p, i, m), (j, m, i, p))])
+            for I, (i, j) in enumerate(pairs(n)) for J, (m, p) in enumerate(pairs(n)) if I <= J]
 
 
-def pair_curvature(low, Gamma, hess):
+def pair_curvature(low, Gamma, hess, n, count):
     """R[I, J] = <R(d_i, d_j) d_m, d_p> on the pairs I = (i, j), J = (m, p),
-    a symmetric (P, P, N), from ``christoffel_symbols`` and the Hessians of
-    ``metric_jets``: with U[a,b,c,d] = Gamma[a,b,q] low[c,d,q] + d_a d_b g_cd,
-    the second term only where g_cd has a Hessian, each R[I, J], I <= J, is
+    a symmetric (P, P, count) for an n-metric at count nodes, from
+    ``christoffel_symbols`` and the Hessians of ``metric_jets``: with
+    U[a,b,c,d] = Gamma[a,b,q] low[c,d,q] + d_a d_b g_cd over the terms of
+    ``_pair_terms`` and the Hessians present, each R[I, J], I <= J, is
     1/2 (U[i,m,j,p] - U[i,p,j,m] + U[j,p,i,m] - U[j,m,i,p])."""
-    (a, b, c, d), I, J, slots = _pair_terms(len(low))
-    U = reduce(iadd, (Gamma[a, b, q] * low[c, d, q] for q in range(len(low))))  # U[term, entry]
-    for kl, h in hess.items():
-        t, e = slots[kl]
-        U[t, e] += h[a[t, e], b[t, e]]
-    R = np.empty((J[-1] + 1,) * 2 + low.shape[-1:])
-    R[I, J] = R[J, I] = 0.5 * ((U[0] - U[1]) + (U[2] - U[3]))
+    R = np.zeros((n * (n - 1) // 2,) * 2 + (count,))
+    for I, J, terms in _pair_terms(n, frozenset(low), frozenset(Gamma)):
+        U = [_sum([_sum([Gamma[a, b, q] * low[c, d, q] for q in qs]), hess.get((a, b, c, d))])
+             for a, b, c, d, qs in terms]
+        entry = _sum([_minus(U[0], U[1]), _minus(U[2], U[3])])
+        if entry is not None:
+            R[I, J] = R[J, I] = 0.5 * entry
     return R
 
 
@@ -433,7 +465,7 @@ def _frame_connection(G, Gamma, E, dE, dx):
     dx[:, i, k] = d x^k / d t_i, from the Gamma of ``christoffel_symbols``."""
     N, m, n, _ = dE.shape
     # Y[i,q,k] = dx[i,l] Gamma^k_{lq}; nabla[i,A,k] = dE[i,A,k] + e_A^q Y[i,q,k]
-    Y = dx @ np.ascontiguousarray(np.moveaxis(Gamma, -1, 0)).reshape(N, n, n * n)
+    Y = dx @ _node_first(Gamma, (N, n, n, n)).reshape(N, n, n * n)
     nabla = dE + E[:, None] @ Y.reshape(N, m, n, n)
     # omega[i,A,B] = nabla[i,A,k] G[k,l] e_B^l, its roundoff asymmetry killed
     omega = (nabla.reshape(N, m * n, n) @ (G @ _transposed(E))).reshape(dE.shape)
@@ -464,9 +496,9 @@ def euler_form_density(patch, points):
     if n % 2:
         return np.zeros(len(points))
     _, dG, hess, Linv, diag = patch.metric_jets(points)
-    R = pair_curvature(*christoffel_symbols(dG, Linv), hess)
+    R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n, len(diag[0]))
     return (evaluate_template(euler_template(n), None, None, None, np.moveaxis(R, -1, 0))
-            / math.prod(diag.T))
+            / math.prod(diag))
 
 
 # -- boundary-adapted frames ------------------------------------------------------
@@ -507,8 +539,9 @@ def adapted_frame(bpatch, t, order=1):
     x_jets = bpatch.embed(Jet.variables(t, 2))
     x, dx, d2x = stack_jets(x_jets, t, 2)            # dx[i,k], d2x[i,j,k]
     jets = bpatch.parent.metric_jets(x, order)
-    G, dGx = jets[:2]
-    dG = (dx @ dGx.reshape(N, m + 1, -1)).reshape(N, m, m + 1, m + 1)  # dx[i,a] dGx[a,k,l]
+    G, n = jets[0], m + 1
+    # dG[i,k,l] = dx[i,a] d_a g_kl; the dense d_a g_kl is freed at once
+    dG = (dx @ _node_first(jets[1], (N, n, n, n)).reshape(N, n, -1)).reshape(N, m, n, n)
     outward, doutward = stack_jets(bpatch.outward(Jet.variables(t, 1)), t, 1)
     E, dE = _orthonormal_rows(G, dG, np.concatenate([dx, outward[:, None]], axis=1),
                               np.concatenate([d2x, doutward[:, :, None]], axis=2), t)
@@ -528,7 +561,7 @@ def boundary_frame(bpatch, t, frame_twist=None):
     bf, dx, (G, dG, hess, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
     low, Gamma = christoffel_symbols(dG, Linv)
     del dG, Linv  # read: freed before the curvature's products
-    curv = pair_curvature(low, Gamma, hess) if curved else None
+    curv = pair_curvature(low, Gamma, hess, bpatch.parent.n, len(t)) if curved else None
     del hess, low  # read: freed before the frame's products
     if frame_twist is not None:
         R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)

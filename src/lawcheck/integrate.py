@@ -36,7 +36,8 @@ from .templates import compile_template, evaluate_template, phi_template, trig_v
 class QuadratureGrid:
     nodes: np.ndarray      # (N, dim)
     weights: np.ndarray    # (N,)
-    orders: list
+    orders: list           # per axis, or per grid of a ``joined_grid``
+    parts: tuple = (slice(None),)  # node slices of the grids it joins
 
     def __len__(self):
         return len(self.weights)
@@ -103,6 +104,16 @@ def gauss_grid(box, orders):
                           orders=list(orders))
 
 
+def joined_grid(grids):
+    """The nodes and weights of ``grids`` in one grid, a part per grid, so
+    that the integrals of every part come from one pass over the nodes."""
+    ends = np.cumsum([0] + [len(g) for g in grids]).tolist()
+    return QuadratureGrid(nodes=np.concatenate([g.nodes for g in grids]),
+                          weights=np.concatenate([g.weights for g in grids]),
+                          orders=[g.orders for g in grids],
+                          parts=tuple(map(slice, ends[:-1], ends[1:])))
+
+
 # -- section pullbacks --------------------------------------------------------------
 
 class SectionPullback:
@@ -159,14 +170,17 @@ def _node_values(grid, weighted, n):
 
 
 def _quadrature(grid, weighted, n):
-    """math.fsum of the per-node products ``weighted(nodes, weights)``."""
-    return math.fsum(_node_values(grid, weighted, n).tolist())
+    """math.fsum of the per-node products ``weighted(nodes, weights)``, one
+    per part of the grid."""
+    values = _node_values(grid, weighted, n).tolist()
+    return tuple(math.fsum(values[part]) for part in grid.parts)
 
 
 def integrate_euler(patch, grid):
-    """Integral of the Euler curvature density; 0 immediately for odd n."""
+    """Integrals of the Euler curvature density, one per part of the grid;
+    0 immediately for odd n."""
     if patch.n % 2:
-        return 0.0
+        return (0.0,) * len(grid.parts)
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
     return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x), patch.n)
@@ -178,9 +192,9 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
     Each of ``sections`` is None for the outward normal or a callable mapping
     embedded chart jets to vector components; all of them are integrated
     through the same boundary frames.  Returns ``(integrals, densities,
-    angles, v_dot_n)``: a tuple of integrals in the order of ``sections``,
-    then the integrand, the section's angle to the outward normal and <V, n>
-    as (len(sections), N) arrays over the grid nodes.
+    angles, v_dot_n)``: per part of the grid, a tuple of integrals in the
+    order of ``sections``; then the integrand, the section's angle to the
+    outward normal and <V, n> as (len(sections), N) arrays over the grid nodes.
     """
     tpl = phi_template(bpatch.parent.n)
     pulls = [SectionPullback(s) for s in sections]
@@ -191,7 +205,9 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
         return np.array([[evaluate_template(tpl, *b[:4]), *b[4:]] for b in bound])
 
     dens, angle, v_dot_n = _node_values(grid, values, bpatch.parent.n).transpose(1, 0, 2)
-    integrals = tuple(math.fsum(acc) for acc in (grid.weights * dens).tolist())
+    weighted = grid.weights * dens
+    integrals = tuple(tuple(math.fsum(acc.tolist()) for acc in weighted[:, part])
+                      for part in grid.parts)
     return integrals, dens, angle, v_dot_n
 
 
@@ -217,7 +233,7 @@ def integrate_fiber_form(form, grid):
         return weights * evaluate_template(tpl, u, theta.reshape(-1, n, m),
                                            flat_omega, flat_curv)
 
-    return _quadrature(grid, weighted, n)
+    return _quadrature(grid, weighted, n)[0]
 
 
 def integrate_fiber_volume(n):
@@ -249,7 +265,7 @@ def degree_integral_circle(map_fn, order):
         return weights * (w[:, 0] * dw[:, 0, 1] - w[:, 1] * dw[:, 0, 0]) / norm2
 
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
-    return _quadrature(grid, weighted, 3) / (2 * math.pi)
+    return _quadrature(grid, weighted, 3)[0] / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order):
@@ -264,4 +280,4 @@ def degree_integral_sphere(map_fn, order):
         return weights * det / (norm2 * np.sqrt(norm2))
 
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
-    return _quadrature(grid, weighted, 3) / (4 * math.pi)
+    return _quadrature(grid, weighted, 3)[0] / (4 * math.pi)

@@ -16,7 +16,7 @@ from .fields import (
     index_at,
     index_tangential,
 )
-from .integrate import gauss_grid, integrate_euler, integrate_phi_over_section
+from .integrate import gauss_grid, integrate_euler, integrate_phi_over_section, joined_grid
 from .report import ScenarioReport
 from .scenarios import Scenario
 from .suite import run_suite
@@ -68,24 +68,22 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
             "ind_dminus": sum(r.value for r in minus),
             "ind_dplus": sum(r.value for r in plus)}
 
-    def integrals(k_interior, k_boundary):
-        """The three integrals at the given orders, and per boundary its grid
-        and the Phi integrand arrays of (normal, field)."""
-        omega_x = 0.0 if n % 2 else integrate_euler(
-            scenario.patch, gauss_grid(scenario.patch.box, k_interior))
-        values = {"omega_x": omega_x, "phi_normal": 0.0, "phi_section": 0.0}
-        arrays = []
-        for bpatch in scenario.boundaries:
-            grid = gauss_grid(bpatch.box, k_boundary)
-            (phi_n, phi_s), *integrand = integrate_phi_over_section(
-                bpatch, (None, scenario.field_spec.components), grid)
-            values["phi_normal"] += phi_n
-            values["phi_section"] += phi_s
-            arrays.append((bpatch.name, grid, *integrand))
-        return values, arrays
+    def both_orders(box, k):  # the grids of order k and 2k, one pass over their nodes
+        return joined_grid([gauss_grid(box, k), gauss_grid(box, 2 * k)])
 
-    values, arrays = integrals(interior_order, boundary_order)
-    doubled = integrals(2 * interior_order, 2 * boundary_order)[0]
+    omega_x = (0.0, 0.0) if n % 2 else integrate_euler(
+        scenario.patch, both_orders(scenario.patch.box, interior_order))
+    # the three integrals at the orders of the scenario and at doubled orders
+    values, doubled = ({"omega_x": w, "phi_normal": 0.0, "phi_section": 0.0} for w in omega_x)
+    arrays = []  # per boundary, its grid and Phi integrand arrays of (normal, field)
+    for bpatch in scenario.boundaries:
+        grid = both_orders(bpatch.box, boundary_order)
+        integrals, *integrand = integrate_phi_over_section(
+            bpatch, (None, scenario.field_spec.components), grid)
+        for value, (phi_n, phi_s) in zip((values, doubled), integrals):
+            value["phi_normal"] += phi_n
+            value["phi_section"] += phi_s
+        arrays.append((bpatch.name, grid, *integrand))
     convergence = {key: abs(doubled[key] - values[key]) for key in values}
     gates += [(delta, tol["convergence"], "quadrature non-convergence: doubling the "
                f"order moves {key} by {delta:.2e}") for key, delta in convergence.items()]
@@ -93,10 +91,10 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
     profile = [
         {"boundary": name, "node": node, "t": t, "weight": w,
          "density_normal": d_n, "density_section": d_s, "angle": a, "v_dot_n": v}
-        for name, grid, dens, angle, v_dot_n in arrays
+        for name, grid, dens, angle, v_dot_n in arrays for first in grid.parts[:1]
         for node, (t, w, d_n, d_s, a, v) in enumerate(zip(
-            grid.nodes.tolist(), grid.weights.tolist(), *dens.tolist(),
-            angle[1].tolist(), v_dot_n[1].tolist()))]
+            grid.nodes[first].tolist(), grid.weights[first].tolist(), *dens[:, first].tolist(),
+            angle[1, first].tolist(), v_dot_n[1, first].tolist()))]
 
     law_residual = sums["ind_v"] + sums["ind_dminus"] - scenario.chi
     thm_residual = (values["phi_normal"] - values["phi_section"]) - sums["ind_dminus"]

@@ -170,9 +170,9 @@ def test_criterion_8_property_suites():
     const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
     max_shift = 0.0
     for section in (None, const):
-        (base,), *_ = integrate_phi_over_section(rim, (section,), grid)
-        (rot,), *_ = integrate_phi_over_section(rim, (section,), grid,
-                                                frame_twist=twist)
+        ((base,),), *_ = integrate_phi_over_section(rim, (section,), grid)
+        ((rot,),), *_ = integrate_phi_over_section(rim, (section,), grid,
+                                                   frame_twist=twist)
         max_shift = max(max_shift, abs(rot - base))
     assert max_shift < 1e-8
 

@@ -51,8 +51,8 @@ def test_traced_pass_records_layers(tmp_path):
     assert out["passed"]
     assert out["metrics"]["integrate.phi_nodes"] > 0
     # one boundary_frame call per chunk: disk-constant integrates Phi on
-    # grids of 64 and 128 nodes, one chunk each
-    assert out["metrics"]["geometry.frames_per_boundary_node"] == 2 / 192
+    # its grids of 64 and 128 nodes joined, one chunk
+    assert out["metrics"]["geometry.frames_per_boundary_node"] == 1 / 192
     assert out["metrics"]["integrate.degree_nodes"] == 48
     assert out["metrics"]["geometry.euler_density_calls"] > 0
     # the symbolic hooks: coefficient and form products, polar substitution

@@ -84,14 +84,23 @@ def _callee(call):
     return None
 
 
+def _module_and_nested_functions(tree):
+    """The module-level functions of ``tree`` and every function nested in a
+    function (a closure); methods are left out."""
+    nested = {id(sub): sub for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for sub in ast.walk(fn) if sub is not fn and isinstance(sub, ast.FunctionDef)}
+    top = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    return top + list(nested.values())
+
+
 def test_every_default_is_set_by_a_caller_in_src():
-    """A defaulted parameter of a module-level function that no call in src/
-    sets, by position or by keyword, is a dead option: every caller gets the
-    default, so it belongs in the body."""
+    """A defaulted parameter of a module-level or nested function that no
+    call in src/ sets, by position or by keyword, is a dead option: every
+    caller gets the default, so it belongs in the body."""
     functions, calls = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        functions += [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += _module_and_nested_functions(tree)
         calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     set_by_call = set()
     for call in calls:

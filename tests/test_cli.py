@@ -106,6 +106,8 @@ _MALFORMED = {
     "metric-1x1": ("disk-constant", _set("patch", "metric", [["1"]])),
     "metric-asymmetric": ("disk-constant",
                           _set("patch", "metric", [["1", "0.5"], ["0", "r*r"]])),
+    "metric-asymmetric-mirror": ("disk-constant",
+                                 _set("patch", "metric", [["1", "0"], ["0.5", "r*r"]])),
     "metric-infinite": ("disk-constant", _set("patch", "metric", 0, 0, "1e200*1e200")),
     "metric-overflow-near-excluded-points": ("cap-radial",
                                              _set("patch", "metric", 0, 0, "exp(1000)")),
@@ -155,6 +157,7 @@ def _assert_one_config_error_line(code, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -165,6 +168,19 @@ def test_cli_malformed_scenario_exit_2(case, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cfg))
     _assert_one_config_error_line(cli.main(["run", "--scenario", str(path)]), capsys)
+
+
+@pytest.mark.parametrize("case", ["metric-asymmetric", "metric-asymmetric-mirror"])
+def test_cli_asymmetric_metric_names_the_asymmetry(case, tmp_path, capsys):
+    """A literal 0 in one triangle of the metric does not hide its asymmetry
+    from the Cholesky factor, which reads the lower triangle only."""
+    base, mutate = _MALFORMED[case]
+    cfg = load_catalog_raw(base)
+    mutate(cfg)
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(cfg))
+    err = _assert_one_config_error_line(cli.main(["run", "--scenario", str(path)]), capsys)
+    assert "not symmetric" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -437,7 +453,8 @@ def test_cli_run_failing_scenario_exit_1(tmp_path, capsys):
 def test_nan_integral_fails_its_gates(monkeypatch):
     """A gate passes only when its value is <= the tolerance, so a NaN
     integral fails the convergence and Gauss-Bonnet gates."""
-    monkeypatch.setattr(runner, "integrate_euler", lambda patch, grid: math.nan)
+    monkeypatch.setattr(runner, "integrate_euler",
+                        lambda patch, grid: (math.nan,) * len(grid.parts))
     report = run_scenario(load_catalog_scenario("disk-saddle"))
     assert not report.passed
     assert any("moves omega_x by nan" in f for f in report.failures)
@@ -447,7 +464,8 @@ def test_nan_integral_fails_its_gates(monkeypatch):
 def test_nan_section_integral_fails_the_boundary_identity(monkeypatch):
     def nan_integrals(bpatch, sections, grid):
         # NaN integrals beside finite densities, angles and v_dot_n arrays
-        return ((math.nan,) * len(sections), *np.zeros((3, len(sections), len(grid))))
+        return (((math.nan,) * len(sections),) * len(grid.parts),
+                *np.zeros((3, len(sections), len(grid))))
 
     monkeypatch.setattr(runner, "integrate_phi_over_section", nan_integrals)
     report = run_scenario(load_catalog_scenario("disk-constant"))
@@ -469,11 +487,14 @@ def test_every_gate_fails_with_its_message_in_order(monkeypatch):
         return dataclasses.replace(index_tangential(*args, **kwargs), residual=0.125)
 
     def euler(patch, grid):
-        return integrate_euler(patch, grid) + 1e-6 * len(grid)
+        return tuple(w + 1e-6 * len(grid.weights[part])
+                     for w, part in zip(integrate_euler(patch, grid), grid.parts))
 
     def phi(bpatch, sections, grid):
-        (phi_n, phi_s), *integrand = integrate_phi_over_section(bpatch, sections, grid)
-        return (phi_n + 1e-6 * len(grid), phi_s + 2e-6 * len(grid)), *integrand
+        integrals, *integrand = integrate_phi_over_section(bpatch, sections, grid)
+        sizes = [len(grid.weights[part]) for part in grid.parts]
+        return tuple((phi_n + 1e-6 * size, phi_s + 2e-6 * size)
+                     for (phi_n, phi_s), size in zip(integrals, sizes)), *integrand
 
     for name, patched in (("index_at", interior), ("index_tangential", tangential),
                           ("integrate_euler", euler),

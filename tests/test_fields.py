@@ -258,7 +258,10 @@ def test_first_order_metric_jets_give_the_same_frame(name):
         (first, dx1, jets1), (second, dx2, jets2) = (geometry.adapted_frame(bpatch, t, order)
                                                      for order in (1, 2))
         assert jets1[2] is None and jets2[2] is not None
-        for a, b in [(dx1, dx2), *zip(jets1[:2] + jets1[3:], jets2[:2] + jets2[3:]),
+        (G1, dG1, _, inv1, diag1), (G2, dG2, _, inv2, diag2) = jets1, jets2
+        assert dG1.keys() == dG2.keys() and inv1.keys() == inv2.keys()
+        for a, b in [(dx1, dx2), (G1, G2), *zip(diag1, diag2),
+                     *((dG1[k], dG2[k]) for k in dG1), *((inv1[k], inv2[k]) for k in inv1),
                      (first.metric, second.metric), (first.dmetric, second.dmetric),
                      (first.frame, second.frame), (first.dframe, second.dframe)]:
             assert np.array_equal(a, b)

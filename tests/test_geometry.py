@@ -22,6 +22,7 @@ from lawcheck.geometry import (
     _cholesky_inverse,
     _frame_connection,
     _frame_curvature,
+    _node_first,
     _orthonormal_rows,
     boundary_frame,
     christoffel_symbols,
@@ -83,27 +84,27 @@ def pair_core(patch, points):
     at ``points``: the layout of ``reference_core``."""
     G, dG, hess, Linv, _ = patch.metric_jets(points)
     low, Gamma = christoffel_symbols(dG, Linv)
-    R = np.moveaxis(pair_curvature(low, Gamma, hess), -1, 0)
-    return SimpleNamespace(Gamma=np.moveaxis(Gamma, -1, 0).transpose(0, 3, 1, 2),
-                           riemann=unpack_pairs(R, patch.n, patch.n))
+    N, n = G.shape[:2]
+    R = np.moveaxis(pair_curvature(low, Gamma, hess, n, N), -1, 0)
+    return SimpleNamespace(Gamma=_node_first(Gamma, (N, n, n, n)).transpose(0, 3, 1, 2),
+                           riemann=unpack_pairs(R, n, n))
 
 
 def dense_hessians(hess, N, n):
     """The whole d2G[:, i, j, k, l] = d_i d_j g_kl, node first, from the
-    Hessians of ``metric_jets``: zero where an entry g_kl has none."""
-    d2G = np.zeros((N, n, n, n, n))
-    for (k, l), h in hess.items():
-        d2G[:, :, :, k, l] = np.moveaxis(h, -1, 0)
-    return d2G
+    Hessians of ``metric_jets``: zero where they have none."""
+    return _node_first(hess, (N, n, n, n, n))
 
 
 def reference_core(jets):
     """Reference for the pair curvature: Christoffel symbols
     Gamma[:, k, i, j] and the whole lowered Riemann tensor R[:, i, j, m, p],
     n^4 entries per node, built by stacked matmuls and two antisymmetrization
-    passes over all index pairs, from ``RiemannianPatch.metric_jets``."""
+    passes over all index pairs, from ``RiemannianPatch.metric_jets`` with
+    every entry of dG and L^-1 filled in."""
     G, dG, hess, Linv, _ = jets
     N, n = G.shape[:2]
+    dG, Linv = _node_first(dG, (N, n, n, n)), _node_first(Linv, (N, n, n))
     d2G = dense_hessians(hess, N, n)  # d2G[:, i, j, k, l] = d_i d_j g_kl
     # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
     low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
@@ -137,9 +138,11 @@ def connection_curvature(patch, point):
     G, dG, hess, Linv, _ = patch.metric_jets([point])
     low, Gamma = christoffel_symbols(dG, Linv)
     eye = np.eye(n)
-    E, dE = _orthonormal_rows(G, dG, eye[None], np.zeros((1, n, n, n)), [point])
+    E, dE = _orthonormal_rows(G, _node_first(dG, (1, n, n, n)), eye[None],
+                              np.zeros((1, n, n, n)), [point])
     omega = _frame_connection(G, Gamma, E, dE, eye[None])
-    curv = unpack_pairs(_frame_curvature(pair_curvature(low, Gamma, hess), E, eye[None]), n, n)
+    curv = unpack_pairs(_frame_curvature(pair_curvature(low, Gamma, hess, n, 1), E, eye[None]),
+                        n, n)
     return SimpleNamespace(frame=E[0], metric=G[0], omega=omega[0], curvature=curv[0])
 
 
@@ -331,9 +334,13 @@ def test_metric_symmetry_allows_round_off_only():
                                         [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]])
     assert written(0.0).metric_jets(x)[0].shape == (3, 2, 2)
     assert written(0.0).metric_values(x).shape == (3, 2, 2)
+    # a structural zero in one triangle only: Cholesky would read 0 or 0.5
+    one_triangle = [RiemannianPatch(2, [(0, 1), (0, 1)], compile_matrix(rows, ["s", "r"]))
+                    for rows in ([["1", "0.5"], ["0", "r*r"]], [["1", "0"], ["0.5", "r*r"]])]
     for make in (lambda p: p.metric_jets(x), lambda p: p.metric_values(x)):
-        with pytest.raises(ConfigError, match=r"not symmetric at chart point \[0\.3, 0\.4\]"):
-            make(written(1e-3))
+        for patch in (written(1e-3), *one_triangle):
+            with pytest.raises(ConfigError, match=r"not symmetric at chart point \[0\.3, 0\.4\]"):
+                make(patch)
 
 _OVERFLOWING = {  # entry: (as a callable, an r where its value is finite and d_r overflows)
     "exp(705*r)": (lambda s, r: jet_exp(705 * r), 1.0),
@@ -356,7 +363,7 @@ def test_overflowing_metric_derivative_names_its_entry(entry):
     for metric in (compiled, written):
         patch = RiemannianPatch(2, [(0, 1), (0, 1)], metric)
         assert np.isfinite(patch.metric_values(points)).all()
-        assert np.isfinite(patch.metric_jets(points[:1])[1]).all()
+        assert all(np.isfinite(d).all() for d in patch.metric_jets(points[:1])[1].values())
         for order in (1, 2):
             with pytest.raises(ConfigError, match=fault):
                 patch.metric_jets(points, order)
@@ -553,7 +560,8 @@ def test_contractions_match_einsum_transcription(n):
     core = pair_core(patch, points)
     G, dG, hess, Linv = patch.metric_jets(points)[:4]
     src_low, src_Gamma = christoffel_symbols(dG, Linv)
-    R_pairs = pair_curvature(src_low, src_Gamma, hess)
+    R_pairs = pair_curvature(src_low, src_Gamma, hess, n, len(points))
+    dG = _node_first(dG, (len(points), n, n, n))
     d2G = dense_hessians(hess, *G.shape[:2])  # d2G[:, i, j, k, l] = d_i d_j g_kl
     low = 0.5 * (np.einsum("...ijl->...lij", dG) + np.einsum("...jil->...lij", dG)
                  - np.einsum("...lij->...lij", dG))
@@ -595,7 +603,7 @@ def test_pair_curvature_matches_reference(n, patch):
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
     G, dG, hess, Linv, _ = patch.metric_jets(points)
-    R = pair_curvature(*christoffel_symbols(dG, Linv), hess)
+    R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n, len(points))
     assert R.shape == (n * (n - 1) // 2,) * 2 + (len(points),)
     assert np.array_equal(R, R.swapaxes(0, 1))
 
@@ -609,8 +617,8 @@ def test_metric_jets_build_hessians_for_varying_entries_only():
     points = np.stack([rng.uniform(0.5, 1, 9), rng.uniform(0.4, 2.7, 9),
                        rng.uniform(0, 2 * math.pi, 9)], axis=1)
     jets = patch.metric_jets(points)
-    assert sorted(jets[2]) == [(1, 1), (2, 2)]
-    assert all(h.shape == (3, 3, 9) for h in jets[2].values())
+    assert sorted({key[2:] for key in jets[2]}) == [(1, 1), (2, 2)]
+    assert all(h.shape == (9,) for h in jets[2].values())
     assert patch.metric_jets(points, order=1)[2] is None
     want, got = reference_core(jets), pair_core(patch, points)
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
@@ -627,8 +635,46 @@ def test_sparse_hessians_give_the_reference_curvature(n, frozen):
     patch = wavy_patch(n, 40 + n, frozen)
     points = np.random.default_rng(n).uniform(-0.9, 0.9, size=(9, n))
     jets = patch.metric_jets(points)
-    assert set(jets[2]) == {(i, j) for i in range(n) for j in range(n)
-                            if (min(i, j), max(i, j)) not in frozen}
+    assert {key[2:] for key in jets[2]} == {(i, j) for i in range(n) for j in range(n)
+                                            if (min(i, j), max(i, j)) not in frozen}
+    want, got = reference_core(jets), pair_core(patch, points)
+    assert np.max(np.abs(want.riemann)) > 1e-3
+    assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
+    assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
+
+
+def literal_zero_patch(n, block, seed):
+    """A compiled n-metric whose off-diagonal entries are the literal 0, but
+    for g_01 = g_10 when ``block``: diagonal entries within 0.2 of 1 and g_01
+    within 0.1 of 0, each a product of a sine and a cosine of the parameters
+    x0, ..., x{n-1}."""
+    rng = random.Random(seed)
+
+    def wave(scale):
+        k, l = rng.randrange(n), rng.randrange(n)
+        return f"{rng.uniform(-scale, scale)!r}*sin(x{k} + 0.3)*cos(x{l}*x{k})"
+
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = f"1 + {wave(0.2)}"
+    if block:
+        rows[0][1] = rows[1][0] = wave(0.1)
+    return RiemannianPatch(n, [(-1, 1)] * n, compile_matrix(rows, [f"x{i}" for i in range(n)]))
+
+
+@pytest.mark.parametrize("n, block", [(2, False), (3, False), (4, False), (3, True), (4, True)])
+def test_literal_zero_entries_give_the_reference_curvature(n, block):
+    """On diagonal and block-diagonal metrics written with literal 0 entries,
+    the metric jets hold no derivative and no L^-1 entry outside the blocks,
+    and the Christoffel symbols and the Riemann tensor built from the entries
+    present equal the dense reference's within 1e-15."""
+    patch = literal_zero_patch(n, block, 50 + n)
+    points = np.random.default_rng(n).uniform(-0.9, 0.9, size=(9, n))
+    jets = patch.metric_jets(points)
+    _, dG, hess, Linv, _ = jets
+    blocks = {(i, i) for i in range(n)} | ({(0, 1), (1, 0)} if block else set())
+    assert {key[-2:] for key in [*dG, *hess]} <= blocks
+    assert set(Linv) == {(i, j) for i, j in blocks if i >= j}
     want, got = reference_core(jets), pair_core(patch, points)
     assert np.max(np.abs(want.riemann)) > 1e-3
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
@@ -636,7 +682,8 @@ def test_sparse_hessians_give_the_reference_curvature(n, frozen):
 
 
 def _traced_beyond_result(fn):
-    """Bytes that ``fn()`` allocates at its peak beyond the arrays it returns, a tuple."""
+    """Bytes that ``fn()`` allocates at its peak beyond the arrays it
+    returns, a tuple of arrays or of maps to arrays, each array counted once."""
     fn()  # fills caches
     tracemalloc.start()
     try:
@@ -644,7 +691,8 @@ def _traced_beyond_result(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - sum(a.nbytes for a in result)
+    arrays = [a for part in result for a in (part.values() if isinstance(part, dict) else [part])]
+    return peak - sum({id(a): a.nbytes for a in arrays}.values())
 
 
 def test_curvature_builds_no_n4_or_gathered_product_temporaries():
@@ -658,7 +706,7 @@ def test_curvature_builds_no_n4_or_gathered_product_temporaries():
     P = n * (n - 1) // 2
     node_array = 8 * N
     assert _traced_beyond_result(lambda: christoffel_symbols(dG, Linv)) < n ** 4 * node_array
-    assert (_traced_beyond_result(lambda: (pair_curvature(low, Gamma, hess),))
+    assert (_traced_beyond_result(lambda: (pair_curvature(low, Gamma, hess, n, N),))
             < 4 * P * (P + 1) // 2 * n * node_array)
 
 
@@ -799,11 +847,14 @@ def test_cholesky_inverse_matches_lapack(batch):
     raises at the first node that LAPACK rejects or whose pivot is at or
     below the floor."""
     M, floor = batch
+    r = M.shape[1]
+    lower = lambda A: {(i, j): A[:, i, j] for i in range(r) for j in range(i + 1)}
     points = np.arange(len(M), dtype=float)[:, None]
     with np.errstate(all="ignore"):  # LAPACK's oracle on inf and NaN nodes
         rejected = np.array([_lapack_rejects(m, floor) for m in M])
     good = M[~rejected]
-    inv, diag = _cholesky_inverse(good, points[~rejected], floor, "bad at")
+    inv, diag = _cholesky_inverse(lower(good), r, points[~rejected], floor, "bad at")
+    inv, diag = _node_first(inv, good.shape), np.stack(diag, axis=1)
     for k, m in enumerate(good):
         L = np.linalg.cholesky(m)
         want = np.linalg.inv(L)
@@ -812,7 +863,7 @@ def test_cholesky_inverse_matches_lapack(batch):
     if rejected.any():
         first = int(np.argmax(rejected))
         with pytest.raises(ConfigError, match=rf"^bad at \[{first}\.0\]$"):
-            _cholesky_inverse(M, points, floor, "bad at")
+            _cholesky_inverse(lower(M), r, points, floor, "bad at")
 
 
 # -- Euler density ----------------------------------------------------------------

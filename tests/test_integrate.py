@@ -30,6 +30,7 @@ from lawcheck.integrate import (
     integrate_fiber_form,
     integrate_fiber_volume,
     integrate_phi_over_section,
+    joined_grid,
     phi_template,
 )
 from lawcheck.runner import run_scenario
@@ -231,7 +232,7 @@ def test_fiber_curvature_terms_vanish_at_flat_point():
 def test_disk_normal_section():
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
-    (normal,), *_ = integrate_phi_over_section(rim, (None,), grid)
+    ((normal,),), *_ = integrate_phi_over_section(rim, (None,), grid)
     assert normal == pytest.approx(1.0, abs=1e-6)
 
 
@@ -239,24 +240,24 @@ def test_disk_constant_field_section():
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
     const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
-    (section,), *_ = integrate_phi_over_section(rim, (const,), grid)
+    ((section,),), *_ = integrate_phi_over_section(rim, (const,), grid)
     assert section == pytest.approx(0.0, abs=1e-6)
 
 
 def test_hemisphere_normal_section_and_euler():
     hemi = cap_patch(math.pi / 2)
     rim = cap_rim(math.pi / 2)
-    assert integrate_euler(hemi, gauss_grid(hemi.box, 48)) == \
-        pytest.approx(1.0, abs=1e-6)
-    (normal,), *_ = integrate_phi_over_section(rim, (None,),
-                                               gauss_grid(rim.box, [64]))
+    (euler,) = integrate_euler(hemi, gauss_grid(hemi.box, 48))
+    assert euler == pytest.approx(1.0, abs=1e-6)
+    ((normal,),), *_ = integrate_phi_over_section(rim, (None,),
+                                                  gauss_grid(rim.box, [64]))
     assert normal == pytest.approx(0.0, abs=1e-6)
 
 
 def test_euler_odd_dimension_short_circuit():
     ball = RiemannianPatch(3, [(0, 1)] * 3,
                            lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert integrate_euler(ball, gauss_grid(ball.box, 4)) == 0.0
+    assert integrate_euler(ball, gauss_grid(ball.box, 4)) == (0.0,)
 
 
 def test_euler_grid_dimension_mismatch():
@@ -268,9 +269,9 @@ def test_section_tuple_shares_frames_and_matches_single_calls():
     rim = cap_rim(1.2)
     grid = gauss_grid(rim.box, [24])
     field = lambda x: [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)]
-    normal, *arrays_n = integrate_phi_over_section(rim, (None,), grid)
-    section, *arrays_f = integrate_phi_over_section(rim, (field,), grid)
-    both, *arrays = integrate_phi_over_section(rim, (None, field), grid)
+    (normal,), *arrays_n = integrate_phi_over_section(rim, (None,), grid)
+    (section,), *arrays_f = integrate_phi_over_section(rim, (field,), grid)
+    (both,), *arrays = integrate_phi_over_section(rim, (None, field), grid)
     assert both == normal + section
     # densities, angles and v_dot_n: one row per section, one column per node
     for both_rows, (row_n,), (row_f,) in zip(arrays, arrays_n, arrays_f):
@@ -295,6 +296,24 @@ def test_node_order_does_not_change_integrals():
     sections = (None, saddle.field_spec.components)
     assert (integrate_phi_over_section(rim, sections, _permuted(grid, 2))[0]
             == integrate_phi_over_section(rim, sections, grid)[0])
+
+
+def test_joined_grids_give_each_grid_its_own_integrals():
+    """Over a joined grid, the integrals of each part equal, bit for bit,
+    those over its grid alone, and the integrand arrays are the grids' own,
+    side by side."""
+    saddle = load_catalog_scenario("disk-saddle")
+    grids = [gauss_grid(saddle.patch.box, k) for k in (12, 24)]
+    assert (integrate_euler(saddle.patch, joined_grid(grids))
+            == tuple(integrate_euler(saddle.patch, g)[0] for g in grids))
+    rim = saddle.boundaries[0]
+    grids = [gauss_grid(rim.box, k) for k in (48, 96)]
+    sections = (None, saddle.field_spec.components)
+    joined, *arrays = integrate_phi_over_section(rim, sections, joined_grid(grids))
+    alone = [integrate_phi_over_section(rim, sections, g) for g in grids]
+    assert joined == tuple(integrals[0] for integrals, *_ in alone)
+    for k, array in enumerate(arrays):  # densities, angles, v_dot_n
+        assert np.array_equal(array, np.concatenate([a[1 + k] for a in alone], axis=-1))
 
 
 def _one_node(grid, k):
@@ -360,8 +379,8 @@ def test_section_unit_residual():
 def test_quadrature_convergence_on_doubling():
     rim = disk_rim()
     const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
-    (v64,), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [64]))
-    (v128,), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [128]))
+    ((v64,),), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [64]))
+    ((v128,),), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [128]))
     assert abs(v128 - v64) < 1e-8
 
 
@@ -371,8 +390,8 @@ def test_integral_is_parametrization_and_chart_invariant():
     # the ambient chart orientation -- as it must be, since it equals
     # chi - int Omega
     grid = gauss_grid([(0, 2 * math.pi)], [64])
-    (forward,), *_ = integrate_phi_over_section(disk_rim(), (None,), grid)
-    (reparam,), *_ = integrate_phi_over_section(disk_rim(reverse=True), (None,), grid)
+    ((forward,),), *_ = integrate_phi_over_section(disk_rim(), (None,), grid)
+    ((reparam,),), *_ = integrate_phi_over_section(disk_rim(reverse=True), (None,), grid)
     assert reparam == pytest.approx(forward, abs=1e-9)
 
     mirrored = RiemannianPatch(2, [(0, 2 * math.pi), (0, 1)],
@@ -380,7 +399,7 @@ def test_integral_is_parametrization_and_chart_invariant():
     rim = BoundaryPatch(mirrored, [(0, 2 * math.pi)],
                         embed=lambda t: [t[0], 1.0 + 0 * t[0]],
                         outward=lambda t: [0.0, 1.0])
-    (swapped,), *_ = integrate_phi_over_section(rim, (None,), grid)
+    ((swapped,),), *_ = integrate_phi_over_section(rim, (None,), grid)
     assert swapped == pytest.approx(forward, abs=1e-9)
 
 
@@ -512,9 +531,9 @@ def test_frame_rotation_invariance_n2():
         return [[c, -1.0 * s], [s, c]]
 
     for section in (None, const):
-        (base,), *_ = integrate_phi_over_section(rim, (section,), grid)
-        (rotated,), *_ = integrate_phi_over_section(rim, (section,), grid,
-                                                    frame_twist=twist)
+        ((base,),), *_ = integrate_phi_over_section(rim, (section,), grid)
+        ((rotated,),), *_ = integrate_phi_over_section(rim, (section,), grid,
+                                                       frame_twist=twist)
         assert abs(rotated - base) < 1e-8
 
 
@@ -534,8 +553,8 @@ def test_frame_rotation_invariance_n3():
         zero = t_jets[0] * 0.0
         return [[one, zero, zero], [zero, c, -1.0 * s], [zero, s, c]]
 
-    (base,), *_ = integrate_phi_over_section(sph, (None,), grid)
-    (rotated,), *_ = integrate_phi_over_section(sph, (None,), grid, frame_twist=twist)
+    ((base,),), *_ = integrate_phi_over_section(sph, (None,), grid)
+    ((rotated,),), *_ = integrate_phi_over_section(sph, (None,), grid, frame_twist=twist)
     assert abs(rotated - base) < 1e-8
 
 
@@ -654,7 +673,7 @@ def test_numeric_transgression_n2():
 
     a, b = 0.4, 2.7  # inside (0, pi): projection sign is -1 throughout
     grid = gauss_grid([(a, b)], [48])
-    (section, normal), *_ = integrate_phi_over_section(rim, (const, None), grid)
+    ((section, normal),), *_ = integrate_phi_over_section(rim, (const, None), grid)
     lhs = section - normal
 
     pull = SectionPullback(const)
