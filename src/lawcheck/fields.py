@@ -24,6 +24,8 @@ from .geometry import (
     grid_points,
     metric_inner,
     node_chunks,
+    node_first,
+    section_jets,
     stack_jets,
 )
 from .integrate import degree_integral_circle, degree_integral_sphere
@@ -135,9 +137,12 @@ def _field_frame_components(bpatch, components, t):
     sign applied, so the winding loop and the sign count run in the chart
     that defines them: reversing the chart reverses both, and an index does
     not change."""
-    bf, _, _ = adapted_frame(bpatch, t)
-    V, dV = stack_jets(components(bf.x_jets), t, 1)
-    return metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe, V, dV)
+    t = np.asarray(t, dtype=float)
+    (N, m), n = t.shape, bpatch.parent.n
+    bf, _ = adapted_frame(bpatch, t)
+    s, ds = metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe,
+                         *section_jets(components, bf))
+    return node_first(s, (N, n)), node_first(ds, (N, m, n))
 
 
 def _sample_points(box, count):

@@ -2,27 +2,27 @@
 
 Every layer takes N chart (or boundary) points as an (N, dim) array, in
 chunks of ``node_chunks`` when a quadrature passes its grid.  Derivatives are
-forward mode, truncated Taylor arithmetic (Griewank & Walther 2008): Jets,
-node axis last, for the boundary embedding (second order, for d2x), outward
-vectors and fields; the derivative program of the compiled metric
-(``expressions``) for the metric, second order only where a curvature
-follows.  Frames carry first derivatives only, as nothing reads second ones.
-Two idioms contract:
-- the metric layer is node-last and knows its structure: ``metric_jets``
-  keeps dG, the Hessians and L^-1 as maps from the indices that are not
-  structurally zero (a literal 0 entry, a derivative the program drops) to
-  (N,) arrays, and the one Cholesky routine, the Christoffel symbols and the
-  curvature on index pairs i < j (of ``pairs``) add only the products of
-  entries present, with index lists built once per structure: a diagonal
-  metric multiplies no zeros, and a dense one runs the same code;
-- frames are node-first, parameter axes right after the node axis
-  (``stack_jets``, ``_node_first``), so a frame contraction is one stacked
-  matmul (``@``) per node, its index formula in a comment, with no einsum and
-  no transposed view as an operand (a contiguous copy is read several times
-  faster).
-Connection and curvature values keep the layouts of ``templates``,
-omega[:, A, B, i] and curv[:, I, J] on index pairs.  Finite differences
-appear only in tests, as independent oracles.
+forward mode, truncated Taylor arithmetic (Griewank & Walther 2008): the
+derivative programs of compiled expressions (``expressions``) for the metric
+(second order only where a curvature follows), the boundary embedding
+(second order, for d2x), outward vectors, fields and frame twists, each read
+through ``_input_jets``, which runs a Python callable on Jets instead; Jets,
+node axis last, remain for the index maps of ``fields``.  A field on the
+boundary is differentiated along t by the chain rule through the embedding.
+Frames carry first derivatives only, as nothing reads second ones.
+One idiom contracts: every layer is node-last and knows its structure.  The
+metric, its derivatives and Hessians, L^-1, the Christoffel symbols, the
+frame rows and their derivatives, the connection and the frame curvature are
+maps from the indices that are not structurally zero (a literal 0 entry, a
+derivative a program drops, a product with such a factor) to (N,) arrays or
+plain numbers, and each entry is a sum, in a fixed order, of the products
+with no structurally zero factor, a plain-number factor 1 folded: a
+coordinate hypersurface of a diagonal metric multiplies few zeros or ones,
+and a dense boundary runs the same code with every entry present.  The
+template evaluator reads node-first arrays, stacked once per section
+pullback by ``node_first``; the curvature on index pairs i < j (of
+``pairs``) keeps the layout of ``templates``, curv[:, I, J].  Finite
+differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches, whatever outward vector the patch gives; no sign is applied to
@@ -52,16 +52,12 @@ def node_chunks(count, n):
     """Slices of consecutive nodes that cover range(count), for geometry of
     dimension n: each holds CHUNK_ENTRIES // n^2 nodes (at least one), 1296
     at n = 2 and 576 at n = 3.  The chunked layers' traced peaks, in arrays
-    of one float per node, are about 22 (Euler density) and 76 (boundary
-    frame) at n = 2 and 244 (boundary frame, with curvature) at n = 3."""
+    of one float per node, are about 17 (Euler density) and 15-40 (boundary
+    frame: a catalog rim, a rim whose frame has no structural zero) at n = 2,
+    and 53-109 (boundary frame, with curvature) at n = 3; a chunk's two
+    section pullbacks and templates raise them to 33-45 and 62-126."""
     size = max(1, CHUNK_ENTRIES // n ** 2)
     return [slice(k, k + size) for k in range(0, count, size)]
-
-
-def _transposed(a):
-    """``a`` with its last two axes swapped, as a contiguous array: a stacked
-    matmul reads a transposed view several times more slowly than a copy."""
-    return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
 class Jet:
@@ -169,9 +165,9 @@ jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 def stack_jets(entries, nodes, order):
     """Stack k jets (or plain numbers, or value arrays) evaluated at the
     nodes (N, m): values (N, k) and, up to ``order``, gradients (N, m, k) and
-    Hessians (N, m, m, k), returned as a tuple of ``order + 1`` arrays.  The
-    stacks put the node axis first, as the contractions read them; each jet
-    part, node axis last, is written through a transposed view of its stack."""
+    Hessians (N, m, m, k), returned as a tuple of ``order + 1`` arrays, node
+    axis first, for the index maps and the value sweeps; each jet part, node
+    axis last, is written through a transposed view of its stack."""
     count, m = nodes.shape
     out = [np.zeros((count,) + (m,) * d + (len(entries),)) for d in range(order + 1)]
     node_last = [arr.transpose(*range(1, d + 2), 0) for d, arr in enumerate(out)]  # [..., k, N]
@@ -194,13 +190,30 @@ def grid_points(axes):
 
 # -- patches ---------------------------------------------------------------------
 
-def _node_first(entries, shape):
+def node_first(entries, shape):
     """The array of ``shape``, node axis first, holding the node-last
-    ``entries`` {index: (N,)} and zeros elsewhere."""
+    ``entries`` {index (an int or a tuple): (N,) or plain number} and zeros
+    elsewhere."""
     out = np.zeros(shape)
     for index, values in entries.items():
-        out[(slice(None), *index)] = values
+        out[(slice(None), *index) if isinstance(index, tuple) else (slice(None), index)] = values
     return out
+
+
+def _present(value):
+    """Whether an entry is not a structural zero: a node array, or a plain
+    number other than 0."""
+    return isinstance(value, np.ndarray) or value != 0
+
+
+def _mul(a, b):
+    """a * b, None (a structural zero) if either is; a plain-number factor 1
+    is folded."""
+    if a is None or b is None:
+        return None
+    if not isinstance(a, np.ndarray) and a == 1:
+        return b
+    return a if not isinstance(b, np.ndarray) and b == 1 else a * b
 
 
 def _sum(terms):
@@ -214,14 +227,64 @@ def _minus(a, b):
     return a if b is None else -b if a is None else a - b
 
 
+def _add(X, Y):
+    """X + Y of node-last maps, an entry absent from one taken from the other."""
+    return {**X, **Y, **{key: X[key] + v for key, v in Y.items() if key in X}}
+
+
+def _transpose(X):
+    """The transpose of a node-last map keyed by index pairs."""
+    return {(q, p): v for (p, q), v in X.items()}
+
+
+def _along(X, i):
+    """The slice X[i, ...] of a node-last map, keyed by the remaining indices."""
+    return {key[1:]: v for key, v in X.items() if key[0] == i}
+
+
+_PARTS = {"all": lambda p, q: True, "lower": lambda p, q: p >= q,
+          "upper": lambda p, q: p < q, "off-diagonal": lambda p, q: p != q}
+
+
+@lru_cache(maxsize=None)
+def _product_terms(xkeys, ykeys, part):
+    """Given the keys (p, r) of X and (r, q) of Y, each (p, q) of the product
+    X Y in ``part`` (of ``_PARTS``) with the r, ascending, of its products
+    that have no structurally zero factor."""
+    cols, terms, keep = {}, {}, _PARTS[part]
+    for r, q in sorted(ykeys):
+        cols.setdefault(r, []).append(q)
+    for p, r in sorted(xkeys):
+        for q in cols.get(r, ()):
+            if keep(p, q):
+                terms.setdefault((p, q), []).append(r)
+    return tuple(terms.items())
+
+
+def _product(X, Y, part="all"):
+    """The matrix product (X Y)[p, q] = X[p, r] Y[r, q] of node-last maps
+    keyed by index pairs, on the entries of ``part``: each a sum over r,
+    ascending, of the products with no structurally zero factor, index lists
+    built once per structure."""
+    return {(p, q): reduce(add, [_mul(X[p, r], Y[r, q]) for r in rs])
+            for (p, q), rs in _product_terms(frozenset(X), frozenset(Y), part)}
+
+
+def _contract(X, b):
+    """(X b)[...] = X[..., l] b[l] of a node-last map X, keyed by tuples of
+    two or more indices, and a vector map b, by ``_product``."""
+    rows = {(key[:-1] if len(key) > 2 else key[0], key[-1]): v for key, v in X.items()}
+    return {p: v for (p, _), v in _product(rows, {(l, 0): v for l, v in b.items()}).items()}
+
+
 def _cholesky_inverse(M, r, points, floor, fault):
     """L^-1 and diag(L) of the Cholesky factorization M = L L^T of N
     symmetric r x r matrices, node-last: M maps the entries (i, j), i >= j,
-    that are not structurally zero to values (N,); so does L^-1, and diag(L)
-    is a list of r.  Row by row, L[i, j] = L^-1[j, c] M[i, c], L_ii^2 = M_ii
-    - L[i, j]^2 and L^-1[i, c] = -L[i, j] L^-1[j, c] / L_ii, each sum over
-    the products with no structurally zero factor.  The first of ``points``
-    with a pivot L_ii^2 that is not finite or is <= floor raises
+    that are not structurally zero to values (N,) or plain numbers; so does
+    L^-1, and diag(L) is a list of r.  Row by row, L[i, j] = L^-1[j, c] M[i, c],
+    L_ii^2 = M_ii - L[i, j]^2 and L^-1[i, c] = -L[i, j] L^-1[j, c] / L_ii, each
+    sum over the products with no structurally zero factor.  The first of
+    ``points`` with a pivot L_ii^2 that is not finite or is <= floor raises
     ConfigError(fault, point)."""
     inv, diag, bad = {}, [], np.zeros(len(points), dtype=bool)
     with np.errstate(all="ignore"):  # a failing node's inf or NaN ends in ``bad``
@@ -231,7 +294,7 @@ def _cholesky_inverse(M, r, points, floor, fault):
                 is not None}
             pivot = _minus(M.get((i, i), np.zeros(len(points))),
                            _sum([v * v for v in row.values()]))
-            bad |= ~((pivot > floor) & (pivot < np.inf))
+            bad |= ~np.asarray((pivot > floor) & (pivot < np.inf))
             diag.append(np.sqrt(pivot))
             inv[i, i] = d = 1.0 / diag[i]
             inv.update({(i, c): v * -d for c in range(i) if (v := _sum([
@@ -243,41 +306,69 @@ def _cholesky_inverse(M, r, points, floor, fault):
 
 
 def _positive_definite(entries, points):
-    """The metric matrices G (N, n, n) at the chart points (N, n) from their
-    ``entries`` {(k, l): value}, a plain number 0 structurally zero, with
-    L^-1 and diag(L) of ``_cholesky_inverse``; the first node whose matrix is
-    asymmetric beyond round-off (Cholesky reads only the lower triangle), or
-    has a pivot that is not finite and positive, raises ConfigError."""
+    """The metric at the chart points (N, n) from its ``entries`` {(k, l):
+    value}, a plain number 0 structurally zero, as the map G from the (k, l)
+    present to the lower triangle's value there, with L^-1 and diag(L) of
+    ``_cholesky_inverse``; the first node whose matrix is asymmetric beyond
+    round-off (Cholesky reads only the lower triangle), or has a pivot that
+    is not finite and positive, raises ConfigError."""
     n = 1 + max(k for k, _ in entries)
-    G = _node_first(entries, (len(points), n, n))
-    GT = G.swapaxes(-1, -2)
-    if not (G == GT).all():  # entries written differently may differ by round-off
-        flat = len(G), -1
-        skew = np.abs(G - GT).reshape(flat).max(axis=1)
-        bad = np.flatnonzero(skew > 1e-12 * np.abs(G).reshape(flat).max(axis=1))
+    lower = {(k, l): v for (k, l), v in entries.items() if _present(v) and k >= l}
+    skew = [d for k in range(n) for l in range(k) if (d := _minus(
+        lower.get((k, l)), entries[l, k] if _present(entries[l, k]) else None)) is not None]
+    if any(np.any(d != 0) for d in skew):  # entries written differently may differ by round-off
+        scale = reduce(np.maximum, [np.abs(v) for v in entries.values() if _present(v)])
+        bad = np.flatnonzero(np.broadcast_to(
+            reduce(np.maximum, [np.abs(d) for d in skew]) > 1e-12 * scale, len(points)))
         if bad.size:
             raise ConfigError("metric not symmetric at chart point "
                               f"{[float(v) for v in points[bad[0]]]}")
-    lower = {(k, l): G[:, k, l] for (k, l), v in entries.items()
-             if k >= l and (isinstance(v, np.ndarray) or v != 0)}
+    G = {(k, l): lower[max(k, l), min(k, l)] for k in range(n) for l in range(n)
+         if (max(k, l), min(k, l)) in lower}
     return G, *_cholesky_inverse(lower, n, points, 0.0,
                                  "metric not positive definite at chart point")
 
 
-def _callable_jets(metric):
-    """The ``jets`` of a metric callable, as the compiled metrics give it:
-    the callable runs on the parameter Jets of the nodes, and each entry that
-    is a Jet gives all its derivatives, a plain number none.  numpy faults
-    are left to the checks of ``metric_jets``, which see their inf or NaN."""
-    def jets(x, order):
-        m = x.shape[1]
-        with np.errstate(all="ignore"):
-            rows = metric(Jet.variables(x, 2)) if order == 2 else metric(Jet.variables(x, 1))
-        return [[(e.v, dict(enumerate(e.g)), {} if e.h is None else
-                  {(i, j): e.h[i, j] for i in range(m) for j in range(i, m)})
-                 if isinstance(e, Jet) else (e, {}, {}) for e in row] for row in rows]
+def _input_jets(fn, x, order):
+    """The values and derivatives of an input ``fn`` (a metric, embedding,
+    outward vector, field or frame twist) at the nodes x (N, m): its compiled
+    ``jets``, or for a Python callable, fn run on the parameter Jets of the
+    nodes.  Nested as fn's result, each entry is (value, {i: d_i},
+    {(i, j): d_i d_j for i <= j}, at ``order`` 2 only); from a callable, an
+    entry that is a Jet gives all its derivatives, a plain number or node
+    array none.  A callable's numpy faults are left to the callers' checks,
+    which see their inf or NaN."""
+    x = np.asarray(x, dtype=float)
+    jets = getattr(fn, "jets", None)
+    if jets is not None:
+        return jets(x, order)
+    m = x.shape[1]
 
-    return jets
+    def entry(e):
+        if isinstance(e, (list, tuple)):
+            return [entry(f) for f in e]
+        if not isinstance(e, Jet):
+            return (e, {}, {})
+        return (e.v, dict(enumerate(e.g)), {} if e.h is None else
+                {(i, j): e.h[i, j] for i in range(m) for j in range(i, m)})
+
+    with np.errstate(all="ignore"):
+        return entry(fn(Jet.variables(x, 2)) if order == 2 else fn(Jet.variables(x, 1)))
+
+
+def _jet_maps(jets):
+    """The values {k: v}, gradients {(i, k): d_i v} and Hessians
+    {(i, j, k): d_i d_j v}, in both orders of (i, j), of the entries k of
+    ``jets`` (of ``_input_jets``), the structural zeros left out."""
+    values, grads, hess = {}, {}, {}
+    for k, (v, grad, hessian) in enumerate(jets):
+        if _present(v):
+            values[k] = v
+        grads.update(((i, k), d) for i, d in grad.items() if _present(d))
+        for (i, j), d in hessian.items():
+            if _present(d):
+                hess[i, j, k] = hess[j, i, k] = d
+    return values, grads, hess
 
 
 class RiemannianPatch:
@@ -286,7 +377,7 @@ class RiemannianPatch:
     ``metric`` maps a list of n parameters (floats, node arrays or Jets) to an
     n x n nested list: a compiled matrix (``expressions.compile_matrix``),
     whose ``jets`` the metric jets read, or a Python callable, run on Jets by
-    ``_callable_jets``.  ``chart_map`` maps parameters to ambient coordinates
+    ``_input_jets``.  ``chart_map`` maps parameters to ambient coordinates
     and is used for locating singular points, not for geometry.  Every method
     takes chart points as an (N, n) node array.
     """
@@ -297,22 +388,23 @@ class RiemannianPatch:
         if len(self.box) != dim:
             raise ValueError("box must have one interval per dimension")
         self._metric = metric
-        self._jets = getattr(metric, "jets", None) or _callable_jets(metric)
         self._chart_map = chart_map
         self.name = name
 
     def metric_jets(self, x, order=2):
-        """Metric G (N, n, n) at the nodes x, its derivatives dG along the
-        chart parameters and, at ``order`` 2 (None at order 1), its Hessians
-        hess, then L^-1 and diag(L) of its checked Cholesky factor L
-        (``_cholesky_inverse``).  dG and hess map each (i, k, l) and (i, j,
-        k, l) whose d_i g_kl or d_i d_j g_kl is not structurally zero to its
-        values (N,).  G and dG do not depend on the order.  A derivative that
-        is not finite where G is positive definite (it overflowed) raises
-        ConfigError naming the entry."""
+        """Metric G at the nodes x, its derivatives dG along the chart
+        parameters and, at ``order`` 2 (None at order 1), its Hessians hess,
+        then L^-1 and diag(L) of its checked Cholesky factor L
+        (``_cholesky_inverse``).  G maps each (k, l) whose g_kl is not
+        structurally zero to its values, as ``_positive_definite`` gives it;
+        dG and hess map each (i, k, l) and (i, j, k, l) whose d_i g_kl or
+        d_i d_j g_kl is not structurally zero to its values (N,).  G and dG
+        do not depend on the order.  A derivative that is not finite where G
+        is positive definite (it overflowed) raises ConfigError naming the
+        entry."""
         x = np.asarray(x, dtype=float)
         values, dG, hess = {}, {}, {} if order == 2 else None
-        for k, row in enumerate(self._jets(x, order)):
+        for k, row in enumerate(_input_jets(self._metric, x, order)):
             for l, (value, grad, hessian) in enumerate(row):
                 values[k, l] = value
                 for i, d in grad.items():  # a constant derivative is a plain number
@@ -331,9 +423,11 @@ class RiemannianPatch:
         return (G, dG, hess, *factors)
 
     def metric_values(self, x):
+        """The checked metric matrices (N, n, n) at the nodes x."""
         x = np.asarray(x, dtype=float)
-        return _positive_definite({(k, l): e for k, row in enumerate(self._metric(list(x.T)))
-                                   for l, e in enumerate(row)}, x)[0]
+        G = _positive_definite({(k, l): e for k, row in enumerate(self._metric(list(x.T)))
+                                for l, e in enumerate(row)}, x)[0]
+        return node_first(G, (len(x), self.n, self.n))
 
     def ambient(self, x):
         x = np.asarray(x, dtype=float)
@@ -366,41 +460,42 @@ class BoundaryPatch:
 # -- frames ---------------------------------------------------------------------
 
 def metric_inner(G, dG, a, da, b, db):
-    """<a_A, b> under the metric G for a stack of rows a_A, to first order.
-
-    G is (N, n, n), symmetric, with dG[:, i, k, l] its derivative along
-    parameter i; the rows a are (N, r, n) with da[:, i, A, k], and b is (N, n)
-    with db[:, i, k].  Returns the values (N, r) and their gradients (N, m, r).
-    """
-    N, m, n = db.shape
-    Gb = G @ b[..., None]                                    # Gb[k] = G[k,l] b[l], a column
-    # dGb[i,k] = dG[i,k,l] b[l] + db[i,l] G[l,k]
-    dGb = (dG.reshape(N, m * n, n) @ b[..., None]).reshape(N, m, n) + db @ G
-    # <a_A, b> = a[A,k] Gb[k] and d<a_A, b>[i] = da[i,A,k] Gb[k] + dGb[i,k] a[A,k]
-    return ((a @ Gb)[..., 0],
-            (da.reshape(N, -1, n) @ Gb).reshape(da.shape[:3]) + dGb @ _transposed(a))
+    """<a_A, b> under the metric G for the rows a_A, to first order: the
+    node-last maps G[k, l], dG[i, k, l] (d_i g_kl), a[A, k], da[i, A, k], b[k]
+    and db[i, k] give the values {A: <a_A, b>} and gradients
+    {(i, A): d_i <a_A, b>}, with Gb[k] = G[k, l] b[l] and
+    dGb[i, k] = dG[i, k, l] b[l] + db[i, l] G[l, k]:
+    d_i <a_A, b> = da[i, A, k] Gb[k] + dGb[i, k] a[A, k]."""
+    Gb = _contract(G, b)
+    dGb = _add(_contract(dG, b), _product(db, G))
+    return _contract(a, Gb), _add(_contract(da, Gb), _product(dGb, _transpose(a)))
 
 
-def _orthonormal_rows(G, dG, V, dV, points):
-    """Gram-Schmidt on the rows of V (N, r, n) against G, with derivatives
-    dG[:, i, k, l] and dV[:, i, A, k], as the Cholesky factorization
-    V G V^T = L L^T: E = L^-1 V and, in the frame, dE_i = (K_i - Phi(S_i)) E
-    (Murray, arXiv:1602.07527), where S_i = E dG_i E^T, K_i = U - U^T for U the
-    strict upper triangle of L^-1 dV_i G E^T, and Phi keeps the strict lower
-    triangle and half the diagonal.  The first node with a pivot L_jj^2 that
-    is not finite or is <= 1e-14 raises ConfigError."""
-    N, m, r, n = dV.shape
-    M = V @ G @ _transposed(V)
-    inv, _ = _cholesky_inverse({(i, j): M[:, i, j] for i in range(r) for j in range(i + 1)}, r,
-                               points, 1e-14, "degenerate frame: outward vector and tangents "
+def _orthonormal_rows(G, dG, V, dV, points, m):
+    """Gram-Schmidt on the n rows V[A, k] against G, with derivatives
+    dG[i, k, l] and dV[i, A, k] along m parameters, all node-last maps, as the
+    Cholesky factorization V G V^T = L L^T: E = L^-1 V and, in the frame,
+    dE_i = (K_i - Phi(S_i)) E (Murray, arXiv:1602.07527), where
+    S_i = E dG_i E^T, K_i = U - U^T for U the strict upper triangle of
+    L^-1 dV_i G E^T, and Phi keeps the strict lower triangle and half the
+    diagonal.  Returns the maps E[A, k] and dE[i, A, k].  The first node with
+    a pivot L_jj^2 that is not finite or is <= 1e-14 raises ConfigError."""
+    M = _product(_product(V, G), _transpose(V), "lower")
+    inv, _ = _cholesky_inverse(M, 1 + max(k for k, _ in G), points, 1e-14,
+                               "degenerate frame: outward vector and tangents "
                                "linearly dependent at point")
-    Linv = _node_first(inv, M.shape)
-    E = Linv @ V
-    Et = _transposed(E)
-    # U[i,A,B] = (L^-1 dV_i)[A,k] (G E^T)[k,B] for A < B; S[i,A,B] = E[A,k] dG[i,k,l] E[B,l]
-    U = np.triu(((Linv[:, None] @ dV).reshape(N, m * r, n) @ (G @ Et)).reshape(N, m, r, r), 1)
-    S = E[:, None] @ (dG.reshape(N, m * n, n) @ Et).reshape(N, m, n, r)
-    return E, (U - U.swapaxes(-1, -2) - np.tril(S, -1) - 0.5 * np.eye(r) * S) @ E[:, None]
+    E = _product(inv, V)
+    Et = _transpose(E)
+    GEt = _product(G, Et)
+    dE = {}
+    for i in range(m):
+        U = _product(_product(inv, _along(dV, i)), GEt, "upper")
+        S = _product(E, _product(_along(dG, i), Et), "lower")
+        # K - Phi(S): U above the diagonal, -U^T - S below it, -S/2 on it
+        C = {**U, **_add({(B, A): -v for (A, B), v in U.items()},
+                         {(A, B): -v if A > B else -0.5 * v for (A, B), v in S.items()})}
+        dE.update({(i, A, k): v for (A, k), v in _product(C, E).items()})
+    return E, dE
 
 
 @lru_cache(maxsize=None)
@@ -459,29 +554,44 @@ def pair_curvature(low, Gamma, hess, n, count):
     return R
 
 
-def _frame_connection(G, Gamma, E, dE, dx):
-    """Connection values omega[:, A, B, i] of the frame rows E, with
-    dE[:, i, A, k] = d e_A^k / d t_i, along a map with pushforward
-    dx[:, i, k] = d x^k / d t_i, from the Gamma of ``christoffel_symbols``."""
-    N, m, n, _ = dE.shape
-    # Y[i,q,k] = dx[i,l] Gamma^k_{lq}; nabla[i,A,k] = dE[i,A,k] + e_A^q Y[i,q,k]
-    Y = dx @ _node_first(Gamma, (N, n, n, n)).reshape(N, n, n * n)
-    nabla = dE + E[:, None] @ Y.reshape(N, m, n, n)
-    # omega[i,A,B] = nabla[i,A,k] G[k,l] e_B^l, its roundoff asymmetry killed
-    omega = (nabla.reshape(N, m * n, n) @ (G @ _transposed(E))).reshape(dE.shape)
-    return (0.5 * (omega - omega.swapaxes(-1, -2))).transpose(0, 2, 3, 1)
+def _frame_connection(G, Gamma, E, dE, dx, m):
+    """Connection values omega[A, B, i], A != B, of the frame rows E[A, k]
+    (e_A^k), with dE[i, A, k] = d e_A^k / d t_i, along a map with pushforward
+    dx[i, k] = d x^k / d t_i, from the Gamma[i, j, k] = Gamma^k_ij of
+    ``christoffel_symbols``, all node-last maps:
+    nabla[i, A, k] = dE[i, A, k] + e_A^q Y[i, q, k] with
+    Y[i, q, k] = dx[i, l] Gamma^k_lq, and omega the antisymmetric part of
+    nabla[i, A, k] G[k, l] e_B^l, its roundoff asymmetry killed."""
+    Y = _product(dx, {(l, (q, k)): v for (l, q, k), v in Gamma.items()})
+    GEt = _product(G, _transpose(E))
+    omega = {}
+    for i in range(m):
+        nabla = _add(_along(dE, i), _product(E, {qk: v for (j, qk), v in Y.items() if j == i}))
+        raw = _product(nabla, GEt, "off-diagonal")
+        for A, B in pairs(1 + max(k for k, _ in G)):
+            if (w := _minus(raw.get((A, B)), raw.get((B, A)))) is not None:
+                omega[A, B, i] = w = 0.5 * w
+                omega[B, A, i] = -w
+    return omega
 
 
-def _frame_curvature(R, E, dx):
-    """curv[:, I, J] = e_A^q e_B^p R[l,r,q,p] dx^l_i dx^r_j, I = (A, B) and
-    J = (i, j), of the frame rows E along pushforward dx: Lambda^2 E R Lambda^2 dx^T."""
-    def wedge2(M):  # node-last W[I,J] = M[a,q] M[b,p] - M[a,p] M[b,q], I = (a, b), J = (q, p)
-        M = np.ascontiguousarray(np.moveaxis(M, 0, -1))
-        (a, b), (q, p) = (np.array(pairs(k), dtype=int).reshape(-1, 2).T for k in M.shape[:2])
-        return M[a[:, None], q] * M[b[:, None], p] - M[a[:, None], p] * M[b[:, None], q]
+def _wedge2(M, rows, cols):
+    """W[I, J] = M[a, q] M[b, p] - M[a, p] M[b, q] of the map M[row, col] on
+    the ``pairs`` I = (a, b) of its rows and J = (q, p) of its columns."""
+    return {(I, J): v for I, (a, b) in enumerate(pairs(rows))
+            for J, (q, p) in enumerate(pairs(cols)) if (v := _minus(
+                _mul(M.get((a, q)), M.get((b, p))), _mul(M.get((a, p)), M.get((b, q)))))
+            is not None}
 
-    R_dx = (R[:, None] * wedge2(dx)[None]).sum(axis=2)  # R_dx[qp,ij] = R[qp,lr] W[ij,lr]
-    return np.moveaxis((wedge2(E)[:, :, None] * R_dx).sum(axis=1), -1, 0)
+
+def _frame_curvature(R, E, dx, m):
+    """curv[I, J] = e_A^q e_B^p R[l,r,q,p] dx^l_i dx^r_j, I = (A, B) and
+    J = (i, j), of the frame rows E[A, k] along pushforward dx[i, k], from the
+    (P, P, N) pair curvature R: Lambda^2 E R Lambda^2 dx^T, as a node-last map."""
+    P = len(R)
+    n = 1 + max(k for _, k in E)
+    pair_map = {(K, L): R[K, L] for K in range(P) for L in range(P)}
+    return _product(_wedge2(E, n, n), _product(pair_map, _transpose(_wedge2(dx, m, n))))
 
 
 def euler_form_density(patch, points):
@@ -496,7 +606,7 @@ def euler_form_density(patch, points):
     if n % 2:
         return np.zeros(len(points))
     _, dG, hess, Linv, diag = patch.metric_jets(points)
-    R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n, len(diag[0]))
+    R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n, len(points))
     return (evaluate_template(euler_template(n), None, None, None, np.moveaxis(R, -1, 0))
             / math.prod(diag))
 
@@ -505,50 +615,69 @@ def euler_form_density(patch, points):
 
 @dataclass
 class BoundaryFrame:
-    """Everything a section pullback needs at a batch of boundary nodes: each
-    array has a leading node axis, each derivative its t-axis next.  Frame
-    and metric carry first t-derivatives only, as nothing reads second ones;
-    ``adapted_frame`` leaves omega and curvature None, and so does
+    """Everything a section pullback needs at a batch of N boundary nodes.
+    Past ``points``, each field is a node-last map from the indices of the
+    entries that are not structurally zero to values (N,) or plain numbers.
+    Frame and metric carry first t-derivatives only, as nothing reads second
+    ones; ``adapted_frame`` leaves omega and curvature None, and so does
     ``boundary_frame`` the curvature where Phi reads none (n = 2)."""
-    x_jets: list                   # embedding as first-order jets in t
-    metric: np.ndarray
-    dmetric: np.ndarray            # dmetric[i,k,l] = d g_kl / d t_i
-    normal: np.ndarray             # untwisted outward unit normal
-    dnormal: np.ndarray            # dnormal[i,k]
-    frame: np.ndarray              # adapted frame rows e_A
-    dframe: np.ndarray             # dframe[i,A,k] = d e_A^k / d t_i
-    omega: np.ndarray = None       # omega[A,B,i] on boundary coordinate directions
-    curvature: np.ndarray = None   # curvature[I,J], frame pairs I on boundary bivectors J
+    points: np.ndarray             # embedded nodes x (N, n) in the parent chart
+    pushforward: dict              # pushforward[i, k] = d x^k / d t_i
+    metric: dict                   # metric[k, l] = g_kl
+    dmetric: dict                  # dmetric[i, k, l] = d g_kl / d t_i
+    normal: dict                   # normal[k]: the untwisted outward unit normal
+    dnormal: dict                  # dnormal[i, k]
+    frame: dict                    # frame[A, k] = e_A^k, the adapted frame rows
+    dframe: dict                   # dframe[i, A, k] = d e_A^k / d t_i
+    omega: dict = None             # omega[A, B, i], A != B, on boundary coordinate directions
+    curvature: dict = None         # curvature[I, J], frame pairs I on boundary bivectors J
 
 
 def adapted_frame(bpatch, t, order=1):
     """Adapted orthonormal frames at the boundary nodes t (N, m), outward
-    normal first, without connection or curvature; returns the BoundaryFrame,
-    the pushforward dx[:, i, k] = d x^k / d t_i and the parent metric jets of
-    ``order`` (2 when a curvature follows; the frame reads first order only).
-    The frame is Gram-Schmidt on (dx/dt_1, ..., dx/dt_m, outward), whose last
-    row, the unit normal on the side of ``outward``, is rolled to the front.
-    L^-1 V with diag(L) > 0 has det of the sign of det[dx | outward], and the
-    roll multiplies it by (-1)^m, as moving outward to the front does: det E
-    has the sign of det[outward | dx].  Every monomial of Phi holds the frame
-    index n once, so Phi changes sign with e_n just as the measure dt does
-    with the chart: Phi on E is already the integrand of the outward-first
-    boundary, and no sign is applied."""
+    normal first, without connection or curvature; returns the BoundaryFrame
+    and the parent metric jets of ``order`` (2 when a curvature follows; the
+    frame reads first order only).  The embedding and ``outward`` come from
+    ``_input_jets``; the pulled-back dG[i, k, l] = dx[i, a] d_a g_kl reads the
+    lower triangle.  The frame is Gram-Schmidt on (dx/dt_1, ..., dx/dt_m,
+    outward), whose last row, the unit normal on the side of ``outward``, is
+    relabelled first.  L^-1 V with diag(L) > 0 has det of the sign of
+    det[dx | outward], and the relabelling multiplies it by (-1)^m, as moving
+    outward to the front does: det E has the sign of det[outward | dx].  Every
+    monomial of Phi holds the frame index n once, so Phi changes sign with
+    e_n just as the measure dt does with the chart: Phi on E is already the
+    integrand of the outward-first boundary, and no sign is applied."""
     t = np.asarray(t, dtype=float)
     N, m = t.shape
-    x_jets = bpatch.embed(Jet.variables(t, 2))
-    x, dx, d2x = stack_jets(x_jets, t, 2)            # dx[i,k], d2x[i,j,k]
-    jets = bpatch.parent.metric_jets(x, order)
-    G, n = jets[0], m + 1
-    # dG[i,k,l] = dx[i,a] d_a g_kl; the dense d_a g_kl is freed at once
-    dG = (dx @ _node_first(jets[1], (N, n, n, n)).reshape(N, n, -1)).reshape(N, m, n, n)
-    outward, doutward = stack_jets(bpatch.outward(Jet.variables(t, 1)), t, 1)
-    E, dE = _orthonormal_rows(G, dG, np.concatenate([dx, outward[:, None]], axis=1),
-                              np.concatenate([d2x, doutward[:, :, None]], axis=2), t)
-    E, dE = np.roll(E, 1, axis=1), np.roll(dE, 1, axis=2)
-    x_jets = [Jet(e.v, e.g, None) if isinstance(e, Jet) else e for e in x_jets]
-    return (BoundaryFrame(x_jets=x_jets, metric=G, dmetric=dG, normal=E[:, 0],
-                          dnormal=dE[:, :, 0], frame=E, dframe=dE), dx, jets)
+    n = m + 1
+    embed = _input_jets(bpatch.embed, t, 2)
+    points = np.stack([np.broadcast_to(v, (N,)) for v, _, _ in embed], axis=1)
+    _, dx, d2x = _jet_maps(embed)                   # dx[i, k], d2x[i, j, k]
+    jets = bpatch.parent.metric_jets(points, order)
+    G, dGx = jets[0], jets[1]
+    dG = {(i, *kl): v for (i, kl), v in _product(
+        dx, {(a, (k, l)): v for (a, k, l), v in dGx.items() if k >= l}).items()}
+    dG.update({(i, l, k): v for (i, k, l), v in dG.items()})
+    outward, doutward, _ = _jet_maps(_input_jets(bpatch.outward, t, 1))
+    V = {**dx, **{(m, k): v for k, v in outward.items()}}  # rows dx/dt_A, then outward
+    dV = {**d2x, **{(i, m, k): v for (i, k), v in doutward.items()}}
+    E, dE = _orthonormal_rows(G, dG, V, dV, t, m)
+    E = {((A + 1) % n, k): v for (A, k), v in E.items()}
+    dE = {(i, (A + 1) % n, k): v for (i, A, k), v in dE.items()}
+    return (BoundaryFrame(points=points, pushforward=dx, metric=G, dmetric=dG,
+                          normal={k: v for (A, k), v in E.items() if A == 0},
+                          dnormal={(i, k): v for (i, A, k), v in dE.items() if A == 0},
+                          frame=E, dframe=dE), jets)
+
+
+def section_jets(fn, frame):
+    """Values W[k] and t-gradients dW[i, k] of the vector field ``fn``
+    (parent-chart components) at the points of the BoundaryFrame ``frame``,
+    from its first-order ``_input_jets`` by the chain rule through the
+    embedding, dW[i, k] = dx[i, a] d_a W^k, over the products with no
+    structurally zero factor."""
+    W, dWx, _ = _jet_maps(_input_jets(fn, frame.points, 1))
+    return W, _product(frame.pushforward, dWx)
 
 
 def boundary_frame(bpatch, t, frame_twist=None):
@@ -557,18 +686,22 @@ def boundary_frame(bpatch, t, frame_twist=None):
     same metric jets.  ``frame_twist`` maps t-jets to an n x n rotation R and
     replaces the frame E by R E; ``normal`` stays the untwisted e_1."""
     t = np.asarray(t, dtype=float)
-    curved = any(deg == 2 for e in phi_template(bpatch.parent.n).entries for *_, deg in e[2])
-    bf, dx, (G, dG, hess, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
+    n, m = bpatch.parent.n, bpatch.m
+    curved = any(deg == 2 for e in phi_template(n).entries for *_, deg in e[2])
+    bf, (_, dG, hess, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
     low, Gamma = christoffel_symbols(dG, Linv)
     del dG, Linv  # read: freed before the curvature's products
-    curv = pair_curvature(low, Gamma, hess, bpatch.parent.n, len(t)) if curved else None
+    curv = pair_curvature(low, Gamma, hess, n, len(t)) if curved else None
     del hess, low  # read: freed before the frame's products
     if frame_twist is not None:
-        R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)
-        R, dR = R.reshape(bf.frame.shape), dR.reshape(bf.dframe.shape)
-        # d(R E)[i,a,k] = dR[i,a,b] E[b,k] + R[a,b] dE[i,b,k]
-        bf.frame, bf.dframe = R @ bf.frame, dR @ bf.frame[:, None] + R[:, None] @ bf.dframe
+        R, dR, _ = _jet_maps([e for row in _input_jets(frame_twist, t, 1) for e in row])
+        R = {divmod(ab, n): v for ab, v in R.items()}  # R[a * n + b] = R_ab
+        E, dE = bf.frame, bf.dframe
+        # d(R E)[i, a, k] = dR[i, a, b] E[b, k] + R[a, b] dE[i, b, k]
+        bf.frame, bf.dframe = _product(R, E), {(i, *ak): v for i in range(m) for ak, v in _add(
+            _product({divmod(ab, n): v for (j, ab), v in dR.items() if j == i}, E),
+            _product(R, _along(dE, i))).items()}
     if curved:
-        bf.curvature = _frame_curvature(curv, bf.frame, dx)
-    bf.omega = _frame_connection(G, Gamma, bf.frame, bf.dframe, dx)
+        bf.curvature = _frame_curvature(curv, bf.frame, bf.pushforward, m)
+    bf.omega = _frame_connection(bf.metric, Gamma, bf.frame, bf.dframe, bf.pushforward, m)
     return bf

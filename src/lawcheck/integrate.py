@@ -20,12 +20,18 @@ import numpy as np
 from .chern import build_phi, polar_coordinates
 from .geometry import (
     GenericityError,
+    _add,
+    _contract,
+    _minus,
+    _mul,
+    _transpose,
     boundary_frame,
     euler_form_density,
     grid_points,
     metric_inner,
     node_chunks,
-    stack_jets,
+    node_first,
+    section_jets,
 )
 from .templates import compile_template, evaluate_template, phi_template, trig_values
 
@@ -129,35 +135,47 @@ class SectionPullback:
         BoundaryFrame at t.
 
         The frame components s_A = <W, e_A> and their gradients ds[i,A] come
-        from first-order arrays; u = s / |W| and theta_A = du_A + u_B omega(B, A).
-        After the four template bindings come the profile values, the angle
-        between the section and the outward normal and <W, n>, one per node.
+        from first-order node-last maps (``metric_inner``), the field's from
+        ``section_jets``; u = s / |W| and theta_A = du_A + u_B omega(B, A).
+        The template bindings u (N, n), theta (N, n, m), omega (N, n, n, m)
+        and curvature (N, P, Q) or None are stacked node first.  After them
+        come the profile values, the angle between the section and the
+        outward normal and <W, n>, one per node.
         """
         t = np.asarray(t, dtype=float)
+        N, m = t.shape
+        n = m + 1
         if self.section is None:
             W, dW = frame.normal, frame.dnormal
         else:
-            W, dW = stack_jets(self.section(frame.x_jets), t, 1)
-        G = frame.metric
-        # s_A = <W, e_A> and, as one more row, |W|^2 = <W, W>
-        s, ds = metric_inner(G, frame.dmetric, np.concatenate([frame.frame, W[:, None]], axis=1),
-                             np.concatenate([frame.dframe, dW[:, :, None]], axis=2), W, dW)
-        s, ds, norm2, dnorm2 = s[:, :-1], ds[..., :-1], s[:, -1], ds[..., -1]
+            W, dW = section_jets(self.section, frame)
+        # s_A = <W, e_A> and, as row n, |W|^2 = <W, W>
+        s, ds = metric_inner(frame.metric, frame.dmetric,
+                             {**frame.frame, **{(n, k): w for k, w in W.items()}},
+                             {**frame.dframe, **{(i, n, k): d for (i, k), d in dW.items()}}, W, dW)
+        norm2 = np.broadcast_to(s.pop(n, 0.0), (N,))
         small = np.flatnonzero(norm2 < 1e-18)
         if small.size:
             raise GenericityError("section norm below 1e-9 at boundary point "
                                   f"{[float(v) for v in t[small[0]]]}")
         inv_norm = 1.0 / np.sqrt(norm2)
-        u = s * inv_norm[:, None]
-        du = (ds * inv_norm[:, None, None]
-              - (dnorm2[:, :, None] * s[:, None, :]) * (0.5 * inv_norm ** 3)[:, None, None])
-        # theta[A,i] = du[i,A] + u[B] omega[B,A,i]
-        du = du.swapaxes(1, 2)
-        theta = du + (u[:, None] @ frame.omega.reshape(u.shape + (-1,))).reshape(du.shape)
-        u0 = u[:, 0]
+        half_cube = 0.5 * inv_norm ** 3
+        u = {A: v * inv_norm for A, v in s.items()}
+        du = {(i, A): v for i in range(m) for A in range(n) if (v := _minus(  # ds[i, n] = d|W|^2
+            _mul(ds.get((i, A)), inv_norm), _mul(_mul(ds.get((i, n)), s.get(A)), half_cube)))
+            is not None}
+        # theta[A, i] = du[i, A] + u[B] omega[B, A, i]
+        theta = _add(_transpose(du),
+                     _contract({(A, i, B): v for (B, A, i), v in frame.omega.items()}, u))
+        u0 = u.get(0, np.zeros(N))
         angle = np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0)
-        v_dot_n = (W[:, None] @ G @ frame.normal[..., None])[:, 0, 0]
-        return u, theta, frame.omega, frame.curvature, angle, v_dot_n
+        v_dot_n = _contract({(0, k): w for k, w in W.items()},
+                            _contract(frame.metric, frame.normal)).get(0, 0.0)
+        P, Q = n * (n - 1) // 2, m * (m - 1) // 2
+        return (node_first(u, (N, n)), node_first(theta, (N, n, m)),
+                node_first(frame.omega, (N, n, n, m)),
+                None if frame.curvature is None else node_first(frame.curvature, (N, P, Q)),
+                angle, np.broadcast_to(v_dot_n, (N,)))
 
 
 # -- the integrals -------------------------------------------------------------------

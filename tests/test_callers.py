@@ -121,9 +121,9 @@ def test_every_default_is_set_by_a_caller_in_src():
 # -- Hessians only where they are read ---------------------------------------------
 
 SECOND_ORDER_SITES = {
-    ("jets", "metric"): "a Python-callable metric (the tests' patches) gives the "
-                        "Hessians that a curvature path asks ``metric_jets`` for",
-    ("adapted_frame", "embed"): "the frame's tangent rows differentiate to d2x",
+    ("_input_jets", "fn"): "a Python-callable input (the tests' patches) gives the "
+                           "Hessians its caller asks for: the metric's on a curvature "
+                           "path, the embedding's for d2x",
 }
 
 CURVATURE_PATHS = {
@@ -131,8 +131,14 @@ CURVATURE_PATHS = {
     "boundary_frame": "Phi's 2-form factors read the Riemann tensor",
 }
 
+# the one second-order program outside the curvature paths
+SECOND_ORDER_INPUTS = {
+    "adapted_frame": "the frame's tangent rows differentiate to d2x, the "
+                     "embedding's Hessians",
+}
+
 # callees that take a derivative order, and its position among their arguments
-ORDER_POSITION = {"jets": 1, "_jets": 1, "metric_jets": 1, "adapted_frame": 2}
+ORDER_POSITION = {"jets": 1, "_input_jets": 2, "metric_jets": 1, "adapted_frame": 2}
 
 
 def _is_jet_variables(node):
@@ -186,7 +192,8 @@ def test_second_order_programs_only_on_curvature_paths():
     the ``order`` parameter of the function or lambda it is in, which
     forwards its own caller's order; an order of 2 starts only on the
     curvature paths of CURVATURE_PATHS, so only they build second-order
-    derivative programs."""
+    derivative programs of the metric, and in SECOND_ORDER_INPUTS, for the
+    embedding."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     defaults = {}
     for tree in trees:
@@ -225,7 +232,7 @@ def test_second_order_programs_only_on_curvature_paths():
                 starts.add(fn.name)
     assert calls >= len(ORDER_POSITION)
     assert not bad, f"order neither 1, 2 nor forwarded: {bad}"
-    assert starts == set(CURVATURE_PATHS)
+    assert starts == set(CURVATURE_PATHS) | set(SECOND_ORDER_INPUTS)
 
 
 # -- one gate table ------------------------------------------------------------------

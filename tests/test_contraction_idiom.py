@@ -1,11 +1,13 @@
-"""Batched contractions in the numeric layers are stacked matmuls.
+"""Batched contractions in the numeric layers stay cheap.
 
-``np.einsum`` with two or more array operands builds an iterator over every
-index and runs far slower than one ``@`` per node on these small matrices;
-geometry, integrate and fields may use einsum to transpose a single array
-only.  Nor may an ``@`` there read a transposed view: a stacked matmul whose
-operand is one runs several times more slowly than on a contiguous copy.
-The checks read the source, so they need no input that reaches the
+The metric, frame and section layers contract node-last maps entry by entry
+(``geometry._product``); the few stacked matmuls left, in the field sweeps
+of ``fields``, act on node-first arrays.  ``np.einsum`` with two or more
+array operands builds an iterator over every index and runs far slower than
+either; geometry, integrate and fields may use einsum to transpose a single
+array only.  Nor may an ``@`` there read a transposed view: a stacked matmul
+whose operand is one runs several times more slowly than on a contiguous
+copy.  The checks read the source, so they need no input that reaches the
 contraction.
 """
 

@@ -255,15 +255,16 @@ def test_first_order_metric_jets_give_the_same_frame(name):
     frame, the metric and their t-gradients that second-order jets give."""
     for bpatch in load_catalog_scenario(name).boundaries:
         t = _sample_points(bpatch.box, 24 if bpatch.m == 2 else 256)
-        (first, dx1, jets1), (second, dx2, jets2) = (geometry.adapted_frame(bpatch, t, order)
-                                                     for order in (1, 2))
+        (first, jets1), (second, jets2) = (geometry.adapted_frame(bpatch, t, order)
+                                           for order in (1, 2))
         assert jets1[2] is None and jets2[2] is not None
         (G1, dG1, _, inv1, diag1), (G2, dG2, _, inv2, diag2) = jets1, jets2
-        assert dG1.keys() == dG2.keys() and inv1.keys() == inv2.keys()
-        for a, b in [(dx1, dx2), (G1, G2), *zip(diag1, diag2),
-                     *((dG1[k], dG2[k]) for k in dG1), *((inv1[k], inv2[k]) for k in inv1),
-                     (first.metric, second.metric), (first.dmetric, second.dmetric),
-                     (first.frame, second.frame), (first.dframe, second.dframe)]:
+        maps = [(G1, G2), (dG1, dG2), (inv1, inv2)] + [
+            (getattr(first, key), getattr(second, key))
+            for key in ("pushforward", "metric", "dmetric", "frame", "dframe")]
+        assert all(a.keys() == b.keys() for a, b in maps)
+        for a, b in [(first.points, second.points), *zip(diag1, diag2),
+                     *((a[k], b[k]) for a, b in maps for k in a)]:
             assert np.array_equal(a, b)
 
 

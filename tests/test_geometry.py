@@ -22,7 +22,6 @@ from lawcheck.geometry import (
     _cholesky_inverse,
     _frame_connection,
     _frame_curvature,
-    _node_first,
     _orthonormal_rows,
     boundary_frame,
     christoffel_symbols,
@@ -30,10 +29,12 @@ from lawcheck.geometry import (
     jet_cos,
     jet_exp,
     jet_sin,
+    node_first,
     pair_curvature,
     stack_jets,
 )
-from lawcheck.scenarios import load_catalog_scenario
+from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_section
+from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
 from lawcheck.templates import pairs
 
 from test_integrate import disk_rim
@@ -78,33 +79,40 @@ def unpack_pairs(values, n, m):
     return out
 
 
+def entries(array):
+    """The node-last map {index: (N,)} of every entry of a node-first array
+    (N, ...): a dense input for the node-last frame functions."""
+    return {index: np.ascontiguousarray(array[(slice(None), *index)])
+            for index in np.ndindex(array.shape[1:])}
+
+
 def pair_core(patch, points):
     """Christoffel symbols Gamma[:, k, i, j] = Gamma^k_ij and the lowered
     Riemann tensor riemann[:, i, j, m, p], unpacked from the pair curvature,
     at ``points``: the layout of ``reference_core``."""
-    G, dG, hess, Linv, _ = patch.metric_jets(points)
+    _, dG, hess, Linv, _ = patch.metric_jets(points)
     low, Gamma = christoffel_symbols(dG, Linv)
-    N, n = G.shape[:2]
+    N, n = len(points), patch.n
     R = np.moveaxis(pair_curvature(low, Gamma, hess, n, N), -1, 0)
-    return SimpleNamespace(Gamma=_node_first(Gamma, (N, n, n, n)).transpose(0, 3, 1, 2),
+    return SimpleNamespace(Gamma=node_first(Gamma, (N, n, n, n)).transpose(0, 3, 1, 2),
                            riemann=unpack_pairs(R, n, n))
 
 
 def dense_hessians(hess, N, n):
     """The whole d2G[:, i, j, k, l] = d_i d_j g_kl, node first, from the
     Hessians of ``metric_jets``: zero where they have none."""
-    return _node_first(hess, (N, n, n, n, n))
+    return node_first(hess, (N, n, n, n, n))
 
 
-def reference_core(jets):
+def reference_core(jets, N):
     """Reference for the pair curvature: Christoffel symbols
     Gamma[:, k, i, j] and the whole lowered Riemann tensor R[:, i, j, m, p],
     n^4 entries per node, built by stacked matmuls and two antisymmetrization
-    passes over all index pairs, from ``RiemannianPatch.metric_jets`` with
-    every entry of dG and L^-1 filled in."""
+    passes over all index pairs, from ``RiemannianPatch.metric_jets`` at N
+    nodes with every entry of dG and L^-1 filled in."""
     G, dG, hess, Linv, _ = jets
-    N, n = G.shape[:2]
-    dG, Linv = _node_first(dG, (N, n, n, n)), _node_first(Linv, (N, n, n))
+    n = 1 + max(k for k, _ in G)
+    dG, Linv = node_first(dG, (N, n, n, n)), node_first(Linv, (N, n, n))
     d2G = dense_hessians(hess, N, n)  # d2G[:, i, j, k, l] = d_i d_j g_kl
     # first kind, lowered index last: low[i,j,l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
     low = 0.5 * (dG + dG.swapaxes(1, 2) - dG.transpose(0, 2, 3, 1)).reshape(N, n * n, n)
@@ -137,13 +145,14 @@ def connection_curvature(patch, point):
     n = patch.n
     G, dG, hess, Linv, _ = patch.metric_jets([point])
     low, Gamma = christoffel_symbols(dG, Linv)
-    eye = np.eye(n)
-    E, dE = _orthonormal_rows(G, _node_first(dG, (1, n, n, n)), eye[None],
-                              np.zeros((1, n, n, n)), [point])
-    omega = _frame_connection(G, Gamma, E, dE, eye[None])
-    curv = unpack_pairs(_frame_curvature(pair_curvature(low, Gamma, hess, n, 1), E, eye[None]),
-                        n, n)
-    return SimpleNamespace(frame=E[0], metric=G[0], omega=omega[0], curvature=curv[0])
+    eye = {(k, k): 1.0 for k in range(n)}
+    E, dE = _orthonormal_rows(G, dG, eye, {}, [point], n)
+    omega = _frame_connection(G, Gamma, E, dE, eye, n)
+    P = n * (n - 1) // 2
+    curv = _frame_curvature(pair_curvature(low, Gamma, hess, n, 1), E, eye, n)
+    return SimpleNamespace(frame=node_first(E, (1, n, n))[0], metric=node_first(G, (1, n, n))[0],
+                           omega=node_first(omega, (1, n, n, n))[0],
+                           curvature=unpack_pairs(node_first(curv, (1, P, P)), n, n)[0])
 
 
 # -- jets --------------------------------------------------------------------
@@ -332,7 +341,7 @@ def test_metric_symmetry_allows_round_off_only():
     written = lambda d: RiemannianPatch(
         2, [(0, 1), (0, 1)], lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
                                         [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]])
-    assert written(0.0).metric_jets(x)[0].shape == (3, 2, 2)
+    assert all(g.shape == (3,) for g in written(0.0).metric_jets(x)[0].values())
     assert written(0.0).metric_values(x).shape == (3, 2, 2)
     # a structural zero in one triangle only: Cholesky would read 0 or 0.5
     one_triangle = [RiemannianPatch(2, [(0, 1), (0, 1)], compile_matrix(rows, ["s", "r"]))
@@ -558,11 +567,12 @@ def test_contractions_match_einsum_transcription(n):
     points = rng.uniform(-0.9, 0.9, size=(5, n))
     patch = wavy_patch(n, seed=n)
     core = pair_core(patch, points)
-    G, dG, hess, Linv = patch.metric_jets(points)[:4]
+    src_G, dG, hess, Linv = patch.metric_jets(points)[:4]
     src_low, src_Gamma = christoffel_symbols(dG, Linv)
     R_pairs = pair_curvature(src_low, src_Gamma, hess, n, len(points))
-    dG = _node_first(dG, (len(points), n, n, n))
-    d2G = dense_hessians(hess, *G.shape[:2])  # d2G[:, i, j, k, l] = d_i d_j g_kl
+    G = node_first(src_G, (len(points), n, n))
+    dG = node_first(dG, (len(points), n, n, n))
+    d2G = dense_hessians(hess, len(points), n)  # d2G[:, i, j, k, l] = d_i d_j g_kl
     low = 0.5 * (np.einsum("...ijl->...lij", dG) + np.einsum("...jil->...lij", dG)
                  - np.einsum("...lij->...lij", dG))
     Gamma = np.einsum("...kl,...lij->...kij", np.linalg.inv(G), low)
@@ -579,8 +589,10 @@ def test_contractions_match_einsum_transcription(n):
     E = np.eye(n) + 0.3 * rng.standard_normal((5, n, n))
     dE = rng.standard_normal((5, m, n, n))
     dx = rng.standard_normal((5, m, n))
-    omega = _frame_connection(G, src_Gamma, E, dE, dx)
-    curv = unpack_pairs(_frame_curvature(R_pairs, E, dx), n, m)
+    omega = node_first(_frame_connection(src_G, src_Gamma, entries(E), entries(dE), entries(dx), m),
+                       (5, n, n, m))
+    curv = unpack_pairs(node_first(_frame_curvature(R_pairs, entries(E), entries(dx), m),
+                                   (5, n * (n - 1) // 2, m * (m - 1) // 2)), n, m)
     nabla = (np.einsum("...iAk->...Aik", dE)
              + np.einsum("...klm,...il,...Am->...Aik", Gamma, dx, E))
     want = np.einsum("...Aik,...kl,...Bl->...ABi", nabla, G, E)
@@ -598,7 +610,7 @@ def test_pair_curvature_matches_reference(n, patch):
     whole n^4 Riemann tensor of the reference on random metrics, and the
     pair curvature is symmetric on index pairs, bit for bit."""
     points = np.random.default_rng(n).uniform(-0.9, 0.9, size=(9, n))
-    want, got = reference_core(patch.metric_jets(points)), pair_core(patch, points)
+    want, got = reference_core(patch.metric_jets(points), len(points)), pair_core(patch, points)
     assert np.max(np.abs(want.riemann)) > 1e-3
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
@@ -620,7 +632,7 @@ def test_metric_jets_build_hessians_for_varying_entries_only():
     assert sorted({key[2:] for key in jets[2]}) == [(1, 1), (2, 2)]
     assert all(h.shape == (9,) for h in jets[2].values())
     assert patch.metric_jets(points, order=1)[2] is None
-    want, got = reference_core(jets), pair_core(patch, points)
+    want, got = reference_core(jets, len(points)), pair_core(patch, points)
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
 
@@ -637,7 +649,7 @@ def test_sparse_hessians_give_the_reference_curvature(n, frozen):
     jets = patch.metric_jets(points)
     assert {key[2:] for key in jets[2]} == {(i, j) for i in range(n) for j in range(n)
                                             if (min(i, j), max(i, j)) not in frozen}
-    want, got = reference_core(jets), pair_core(patch, points)
+    want, got = reference_core(jets, len(points)), pair_core(patch, points)
     assert np.max(np.abs(want.riemann)) > 1e-3
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
@@ -675,7 +687,7 @@ def test_literal_zero_entries_give_the_reference_curvature(n, block):
     blocks = {(i, i) for i in range(n)} | ({(0, 1), (1, 0)} if block else set())
     assert {key[-2:] for key in [*dG, *hess]} <= blocks
     assert set(Linv) == {(i, j) for i, j in blocks if i >= j}
-    want, got = reference_core(jets), pair_core(patch, points)
+    want, got = reference_core(jets, len(points)), pair_core(patch, points)
     assert np.max(np.abs(want.riemann)) > 1e-3
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
@@ -716,15 +728,15 @@ def test_frame_curvature_matches_reference_sandwich(n):
     sandwich F K F^T for non-orthonormal frames along non-square maps."""
     rng = np.random.default_rng(20 + n)
     points = rng.uniform(-0.9, 0.9, size=(5, n))
-    core = reference_core(wavy_patch(n, seed=n).metric_jets(points))
+    core = reference_core(wavy_patch(n, seed=n).metric_jets(points), len(points))
     R = np.moveaxis(np.array([[core.riemann[:, i, j, m, p] for m, p in pairs(n)]
                               for i, j in pairs(n)]), 2, -1)
     for m in (2, n - 1, n + 1):
         E = np.eye(n) + 0.3 * rng.standard_normal((5, n, n))
         dx = rng.standard_normal((5, m, n))
         want = reference_frame_curvature(core.riemann, E, dx)
-        got = _frame_curvature(R, E, dx)
-        assert got.shape == (5, n * (n - 1) // 2, m * (m - 1) // 2)
+        got = node_first(_frame_curvature(R, entries(E), entries(dx), m),
+                         (5, n * (n - 1) // 2, m * (m - 1) // 2))
         assert np.max(np.abs(want)) > 1e-2
         assert np.max(np.abs(unpack_pairs(got, n, m) - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -741,7 +753,7 @@ def test_two_dimensional_boundary_frame_builds_no_curvature(monkeypatch):
     monkeypatch.setattr(RiemannianPatch, "metric_jets", lambda self, x, order=2:
                         orders.append(order) or metric_jets(self, x, order))
     bf = boundary_frame(disk_rim(), [[0.3], [1.2]])
-    assert bf.curvature is None and bf.omega.shape == (2, 2, 2, 1)
+    assert bf.curvature is None and set(bf.omega) == {(0, 1, 0), (1, 0, 0)}
     assert orders == [1]
 
 
@@ -792,7 +804,9 @@ def test_cholesky_frame_matches_row_by_row_gram_schmidt(n):
     dG = dG + dG.swapaxes(-1, -2)
     V = np.eye(n) + 0.4 * rng.standard_normal((N, n, n))
     dV = rng.standard_normal((N, m, n, n))
-    E, dE = _orthonormal_rows(G, dG, V, dV, np.zeros((N, m)))
+    E, dE = _orthonormal_rows(entries(G), entries(dG), entries(V), entries(dV),
+                              np.zeros((N, m)), m)
+    E, dE = node_first(E, (N, n, n)), node_first(dE, (N, m, n, n))
     want, dwant = _row_gram_schmidt(G, np.moveaxis(dG, 1, -1), V, np.moveaxis(dV, 1, -1))
     assert np.max(np.abs(E - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(dE - np.moveaxis(dwant, -1, 1))) <= 1e-13 * np.max(np.abs(dwant))
@@ -804,8 +818,7 @@ def test_degenerate_frame_names_the_first_dependent_node():
     V[2, 1] = V[2, 0]  # dependent rows at node 2 only
     points = np.arange(4.0)[:, None]
     with pytest.raises(ConfigError, match=r"linearly dependent at point \[2.0\]"):
-        _orthonormal_rows(np.tile(np.eye(2), (4, 1, 1)), np.zeros((4, 1, 2, 2)), V,
-                          np.zeros((4, 1, 2, 2)), points)
+        _orthonormal_rows(entries(np.tile(np.eye(2), (4, 1, 1))), {}, entries(V), {}, points, 1)
 
 
 @st.composite
@@ -854,7 +867,7 @@ def test_cholesky_inverse_matches_lapack(batch):
         rejected = np.array([_lapack_rejects(m, floor) for m in M])
     good = M[~rejected]
     inv, diag = _cholesky_inverse(lower(good), r, points[~rejected], floor, "bad at")
-    inv, diag = _node_first(inv, good.shape), np.stack(diag, axis=1)
+    inv, diag = node_first(inv, good.shape), np.stack(diag, axis=1)
     for k, m in enumerate(good):
         L = np.linalg.cholesky(m)
         want = np.linalg.inv(L)
@@ -918,11 +931,24 @@ def disk_boundary():
                          outward=lambda t: [1.0, 0.0])
 
 
+def dense_frame(bf, N, n, m):
+    """The node-first arrays (N, ...) of the node-last maps of a
+    BoundaryFrame, zeros where an entry is structurally zero; the curvature
+    is None where the frame has none."""
+    P, Q = n * (n - 1) // 2, m * (m - 1) // 2
+    shapes = {"pushforward": (m, n), "metric": (n, n), "dmetric": (m, n, n), "normal": (n,),
+              "dnormal": (m, n), "frame": (n, n), "dframe": (m, n, n), "omega": (n, n, m),
+              "curvature": (P, Q)}
+    return SimpleNamespace(points=bf.points, **{
+        key: None if getattr(bf, key) is None else node_first(getattr(bf, key), (N, *shape))
+        for key, shape in shapes.items()})
+
+
 def frame_at(bpatch, t, frame_twist=None):
-    """The boundary frame at one node t, with the node axis dropped."""
-    bf = boundary_frame(bpatch, [t], frame_twist)
+    """The boundary frame at one node t, node-first with the node axis dropped."""
+    bf = dense_frame(boundary_frame(bpatch, [t], frame_twist), 1, bpatch.parent.n, bpatch.m)
     return SimpleNamespace(**{key: value[0] for key, value in vars(bf).items()
-                              if key != "x_jets" and value is not None})
+                              if value is not None})
 
 
 def test_boundary_frame_outward_normal_first():
@@ -1033,3 +1059,236 @@ def test_boundary_frame_twist_rotates_frame_but_not_normal():
     assert abs(twisted.frame @ twisted.metric @ twisted.frame.T
                - np.eye(3)).max() < 1e-12
     assert np.max(np.abs(twisted.frame[1:] - plain.frame[1:])) > 0.1
+
+
+# -- the node-first reference of the frame layer -------------------------------------
+# The frame layer as it was before it became node-last: stacked matmuls on
+# node-first arrays, fed by Jets of the embedding, the outward vector, the
+# twist and the section.  It serves the node-last frames as ``reference_core``
+# serves the metric layer.
+
+def _transposed(a):
+    """``a`` with its last two axes swapped, as a contiguous array."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
+
+
+def reference_metric_inner(G, dG, a, da, b, db):
+    """<a_A, b> for node-first rows a (N, r, n), da[:, i, A, k], b (N, n) and
+    db[:, i, k] under G (N, n, n) with dG[:, i, k, l]: values (N, r) and
+    gradients (N, m, r)."""
+    N, m, n = db.shape
+    Gb = G @ b[..., None]                                    # Gb[k] = G[k,l] b[l], a column
+    # dGb[i,k] = dG[i,k,l] b[l] + db[i,l] G[l,k]
+    dGb = (dG.reshape(N, m * n, n) @ b[..., None]).reshape(N, m, n) + db @ G
+    # <a_A, b> = a[A,k] Gb[k] and d<a_A, b>[i] = da[i,A,k] Gb[k] + dGb[i,k] a[A,k]
+    return ((a @ Gb)[..., 0],
+            (da.reshape(N, -1, n) @ Gb).reshape(da.shape[:3]) + dGb @ _transposed(a))
+
+
+def reference_orthonormal_rows(G, dG, V, dV, points):
+    """Gram-Schmidt on the rows of V (N, r, n) against G, with dG[:, i, k, l]
+    and dV[:, i, A, k], as the Cholesky factorization V G V^T = L L^T, and
+    Murray's dE_i = (K_i - Phi(S_i)) E, by stacked matmuls."""
+    N, m, r, n = dV.shape
+    M = V @ G @ _transposed(V)
+    inv, _ = _cholesky_inverse({(i, j): M[:, i, j] for i in range(r) for j in range(i + 1)}, r,
+                               points, 1e-14, "degenerate frame at")
+    Linv = node_first(inv, M.shape)
+    E = Linv @ V
+    Et = _transposed(E)
+    # U[i,A,B] = (L^-1 dV_i)[A,k] (G E^T)[k,B] for A < B; S[i,A,B] = E[A,k] dG[i,k,l] E[B,l]
+    U = np.triu(((Linv[:, None] @ dV).reshape(N, m * r, n) @ (G @ Et)).reshape(N, m, r, r), 1)
+    S = E[:, None] @ (dG.reshape(N, m * n, n) @ Et).reshape(N, m, n, r)
+    return E, (U - U.swapaxes(-1, -2) - np.tril(S, -1) - 0.5 * np.eye(r) * S) @ E[:, None]
+
+
+def reference_frame_connection(G, Gamma, E, dE, dx):
+    """omega[:, A, B, i] of node-first frame rows E with dE[:, i, A, k] along
+    the pushforward dx[:, i, k], from Gamma[:, i, j, k] = Gamma^k_ij."""
+    N, m, n, _ = dE.shape
+    # Y[i,q,k] = dx[i,l] Gamma^k_{lq}; nabla[i,A,k] = dE[i,A,k] + e_A^q Y[i,q,k]
+    Y = dx @ Gamma.reshape(N, n, n * n)
+    nabla = dE + E[:, None] @ Y.reshape(N, m, n, n)
+    # omega[i,A,B] = nabla[i,A,k] G[k,l] e_B^l, its roundoff asymmetry killed
+    omega = (nabla.reshape(N, m * n, n) @ (G @ _transposed(E))).reshape(dE.shape)
+    return (0.5 * (omega - omega.swapaxes(-1, -2))).transpose(0, 2, 3, 1)
+
+
+def reference_boundary_frame(bpatch, t, frame_twist=None):
+    """The boundary frame at the nodes t (N, m), node first, from Jets of the
+    embedding, ``outward`` and the twist: Gram-Schmidt on (dx/dt, outward),
+    the normal rolled to the front, then the twist, the connection and, at
+    n = 3, the curvature [:, A, B, i, j] from the whole Riemann tensor of
+    ``reference_core``.  ``x_jets`` holds the embedding's first-order Jets,
+    on which the section pullbacks evaluate their fields."""
+    t = np.asarray(t, dtype=float)
+    N, m = t.shape
+    n = m + 1
+    x_jets = bpatch.embed(Jet.variables(t, 2))
+    x, dx, d2x = stack_jets(x_jets, t, 2)
+    jets = bpatch.parent.metric_jets(x)
+    G = node_first(jets[0], (N, n, n))
+    dG = (dx @ node_first(jets[1], (N, n, n, n)).reshape(N, n, -1)).reshape(N, m, n, n)
+    outward, doutward = stack_jets(bpatch.outward(Jet.variables(t, 1)), t, 1)
+    E, dE = reference_orthonormal_rows(G, dG, np.concatenate([dx, outward[:, None]], axis=1),
+                                       np.concatenate([d2x, doutward[:, :, None]], axis=2), t)
+    E, dE = np.roll(E, 1, axis=1), np.roll(dE, 1, axis=2)
+    normal, dnormal = E[:, 0], dE[:, :, 0]
+    if frame_twist is not None:
+        R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)
+        R, dR = R.reshape(E.shape), dR.reshape(dE.shape)
+        E, dE = R @ E, dR @ E[:, None] + R[:, None] @ dE
+    core = reference_core(jets, N)
+    return SimpleNamespace(
+        points=x, pushforward=dx, metric=G, dmetric=dG, normal=normal, dnormal=dnormal,
+        frame=E, dframe=dE,
+        omega=reference_frame_connection(G, core.Gamma.transpose(0, 2, 3, 1), E, dE, dx),
+        curvature=reference_frame_curvature(core.riemann, E, dx) if n == 3 else None,
+        x_jets=[Jet(e.v, e.g, None) if isinstance(e, Jet) else e for e in x_jets])
+
+
+def reference_bind(section, t, frame):
+    """u (N, n), theta (N, n, m), the angle to the normal and <W, n> of the
+    section (None for the normal) through a ``reference_boundary_frame``."""
+    if section is None:
+        W, dW = frame.normal, frame.dnormal
+    else:
+        W, dW = stack_jets(section(frame.x_jets), np.asarray(t, dtype=float), 1)
+    s, ds = reference_metric_inner(frame.metric, frame.dmetric,
+                                   np.concatenate([frame.frame, W[:, None]], axis=1),
+                                   np.concatenate([frame.dframe, dW[:, :, None]], axis=2), W, dW)
+    s, ds, norm2, dnorm2 = s[:, :-1], ds[..., :-1], s[:, -1], ds[..., -1]
+    inv_norm = 1.0 / np.sqrt(norm2)
+    u = s * inv_norm[:, None]
+    du = (ds * inv_norm[:, None, None]
+          - (dnorm2[:, :, None] * s[:, None, :]) * (0.5 * inv_norm ** 3)[:, None, None])
+    du = du.swapaxes(1, 2)  # theta[A,i] = du[i,A] + u[B] omega[B,A,i]
+    theta = du + (u[:, None] @ frame.omega.reshape(u.shape + (-1,))).reshape(du.shape)
+    u0 = u[:, 0]
+    angle = np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0)
+    return u, theta, angle, (W[:, None] @ frame.metric @ frame.normal[..., None])[:, 0, 0]
+
+
+def _assert_close(got, want, what, rel=1e-13):
+    """|got - want| <= rel * max(1, |want|), over all entries."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * max(
+        1.0, np.max(np.abs(want), initial=0.0)), what
+
+
+def rim_twist(t_jets):
+    """A smooth rotation of the frame of a boundary curve."""
+    gamma = (t_jets[0] * 2.0).sin() * 0.4
+    c, s = gamma.cos(), gamma.sin()
+    return [[c, -1.0 * s], [s, c]]
+
+
+def rim_field(x):
+    return [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)]
+
+
+def sphere_field(x):
+    return [x[0] * jet_cos(x[1]) + 0.2, jet_sin(x[2]) + 0.1 * x[1], jet_cos(x[1] * x[2])]
+
+
+def _oracle_cases():
+    """(id, boundary patch, field) for the wavy rims and sphere, whose frames
+    have no structural zero (the cap's ``outward`` is not normal), and for
+    every boundary of the catalog, with its field."""
+    cases = [("wavy-disk", wavy_disk_rim(), rim_field), ("wavy-cap", wavy_cap_rim(), rim_field),
+             ("wavy-ball3", wavy_ball3_sphere(), sphere_field)]
+    for name in catalog_names():
+        scenario = load_catalog_scenario(name)
+        cases += [(f"{name}-{k}", bpatch, scenario.field_spec.components)
+                  for k, bpatch in enumerate(scenario.boundaries)]
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_node_last_frames_match_the_node_first_reference(case, twisted):
+    """The boundary frame, its connection and curvature, both section
+    pullbacks (the normal and the field) and the field's frame components of
+    ``fields`` equal the node-first reference within 1e-13, with and without
+    a frame twist (``sphere_twist`` at n = 3)."""
+    from lawcheck.fields import _field_frame_components
+
+    _, bpatch, field = case
+    n, m = bpatch.parent.n, bpatch.m
+    twist = (sphere_twist if n == 3 else rim_twist) if twisted else None
+    rng = np.random.default_rng(7)
+    t = np.stack([rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 7)
+                  for lo, hi in bpatch.box], axis=1)
+    want = reference_boundary_frame(bpatch, t, twist)
+    bf = boundary_frame(bpatch, t, twist)
+    got = dense_frame(bf, len(t), n, m)
+    for key in ("points", "pushforward", "metric", "dmetric", "normal", "dnormal", "frame",
+                "dframe", "omega"):
+        _assert_close(getattr(got, key), getattr(want, key), key)
+    if n == 3:
+        _assert_close(unpack_pairs(got.curvature, n, m), want.curvature, "curvature")
+    for section in (None, field):
+        u, theta, omega, curv, angle, v_dot_n = SectionPullback(section).bind(t, bf)
+        for value, reference, what in zip((u, theta, angle, v_dot_n),
+                                          reference_bind(section, t, want),
+                                          ("u", "theta", "angle", "v_dot_n")):
+            _assert_close(value, reference, what)
+        assert np.array_equal(omega, got.omega)
+        assert (curv is None) == (n == 2) and (curv is None or np.array_equal(curv, got.curvature))
+    plain = want if twist is None else reference_boundary_frame(bpatch, t)
+    V, dV = stack_jets(field(plain.x_jets), t, 1)
+    for value, reference, what in zip(_field_frame_components(bpatch, field, t),
+                                      reference_metric_inner(plain.metric, plain.dmetric,
+                                                             plain.frame, plain.dframe, V, dV),
+                                      ("components", "gradients")):
+        _assert_close(value, reference, what)
+
+
+# the compiled twins of ``wavy_cap_rim`` and ``wavy_ball3_sphere``, with the
+# fields ``rim_field`` and ``sphere_field``
+COMPILED_TWINS = {
+    "wavy-cap": ({"params": ["th", "ps"], "box": [[0, 1.5], [0, "2*pi"]],
+                  "metric": [["1", "0"], ["0", "sin(th)*sin(th)"]]},
+                 {"params": ["t"], "box": [[0, "2*pi"]], "embed": ["1 + 0.1*sin(t*2)", "t"],
+                  "outward": ["1", "0.1*cos(t)"]},
+                 ["cos(ps) + 0.3", "sin(ps*2)"], wavy_cap_rim, rim_field, [64]),
+    "wavy-ball3": ({"params": ["rho", "th", "ps"], "box": [[0, 1.5], [0, "pi"], [0, "2*pi"]],
+                    "metric": [["1", "0", "0"], ["0", "rho*rho", "0"],
+                               ["0", "0", "rho*rho*sin(th)*sin(th)"]]},
+                   {"params": ["a", "b"], "box": [[0, "pi"], [0, "2*pi"]],
+                    "embed": ["1 + 0.1*sin(a)*cos(b)", "a", "b"], "outward": ["1", "0", "0"]},
+                   ["rho*cos(th) + 0.2", "sin(ps) + 0.1*th", "cos(th*ps)"],
+                   wavy_ball3_sphere, sphere_field, [12, 24]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_TWINS))
+def test_compiled_dense_boundaries_match_their_callables(name):
+    """A scenario file's boundary, read through derivative programs, gives
+    the frame, connection and curvature of the same boundary written as
+    Python callables on Jets, and the same integrals of Phi over the normal
+    and over the field, within 1e-12: no catalog boundary has frame rows that
+    vary in (nearly) every entry."""
+    patch, boundary, field, rim, callable_field, orders = COMPILED_TWINS[name]
+    n = len(patch["params"])
+    scenario = load_scenario({"name": name, "dimension": n, "chi": 1, "patch": patch,
+                              "boundaries": [boundary], "field": {"components": field},
+                              "expected": {"ind_v": 0, "ind_dminus": 0}})
+    compiled, written = scenario.boundaries[0], rim()
+    grid = gauss_grid(written.box, orders)
+    t = grid.nodes[::7]
+    got, want = (dense_frame(boundary_frame(b, t), len(t), n, n - 1) for b in (compiled, written))
+    for key, value in vars(want).items():
+        if value is not None:
+            _assert_close(getattr(got, key), value, key, rel=1e-12)
+    assert np.max(np.abs(got.dframe)) > 0.01 and np.max(np.abs(got.omega)) > 0.01
+    ((normal, section),), *_ = integrate_phi_over_section(
+        compiled, (None, scenario.field_spec.components), grid)
+    ((normal_want, section_want),), *_ = integrate_phi_over_section(
+        written, (None, callable_field), grid)
+    assert abs(normal - normal_want) <= 1e-12 and abs(section - section_want) <= 1e-12
+    assert abs(normal_want) > 0.1

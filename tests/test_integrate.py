@@ -358,6 +358,45 @@ def test_chunk_seams_do_not_change_densities(monkeypatch):
                 assert np.array_equal(a_chunked[:, k:k + 1], a_alone)
 
 
+@pytest.mark.parametrize("name", ["disk-saddle", "cap-tilted", "ball3-constant"])
+def test_boundary_path_runs_no_jet_arithmetic(name, monkeypatch):
+    """A scenario file's boundary path reads its embedding, outward vector
+    and field from derivative programs: with Jet products, sums and
+    variables refusing to run, Phi is integrated over the normal and the
+    field, the boundary is swept for genericity and the tangential indices
+    are taken.  The field values that ``bind`` reads are, bit for bit, the
+    field's value program at the frame's points."""
+    from lawcheck.fields import boundary_decompose, index_tangential
+
+    scenario = load_catalog_scenario(name)
+    components, calls = scenario.field_spec.components, []
+
+    def recorded(env):
+        return components(env)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Jet arithmetic on the boundary path")
+
+    recorded.jets = lambda x, order: calls.append((x, components.jets(x, order))) or calls[-1][1]
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(geometry.Jet, attr, refuse)
+    monkeypatch.setattr(geometry.Jet, "variables", staticmethod(refuse))
+    indexed = 0
+    for k, bpatch in enumerate(scenario.boundaries):
+        grid = gauss_grid(bpatch.box, scenario.boundary_order)
+        (integrals,), *_ = integrate_phi_over_section(bpatch, (None, recorded), grid)
+        assert all(map(math.isfinite, integrals))
+        split = boundary_decompose(scenario.field_spec, bpatch, k)
+        for sing in split.minus + split.plus:
+            index_tangential(scenario.field_spec, bpatch, sing, order=scenario.degree_order)
+            indexed += 1
+    assert indexed == len(scenario.field_spec.tangential)
+    assert len(calls) >= len(scenario.boundaries)
+    for x, jets in calls:
+        for (value, _, _), want in zip(jets, components(list(x.T))):
+            assert np.broadcast_to(value, len(x)).tobytes() == np.broadcast_to(want, len(x)).tobytes()
+
+
 def test_section_norm_guard():
     rim = disk_rim()
     dying = lambda x: [jet_cos(x[1]) - jet_cos(x[1]), 0.0]
