@@ -151,19 +151,30 @@ def _sample_points(box, count):
                         for lo, hi in box])
 
 
-def _sample_in_point_order(check, count, n):
-    """Run ``check`` on slices of ``count`` points chunk by chunk, for
-    geometry of dimension n.  A chunk that raises ConfigError is re-run one
-    point at a time, so the error raised is the one a point-by-point sweep
-    meets first: ``check`` raises a chunk's ConfigError before it tests
-    genericity, so a GenericityError at an earlier point would otherwise lose
-    to a ConfigError at a later one."""
-    for c in node_chunks(count, n):
+def _sample_in_point_order(check, count):
+    """Run ``check`` on slices of ``count`` points chunk by chunk, raising
+    the error that a point-by-point sweep meets first.  ``check`` raises a
+    slice's ConfigError before it tests genericity, so a GenericityError at
+    an earlier point would lose to a ConfigError at a later one: a chunk
+    that raises ConfigError is bisected, in O(log chunk) calls.  A left half
+    that raises ConfigError holds the first failing point, one that raises
+    GenericityError raises the first error, and one that passes leaves it
+    to the right half.  On a sweep that raises nothing, each point is
+    checked once."""
+    for c in node_chunks(count):
         try:
             check(c)
         except ConfigError:
-            for k in range(*c.indices(count)):  # locate the first bad point
-                check(slice(k, k + 1))
+            lo, hi = c.start, c.stop
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    check(slice(lo, mid))
+                except ConfigError:
+                    hi = mid
+                else:
+                    lo = mid
+            check(slice(lo, hi))
             raise
 
 
@@ -210,7 +221,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
                             f"the outward region (normal-like field); outward indices are "
                             f"not meaningful")
 
-    _sample_in_point_order(check, len(points), n)
+    _sample_in_point_order(check, len(points))
 
     minus, plus = [], []
     locations = np.asarray([s.location for s in declared], dtype=float).reshape(-1, n - 1)
@@ -234,7 +245,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
                 raise GenericityError(f"tangential singularity {s.name} sits on the "
                                       f"inward/outward interface")
 
-    _sample_in_point_order(classify, len(declared), n)
+    _sample_in_point_order(classify, len(declared))
     return BoundarySplit(minus=minus, plus=plus, warnings=warnings)
 
 
@@ -302,4 +313,4 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
                 f"undeclared interior zero: |V| = {norm[k]:.2e} at chart point "
                 f"{list(map(float, x[k]))}")
 
-    _sample_in_point_order(check, len(points), patch.n)
+    _sample_in_point_order(check, len(points))

@@ -19,10 +19,10 @@ plain numbers, and each entry is a sum, in a fixed order, of the products
 with no structurally zero factor, a plain-number factor 1 folded: a
 coordinate hypersurface of a diagonal metric multiplies few zeros or ones,
 and a dense boundary runs the same code with every entry present.  The
-template evaluator reads node-first arrays, stacked once per section
-pullback by ``node_first``; the curvature on index pairs i < j (of
-``pairs``) keeps the layout of ``templates``, curv[:, I, J].  Finite
-differences appear only in tests, as independent oracles.
+template evaluator reads node-first arrays, stacked by ``node_first``;
+the curvature on index pairs i < j (of ``pairs``) keeps the layout of
+``templates``, curv[:, I, J].  Finite differences appear only in tests, as
+independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches, whatever outward vector the patch gives; no sign is applied to
@@ -45,19 +45,20 @@ import numpy as np
 from . import ConfigError, GenericityError
 from .templates import euler_template, evaluate_template, pairs, phi_template
 
-CHUNK_ENTRIES = 5184  # metric entries per batched evaluation (576 nodes at n = 3)
+CHUNK_NODES = 2048  # node cap of one batched evaluation, at every dimension
 
 
-def node_chunks(count, n):
-    """Slices of consecutive nodes that cover range(count), for geometry of
-    dimension n: each holds CHUNK_ENTRIES // n^2 nodes (at least one), 1296
-    at n = 2 and 576 at n = 3.  The chunked layers' traced peaks, in arrays
-    of one float per node, are about 17 (Euler density) and 15-40 (boundary
-    frame: a catalog rim, a rim whose frame has no structural zero) at n = 2,
-    and 53-109 (boundary frame, with curvature) at n = 3; a chunk's two
-    section pullbacks and templates raise them to 33-45 and 62-126."""
-    size = max(1, CHUNK_ENTRIES // n ** 2)
-    return [slice(k, k + size) for k in range(0, count, size)]
+def node_chunks(count):
+    """Slices of consecutive nodes that cover range(count): the fewest of at
+    most CHUNK_NODES nodes, their lengths differing by at most one, so a grid
+    just past a multiple of the cap leaves no short tail.  At the cap the
+    chunked layers' traced peaks, in arrays of one float per node, are about
+    17 (Euler density) and 14-40 (boundary frame: a catalog rim, a rim whose
+    frame has no structural zero) at n = 2, and 52-106 (boundary frame, with
+    curvature) at n = 3; a Phi chunk, whose two section pullbacks and
+    templates run one section at a time, peaks at 35-48 and 66-126."""
+    parts = -(-count // CHUNK_NODES)
+    return [slice(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
 class Jet:
@@ -164,22 +165,20 @@ jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 
 def stack_jets(entries, nodes, order):
     """Stack k jets (or plain numbers, or value arrays) evaluated at the
-    nodes (N, m): values (N, k) and, up to ``order``, gradients (N, m, k) and
-    Hessians (N, m, m, k), returned as a tuple of ``order + 1`` arrays, node
-    axis first, for the index maps and the value sweeps; each jet part, node
+    nodes (N, m): values (N, k) and, at ``order`` 1, gradients (N, m, k),
+    returned as a tuple of ``order + 1`` arrays, node axis first, for the
+    index maps (order 1) and the value sweeps (order 0); each jet part, node
     axis last, is written through a transposed view of its stack."""
-    count, m = nodes.shape
-    out = [np.zeros((count,) + (m,) * d + (len(entries),)) for d in range(order + 1)]
-    node_last = [arr.transpose(*range(1, d + 2), 0) for d, arr in enumerate(out)]  # [..., k, N]
+    (count, m), k = nodes.shape, len(entries)
+    out = tuple(np.zeros(shape) for shape in [(count, k), (count, m, k)][:order + 1])
+    node_last = [arr.transpose(*range(1, arr.ndim), 0) for arr in out]  # [..., k, N]
     for i, e in enumerate(entries):
         if isinstance(e, Jet):
-            if order == 2 and e.h is None:
-                raise ValueError("a first-order jet has no Hessians to stack")
-            for arr, part in zip(node_last, (e.v, e.g, e.h)):
+            for arr, part in zip(node_last, (e.v, e.g)):
                 arr[..., i, :] = part
         else:
             out[0][:, i] = e
-    return tuple(out)
+    return out
 
 
 def grid_points(axes):

@@ -24,6 +24,7 @@ from .geometry import (
     _contract,
     _minus,
     _mul,
+    _sum,
     _transpose,
     boundary_frame,
     euler_form_density,
@@ -137,10 +138,10 @@ class SectionPullback:
         The frame components s_A = <W, e_A> and their gradients ds[i,A] come
         from first-order node-last maps (``metric_inner``), the field's from
         ``section_jets``; u = s / |W| and theta_A = du_A + u_B omega(B, A).
-        The template bindings u (N, n), theta (N, n, m), omega (N, n, n, m)
-        and curvature (N, P, Q) or None are stacked node first.  After them
-        come the profile values, the angle between the section and the
-        outward normal and <W, n>, one per node.
+        Returns the template bindings u (N, n) and theta (N, n, m), stacked
+        node first, then the profile values, one per node: the angle between
+        the section and the outward normal, arctan2(|u_tangential|, u_0),
+        which keeps its relative accuracy near the normal, and <W, n>.
         """
         t = np.asarray(t, dtype=float)
         N, m = t.shape
@@ -167,30 +168,28 @@ class SectionPullback:
         # theta[A, i] = du[i, A] + u[B] omega[B, A, i]
         theta = _add(_transpose(du),
                      _contract({(A, i, B): v for (B, A, i), v in frame.omega.items()}, u))
-        u0 = u.get(0, np.zeros(N))
-        angle = np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0)
+        tangential = _sum([v * v for A, v in u.items() if A])
+        angle = np.arctan2(np.broadcast_to(0.0 if tangential is None else np.sqrt(tangential),
+                                           (N,)), u.get(0, 0.0))
         v_dot_n = _contract({(0, k): w for k, w in W.items()},
                             _contract(frame.metric, frame.normal)).get(0, 0.0)
-        P, Q = n * (n - 1) // 2, m * (m - 1) // 2
         return (node_first(u, (N, n)), node_first(theta, (N, n, m)),
-                node_first(frame.omega, (N, n, n, m)),
-                None if frame.curvature is None else node_first(frame.curvature, (N, P, Q)),
                 angle, np.broadcast_to(v_dot_n, (N,)))
 
 
 # -- the integrals -------------------------------------------------------------------
 
-def _node_values(grid, weighted, n):
-    """``weighted(nodes, weights)`` evaluated on each chunk of grid nodes, for
-    geometry of dimension n, and joined along its last axis, the node axis."""
+def _node_values(grid, weighted):
+    """``weighted(nodes, weights)`` evaluated on each chunk of grid nodes and
+    joined along its last axis, the node axis."""
     return np.concatenate([weighted(grid.nodes[c], grid.weights[c])
-                           for c in node_chunks(len(grid), n)], axis=-1)
+                           for c in node_chunks(len(grid))], axis=-1)
 
 
-def _quadrature(grid, weighted, n):
+def _quadrature(grid, weighted):
     """math.fsum of the per-node products ``weighted(nodes, weights)``, one
     per part of the grid."""
-    values = _node_values(grid, weighted, n).tolist()
+    values = _node_values(grid, weighted).tolist()
     return tuple(math.fsum(values[part]) for part in grid.parts)
 
 
@@ -201,7 +200,7 @@ def integrate_euler(patch, grid):
         return (0.0,) * len(grid.parts)
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
-    return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x), patch.n)
+    return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x))
 
 
 def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
@@ -214,15 +213,25 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
     order of ``sections``; then the integrand, the section's angle to the
     outward normal and <V, n> as (len(sections), N) arrays over the grid nodes.
     """
-    tpl = phi_template(bpatch.parent.n)
+    n = bpatch.parent.n
+    m = n - 1
+    tpl = phi_template(n)
     pulls = [SectionPullback(s) for s in sections]
 
     def values(t, _weights):
+        N = len(t)
         bf = boundary_frame(bpatch, t, frame_twist)
-        bound = [pull.bind(t, bf) for pull in pulls]
-        return np.array([[evaluate_template(tpl, *b[:4]), *b[4:]] for b in bound])
+        omega = node_first(bf.omega, (N, n, n, m))
+        curv = (None if bf.curvature is None
+                else node_first(bf.curvature, (N, n * m // 2, m * (m - 1) // 2)))
 
-    dens, angle, v_dot_n = _node_values(grid, values, bpatch.parent.n).transpose(1, 0, 2)
+        def profile(pull):  # one section's u and theta alive at a time
+            u, theta, angle, v_dot_n = pull.bind(t, bf)
+            return evaluate_template(tpl, u, theta, omega, curv), angle, v_dot_n
+
+        return np.array([profile(pull) for pull in pulls])
+
+    dens, angle, v_dot_n = _node_values(grid, values).transpose(1, 0, 2)
     weighted = grid.weights * dens
     integrals = tuple(tuple(math.fsum(acc.tolist()) for acc in weighted[:, part])
                       for part in grid.parts)
@@ -251,7 +260,7 @@ def integrate_fiber_form(form, grid):
         return weights * evaluate_template(tpl, u, theta.reshape(-1, n, m),
                                            flat_omega, flat_curv)
 
-    return _quadrature(grid, weighted, n)[0]
+    return _quadrature(grid, weighted)[0]
 
 
 def integrate_fiber_volume(n):
@@ -260,8 +269,6 @@ def integrate_fiber_volume(n):
 
 
 # -- degree integrals ----------------------------------------------------------------
-# A map evaluates geometry of dimension 3 at most (the frames of a tangential
-# index on a boundary surface), so both integrals take the chunks of n = 3.
 
 def _norm2(w, where):
     """|w|^2 per node; a map that vanishes at a node violates genericity."""
@@ -283,7 +290,7 @@ def degree_integral_circle(map_fn, order):
         return weights * (w[:, 0] * dw[:, 0, 1] - w[:, 1] * dw[:, 0, 0]) / norm2
 
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
-    return _quadrature(grid, weighted, 3)[0] / (2 * math.pi)
+    return _quadrature(grid, weighted)[0] / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order):
@@ -298,4 +305,4 @@ def degree_integral_sphere(map_fn, order):
         return weights * det / (norm2 * np.sqrt(norm2))
 
     grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
-    return _quadrature(grid, weighted, 3)[0] / (4 * math.pi)
+    return _quadrature(grid, weighted)[0] / (4 * math.pi)

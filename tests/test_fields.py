@@ -1,9 +1,12 @@
 """Vector field indices, boundary splitting, genericity enforcement."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lawcheck import ConfigError, fields, geometry
 from lawcheck.fields import (
@@ -203,6 +206,51 @@ def test_declared_singularity_errors_follow_declaration_order(first):
                     else (ConfigError, "degenerate frame"))
     with pytest.raises(error, match=match):
         boundary_decompose(spec, rim, 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 24), st.integers(0, 160), st.data())
+def test_sweep_raises_what_a_point_by_point_sweep_meets_first(cap, count, data):
+    """A sweep over ``count`` points, chunks of at most ``cap``, with a
+    synthetic check that, like the genericity checks, raises a slice's
+    ConfigError before it tests genericity: it raises the exception type
+    and message a point-by-point loop meets first, or nothing, as that loop
+    does.  It checks the chunks before the failing one once each and, in a
+    chunk that raises ConfigError, bisects in at most ceil(log2(length)) + 1
+    more calls; a sweep that raises nothing checks each point once."""
+    kinds = st.sampled_from([ConfigError, GenericityError])
+    bad = data.draw(st.dictionaries(st.integers(0, count - 1), kinds, max_size=4)) if count else {}
+    calls = []
+
+    def check(chunk):
+        calls.append(chunk)
+        points = range(*chunk.indices(count))
+        for kind in (ConfigError, GenericityError):
+            if hits := [k for k in points if bad.get(k) is kind]:
+                raise kind(f"{kind.__name__} at point {hits[0]}")
+
+    want = None
+    for k in range(count):
+        try:
+            check(slice(k, k + 1))
+        except (ConfigError, GenericityError) as error:
+            want = error
+            break
+    calls.clear()
+    with mock.patch.object(geometry, "CHUNK_NODES", cap):
+        chunks = geometry.node_chunks(count)
+        if want is None:
+            fields._sample_in_point_order(check, count)
+            assert calls == chunks
+            return
+        with pytest.raises(type(want)) as raised:
+            fields._sample_in_point_order(check, count)
+    assert str(raised.value) == str(want)
+    failing = next(c for c in chunks if c.start <= min(bad) < c.stop)
+    bisection = (math.ceil(math.log2(failing.stop - failing.start)) + 1
+                 if ConfigError in [bad.get(k) for k in range(failing.start, failing.stop)] else 0)
+    assert calls[:chunks.index(failing) + 1] == chunks[:chunks.index(failing) + 1]
+    assert len(calls) <= chunks.index(failing) + 1 + bisection
 
 
 def test_field_vanishing_on_boundary_aborts():

@@ -3,7 +3,6 @@
 import math
 import random
 import re
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +36,7 @@ from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_s
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
 from lawcheck.templates import pairs
 
-from test_integrate import disk_rim
+from test_integrate import _traced_beyond_result, disk_rim
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -65,6 +64,18 @@ def bumpy_patch(seed=0):
         return [[1.0 + f * f + 0.3 * g, 0.2 * h], [0.2 * h, 1.0 + 0.25 * g * g - 0.1 * g]]
 
     return RiemannianPatch(2, [(-1, 1), (-1, 1)], metric)
+
+
+def stack_hessians(entries, nodes):
+    """The Hessians (N, m, m, k) of k second-order jets (or plain numbers, or
+    value arrays, whose Hessians are 0) at the nodes (N, m), node axis first,
+    as ``stack_jets`` stacks their values and gradients."""
+    count, m = nodes.shape
+    out = np.zeros((count, m, m, len(entries)))
+    for i, e in enumerate(entries):
+        if isinstance(e, Jet):
+            out[..., i] = np.moveaxis(e.h, -1, 0)
+    return out
 
 
 def unpack_pairs(values, n, m):
@@ -173,7 +184,6 @@ def test_jet_arithmetic_against_finite_differences():
     bit for bit."""
     x0, y0 = 0.7, -0.3
     h = 1e-5
-    nodes = np.array([[x0, y0]])
     for fn, scalar in JET_CASES:
         jet = fn(*Jet.variables([x0, y0], 2))
         gx = (scalar(x0 + h, y0) - scalar(x0 - h, y0)) / (2 * h)
@@ -192,8 +202,6 @@ def test_jet_arithmetic_against_finite_differences():
         assert first.h is None
         assert first.v.tobytes() == jet.v.tobytes()
         assert first.g.tobytes() == jet.g.tobytes()
-        with pytest.raises(ValueError, match="first-order jet"):
-            stack_jets([first], nodes, 2)
 
 
 def test_jet_powers(monkeypatch):
@@ -284,12 +292,14 @@ _LAYOUT_TEXTS = ["x * y - y", "(x + 2) / (y * y + 1)", "x^3 * y^-2", "(x - y)^2 
 def test_batched_jets_equal_point_jets(order):
     """Jets of compiled expressions on a node batch give, at each node and
     bit for bit, the jet that the same expressions give at that node alone;
-    stack_jets keeps its node-first shapes and puts each node's parts in
-    place."""
+    stack_jets (and, for the Hessians, ``stack_hessians``) keeps its
+    node-first shapes and puts each node's parts in place."""
     fn = compile_vector(_LAYOUT_TEXTS, ["x", "y"])
     nodes = np.array([[0.7, -0.3], [1.1, 0.4], [-0.6, 2.0], [0.25, 1.5]])
     batched = fn(Jet.variables(nodes, order))
-    stacked = stack_jets(batched, nodes, order)
+    stacked = stack_jets(batched, nodes, 1)
+    if order == 2:
+        stacked += (stack_hessians(batched, nodes),)
     assert [s.shape for s in stacked] == [(4,) + (2,) * d + (len(_LAYOUT_TEXTS),)
                                           for d in range(order + 1)]
     for k, point in enumerate(nodes):
@@ -691,20 +701,6 @@ def test_literal_zero_entries_give_the_reference_curvature(n, block):
     assert np.max(np.abs(want.riemann)) > 1e-3
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
-
-
-def _traced_beyond_result(fn):
-    """Bytes that ``fn()`` allocates at its peak beyond the arrays it
-    returns, a tuple of arrays or of maps to arrays, each array counted once."""
-    fn()  # fills caches
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    arrays = [a for part in result for a in (part.values() if isinstance(part, dict) else [part])]
-    return peak - sum({id(a): a.nbytes for a in arrays}.values())
 
 
 def test_curvature_builds_no_n4_or_gathered_product_temporaries():
@@ -1125,7 +1121,8 @@ def reference_boundary_frame(bpatch, t, frame_twist=None):
     N, m = t.shape
     n = m + 1
     x_jets = bpatch.embed(Jet.variables(t, 2))
-    x, dx, d2x = stack_jets(x_jets, t, 2)
+    x, dx = stack_jets(x_jets, t, 1)
+    d2x = stack_hessians(x_jets, t)
     jets = bpatch.parent.metric_jets(x)
     G = node_first(jets[0], (N, n, n))
     dG = (dx @ node_first(jets[1], (N, n, n, n)).reshape(N, n, -1)).reshape(N, m, n, n)
@@ -1164,8 +1161,7 @@ def reference_bind(section, t, frame):
           - (dnorm2[:, :, None] * s[:, None, :]) * (0.5 * inv_norm ** 3)[:, None, None])
     du = du.swapaxes(1, 2)  # theta[A,i] = du[i,A] + u[B] omega[B,A,i]
     theta = du + (u[:, None] @ frame.omega.reshape(u.shape + (-1,))).reshape(du.shape)
-    u0 = u[:, 0]
-    angle = np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, u0 ** 2))), u0)
+    angle = np.arctan2(np.linalg.norm(u[:, 1:], axis=1), u[:, 0])
     return u, theta, angle, (W[:, None] @ frame.metric @ frame.normal[..., None])[:, 0, 0]
 
 
@@ -1232,13 +1228,10 @@ def test_node_last_frames_match_the_node_first_reference(case, twisted):
     if n == 3:
         _assert_close(unpack_pairs(got.curvature, n, m), want.curvature, "curvature")
     for section in (None, field):
-        u, theta, omega, curv, angle, v_dot_n = SectionPullback(section).bind(t, bf)
-        for value, reference, what in zip((u, theta, angle, v_dot_n),
+        for value, reference, what in zip(SectionPullback(section).bind(t, bf),
                                           reference_bind(section, t, want),
                                           ("u", "theta", "angle", "v_dot_n")):
             _assert_close(value, reference, what)
-        assert np.array_equal(omega, got.omega)
-        assert (curv is None) == (n == 2) and (curv is None or np.array_equal(curv, got.curvature))
     plain = want if twist is None else reference_boundary_frame(bpatch, t)
     V, dV = stack_jets(field(plain.x_jets), t, 1)
     for value, reference, what in zip(_field_frame_components(bpatch, field, t),
