@@ -167,18 +167,20 @@ def stack_jets(entries, nodes, order):
     """Stack k jets (or plain numbers, or value arrays) evaluated at the
     nodes (N, m): values (N, k) and, at ``order`` 1, gradients (N, m, k),
     returned as a tuple of ``order + 1`` arrays, node axis first, for the
-    index maps (order 1) and the value sweeps (order 0); each jet part, node
+    value sweeps (order 0) and the index maps (order 1); each jet part, node
     axis last, is written through a transposed view of its stack."""
-    (count, m), k = nodes.shape, len(entries)
-    out = tuple(np.zeros(shape) for shape in [(count, k), (count, m, k)][:order + 1])
-    node_last = [arr.transpose(*range(1, arr.ndim), 0) for arr in out]  # [..., k, N]
+    if order not in (0, 1):
+        raise ValueError("stack_jets stacks values and gradients only (order 0 or 1)")
+    count, m = nodes.shape
+    out = [np.zeros((count,) + (m,) * d + (len(entries),)) for d in range(order + 1)]
+    node_last = [arr.transpose(*range(1, d + 2), 0) for d, arr in enumerate(out)]  # [..., k, N]
     for i, e in enumerate(entries):
         if isinstance(e, Jet):
             for arr, part in zip(node_last, (e.v, e.g)):
                 arr[..., i, :] = part
         else:
             out[0][:, i] = e
-    return out
+    return tuple(out)
 
 
 def grid_points(axes):

@@ -292,13 +292,16 @@ _LAYOUT_TEXTS = ["x * y - y", "(x + 2) / (y * y + 1)", "x^3 * y^-2", "(x - y)^2 
 def test_batched_jets_equal_point_jets(order):
     """Jets of compiled expressions on a node batch give, at each node and
     bit for bit, the jet that the same expressions give at that node alone;
-    stack_jets (and, for the Hessians, ``stack_hessians``) keeps its
-    node-first shapes and puts each node's parts in place."""
+    stack_jets (and, for the Hessians, which it refuses to stack,
+    ``stack_hessians``) keeps its node-first shapes and puts each node's
+    parts in place."""
     fn = compile_vector(_LAYOUT_TEXTS, ["x", "y"])
     nodes = np.array([[0.7, -0.3], [1.1, 0.4], [-0.6, 2.0], [0.25, 1.5]])
     batched = fn(Jet.variables(nodes, order))
     stacked = stack_jets(batched, nodes, 1)
     if order == 2:
+        with pytest.raises(ValueError, match="order 0 or 1"):
+            stack_jets(batched, nodes, 2)
         stacked += (stack_hessians(batched, nodes),)
     assert [s.shape for s in stacked] == [(4,) + (2,) * d + (len(_LAYOUT_TEXTS),)
                                           for d in range(order + 1)]
