@@ -19,14 +19,13 @@ import numpy as np
 from .geometry import (
     ConfigError,
     GenericityError,
-    Jet,
     adapted_frame,
     grid_points,
     metric_inner,
     node_chunks,
     node_first,
-    section_jets,
-    stack_jets,
+    pullback_jets,
+    stack_values,
 )
 from .integrate import degree_integral_circle, degree_integral_sphere
 
@@ -52,7 +51,7 @@ class InteriorSingularity:
     exclusion_radius: float
     center: list             # singular point in index-chart coordinates
     radius: float
-    chart_field: object      # callable jets -> components on the index chart
+    chart_field: object      # compiled vector or callable: index-chart components
 
 
 @dataclass
@@ -92,24 +91,32 @@ class BoundarySplit:
 
 def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
     """Mapping degree of the field direction over a small chart sphere, by a
-    rule of ``order`` nodes per circle (2-D) or per colatitude (3-D)."""
+    rule of ``order`` nodes per circle (2-D) or per colatitude (3-D).  The
+    circle or sphere map x(t) and its t-derivatives are closed forms,
+    multiplied in the order Jets would multiply them, and the chart field's
+    values and t-gradients come from ``pullback_jets`` through them."""
     r = float(radius if radius is not None else sing.radius)
-    dim = len(sing.center)
+    c = sing.center
+    dim = len(c)
+
+    def field_on(x, dx):  # w (N, dim) and dw (N, dim - 1, dim), node first
+        w, dw = pullback_jets(sing.chart_field, x, dx)
+        return node_first(w, (len(x), dim)), node_first(dw, (len(x), dim - 1, dim))
+
     if dim == 2:
         def map_fn(t):
-            nodes = t[:, None]
-            (theta,) = Jet.variables(nodes, 1)
-            x = [sing.center[0] + r * theta.cos(), sing.center[1] + r * theta.sin()]
-            return stack_jets(sing.chart_field(x), nodes, 1)
+            cos, sin = np.cos(t), np.sin(t)
+            x = np.stack([c[0] + r * cos, c[1] + r * sin], axis=1)
+            return field_on(x, {(0, 0): r * -sin, (0, 1): r * cos})
 
         raw = degree_integral_circle(map_fn, order=order)
     elif dim == 3:
         def map_fn(nodes):
-            a, b = Jet.variables(nodes, 1)
-            x = [sing.center[0] + r * a.sin() * b.cos(),
-                 sing.center[1] + r * a.sin() * b.sin(),
-                 sing.center[2] + r * a.cos()]
-            return stack_jets(sing.chart_field(x), nodes, 1)
+            (sin_a, sin_b), (cos_a, cos_b) = np.sin(nodes.T), np.cos(nodes.T)
+            rs, rc = r * sin_a, r * cos_a  # x = c + (r sin a) (cos b, sin b) + (0, 0, r cos a)
+            x = np.stack([c[0] + rs * cos_b, c[1] + rs * sin_b, c[2] + rc], axis=1)
+            return field_on(x, {(0, 0): rc * cos_b, (0, 1): rc * sin_b, (0, 2): r * -sin_a,
+                                (1, 0): rs * -sin_b, (1, 1): rs * cos_b})
 
         raw = degree_integral_sphere(map_fn, order=order)
     else:
@@ -141,7 +148,7 @@ def _field_frame_components(bpatch, components, t):
     (N, m), n = t.shape, bpatch.parent.n
     bf, _ = adapted_frame(bpatch, t)
     s, ds = metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe,
-                         *section_jets(components, bf))
+                         *pullback_jets(components, bf.points, bf.pushforward))
     return node_first(s, (N, n)), node_first(ds, (N, m, n))
 
 
@@ -303,7 +310,7 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
         for c, rad in exclusions:
             keep &= ~(np.linalg.norm(amb - c, axis=1) < rad)
         x = x[keep]
-        (V,) = stack_jets(field_spec.components(list(x.T)), x, 0)
+        V = stack_values(field_spec.components(list(x.T)), len(x))
         G = patch.metric_values(x)
         norm = np.sqrt(np.maximum(0.0, (V[:, None] @ G @ V[..., None])[:, 0, 0]))
         low = np.flatnonzero(norm < field_spec.margin)

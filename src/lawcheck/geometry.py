@@ -6,9 +6,9 @@ forward mode, truncated Taylor arithmetic (Griewank & Walther 2008): the
 derivative programs of compiled expressions (``expressions``) for the metric
 (second order only where a curvature follows), the boundary embedding
 (second order, for d2x), outward vectors, fields and frame twists, each read
-through ``_input_jets``, which runs a Python callable on Jets instead; Jets,
-node axis last, remain for the index maps of ``fields``.  A field on the
-boundary is differentiated along t by the chain rule through the embedding.
+through ``_input_jets``, which runs a Python callable on Jets instead, node
+axis last.  A field on the boundary, and a chart field on the sphere of an
+index map, is differentiated along t by the chain rule through the map.
 Frames carry first derivatives only, as nothing reads second ones.
 One idiom contracts: every layer is node-last and knows its structure.  The
 metric, its derivatives and Hessians, L^-1, the Christoffel symbols, the
@@ -163,24 +163,13 @@ jet_cos = _dispatch(Jet.cos, np.cos, math.cos)
 jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 
 
-def stack_jets(entries, nodes, order):
-    """Stack k jets (or plain numbers, or value arrays) evaluated at the
-    nodes (N, m): values (N, k) and, at ``order`` 1, gradients (N, m, k),
-    returned as a tuple of ``order + 1`` arrays, node axis first, for the
-    value sweeps (order 0) and the index maps (order 1); each jet part, node
-    axis last, is written through a transposed view of its stack."""
-    if order not in (0, 1):
-        raise ValueError("stack_jets stacks values and gradients only (order 0 or 1)")
-    count, m = nodes.shape
-    out = [np.zeros((count,) + (m,) * d + (len(entries),)) for d in range(order + 1)]
-    node_last = [arr.transpose(*range(1, d + 2), 0) for d, arr in enumerate(out)]  # [..., k, N]
+def stack_values(entries, count):
+    """Stack k values (plain numbers or arrays (N,)) at ``count`` nodes as
+    an (N, k) array, node axis first, for the value sweeps."""
+    out = np.zeros((count, len(entries)))
     for i, e in enumerate(entries):
-        if isinstance(e, Jet):
-            for arr, part in zip(node_last, (e.v, e.g)):
-                arr[..., i, :] = part
-        else:
-            out[0][:, i] = e
-    return tuple(out)
+        out[:, i] = e
+    return out
 
 
 def grid_points(axes):
@@ -434,7 +423,7 @@ class RiemannianPatch:
         x = np.asarray(x, dtype=float)
         if self._chart_map is None:
             return x
-        return stack_jets(self._chart_map(list(x.T)), x, 0)[0]
+        return stack_values(self._chart_map(list(x.T)), len(x))
 
 
 class BoundaryPatch:
@@ -671,14 +660,15 @@ def adapted_frame(bpatch, t, order=1):
                           frame=E, dframe=dE), jets)
 
 
-def section_jets(fn, frame):
-    """Values W[k] and t-gradients dW[i, k] of the vector field ``fn``
-    (parent-chart components) at the points of the BoundaryFrame ``frame``,
-    from its first-order ``_input_jets`` by the chain rule through the
-    embedding, dW[i, k] = dx[i, a] d_a W^k, over the products with no
-    structurally zero factor."""
-    W, dWx, _ = _jet_maps(_input_jets(fn, frame.points, 1))
-    return W, _product(frame.pushforward, dWx)
+def pullback_jets(fn, points, pushforward):
+    """Values W[k] and t-gradients dW[i, k] of the vector field ``fn`` at the
+    points x(t) (N, n) of a map with pushforward[i, a] = d x^a / d t_i, from
+    its first-order ``_input_jets`` by the chain rule dW[i, k] = dx[i, a]
+    d_a W^k, over the products with no structurally zero factor: a field
+    along the embedding of a BoundaryFrame, or a chart field on the sphere
+    of an index map."""
+    W, dWx, _ = _jet_maps(_input_jets(fn, points, 1))
+    return W, _product(pushforward, dWx)
 
 
 def boundary_frame(bpatch, t, frame_twist=None):

@@ -32,7 +32,7 @@ from .geometry import (
     metric_inner,
     node_chunks,
     node_first,
-    section_jets,
+    pullback_jets,
 )
 from .templates import compile_template, evaluate_template, phi_template, trig_values
 
@@ -137,7 +137,7 @@ class SectionPullback:
 
         The frame components s_A = <W, e_A> and their gradients ds[i,A] come
         from first-order node-last maps (``metric_inner``), the field's from
-        ``section_jets``; u = s / |W| and theta_A = du_A + u_B omega(B, A).
+        ``pullback_jets``; u = s / |W| and theta_A = du_A + u_B omega(B, A).
         Returns the template bindings u (N, n) and theta (N, n, m), stacked
         node first, then the profile values, one per node: the angle between
         the section and the outward normal, arctan2(|u_tangential|, u_0),
@@ -149,7 +149,7 @@ class SectionPullback:
         if self.section is None:
             W, dW = frame.normal, frame.dnormal
         else:
-            W, dW = section_jets(self.section, frame)
+            W, dW = pullback_jets(self.section, frame.points, frame.pushforward)
         # s_A = <W, e_A> and, as row n, |W|^2 = <W, W>
         s, ds = metric_inner(frame.metric, frame.dmetric,
                              {**frame.frame, **{(n, k): w for k, w in W.items()}},
@@ -271,8 +271,10 @@ def integrate_fiber_volume(n):
 # -- degree integrals ----------------------------------------------------------------
 
 def _norm2(w, where):
-    """|w|^2 per node; a map that vanishes at a node violates genericity."""
-    norm2 = (w * w).sum(-1)
+    """|w|^2 per node, summed column by column: the sum numpy takes over the
+    last axis, which it takes several times more slowly on so short an axis.
+    A map that vanishes at a node violates genericity."""
+    norm2 = _sum([c * c for c in w.T])
     small = np.flatnonzero(norm2 < 1e-18)
     if small.size:
         raise GenericityError(f"map vanishes on the integration {where(small[0])}")

@@ -8,6 +8,9 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 
+PROFILE_COLUMNS = ("t", "weight", "density_normal", "density_section", "angle", "v_dot_n")
+
+
 @dataclass
 class ScenarioReport:
     name: str
@@ -25,6 +28,7 @@ class ScenarioReport:
     failures: list
     passed: bool
     wall_time_s: float = 0.0
+    # per boundary, {"boundary": name} and the node columns of PROFILE_COLUMNS
     profile: list = field(default_factory=list, repr=False)
 
     def to_dict(self, include_timing=False):
@@ -36,6 +40,14 @@ class ScenarioReport:
 
     def to_json(self, include_timing=False):
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+
+    def profile_rows(self):
+        """The profile as one dict per node, in boundary and node order:
+        boundary, node, then each of PROFILE_COLUMNS as Python floats (t as
+        a list of them)."""
+        return [{"boundary": cols["boundary"], "node": node, **dict(zip(PROFILE_COLUMNS, row))}
+                for cols in self.profile
+                for node, row in enumerate(zip(*(cols[key].tolist() for key in PROFILE_COLUMNS)))]
 
     @classmethod
     def from_dict(cls, data):
@@ -107,7 +119,7 @@ def _profile_csv(report):
     writer.writerow(["scenario", "boundary", "node", "t_params", "weight",
                      "density_normal", "density_section", "section_angle",
                      "v_dot_n"])
-    for row in report.profile:
+    for row in report.profile_rows():
         writer.writerow([
             report.name, row["boundary"], row["node"],
             ";".join(f"{v!r}" for v in row["t"]),

@@ -75,27 +75,23 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
         scenario.patch, both_orders(scenario.patch.box, interior_order))
     # the three integrals at the orders of the scenario and at doubled orders
     values, doubled = ({"omega_x": w, "phi_normal": 0.0, "phi_section": 0.0} for w in omega_x)
-    arrays = []  # per boundary, its grid and Phi integrand arrays of (normal, field)
+    profile = []  # per boundary, the columns of the Phi integrand at the first order's nodes
     for bpatch in scenario.boundaries:
         grid = both_orders(bpatch.box, boundary_order)
-        integrals, *integrand = integrate_phi_over_section(
+        integrals, dens, angle, v_dot_n = integrate_phi_over_section(
             bpatch, (None, scenario.field_spec.components), grid)
         for value, (phi_n, phi_s) in zip((values, doubled), integrals):
             value["phi_normal"] += phi_n
             value["phi_section"] += phi_s
-        arrays.append((bpatch.name, grid, *integrand))
+        first = grid.parts[0]  # copies, so the report keeps no doubled-order array alive
+        profile.append({"boundary": bpatch.name, "t": grid.nodes[first].copy(),
+                        "weight": grid.weights[first].copy(),
+                        "density_normal": dens[0, first].copy(),
+                        "density_section": dens[1, first].copy(),
+                        "angle": angle[1, first].copy(), "v_dot_n": v_dot_n[1, first].copy()})
     convergence = {key: abs(doubled[key] - values[key]) for key in values}
     gates += [(delta, tol["convergence"], "quadrature non-convergence: doubling the "
                f"order moves {key} by {delta:.2e}") for key, delta in convergence.items()]
-    # profile rows of the first order only: the Phi integrand at each node
-    profile = [
-        {"boundary": name, "node": node, "t": t, "weight": w,
-         "density_normal": d_n, "density_section": d_s, "angle": a, "v_dot_n": v}
-        for name, grid, dens, angle, v_dot_n in arrays for first in grid.parts[:1]
-        for node, (t, w, d_n, d_s, a, v) in enumerate(zip(
-            grid.nodes[first].tolist(), grid.weights[first].tolist(), *dens[:, first].tolist(),
-            angle[1, first].tolist(), v_dot_n[1, first].tolist()))]
-
     law_residual = sums["ind_v"] + sums["ind_dminus"] - scenario.chi
     thm_residual = (values["phi_normal"] - values["phi_section"]) - sums["ind_dminus"]
     gb_residual = values["omega_x"] + values["phi_normal"] - scenario.chi

@@ -17,7 +17,7 @@ import numpy as np
 from .expressions import ExpressionError, compile_expression, compile_matrix, compile_vector
 from .fields import (GenericityError, InteriorSingularity, TangentialSingularity,
                      VectorFieldSpec, default_index_radius)
-from .geometry import BoundaryPatch, ConfigError, RiemannianPatch, grid_points, stack_jets
+from .geometry import BoundaryPatch, ConfigError, RiemannianPatch, grid_points, stack_values
 from .suite import catalog_names, load_catalog_raw  # re-exported: the catalog reads no numpy
 
 
@@ -263,7 +263,7 @@ def _boundary_point_cloud(patch, boundaries):
     points = []
     for bp in boundaries:
         t = grid_points([np.linspace(lo, hi, 16) for lo, hi in bp.box])
-        (x,) = stack_jets(bp.embed(list(t.T)), t, 0)
+        x = stack_values(bp.embed(list(t.T)), len(t))
         points.extend(patch.ambient(x))
     return points
 

@@ -5,10 +5,12 @@ failure) and asserts the criterion.  Scenario runs are shared through a
 module fixture so the whole gate stays fast.
 """
 
+import gc
 import json
 import math
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -212,8 +214,27 @@ def test_profile_densities_sum_to_the_integrals(catalog_reports):
     for name, report in catalog_reports.items():
         for column, key in (("density_normal", "phi_normal"),
                             ("density_section", "phi_section")):
-            total = math.fsum(row["weight"] * row[column] for row in report.profile)
+            total = math.fsum(row["weight"] * row[column] for row in report.profile_rows())
             assert abs(total - report.integrals[key]) <= 1e-13, (name, key, total)
+
+
+def test_a_report_keeps_its_profile_as_columns():
+    """A ``ball3-radial`` report holds its profile as per-boundary arrays,
+    not per-node rows: it retains 0.057 MB traced (1,024 rows of per-node
+    dicts retained 0.53 MB), bounded at 0.1 MB, a 75 % margin.  The memory
+    is the difference with and without the report, so caches that the run
+    fills do not count."""
+    tracemalloc.start()
+    try:
+        report = run_scenario(load_catalog_scenario("ball3-radial"))
+        gc.collect()
+        with_report = tracemalloc.get_traced_memory()[0]
+        del report
+        gc.collect()
+        retained = with_report - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * 2**20, retained
 
 
 def test_catalog_matches_golden_reports(catalog_reports):
@@ -225,5 +246,5 @@ def test_catalog_matches_golden_reports(catalog_reports):
     for name, report in catalog_reports.items():
         got = report.to_dict()
         if report.dimension == 2:
-            got["profile"] = report.profile
+            got["profile"] = report.profile_rows()
         _assert_agrees(json.loads(json.dumps(got)), golden[name], name)

@@ -235,6 +235,41 @@ def test_second_order_programs_only_on_curvature_paths():
     assert starts == set(CURVATURE_PATHS) | set(SECOND_ORDER_INPUTS)
 
 
+# -- Jets behind one door ------------------------------------------------------------
+
+def _jet_variables_sites(source):
+    """(innermost enclosing function, or None, and line) of each reference
+    to ``Jet.variables`` in ``source``, by line."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so the innermost function wins
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            owner.update((id(node), getattr(fn, "name", "lambda")) for node in ast.walk(fn))
+    return sorted(((owner.get(id(node)), node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "variables"
+                   and "Jet" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))),
+                  key=lambda site: site[1])
+
+
+def test_the_check_finds_planted_jet_variables():
+    source = ("def _input_jets(fn, x, order):\n"
+              "    return fn(Jet.variables(x, 1))\n"
+              "def index_at(sing, nodes):\n"
+              "    def map_fn(t):\n"
+              "        return geometry.Jet.variables(t, 1)\n"
+              "make = Jet.variables\n")
+    assert _jet_variables_sites(source) == [("_input_jets", 2), ("map_fn", 5), (None, 6)]
+
+
+def test_jets_are_made_only_in_input_jets():
+    """``Jet.variables`` is referenced in src/ only inside
+    ``geometry._input_jets``: every layer reads derivatives as node-last
+    maps, and Jets run only a Python-callable input, which needs them."""
+    sites = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+             for owner, _ in _jet_variables_sites(path.read_text())}
+    assert sites == {("geometry.py", "_input_jets")}, sites
+
+
 # -- one gate table ------------------------------------------------------------------
 
 def _is_failures(node):

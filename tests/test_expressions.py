@@ -17,7 +17,9 @@ from lawcheck.expressions import (
     compile_matrix,
     compile_vector,
 )
-from lawcheck.geometry import ConfigError, Jet, stack_jets
+from lawcheck.geometry import ConfigError, Jet
+
+from test_geometry import stack_first_order
 
 
 def ev(text, params=(), env=()):
@@ -145,7 +147,7 @@ def test_empty_node_batch_has_no_failing_node():
     vector = compile_vector(["exp(1000)", "1/0", "x"], ["x"])
     assert [v.shape for v in vector([np.zeros(0)])] == [(0,)] * 3
     nodes = np.zeros((0, 1))
-    values, grads = stack_jets(vector(Jet.variables(nodes, 1)), nodes, 1)
+    values, grads = stack_first_order(vector(Jet.variables(nodes, 1)), nodes)
     assert values.shape == (0, 3) and grads.shape == (0, 1, 3)
     for order in (1, 2):
         assert [np.shape(v) for v, _, _ in vector.jets(nodes, order)] == [(0,)] * 3

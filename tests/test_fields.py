@@ -21,8 +21,11 @@ from lawcheck.fields import (
     index_at,
     index_tangential,
 )
-from lawcheck.geometry import BoundaryPatch, RiemannianPatch, jet_cos, jet_sin
+from lawcheck.expressions import compile_vector
+from lawcheck.geometry import BoundaryPatch, Jet, RiemannianPatch, jet_cos, jet_exp, jet_sin
 from lawcheck.scenarios import load_catalog_scenario
+
+from test_geometry import stack_first_order
 
 
 def sing2(field, name="s", center=(0, 0), radius=0.2):
@@ -124,6 +127,83 @@ def test_index_unsupported_dimension():
                             chart_field=lambda x: [x[0]])
     with pytest.raises(ValueError):
         index_at(s, order=192)
+
+
+# -- index maps by the chain rule ----------------------------------------------------
+
+_INDEX_FIELDS = {
+    2: ["sin(x*y) + exp(x)/(1 + y^2) - 1.1", "x^3/(2 + cos(y)) - y*exp(-x) + 0.3"],
+    3: ["sin(x*z) + exp(y)/(1 + z^2) - 1.1", "x^3/(2 + cos(y)) - z*exp(-x) + 0.3",
+        "y^2*z - sin(x + y)/(3 + z) - 0.2"],
+}
+
+
+def _index_map(sing, monkeypatch):
+    """The map that ``index_at`` hands its degree integral."""
+    maps = []
+    for name in ("degree_integral_circle", "degree_integral_sphere"):
+        monkeypatch.setattr(fields, name, lambda map_fn, order: maps.append(map_fn) or 1.0)
+    index_at(sing, order=8)
+    return maps[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_index_maps_match_a_jet_run_reference(dim, monkeypatch):
+    """w (N, n) and dw (N, n - 1, n) of the chain-rule index map agree with
+    the chart field run on the Jets of the circle or sphere map, within 8
+    ulps of each entry's largest magnitude over the nodes (3 seen): values
+    differ where Jets divide through reciprocals, gradients in the order of
+    the chain rule's products.  The map's points are the Jets' bit for bit."""
+    params = ["x", "y", "z"][:dim]
+    c, r = [0.3, -0.7, 0.45][:dim], 0.13
+    rng = np.random.default_rng(7)
+    if dim == 2:
+        nodes = rng.uniform(0, 2 * math.pi, (500, 1))
+        (theta,) = Jet.variables(nodes, 1)
+        x = [c[0] + r * theta.cos(), c[1] + r * theta.sin()]
+    else:
+        nodes = rng.uniform(0, 1, (500, 2)) * [math.pi, 2 * math.pi]
+        a, b = Jet.variables(nodes, 1)
+        x = [c[0] + r * a.sin() * b.cos(), c[1] + r * a.sin() * b.sin(), c[2] + r * a.cos()]
+    for texts, ulps in ((params, 0), (_INDEX_FIELDS[dim], 8)):
+        field = compile_vector(texts, params)
+        map_fn = _index_map(InteriorSingularity("s", c, 0.4, c, r, field), monkeypatch)
+        got = map_fn(nodes[:, 0] if dim == 2 else nodes)
+        for value, want in zip(got, stack_first_order(field(x), nodes)):
+            assert value.shape == want.shape
+            assert np.all(np.abs(value - want) <= ulps * np.spacing(np.abs(want).max(axis=0)))
+
+
+def test_python_callable_chart_fields_keep_their_degrees():
+    """A Python-callable chart field, run on Jets of the chart points and
+    chained through the circle or sphere map, gives the index and the raw
+    degree that it gave run on Jets of the map's parameters (recorded from
+    them; equal here, held to 4 ulps)."""
+    doubled = sing2(lambda x: [(x[0] - 0.3) * (x[0] - 0.3) - (x[1] + 0.2) * (x[1] + 0.2),
+                               2.0 * (x[0] - 0.3) * (x[1] + 0.2)], center=(0.3, -0.2))
+    swirl = InteriorSingularity(
+        "swirl", [-0.4, 0.5, 0.2], 0.3, [-0.4, 0.5, 0.2], 0.15,
+        lambda x: [x[1] - 0.5 + 0.3 * jet_sin(x[2] - 0.2), -1.0 * (x[0] + 0.4) * jet_exp(x[1] - 0.5),
+                   (x[2] - 0.2) / (1.0 + x[0] * x[0])])
+    for sing, order, value, raw in ((doubled, 192, 2, 2.0000000000000004),
+                                    (swirl, 48, 1, 1.0000000000000007)):
+        res = index_at(sing, order=order)
+        assert res.value == value and abs(res.raw - raw) <= 4 * math.ulp(raw), res
+
+
+@pytest.mark.parametrize("dim, point", [
+    (2, "[0.1499445674657544, 0.0033291791906207534]"),
+    (3, "[0.08748128686342868, 0.0003221907621808554, 0.09270948887883125]")],
+    ids=["circle", "sphere"])
+def test_overflowing_chart_field_names_its_first_node(dim, point):
+    """A compiled chart field that overflows on part of the index sphere
+    raises the ConfigError of its first failing node, the message that the
+    Jet-run maps raised (recorded from them)."""
+    c = [0.05, 0.0, 0.0][:dim]
+    field = compile_vector(["exp(10000*x)", "y", "z"][:dim], ["x", "y", "z"][:dim])
+    with pytest.raises(ConfigError) as err:
+        index_at(InteriorSingularity("s", c, 0.2, c, 0.1, field), order=16)
+    assert str(err.value) == f"expression 'exp(10000*x)' fails at {point}: math range error"
 
 
 # -- boundary decomposition -------------------------------------------------------

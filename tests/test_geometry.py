@@ -30,7 +30,6 @@ from lawcheck.geometry import (
     jet_sin,
     node_first,
     pair_curvature,
-    stack_jets,
 )
 from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_section
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
@@ -66,10 +65,24 @@ def bumpy_patch(seed=0):
     return RiemannianPatch(2, [(-1, 1), (-1, 1)], metric)
 
 
+def stack_first_order(entries, nodes):
+    """The values (N, k) and gradients (N, m, k) of k jets (or plain numbers,
+    or value arrays, whose gradients are 0) at the nodes (N, m), node axis
+    first."""
+    count, m = nodes.shape
+    values, grads = np.zeros((count, len(entries))), np.zeros((count, m, len(entries)))
+    for i, e in enumerate(entries):
+        if isinstance(e, Jet):
+            values[:, i], grads[..., i] = e.v, np.moveaxis(e.g, -1, 0)
+        else:
+            values[:, i] = e
+    return values, grads
+
+
 def stack_hessians(entries, nodes):
     """The Hessians (N, m, m, k) of k second-order jets (or plain numbers, or
     value arrays, whose Hessians are 0) at the nodes (N, m), node axis first,
-    as ``stack_jets`` stacks their values and gradients."""
+    as ``stack_first_order`` stacks their values and gradients."""
     count, m = nodes.shape
     out = np.zeros((count, m, m, len(entries)))
     for i, e in enumerate(entries):
@@ -292,16 +305,13 @@ _LAYOUT_TEXTS = ["x * y - y", "(x + 2) / (y * y + 1)", "x^3 * y^-2", "(x - y)^2 
 def test_batched_jets_equal_point_jets(order):
     """Jets of compiled expressions on a node batch give, at each node and
     bit for bit, the jet that the same expressions give at that node alone;
-    stack_jets (and, for the Hessians, which it refuses to stack,
-    ``stack_hessians``) keeps its node-first shapes and puts each node's
-    parts in place."""
+    ``stack_first_order`` and ``stack_hessians`` keep their node-first
+    shapes and put each node's parts in place."""
     fn = compile_vector(_LAYOUT_TEXTS, ["x", "y"])
     nodes = np.array([[0.7, -0.3], [1.1, 0.4], [-0.6, 2.0], [0.25, 1.5]])
     batched = fn(Jet.variables(nodes, order))
-    stacked = stack_jets(batched, nodes, 1)
+    stacked = stack_first_order(batched, nodes)
     if order == 2:
-        with pytest.raises(ValueError, match="order 0 or 1"):
-            stack_jets(batched, nodes, 2)
         stacked += (stack_hessians(batched, nodes),)
     assert [s.shape for s in stacked] == [(4,) + (2,) * d + (len(_LAYOUT_TEXTS),)
                                           for d in range(order + 1)]
@@ -1124,18 +1134,19 @@ def reference_boundary_frame(bpatch, t, frame_twist=None):
     N, m = t.shape
     n = m + 1
     x_jets = bpatch.embed(Jet.variables(t, 2))
-    x, dx = stack_jets(x_jets, t, 1)
+    x, dx = stack_first_order(x_jets, t)
     d2x = stack_hessians(x_jets, t)
     jets = bpatch.parent.metric_jets(x)
     G = node_first(jets[0], (N, n, n))
     dG = (dx @ node_first(jets[1], (N, n, n, n)).reshape(N, n, -1)).reshape(N, m, n, n)
-    outward, doutward = stack_jets(bpatch.outward(Jet.variables(t, 1)), t, 1)
+    outward, doutward = stack_first_order(bpatch.outward(Jet.variables(t, 1)), t)
     E, dE = reference_orthonormal_rows(G, dG, np.concatenate([dx, outward[:, None]], axis=1),
                                        np.concatenate([d2x, doutward[:, :, None]], axis=2), t)
     E, dE = np.roll(E, 1, axis=1), np.roll(dE, 1, axis=2)
     normal, dnormal = E[:, 0], dE[:, :, 0]
     if frame_twist is not None:
-        R, dR = stack_jets([e for row in frame_twist(Jet.variables(t, 1)) for e in row], t, 1)
+        R, dR = stack_first_order([e for row in frame_twist(Jet.variables(t, 1))
+                                   for e in row], t)
         R, dR = R.reshape(E.shape), dR.reshape(dE.shape)
         E, dE = R @ E, dR @ E[:, None] + R[:, None] @ dE
     core = reference_core(jets, N)
@@ -1153,7 +1164,7 @@ def reference_bind(section, t, frame):
     if section is None:
         W, dW = frame.normal, frame.dnormal
     else:
-        W, dW = stack_jets(section(frame.x_jets), np.asarray(t, dtype=float), 1)
+        W, dW = stack_first_order(section(frame.x_jets), np.asarray(t, dtype=float))
     s, ds = reference_metric_inner(frame.metric, frame.dmetric,
                                    np.concatenate([frame.frame, W[:, None]], axis=1),
                                    np.concatenate([frame.dframe, dW[:, :, None]], axis=2), W, dW)
@@ -1236,7 +1247,7 @@ def test_node_last_frames_match_the_node_first_reference(case, twisted):
                                           ("u", "theta", "angle", "v_dot_n")):
             _assert_close(value, reference, what)
     plain = want if twist is None else reference_boundary_frame(bpatch, t)
-    V, dV = stack_jets(field(plain.x_jets), t, 1)
+    V, dV = stack_first_order(field(plain.x_jets), t)
     for value, reference, what in zip(_field_frame_components(bpatch, field, t),
                                       reference_metric_inner(plain.metric, plain.dmetric,
                                                              plain.frame, plain.dframe, V, dV),
