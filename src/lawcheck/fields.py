@@ -19,6 +19,7 @@ import numpy as np
 from .geometry import (
     ConfigError,
     GenericityError,
+    _product,
     adapted_frame,
     grid_points,
     metric_inner,
@@ -94,20 +95,16 @@ def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
     rule of ``order`` nodes per circle (2-D) or per colatitude (3-D).  The
     circle or sphere map x(t) and its t-derivatives are closed forms,
     multiplied in the order Jets would multiply them, and the chart field's
-    values and t-gradients come from ``pullback_jets`` through them."""
+    values and t-gradients, the maps the degree integrals read, come from
+    ``pullback_jets`` through them."""
     r = float(radius if radius is not None else sing.radius)
     c = sing.center
     dim = len(c)
-
-    def field_on(x, dx):  # w (N, dim) and dw (N, dim - 1, dim), node first
-        w, dw = pullback_jets(sing.chart_field, x, dx)
-        return node_first(w, (len(x), dim)), node_first(dw, (len(x), dim - 1, dim))
-
     if dim == 2:
         def map_fn(t):
             cos, sin = np.cos(t), np.sin(t)
             x = np.stack([c[0] + r * cos, c[1] + r * sin], axis=1)
-            return field_on(x, {(0, 0): r * -sin, (0, 1): r * cos})
+            return pullback_jets(sing.chart_field, x, {(0, 0): r * -sin, (0, 1): r * cos})
 
         raw = degree_integral_circle(map_fn, order=order)
     elif dim == 3:
@@ -115,8 +112,9 @@ def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
             (sin_a, sin_b), (cos_a, cos_b) = np.sin(nodes.T), np.cos(nodes.T)
             rs, rc = r * sin_a, r * cos_a  # x = c + (r sin a) (cos b, sin b) + (0, 0, r cos a)
             x = np.stack([c[0] + rs * cos_b, c[1] + rs * sin_b, c[2] + rc], axis=1)
-            return field_on(x, {(0, 0): rc * cos_b, (0, 1): rc * sin_b, (0, 2): r * -sin_a,
-                                (1, 0): rs * -sin_b, (1, 1): rs * cos_b})
+            return pullback_jets(sing.chart_field, x, {
+                (0, 0): rc * cos_b, (0, 1): rc * sin_b, (0, 2): r * -sin_a,
+                (1, 0): rs * -sin_b, (1, 1): rs * cos_b})
 
         raw = degree_integral_sphere(map_fn, order=order)
     else:
@@ -138,18 +136,21 @@ def _degree_index(name, raw, what):
 # -- boundary work --------------------------------------------------------------
 
 def _field_frame_components(bpatch, components, t):
-    """Values s[A] (N, n) and t-gradients ds[i,A] (N, m, n) of <V, e_A> at the
-    boundary nodes t (N, m), in the frame of ``adapted_frame`` (no connection
-    or curvature).  Its tangential vectors follow the boundary chart, with no
-    sign applied, so the winding loop and the sign count run in the chart
-    that defines them: reversing the chart reverses both, and an index does
-    not change."""
-    t = np.asarray(t, dtype=float)
-    (N, m), n = t.shape, bpatch.parent.n
-    bf, _ = adapted_frame(bpatch, t)
-    s, ds = metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe,
-                         *pullback_jets(components, bf.points, bf.pushforward))
-    return node_first(s, (N, n)), node_first(ds, (N, m, n))
+    """Values s[A] and t-gradients ds[i, A] of <V, e_A> at the boundary nodes
+    t (N, m), node-last maps, in the frame of ``adapted_frame`` (no
+    connection or curvature).  Its tangential vectors follow the boundary
+    chart, with no sign applied, so the winding loop and the sign count run
+    in the chart that defines them: reversing the chart reverses both, and
+    an index does not change."""
+    bf, _ = adapted_frame(bpatch, np.asarray(t, dtype=float))
+    return metric_inner(bf.metric, bf.dmetric, bf.frame, bf.dframe,
+                        *pullback_jets(components, bf.points, bf.pushforward))
+
+
+def _field_frame_values(bpatch, components, t):
+    """The values of ``_field_frame_components`` (N, n), node first, for the sweeps."""
+    return node_first(_field_frame_components(bpatch, components, t)[0],
+                      (len(t), bpatch.parent.n))
 
 
 def _sample_points(box, count):
@@ -205,7 +206,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
 
     def check(chunk):
         t = points[chunk]
-        vals, _ = _field_frame_components(bpatch, field_spec.components, t)
+        vals = _field_frame_values(bpatch, field_spec.components, t)
         norm = np.linalg.norm(vals, axis=1)
         normal, proj = vals[:, 0], np.linalg.norm(vals[:, 1:], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -236,7 +237,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
     def classify(chunk):
         """Sort the declared singularities of the slice ``chunk`` by the sign
         of the normal component, from one frame evaluation at their locations."""
-        frame_vals, _ = _field_frame_components(bpatch, field_spec.components, locations[chunk])
+        frame_vals = _field_frame_values(bpatch, field_spec.components, locations[chunk])
         for s, vals in zip(declared[chunk], frame_vals):
             norm = float(np.linalg.norm(vals))
             if norm < field_spec.margin:
@@ -272,8 +273,8 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 
     if m == 1:
         # one-dimensional boundary: two-point sign count in the chart frame
-        vals, _ = _field_frame_components(bpatch, field_spec.components,
-                                          np.array([[loc[0] + r], [loc[0] - r]]))
+        vals = _field_frame_values(bpatch, field_spec.components,
+                                   np.array([[loc[0] + r], [loc[0] - r]]))
         f_plus, f_minus = (float(v) for v in vals[:, 1])
         if abs(f_plus) < 1e-12 or abs(f_minus) < 1e-12:
             raise GenericityError(
@@ -283,10 +284,13 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 
     if m == 2:
         def map_fn(theta):
-            dt = r * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-            t = loc + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            vals, grads = _field_frame_components(bpatch, field_spec.components, t)
-            return vals[:, 1:], dt[:, None] @ grads[:, :, 1:]  # dt[i] grads[i,k]
+            cos, sin = np.cos(theta), np.sin(theta)
+            s, ds = _field_frame_components(bpatch, field_spec.components,
+                                            loc + r * np.stack([cos, sin], axis=1))
+            # the tangential components w[k] = s[k + 1], dw[0, k] = dt[0, i] ds[i, k + 1]
+            return ({A - 1: v for A, v in s.items() if A},
+                    _product({(0, 0): r * -sin, (0, 1): r * cos},
+                             {(i, A - 1): v for (i, A), v in ds.items() if A}))
 
         return _degree_index(sing.name, degree_integral_circle(map_fn, order=order),
                              "tangential degree")

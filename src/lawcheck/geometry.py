@@ -19,10 +19,10 @@ plain numbers, and each entry is a sum, in a fixed order, of the products
 with no structurally zero factor, a plain-number factor 1 folded: a
 coordinate hypersurface of a diagonal metric multiplies few zeros or ones,
 and a dense boundary runs the same code with every entry present.  The
-template evaluator reads node-first arrays, stacked by ``node_first``;
-the curvature on index pairs i < j (of ``pairs``) keeps the layout of
-``templates``, curv[:, I, J].  Finite differences appear only in tests, as
-independent oracles.
+structural-zero helpers come from ``templates``, whose evaluator reads these
+maps as they are, the curvature on index pairs i < j (of ``pairs``) as
+curv[I, J]; ``node_first`` stacks a map only for the value sweeps' matmuls.
+Finite differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
 patches, whatever outward vector the patch gives; no sign is applied to
@@ -43,7 +43,7 @@ from operator import add
 import numpy as np
 
 from . import ConfigError, GenericityError
-from .templates import euler_template, evaluate_template, pairs, phi_template
+from .templates import _minus, _mul, _sum, euler_template, evaluate_template, pairs, phi_template
 
 CHUNK_NODES = 2048  # node cap of one batched evaluation, at every dimension
 
@@ -55,8 +55,8 @@ def node_chunks(count):
     chunked layers' traced peaks, in arrays of one float per node, are about
     17 (Euler density) and 14-40 (boundary frame: a catalog rim, a rim whose
     frame has no structural zero) at n = 2, and 52-106 (boundary frame, with
-    curvature) at n = 3; a Phi chunk, whose two section pullbacks and
-    templates run one section at a time, peaks at 35-48 and 66-126."""
+    curvature) at n = 3; a Phi chunk on a catalog boundary, pullbacks and
+    templates one section at a time, peaks at 16-30 and 52-60."""
     parts = -(-count // CHUNK_NODES)
     return [slice(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
@@ -194,27 +194,6 @@ def _present(value):
     """Whether an entry is not a structural zero: a node array, or a plain
     number other than 0."""
     return isinstance(value, np.ndarray) or value != 0
-
-
-def _mul(a, b):
-    """a * b, None (a structural zero) if either is; a plain-number factor 1
-    is folded."""
-    if a is None or b is None:
-        return None
-    if not isinstance(a, np.ndarray) and a == 1:
-        return b
-    return a if not isinstance(b, np.ndarray) and b == 1 else a * b
-
-
-def _sum(terms):
-    """The terms added in order, None (a structural zero) left out; None for none."""
-    terms = [t for t in terms if t is not None]
-    return reduce(add, terms) if terms else None
-
-
-def _minus(a, b):
-    """a - b, where None is a structural zero."""
-    return a if b is None else -b if a is None else a - b
 
 
 def _add(X, Y):
@@ -597,8 +576,8 @@ def euler_form_density(patch, points):
         return np.zeros(len(points))
     _, dG, hess, Linv, diag = patch.metric_jets(points)
     R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n, len(points))
-    return (evaluate_template(euler_template(n), None, None, None, np.moveaxis(R, -1, 0))
-            / math.prod(diag))
+    curv = {(I, J): R[I, J] for I in range(len(R)) for J in range(len(R))}
+    return evaluate_template(euler_template(n), None, None, curv, len(points)) / math.prod(diag)
 
 
 # -- boundary-adapted frames ------------------------------------------------------
@@ -678,7 +657,7 @@ def boundary_frame(bpatch, t, frame_twist=None):
     replaces the frame E by R E; ``normal`` stays the untwisted e_1."""
     t = np.asarray(t, dtype=float)
     n, m = bpatch.parent.n, bpatch.m
-    curved = any(deg == 2 for e in phi_template(n).entries for *_, deg in e[2])
+    curved = phi_template(n).curved
     bf, (_, dG, hess, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
     low, Gamma = christoffel_symbols(dG, Linv)
     del dG, Linv  # read: freed before the curvature's products

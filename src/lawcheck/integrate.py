@@ -1,12 +1,12 @@
 """Quadrature of pulled-back forms: sections, fiber spheres, Euler densities.
 
 The symbolic forms are the single source of truth: Phi and, like it, Omega
-are compiled from chern's forms into numeric templates whose generators are
-bound to frame/connection/curvature arrays from the geometry layer, one
-chunk of quadrature nodes at a time.  The fiber sphere is chern's polar
-parametrization, evaluated on node arrays by ``trig_values``.  Accumulation
-uses math.fsum over the per-node products, which is exactly rounded, so
-results depend neither on node order nor on the chunking.
+are compiled from chern's forms into numeric templates that read node-last
+maps, u and theta of the section pullbacks and the curvature of the geometry
+layer, one chunk of quadrature nodes at a time.  The fiber sphere is chern's
+polar parametrization, evaluated on node arrays by ``trig_values``.
+Accumulation uses math.fsum over the per-node products, which is exactly
+rounded, so results depend neither on node order nor on the chunking.
 """
 
 from __future__ import annotations
@@ -22,19 +22,16 @@ from .geometry import (
     GenericityError,
     _add,
     _contract,
-    _minus,
-    _mul,
-    _sum,
     _transpose,
     boundary_frame,
     euler_form_density,
     grid_points,
     metric_inner,
     node_chunks,
-    node_first,
     pullback_jets,
 )
-from .templates import compile_template, evaluate_template, phi_template, trig_values
+from .templates import (_minus, _mul, _sum, compile_template, evaluate_template, phi_template,
+                        trig_values)
 
 
 # -- grids -----------------------------------------------------------------------
@@ -125,8 +122,8 @@ def joined_grid(grids):
 
 class SectionPullback:
     """Numeric evaluator of a unit section of the sphere bundle along a
-    boundary: frame components, their derivatives, and the connection and
-    curvature values a form template needs at each node."""
+    boundary: its frame components u and their covariant derivatives theta,
+    the bindings a form template reads beside the frame's curvature."""
 
     def __init__(self, section=None):
         self.section = section            # None means the outward normal
@@ -138,8 +135,8 @@ class SectionPullback:
         The frame components s_A = <W, e_A> and their gradients ds[i,A] come
         from first-order node-last maps (``metric_inner``), the field's from
         ``pullback_jets``; u = s / |W| and theta_A = du_A + u_B omega(B, A).
-        Returns the template bindings u (N, n) and theta (N, n, m), stacked
-        node first, then the profile values, one per node: the angle between
+        Returns the template bindings, the node-last maps u[A] and
+        theta[A, i], then the profile values, one per node: the angle between
         the section and the outward normal, arctan2(|u_tangential|, u_0),
         which keeps its relative accuracy near the normal, and <W, n>.
         """
@@ -173,8 +170,7 @@ class SectionPullback:
                                            (N,)), u.get(0, 0.0))
         v_dot_n = _contract({(0, k): w for k, w in W.items()},
                             _contract(frame.metric, frame.normal)).get(0, 0.0)
-        return (node_first(u, (N, n)), node_first(theta, (N, n, m)),
-                angle, np.broadcast_to(v_dot_n, (N,)))
+        return u, theta, angle, np.broadcast_to(v_dot_n, (N,))
 
 
 # -- the integrals -------------------------------------------------------------------
@@ -213,21 +209,15 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
     order of ``sections``; then the integrand, the section's angle to the
     outward normal and <V, n> as (len(sections), N) arrays over the grid nodes.
     """
-    n = bpatch.parent.n
-    m = n - 1
-    tpl = phi_template(n)
+    tpl = phi_template(bpatch.parent.n)
     pulls = [SectionPullback(s) for s in sections]
 
     def values(t, _weights):
-        N = len(t)
         bf = boundary_frame(bpatch, t, frame_twist)
-        omega = node_first(bf.omega, (N, n, n, m))
-        curv = (None if bf.curvature is None
-                else node_first(bf.curvature, (N, n * m // 2, m * (m - 1) // 2)))
 
         def profile(pull):  # one section's u and theta alive at a time
             u, theta, angle, v_dot_n = pull.bind(t, bf)
-            return evaluate_template(tpl, u, theta, omega, curv), angle, v_dot_n
+            return evaluate_template(tpl, u, theta, bf.curvature, len(t)), angle, v_dot_n
 
         return np.array([profile(pull) for pull in pulls])
 
@@ -245,20 +235,17 @@ def fiber_grid(n, order):
 
 def integrate_fiber_form(form, grid):
     """Fiber-sphere integral of an interior form at a flat point (the
-    connection and curvature bindings vanish; theta reduces to du)."""
+    curvature vanishes, an empty map; theta reduces to du)."""
     n = form.n
-    m = n - 1
-    tpl = compile_template(form, m)
+    tpl = compile_template(form, n - 1)
     coords = polar_coordinates(n)
-    dcoords = [c.deriv(i) for c in coords for i in range(1, n)]
-    flat_omega, flat_curv = np.zeros((n, n, m)), np.zeros((n * (n - 1) // 2, m * (m - 1) // 2))
+    dcoords = {(A, i - 1): c.deriv(i) for A, c in enumerate(coords) for i in range(1, n)}
 
     def weighted(nodes, weights):
         angles = dict(enumerate(nodes.T, start=1))
-        u, theta = (np.stack([np.broadcast_to(trig_values(c, angles), len(nodes))
-                              for c in scalars], axis=-1) for scalars in (coords, dcoords))
-        return weights * evaluate_template(tpl, u, theta.reshape(-1, n, m),
-                                           flat_omega, flat_curv)
+        u = {A: trig_values(c, angles) for A, c in enumerate(coords)}
+        theta = {key: trig_values(c, angles) for key, c in dcoords.items()}
+        return weights * evaluate_template(tpl, u, theta, {}, len(nodes))
 
     return _quadrature(grid, weighted)[0]
 
@@ -270,11 +257,11 @@ def integrate_fiber_volume(n):
 
 # -- degree integrals ----------------------------------------------------------------
 
-def _norm2(w, where):
-    """|w|^2 per node, summed column by column: the sum numpy takes over the
-    last axis, which it takes several times more slowly on so short an axis.
-    A map that vanishes at a node violates genericity."""
-    norm2 = _sum([c * c for c in w.T])
+def _norm2(w, count, where):
+    """|w|^2 at ``count`` nodes from the node-last map w, its entries squared
+    and summed in key order.  A map that vanishes at a node violates
+    genericity."""
+    norm2 = np.broadcast_to(_sum([w[k] * w[k] for k in sorted(w)]) if w else 0.0, (count,))
     small = np.flatnonzero(norm2 < 1e-18)
     if small.size:
         raise GenericityError(f"map vanishes on the integration {where(small[0])}")
@@ -283,13 +270,15 @@ def _norm2(w, where):
 
 def degree_integral_circle(map_fn, order):
     """Degree of a nonvanishing plane-valued map over [0, 2pi): ``map_fn(t)``
-    takes node angles t (N,) and returns w (N, 2) and dw (N, 1, 2), and
+    takes node angles t (N,) and returns the node-last maps w[k] and
+    dw[0, k], k < 2, of ``pullback_jets``, an absent entry zero, and
     (w1 w2' - w2 w1') / |w|^2 is integrated."""
     def weighted(nodes, weights):
         t = nodes[:, 0]
         w, dw = map_fn(t)
-        norm2 = _norm2(w, lambda k: f"circle at t={float(t[k])}")
-        return weights * (w[:, 0] * dw[:, 0, 1] - w[:, 1] * dw[:, 0, 0]) / norm2
+        norm2 = _norm2(w, len(t), lambda k: f"circle at t={float(t[k])}")
+        w0, w1 = (w.get(k, 0.0) for k in range(2))
+        return weights * (w0 * dw.get((0, 1), 0.0) - w1 * dw.get((0, 0), 0.0)) / norm2
 
     grid = gauss_grid([(0.0, 2 * math.pi)], [order])
     return _quadrature(grid, weighted)[0] / (2 * math.pi)
@@ -297,12 +286,14 @@ def degree_integral_circle(map_fn, order):
 
 def degree_integral_sphere(map_fn, order):
     """Degree of a nonvanishing space-valued map over the (colat, lon) box:
-    ``map_fn(nodes)`` takes nodes (N, 2) and returns w (N, 3) and dw (N, 2, 3),
-    and det[w, dw] / |w|^3, det by cofactors along w, is integrated."""
+    ``map_fn(nodes)`` takes nodes (N, 2) and returns the node-last maps w[k]
+    and dw[i, k], k < 3, of ``pullback_jets``, an absent entry zero, and
+    det[w, dw] / |w|^3, det by cofactors along w, is integrated."""
     def weighted(nodes, weights):
         w, dw = map_fn(nodes)
-        norm2 = _norm2(w, lambda k: f"sphere at {[float(a) for a in nodes[k]]}")
-        (w0, w1, w2), (a0, a1, a2), (b0, b1, b2) = w.T, dw[:, 0].T, dw[:, 1].T
+        norm2 = _norm2(w, len(nodes), lambda k: f"sphere at {[float(a) for a in nodes[k]]}")
+        w0, w1, w2 = (w.get(k, 0.0) for k in range(3))
+        (a0, a1, a2), (b0, b1, b2) = ([dw.get((i, k), 0.0) for k in range(3)] for i in (0, 1))
         det = w0 * (a1 * b2 - a2 * b1) - w1 * (a0 * b2 - a2 * b0) + w2 * (a0 * b1 - a1 * b0)
         return weights * det / (norm2 * np.sqrt(norm2))
 

@@ -26,11 +26,9 @@ SCRIPT = textwrap.dedent("""
     tracer.begin_op(0)
     text = report.emit_report(runner.run_scenario(scenario), "json")
     integrate.degree_integral_circle(
-        lambda t: (np.stack([np.cos(t), np.sin(t)], axis=1),
-                   np.stack([-np.sin(t), np.cos(t)], axis=1)[:, None, :]), order=16)
-    integrate.degree_integral_sphere(
-        lambda ab: (np.tile([0.0, 0.0, 1.0], (len(ab), 1)), np.zeros((len(ab), 2, 3))),
-        order=4)
+        lambda t: ({0: np.cos(t), 1: np.sin(t)}, {(0, 0): -np.sin(t), (0, 1): np.cos(t)}),
+        order=16)
+    integrate.degree_integral_sphere(lambda ab: ({2: 1.0}, {}), order=4)
     tracer.begin_op(1)
     symbolic = runner.run_symbolic("dphi", 3)
     tracer.write(sys.argv[3], {"workload": "hooks"})

@@ -1,14 +1,16 @@
 """Batched contractions in the numeric layers stay cheap.
 
 The metric, frame and section layers contract node-last maps entry by entry
-(``geometry._product``); the few stacked matmuls left, in the field sweeps
-of ``fields``, act on node-first arrays.  ``np.einsum`` with two or more
-array operands builds an iterator over every index and runs far slower than
-either; geometry, integrate and fields may use einsum to transpose a single
-array only.  Nor may an ``@`` there read a transposed view: a stacked matmul
-whose operand is one runs several times more slowly than on a contiguous
-copy.  The checks read the source, so they need no input that reaches the
-contraction.
+(``geometry._product``), and the form templates read those maps as they
+are; the few stacked matmuls left, in the value sweeps of ``fields`` and
+``RiemannianPatch.metric_values``, act on node-first arrays.  ``np.einsum``
+with two or more array operands builds an iterator over every index and
+runs far slower than either; the numeric modules may use einsum to
+transpose a single array only.  Nor may an ``@`` there read a transposed
+view: a stacked matmul whose operand is one runs several times more slowly
+than on a contiguous copy.  Nor may the quadratures and templates stack a
+map node first (``node_first``) to feed a contraction.  The checks read the
+source, so they need no input that reaches the contraction.
 """
 
 import ast
@@ -44,9 +46,30 @@ def test_the_check_finds_multi_operand_einsums():
     assert _multi_operand_einsums(source) == [3, 4]
 
 
-@pytest.mark.parametrize("module", ["geometry.py", "integrate.py", "fields.py"])
+@pytest.mark.parametrize("module", ["geometry.py", "integrate.py", "fields.py", "templates.py"])
 def test_no_multi_operand_einsum(module):
     assert _multi_operand_einsums((SRC / module).read_text()) == []
+
+
+def _node_first_calls(source):
+    """Line numbers of calls to a function or method named ``node_first``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and (node.func.attr if isinstance(node.func, ast.Attribute)
+                 else getattr(node.func, "id", None)) == "node_first"]
+
+
+def test_the_check_finds_node_first_calls():
+    source = ("from .geometry import node_first\n"
+              "u = node_first(u, (N, n))\n"
+              "theta = geometry.node_first(theta, shape)\n"
+              "first = node_first\n"
+              "v = node_firsts(v)\n")
+    assert _node_first_calls(source) == [2, 3]
+
+
+@pytest.mark.parametrize("module", ["integrate.py", "templates.py"])
+def test_no_node_first_stack(module):
+    assert _node_first_calls((SRC / module).read_text()) == []
 
 
 def _is_transpose(node):

@@ -22,7 +22,15 @@ from lawcheck.fields import (
     index_tangential,
 )
 from lawcheck.expressions import compile_vector
-from lawcheck.geometry import BoundaryPatch, Jet, RiemannianPatch, jet_cos, jet_exp, jet_sin
+from lawcheck.geometry import (
+    BoundaryPatch,
+    Jet,
+    RiemannianPatch,
+    jet_cos,
+    jet_exp,
+    jet_sin,
+    node_first,
+)
 from lawcheck.scenarios import load_catalog_scenario
 
 from test_geometry import stack_first_order
@@ -149,8 +157,9 @@ def _index_map(sing, monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_index_maps_match_a_jet_run_reference(dim, monkeypatch):
-    """w (N, n) and dw (N, n - 1, n) of the chain-rule index map agree with
-    the chart field run on the Jets of the circle or sphere map, within 8
+    """The maps w[k] and dw[i, k] of the chain-rule index map, stacked as
+    (N, n) and (N, n - 1, n), agree with the chart field run on the Jets of
+    the circle or sphere map, within 8
     ulps of each entry's largest magnitude over the nodes (3 seen): values
     differ where Jets divide through reciprocals, gradients in the order of
     the chain rule's products.  The map's points are the Jets' bit for bit."""
@@ -168,7 +177,8 @@ def test_index_maps_match_a_jet_run_reference(dim, monkeypatch):
     for texts, ulps in ((params, 0), (_INDEX_FIELDS[dim], 8)):
         field = compile_vector(texts, params)
         map_fn = _index_map(InteriorSingularity("s", c, 0.4, c, r, field), monkeypatch)
-        got = map_fn(nodes[:, 0] if dim == 2 else nodes)
+        w, dw = map_fn(nodes[:, 0] if dim == 2 else nodes)
+        got = node_first(w, (len(nodes), dim)), node_first(dw, (len(nodes), dim - 1, dim))
         for value, want in zip(got, stack_first_order(field(x), nodes)):
             assert value.shape == want.shape
             assert np.all(np.abs(value - want) <= ulps * np.spacing(np.abs(want).max(axis=0)))

@@ -35,7 +35,7 @@ from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_s
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
 from lawcheck.templates import pairs
 
-from test_integrate import _traced_beyond_result, disk_rim
+from test_integrate import _traced_beyond_result, disk_rim, entries, unpack_pairs
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -89,25 +89,6 @@ def stack_hessians(entries, nodes):
         if isinstance(e, Jet):
             out[..., i] = np.moveaxis(e.h, -1, 0)
     return out
-
-
-def unpack_pairs(values, n, m):
-    """The array (N, n, n, m, m), antisymmetric in each index pair, whose
-    entries on the index pairs of ``pairs`` are ``values`` (N, P, Q)."""
-    out = np.zeros((len(values), n, n, m, m))
-    for I, (a, b) in enumerate(pairs(n)):
-        for J, (i, j) in enumerate(pairs(m)):
-            v = values[:, I, J]
-            out[:, a, b, i, j], out[:, b, a, i, j] = v, -v
-            out[:, a, b, j, i], out[:, b, a, j, i] = -v, v
-    return out
-
-
-def entries(array):
-    """The node-last map {index: (N,)} of every entry of a node-first array
-    (N, ...): a dense input for the node-last frame functions."""
-    return {index: np.ascontiguousarray(array[(slice(None), *index)])
-            for index in np.ndindex(array.shape[1:])}
 
 
 def pair_core(patch, points):
@@ -1241,14 +1222,17 @@ def test_node_last_frames_match_the_node_first_reference(case, twisted):
         _assert_close(getattr(got, key), getattr(want, key), key)
     if n == 3:
         _assert_close(unpack_pairs(got.curvature, n, m), want.curvature, "curvature")
+    N = len(t)
     for section in (None, field):
-        for value, reference, what in zip(SectionPullback(section).bind(t, bf),
-                                          reference_bind(section, t, want),
-                                          ("u", "theta", "angle", "v_dot_n")):
+        u, theta, *profile = SectionPullback(section).bind(t, bf)
+        for value, reference, what in zip(
+                (node_first(u, (N, n)), node_first(theta, (N, n, m)), *profile),
+                reference_bind(section, t, want), ("u", "theta", "angle", "v_dot_n")):
             _assert_close(value, reference, what)
     plain = want if twist is None else reference_boundary_frame(bpatch, t)
     V, dV = stack_first_order(field(plain.x_jets), t)
-    for value, reference, what in zip(_field_frame_components(bpatch, field, t),
+    s, ds = _field_frame_components(bpatch, field, t)
+    for value, reference, what in zip((node_first(s, (N, n)), node_first(ds, (N, m, n))),
                                       reference_metric_inner(plain.metric, plain.dmetric,
                                                              plain.frame, plain.dframe, V, dV),
                                       ("components", "gradients")):

@@ -11,7 +11,7 @@ import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lawcheck.algebra import DEGREE, K_U
+from lawcheck.algebra import DEGREE, K_U, Form
 from lawcheck.chern import build_phi, signed_permutations
 from lawcheck import geometry, integrate
 from lawcheck.geometry import (
@@ -38,7 +38,13 @@ from lawcheck.integrate import (
 )
 from lawcheck.runner import run_scenario
 from lawcheck.scenarios import load_catalog_raw, load_catalog_scenario, load_scenario
-from lawcheck.templates import euler_template, evaluate_template, pairs, trig_values
+from lawcheck.templates import (
+    compile_template,
+    euler_template,
+    evaluate_template,
+    pairs,
+    trig_values,
+)
 from lawcheck.trig import sphere_volume
 
 
@@ -394,10 +400,12 @@ def test_node_chunks_split_evenly_under_the_cap(cap, count):
 def test_phi_chunk_live_set_per_node(name, orders, floats):
     """One chunk of CHUNK_NODES nodes through ``integrate_phi_over_section``
     (the normal and the field) allocates, beyond the arrays it returns, less
-    than ``floats`` arrays of one float per node: the measured 59.6 and
-    28.6, with a margin of about 10 %.  The frame's connection and curvature
-    are stacked once per chunk, and one section's bindings are alive at a
-    time, so the cap costs no more memory than smaller chunks did."""
+    than ``floats`` arrays of one float per node: the measured 45.6 and
+    21.6, under bounds set at 59.6 and 28.6 with a margin of about 10 %,
+    when the connection and curvature were still stacked node first.  The
+    templates read the frame's maps as they are, and one section's bindings
+    are alive at a time, so the cap costs no more memory than smaller
+    chunks did."""
     scenario = load_catalog_scenario(name)
     rim = scenario.boundaries[0]
     grid = gauss_grid(rim.box, orders)
@@ -461,7 +469,7 @@ def test_section_unit_residual():
     pull = SectionPullback(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     for t in (0.3, 2.1, 5.5):
         u, *_ = pull.bind([[t]], boundary_frame(rim, [[t]]))
-        assert abs(float(np.dot(u[0], u[0])) - 1.0) < 1e-12
+        assert abs(float(sum(v * v for v in u.values())[0]) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-8])
@@ -669,22 +677,23 @@ def test_frame_rotation_invariance_n3():
 
 def _circle_map(k):
     """t -> (cos kt, sin kt) with its t-derivatives, degree k, on node
-    arrays t (N,)."""
-    return lambda t: (np.stack([np.cos(k * t), np.sin(k * t)], axis=1),
-                      np.stack([-k * np.sin(k * t), k * np.cos(k * t)], axis=1)[:, None, :])
+    arrays t (N,), as the node-last maps w[k] and dw[0, k]."""
+    return lambda t: ({0: np.cos(k * t), 1: np.sin(k * t)},
+                      {(0, 0): -k * np.sin(k * t), (0, 1): k * np.cos(k * t)})
 
 
 def _sphere_map(k, sign=1.0):
     """(a, b) -> sign * (sin a cos kb, sin a sin kb, cos a) with gradients,
-    degree sign * k, on node arrays (N, 2)."""
+    degree sign * k, on node arrays (N, 2), as the node-last maps w[k] and
+    dw[i, k], d(cos a)/db structurally zero."""
     def fn(nodes):
         a, b = nodes.T
-        w = np.stack([np.sin(a) * np.cos(k * b), np.sin(a) * np.sin(k * b),
-                      np.cos(a)], axis=1)
-        dw = np.stack([np.stack([np.cos(a) * np.cos(k * b), -k * np.sin(a) * np.sin(k * b)], axis=1),
-                       np.stack([np.cos(a) * np.sin(k * b), k * np.sin(a) * np.cos(k * b)], axis=1),
-                       np.stack([-np.sin(a), 0.0 * a], axis=1)], axis=2)
-        return sign * w, sign * dw
+        w = {0: np.sin(a) * np.cos(k * b), 1: np.sin(a) * np.sin(k * b), 2: np.cos(a)}
+        dw = {(0, 0): np.cos(a) * np.cos(k * b), (1, 0): -k * np.sin(a) * np.sin(k * b),
+              (0, 1): np.cos(a) * np.sin(k * b), (1, 1): k * np.sin(a) * np.cos(k * b),
+              (0, 2): -np.sin(a)}
+        return ({key: sign * v for key, v in w.items()},
+                {key: sign * v for key, v in dw.items()})
     return fn
 
 
@@ -707,8 +716,9 @@ def test_degree_sphere_degree_two_map():
 
 def test_degree_vanishing_map_raises():
     with pytest.raises(GenericityError):
-        degree_integral_circle(lambda t: (np.zeros((len(t), 2)), np.zeros((len(t), 1, 2))),
-                               order=16)
+        degree_integral_circle(lambda t: ({0: np.zeros(len(t))}, {}), order=16)
+    with pytest.raises(GenericityError):
+        degree_integral_sphere(lambda nodes: ({}, {}), order=4)
 
 
 def test_phi_template_is_cached_and_top_degree():
@@ -739,24 +749,98 @@ def _alternation_reference(form, slots, u, theta, curv):
     return total
 
 
-@pytest.mark.parametrize("which, n", [("phi", 3), ("phi", 4), ("phi", 5),
-                                      ("euler", 2), ("euler", 4)])
-def test_templates_on_pairs_match_the_full_alternation(which, n):
-    """A template bound to curvature on index pairs gives the sum over all
-    signed slot permutations of the full antisymmetric curvature."""
+def unpack_pairs(values, n, m):
+    """The array (N, n, n, m, m), antisymmetric in each index pair, whose
+    entries on the index pairs of ``pairs`` are ``values`` (N, P, Q)."""
+    out = np.zeros((len(values), n, n, m, m))
+    for I, (a, b) in enumerate(pairs(n)):
+        for J, (i, j) in enumerate(pairs(m)):
+            v = values[:, I, J]
+            out[:, a, b, i, j], out[:, b, a, i, j] = v, -v
+            out[:, a, b, j, i], out[:, b, a, j, i] = -v, v
+    return out
+
+
+def entries(array):
+    """The node-last map {index: (N,)} of every entry of a node-first array
+    (N, ...): a dense input for the node-last frame functions."""
+    return {index: np.ascontiguousarray(array[(slice(None), *index)])
+            for index in np.ndindex(array.shape[1:])}
+
+
+TEMPLATE_CASES = [("phi", 2), ("phi", 3), ("phi", 4), ("phi", 5), ("euler", 2), ("euler", 4)]
+
+
+def _node_maps(u, theta, packed):
+    """The node-last maps u[A], theta[A, slot] and curv[I, J] of node-first
+    bindings."""
+    return {A: v for (A,), v in entries(u).items()}, entries(theta), entries(packed)
+
+
+def _template_case(which, n, rng, nodes=16):
+    """The form, its slot count, its template and random node-first
+    bindings: u (N, n), theta (N, n, slots) and the curvature on index pairs
+    (N, P, Q), whose full array ``unpack_pairs`` gives."""
     form, slots = ((build_phi(n).phi, n - 1) if which == "phi" else (build_phi(n).euler, n))
     tpl = phi_template(n) if which == "phi" else euler_template(n)
-    rng = np.random.default_rng(n)
-    u, theta = rng.normal(size=(16, n)), rng.normal(size=(16, n, slots))
-    curv = rng.normal(size=(16, n, n, slots, slots))
-    curv = curv - curv.swapaxes(1, 2)
-    curv = curv - curv.swapaxes(3, 4)
-    packed = np.array([[curv[:, a, b, s, t] for s, t in pairs(slots)]
-                       for a, b in pairs(n)]).transpose(2, 0, 1)
-    want = _alternation_reference(form, slots, u, theta, curv)
-    got = evaluate_template(tpl, u, theta, None, packed)
+    return form, slots, tpl, [rng.normal(size=(nodes, n)), rng.normal(size=(nodes, n, slots)),
+                              rng.normal(size=(nodes, len(pairs(n)), len(pairs(slots))))]
+
+
+@pytest.mark.parametrize("which, n", TEMPLATE_CASES)
+def test_templates_on_pairs_match_the_full_alternation(which, n):
+    """A template bound to the node-last maps of u, theta and the curvature
+    on index pairs gives the sum over all signed slot permutations of the
+    full antisymmetric curvature."""
+    form, slots, tpl, (u, theta, packed) = _template_case(which, n, np.random.default_rng(n))
+    want = _alternation_reference(form, slots, u, theta, unpack_pairs(packed, n, slots))
+    got = evaluate_template(tpl, *_node_maps(u, theta, packed), len(u))
     assert np.max(np.abs(want)) > 1e-2
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which, n", TEMPLATE_CASES)
+def test_templates_skip_absent_keys_and_read_plain_numbers(which, n):
+    """Maps with absent keys (structural zeros) and the plain numbers 0.0
+    and 1.0 as entries give the alternation of node-first arrays holding
+    zeros and ones there; maps of plain numbers only, and empty maps, still
+    give an (N,) array."""
+    rng = np.random.default_rng(20 + n)
+    form, slots, tpl, arrays = _template_case(which, n, rng)
+    kinds = []
+    for array in arrays:  # per entry: absent, plain 0.0, plain 1.0 or a node array
+        kinds.append(kind := rng.choice(4, size=array.shape[1:], p=[0.2, 0.1, 0.2, 0.5]))
+        array[:, kind < 2], array[:, kind == 2] = 0.0, 1.0
+    maps = [{key: (0.0, 1.0, v)[k - 1] for key, v in X.items() if (k := kind[np.index_exp[key]])}
+            for X, kind in zip(_node_maps(*arrays), kinds)]
+    u, theta, packed = arrays
+    want = _alternation_reference(form, slots, u, theta, unpack_pairs(packed, n, slots))
+    got = evaluate_template(tpl, *maps, len(u))
+    assert np.max(np.abs(want)) > 1e-2
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    ones = [np.ones_like(a) for a in arrays]
+    want = _alternation_reference(form, slots, *ones[:2], unpack_pairs(ones[2], n, slots))
+    got = evaluate_template(tpl, *[{key: 1.0 for key in X} for X in _node_maps(*ones)], len(u))
+    assert got.shape == (len(u),)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    got = evaluate_template(tpl, {}, {}, {}, len(u))
+    assert got.shape == (len(u),) and not got.any()
+
+
+def test_templates_refuse_formal_angles_and_the_connection():
+    """A numeric template binds u, theta and the curvature only."""
+    with pytest.raises(ValueError, match="formal angles"):
+        compile_template(Form.dphi(3) * Form.theta(3, 1), 2)
+    with pytest.raises(ValueError, match="connection"):
+        compile_template(Form.omega(3, 1, 2) * Form.theta(3, 1), 2)
+
+
+@pytest.mark.parametrize("n, curved", [(2, False), (3, True), (4, True)])
+def test_phi_reads_the_curvature_from_n_3(n, curved):
+    """The compiled flag that ``boundary_frame`` reads: Phi has a 2-form
+    factor from n = 3 on, and only then does a frame carry curvature."""
+    assert phi_template(n).curved is curved
 
 
 def test_numeric_transgression_n2():
@@ -789,7 +873,7 @@ def test_numeric_transgression_n2():
     for t in (a, b):
         u, _theta, angle, _v_dot_n = pull.bind([[t]], boundary_frame(rim, [[t]]))
         angles[t] = float(angle[0])
-        signs[t] = math.copysign(1.0, u[0, 1])
+        signs[t] = math.copysign(1.0, u[1][0])
     assert signs[a] == signs[b] == -1.0
     rhs = (signs[b] * trig_values(gamma_coeff, {1: angles[b]})
            - signs[a] * trig_values(gamma_coeff, {1: angles[a]}))

@@ -105,8 +105,9 @@ def test_template_entries_do_not_depend_on_term_order():
     assert tpl.entries == other.entries
     rng = np.random.default_rng(7)
     nodes = 64
-    args = (rng.normal(size=(nodes, 4)), rng.normal(size=(nodes, 4, 3)),
-            rng.normal(size=(nodes, 4, 4, 3)), rng.normal(size=(nodes, 6, 3)))
+    args = ({A: rng.normal(size=nodes) for A in range(4)},
+            {(A, s): rng.normal(size=nodes) for A in range(4) for s in range(3)},
+            {(I, J): rng.normal(size=nodes) for I in range(6) for J in range(3)}, nodes)
     assert np.array_equal(evaluate_template(tpl, *args), evaluate_template(other, *args))
 
 
