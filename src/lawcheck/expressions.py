@@ -14,15 +14,16 @@ first failing node and, in it, the first failing entry (the one that emitted
 the first faulting instruction), with Python's own message; with no node,
 none fails, and every entry comes back with zero nodes.
 
-The compiled vectors and matrices also give ``jets(x, order)``: values and
-derivatives at the nodes x (N, m) from a derivative program on (N,) arrays,
-differentiated from the value program on the first call of each order and
-free of the derivatives that are structurally zero.  Its values are the
-value program's, bit for bit, and a value that fails raises the same
-ConfigError.  A derivative that overflows where no value fails (exp(705*r)
-at r = 1, or d(a/b) = -a db/b^2) comes back inf or NaN, and
-``RiemannianPatch.metric_jets`` raises the ConfigError that names its metric
-entry, for a Python-callable metric on Jets too.
+The compiled vectors and matrices also give ``jets(x, order)``: the
+node-last maps of the values, gradients and Hessians at the nodes x (N, m),
+keyed k, (i, k) and (i, j, k), with (k, l) in place of k for a matrix, from
+a derivative program on (N,) arrays, differentiated from the value program
+on the first call of each order and free of the derivatives that are
+structurally zero.  Its values are the value program's, bit for bit, and a
+value that fails raises the same ConfigError.  A derivative that overflows
+where no value fails (exp(705*r) at r = 1, or d(a/b) = -a db/b^2) comes
+back inf or NaN, and ``RiemannianPatch.metric_jets`` raises the ConfigError
+that names its metric entry, for a Python-callable metric on Jets too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 
 import numpy as np
 
-from .geometry import ConfigError, Jet, jet_cos, jet_exp, jet_sin
+from .geometry import ConfigError, Jet, _present, jet_cos, jet_exp, jet_sin
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                     r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -309,11 +310,13 @@ def _first_fault(fn, env):
     return shape
 
 
-def compile_vector(texts, params):
+def compile_vector(texts, params, keys=None):
     """Compile expression strings into env -> list of values (floats, node
     arrays or Jets), all evaluated by one shared straight-line program; an
-    arithmetic fault while evaluating them is a ConfigError."""
+    arithmetic fault while evaluating them is a ConfigError.  ``keys`` (by
+    default 0, 1, ...) are the entries' keys in the maps of ``jets``."""
     texts = list(map(str, texts))
+    keys = list(range(len(texts)) if keys is None else keys)
     params = list(params)
     slots, program, owner, outputs = {}, [], [], []
     for entry, text in enumerate(texts):
@@ -346,13 +349,22 @@ def compile_vector(texts, params):
     derivatives = {}
 
     def jets(x, order):
-        """(value, {i: d_i}, {(i, j): d_i d_j for i <= j}) of each entry at
-        the nodes x (N, m), where not structurally zero, the Hessians at
-        ``order`` 2 only.  The program of each order is built on its first
-        call."""
+        """The node-last maps of the values {k: v}, gradients {(i, k): d_i v}
+        and, at ``order`` 2 only, Hessians {(i, j, k): d_i d_j v}, in both
+        orders of (i, j), of the entries k at the nodes x (N, m), the
+        structural zeros left out; a tuple key k is spliced, as (i, *k).
+        The program of each order is built on its first call."""
         if order not in derivatives:
-            derivatives[order] = _differentiate(program, outputs, len(params), order)
-        prog, drop, spec = derivatives[order]
+            prog, drop, spec = _differentiate(program, outputs, len(params), order)
+            slots = ([], [], [])  # (key, slot) of each value, gradient and Hessian
+            for key, (v, grad, hess) in zip(keys, spec):
+                k = key if isinstance(key, tuple) else (key,)
+                slots[0].append((key, v))
+                slots[1].extend(((i, *k), t) for i, t in grad.items())
+                slots[2].extend(((*ij, *k), t) for (i, j), t in hess.items()
+                                for ij in dict.fromkeys([(i, j), (j, i)]))
+            derivatives[order] = prog, drop, slots
+        prog, drop, slots = derivatives[order]
         x = np.asarray(x, dtype=float)
         env = list(x.T.copy())
         values = []
@@ -367,8 +379,8 @@ def compile_vector(texts, params):
                 values = []
                 with np.errstate(all="ignore"):
                     _run(prog, drop, env, values)
-        return [(values[v], {i: values[t] for i, t in grad.items()},
-                 {ij: values[t] for ij, t in hess.items()}) for v, grad, hess in spec]
+        return tuple({key: values[s] for key, s in part if _present(values[s])}
+                     for part in slots)
 
     fn.jets = jets
     return fn
@@ -386,14 +398,14 @@ def compile_expression(text, params):
 
 
 def compile_matrix(rows, params):
-    vector = compile_vector([t for row in rows for t in row], params)
-
-    def nest(entries):
-        entries = iter(entries)
-        return [[next(entries) for _ in row] for row in rows]
+    """Compile rows of expression strings into env -> nested list of values,
+    as ``compile_vector``; its ``jets`` key the entries (k, l)."""
+    vector = compile_vector([t for row in rows for t in row], params,
+                            [(k, l) for k, row in enumerate(rows) for l in range(len(row))])
 
     def fn(env):
-        return nest(vector(env))
+        entries = iter(vector(env))
+        return [[next(entries) for _ in row] for row in rows]
 
-    fn.jets = lambda x, order: nest(vector.jets(x, order))
+    fn.jets = vector.jets
     return fn

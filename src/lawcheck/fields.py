@@ -19,16 +19,16 @@ import numpy as np
 from .geometry import (
     ConfigError,
     GenericityError,
+    _contract,
     _product,
     adapted_frame,
     grid_points,
     metric_inner,
     node_chunks,
-    node_first,
     pullback_jets,
-    stack_values,
 )
 from .integrate import degree_integral_circle, degree_integral_sphere
+from .templates import _sum
 
 
 def default_index_radius(ambient, other_ambients=(), boundary_points=()):
@@ -148,9 +148,13 @@ def _field_frame_components(bpatch, components, t):
 
 
 def _field_frame_values(bpatch, components, t):
-    """The values of ``_field_frame_components`` (N, n), node first, for the sweeps."""
-    return node_first(_field_frame_components(bpatch, components, t)[0],
-                      (len(t), bpatch.parent.n))
+    """<V, e_1>, the norm of the tangential part and |V|, (N,) arrays for the
+    sweeps, from the values s[A] of ``_field_frame_components``, the squares
+    of the tangential s[A] summed in frame order."""
+    s = _field_frame_components(bpatch, components, t)[0]
+    normal = np.broadcast_to(s.get(0, 0.0), (len(t),))
+    tangential2 = np.broadcast_to(_sum([s[A] * s[A] for A in sorted(s) if A] or [0.0]), (len(t),))
+    return normal, np.sqrt(tangential2), np.sqrt(normal * normal + tangential2)
 
 
 def _sample_points(box, count):
@@ -206,9 +210,7 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
 
     def check(chunk):
         t = points[chunk]
-        vals = _field_frame_values(bpatch, field_spec.components, t)
-        norm = np.linalg.norm(vals, axis=1)
-        normal, proj = vals[:, 0], np.linalg.norm(vals[:, 1:], axis=1)
+        normal, proj, norm = _field_frame_values(bpatch, field_spec.components, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             flat = proj / norm < 1e-9
             interface = np.abs(normal) / norm <= 1e-9
@@ -237,17 +239,16 @@ def boundary_decompose(field_spec: VectorFieldSpec, bpatch,
     def classify(chunk):
         """Sort the declared singularities of the slice ``chunk`` by the sign
         of the normal component, from one frame evaluation at their locations."""
-        frame_vals = _field_frame_values(bpatch, field_spec.components, locations[chunk])
-        for s, vals in zip(declared[chunk], frame_vals):
-            norm = float(np.linalg.norm(vals))
+        values = _field_frame_values(bpatch, field_spec.components, locations[chunk])
+        for s, normal, proj, norm in zip(declared[chunk], *values):
             if norm < field_spec.margin:
                 raise GenericityError(f"field vanishes at declared tangential singularity {s.name}")
-            if np.linalg.norm(vals[1:]) / norm > 1e-6:
+            if proj / norm > 1e-6:
                 raise GenericityError(f"declared tangential singularity {s.name} has a "
-                                      f"non-vanishing projection ({np.linalg.norm(vals[1:]):.2e})")
-            if vals[0] < 0:
+                                      f"non-vanishing projection ({proj:.2e})")
+            if normal < 0:
                 minus.append(s)
-            elif vals[0] > 0:
+            elif normal > 0:
                 plus.append(s)
             else:
                 raise GenericityError(f"tangential singularity {s.name} sits on the "
@@ -273,9 +274,9 @@ def index_tangential(field_spec: VectorFieldSpec, bpatch,
 
     if m == 1:
         # one-dimensional boundary: two-point sign count in the chart frame
-        vals = _field_frame_values(bpatch, field_spec.components,
-                                   np.array([[loc[0] + r], [loc[0] - r]]))
-        f_plus, f_minus = (float(v) for v in vals[:, 1])
+        s, _ = _field_frame_components(bpatch, field_spec.components,
+                                       np.array([[loc[0] + r], [loc[0] - r]]))
+        f_plus, f_minus = (float(v) for v in np.broadcast_to(s.get(1, 0.0), (2,)))
         if abs(f_plus) < 1e-12 or abs(f_minus) < 1e-12:
             raise GenericityError(
                 f"tangential projection vanishes on the test points of {sing.name}")
@@ -314,9 +315,9 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
         for c, rad in exclusions:
             keep &= ~(np.linalg.norm(amb - c, axis=1) < rad)
         x = x[keep]
-        V = stack_values(field_spec.components(list(x.T)), len(x))
-        G = patch.metric_values(x)
-        norm = np.sqrt(np.maximum(0.0, (V[:, None] @ G @ V[..., None])[:, 0, 0]))
+        V = dict(enumerate(field_spec.components(list(x.T))))
+        VGV = _contract({(0, k): v for k, v in V.items()}, _contract(patch.metric_values(x), V))
+        norm = np.sqrt(np.maximum(0.0, np.broadcast_to(VGV.get(0, 0.0), (len(x),))))
         low = np.flatnonzero(norm < field_spec.margin)
         if low.size:
             k = low[0]

@@ -6,22 +6,23 @@ forward mode, truncated Taylor arithmetic (Griewank & Walther 2008): the
 derivative programs of compiled expressions (``expressions``) for the metric
 (second order only where a curvature follows), the boundary embedding
 (second order, for d2x), outward vectors, fields and frame twists, each read
-through ``_input_jets``, which runs a Python callable on Jets instead, node
-axis last.  A field on the boundary, and a chart field on the sphere of an
-index map, is differentiated along t by the chain rule through the map.
-Frames carry first derivatives only, as nothing reads second ones.
+through ``_input_jets``, which runs a Python callable on Jets instead.  A
+field on the boundary, and a chart field on the sphere of an index map, is
+differentiated along t by the chain rule through the map.  Frames carry
+first derivatives only, as nothing reads second ones.
 One idiom contracts: every layer is node-last and knows its structure.  The
-metric, its derivatives and Hessians, L^-1, the Christoffel symbols, the
-frame rows and their derivatives, the connection and the frame curvature are
-maps from the indices that are not structurally zero (a literal 0 entry, a
-derivative a program drops, a product with such a factor) to (N,) arrays or
-plain numbers, and each entry is a sum, in a fixed order, of the products
-with no structurally zero factor, a plain-number factor 1 folded: a
-coordinate hypersurface of a diagonal metric multiplies few zeros or ones,
-and a dense boundary runs the same code with every entry present.  The
+inputs' values, gradients and Hessians, the metric, L^-1, the Christoffel
+symbols, the pair curvature, the frame rows and their derivatives, the
+connection and the frame curvature are maps from the indices that are not
+structurally zero (a literal 0 entry, a derivative a program drops, a
+product with such a factor) to (N,) arrays or plain numbers, and each entry
+is a sum, in a fixed order, of the products with no structurally zero
+factor, a plain-number factor 1 folded: a coordinate hypersurface of a
+diagonal metric multiplies few zeros or ones, and a dense boundary runs the
+same code with every entry present.  The
 structural-zero helpers come from ``templates``, whose evaluator reads these
 maps as they are, the curvature on index pairs i < j (of ``pairs``) as
-curv[I, J]; ``node_first`` stacks a map only for the value sweeps' matmuls.
+curv[I, J].  No layer stacks a map node first: only points are (N, n) arrays.
 Finite differences appear only in tests, as independent oracles.
 
 Frames follow the convention that e_1 is the outward unit normal on boundary
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
 from operator import add
 
 import numpy as np
@@ -165,7 +167,7 @@ jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 
 def stack_values(entries, count):
     """Stack k values (plain numbers or arrays (N,)) at ``count`` nodes as
-    an (N, k) array, node axis first, for the value sweeps."""
+    an (N, k) array of points, node axis first."""
     out = np.zeros((count, len(entries)))
     for i, e in enumerate(entries):
         out[:, i] = e
@@ -179,16 +181,6 @@ def grid_points(axes):
 
 
 # -- patches ---------------------------------------------------------------------
-
-def node_first(entries, shape):
-    """The array of ``shape``, node axis first, holding the node-last
-    ``entries`` {index (an int or a tuple): (N,) or plain number} and zeros
-    elsewhere."""
-    out = np.zeros(shape)
-    for index, values in entries.items():
-        out[(slice(None), *index) if isinstance(index, tuple) else (slice(None), index)] = values
-    return out
-
 
 def _present(value):
     """Whether an entry is not a structural zero: a node array, or a plain
@@ -274,19 +266,20 @@ def _cholesky_inverse(M, r, points, floor, fault):
     return inv, diag
 
 
-def _positive_definite(entries, points):
-    """The metric at the chart points (N, n) from its ``entries`` {(k, l):
-    value}, a plain number 0 structurally zero, as the map G from the (k, l)
-    present to the lower triangle's value there, with L^-1 and diag(L) of
-    ``_cholesky_inverse``; the first node whose matrix is asymmetric beyond
-    round-off (Cholesky reads only the lower triangle), or has a pivot that
-    is not finite and positive, raises ConfigError."""
-    n = 1 + max(k for k, _ in entries)
-    lower = {(k, l): v for (k, l), v in entries.items() if _present(v) and k >= l}
-    skew = [d for k in range(n) for l in range(k) if (d := _minus(
-        lower.get((k, l)), entries[l, k] if _present(entries[l, k]) else None)) is not None]
+def _positive_definite(entries, n, points):
+    """The n x n metric at the chart points (N, n) from its ``entries``
+    {(k, l): value}, an absent (k, l) or a plain number 0 structurally zero,
+    as the map G from the (k, l) present to the lower triangle's value there,
+    with L^-1 and diag(L) of ``_cholesky_inverse``; the first node whose
+    matrix is asymmetric beyond round-off (Cholesky reads only the lower
+    triangle), or has a pivot that is not finite and positive, raises
+    ConfigError."""
+    entries = {kl: v for kl, v in entries.items() if _present(v)}
+    lower = {(k, l): v for (k, l), v in entries.items() if k >= l}
+    skew = [d for k in range(n) for l in range(k)
+            if (d := _minus(lower.get((k, l)), entries.get((l, k)))) is not None]
     if any(np.any(d != 0) for d in skew):  # entries written differently may differ by round-off
-        scale = reduce(np.maximum, [np.abs(v) for v in entries.values() if _present(v)])
+        scale = reduce(np.maximum, [np.abs(v) for v in entries.values()])
         bad = np.flatnonzero(np.broadcast_to(
             reduce(np.maximum, [np.abs(d) for d in skew]) > 1e-12 * scale, len(points)))
         if bad.size:
@@ -299,11 +292,12 @@ def _positive_definite(entries, points):
 
 
 def _input_jets(fn, x, order):
-    """The values and derivatives of an input ``fn`` (a metric, embedding,
-    outward vector, field or frame twist) at the nodes x (N, m): its compiled
-    ``jets``, or for a Python callable, fn run on the parameter Jets of the
-    nodes.  Nested as fn's result, each entry is (value, {i: d_i},
-    {(i, j): d_i d_j for i <= j}, at ``order`` 2 only); from a callable, an
+    """The node-last maps of the values {k: v}, gradients {(i, k): d_i v} and,
+    at ``order`` 2, Hessians {(i, j, k): d_i d_j v}, in both orders of
+    (i, j), of an input ``fn`` (a metric, embedding, outward vector, field or
+    frame twist) at the nodes x (N, m), the structural zeros left out and
+    (k, l) in place of k for a matrix: its compiled ``jets``, or for a
+    Python callable, fn run on the parameter Jets of the nodes, where an
     entry that is a Jet gives all its derivatives, a plain number or node
     array none.  A callable's numpy faults are left to the callers' checks,
     which see their inf or NaN."""
@@ -311,32 +305,22 @@ def _input_jets(fn, x, order):
     jets = getattr(fn, "jets", None)
     if jets is not None:
         return jets(x, order)
-    m = x.shape[1]
-
-    def entry(e):
-        if isinstance(e, (list, tuple)):
-            return [entry(f) for f in e]
-        if not isinstance(e, Jet):
-            return (e, {}, {})
-        return (e.v, dict(enumerate(e.g)), {} if e.h is None else
-                {(i, j): e.h[i, j] for i in range(m) for j in range(i, m)})
-
     with np.errstate(all="ignore"):
-        return entry(fn(Jet.variables(x, 2)) if order == 2 else fn(Jet.variables(x, 1)))
-
-
-def _jet_maps(jets):
-    """The values {k: v}, gradients {(i, k): d_i v} and Hessians
-    {(i, j, k): d_i d_j v}, in both orders of (i, j), of the entries k of
-    ``jets`` (of ``_input_jets``), the structural zeros left out."""
+        result = fn(Jet.variables(x, 2)) if order == 2 else fn(Jet.variables(x, 1))
     values, grads, hess = {}, {}, {}
-    for k, (v, grad, hessian) in enumerate(jets):
-        if _present(v):
-            values[k] = v
-        grads.update(((i, k), d) for i, d in grad.items() if _present(d))
-        for (i, j), d in hessian.items():
-            if _present(d):
-                hess[i, j, k] = hess[j, i, k] = d
+    for k, row in enumerate(result):
+        for key, e in ([((k, l), e) for l, e in enumerate(row)]
+                       if isinstance(row, (list, tuple)) else [(k, row)]):
+            index = key if isinstance(key, tuple) else (key,)
+            if not isinstance(e, Jet):
+                if _present(e):
+                    values[key] = e
+                continue
+            values[key] = e.v
+            grads.update(((i, *index), d) for i, d in enumerate(e.g))
+            if e.h is not None:
+                for i, j in combinations_with_replacement(range(len(e.g)), 2):
+                    hess[(i, j, *index)] = hess[(j, i, *index)] = e.h[i, j]
     return values, grads, hess
 
 
@@ -345,10 +329,10 @@ class RiemannianPatch:
 
     ``metric`` maps a list of n parameters (floats, node arrays or Jets) to an
     n x n nested list: a compiled matrix (``expressions.compile_matrix``),
-    whose ``jets`` the metric jets read, or a Python callable, run on Jets by
-    ``_input_jets``.  ``chart_map`` maps parameters to ambient coordinates
-    and is used for locating singular points, not for geometry.  Every method
-    takes chart points as an (N, n) node array.
+    whose ``jets`` maps the metric jets read, or a Python callable, run on
+    Jets by ``_input_jets``.  ``chart_map`` maps parameters to ambient
+    coordinates and is used for locating singular points, not for geometry.
+    Every method takes chart points as an (N, n) node array.
     """
 
     def __init__(self, dim, box, metric, chart_map=None, name=""):
@@ -367,36 +351,26 @@ class RiemannianPatch:
         (``_cholesky_inverse``).  G maps each (k, l) whose g_kl is not
         structurally zero to its values, as ``_positive_definite`` gives it;
         dG and hess map each (i, k, l) and (i, j, k, l) whose d_i g_kl or
-        d_i d_j g_kl is not structurally zero to its values (N,).  G and dG
-        do not depend on the order.  A derivative that is not finite where G
-        is positive definite (it overflowed) raises ConfigError naming the
-        entry."""
+        d_i d_j g_kl is not structurally zero to its values, (N,) or a plain
+        number, as ``_input_jets`` gives them.  G and dG do not depend on the
+        order.  A derivative that is not finite where G is positive definite
+        (it overflowed) raises ConfigError naming the entry."""
         x = np.asarray(x, dtype=float)
-        values, dG, hess = {}, {}, {} if order == 2 else None
-        for k, row in enumerate(_input_jets(self._metric, x, order)):
-            for l, (value, grad, hessian) in enumerate(row):
-                values[k, l] = value
-                for i, d in grad.items():  # a constant derivative is a plain number
-                    dG[i, k, l] = np.full(len(x), d) if np.isscalar(d) else d
-                for (i, j), d in hessian.items():
-                    d = np.full(len(x), d) if np.isscalar(d) else d
-                    hess[i, j, k, l] = hess[j, i, k, l] = d
-        G, *factors = _positive_definite(values, x)
+        values, dG, hess = _input_jets(self._metric, x, order)
+        G, *factors = _positive_definite(values, self.n, x)
         bad = [(int(np.argmin(np.isfinite(d))), k, l)  # each derivative's first bad node
-               for (*_, k, l), d in [*dG.items(), *(hess or {}).items()]
-               if not np.isfinite(d).all()]
+               for (*_, k, l), d in [*dG.items(), *hess.items()] if not np.isfinite(d).all()]
         if bad:  # the least is the first bad node, and in it the first entry
             node, k, l = min(bad)
             raise ConfigError(f"metric entry ({k}, {l}) has a derivative that is not finite "
                               f"at chart point {[float(v) for v in x[node]]}")
-        return (G, dG, hess, *factors)
+        return (G, dG, hess if order == 2 else None, *factors)
 
     def metric_values(self, x):
-        """The checked metric matrices (N, n, n) at the nodes x."""
+        """The checked metric G at the nodes x, the map of ``_positive_definite``."""
         x = np.asarray(x, dtype=float)
-        G = _positive_definite({(k, l): e for k, row in enumerate(self._metric(list(x.T)))
-                                for l, e in enumerate(row)}, x)[0]
-        return node_first(G, (len(x), self.n, self.n))
+        return _positive_definite({(k, l): e for k, row in enumerate(self._metric(list(x.T)))
+                                   for l, e in enumerate(row)}, self.n, x)[0]
 
     def ambient(self, x):
         x = np.asarray(x, dtype=float)
@@ -506,14 +480,14 @@ def _pair_terms(n, low, Gamma):
             for I, (i, j) in enumerate(pairs(n)) for J, (m, p) in enumerate(pairs(n)) if I <= J]
 
 
-def pair_curvature(low, Gamma, hess, n, count):
-    """R[I, J] = <R(d_i, d_j) d_m, d_p> on the pairs I = (i, j), J = (m, p),
-    a symmetric (P, P, count) for an n-metric at count nodes, from
+def pair_curvature(low, Gamma, hess, n):
+    """R[I, J] = <R(d_i, d_j) d_m, d_p> on the pairs I = (i, j), J = (m, p)
+    of an n-metric, a symmetric node-last map, (I, J) and (J, I) alike, from
     ``christoffel_symbols`` and the Hessians of ``metric_jets``: with
     U[a,b,c,d] = Gamma[a,b,q] low[c,d,q] + d_a d_b g_cd over the terms of
     ``_pair_terms`` and the Hessians present, each R[I, J], I <= J, is
     1/2 (U[i,m,j,p] - U[i,p,j,m] + U[j,p,i,m] - U[j,m,i,p])."""
-    R = np.zeros((n * (n - 1) // 2,) * 2 + (count,))
+    R = {}
     for I, J, terms in _pair_terms(n, frozenset(low), frozenset(Gamma)):
         U = [_sum([_sum([Gamma[a, b, q] * low[c, d, q] for q in qs]), hess.get((a, b, c, d))])
              for a, b, c, d, qs in terms]
@@ -556,11 +530,9 @@ def _wedge2(M, rows, cols):
 def _frame_curvature(R, E, dx, m):
     """curv[I, J] = e_A^q e_B^p R[l,r,q,p] dx^l_i dx^r_j, I = (A, B) and
     J = (i, j), of the frame rows E[A, k] along pushforward dx[i, k], from the
-    (P, P, N) pair curvature R: Lambda^2 E R Lambda^2 dx^T, as a node-last map."""
-    P = len(R)
+    pair curvature R: Lambda^2 E R Lambda^2 dx^T, as a node-last map."""
     n = 1 + max(k for _, k in E)
-    pair_map = {(K, L): R[K, L] for K in range(P) for L in range(P)}
-    return _product(_wedge2(E, n, n), _product(pair_map, _transpose(_wedge2(dx, m, n))))
+    return _product(_wedge2(E, n, n), _product(R, _transpose(_wedge2(dx, m, n))))
 
 
 def euler_form_density(patch, points):
@@ -575,8 +547,7 @@ def euler_form_density(patch, points):
     if n % 2:
         return np.zeros(len(points))
     _, dG, hess, Linv, diag = patch.metric_jets(points)
-    R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n, len(points))
-    curv = {(I, J): R[I, J] for I in range(len(R)) for J in range(len(R))}
+    curv = pair_curvature(*christoffel_symbols(dG, Linv), hess, n)
     return evaluate_template(euler_template(n), None, None, curv, len(points)) / math.prod(diag)
 
 
@@ -619,15 +590,14 @@ def adapted_frame(bpatch, t, order=1):
     t = np.asarray(t, dtype=float)
     N, m = t.shape
     n = m + 1
-    embed = _input_jets(bpatch.embed, t, 2)
-    points = np.stack([np.broadcast_to(v, (N,)) for v, _, _ in embed], axis=1)
-    _, dx, d2x = _jet_maps(embed)                   # dx[i, k], d2x[i, j, k]
+    x, dx, d2x = _input_jets(bpatch.embed, t, 2)    # x[k], dx[i, k], d2x[i, j, k]
+    points = stack_values([x.get(k, 0.0) for k in range(n)], N)
     jets = bpatch.parent.metric_jets(points, order)
     G, dGx = jets[0], jets[1]
     dG = {(i, *kl): v for (i, kl), v in _product(
         dx, {(a, (k, l)): v for (a, k, l), v in dGx.items() if k >= l}).items()}
     dG.update({(i, l, k): v for (i, k, l), v in dG.items()})
-    outward, doutward, _ = _jet_maps(_input_jets(bpatch.outward, t, 1))
+    outward, doutward, _ = _input_jets(bpatch.outward, t, 1)
     V = {**dx, **{(m, k): v for k, v in outward.items()}}  # rows dx/dt_A, then outward
     dV = {**d2x, **{(i, m, k): v for (i, k), v in doutward.items()}}
     E, dE = _orthonormal_rows(G, dG, V, dV, t, m)
@@ -646,7 +616,7 @@ def pullback_jets(fn, points, pushforward):
     d_a W^k, over the products with no structurally zero factor: a field
     along the embedding of a BoundaryFrame, or a chart field on the sphere
     of an index map."""
-    W, dWx, _ = _jet_maps(_input_jets(fn, points, 1))
+    W, dWx, _ = _input_jets(fn, points, 1)
     return W, _product(pushforward, dWx)
 
 
@@ -661,16 +631,14 @@ def boundary_frame(bpatch, t, frame_twist=None):
     bf, (_, dG, hess, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
     low, Gamma = christoffel_symbols(dG, Linv)
     del dG, Linv  # read: freed before the curvature's products
-    curv = pair_curvature(low, Gamma, hess, n, len(t)) if curved else None
+    curv = pair_curvature(low, Gamma, hess, n) if curved else None
     del hess, low  # read: freed before the frame's products
     if frame_twist is not None:
-        R, dR, _ = _jet_maps([e for row in _input_jets(frame_twist, t, 1) for e in row])
-        R = {divmod(ab, n): v for ab, v in R.items()}  # R[a * n + b] = R_ab
+        R, dR, _ = _input_jets(frame_twist, t, 1)
         E, dE = bf.frame, bf.dframe
         # d(R E)[i, a, k] = dR[i, a, b] E[b, k] + R[a, b] dE[i, b, k]
         bf.frame, bf.dframe = _product(R, E), {(i, *ak): v for i in range(m) for ak, v in _add(
-            _product({divmod(ab, n): v for (j, ab), v in dR.items() if j == i}, E),
-            _product(R, _along(dE, i))).items()}
+            _product(_along(dR, i), E), _product(R, _along(dE, i))).items()}
     if curved:
         bf.curvature = _frame_curvature(curv, bf.frame, bf.pushforward, m)
     bf.omega = _frame_connection(bf.metric, Gamma, bf.frame, bf.dframe, bf.pushforward, m)

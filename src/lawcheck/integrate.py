@@ -182,11 +182,17 @@ def _node_values(grid, weighted):
                            for c in node_chunks(len(grid))], axis=-1)
 
 
+def _part_sums(grid, values):
+    """math.fsum over the node axis, the last, of ``values`` on each part of
+    the grid: per part, a float for values (N,), a tuple for values (S, N)."""
+    def fsum(a):
+        return math.fsum(a.tolist()) if a.ndim == 1 else tuple(map(fsum, a))
+    return tuple(fsum(values[..., part]) for part in grid.parts)
+
+
 def _quadrature(grid, weighted):
-    """math.fsum of the per-node products ``weighted(nodes, weights)``, one
-    per part of the grid."""
-    values = _node_values(grid, weighted).tolist()
-    return tuple(math.fsum(values[part]) for part in grid.parts)
+    """``_part_sums`` of the per-node products ``weighted(nodes, weights)``."""
+    return _part_sums(grid, _node_values(grid, weighted))
 
 
 def integrate_euler(patch, grid):
@@ -222,10 +228,7 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
         return np.array([profile(pull) for pull in pulls])
 
     dens, angle, v_dot_n = _node_values(grid, values).transpose(1, 0, 2)
-    weighted = grid.weights * dens
-    integrals = tuple(tuple(math.fsum(acc.tolist()) for acc in weighted[:, part])
-                      for part in grid.parts)
-    return integrals, dens, angle, v_dot_n
+    return _part_sums(grid, grid.weights * dens), dens, angle, v_dot_n
 
 
 def fiber_grid(n, order):

@@ -556,8 +556,21 @@ def test_cli_symbolic_check_bad_n_exit_2(capsys):
 
 
 def test_cli_non_positive_definite_metric_exit_2(tmp_path, capsys):
+    _assert_not_positive_definite(tmp_path, capsys, {(0, 0): "r*r-0.5"})
+
+
+@pytest.mark.parametrize("entries", [{(0, 0): "0"}, {(1, 0): "0", (1, 1): "0"}],
+                         ids=["zero-diagonal-entry", "zero-row"])
+def test_cli_literal_zero_metric_is_not_positive_definite_exit_2(tmp_path, capsys, entries):
+    """A literal "0" is a structural zero: a "0" diagonal entry, or an all-"0"
+    last row that leaves no entry in its row or column, is no pivot."""
+    _assert_not_positive_definite(tmp_path, capsys, entries)
+
+
+def _assert_not_positive_definite(tmp_path, capsys, entries):
     raw = load_catalog_raw("disk-constant")
-    raw["patch"]["metric"][0][0] = "r*r-0.5"
+    for (k, l), text in entries.items():
+        raw["patch"]["metric"][k][l] = text
     path = tmp_path / "bad-metric.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["run", "--scenario", str(path)]) == 2

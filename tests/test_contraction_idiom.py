@@ -1,16 +1,15 @@
 """Batched contractions in the numeric layers stay cheap.
 
 The metric, frame and section layers contract node-last maps entry by entry
-(``geometry._product``), and the form templates read those maps as they
-are; the few stacked matmuls left, in the value sweeps of ``fields`` and
-``RiemannianPatch.metric_values``, act on node-first arrays.  ``np.einsum``
-with two or more array operands builds an iterator over every index and
-runs far slower than either; the numeric modules may use einsum to
-transpose a single array only.  Nor may an ``@`` there read a transposed
-view: a stacked matmul whose operand is one runs several times more slowly
-than on a contiguous copy.  Nor may the quadratures and templates stack a
-map node first (``node_first``) to feed a contraction.  The checks read the
-source, so they need no input that reaches the contraction.
+(``geometry._product``), the form templates read those maps as they are,
+and so do the value sweeps of ``fields`` and
+``RiemannianPatch.metric_values``.  ``np.einsum`` with two or more array
+operands builds an iterator over every index and runs far slower; the
+numeric modules may use einsum to transpose a single array only.  No module
+stacks a map node first (``node_first``) to feed a contraction, nor uses a
+stacked matmul ``@``; were one to come back, it must not read a transposed
+view, which runs several times more slowly than a contiguous copy.  The
+checks read the source, so they need no input that reaches the contraction.
 """
 
 import ast
@@ -51,11 +50,16 @@ def test_no_multi_operand_einsum(module):
     assert _multi_operand_einsums((SRC / module).read_text()) == []
 
 
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
+
+
 def _node_first_calls(source):
-    """Line numbers of calls to a function or method named ``node_first``."""
-    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-            and (node.func.attr if isinstance(node.func, ast.Attribute)
-                 else getattr(node.func, "id", None)) == "node_first"]
+    """Line numbers of calls to, and definitions of, a function or method
+    named ``node_first``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if (
+        isinstance(node, ast.Call) and (node.func.attr if isinstance(node.func, ast.Attribute)
+                                        else getattr(node.func, "id", None)) == "node_first"
+        or isinstance(node, ast.FunctionDef) and node.name == "node_first")]
 
 
 def test_the_check_finds_node_first_calls():
@@ -63,13 +67,36 @@ def test_the_check_finds_node_first_calls():
               "u = node_first(u, (N, n))\n"
               "theta = geometry.node_first(theta, shape)\n"
               "first = node_first\n"
-              "v = node_firsts(v)\n")
-    assert _node_first_calls(source) == [2, 3]
+              "v = node_firsts(v)\n"
+              "def node_first(entries, shape):\n"
+              "    return entries\n")
+    assert sorted(_node_first_calls(source)) == [2, 3, 6]
 
 
-@pytest.mark.parametrize("module", ["integrate.py", "templates.py"])
+@pytest.mark.parametrize("module", MODULES)
 def test_no_node_first_stack(module):
     assert _node_first_calls((SRC / module).read_text()) == []
+
+
+def _matmuls(source):
+    """Line numbers of ``@`` and ``@=`` operations."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+
+
+def test_the_check_finds_matmuls():
+    source = ("c = a @ b\n"
+              "c @= a\n"
+              "d = np.matmul\n"
+              "@decorated\n"
+              "def f(x):\n"
+              "    return x\n")
+    assert sorted(_matmuls(source)) == [1, 2]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_matmul(module):
+    assert _matmuls((SRC / module).read_text()) == []
 
 
 def _is_transpose(node):

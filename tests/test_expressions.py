@@ -150,7 +150,8 @@ def test_empty_node_batch_has_no_failing_node():
     values, grads = stack_first_order(vector(Jet.variables(nodes, 1)), nodes)
     assert values.shape == (0, 3) and grads.shape == (0, 1, 3)
     for order in (1, 2):
-        assert [np.shape(v) for v, _, _ in vector.jets(nodes, order)] == [(0,)] * 3
+        values = vector.jets(nodes, order)[0]
+        assert list(values) == [0, 1, 2] and [v.shape for v in values.values()] == [(0,)] * 3
 
 
 # -- shared subexpressions --------------------------------------------------------
@@ -373,19 +374,24 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
         for name in _ARRAY_OPERATIONS:
             patch.setattr(Jet, name, _with_array_values(name))
         reference = fn(Jet.variables(nodes, 2))
-    first, second = fn.jets(nodes, 1), fn.jets(nodes, 2)
-    for text, value, want, (v1, g1, h1), (v2, g2, h2) in zip(
-            texts, values, reference, first, second):
-        assert _bits(v1) == _bits(v2) == _bits(value)
-        assert h1 == {} and set(g1) == set(g2)
-        assert [_bits(g1[i]) for i in g1] == [_bits(g2[i]) for i in g1]
+    (v1, g1, h1), (v2, g2, h2) = fn.jets(nodes, 1), fn.jets(nodes, 2)
+    assert h1 == {} and set(g1) == set(g2)
+    assert [_bits(g1[key]) for key in g1] == [_bits(g2[key]) for key in g1]
+    assert all(h2[j, i, k] is d for (i, j, k), d in h2.items())
+    for k, (text, value, want) in enumerate(zip(texts, values, reference)):
+        if k in v1:
+            assert _bits(v1[k]) == _bits(v2[k]) == _bits(value)
+        else:  # a structural zero: a plain-number 0 value
+            assert k not in v2 and not isinstance(value, np.ndarray) and value == 0
+        grad = {i: d for (i, e), d in g2.items() if e == k}
+        hess = {(i, j): d for (i, j, e), d in h2.items() if e == k}
         if not _reads(text, params):
-            assert g2 == {} and h2 == {}
+            assert grad == {} and hess == {}
         if not isinstance(want, Jet):
-            assert g2 == {} and h2 == {}
+            assert grad == {} and hess == {}
             continue
-        got = [g2.get(i, 0.0) for i in range(m)]
-        got += [h2.get((i, j), 0.0) for i in range(m) for j in range(i, m)]
+        got = [grad.get(i, 0.0) for i in range(m)]
+        got += [hess.get((i, j), 0.0) for i in range(m) for j in range(i, m)]
         ref = list(want.g) + [want.h[i, j] for i in range(m) for j in range(i, m)]
         got, ref = np.broadcast_arrays(*got, *ref)[:len(got)], np.array(ref)
         scale = _largest_intermediate(text, params, nodes)

@@ -29,11 +29,11 @@ from lawcheck.geometry import (
     jet_cos,
     jet_exp,
     jet_sin,
-    node_first,
 )
 from lawcheck.scenarios import load_catalog_scenario
 
 from test_geometry import stack_first_order
+from test_integrate import node_first
 
 
 def sing2(field, name="s", center=(0, 0), radius=0.2):

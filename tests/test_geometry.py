@@ -28,14 +28,13 @@ from lawcheck.geometry import (
     jet_cos,
     jet_exp,
     jet_sin,
-    node_first,
     pair_curvature,
 )
 from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_section
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
 from lawcheck.templates import pairs
 
-from test_integrate import _traced_beyond_result, disk_rim, entries, unpack_pairs
+from test_integrate import _traced_beyond_result, disk_rim, entries, node_first, unpack_pairs
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -98,9 +97,14 @@ def pair_core(patch, points):
     _, dG, hess, Linv, _ = patch.metric_jets(points)
     low, Gamma = christoffel_symbols(dG, Linv)
     N, n = len(points), patch.n
-    R = np.moveaxis(pair_curvature(low, Gamma, hess, n, N), -1, 0)
+    R = node_first(pair_curvature(low, Gamma, hess, n), (N, len(pairs(n)), len(pairs(n))))
     return SimpleNamespace(Gamma=node_first(Gamma, (N, n, n, n)).transpose(0, 3, 1, 2),
                            riemann=unpack_pairs(R, n, n))
+
+
+def metric_array(patch, x):
+    """``metric_values`` at the nodes x, stacked node first: (N, n, n)."""
+    return node_first(patch.metric_values(x), (len(x), patch.n, patch.n))
 
 
 def dense_hessians(hess, N, n):
@@ -154,7 +158,7 @@ def connection_curvature(patch, point):
     E, dE = _orthonormal_rows(G, dG, eye, {}, [point], n)
     omega = _frame_connection(G, Gamma, E, dE, eye, n)
     P = n * (n - 1) // 2
-    curv = _frame_curvature(pair_curvature(low, Gamma, hess, n, 1), E, eye, n)
+    curv = _frame_curvature(pair_curvature(low, Gamma, hess, n), E, eye, n)
     return SimpleNamespace(frame=node_first(E, (1, n, n))[0], metric=node_first(G, (1, n, n))[0],
                            omega=node_first(omega, (1, n, n, n))[0],
                            curvature=unpack_pairs(node_first(curv, (1, P, P)), n, n)[0])
@@ -346,7 +350,7 @@ def test_metric_symmetry_allows_round_off_only():
         2, [(0, 1), (0, 1)], lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
                                         [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]])
     assert all(g.shape == (3,) for g in written(0.0).metric_jets(x)[0].values())
-    assert written(0.0).metric_values(x).shape == (3, 2, 2)
+    assert all(g.shape == (3,) for g in written(0.0).metric_values(x).values())
     # a structural zero in one triangle only: Cholesky would read 0 or 0.5
     one_triangle = [RiemannianPatch(2, [(0, 1), (0, 1)], compile_matrix(rows, ["s", "r"]))
                     for rows in ([["1", "0.5"], ["0", "r*r"]], [["1", "0"], ["0.5", "r*r"]])]
@@ -375,7 +379,7 @@ def test_overflowing_metric_derivative_names_its_entry(entry):
              rf"at chart point \[0\.2, {re.escape(repr(r))}\]")
     for metric in (compiled, written):
         patch = RiemannianPatch(2, [(0, 1), (0, 1)], metric)
-        assert np.isfinite(patch.metric_values(points)).all()
+        assert np.isfinite(metric_array(patch, points)).all()
         assert all(np.isfinite(d).all() for d in patch.metric_jets(points[:1])[1].values())
         for order in (1, 2):
             with pytest.raises(ConfigError, match=fault):
@@ -392,10 +396,19 @@ def test_frame_orientation_positive():
 # -- connection and curvature ---------------------------------------------------
 
 def test_flat_connection_and_curvature_vanish():
+    """A constant metric, a callable's or a compiled Cartesian one, has no
+    derivative and no Hessian: the pair curvature is an empty map and the
+    Euler density is zero at every node."""
     fd = connection_curvature(flat_patch(), [0.1, -0.7])
     assert np.max(np.abs(fd.omega)) == 0.0
     assert np.max(np.abs(fd.curvature)) == 0.0
-    assert euler_form_density(flat_patch(), [[0.1, -0.7]]).tolist() == [0.0]
+    cartesian = RiemannianPatch(2, [(-1, 1), (-1, 1)],
+                                compile_matrix([["1", "0"], ["0", "1"]], ["x", "y"]))
+    points = np.array([[0.1, -0.7], [0.0, 0.0], [-0.6, 0.5]])
+    for patch in (flat_patch(), cartesian):
+        _, dG, hess, Linv, _ = patch.metric_jets(points)
+        assert pair_curvature(*christoffel_symbols(dG, Linv), hess, 2) == {}
+        assert euler_form_density(patch, points).tolist() == [0.0] * 3
 
 
 def _fd_christoffels(patch, x, h=1e-4):
@@ -407,8 +420,8 @@ def _fd_christoffels(patch, x, h=1e-4):
         xp, xm = x.copy(), x.copy()
         xp[l] += h
         xm[l] -= h
-        dG[:, :, l] = (patch.metric_values([xp])[0] - patch.metric_values([xm])[0]) / (2 * h)
-    Ginv = np.linalg.inv(patch.metric_values([x])[0])
+        dG[:, :, l] = (metric_array(patch, [xp])[0] - metric_array(patch, [xm])[0]) / (2 * h)
+    Ginv = np.linalg.inv(metric_array(patch, [x])[0])
     Gamma = np.zeros((n, n, n))
     for k in range(n):
         for i in range(n):
@@ -423,7 +436,7 @@ def _fd_riemann(patch, x, h=1e-4):
     """Curvature oracle: difference the finite-difference Christoffels."""
     n = patch.n
     x = np.asarray(x, dtype=float)
-    G = patch.metric_values([x])[0]
+    G = metric_array(patch, [x])[0]
     Gamma = _fd_christoffels(patch, x)
     dGamma = np.zeros((n, n, n, n))
     for l in range(n):
@@ -573,7 +586,7 @@ def test_contractions_match_einsum_transcription(n):
     core = pair_core(patch, points)
     src_G, dG, hess, Linv = patch.metric_jets(points)[:4]
     src_low, src_Gamma = christoffel_symbols(dG, Linv)
-    R_pairs = pair_curvature(src_low, src_Gamma, hess, n, len(points))
+    R_pairs = pair_curvature(src_low, src_Gamma, hess, n)
     G = node_first(src_G, (len(points), n, n))
     dG = node_first(dG, (len(points), n, n, n))
     d2G = dense_hessians(hess, len(points), n)  # d2G[:, i, j, k, l] = d_i d_j g_kl
@@ -619,9 +632,10 @@ def test_pair_curvature_matches_reference(n, patch):
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
     G, dG, hess, Linv, _ = patch.metric_jets(points)
-    R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n, len(points))
-    assert R.shape == (n * (n - 1) // 2,) * 2 + (len(points),)
-    assert np.array_equal(R, R.swapaxes(0, 1))
+    R = pair_curvature(*christoffel_symbols(dG, Linv), hess, n)
+    assert set(R) <= {(I, J) for I in range(len(pairs(n))) for J in range(len(pairs(n)))}
+    assert all(R[I, J].shape == (len(points),) and np.array_equal(R[I, J], R[J, I])
+               for I, J in R)
 
 
 def test_metric_jets_build_hessians_for_varying_entries_only():
@@ -634,7 +648,9 @@ def test_metric_jets_build_hessians_for_varying_entries_only():
                        rng.uniform(0, 2 * math.pi, 9)], axis=1)
     jets = patch.metric_jets(points)
     assert sorted({key[2:] for key in jets[2]}) == [(1, 1), (2, 2)]
-    assert all(h.shape == (9,) for h in jets[2].values())
+    # d_rho d_rho rho^2 = 2 is a plain number, as the derivative program gives it
+    assert all(h.shape == (9,) for key, h in jets[2].items() if key != (0, 0, 1, 1))
+    assert jets[2][0, 0, 1, 1] == 2.0
     assert patch.metric_jets(points, order=1)[2] is None
     want, got = reference_core(jets, len(points)), pair_core(patch, points)
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
@@ -708,7 +724,7 @@ def test_curvature_builds_no_n4_or_gathered_product_temporaries():
     P = n * (n - 1) // 2
     node_array = 8 * N
     assert _traced_beyond_result(lambda: christoffel_symbols(dG, Linv)) < n ** 4 * node_array
-    assert (_traced_beyond_result(lambda: (pair_curvature(low, Gamma, hess, n, N),))
+    assert (_traced_beyond_result(lambda: (pair_curvature(low, Gamma, hess, n),))
             < 4 * P * (P + 1) // 2 * n * node_array)
 
 
@@ -719,8 +735,8 @@ def test_frame_curvature_matches_reference_sandwich(n):
     rng = np.random.default_rng(20 + n)
     points = rng.uniform(-0.9, 0.9, size=(5, n))
     core = reference_core(wavy_patch(n, seed=n).metric_jets(points), len(points))
-    R = np.moveaxis(np.array([[core.riemann[:, i, j, m, p] for m, p in pairs(n)]
-                              for i, j in pairs(n)]), 2, -1)
+    R = {(I, J): core.riemann[:, i, j, m, p] for I, (i, j) in enumerate(pairs(n))
+         for J, (m, p) in enumerate(pairs(n))}
     for m in (2, n - 1, n + 1):
         E = np.eye(n) + 0.3 * rng.standard_normal((5, n, n))
         dx = rng.standard_normal((5, m, n))
@@ -881,7 +897,7 @@ def test_euler_density_odd_dimension_zero():
 def test_euler_density_matches_fd_gauss_curvature(point):
     """Omega = K sqrt(det g) / (2 pi), K from the finite-difference oracle."""
     patch = bumpy_patch(17)
-    G = patch.metric_values([point])[0]
+    G = metric_array(patch, [point])[0]
     det = float(np.linalg.det(G))
     K = -_fd_riemann(patch, point)[0, 1, 0, 1] / det
     oracle = K * math.sqrt(det) / (2 * math.pi)

@@ -449,9 +449,10 @@ def test_boundary_path_runs_no_jet_arithmetic(name, monkeypatch):
             indexed += 1
     assert indexed == len(scenario.field_spec.tangential)
     assert len(calls) >= len(scenario.boundaries)
-    for x, jets in calls:
-        for (value, _, _), want in zip(jets, components(list(x.T))):
-            assert np.broadcast_to(value, len(x)).tobytes() == np.broadcast_to(want, len(x)).tobytes()
+    for x, (values, _, _) in calls:
+        for k, want in enumerate(components(list(x.T))):
+            assert (np.broadcast_to(values.get(k, 0.0), len(x)).tobytes()
+                    == np.broadcast_to(want, len(x)).tobytes())
 
 
 def test_section_norm_guard():
@@ -758,6 +759,16 @@ def unpack_pairs(values, n, m):
             v = values[:, I, J]
             out[:, a, b, i, j], out[:, b, a, i, j] = v, -v
             out[:, a, b, j, i], out[:, b, a, j, i] = -v, v
+    return out
+
+
+def node_first(entries, shape):
+    """The array of ``shape``, node axis first, holding the node-last
+    ``entries`` {index (an int or a tuple): (N,) or plain number} and zeros
+    elsewhere: the reference layout of the node-first comparisons."""
+    out = np.zeros(shape)
+    for index, values in entries.items():
+        out[(slice(None), *index) if isinstance(index, tuple) else (slice(None), index)] = values
     return out
 
 
