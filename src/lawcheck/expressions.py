@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from functools import lru_cache
 
 import numpy as np
 
@@ -296,6 +297,16 @@ def _differentiate(program, outputs, m, order):
     return prog, _dead_after(prog, live), spec
 
 
+def _reads(program):
+    """Per slot of ``program``, the parameters it reads: a param slot its own,
+    any other its operands' (Griewank & Walther 2008), so exp(0*r) reads r."""
+    reads = []
+    for ins in program:
+        operands = [reads[s] for s in _operands(ins)]
+        reads.append({ins[1]} if ins[0] == "param" else set().union(*operands))
+    return reads
+
+
 def _first_fault(fn, env):
     """Evaluate ``fn`` node by node on Python floats, in node order, so the
     first failing node (and in it the first failing entry) raises its
@@ -314,7 +325,7 @@ def compile_vector(texts, params, keys=None):
     """Compile expression strings into env -> list of values (floats, node
     arrays or Jets), all evaluated by one shared straight-line program; an
     arithmetic fault while evaluating them is a ConfigError.  ``keys`` (by
-    default 0, 1, ...) are the entries' keys in the maps of ``jets``."""
+    default 0, 1, ...) are the entries' keys in ``jets`` and ``reads``."""
     texts = list(map(str, texts))
     keys = list(range(len(texts)) if keys is None else keys)
     params = list(params)
@@ -346,25 +357,32 @@ def compile_vector(texts, params, keys=None):
             _run(program, dead, env, values)
         return [values[s] for s in outputs]
 
-    derivatives = {}
+    @lru_cache(maxsize=None)
+    def derived(order):
+        """The program of ``order`` (0: the value program, else its derivative
+        program), its dead slots, the (key, slot) of each value, gradient and
+        Hessian, and ``reads(order)``: per key, the parameters (indices) that
+        the entry reads, its value at order 0, else its derivatives of orders
+        1 to ``order``."""
+        prog, drop, spec = (_differentiate(program, outputs, len(params), order) if order
+                            else (program, dead, [(s, {}, {}) for s in outputs]))
+        reads, slots, deps = _reads(prog), ([], [], []), {}
+        for key, (v, grad, hess) in zip(keys, spec):
+            k = key if isinstance(key, tuple) else (key,)
+            slots[0].append((key, v))
+            slots[1].extend(((i, *k), t) for i, t in grad.items())
+            slots[2].extend(((*ij, *k), t) for (i, j), t in hess.items()
+                            for ij in dict.fromkeys([(i, j), (j, i)]))
+            deps[key] = set().union(*(reads[t] for t in (
+                (*grad.values(), *hess.values()) if order else (v,))))
+        return prog, drop, slots, deps
 
     def jets(x, order):
         """The node-last maps of the values {k: v}, gradients {(i, k): d_i v}
         and, at ``order`` 2 only, Hessians {(i, j, k): d_i d_j v}, in both
         orders of (i, j), of the entries k at the nodes x (N, m), the
-        structural zeros left out; a tuple key k is spliced, as (i, *k).
-        The program of each order is built on its first call."""
-        if order not in derivatives:
-            prog, drop, spec = _differentiate(program, outputs, len(params), order)
-            slots = ([], [], [])  # (key, slot) of each value, gradient and Hessian
-            for key, (v, grad, hess) in zip(keys, spec):
-                k = key if isinstance(key, tuple) else (key,)
-                slots[0].append((key, v))
-                slots[1].extend(((i, *k), t) for i, t in grad.items())
-                slots[2].extend(((*ij, *k), t) for (i, j), t in hess.items()
-                                for ij in dict.fromkeys([(i, j), (j, i)]))
-            derivatives[order] = prog, drop, slots
-        prog, drop, slots = derivatives[order]
+        structural zeros left out; a tuple key k is spliced, as (i, *k)."""
+        prog, drop, slots, _ = derived(order)
         x = np.asarray(x, dtype=float)
         env = list(x.T.copy())
         values = []
@@ -382,7 +400,7 @@ def compile_vector(texts, params, keys=None):
         return tuple({key: values[s] for key, s in part if _present(values[s])}
                      for part in slots)
 
-    fn.jets = jets
+    fn.jets, fn.reads = jets, lambda order=0: derived(order)[3]
     return fn
 
 
@@ -407,5 +425,5 @@ def compile_matrix(rows, params):
         entries = iter(vector(env))
         return [[next(entries) for _ in row] for row in rows]
 
-    fn.jets = vector.jets
+    fn.jets, fn.reads = vector.jets, vector.reads
     return fn

@@ -54,11 +54,11 @@ def node_chunks(count):
     """Slices of consecutive nodes that cover range(count): the fewest of at
     most CHUNK_NODES nodes, their lengths differing by at most one, so a grid
     just past a multiple of the cap leaves no short tail.  At the cap the
-    chunked layers' traced peaks, in arrays of one float per node, are about
-    17 (Euler density) and 14-40 (boundary frame: a catalog rim, a rim whose
-    frame has no structural zero) at n = 2, and 52-106 (boundary frame, with
-    curvature) at n = 3; a Phi chunk on a catalog boundary, pullbacks and
-    templates one section at a time, peaks at 16-30 and 52-60."""
+    traced peaks, in arrays of one float per node, are about 17 (Euler
+    density) and 14-40 (boundary frame) at n = 2, 52-106 (boundary frame, with
+    curvature) at n = 3, and 16-30 and 52-60 for a Phi chunk on a catalog
+    boundary.  The chunks cover the nodes a quadrature evaluates, only those
+    that differ on the axes its integrand reads (``integrate._node_values``)."""
     parts = -(-count // CHUNK_NODES)
     return [slice(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
@@ -340,7 +340,7 @@ class RiemannianPatch:
         self.box = [tuple(map(float, b)) for b in box]
         if len(self.box) != dim:
             raise ValueError("box must have one interval per dimension")
-        self._metric = metric
+        self.metric = metric
         self._chart_map = chart_map
         self.name = name
 
@@ -356,7 +356,7 @@ class RiemannianPatch:
         order.  A derivative that is not finite where G is positive definite
         (it overflowed) raises ConfigError naming the entry."""
         x = np.asarray(x, dtype=float)
-        values, dG, hess = _input_jets(self._metric, x, order)
+        values, dG, hess = _input_jets(self.metric, x, order)
         G, *factors = _positive_definite(values, self.n, x)
         bad = [(int(np.argmin(np.isfinite(d))), k, l)  # each derivative's first bad node
                for (*_, k, l), d in [*dG.items(), *hess.items()] if not np.isfinite(d).all()]
@@ -369,7 +369,7 @@ class RiemannianPatch:
     def metric_values(self, x):
         """The checked metric G at the nodes x, the map of ``_positive_definite``."""
         x = np.asarray(x, dtype=float)
-        return _positive_definite({(k, l): e for k, row in enumerate(self._metric(list(x.T)))
+        return _positive_definite({(k, l): e for k, row in enumerate(self.metric(list(x.T)))
                                    for l, e in enumerate(row)}, self.n, x)[0]
 
     def ambient(self, x):

@@ -1,19 +1,19 @@
 """Quadrature of pulled-back forms: sections, fiber spheres, Euler densities.
 
-The symbolic forms are the single source of truth: Phi and, like it, Omega
-are compiled from chern's forms into numeric templates that read node-last
-maps, u and theta of the section pullbacks and the curvature of the geometry
-layer, one chunk of quadrature nodes at a time.  The fiber sphere is chern's
-polar parametrization, evaluated on node arrays by ``trig_values``.
-Accumulation uses math.fsum over the per-node products, which is exactly
-rounded, so results depend neither on node order nor on the chunking.
+The symbolic forms are the single source of truth: Phi and Omega are
+compiled from chern's forms into numeric templates that read node-last maps,
+u and theta of the section pullbacks and the curvature of the geometry layer,
+by chunks of nodes; on a product grid, only at the nodes that differ on the
+parameters the integrand reads.  The fiber sphere is chern's polar
+parametrization, evaluated by ``trig_values``.  Sums are math.fsum over the
+per-node products, exactly rounded: no result depends on node order or chunks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class QuadratureGrid:
     weights: np.ndarray    # (N,)
     orders: list           # per axis, or per grid of a ``joined_grid``
     parts: tuple = (slice(None),)  # node slices of the grids it joins
+    axes: tuple = (None,)  # per part, the 1-D node arrays of its product grid, or None
 
     def __len__(self):
         return len(self.weights)
@@ -100,12 +101,12 @@ def _gauss_1d(lo, hi, order):
 
 
 def gauss_grid(box, orders):
-    """Product Gauss-Legendre grid over a box."""
+    """Product Gauss-Legendre grid over a box, weights the axes' outer product."""
     if isinstance(orders, int):
         orders = [orders] * len(box)
-    nodes, weights = zip(*[_gauss_1d(lo, hi, k) for (lo, hi), k in zip(box, orders)])
-    return QuadratureGrid(nodes=grid_points(nodes), weights=grid_points(weights).prod(axis=1),
-                          orders=list(orders))
+    axes, weights = zip(*[_gauss_1d(lo, hi, k) for (lo, hi), k in zip(box, orders)])
+    return QuadratureGrid(nodes=grid_points(axes), orders=list(orders), axes=(axes,),
+                          weights=reduce(np.multiply.outer, weights).ravel())
 
 
 def joined_grid(grids):
@@ -115,7 +116,8 @@ def joined_grid(grids):
     return QuadratureGrid(nodes=np.concatenate([g.nodes for g in grids]),
                           weights=np.concatenate([g.weights for g in grids]),
                           orders=[g.orders for g in grids],
-                          parts=tuple(map(slice, ends[:-1], ends[1:])))
+                          parts=tuple(map(slice, ends[:-1], ends[1:])),
+                          axes=tuple(g.axes[0] if len(g.axes) == 1 else None for g in grids))
 
 
 # -- section pullbacks --------------------------------------------------------------
@@ -175,11 +177,32 @@ class SectionPullback:
 
 # -- the integrals -------------------------------------------------------------------
 
-def _node_values(grid, weighted):
-    """``weighted(nodes, weights)`` evaluated on each chunk of grid nodes and
-    joined along its last axis, the node axis."""
-    return np.concatenate([weighted(grid.nodes[c], grid.weights[c])
-                           for c in node_chunks(len(grid))], axis=-1)
+def _reads(fn, order=0):
+    """The parameters that the entries of a compiled input read, by its
+    ``reads(order)``; None for a Python callable, which reads every one."""
+    return set().union(*fn.reads(order).values()) if hasattr(fn, "reads") else None
+
+
+def _node_values(grid, values, reads=None):
+    """``values(nodes)``, node axis last, at every grid node, by chunks: on a
+    product grid only where the axes not in ``reads`` (None: all) are at their
+    first node, broadcast along them (Davis & Rabinowitz 1984, 5.6).  The first
+    failing node in grid order has its unread axes there, so it raises as on the
+    full grid; which of two stages' errors wins may change, as with chunk size."""
+    every = reads is None or None in grid.axes or reads >= set(range(grid.nodes.shape[1]))
+    subs = None if every else [[a if i in reads else a[:1] for i, a in enumerate(axes)]
+                               for axes in grid.axes]
+    nodes = grid.nodes if subs is None else np.concatenate([grid_points(sub) for sub in subs])
+    out = np.concatenate([values(nodes[c]) for c in node_chunks(len(nodes))], axis=-1)
+    if subs is None:
+        return out
+    full, lead, start = np.empty(out.shape[:-1] + (len(grid),)), out.shape[:-1], 0
+    for part, sub, axes in zip(grid.parts, subs, grid.axes):
+        kept = tuple(map(len, sub))
+        np.reshape(full[..., part], lead + tuple(map(len, axes)), copy=False)[...] = (
+            out[..., start:start + math.prod(kept)].reshape(lead + kept))
+        start += math.prod(kept)
+    return full
 
 
 def _part_sums(grid, values):
@@ -191,18 +214,34 @@ def _part_sums(grid, values):
 
 
 def _quadrature(grid, weighted):
-    """``_part_sums`` of the per-node products ``weighted(nodes, weights)``."""
-    return _part_sums(grid, _node_values(grid, weighted))
+    """``_part_sums`` of ``weighted(nodes, weights)`` on each chunk of nodes."""
+    return _part_sums(grid, np.concatenate([weighted(grid.nodes[c], grid.weights[c])
+                                            for c in node_chunks(len(grid))], axis=-1))
 
 
 def integrate_euler(patch, grid):
     """Integrals of the Euler curvature density, one per part of the grid;
-    0 immediately for odd n."""
+    0 immediately for odd n.  The density reads what the metric reads."""
     if patch.n % 2:
         return (0.0,) * len(grid.parts)
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
-    return _quadrature(grid, lambda x, w: w * euler_form_density(patch, x))
+    density = _node_values(grid, lambda x: euler_form_density(patch, x), _reads(patch.metric))
+    density *= grid.weights
+    return _part_sums(grid, density)
+
+
+def _phi_reads(bpatch, sections, frame_twist):
+    """The boundary parameters that the Phi integrand reads, None for all (a
+    frame twist or a Python-callable input): what ``outward`` and the embedding's
+    derivatives read, and embedding entry p for each chart parameter p that the
+    metric or a section's field reads."""
+    chart = [_reads(bpatch.parent.metric), *(_reads(s) for s in sections if s is not None)]
+    if frame_twist is not None or None in chart or not hasattr(bpatch.embed, "reads"):
+        return None
+    x = bpatch.embed.reads()
+    reads = [_reads(bpatch.embed, 2), _reads(bpatch.outward), *(x[p] for p in set().union(*chart))]
+    return None if None in reads else set().union(*reads)
 
 
 def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
@@ -210,15 +249,16 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
 
     Each of ``sections`` is None for the outward normal or a callable mapping
     embedded chart jets to vector components; all of them are integrated
-    through the same boundary frames.  Returns ``(integrals, densities,
-    angles, v_dot_n)``: per part of the grid, a tuple of integrals in the
-    order of ``sections``; then the integrand, the section's angle to the
-    outward normal and <V, n> as (len(sections), N) arrays over the grid nodes.
+    through the same boundary frames, on the parameters read (``_phi_reads``).
+    Returns ``(integrals, densities, angles, v_dot_n)``: per part of the grid,
+    a tuple of integrals in the order of ``sections``; then the integrand, the
+    section's angle to the outward normal and <V, n> as (len(sections), N)
+    arrays over the grid nodes.
     """
     tpl = phi_template(bpatch.parent.n)
     pulls = [SectionPullback(s) for s in sections]
 
-    def values(t, _weights):
+    def values(t):
         bf = boundary_frame(bpatch, t, frame_twist)
 
         def profile(pull):  # one section's u and theta alive at a time
@@ -227,7 +267,8 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
 
         return np.array([profile(pull) for pull in pulls])
 
-    dens, angle, v_dot_n = _node_values(grid, values).transpose(1, 0, 2)
+    dens, angle, v_dot_n = _node_values(
+        grid, values, _phi_reads(bpatch, sections, frame_twist)).transpose(1, 0, 2)
     return _part_sums(grid, grid.weights * dens), dens, angle, v_dot_n
 
 

@@ -7,9 +7,8 @@ and so do the value sweeps of ``fields`` and
 operands builds an iterator over every index and runs far slower; the
 numeric modules may use einsum to transpose a single array only.  No module
 stacks a map node first (``node_first``) to feed a contraction, nor uses a
-stacked matmul ``@``; were one to come back, it must not read a transposed
-view, which runs several times more slowly than a contiguous copy.  The
-checks read the source, so they need no input that reaches the contraction.
+stacked matmul ``@``.  The checks read the source, so they need no input that
+reaches the contraction.
 """
 
 import ast
@@ -97,63 +96,3 @@ def test_the_check_finds_matmuls():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_matmul(module):
     assert _matmuls((SRC / module).read_text()) == []
-
-
-def _is_transpose(node):
-    """Whether ``node`` is a ``.T`` attribute or a ``.swapaxes(...)`` or
-    ``.transpose(...)`` call: an expression that makes a transposed view."""
-    if isinstance(node, ast.Call):
-        node = node.func
-        return isinstance(node, ast.Attribute) and node.attr in ("swapaxes", "transpose")
-    return isinstance(node, ast.Attribute) and node.attr == "T"
-
-
-def _scope_nodes(scope):
-    """The nodes of ``scope`` outside the functions nested in it."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _transposed_matmul_operands(source):
-    """Line numbers of ``@`` operands that are a transposed view, written in
-    place or through a name last bound to one in the same function body."""
-    tree = ast.parse(source)
-    lines = []
-    for scope in [tree] + [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]:
-        # in source order; an assignment binds its names where it ends
-        events = sorted((n for n in _scope_nodes(scope) if isinstance(n, (ast.Assign, ast.BinOp))),
-                        key=lambda n: (n.end_lineno, n.end_col_offset) if isinstance(n, ast.Assign)
-                        else (n.lineno, n.col_offset))
-        views = set()
-        for node in events:
-            if isinstance(node, ast.Assign):
-                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
-                views = (views | names) if _is_transpose(node.value) else (views - names)
-            elif isinstance(node.op, ast.MatMult):
-                lines += [operand.lineno for operand in (node.left, node.right)
-                          if _is_transpose(operand)
-                          or (isinstance(operand, ast.Name) and operand.id in views)]
-    return lines
-
-
-def test_the_check_finds_transposed_matmul_operands():
-    source = ("def f(a, b):\n"
-              "    c = a @ b.swapaxes(1, 2)\n"
-              "    c = a.T @ b\n"
-              "    c = a @ b.transpose(0, 2, 1)\n"
-              "    bt = b.swapaxes(-1, -2)\n"
-              "    c = a @ bt\n"
-              "    c = a @ b.transpose(0, 2, 1).reshape(4, 4)\n"
-              "    c = a @ np.ascontiguousarray(b.swapaxes(1, 2))\n"
-              "    bt = b.copy()\n"
-              "    return a @ bt\n")
-    assert _transposed_matmul_operands(source) == [2, 3, 4, 6]
-
-
-@pytest.mark.parametrize("module", ["geometry.py", "integrate.py", "fields.py"])
-def test_no_transposed_matmul_operand(module):
-    assert _transposed_matmul_operands((SRC / module).read_text()) == []

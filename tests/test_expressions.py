@@ -398,3 +398,44 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
         if not (np.isfinite(ref).all() and np.isfinite(scale).all()):
             continue  # a derivative that overflows is compared by its own test
         assert (np.abs(np.array(got) - ref) <= 1e-13 * scale).all(), (text, got, ref)
+
+
+# -- the parameters each entry reads ------------------------------------------------
+
+def test_a_disk_metric_reads_only_the_radius():
+    """The ``disk-saddle`` metric over (r, psi) reads r, in its one entry
+    that reads a parameter, and so do its derivatives."""
+    metric = compile_matrix([["1", "0"], ["0", "r*r"]], ["r", "psi"])
+    for order in (0, 1, 2):
+        assert metric.reads(order) == {(0, 0): set(), (0, 1): set(), (1, 0): set(),
+                                       (1, 1): {0}}
+
+
+def test_an_affine_embedding_reads_its_parameters_and_its_derivatives_none():
+    """In the embedding (1, a, b), the values read nothing, a and b; every
+    derivative is a constant and reads nothing."""
+    embed = compile_vector(["1", "a", "b"], ["a", "b"])
+    assert embed.reads() == {0: set(), 1: {0}, 2: {1}}
+    assert embed.reads(1) == embed.reads(2) == {0: set(), 1: set(), 2: set()}
+
+
+def test_reads_are_structural_not_numeric():
+    """exp(0*r) is 1 at every node, and reads r: the analysis follows the
+    program, not the values."""
+    fn = compile_vector(["exp(0*r)"], ["r", "s"])
+    assert np.array_equal(fn([np.array([0.5, 2.0]), np.array([1.0, 3.0])])[0], [1.0, 1.0])
+    assert fn.reads() == fn.reads(2) == {0: {0}}
+
+
+def test_a_shared_slot_counts_for_every_entry_that_reads_it():
+    """sin(a*b) is one value-numbered slot, the first entry's value and an
+    operand of the second: a and b count for both entries, c for the second
+    and third."""
+    texts, params = ["sin(a*b)", "sin(a*b) + c", "c"], ["a", "b", "c"]
+    program, slots = [], {}
+    outputs = [expressions._Parser(expressions._tokenize(t), params, slots, program).parse()
+               for t in texts]
+    assert outputs[0] in program[outputs[1]]
+    fn = compile_vector(texts, params)
+    assert fn.reads() == {0: {0, 1}, 1: {0, 1, 2}, 2: {2}}
+    assert fn.reads(1) == {0: {0, 1}, 1: {0, 1}, 2: set()}

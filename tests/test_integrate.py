@@ -1,7 +1,10 @@
 """Quadrature and form-pullback integrals."""
 
+import importlib
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -19,9 +22,11 @@ from lawcheck.geometry import (
     GenericityError,
     RiemannianPatch,
     boundary_frame,
+    euler_form_density,
     jet_cos,
     jet_sin,
 )
+from lawcheck.expressions import compile_matrix, compile_vector
 from lawcheck.integrate import (
     QuadratureGrid,
     SectionPullback,
@@ -37,7 +42,8 @@ from lawcheck.integrate import (
     phi_template,
 )
 from lawcheck.runner import run_scenario
-from lawcheck.scenarios import load_catalog_raw, load_catalog_scenario, load_scenario
+from lawcheck.scenarios import (catalog_names, load_catalog_raw, load_catalog_scenario,
+                                load_scenario)
 from lawcheck.templates import (
     compile_template,
     euler_template,
@@ -86,6 +92,16 @@ def test_grid_weights_positive_and_sum_to_volume():
     grid = gauss_grid([(0, 2), (-1, 3)], [12, 7])
     assert np.all(grid.weights > 0)
     assert math.fsum(grid.weights) == pytest.approx(8.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("orders", [[7], [12, 7], [3, 5, 4]])
+def test_grid_weights_are_the_outer_product_of_the_axes(orders):
+    """The weights, an outer product of the axes' weights, are bit for bit the
+    product of each node's axis weights, the rule's own definition."""
+    box = [(0, 1 + k) for k in range(len(orders))]
+    grid = gauss_grid(box, orders)
+    weights = [integrate._gauss_1d(lo, hi, k)[1] for (lo, hi), k in zip(box, orders)]
+    assert grid.weights.tobytes() == geometry.grid_points(weights).prod(axis=1).tobytes()
 
 
 def test_grid_polynomial_exactness():
@@ -347,7 +363,8 @@ def _one_node(grid, k):
 def test_chunk_seams_do_not_change_densities(monkeypatch):
     """With a cap of 16 nodes, on grids that split into slices of unequal
     length (35 nodes into 11, 12 and 12 at n = 2, 21 into 10 and 11 at
-    n = 3), every Euler density, and every Phi density, angle and v_dot_n,
+    n = 3, on ``ball3-constant``, whose Phi integrand reads both boundary
+    axes), every Euler density, and every Phi density, angle and v_dot_n,
     of the chunked path equals, bit for bit, the value at the same node
     evaluated alone."""
     monkeypatch.setattr(geometry, "CHUNK_NODES", 16)
@@ -364,7 +381,7 @@ def test_chunk_seams_do_not_change_densities(monkeypatch):
     assert np.array_equal(np.concatenate(chunked), np.concatenate(alone))
 
     frame = integrate.boundary_frame
-    ball = load_catalog_scenario("ball3-radial")
+    ball = load_catalog_scenario("ball3-constant")
     for scenario, orders, sizes in ((scenario, [35], [11, 12, 12]),
                                     (ball, [3, 7], [10, 11])):
         rim = scenario.boundaries[0]
@@ -382,6 +399,117 @@ def test_chunk_seams_do_not_change_densities(monkeypatch):
                 assert np.array_equal(a_chunked[:, k:k + 1], a_alone)
 
 
+def _opaque(fn):
+    """``fn`` as a Python callable with its ``jets`` and no ``reads``: it reads
+    every parameter, so a quadrature evaluates it at every node."""
+    def call(env):
+        return fn(env)
+
+    call.jets = fn.jets
+    return call
+
+
+def _conformal_seed_1():
+    """The seed-1 ``conformal-2d`` scenarios of the benchmark, by name."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    with mock.patch.object(sys, "path", [bench, *sys.path]):
+        conformal = importlib.import_module("conformal")
+    return {f"conformal-{base}": conformal.perturb(load_catalog_raw(base), 1)[0]
+            for base in conformal.BASES}
+
+
+def _sheared_ball():
+    """``ball3-radial`` with an outward vector that reads the longitude b."""
+    cfg = load_catalog_raw("ball3-radial")
+    cfg["boundaries"][0]["outward"][1] = "0.25*sin(b)"
+    return cfg
+
+
+BEYOND_CATALOG = {**_conformal_seed_1(), "ball3-radial-sheared": _sheared_ball()}
+# the integrands that read fewer axes than their grids have: every 2-D interior,
+# ball3-radial's sphere and the rims whose integrand reads no axis
+SEPARABLE_RIMS = {"annulus-rotational", "ball3-radial", "cap-radial", "disk-radial",
+                  "disk-rotational", "hemisphere-radial"}
+
+
+@pytest.mark.parametrize("name", catalog_names() + sorted(BEYOND_CATALOG))
+def test_separable_quadrature_matches_every_node(name, monkeypatch):
+    """The integrals of Omega and of Phi over the normal and the field, the
+    Euler densities and the Phi densities, angles and v_dot_n, evaluated only
+    where the parameters their integrands read differ, equal, bit for bit,
+    those of the inputs as Python callables, evaluated at every node.  All
+    2-D catalog interiors and the rims of ``SEPARABLE_RIMS`` run on fewer
+    nodes than their grids; the conformal metrics read both chart parameters,
+    and a sheared outward vector the longitude."""
+    scenario = (load_scenario(BEYOND_CATALOG[name]) if name in BEYOND_CATALOG
+                else load_catalog_scenario(name))
+    patch = scenario.patch
+    full = RiemannianPatch(patch.n, patch.box, _opaque(patch.metric), name=patch.name)
+    ran, frame = [], integrate.boundary_frame
+    monkeypatch.setattr(integrate, "boundary_frame",
+                        lambda b, t, twist: ran.append(len(t)) or frame(b, t, twist))
+
+    def both_orders(box, k):
+        return joined_grid([gauss_grid(box, k), gauss_grid(box, 2 * k)])
+
+    grid = both_orders(patch.box, scenario.interior_order)
+    if patch.n == 2:
+        assert integrate_euler(patch, grid) == integrate_euler(full, grid)
+        densities = [integrate._node_values(grid, lambda x: euler_form_density(p, x), reads)
+                     for p, reads in ((patch, integrate._reads(patch.metric)), (full, None))]
+        assert densities[0].tobytes() == densities[1].tobytes()
+        assert (integrate._reads(patch.metric) == {0}) == (not name.startswith("conformal"))
+    field = scenario.field_spec.components
+    for rim in scenario.boundaries:
+        grid = both_orders(rim.box, scenario.boundary_order)
+        opaque = BoundaryPatch(full, rim.box, _opaque(rim.embed), _opaque(rim.outward))
+        ran.clear()
+        reduced = integrate_phi_over_section(rim, (None, field), grid)
+        assert (sum(ran) < len(grid)) == (name in SEPARABLE_RIMS)
+        ran.clear()
+        every = integrate_phi_over_section(opaque, (None, _opaque(field)), grid)
+        assert sum(ran) == len(grid)
+        assert reduced[0] == every[0]
+        for got, want in zip(reduced[1:], every[1:]):  # densities, angles, v_dot_n
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_vanishing_section_names_the_same_node_on_both_paths():
+    """A field on ``ball3-radial`` that vanishes at one colatitude node of
+    the sphere raises, when Phi runs on the colatitudes alone, the
+    GenericityError that it raises when Phi runs at every node: the same
+    first failing node, its longitude at the first node."""
+    scenario = load_catalog_scenario("ball3-radial")
+    rim = scenario.boundaries[0]
+    grid = joined_grid([gauss_grid(rim.box, 8), gauss_grid(rim.box, 16)])
+    colatitude = float(grid.axes[0][0][3])
+    field = compile_vector([f"rho*(th - {colatitude!r})", "0", "0"], ["rho", "th", "ps"])
+    errors = []
+    for section, bpatch in ((field, rim), (_opaque(field), BoundaryPatch(
+            rim.parent, rim.box, _opaque(rim.embed), _opaque(rim.outward)))):
+        with pytest.raises(GenericityError) as err:
+            integrate_phi_over_section(bpatch, (None, section), grid)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert errors[0] == ("section norm below 1e-9 at boundary point "
+                         f"{[colatitude, float(grid.axes[0][1][0])]}")
+
+
+def test_a_frame_twist_reads_every_axis(monkeypatch):
+    """Phi under a compiled frame twist that turns with the longitude runs at
+    every node of ``ball3-radial``'s sphere, though its inputs read the
+    colatitude alone."""
+    scenario = load_catalog_scenario("ball3-radial")
+    rim, grid = scenario.boundaries[0], gauss_grid(scenario.boundaries[0].box, [6, 8])
+    twist = compile_matrix([["1", "0", "0"], ["0", "cos(b)", "-sin(b)"],
+                            ["0", "sin(b)", "cos(b)"]], ["a", "b"])
+    ran, frame = [], integrate.boundary_frame
+    monkeypatch.setattr(integrate, "boundary_frame",
+                        lambda b, t, twist: ran.append(len(t)) or frame(b, t, twist))
+    integrate_phi_over_section(rim, (None, scenario.field_spec.components), grid, twist)
+    assert ran == [len(grid)]
+
+
 @given(st.integers(1, 64), st.integers(0, 1000))
 def test_node_chunks_split_evenly_under_the_cap(cap, count):
     """The slices cover range(count) once, in order, none longer than the
@@ -396,7 +524,8 @@ def test_node_chunks_split_evenly_under_the_cap(cap, count):
 
 
 @pytest.mark.parametrize("name, orders, floats", [("ball3-radial", [32, 64], 66),
-                                                  ("disk-saddle", [2048], 32)])
+                                                  ("disk-saddle", [2048], 32),
+                                                  ("ball3-constant", [32, 64], 66)])
 def test_phi_chunk_live_set_per_node(name, orders, floats):
     """One chunk of CHUNK_NODES nodes through ``integrate_phi_over_section``
     (the normal and the field) allocates, beyond the arrays it returns, less
@@ -405,7 +534,9 @@ def test_phi_chunk_live_set_per_node(name, orders, floats):
     when the connection and curvature were still stacked node first.  The
     templates read the frame's maps as they are, and one section's bindings
     are alive at a time, so the cap costs no more memory than smaller
-    chunks did."""
+    chunks did.  ``ball3-radial``'s integrand reads the colatitude alone, so
+    it runs on 32 of the nodes (about 6 floats per grid node); ``ball3-constant``
+    runs the whole chunk (about 53)."""
     scenario = load_catalog_scenario(name)
     rim = scenario.boundaries[0]
     grid = gauss_grid(rim.box, orders)
