@@ -426,8 +426,8 @@ def _sheared_ball():
 
 
 BEYOND_CATALOG = {**_conformal_seed_1(), "ball3-radial-sheared": _sheared_ball()}
-# the integrands that read fewer axes than their grids have: every 2-D interior,
-# ball3-radial's sphere and the rims whose integrand reads no axis
+# the boundaries whose Phi integrand reads fewer axes than their grids have:
+# ball3-radial's sphere (the colatitude) and the rims that read no axis
 SEPARABLE_RIMS = {"annulus-rotational", "ball3-radial", "cap-radial", "disk-radial",
                   "disk-rotational", "hemisphere-radial"}
 
