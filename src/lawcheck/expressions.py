@@ -1,14 +1,18 @@
 """Small arithmetic expression grammar for scenario configuration.
 
-Supports + - * / with unary minus, integer powers via ^, the functions
-sin, cos, exp, the constant pi, numeric literals and named parameters.
-Compiled expressions evaluate on floats, on node arrays or on Jets.  The
-entries of a vector or matrix are parsed into one straight-line program by
-value numbering: structurally equal subtrees, across all entries, share one
-slot, computed once per call by the operation a tree walk would run, so
-values are bit-identical.  A slot is dropped after the last instruction that
-reads it, unless it is an entry's value, so a long program holds a few node
-arrays at a time, not one per slot.  A numpy fault on arrays is located by
+Supports + - * / with unary minus, ^ with an integer literal (optionally
+negated), sin, cos, exp, pi, decimal literals and named parameters, which
+pi, sin, cos and exp cannot name.  Python's parser reads the text, with ^
+for ** and _ before every name (so lambda may name a parameter), and bounds
+nesting at 200 parentheses and a chain of + - * / or unary minus at about
+2,990 operands; one walk of its tree refuses every other node.  Compiled
+expressions evaluate on floats, on node arrays or on Jets.  The entries of a
+vector or matrix are emitted into one straight-line program by value
+numbering: structurally equal subtrees, across all entries, share one slot,
+computed once per call by the operation a tree walk would run, so values are
+bit-identical.  A slot is dropped after the last instruction that reads it,
+unless it is an entry's value, so a long program holds a few node arrays at
+a time, not one per slot.  A numpy fault on arrays is located by
 re-evaluating node by node in Python floats, so the ConfigError names the
 first failing node and, in it, the first failing entry (the one that emitted
 the first faulting instruction), with Python's own message; with no node,
@@ -28,139 +32,89 @@ that names its metric entry, for a Python-callable metric on Jets too.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
+import warnings
 from functools import lru_cache
 
 import numpy as np
 
 from .geometry import ConfigError, Jet, _present, jet_cos, jet_exp, jet_sin
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                    r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
-
 _FUNCTIONS = {"sin": jet_sin, "cos": jet_cos, "exp": jet_exp}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_CHAIN = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.USub: "neg"}
+_CHARACTERS = re.compile(r"[\w\s.+\-*/^()]*", re.ASCII)
+_NAMES = re.compile(r"(?<![\w.])[A-Za-z_]\w*")  # not the e of 1e5
+_NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?")
 
 
 class ExpressionError(ValueError):
     pass
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ExpressionError(f"cannot tokenize {text[pos:]!r}")
-        num, name, sym = m.groups()
-        if num is not None:
-            tokens.append(("num", float(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif sym.strip():
-            if sym not in "+-*/^()":
-                raise ExpressionError(f"unexpected character {sym!r} in {text!r}")
-            tokens.append(("op", sym))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
+def _parse(text, params, slots, program):
+    """Emit each subtree of ``text``, children first and left to right, as
+    one instruction of ``program``, value-numbered by ``slots`` (instruction
+    -> slot, shared by all entries); returns the root's slot."""
+    if _CHARACTERS.fullmatch(text) is None or "**" in text:
+        raise ExpressionError(f"unexpected character or ** in {text!r}")
+    source = _NAMES.sub(r"_\g<0>", " ".join(text.split())).replace("^", "**")
+    try:
+        with warnings.catch_warnings():  # a SyntaxWarning (1if) becomes a SyntaxError
+            warnings.simplefilter("error")
+            tree = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError) as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc.args[0]}") from None
 
+    names = {"_" + p: ("param", i) for i, p in enumerate(params)}
+    names["_pi"] = ("const", math.pi)
 
-class _Parser:
-    """Recursive descent that emits each subtree, children first, as a slot."""
+    def emit(*ins):
+        if ins not in slots:
+            slots[ins] = len(program)
+            program.append(ins)
+        return slots[ins]
 
-    def __init__(self, tokens, params, slots, program):
-        self.tokens = tokens
-        self.pos = 0
-        self.params = params
-        self.slots = slots      # instruction -> slot, shared by all entries
-        self.program = program
+    def number(node):  # read as a decimal literal, through float(), exponents too
+        span = source[node.col_offset:node.end_col_offset]
+        if _NUMBER.fullmatch(span) is None:
+            raise ExpressionError(f"{span!r} in {text!r} is not a decimal number")
+        return float(span)
 
-    def emit(self, *ins):
-        """Slot of ``ins``, an op with its operand slots and literals."""
-        if ins not in self.slots:
-            self.slots[ins] = len(self.program)
-            self.program.append(ins)
-        return self.slots[ins]
+    def exponent(node):  # an integer literal, optionally negated
+        negated = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+        literal = node.operand if negated else node
+        k = number(literal) if isinstance(literal, ast.Constant) else math.nan
+        if not k.is_integer():
+            raise ExpressionError(f"exponent must be an integer literal in {text!r}")
+        return -int(k) if negated else int(k)
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def walk(node):
+        above = []  # down a chain of + - * / and unary minus: each op and right operand
+        while isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _CHAIN:
+            above.append((_CHAIN[type(node.op)], getattr(node, "right", None)))
+            node = node.left if isinstance(node, ast.BinOp) else node.operand
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            slot = emit("pow", walk(node.left), exponent(node.right))
+        elif isinstance(node, ast.Constant):
+            slot = emit("const", number(node))
+        elif isinstance(node, ast.Name) and node.id in names:
+            slot = emit(*names[node.id])
+        elif isinstance(node, ast.Name):
+            raise ExpressionError(f"unknown name {node.id[1:]!r} (parameters: {params})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id[1:] in _FUNCTIONS and len(node.args) == 1):
+            slot = emit("call", node.func.id[1:], walk(node.args[0]))
+        else:
+            raise ExpressionError(f"unexpected {type(node).__name__} in {text!r}")
+        for op, right in reversed(above):
+            slot = emit(op, slot) if right is None else emit(op, slot, walk(right))
+        return slot
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, sym):
-        kind, val = self.take()
-        if kind != "op" or val != sym:
-            raise ExpressionError(f"expected {sym!r}, found {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input at {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = self.emit(op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.factor()
-            node = self.emit(op, node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return self.emit("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, val = self.take()
-            neg = False
-            if (kind, val) == ("op", "-"):
-                neg = True
-                kind, val = self.take()
-            if kind != "num" or val != int(val):
-                raise ExpressionError("exponent must be an integer literal")
-            node = self.emit("pow", node, -int(val) if neg else int(val))
-        return node
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return self.emit("const", val)
-        if kind == "name":
-            if val in _FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return self.emit("call", val, arg)
-            if val == "pi":
-                return self.emit("const", math.pi)
-            if val in self.params:
-                return self.emit("param", self.params.index(val))
-            raise ExpressionError(f"unknown name {val!r} (parameters: {self.params})")
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExpressionError(f"unexpected token {val!r}")
+    return walk(tree)
 
 
 def _operands(ins):
@@ -329,13 +283,17 @@ def compile_vector(texts, params, keys=None):
     texts = list(map(str, texts))
     keys = list(range(len(texts)) if keys is None else keys)
     params = list(params)
+    for k, name in enumerate(params):
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or name in (
+                "pi", *_FUNCTIONS, *params[:k]):
+            raise ExpressionError(f"parameter {name!r} is not a name, reserved or repeated")
     slots, program, owner, outputs = {}, [], [], []
     for entry, text in enumerate(texts):
         try:
-            outputs.append(_Parser(_tokenize(text), params, slots, program).parse())
+            outputs.append(_parse(text, params, slots, program))
         except RecursionError:
             raise ExpressionError(f"expression of {len(text)} characters is nested "
-                                  f"too deeply to parse") from None
+                                  f"too deeply or too long to parse") from None
         owner += [entry] * (len(program) - len(owner))
     dead = _dead_after(program, set(outputs))
 

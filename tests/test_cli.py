@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -87,6 +88,13 @@ def _set(*path_and_value):
     return mutate
 
 
+def _rename(old, new):
+    """Mutation that renames the parameter ``old`` to ``new`` throughout."""
+    def mutate(cfg):
+        cfg.update(json.loads(re.sub(rf"\b{old}\b", new, json.dumps(cfg))))
+    return mutate
+
+
 _SADDLE = ("interior_singularities", 0)
 _MALFORMED = {
     "dimension-abc": ("disk-constant", _set("dimension", "abc")),
@@ -148,6 +156,9 @@ _MALFORMED = {
     "location-infinite": ("disk-constant",
                           _set("tangential_singularities", 0, "location", [1e400])),
     "chi-huge": ("disk-constant", _set("chi", 10 ** 400)),
+    "param-named-pi": ("disk-constant", _rename("psi", "pi")),
+    "params-repeated": ("disk-constant", _set("patch", "params", ["r", "r"])),
+    "exponent-1e400": ("disk-constant", _set("field", "components", 0, "r ^ 1e400")),
 }
 
 
@@ -181,6 +192,22 @@ def test_cli_asymmetric_metric_names_the_asymmetry(case, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     err = _assert_one_config_error_line(cli.main(["run", "--scenario", str(path)]), capsys)
     assert "not symmetric" in err
+
+
+@pytest.mark.parametrize("case,message", [
+    ("param-named-pi", "parameter 'pi'"), ("params-repeated", "parameter 'r'"),
+    ("exponent-1e400", "exponent must be an integer literal"),
+])
+def test_cli_refused_expression_names_its_cause(case, message, tmp_path, capsys):
+    """A parameter named pi is refused, not read as the constant, and an
+    exponent that overflows is refused like any non-integer exponent."""
+    base, mutate = _MALFORMED[case]
+    cfg = load_catalog_raw(base)
+    mutate(cfg)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(cfg))
+    err = _assert_one_config_error_line(cli.main(["run", "--scenario", str(path)]), capsys)
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

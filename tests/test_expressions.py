@@ -1,9 +1,11 @@
 """Expression grammar: parsing, precedence, evaluation on floats and jets."""
 
+import json
 import math
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,12 +71,61 @@ def test_jets_flow_through():
 
 @pytest.mark.parametrize("bad", [
     "2 +", "sin(", "foo(3)", "x", "2 ** 3", "1 @ 2", "(1", "3 ^ x", "2 ^ 1.5",
+    "1_000", "0x10", "2j", "True", "y.y", "y//y", "not y", "y if y else y", "1if y else 2",
+    "1 # c", "sin(y)(y)", "+y", "sin", "y^--2", "y ^ 1e400", "y\u00a0+ 1", "\u0661",
     pytest.param("(" * 400 + "1" + ")" * 400, id="400-deep-parentheses"),
     pytest.param("-" * 3000 + "1", id="3000-unary-minuses"),
+    pytest.param("+".join(["y"] * 5000), id="5000-operand-sum"),
 ])
 def test_parse_errors(bad):
-    with pytest.raises(ExpressionError):
+    """Each refusal is one ExpressionError of one line."""
+    with pytest.raises(ExpressionError) as err:
         compile_expression(bad, ["y"])([1.0])
+    assert len(str(err.value).splitlines()) == 1
+
+
+def test_deep_and_long_expressions_still_compile():
+    """Python's parser bounds nesting at 200 parentheses and chains at about
+    2,990 operands; the walk adds no lower bound.  A parameter may be named
+    like a Python keyword."""
+    nested_sin = 2.0
+    for _ in range(198):
+        nested_sin = math.sin(nested_sin)
+    for text, want in [("(1+" * 197 + "y" + ")" * 197, 199.0), ("-" * 990 + "y", 2.0),
+                       ("sin(" * 198 + "y" + ")" * 198, nested_sin),
+                       ("+".join(["y"] * 2000), 4000.0)]:
+        assert compile_expression(text, ["y"])([2.0]) == want
+    assert compile_vector(["lambda - if * None", "None^2"],
+                          ["lambda", "if", "None"])([5.0, 2.0, 3.0]) == [-1.0, 9.0]
+
+
+@pytest.mark.parametrize("params,name", [
+    (["pi"], "pi"), (["x", "sin"], "sin"), (["cos"], "cos"), (["exp", "x"], "exp"),
+    (["x", "y", "x"], "x"), (["2x"], "2x"), (["a-b"], "a-b"), ([""], ""),
+    (["\u00e9"], "\u00e9"), ([3], 3),
+])
+def test_reserved_repeated_and_malformed_parameters_are_refused(params, name):
+    """A parameter named pi would otherwise read as the constant, one named
+    sin, cos or exp could not be read at all, and a repeated one would
+    shadow its namesake."""
+    with pytest.raises(ExpressionError, match=repr(name)):
+        compile_vector(["1"], params)
+
+
+def test_parse_emits_the_recorded_programs():
+    """Every vector and matrix of the catalog and of the seed-1 and seed-2
+    ``conformal-2d`` files, their constant strings, and 300 expressions
+    over the whole grammar parse to the outputs and the shared, value-
+    numbered instruction list recorded from the hand-written parser that
+    ``_parse`` replaced: the slot order the derivative programs and the
+    dead-slot lists follow."""
+    path = Path(__file__).parent / "data" / "expression_programs.json"
+    for record in json.loads(path.read_text()):
+        slots, program = {}, []
+        outputs = [expressions._parse(t, record["params"], slots, program)
+                   for t in record["texts"]]
+        assert outputs == record["outputs"], record["texts"]
+        assert json.dumps(list(map(list, program))) == json.dumps(record["program"])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -312,8 +363,9 @@ def _programs(draw):
 
 
 def _reads(text, params):
-    return any(kind == "name" and value in params
-               for kind, value in expressions._tokenize(text))
+    program = []
+    expressions._parse(text, params, {}, program)
+    return any(ins[0] == "param" for ins in program)
 
 
 def _largest_intermediate(text, params, nodes):
@@ -321,7 +373,7 @@ def _largest_intermediate(text, params, nodes):
     of the second-order derivative program of the one expression ``text``:
     the scale of the round-off in each derivative it gives."""
     program = []
-    output = expressions._Parser(expressions._tokenize(text), params, {}, program).parse()
+    output = expressions._parse(text, params, {}, program)
     derived = expressions._differentiate(program, [output], len(params), 2)[0]
     values = []
     with np.errstate(all="ignore"):
@@ -433,8 +485,7 @@ def test_a_shared_slot_counts_for_every_entry_that_reads_it():
     and third."""
     texts, params = ["sin(a*b)", "sin(a*b) + c", "c"], ["a", "b", "c"]
     program, slots = [], {}
-    outputs = [expressions._Parser(expressions._tokenize(t), params, slots, program).parse()
-               for t in texts]
+    outputs = [expressions._parse(t, params, slots, program) for t in texts]
     assert outputs[0] in program[outputs[1]]
     fn = compile_vector(texts, params)
     assert fn.reads() == {0: {0, 1}, 1: {0, 1, 2}, 2: {2}}
