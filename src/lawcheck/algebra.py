@@ -21,9 +21,11 @@ gives every generator of both algebras its place in a monomial key: bits
 in the sorted order of the (kind, a, b) tuples, and above them lie one
 guarded FIELD_BITS-bit count field per even generator, u(a), W(a,b) and
 WM(s,t).  The coefficient key sits above, so a term is one int and a Form
-is its own operand of ``trig.mul_into``.  The wedge, both parts of ``d``,
-the substitution's products and the permutation sums of ``chern`` each run
-that loop into one ``trig.Accumulator``, normalized once into a Form.  Sums,
+is its own operand of ``trig.mul_into``.  The wedge, both parts of ``d``
+and the permutation sums of ``chern`` each run that loop into one
+``trig.Accumulator``, normalized once into a Form; the substitution runs it
+in Horner's scheme, each accumulated sum of terms times one image of a
+mapped generator, and normalizes its last sum once.  Sums,
 ``deriv`` and ``eval_angle`` are the ring's own; the interior product with
 dphi_1 (bit 0, so no sign) and the semibasic filter are bit tests.  No
 operation orders its result.  Tuple monomials enter only through the
@@ -308,12 +310,19 @@ class Form(Packed):
         A monomial moves its mapped odd generators behind the unmapped ones
         (the sign of that shuffle is right because every replacement has its
         generator's parity, else ValueError) and its terms join the group of
-        those that share its mapped generators, times the product of its
-        constant replacements.  Groups are walked in sorted order, so keys
-        with a common prefix are adjacent: each multiplies out one product of
-        replacements from its prefix's product, and only the live chain of
-        prefix products is kept.  Every product accumulates raw into one
-        accumulator, normalized once at the end.
+        those that share its mapped generators S, times the product of its
+        constant replacements: a sum K_S.  The images multiply out in
+        Horner's scheme, from the last factor of S,
+
+            sum_S K_S img(S_1) ... img(S_k)
+                = K_() + sum_g H({S[:-1]: K_S : S[-1] = g}) img(g),
+
+        with H the same sum over the shorter groups.  So no product of
+        images is formed: one sum per distinct suffix of the groups, longest
+        first, is multiplied by the image of the factor before the suffix,
+        in the monomial's order, and joins the sum of the shorter suffix.
+        Every product accumulates raw, and the sum of the empty suffix is
+        normalized once at the end.
         """
         if boundary is None:
             boundary = self.boundary
@@ -353,28 +362,20 @@ class Form(Packed):
                 mapped, fixed, kept, sign = plans[bits]
                 group = groups.setdefault(mapped, {})
                 group.setdefault(fixed, {})[key - bits + kept] = sign * c
-        one = Form.scalar(self.n, ONE, boundary)
-        fixed_products = {(): one}
-        acc = Accumulator(layout)
-        prev, chain = (), [one]  # chain[k]: prev[:k]'s product
-        for mapped in sorted(groups):
-            k = 0
-            while k < min(len(mapped), len(prev)) and mapped[k] == prev[k]:
-                k += 1
-            del chain[k + 1:]
-            for gen in mapped[k:]:
-                step = Accumulator(layout)
-                step.add_product(chain[-1], mapping[gen])
-                chain.append(step)
-            prev = mapped
-            terms = Accumulator(layout)
-            for fixed, part in groups[mapped].items():
+        fixed_products = {(): Form.scalar(self.n, ONE, boundary)}
+        sums: dict[tuple, Accumulator] = {}  # s -> the terms of the groups S + s, times img(S)
+        for mapped, group in groups.items():
+            terms = sums[mapped] = Accumulator(layout)
+            for fixed, part in group.items():
                 if fixed not in fixed_products:
                     fixed_products[fixed] = Form.wedge_sum(
                         self.n, [(1, *(consts[gen] for gen in fixed))], boundary)
                 terms.add_product(Accumulator(layout, part, self.den), fixed_products[fixed])
-            acc.add_product(terms, chain[-1])
-        return _sum_form(self.n, boundary, acc)
+        for size in range(max(map(len, sums), default=0), 0, -1):
+            for suffix in [s for s in sums if len(s) == size]:
+                rest = sums.setdefault(suffix[1:], Accumulator(layout))
+                rest.add_product(sums.pop(suffix), mapping[suffix[0]])
+        return _sum_form(self.n, boundary, sums.get((), Accumulator(layout)))
 
     # -- queries -----------------------------------------------------------
 

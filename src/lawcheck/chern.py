@@ -29,7 +29,7 @@ from itertools import islice, permutations
 
 from .algebra import K_CURV, K_DPHI, K_THETA, K_U, Form
 from .report import SymbolicReport
-from .trig import TrigScalar, sphere_volume
+from .trig import ONE, SCALARS, Accumulator, TrigScalar, lowest_terms, sphere_volume
 
 MAX_BUILD_N = 5
 
@@ -219,7 +219,7 @@ class CoeffFunctions:
     def T(self, p, q):
         if p < 0 or q < 0:
             raise ValueError("powers must be non-negative")
-        return TrigScalar.monomial(cos=p, sin=q)
+        return _power_tcs(p, q)
 
     def I(self, p, q):
         if p < 0 or q < 0:
@@ -233,14 +233,24 @@ class CoeffFunctions:
         return self._series(i, j, self.I)
 
     def _series(self, i, j, primitive):
+        """The terms of a(i, j) or A(i, j) summed in one accumulator,
+        normalized once."""
         n = self.n
-        out = TrigScalar.zero()
+        acc = Accumulator(SCALARS)
         for k in range(i, (n - j) // 2):
-            num = Fraction((-1) ** (n + j + k) * double_factorial(n - 2 * k - 2))
+            num = (-1) ** (n + j + k) * double_factorial(n - 2 * k - 2)
             den = (2 ** k * math.factorial(j) * math.factorial(n - 2 * k - j - 2)
                    * math.factorial(i) * math.factorial(k - i))
-            out = out + primitive(n - 2 * k - j - 2, j) * TrigScalar.rational(num, den)
-        return out
+            acc.add_product(primitive(n - 2 * k - j - 2, j), TrigScalar.rational(num, den))
+        return TrigScalar._new(*lowest_terms(acc.num, acc.den))
+
+
+@lru_cache(maxsize=None)
+def _power_tcs(p, q):
+    """cos^p sin^q, one product from a cached lower power."""
+    if p:
+        return _power_tcs(p - 1, q) * TrigScalar.cos()
+    return _power_tcs(0, q - 1) * TrigScalar.sin() if q else ONE
 
 
 @lru_cache(maxsize=None)
@@ -252,11 +262,10 @@ def _integral_tcs(p, q):
         if p == 1:
             return TrigScalar.sin()
         prev = _integral_tcs(p - 2, 0)
-        head = TrigScalar.monomial(cos=p - 1) * TrigScalar.sin()
-        return (head + TrigScalar.rational(p - 1) * prev) / Fraction(p)
+        return (_power_tcs(p - 1, 1) + TrigScalar.rational(p - 1) * prev) / Fraction(p)
     if q == 1:
-        return (TrigScalar.rational(1) - TrigScalar.monomial(cos=p + 1)) / Fraction(p + 1)
-    head = -(TrigScalar.monomial(cos=p + 1) * TrigScalar.monomial(sin=q - 1))
+        return (ONE - _power_tcs(p + 1, 0)) / Fraction(p + 1)
+    head = -_power_tcs(p + 1, q - 1)
     prev = _integral_tcs(p, q - 2)
     return (head + TrigScalar.rational(q - 1) * prev) / Fraction(p + q)
 

@@ -704,7 +704,8 @@ def test_chern_substitutions_match_reference(n, monkeypatch):
 
 
 def test_substitute_chain_of_prefixes_matches_reference():
-    """Group keys that share prefixes, met out of sorted order."""
+    """Group keys that share prefixes but no suffix, met out of sorted
+    order: each suffix sum of Horner's scheme holds one group's terms."""
     n = 5
     th = {a: (K_THETA, a, 0) for a in range(1, 6)}
     mapping = {gen: (Form.omega(n, a, a % 5 + 1).scale(TrigScalar.sin(a))
@@ -725,6 +726,31 @@ def test_substitute_chain_of_prefixes_matches_reference():
             f = f + term * Form(n, {((), tuple(th[a] for a in key)): ONE})
         assert f.substitute(mapping) == reference_substitute(f, mapping)
 
+
+
+def test_substitute_horner_edge_cases_match_reference():
+    """The groups Horner's scheme could get wrong: a repeated non-constant
+    even generator (W13^2 u3 th2), a group with no mapped generator beside
+    mapped ones, a zero constant replacement (u2), and mapped tuples that
+    share suffixes but no prefix (u3 w12 th2, W13 w12 th2, w12 th2, th2)."""
+    n = 4
+    mapping, _ = _oracle_mappings(n)
+    u, th, W, w = (partial(make, n) for make in
+                   (Form.coordinate, Form.theta, Form.curvature, Form.omega))
+    sin = Form.scalar(n, TrigScalar.sin(2))
+    cases = [
+        W(1, 3) * W(1, 3) * u(3) * th(2),
+        sin * w(2, 3) * u(4) + W(1, 3) * th(2) + w(3, 4).scale(3),
+        u(2) * th(2) + u(2) * W(1, 3) * w(2, 3) + u(1) * w(3, 4),
+        (u(3) * w(1, 2) * th(2) + W(1, 3) * w(1, 2) * th(2).scale(Fraction(-2, 3))
+         + sin * w(1, 2) * th(2) * w(3, 4) + th(2) * u(4)),
+    ]
+    for f in cases:
+        got = f.substitute(mapping)
+        assert not got.is_zero and got == reference_substitute(f, mapping)
+    killed = u(2) * th(2) + u(2) * W(1, 3) * w(2, 3)
+    assert killed.substitute(mapping).is_zero
+    assert (killed + w(3, 4)).substitute(mapping) == w(3, 4)
 
 def test_wedge_matches_reference_in_value_and_term_order():
     n = 6

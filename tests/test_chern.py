@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lawcheck import trig
 from lawcheck.algebra import Form
 from lawcheck.chern import (
     CoeffFunctions,
@@ -110,6 +111,27 @@ def test_polar_commutes_with_d():
     f = Form.coordinate(n, 2) * Form.theta(n, 1) * Form.omega(n, 2, 3)
     assert (polar_substitute(f.d()) - polar_substitute(f).d()).is_zero
 
+
+
+def test_polar_substitute_cost_guard(monkeypatch):
+    """Normalizing dPhi + Omega at n = 5 multiplies at most 31,000 pairs of
+    packed terms in ``trig.mul_into``: Horner's scheme multiplies each sum by
+    one image, where a chain of prefix products of the theta images made
+    39,075 pairs (the chain built th1 th2 th3 th4 only to multiply it by th5
+    and get 0).  The caches of the polar images are warm, so only the
+    substitution counts."""
+    fam = build_phi(5)
+    f = fam.phi.d() + fam.euler
+    polar_substitute(f)
+    mul_into, pairs = trig.mul_into, []
+
+    def counted(num, xs, ys, packing, scale):
+        pairs.append(len(xs) * len(ys))
+        return mul_into(num, xs, ys, packing, scale)
+
+    monkeypatch.setattr(trig, "mul_into", counted)
+    assert polar_substitute(f).is_zero
+    assert 0 < sum(pairs) <= 31_000, sum(pairs)
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_check_dphi_residual_zero(n):
