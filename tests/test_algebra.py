@@ -727,7 +727,6 @@ def test_substitute_chain_of_prefixes_matches_reference():
         assert f.substitute(mapping) == reference_substitute(f, mapping)
 
 
-
 def test_substitute_horner_edge_cases_match_reference():
     """The groups Horner's scheme could get wrong: a repeated non-constant
     even generator (W13^2 u3 th2), a group with no mapped generator beside
@@ -751,6 +750,7 @@ def test_substitute_horner_edge_cases_match_reference():
     killed = u(2) * th(2) + u(2) * W(1, 3) * w(2, 3)
     assert killed.substitute(mapping).is_zero
     assert (killed + w(3, 4)).substitute(mapping) == w(3, 4)
+
 
 def test_wedge_matches_reference_in_value_and_term_order():
     n = 6

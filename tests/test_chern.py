@@ -112,7 +112,6 @@ def test_polar_commutes_with_d():
     assert (polar_substitute(f.d()) - polar_substitute(f).d()).is_zero
 
 
-
 def test_polar_substitute_cost_guard(monkeypatch):
     """Normalizing dPhi + Omega at n = 5 multiplies at most 31,000 pairs of
     packed terms in ``trig.mul_into``: Horner's scheme multiplies each sum by
@@ -132,6 +131,7 @@ def test_polar_substitute_cost_guard(monkeypatch):
     monkeypatch.setattr(trig, "mul_into", counted)
     assert polar_substitute(f).is_zero
     assert 0 < sum(pairs) <= 31_000, sum(pairs)
+
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_check_dphi_residual_zero(n):
