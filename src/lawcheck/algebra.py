@@ -393,9 +393,6 @@ class Form(Packed):
     def degrees(self):
         return sorted({mono_degree(m) for m in self.terms})
 
-    def coefficient_of(self, mono: Monomial):
-        return self.terms.get(mono, TrigScalar.zero())
-
     def render(self):
         terms = self.terms
         if not terms:

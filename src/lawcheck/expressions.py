@@ -27,7 +27,8 @@ structurally zero.  Its values are the value program's, bit for bit, and a
 value that fails raises the same ConfigError.  A derivative that overflows
 where no value fails (exp(705*r) at r = 1, or d(a/b) = -a db/b^2) comes
 back inf or NaN, and ``RiemannianPatch.metric_jets`` raises the ConfigError
-that names its metric entry, for a Python-callable metric on Jets too.
+that names its metric entry.  ``jets`` and ``reads`` are how ``geometry``
+and ``integrate`` read every numeric input.
 """
 
 from __future__ import annotations

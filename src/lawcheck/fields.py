@@ -53,7 +53,7 @@ class InteriorSingularity:
     exclusion_radius: float
     center: list             # singular point in index-chart coordinates
     radius: float
-    chart_field: object      # compiled vector or callable: index-chart components
+    chart_field: object      # compiled vector: index-chart components, read by ``jets``
 
 
 @dataclass
@@ -66,7 +66,7 @@ class TangentialSingularity:
 
 @dataclass
 class VectorFieldSpec:
-    components: object       # callable main-chart coords -> components
+    components: object       # compiled vector: main-chart coords -> components
     margin: float = 1e-6
     interior: list = field(default_factory=list)
     tangential: list = field(default_factory=list)

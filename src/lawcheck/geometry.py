@@ -2,14 +2,15 @@
 
 Every layer takes N chart (or boundary) points as an (N, dim) array, in
 chunks of ``node_chunks`` when a quadrature passes its grid.  Derivatives are
-forward mode, truncated Taylor arithmetic (Griewank & Walther 2008): the
-derivative programs of compiled expressions (``expressions``) for the metric
-(second order only where a curvature follows), the boundary embedding
-(second order, for d2x), outward vectors, fields and frame twists, each read
-through ``_input_jets``, which runs a Python callable on Jets instead.  A
-field on the boundary, and a chart field on the sphere of an index map, is
-differentiated along t by the chain rule through the map.  Frames carry
-first derivatives only, as nothing reads second ones.
+forward mode, truncated Taylor arithmetic (Griewank & Walther 2008).  Every
+input, the metric (second order only where a curvature follows), the
+boundary embedding (second order, for d2x), outward vectors, fields and
+frame twists, is read one way: called on parameter columns for its values,
+and through its ``jets(x, order)``, the derivative programs of compiled
+expressions (``expressions``), for node-last values, gradients and
+Hessians.  A field on the boundary, and a chart field on the sphere of an
+index map, is differentiated along t by the chain rule through the map.
+Frames carry first derivatives only, as nothing reads second ones.
 One idiom contracts: every layer is node-last and knows its structure.  The
 inputs' values, gradients and Hessians, the metric, L^-1, the Christoffel
 symbols, the pair curvature, the frame rows and their derivatives, the
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
 from operator import add
 
 import numpy as np
@@ -291,47 +291,15 @@ def _positive_definite(entries, n, points):
                                  "metric not positive definite at chart point")
 
 
-def _input_jets(fn, x, order):
-    """The node-last maps of the values {k: v}, gradients {(i, k): d_i v} and,
-    at ``order`` 2, Hessians {(i, j, k): d_i d_j v}, in both orders of
-    (i, j), of an input ``fn`` (a metric, embedding, outward vector, field or
-    frame twist) at the nodes x (N, m), the structural zeros left out and
-    (k, l) in place of k for a matrix: its compiled ``jets``, or for a
-    Python callable, fn run on the parameter Jets of the nodes, where an
-    entry that is a Jet gives all its derivatives, a plain number or node
-    array none.  A callable's numpy faults are left to the callers' checks,
-    which see their inf or NaN."""
-    x = np.asarray(x, dtype=float)
-    jets = getattr(fn, "jets", None)
-    if jets is not None:
-        return jets(x, order)
-    with np.errstate(all="ignore"):
-        result = fn(Jet.variables(x, 2)) if order == 2 else fn(Jet.variables(x, 1))
-    values, grads, hess = {}, {}, {}
-    for k, row in enumerate(result):
-        for key, e in ([((k, l), e) for l, e in enumerate(row)]
-                       if isinstance(row, (list, tuple)) else [(k, row)]):
-            index = key if isinstance(key, tuple) else (key,)
-            if not isinstance(e, Jet):
-                if _present(e):
-                    values[key] = e
-                continue
-            values[key] = e.v
-            grads.update(((i, *index), d) for i, d in enumerate(e.g))
-            if e.h is not None:
-                for i, j in combinations_with_replacement(range(len(e.g)), 2):
-                    hess[(i, j, *index)] = hess[(j, i, *index)] = e.h[i, j]
-    return values, grads, hess
-
-
 class RiemannianPatch:
-    """Chart of an n-manifold: box domain, metric callable, optional embedding.
+    """Chart of an n-manifold: box domain, compiled metric, optional embedding.
 
-    ``metric`` maps a list of n parameters (floats, node arrays or Jets) to an
-    n x n nested list: a compiled matrix (``expressions.compile_matrix``),
-    whose ``jets`` maps the metric jets read, or a Python callable, run on
-    Jets by ``_input_jets``.  ``chart_map`` maps parameters to ambient
-    coordinates and is used for locating singular points, not for geometry.
+    ``metric`` maps a list of n parameters (floats or node arrays) to an
+    n x n nested list, and its ``jets(x, order)`` gives the node-last maps of
+    its values, gradients and Hessians, keyed (k, l), as a compiled matrix
+    (``expressions.compile_matrix``) does.  ``chart_map`` maps parameters to
+    ambient coordinates and is used for locating singular points, not for
+    geometry.
     Every method takes chart points as an (N, n) node array.
     """
 
@@ -352,11 +320,11 @@ class RiemannianPatch:
         structurally zero to its values, as ``_positive_definite`` gives it;
         dG and hess map each (i, k, l) and (i, j, k, l) whose d_i g_kl or
         d_i d_j g_kl is not structurally zero to its values, (N,) or a plain
-        number, as ``_input_jets`` gives them.  G and dG do not depend on the
-        order.  A derivative that is not finite where G is positive definite
-        (it overflowed) raises ConfigError naming the entry."""
+        number, as the metric's ``jets`` gives them.  G and dG do not depend
+        on the order.  A derivative that is not finite where G is positive
+        definite (it overflowed) raises ConfigError naming the entry."""
         x = np.asarray(x, dtype=float)
-        values, dG, hess = _input_jets(self.metric, x, order)
+        values, dG, hess = self.metric.jets(x, order)
         G, *factors = _positive_definite(values, self.n, x)
         bad = [(int(np.argmin(np.isfinite(d))), k, l)  # each derivative's first bad node
                for (*_, k, l), d in [*dG.items(), *hess.items()] if not np.isfinite(d).all()]
@@ -385,8 +353,9 @@ class BoundaryPatch:
     ``embed`` maps the n-1 boundary parameters into the parent chart and
     ``outward`` gives an outward-pointing vector there (parent-chart
     components), not necessarily normal: e_1 of the adapted frame is the unit
-    normal on its side.  Both map the parameter Jets (or node arrays) of N
-    boundary nodes to Jets, node arrays or plain numbers.
+    normal on its side.  Both are read as the metric is, through ``jets``:
+    compiled vectors (``expressions.compile_vector``) of the boundary
+    parameters.
     """
 
     def __init__(self, parent, box, embed, outward, name=""):
@@ -578,7 +547,7 @@ def adapted_frame(bpatch, t, order=1):
     normal first, without connection or curvature; returns the BoundaryFrame
     and the parent metric jets of ``order`` (2 when a curvature follows; the
     frame reads first order only).  The embedding and ``outward`` come from
-    ``_input_jets``; the pulled-back dG[i, k, l] = dx[i, a] d_a g_kl reads the
+    their ``jets``; the pulled-back dG[i, k, l] = dx[i, a] d_a g_kl reads the
     lower triangle.  The frame is Gram-Schmidt on (dx/dt_1, ..., dx/dt_m,
     outward), whose last row, the unit normal on the side of ``outward``, is
     relabelled first.  L^-1 V with diag(L) > 0 has det of the sign of
@@ -590,14 +559,14 @@ def adapted_frame(bpatch, t, order=1):
     t = np.asarray(t, dtype=float)
     N, m = t.shape
     n = m + 1
-    x, dx, d2x = _input_jets(bpatch.embed, t, 2)    # x[k], dx[i, k], d2x[i, j, k]
+    x, dx, d2x = bpatch.embed.jets(t, 2)  # x[k], dx[i, k], d2x[i, j, k]
     points = stack_values([x.get(k, 0.0) for k in range(n)], N)
     jets = bpatch.parent.metric_jets(points, order)
     G, dGx = jets[0], jets[1]
     dG = {(i, *kl): v for (i, kl), v in _product(
         dx, {(a, (k, l)): v for (a, k, l), v in dGx.items() if k >= l}).items()}
     dG.update({(i, l, k): v for (i, k, l), v in dG.items()})
-    outward, doutward, _ = _input_jets(bpatch.outward, t, 1)
+    outward, doutward, _ = bpatch.outward.jets(t, 1)
     V = {**dx, **{(m, k): v for k, v in outward.items()}}  # rows dx/dt_A, then outward
     dV = {**d2x, **{(i, m, k): v for (i, k), v in doutward.items()}}
     E, dE = _orthonormal_rows(G, dG, V, dV, t, m)
@@ -612,19 +581,20 @@ def adapted_frame(bpatch, t, order=1):
 def pullback_jets(fn, points, pushforward):
     """Values W[k] and t-gradients dW[i, k] of the vector field ``fn`` at the
     points x(t) (N, n) of a map with pushforward[i, a] = d x^a / d t_i, from
-    its first-order ``_input_jets`` by the chain rule dW[i, k] = dx[i, a]
+    its first-order ``jets`` by the chain rule dW[i, k] = dx[i, a]
     d_a W^k, over the products with no structurally zero factor: a field
     along the embedding of a BoundaryFrame, or a chart field on the sphere
     of an index map."""
-    W, dWx, _ = _input_jets(fn, points, 1)
+    W, dWx, _ = fn.jets(points, 1)
     return W, _product(pushforward, dWx)
 
 
 def boundary_frame(bpatch, t, frame_twist=None):
     """``adapted_frame`` at the boundary nodes t (N, m) with its connection
     values and, where Phi has a 2-form factor, its curvature values, from the
-    same metric jets.  ``frame_twist`` maps t-jets to an n x n rotation R and
-    replaces the frame E by R E; ``normal`` stays the untwisted e_1."""
+    same metric jets.  ``frame_twist``, an n x n rotation R of the boundary
+    parameters read through its first-order ``jets``, replaces the frame E by
+    R E; ``normal`` stays the untwisted e_1."""
     t = np.asarray(t, dtype=float)
     n, m = bpatch.parent.n, bpatch.m
     curved = phi_template(n).curved
@@ -634,7 +604,7 @@ def boundary_frame(bpatch, t, frame_twist=None):
     curv = pair_curvature(low, Gamma, hess, n) if curved else None
     del hess, low  # read: freed before the frame's products
     if frame_twist is not None:
-        R, dR, _ = _input_jets(frame_twist, t, 1)
+        R, dR, _ = frame_twist.jets(t, 1)
         E, dE = bf.frame, bf.dframe
         # d(R E)[i, a, k] = dR[i, a, b] E[b, k] + R[a, b] dE[i, b, k]
         bf.frame, bf.dframe = _product(R, E), {(i, *ak): v for i in range(m) for ak, v in _add(

@@ -178,8 +178,9 @@ class SectionPullback:
 # -- the integrals -------------------------------------------------------------------
 
 def _reads(fn, order=0):
-    """The parameters that the entries of a compiled input read, by its
-    ``reads(order)``; None for a Python callable, which reads every one."""
+    """The parameters that the entries of an input read, by its
+    ``reads(order)``; None for an input without ``reads``, which reads every
+    one."""
     return set().union(*fn.reads(order).values()) if hasattr(fn, "reads") else None
 
 
@@ -233,9 +234,9 @@ def integrate_euler(patch, grid):
 
 def _phi_reads(bpatch, sections, frame_twist):
     """The boundary parameters that the Phi integrand reads, None for all (a
-    frame twist or a Python-callable input): what ``outward`` and the embedding's
-    derivatives read, and embedding entry p for each chart parameter p that the
-    metric or a section's field reads."""
+    frame twist or an input without ``reads``): what ``outward`` and the
+    embedding's derivatives read, and embedding entry p for each chart
+    parameter p that the metric or a section's field reads."""
     chart = [_reads(bpatch.parent.metric), *(_reads(s) for s in sections if s is not None)]
     if frame_twist is not None or None in chart or not hasattr(bpatch.embed, "reads"):
         return None
@@ -247,9 +248,10 @@ def _phi_reads(bpatch, sections, frame_twist):
 def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
     """Integrals of the secondary form over sections of the boundary bundle.
 
-    Each of ``sections`` is None for the outward normal or a callable mapping
-    embedded chart jets to vector components; all of them are integrated
-    through the same boundary frames, on the parameters read (``_phi_reads``).
+    Each of ``sections`` is None for the outward normal or a field, a
+    compiled vector of the chart parameters read through its ``jets``; all of
+    them are integrated through the same boundary frames, on the parameters
+    read (``_phi_reads``).
     Returns ``(integrals, densities, angles, v_dot_n)``: per part of the grid,
     a tuple of integrals in the order of ``sections``; then the integrand, the
     section's angle to the outward normal and <V, n> as (len(sections), N)

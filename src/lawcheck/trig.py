@@ -424,22 +424,6 @@ class TrigScalar(Packed):
     def cos(cls, angle=1):
         return _make({_encode(0, ((angle, 0, 0, 1),)): 1}, 1)
 
-    @classmethod
-    def monomial(cls, coeff=1, pi=0, **angle_exps):
-        """Build coeff * pi^pi * prod of phi/sin/cos powers.
-
-        Keyword form: phi=a, sin=b, cos=c act on angle 1; phi2=..., sin3=...
-        address higher angles.
-        """
-        per_angle: dict[int, list[int]] = {}
-        for name, exp in angle_exps.items():
-            base = name.rstrip("0123456789")
-            aid = int(name[len(base):] or 1)
-            slot = {"phi": 0, "sin": 1, "cos": 2}[base]
-            per_angle.setdefault(aid, [0, 0, 0])[slot] = exp
-        angles = tuple((aid, *exps) for aid, exps in sorted(per_angle.items()))
-        return cls({(pi, angles): Fraction(coeff)})
-
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):

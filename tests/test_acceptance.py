@@ -32,6 +32,7 @@ from lawcheck.fields import InteriorSingularity, index_at
 from lawcheck.runner import run_scenario
 from lawcheck.scenarios import catalog_names, load_catalog_scenario
 
+from callable_input import OnJets
 from test_algebra import rand_form
 
 
@@ -158,18 +159,19 @@ def test_criterion_8_property_suites():
 
     # frame-rotation invariance of the section integrals
     disk = RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
-                           lambda x: [[1, 0], [0, x[0] * x[0]]])
+                           OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]))
     rim = BoundaryPatch(disk, [(0, 2 * math.pi)],
-                        embed=lambda t: [1.0 + 0 * t[0], t[0]],
-                        outward=lambda t: [1.0, 0.0])
+                        embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0]]),
+                        outward=OnJets(lambda t: [1.0, 0.0]))
     grid = gauss_grid(rim.box, [64])
 
+    @OnJets
     def twist(t_jets):
         gamma = (t_jets[0] * 3.0).sin() * 0.5
         c, s = gamma.cos(), gamma.sin()
         return [[c, -1.0 * s], [s, c]]
 
-    const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
+    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     max_shift = 0.0
     for section in (None, const):
         ((base,),), *_ = integrate_phi_over_section(rim, (section,), grid)
@@ -180,11 +182,11 @@ def test_criterion_8_property_suites():
 
     # index invariance under radius halving and positive rescaling
     field = lambda x: [x[0] * x[0] - x[1] * x[1], 2.0 * x[0] * x[1]]
-    sing = InteriorSingularity("z2", [0, 0], 0.4, [0, 0], 0.2, field)
+    sing = InteriorSingularity("z2", [0, 0], 0.4, [0, 0], 0.2, OnJets(field))
     base = index_at(sing, order=192)
     assert index_at(sing, order=192, radius=0.1).value == base.value
     scaled = InteriorSingularity("z2s", [0, 0], 0.4, [0, 0], 0.2,
-                                 lambda x: [3.0 * c for c in field(x)])
+                                 OnJets(lambda x: [3.0 * c for c in field(x)]))
     assert index_at(scaled, order=192).value == base.value
 
     _line(8, True, "(d^2 = 0 on 800 random forms, wedge laws, frame-rotation "

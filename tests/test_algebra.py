@@ -23,6 +23,8 @@ from lawcheck.algebra import (
 from lawcheck.chern import build_phi, polar_substitute, rotate_frame, specialize_boundary
 from lawcheck.trig import MAX_ANGLE, MAX_EXP, ONE, TrigScalar
 
+from test_trig import monomial
+
 
 def rand_form(rng, n, boundary=False, max_terms=4, max_gens=3):
     """Seeded random element of the algebra, valid for the given mode."""
@@ -31,10 +33,10 @@ def rand_form(rng, n, boundary=False, max_terms=4, max_gens=3):
         term = Form.scalar(n, Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)),
                            boundary)
         if rng.random() < 0.5:
-            coeff = TrigScalar.monomial(pi=rng.randint(0, 1),
-                                        phi=rng.randint(0, 1),
-                                        sin=rng.randint(0, 2),
-                                        cos=rng.randint(0, 1))
+            coeff = monomial(pi=rng.randint(0, 1),
+                             phi=rng.randint(0, 1),
+                             sin=rng.randint(0, 2),
+                             cos=rng.randint(0, 1))
             term = term.scale(coeff)
         for _ in range(rng.randint(0, max_gens)):
             kind = rng.choice(_mode_kinds(n, boundary))
@@ -214,8 +216,8 @@ def test_packed_product_matches_the_tuple_merge(boundary):
     signs, zeros = set(), 0
     for _ in range(600):
         m1, m2 = _rand_monomial(rng, n, boundary), _rand_monomial(rng, n, boundary)
-        c1 = TrigScalar.monomial(Fraction(rng.randint(1, 5), rng.randint(1, 4)), cos=1)
-        c2 = TrigScalar.monomial(rng.randint(-3, 3) or 1, cos=1, sin2=1)
+        c1 = monomial(Fraction(rng.randint(1, 5), rng.randint(1, 4)), cos=1)
+        c2 = monomial(rng.randint(-3, 3) or 1, cos=1, sin2=1)
         got = Form(n, {m1: c1}, boundary) * Form(n, {m2: c2}, boundary)
         hit = mono_mul(m1, m2)
         if hit is None:
@@ -586,10 +588,10 @@ def reference_base_degree_filter(f):
 def _rand_coefficient(rng):
     if rng.random() < 0.3:
         return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-    return (TrigScalar.monomial(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
-                                sin=rng.randint(0, 2), cos=rng.randint(0, 1))
-            + TrigScalar.monomial(rng.randint(-2, 2), phi=rng.randint(0, 1),
-                                  cos=rng.randint(0, 1)))
+    return (monomial(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
+                     sin=rng.randint(0, 2), cos=rng.randint(0, 1))
+            + monomial(rng.randint(-2, 2), phi=rng.randint(0, 1),
+                       cos=rng.randint(0, 1)))
 
 
 @pytest.mark.parametrize("boundary", [False, True])
@@ -716,9 +718,9 @@ def test_substitute_chain_of_prefixes_matches_reference():
     for _ in range(40):
         f = Form.zero(n)
         for key in ((1, 2, 3), (1, 4), (1, 2, 5), (2,)):
-            term = Form.scalar(n, TrigScalar.monomial(rng.randint(-4, 4) or 1,
-                                                      sin=rng.randint(0, 1),
-                                                      cos=rng.randint(0, 1)))
+            term = Form.scalar(n, monomial(rng.randint(-4, 4) or 1,
+                                           sin=rng.randint(0, 1),
+                                           cos=rng.randint(0, 1)))
             if rng.random() < 0.5:
                 term = term * Form.coordinate(n, rng.randint(1, n))
             if rng.random() < 0.5:

@@ -1,10 +1,11 @@
-"""Every module-level function and class of lawcheck has a caller in src/.
+"""Every module-level function and class of lawcheck, and every method of
+its classes, has a caller in src/.
 
 A reference is a name, an attribute or an import anywhere in src/lawcheck
 outside the definition itself and outside ``__init__.py``: a re-export is
 not a caller.  A definition that only tests read is dead code kept alive by
-its own test; the few paper checks that exist to be called by the tests are
-listed below, each with its reason.
+its own test; the few paper checks and methods that exist to be called by
+the tests are listed below, each with its reason.
 """
 
 import ast
@@ -21,6 +22,14 @@ TEST_ENTRY_POINTS = {
                     "family",
 }
 
+METHOD_ENTRY_POINTS = {
+    "ScenarioReport.from_json": "the lossless JSON round trip that README promises; "
+                                "bench's worker and self-test read reports through it",
+    "Form.degrees": "the acceptance wedge-law check reads the degrees of a form",
+    "Jet.variables": "the tests' callable adapter makes its Jets; Jet itself moves "
+                     "out of src/ after the benchmark's counter stops wrapping it",
+}
+
 
 def _names(node):
     for sub in ast.walk(node):
@@ -32,7 +41,10 @@ def _names(node):
             yield sub.name  # an import from another module is a reference
 
 
-def test_every_definition_has_a_caller_in_src():
+def _uncalled():
+    """{qualified name: module} of the module-level functions and classes
+    and the methods of module-level classes, dunders left out, whose bare
+    name has no reference in src/ outside the definition itself."""
     refs = Counter()
     definitions = []
     for path in sorted(SRC.glob("*.py")):
@@ -40,17 +52,39 @@ def test_every_definition_has_a_caller_in_src():
         if path.name != "__init__.py":
             refs.update(_names(tree))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = [sub for sub in node.body if isinstance(node, ast.ClassDef)
+                       and isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
+            for owner, qualified in [(node, node.name),
+                                     *((sub, f"{node.name}.{sub.name}") for sub in methods)]:
                 # references inside the definition itself do not count
-                own = sum(1 for name in _names(node) if name == node.name)
-                definitions.append((path.name, node.name, own))
-    uncalled = {name: module for module, name, own in definitions
-                if refs[name] == own}
+                own = sum(1 for name in _names(owner) if name == owner.name)
+                definitions.append((path.name, qualified, own))
+    return {qualified: module for module, qualified, own in definitions
+            if refs[qualified.rsplit(".", 1)[-1]] == own}
+
+
+def test_every_definition_has_a_caller_in_src():
+    uncalled = {name: module for name, module in _uncalled().items() if "." not in name}
     dead = [f"{module}:{name}" for name, module in uncalled.items()
             if name not in TEST_ENTRY_POINTS]
     assert not dead, f"no caller in src/: {dead}"
     # an exemption lapses once src/ calls the function or it is deleted
     assert set(TEST_ENTRY_POINTS) <= set(uncalled)
+
+
+def test_every_method_has_a_caller_in_src():
+    """A method, classmethod or staticmethod of a src/ class, dunders aside,
+    is referenced by its name somewhere in src/ outside its own body: a
+    second way to build or read an object that only the tests use is dead
+    code."""
+    uncalled = {name: module for name, module in _uncalled().items() if "." in name}
+    dead = [f"{module}:{name}" for name, module in uncalled.items()
+            if name not in METHOD_ENTRY_POINTS]
+    assert not dead, f"no caller in src/: {dead}"
+    # an exemption lapses once src/ calls the method or it is deleted
+    assert set(METHOD_ENTRY_POINTS) <= set(uncalled)
 
 
 # -- dead defaults ----------------------------------------------------------------
@@ -120,12 +154,6 @@ def test_every_default_is_set_by_a_caller_in_src():
 
 # -- Hessians only where they are read ---------------------------------------------
 
-SECOND_ORDER_SITES = {
-    ("_input_jets", "fn"): "a Python-callable input (the tests' patches) gives the "
-                           "Hessians its caller asks for: the metric's on a curvature "
-                           "path, the embedding's for d2x",
-}
-
 CURVATURE_PATHS = {
     "euler_form_density": "the Euler density reads the Riemann tensor",
     "boundary_frame": "Phi's 2-form factors read the Riemann tensor",
@@ -138,41 +166,7 @@ SECOND_ORDER_INPUTS = {
 }
 
 # callees that take a derivative order, and its position among their arguments
-ORDER_POSITION = {"jets": 1, "_input_jets": 2, "metric_jets": 1, "adapted_frame": 2}
-
-
-def _is_jet_variables(node):
-    func = node.func if isinstance(node, ast.Call) else None
-    return (isinstance(func, ast.Attribute) and func.attr == "variables"
-            and isinstance(func.value, ast.Name) and func.value.id == "Jet")
-
-
-def test_second_order_jets_only_where_hessians_are_read():
-    """Every Jet.variables call in src/ passes a literal order, 1 or 2, as
-    its second positional argument, and order 2 appears only where a
-    Hessian is read: as the argument of each (function, callee) pair of
-    SECOND_ORDER_SITES."""
-    orders = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owner = {}
-        for fn in ast.walk(tree):  # breadth first, so the innermost function wins
-            if isinstance(fn, ast.FunctionDef):
-                owner.update((id(node), fn.name) for node in ast.walk(fn))
-        callee = {id(arg): _callee(call) for call in ast.walk(tree)
-                  if isinstance(call, ast.Call) for arg in call.args}
-        for node in ast.walk(tree):
-            if _is_jet_variables(node):
-                order = node.args[1] if len(node.args) == 2 and not node.keywords else None
-                literal = (isinstance(order, ast.Constant) and type(order.value) is int
-                           and order.value in (1, 2))
-                site = (owner.get(id(node)), callee.get(id(node)))
-                orders.append((f"{path.name}:{node.lineno}", site,
-                               order.value if literal else None))
-    assert orders, "no Jet.variables call found"
-    unset = [where for where, _, order in orders if order is None]
-    assert not unset, f"Jet.variables needs a literal order of 1 or 2: {unset}"
-    assert {site for _, site, order in orders if order == 2} == set(SECOND_ORDER_SITES)
+ORDER_POSITION = {"jets": 1, "metric_jets": 1, "adapted_frame": 2}
 
 
 def _literal_orders(node):
@@ -235,7 +229,7 @@ def test_second_order_programs_only_on_curvature_paths():
     assert starts == set(CURVATURE_PATHS) | set(SECOND_ORDER_INPUTS)
 
 
-# -- Jets behind one door ------------------------------------------------------------
+# -- no Jets in src/ -------------------------------------------------------------------
 
 def _jet_variables_sites(source):
     """(innermost enclosing function, or None, and line) of each reference
@@ -261,13 +255,13 @@ def test_the_check_finds_planted_jet_variables():
     assert _jet_variables_sites(source) == [("_input_jets", 2), ("map_fn", 5), (None, 6)]
 
 
-def test_jets_are_made_only_in_input_jets():
-    """``Jet.variables`` is referenced in src/ only inside
-    ``geometry._input_jets``: every layer reads derivatives as node-last
-    maps, and Jets run only a Python-callable input, which needs them."""
+def test_src_makes_no_jets():
+    """No module of src/ references ``Jet.variables``: every input gives its
+    derivatives through its own ``jets`` as node-last maps, and only the
+    tests' callable adapter runs a Python callable on Jets."""
     sites = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
              for owner, _ in _jet_variables_sites(path.read_text())}
-    assert sites == {("geometry.py", "_input_jets")}, sites
+    assert sites == set(), sites
 
 
 # -- one gate table ------------------------------------------------------------------

@@ -32,6 +32,7 @@ from lawcheck.geometry import (
 )
 from lawcheck.scenarios import load_catalog_scenario
 
+from callable_input import OnJets
 from test_geometry import stack_first_order
 from test_integrate import node_first
 
@@ -40,12 +41,12 @@ def sing2(field, name="s", center=(0, 0), radius=0.2):
     return InteriorSingularity(name=name, ambient=list(center),
                                exclusion_radius=2 * radius,
                                center=list(center),
-                               radius=radius, chart_field=field)
+                               radius=radius, chart_field=OnJets(field))
 
 
 def disk_patch():
     return RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
-                           lambda x: [[1, 0], [0, x[0] * x[0]]],
+                           OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]),
                            chart_map=lambda x: [x[0] * jet_cos(x[1]),
                                                 x[0] * jet_sin(x[1])])
 
@@ -53,11 +54,11 @@ def disk_patch():
 def disk_rim(patch=None):
     patch = patch or disk_patch()
     return BoundaryPatch(patch, [(0, 2 * math.pi)],
-                         embed=lambda t: [1.0 + 0 * t[0], t[0]],
-                         outward=lambda t: [1.0, 0.0])
+                         embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0]]),
+                         outward=OnJets(lambda t: [1.0, 0.0]))
 
 
-CONSTANT_POLAR = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
+CONSTANT_POLAR = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
 
 
 # -- interior indices -----------------------------------------------------------
@@ -70,8 +71,8 @@ def test_antipodal_3d_has_index_minus_one():
     s = InteriorSingularity(name="a", ambient=[0, 0, 0], exclusion_radius=0.4,
                             center=[0, 0, 0],
                             radius=0.2,
-                            chart_field=lambda x: [-1.0 * x[0], -1.0 * x[1],
-                                                   -1.0 * x[2]])
+                            chart_field=OnJets(lambda x: [-1.0 * x[0], -1.0 * x[1],
+                                                          -1.0 * x[2]]))
     assert index_at(s, order=48).value == -1
 
 
@@ -132,7 +133,7 @@ def test_non_finite_degree_is_a_genericity_error(raw):
 def test_index_unsupported_dimension():
     s = InteriorSingularity(name="bad", ambient=[0], exclusion_radius=0.1,
                             center=[0], radius=0.1,
-                            chart_field=lambda x: [x[0]])
+                            chart_field=OnJets(lambda x: [x[0]]))
     with pytest.raises(ValueError):
         index_at(s, order=192)
 
@@ -193,8 +194,9 @@ def test_python_callable_chart_fields_keep_their_degrees():
                                2.0 * (x[0] - 0.3) * (x[1] + 0.2)], center=(0.3, -0.2))
     swirl = InteriorSingularity(
         "swirl", [-0.4, 0.5, 0.2], 0.3, [-0.4, 0.5, 0.2], 0.15,
-        lambda x: [x[1] - 0.5 + 0.3 * jet_sin(x[2] - 0.2), -1.0 * (x[0] + 0.4) * jet_exp(x[1] - 0.5),
-                   (x[2] - 0.2) / (1.0 + x[0] * x[0])])
+        OnJets(lambda x: [x[1] - 0.5 + 0.3 * jet_sin(x[2] - 0.2),
+                          -1.0 * (x[0] + 0.4) * jet_exp(x[1] - 0.5),
+                          (x[2] - 0.2) / (1.0 + x[0] * x[0])]))
     for sing, order, value, raw in ((doubled, 192, 2, 2.0000000000000004),
                                     (swirl, 48, 1, 1.0000000000000007)):
         res = index_at(sing, order=order)
@@ -234,7 +236,7 @@ def test_disk_constant_field_split_and_indices():
 
 
 def test_pure_normal_field_is_flagged_not_fatal():
-    spec = VectorFieldSpec(components=lambda x: [x[0], 0.0 * x[0]])
+    spec = VectorFieldSpec(components=OnJets(lambda x: [x[0], 0.0 * x[0]]))
     split = boundary_decompose(spec, disk_rim(), 0)
     assert split.minus == [] and split.plus == []
     assert any("degenerates in the outward region" in w for w in split.warnings)
@@ -243,7 +245,7 @@ def test_pure_normal_field_is_flagged_not_fatal():
 def test_undeclared_inward_zero_aborts():
     # inward-pointing radial field: the projection vanishes identically while
     # the field points inward, which corrupts the inward index sum
-    spec = VectorFieldSpec(components=lambda x: [-1.0 * x[0], 0.0 * x[0]])
+    spec = VectorFieldSpec(components=OnJets(lambda x: [-1.0 * x[0], 0.0 * x[0]]))
     with pytest.raises(GenericityError):
         boundary_decompose(spec, disk_rim(), 0)
 
@@ -251,7 +253,7 @@ def test_undeclared_inward_zero_aborts():
 def test_rotational_field_is_generic():
     # tangent everywhere: the normal component vanishes but the projection
     # never does, so the law's data is intact
-    spec = VectorFieldSpec(components=lambda x: [0.0 * x[0], 1.0 + 0.0 * x[0]])
+    spec = VectorFieldSpec(components=OnJets(lambda x: [0.0 * x[0], 1.0 + 0.0 * x[0]]))
     split = boundary_decompose(spec, disk_rim(), 0)
     assert split.warnings == []
 
@@ -287,7 +289,7 @@ def test_declared_singularity_errors_follow_declaration_order(first):
     frame evaluation would otherwise raise first."""
     corner = 2 * math.pi / 3
     rim = disk_rim()
-    rim.outward = lambda t: [(t[0] - corner) * (t[0] - corner), 1.0]
+    rim.outward = OnJets(lambda t: [(t[0] - corner) * (t[0] - corner), 1.0])
     declared = [TangentialSingularity("skewed", 0, [math.pi / 3], 0.1),
                 TangentialSingularity("corner", 0, [corner], 0.1)]
     spec = VectorFieldSpec(components=CONSTANT_POLAR,
@@ -344,14 +346,14 @@ def test_sweep_raises_what_a_point_by_point_sweep_meets_first(cap, count, data):
 
 
 def test_field_vanishing_on_boundary_aborts():
-    spec = VectorFieldSpec(components=lambda x: [x[0] - 1.0, 0.0 * x[0]])
+    spec = VectorFieldSpec(components=OnJets(lambda x: [x[0] - 1.0, 0.0 * x[0]]))
     with pytest.raises(GenericityError):
         boundary_decompose(spec, disk_rim(), 0)
 
 
 def test_tangential_two_point_rule_needs_nonvanishing_tests():
     spec = VectorFieldSpec(
-        components=lambda x: [1.0 + 0.0 * x[0], 0.0 * x[0]],
+        components=OnJets(lambda x: [1.0 + 0.0 * x[0], 0.0 * x[0]]),
         tangential=[TangentialSingularity("west", 0, [math.pi], 0.1)])
     with pytest.raises(GenericityError):
         index_tangential(spec, disk_rim(), spec.tangential[0], order=192)
@@ -431,17 +433,17 @@ def test_tangential_indices_follow_the_degree_order():
 def ball_setup():
     ball = RiemannianPatch(
         3, [(0, 1), (0, math.pi), (0, 2 * math.pi)],
-        lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
-                   [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]],
+        OnJets(lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
+                          [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]]),
         chart_map=lambda x: [x[0] * jet_sin(x[1]) * jet_cos(x[2]),
                              x[0] * jet_sin(x[1]) * jet_sin(x[2]),
                              x[0] * jet_cos(x[1])])
     sph = BoundaryPatch(ball, [(0, math.pi), (-math.pi / 2, 3 * math.pi / 2)],
-                        embed=lambda t: [1.0 + 0 * t[0], t[0], t[1]],
-                        outward=lambda t: [1.0, 0.0, 0.0])
-    const = lambda x: [jet_sin(x[1]) * jet_cos(x[2]),
-                       jet_cos(x[1]) * jet_cos(x[2]) / x[0],
-                       -1.0 * jet_sin(x[2]) / (x[0] * jet_sin(x[1]))]
+                        embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0], t[1]]),
+                        outward=OnJets(lambda t: [1.0, 0.0, 0.0]))
+    const = OnJets(lambda x: [jet_sin(x[1]) * jet_cos(x[2]),
+                              jet_cos(x[1]) * jet_cos(x[2]) / x[0],
+                              -1.0 * jet_sin(x[2]) / (x[0] * jet_sin(x[1]))])
     return ball, sph, const
 
 
@@ -462,7 +464,7 @@ def test_interior_sampling_catches_undeclared_zero():
     patch = disk_patch()
     # rotational field with no declared zero: |V|_g = r dips below the margin
     # near the center and must be reported
-    spec = VectorFieldSpec(components=lambda x: [0.0 * x[0], 1.0 + 0 * x[0]],
+    spec = VectorFieldSpec(components=OnJets(lambda x: [0.0 * x[0], 1.0 + 0 * x[0]]),
                            margin=1e-2)
     with pytest.raises(GenericityError):
         check_interior_nonvanishing(patch, spec)
@@ -471,11 +473,11 @@ def test_interior_sampling_catches_undeclared_zero():
 def test_interior_sampling_respects_exclusions():
     patch = disk_patch()
     spec = VectorFieldSpec(
-        components=lambda x: [0.0 * x[0], 1.0 + 0 * x[0]], margin=1e-2,
+        components=OnJets(lambda x: [0.0 * x[0], 1.0 + 0 * x[0]]), margin=1e-2,
         interior=[InteriorSingularity(
             name="center", ambient=[0, 0], exclusion_radius=0.3,
             center=[0, 0], radius=0.15,
-            chart_field=lambda x: [-1.0 * x[1], x[0]])])
+            chart_field=OnJets(lambda x: [-1.0 * x[1], x[0]]))])
     check_interior_nonvanishing(patch, spec)
 
 

@@ -34,6 +34,7 @@ from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_s
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
 from lawcheck.templates import pairs
 
+from callable_input import OnJets
 from test_integrate import _traced_beyond_result, disk_rim, entries, node_first, unpack_pairs
 
 
@@ -41,13 +42,13 @@ from test_integrate import _traced_beyond_result, disk_rim, entries, node_first,
 
 def flat_patch(n=2):
     return RiemannianPatch(n, [(-1, 1)] * n,
-                           lambda x: [[float(i == j) for j in range(n)]
-                                      for i in range(n)])
+                           OnJets(lambda x: [[float(i == j) for j in range(n)]
+                                             for i in range(n)]))
 
 
 def sphere_patch():
     return RiemannianPatch(2, [(0.01, math.pi - 0.01), (0.0, 2 * math.pi)],
-                           lambda x: [[1, 0], [0, jet_sin(x[0]) * jet_sin(x[0])]])
+                           OnJets(lambda x: [[1, 0], [0, jet_sin(x[0]) * jet_sin(x[0])]]))
 
 
 def bumpy_patch(seed=0):
@@ -61,7 +62,7 @@ def bumpy_patch(seed=0):
         h = c * jet_sin(x[0] + x[1])
         return [[1.0 + f * f + 0.3 * g, 0.2 * h], [0.2 * h, 1.0 + 0.25 * g * g - 0.1 * g]]
 
-    return RiemannianPatch(2, [(-1, 1), (-1, 1)], metric)
+    return RiemannianPatch(2, [(-1, 1), (-1, 1)], OnJets(metric))
 
 
 def stack_first_order(entries, nodes):
@@ -316,7 +317,7 @@ def test_frame_euclidean_identity():
 
 
 def test_frame_diagonal_rescaling():
-    patch = RiemannianPatch(2, [(-1, 1), (-1, 1)], lambda x: [[4, 0], [0, 1]])
+    patch = RiemannianPatch(2, [(-1, 1), (-1, 1)], OnJets(lambda x: [[4, 0], [0, 1]]))
     fd = connection_curvature(patch, [0, 0])
     assert np.allclose(fd.frame, [[0.5, 0], [0, 1]])
 
@@ -334,7 +335,7 @@ def test_frame_orthonormality_residual(point):
 
 
 def test_frame_rejects_degenerate_metric():
-    bad = RiemannianPatch(2, [(-1, 1), (-1, 1)], lambda x: [[1, 0], [0, -1]])
+    bad = RiemannianPatch(2, [(-1, 1), (-1, 1)], OnJets(lambda x: [[1, 0], [0, -1]]))
     with pytest.raises(ValueError):
         bad.metric_jets([[0, 0]])
     with pytest.raises(ValueError):
@@ -347,8 +348,8 @@ def test_metric_symmetry_allows_round_off_only():
     asymmetry, which Cholesky would not see, names its first chart point."""
     x = np.array([[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
     written = lambda d: RiemannianPatch(
-        2, [(0, 1), (0, 1)], lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
-                                        [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]])
+        2, [(0, 1), (0, 1)], OnJets(lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
+                                               [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]]))
     assert all(g.shape == (3,) for g in written(0.0).metric_jets(x)[0].values())
     assert all(g.shape == (3,) for g in written(0.0).metric_values(x).values())
     # a structural zero in one triangle only: Cholesky would read 0 or 0.5
@@ -374,7 +375,7 @@ def test_overflowing_metric_derivative_names_its_entry(entry):
     function, r = _OVERFLOWING[entry]
     points = np.array([[0.1, 0.5], [0.2, r], [0.3, r]])
     compiled = compile_matrix([["1", "0"], ["0", entry]], ["s", "r"])
-    written = lambda x: [[1.0, 0.0], [0.0, function(*x)]]
+    written = OnJets(lambda x: [[1.0, 0.0], [0.0, function(*x)]])
     fault = (r"metric entry \(1, 1\) has a derivative that is not finite "
              rf"at chart point \[0\.2, {re.escape(repr(r))}\]")
     for metric in (compiled, written):
@@ -513,11 +514,11 @@ def test_structure_equation_residual_central_differences():
 
 def test_second_bianchi_numeric_spot_check():
     """Cyclic derivative of the curvature matches the symbolic rewrite rule."""
-    patch = RiemannianPatch(3, [(-1, 1)] * 3, lambda x: [
+    patch = RiemannianPatch(3, [(-1, 1)] * 3, OnJets(lambda x: [
         [1.0 + 0.1 * jet_sin(x[1]) * jet_sin(x[1]), 0.05 * jet_sin(x[2]), 0.0],
         [0.05 * jet_sin(x[2]), 1.0 + 0.1 * jet_cos(x[0]) * jet_cos(x[0]), 0.0],
         [0.0, 0.0, 1.0 + 0.05 * jet_sin(x[0] + x[1])],
-    ])
+    ]))
     x = np.array([0.2, -0.3, 0.5])
     h = 1e-3
     n = 3
@@ -572,7 +573,7 @@ def wavy_patch(n, seed, frozen=()):
             return float(i == j) + a * jet_sin(x[k] + 0.3) * jet_cos(x[l] * x[k])
         return [[entry(i, j) for j in range(n)] for i in range(n)]
 
-    return RiemannianPatch(n, [(-1, 1)] * n, metric)
+    return RiemannianPatch(n, [(-1, 1)] * n, OnJets(metric))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -889,7 +890,7 @@ def test_cholesky_inverse_matches_lapack(batch):
 
 def test_euler_density_odd_dimension_zero():
     patch = RiemannianPatch(3, [(-1, 1)] * 3,
-                            lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+                            OnJets(lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert euler_form_density(patch, [[0.1, 0.2, 0.3]]).tolist() == [0.0]
 
 
@@ -910,10 +911,10 @@ def test_euler_density_product_of_spheres(point):
     """On S^2 x S^2 the n = 4 Pfaffian (three terms) gives
     sin(theta_1) sin(theta_3) / (2 pi)^2, which integrates to chi = 4."""
     patch = RiemannianPatch(4, [(0.01, math.pi - 0.01), (0.0, 2 * math.pi)] * 2,
-                            lambda x: [[1, 0, 0, 0],
-                                       [0, jet_sin(x[0]) * jet_sin(x[0]), 0, 0],
-                                       [0, 0, 1, 0],
-                                       [0, 0, 0, jet_sin(x[2]) * jet_sin(x[2])]])
+                            OnJets(lambda x: [[1, 0, 0, 0],
+                                              [0, jet_sin(x[0]) * jet_sin(x[0]), 0, 0],
+                                              [0, 0, 1, 0],
+                                              [0, 0, 0, jet_sin(x[2]) * jet_sin(x[2])]]))
     oracle = math.sin(point[0]) * math.sin(point[2]) / (2 * math.pi) ** 2
     assert euler_form_density(patch, [point])[0] == pytest.approx(oracle, abs=1e-14)
 
@@ -929,12 +930,12 @@ def test_euler_density_sphere_formula():
 
 def disk_boundary():
     disk = RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
-                           lambda x: [[1, 0], [0, x[0] * x[0]]],
+                           OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]),
                            chart_map=lambda x: [x[0] * jet_cos(x[1]),
                                                 x[0] * jet_sin(x[1])])
     return BoundaryPatch(disk, [(0, 2 * math.pi)],
-                         embed=lambda t: [1.0 + 0 * t[0], t[0]],
-                         outward=lambda t: [1.0, 0.0])
+                         embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0]]),
+                         outward=OnJets(lambda t: [1.0, 0.0]))
 
 
 def dense_frame(bf, N, n, m):
@@ -969,11 +970,11 @@ def test_boundary_frame_outward_normal_first():
 
 def test_boundary_frame_normal_is_unit_and_orthogonal():
     ball = RiemannianPatch(3, [(0, 1), (0, math.pi), (0, 2 * math.pi)],
-                           lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
-                                      [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]])
+                           OnJets(lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
+                                             [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]]))
     sph = BoundaryPatch(ball, [(0, math.pi), (0, 2 * math.pi)],
-                        embed=lambda t: [1.0 + 0 * t[0], t[0], t[1]],
-                        outward=lambda t: [1.0, 0.0, 0.0])
+                        embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0], t[1]]),
+                        outward=OnJets(lambda t: [1.0, 0.0, 0.0]))
     bf = frame_at(sph, [1.1, 0.7])
     G = bf.metric
     assert bf.frame[0] @ G @ bf.frame[0] == pytest.approx(1.0, abs=1e-12)
@@ -985,30 +986,31 @@ def test_boundary_frame_normal_is_unit_and_orthogonal():
 
 def wavy_disk_rim():
     disk = RiemannianPatch(2, [(0, 1.5), (0, 2 * math.pi)],
-                           lambda x: [[1, 0], [0, x[0] * x[0]]])
+                           OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]))
     return BoundaryPatch(disk, [(0, 2 * math.pi)],
-                         embed=lambda t: [1.0 + 0.2 * jet_cos(t[0]), t[0]],
-                         outward=lambda t: [1.0, 0.0])
+                         embed=OnJets(lambda t: [1.0 + 0.2 * jet_cos(t[0]), t[0]]),
+                         outward=OnJets(lambda t: [1.0, 0.0]))
 
 
 def wavy_cap_rim():
     cap = RiemannianPatch(2, [(0, 1.5), (0, 2 * math.pi)],
-                          lambda x: [[1, 0], [0, jet_sin(x[0]) * jet_sin(x[0])]])
+                          OnJets(lambda x: [[1, 0], [0, jet_sin(x[0]) * jet_sin(x[0])]]))
     return BoundaryPatch(cap, [(0, 2 * math.pi)],
-                         embed=lambda t: [1.0 + 0.1 * jet_sin(t[0] * 2.0), t[0]],
-                         outward=lambda t: [1.0, 0.1 * jet_cos(t[0])])
+                         embed=OnJets(lambda t: [1.0 + 0.1 * jet_sin(t[0] * 2.0), t[0]]),
+                         outward=OnJets(lambda t: [1.0, 0.1 * jet_cos(t[0])]))
 
 
 def wavy_ball3_sphere():
     ball = RiemannianPatch(3, [(0, 1.5), (0, math.pi), (0, 2 * math.pi)],
-                           lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
-                                      [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]])
+                           OnJets(lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
+                                             [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]]))
     return BoundaryPatch(ball, [(0, math.pi), (0, 2 * math.pi)],
-                         embed=lambda t: [1.0 + 0.1 * jet_sin(t[0]) * jet_cos(t[1]),
-                                          t[0], t[1]],
-                         outward=lambda t: [1.0, 0.0, 0.0])
+                         embed=OnJets(lambda t: [1.0 + 0.1 * jet_sin(t[0]) * jet_cos(t[1]),
+                                                 t[0], t[1]]),
+                         outward=OnJets(lambda t: [1.0, 0.0, 0.0]))
 
 
+@OnJets
 def sphere_twist(t_jets):
     gamma = t_jets[0].cos() * 0.5 + t_jets[1].sin() * 0.3
     c, s = gamma.cos(), gamma.sin()
@@ -1020,8 +1022,8 @@ def reversed_rim(bpatch):
     (lo, hi), *rest = bpatch.box
     back = lambda t: [-t[0], *t[1:]]
     return BoundaryPatch(bpatch.parent, [(-hi, -lo), *rest],
-                         embed=lambda t: bpatch.embed(back(t)),
-                         outward=lambda t: bpatch.outward(back(t)))
+                         embed=OnJets(lambda t: bpatch.embed(back(t))),
+                         outward=OnJets(lambda t: bpatch.outward(back(t))))
 
 
 @pytest.mark.parametrize("reverse", [True, False])
@@ -1184,6 +1186,7 @@ def _assert_close(got, want, what, rel=1e-13):
         1.0, np.max(np.abs(want), initial=0.0)), what
 
 
+@OnJets
 def rim_twist(t_jets):
     """A smooth rotation of the frame of a boundary curve."""
     gamma = (t_jets[0] * 2.0).sin() * 0.4
@@ -1191,10 +1194,12 @@ def rim_twist(t_jets):
     return [[c, -1.0 * s], [s, c]]
 
 
+@OnJets
 def rim_field(x):
     return [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)]
 
 
+@OnJets
 def sphere_field(x):
     return [x[0] * jet_cos(x[1]) + 0.2, jet_sin(x[2]) + 0.1 * x[1], jet_cos(x[1] * x[2])]
 

@@ -51,14 +51,16 @@ from lawcheck.templates import (
     pairs,
     trig_values,
 )
-from lawcheck.trig import sphere_volume
+from lawcheck.trig import TrigScalar, sphere_volume
+
+from callable_input import OnJets
 
 
 # -- shared patches -----------------------------------------------------------
 
 def disk_patch():
     return RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
-                           lambda x: [[1, 0], [0, x[0] * x[0]]],
+                           OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]),
                            chart_map=lambda x: [x[0] * jet_cos(x[1]),
                                                 x[0] * jet_sin(x[1])])
 
@@ -66,24 +68,24 @@ def disk_patch():
 def disk_rim(reverse=False):
     patch = disk_patch()
     if reverse:
-        embed = lambda t: [1.0 + 0 * t[0], 2 * math.pi - t[0]]
+        embed = OnJets(lambda t: [1.0 + 0 * t[0], 2 * math.pi - t[0]])
     else:
-        embed = lambda t: [1.0 + 0 * t[0], t[0]]
+        embed = OnJets(lambda t: [1.0 + 0 * t[0], t[0]])
     return BoundaryPatch(patch, [(0, 2 * math.pi)], embed=embed,
-                         outward=lambda t: [1.0, 0.0])
+                         outward=OnJets(lambda t: [1.0, 0.0]))
 
 
 def cap_patch(theta_max):
     return RiemannianPatch(2, [(0, theta_max), (0, 2 * math.pi)],
-                           lambda x: [[1, 0],
-                                      [0, jet_sin(x[0]) * jet_sin(x[0])]])
+                           OnJets(lambda x: [[1, 0],
+                                             [0, jet_sin(x[0]) * jet_sin(x[0])]]))
 
 
 def cap_rim(theta_max):
     patch = cap_patch(theta_max)
     return BoundaryPatch(patch, [(0, 2 * math.pi)],
-                         embed=lambda t: [theta_max + 0 * t[0], t[0]],
-                         outward=lambda t: [1.0, 0.0])
+                         embed=OnJets(lambda t: [theta_max + 0 * t[0], t[0]]),
+                         outward=OnJets(lambda t: [1.0, 0.0]))
 
 
 # -- grids and summation ---------------------------------------------------------
@@ -264,7 +266,7 @@ def test_disk_normal_section():
 def test_disk_constant_field_section():
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
-    const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
+    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     ((section,),), *_ = integrate_phi_over_section(rim, (const,), grid)
     assert section == pytest.approx(0.0, abs=1e-6)
 
@@ -281,7 +283,7 @@ def test_hemisphere_normal_section_and_euler():
 
 def test_euler_odd_dimension_short_circuit():
     ball = RiemannianPatch(3, [(0, 1)] * 3,
-                           lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+                           OnJets(lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert integrate_euler(ball, gauss_grid(ball.box, 4)) == (0.0,)
 
 
@@ -293,7 +295,7 @@ def test_euler_grid_dimension_mismatch():
 def test_section_tuple_shares_frames_and_matches_single_calls():
     rim = cap_rim(1.2)
     grid = gauss_grid(rim.box, [24])
-    field = lambda x: [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)]
+    field = OnJets(lambda x: [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)])
     (normal,), *arrays_n = integrate_phi_over_section(rim, (None,), grid)
     (section,), *arrays_f = integrate_phi_over_section(rim, (field,), grid)
     (both,), *arrays = integrate_phi_over_section(rim, (None, field), grid)
@@ -588,17 +590,17 @@ def test_boundary_path_runs_no_jet_arithmetic(name, monkeypatch):
 
 def test_section_norm_guard():
     rim = disk_rim()
-    dying = lambda x: [jet_cos(x[1]) - jet_cos(x[1]), 0.0]
+    dying = OnJets(lambda x: [jet_cos(x[1]) - jet_cos(x[1]), 0.0])
     with pytest.raises(GenericityError):
         integrate_phi_over_section(rim, (dying,), gauss_grid(rim.box, [8]))
     with pytest.raises(GenericityError, match="section norm below 1e-9"):
-        SectionPullback(lambda x: [0.0, 0.0]).bind(
+        SectionPullback(OnJets(lambda x: [0.0, 0.0])).bind(
             [[0.3]], boundary_frame(rim, [[0.3]]))
 
 
 def test_section_unit_residual():
     rim = disk_rim()
-    pull = SectionPullback(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
+    pull = SectionPullback(OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]))
     for t in (0.3, 2.1, 5.5):
         u, *_ = pull.bind([[t]], boundary_frame(rim, [[t]]))
         assert abs(float(sum(v * v for v in u.values())[0]) - 1.0) < 1e-12
@@ -613,7 +615,7 @@ def test_section_angle_near_the_normal_to_a_few_ulps(delta):
     components = [math.cos(delta), math.sin(delta) / math.sin(theta_max)]
     rim = cap_rim(theta_max)
     t = np.linspace(0.1, 6.1, 7)[:, None]
-    _u, _theta, angle, _v_dot_n = SectionPullback(lambda x: components).bind(
+    _u, _theta, angle, _v_dot_n = SectionPullback(OnJets(lambda x: components)).bind(
         t, boundary_frame(rim, t))
     with mpmath.workdps(40):
         want = float(mpmath.atan2(mpmath.sin(theta_max) * abs(mpmath.mpf(components[1])),
@@ -624,7 +626,7 @@ def test_section_angle_near_the_normal_to_a_few_ulps(delta):
 
 def test_quadrature_convergence_on_doubling():
     rim = disk_rim()
-    const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
+    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     ((v64,),), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [64]))
     ((v128,),), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [128]))
     assert abs(v128 - v64) < 1e-8
@@ -641,10 +643,10 @@ def test_integral_is_parametrization_and_chart_invariant():
     assert reparam == pytest.approx(forward, abs=1e-9)
 
     mirrored = RiemannianPatch(2, [(0, 2 * math.pi), (0, 1)],
-                               lambda x: [[x[1] * x[1], 0], [0, 1]])
+                               OnJets(lambda x: [[x[1] * x[1], 0], [0, 1]]))
     rim = BoundaryPatch(mirrored, [(0, 2 * math.pi)],
-                        embed=lambda t: [t[0], 1.0 + 0 * t[0]],
-                        outward=lambda t: [0.0, 1.0])
+                        embed=OnJets(lambda t: [t[0], 1.0 + 0 * t[0]]),
+                        outward=OnJets(lambda t: [0.0, 1.0]))
     ((swapped,),), *_ = integrate_phi_over_section(rim, (None,), grid)
     assert swapped == pytest.approx(forward, abs=1e-9)
 
@@ -770,8 +772,9 @@ def test_frame_rotation_invariance_n2():
     # rotating the whole frame by a smooth angle must not move the integral
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
-    const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
+    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
 
+    @OnJets
     def twist(t_jets):
         gamma = (t_jets[0] * 2.0).sin() * 0.4
         c, s = gamma.cos(), gamma.sin()
@@ -786,13 +789,14 @@ def test_frame_rotation_invariance_n2():
 
 def test_frame_rotation_invariance_n3():
     ball = RiemannianPatch(3, [(0, 1), (0, math.pi), (0, 2 * math.pi)],
-                           lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
-                                      [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]])
+                           OnJets(lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
+                                             [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]]))
     sph = BoundaryPatch(ball, [(0, math.pi), (0, 2 * math.pi)],
-                        embed=lambda t: [1.0 + 0 * t[0], t[0], t[1]],
-                        outward=lambda t: [1.0, 0.0, 0.0])
+                        embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0], t[1]]),
+                        outward=OnJets(lambda t: [1.0, 0.0, 0.0]))
     grid = gauss_grid(sph.box, [20, 20])
 
+    @OnJets
     def twist(t_jets):
         gamma = t_jets[0].cos() * 0.5 + t_jets[1].sin() * 0.3
         c, s = gamma.cos(), gamma.sin()
@@ -1000,9 +1004,9 @@ def test_numeric_transgression_n2():
     from lawcheck.chern import boundary_family
 
     rim = disk_rim()
-    const = lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]
+    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     gamma_form = boundary_family(2).gamma
-    gamma_coeff = gamma_form.coefficient_of(((), ()))
+    gamma_coeff = gamma_form.terms.get(((), ()), TrigScalar.zero())
 
     a, b = 0.4, 2.7  # inside (0, pi): projection sign is -1 throughout
     grid = gauss_grid([(a, b)], [48])

@@ -12,6 +12,17 @@ from lawcheck.trig import (_COS, FIELD_BITS, MAX_ANGLE, MAX_EXP, PI_BIAS, SCALAR
                            Accumulator, Packing, TrigScalar, lowest_terms, sphere_volume)
 
 
+def monomial(coeff=1, pi=0, **exps):
+    """coeff * pi^pi * the powers phi=a, sin=b, cos=c of angle 1, or phi2=,
+    sin3=, ... of higher angles, through the TrigScalar terms constructor."""
+    angles = {}
+    for name, exp in exps.items():
+        base = name.rstrip("0123456789")
+        angles.setdefault(int(name[len(base):] or 1), [0, 0, 0])[
+            ("phi", "sin", "cos").index(base)] = exp
+    return TrigScalar({(pi, tuple((aid, *e) for aid, e in sorted(angles.items()))): coeff})
+
+
 def rand_scalar(rng, angles=(1,)):
     terms = {}
     for _ in range(rng.randint(1, 4)):
@@ -94,7 +105,7 @@ def test_eval_angle_points(at, expect_sin, expect_cos):
 
 
 def test_eval_angle_phi_powers_merge_into_pi():
-    v = TrigScalar.monomial(coeff=Fraction(1, 2), phi=2).eval_angle(1, "pi")
+    v = monomial(coeff=Fraction(1, 2), phi=2).eval_angle(1, "pi")
     assert v == TrigScalar.pi_power(2, Fraction(1, 2))
     w = TrigScalar.phi().eval_angle(1, "pi/2")
     assert w == TrigScalar.pi_power(1, Fraction(1, 2))
@@ -123,7 +134,7 @@ def test_sphere_volumes():
 
 
 def test_render_deterministic():
-    a = TrigScalar.monomial(coeff=Fraction(-1, 2), sin=1) + TrigScalar.pi_power(1)
+    a = monomial(coeff=Fraction(-1, 2), sin=1) + TrigScalar.pi_power(1)
     assert a.render() == "-1/2*sin + pi"
     assert TrigScalar.zero().render() == "0"
 
@@ -179,10 +190,10 @@ def test_product_reaching_a_field_limit_is_exact(name, limit):
     exps = dict(NEIGHBOURS)
     step = 1 if limit > 0 else -1
     exps[name] = limit - step
-    base = TrigScalar.monomial(3, **exps)
+    base = monomial(3, **exps)
     exps[name] = limit
-    product = base * TrigScalar.monomial(**{name: step})
-    assert product.terms == TrigScalar.monomial(3, **exps).terms
+    product = base * monomial(**{name: step})
+    assert product.terms == monomial(3, **exps).terms
 
 
 @pytest.mark.parametrize("name,limit", LIMITS)
@@ -190,22 +201,22 @@ def test_product_past_a_field_limit_raises(name, limit):
     step = 1 if limit > 0 else -1
     exps = dict(NEIGHBOURS, **{name: limit})
     with pytest.raises(OverflowError):
-        TrigScalar.monomial(**exps) * TrigScalar.monomial(**{name: step})
+        monomial(**exps) * monomial(**{name: step})
     with pytest.raises(OverflowError):
-        TrigScalar.monomial(**{name: limit + step})
+        monomial(**{name: limit + step})
 
 
 def test_cos_square_split_past_the_sin_limit_raises():
     # cos^2 -> 1 - sin^2 lifts the sin exponent by 2, on one angle or several
-    one = TrigScalar.monomial(sin2=MAX_EXP - 2, cos2=1) * TrigScalar.cos(2)
-    assert one == TrigScalar.monomial(sin2=MAX_EXP - 2) - TrigScalar.monomial(sin2=MAX_EXP)
+    one = monomial(sin2=MAX_EXP - 2, cos2=1) * TrigScalar.cos(2)
+    assert one == monomial(sin2=MAX_EXP - 2) - monomial(sin2=MAX_EXP)
     with pytest.raises(OverflowError):
-        TrigScalar.monomial(sin2=MAX_EXP - 1, cos2=1) * TrigScalar.cos(2)
+        monomial(sin2=MAX_EXP - 1, cos2=1) * TrigScalar.cos(2)
     with pytest.raises(OverflowError):
-        (TrigScalar.monomial(cos=1, sin3=MAX_EXP - 1, cos3=1)
-         * TrigScalar.monomial(cos=1, cos3=1))
+        (monomial(cos=1, sin3=MAX_EXP - 1, cos3=1)
+         * monomial(cos=1, cos3=1))
     with pytest.raises(OverflowError):
-        TrigScalar.monomial(sin2=MAX_EXP, cos2=1).deriv(2)
+        monomial(sin2=MAX_EXP, cos2=1).deriv(2)
 
 
 def test_angle_ids_outside_the_key_are_rejected():
@@ -238,10 +249,10 @@ def test_constructor_checks_every_key_before_any_product(monkeypatch):
 @pytest.mark.parametrize("at", ["pi", "pi/2"])
 def test_eval_angle_past_the_pi_limit_raises(at):
     top = MAX_EXP - PI_BIAS
-    below = TrigScalar.monomial(pi=top - 1, phi=1).eval_angle(1, at)
+    below = monomial(pi=top - 1, phi=1).eval_angle(1, at)
     assert below == TrigScalar.pi_power(top, 1 if at == "pi" else Fraction(1, 2))
     with pytest.raises(OverflowError):
-        TrigScalar.monomial(pi=top, phi=1).eval_angle(1, at)
+        monomial(pi=top, phi=1).eval_angle(1, at)
 
 
 # -- the multiply-accumulate loop ------------------------------------------------
@@ -319,9 +330,9 @@ def test_accumulator_matches_the_sum_of_products():
 
 
 def test_accumulator_cancels_to_zero_then_takes_new_terms():
-    x = TrigScalar.monomial(Fraction(1, 6), sin=1, cos=1) + TrigScalar.cos(2)
-    y = TrigScalar.monomial(Fraction(2, 9), cos=1, cos2=1) - TrigScalar.pi_power(1)
-    z = TrigScalar.monomial(Fraction(3, 4), phi3=1)
+    x = monomial(Fraction(1, 6), sin=1, cos=1) + TrigScalar.cos(2)
+    y = monomial(Fraction(2, 9), cos=1, cos2=1) - TrigScalar.pi_power(1)
+    z = monomial(Fraction(3, 4), phi3=1)
     acc = Accumulator(SCALARS)
     acc.add_product(_packed_scalar(x), _packed_scalar(y))
     acc.add_product(_packed_scalar(y), _packed_scalar(x, -1))
@@ -334,15 +345,15 @@ def test_accumulator_cancels_to_zero_then_takes_new_terms():
 def test_accumulator_past_a_field_limit_raises():
     # no split: one pair per product
     with pytest.raises(OverflowError):
-        Accumulator(SCALARS).add_product(_packed_scalar(TrigScalar.monomial(sin=MAX_EXP)),
+        Accumulator(SCALARS).add_product(_packed_scalar(monomial(sin=MAX_EXP)),
                                          _packed_scalar(TrigScalar.sin()))
     # the cos^2 split lifts sin by 2
     acc = Accumulator(SCALARS)
-    acc.add_product(_packed_scalar(TrigScalar.monomial(sin2=MAX_EXP - 2, cos2=1)),
+    acc.add_product(_packed_scalar(monomial(sin2=MAX_EXP - 2, cos2=1)),
                     _packed_scalar(TrigScalar.cos(2)))
-    assert _split(acc) == {0: TrigScalar.monomial(sin2=MAX_EXP - 2)
-                           - TrigScalar.monomial(sin2=MAX_EXP)}
+    assert _split(acc) == {0: monomial(sin2=MAX_EXP - 2)
+                           - monomial(sin2=MAX_EXP)}
     with pytest.raises(OverflowError):
         Accumulator(SCALARS).add_product(
-            _packed_scalar(TrigScalar.monomial(sin2=MAX_EXP - 1, cos2=1)),
+            _packed_scalar(monomial(sin2=MAX_EXP - 1, cos2=1)),
             _packed_scalar(TrigScalar.cos(2), -1))

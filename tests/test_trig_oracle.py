@@ -19,6 +19,8 @@ import sympy as sp
 from lawcheck.chern import phi_normalization
 from lawcheck.trig import TrigScalar, sphere_volume
 
+from test_trig import monomial
+
 ANGLES = (1, 2)
 # 1, 3 and 5 leave gaps between the angles of a packed key and reach the
 # fiber angles of n = 6
@@ -161,9 +163,9 @@ def test_gapped_angles_and_shared_cos_match_sympy(cos_angles):
 def test_every_pi_power_pair_with_three_shared_cos():
     for d1 in range(-3, 4):
         for d2 in range(-3, 4):
-            a = TrigScalar.monomial(Fraction(2, 3), pi=d1, cos=1, sin3=1, cos3=1,
-                                    phi5=2, cos5=1)
-            b = TrigScalar.monomial(-5, pi=d2, phi=1, cos=1, cos3=1, sin5=2, cos5=1)
+            a = monomial(Fraction(2, 3), pi=d1, cos=1, sin3=1, cos3=1,
+                         phi5=2, cos5=1)
+            b = monomial(-5, pi=d2, phi=1, cos=1, cos3=1, sin5=2, cos5=1)
             product = a * b
             assert len(product.terms) == 8  # (1 - sin^2) on each of three angles
             assert_same(product, to_poly(a.terms) * to_poly(b.terms))
