@@ -5,30 +5,31 @@ negated), sin, cos, exp, pi, decimal literals and named parameters, which
 pi, sin, cos and exp cannot name.  Python's parser reads the text, with ^
 for ** and _ before every name (so lambda may name a parameter), and bounds
 nesting at 200 parentheses and a chain of + - * / or unary minus at about
-2,990 operands; one walk of its tree refuses every other node.  Compiled
-expressions evaluate on floats, on node arrays or on Jets.  The entries of a
-vector or matrix are emitted into one straight-line program by value
+2,990 operands; one walk of its tree refuses every other node.  The entries
+of a vector or matrix are emitted into one straight-line program by value
 numbering: structurally equal subtrees, across all entries, share one slot,
 computed once per call by the operation a tree walk would run, so values are
 bit-identical.  A slot is dropped after the last instruction that reads it,
 unless it is an entry's value, so a long program holds a few node arrays at
-a time, not one per slot.  A numpy fault on arrays is located by
-re-evaluating node by node in Python floats, so the ConfigError names the
-first failing node and, in it, the first failing entry (the one that emitted
-the first faulting instruction), with Python's own message; with no node,
-none fails, and every entry comes back with zero nodes.
+a time, not one per slot.
 
-The compiled vectors and matrices also give ``jets(x, order)``: the
-node-last maps of the values, gradients and Hessians at the nodes x (N, m),
-keyed k, (i, k) and (i, j, k), with (k, l) in place of k for a matrix, from
-a derivative program on (N,) arrays, differentiated from the value program
-on the first call of each order and free of the derivatives that are
-structurally zero.  Its values are the value program's, bit for bit, and a
-value that fails raises the same ConfigError.  A derivative that overflows
-where no value fails (exp(705*r) at r = 1, or d(a/b) = -a db/b^2) comes
-back inf or NaN, and ``RiemannianPatch.metric_jets`` raises the ConfigError
-that names its metric entry.  ``jets`` and ``reads`` are how ``geometry``
-and ``integrate`` read every numeric input.
+A compiled vector or matrix is read at nodes one way, through
+``jets(x, order)``: the node-last maps of the values (order 0, the value
+program itself), gradients and Hessians at the nodes x (N, m), keyed k,
+(i, k) and (i, j, k), with (k, l) in place of k for a matrix, from the
+value program or a derivative program on (N,) arrays, differentiated from
+it on the first call of each order and free of the derivatives that are
+structurally zero.  Its values are the value program's at every order, bit
+for bit.  A numpy fault is located by re-evaluating node by node in Python
+floats, which is what calling a compiled vector on a list of floats does, so
+the ConfigError names the first failing node and, in it, the first failing
+entry (the one that emitted the first faulting instruction), with Python's
+own message; with no node, none fails, and every entry comes back with zero
+nodes.  A derivative that overflows where no value fails (exp(705*r) at
+r = 1, or d(a/b) = -a db/b^2) comes back inf or NaN, and
+``RiemannianPatch.metric_jets`` raises the ConfigError that names its metric
+entry.  ``jets`` and ``reads`` are how ``geometry``, ``fields``,
+``integrate`` and ``scenarios`` read every numeric input.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ConfigError, Jet, _present, jet_cos, jet_exp, jet_sin
+from .geometry import ConfigError, _present, jet_cos, jet_exp, jet_sin
 
 _FUNCTIONS = {"sin": jet_sin, "cos": jet_cos, "exp": jet_exp}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -262,25 +263,22 @@ def _reads(program):
     return reads
 
 
-def _first_fault(fn, env):
+def _first_fault(fn, x):
     """Evaluate ``fn`` node by node on Python floats, in node order, so the
-    first failing node (and in it the first failing entry) raises its
-    ConfigError.  The re-run defines the error rather than searching for it:
-    Python floats decide which node fails and with what message, and numpy's
-    array faults differ from theirs (1e200 * 1e200 overflows in numpy and is
-    inf in Python).  Returns the node shape when no node fails."""
-    values = np.broadcast_arrays(*[v.v if isinstance(v, Jet) else v for v in env])
-    shape = values[0].shape if values else ()
-    for k in np.ndindex(shape):
-        fn([float(v[k]) for v in values])
-    return shape
+    first failing node of x (N, m) (and in it the first failing entry)
+    raises its ConfigError.  The re-run defines the error rather than
+    searching for it: Python floats decide which node fails and with what
+    message, and numpy's array faults differ from theirs (1e200 * 1e200
+    overflows in numpy and is inf in Python)."""
+    for point in x.tolist():
+        fn(point)
 
 
 def compile_vector(texts, params, keys=None):
-    """Compile expression strings into env -> list of values (floats, node
-    arrays or Jets), all evaluated by one shared straight-line program; an
-    arithmetic fault while evaluating them is a ConfigError.  ``keys`` (by
-    default 0, 1, ...) are the entries' keys in ``jets`` and ``reads``."""
+    """Compile expression strings into one shared straight-line program,
+    read at nodes through ``jets`` and ``reads``; ``keys`` (by default 0,
+    1, ...) key its entries there.  Called on a list of Python floats, it
+    gives the list of values, an arithmetic fault a ConfigError."""
     texts = list(map(str, texts))
     keys = list(range(len(texts)) if keys is None else keys)
     params = list(params)
@@ -301,19 +299,10 @@ def compile_vector(texts, params, keys=None):
     def fn(env):
         values = []
         try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                _run(program, dead, env, values)
-            return [values[s] for s in outputs]
-        except (ArithmeticError, ValueError) as exc:
-            if all(type(v) in (int, float) for v in env):
-                raise ConfigError(f"expression {texts[owner[len(values)]]!r} fails at "
-                                  f"{list(map(float, env))}: {exc}") from None
-        shape = _first_fault(fn, env)
-        if 0 in shape:  # no node, so no node fails, constants included
-            return [np.zeros(shape) for _ in outputs]
-        values = []
-        with np.errstate(all="ignore"):  # numpy faulted where Python floats do not
             _run(program, dead, env, values)
+        except (ArithmeticError, ValueError) as exc:
+            raise ConfigError(f"expression {texts[owner[len(values)]]!r} fails at "
+                              f"{list(map(float, env))}: {exc}") from None
         return [values[s] for s in outputs]
 
     @lru_cache(maxsize=None)
@@ -337,8 +326,9 @@ def compile_vector(texts, params, keys=None):
         return prog, drop, slots, deps
 
     def jets(x, order):
-        """The node-last maps of the values {k: v}, gradients {(i, k): d_i v}
-        and, at ``order`` 2 only, Hessians {(i, j, k): d_i d_j v}, in both
+        """The node-last maps of the values {k: v} and, from ``order`` 1,
+        gradients {(i, k): d_i v} and, at ``order`` 2 only, Hessians
+        {(i, j, k): d_i d_j v} (empty maps below their order), in both
         orders of (i, j), of the entries k at the nodes x (N, m), the
         structural zeros left out; a tuple key k is spliced, as (i, *k)."""
         prog, drop, slots, _ = derived(order)
@@ -349,10 +339,10 @@ def compile_vector(texts, params, keys=None):
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 _run(prog, drop, env, values)
         except (ArithmeticError, ValueError):
-            fn(env)  # a failing value raises the ConfigError of its first node and entry
+            _first_fault(fn, x)  # a failing value raises the ConfigError of its first node
             if not len(x):  # no node, so no node fails, constants included
                 values = [np.zeros(0)] * len(prog)
-            else:  # no value fails: a derivative overflowed
+            else:  # no value fails under floats: a derivative or a numpy array overflowed
                 values = []
                 with np.errstate(all="ignore"):
                     _run(prog, drop, env, values)
@@ -364,8 +354,9 @@ def compile_vector(texts, params, keys=None):
 
 
 def compile_expression(text, params):
-    """Compile one expression string into env -> value (floats, node arrays
-    or Jets); an arithmetic fault while evaluating it is a ConfigError."""
+    """Compile one expression string into a function of a list of Python
+    floats to its value; an arithmetic fault while evaluating it is a
+    ConfigError."""
     vector = compile_vector([text], params)
 
     def fn(env):
@@ -375,14 +366,7 @@ def compile_expression(text, params):
 
 
 def compile_matrix(rows, params):
-    """Compile rows of expression strings into env -> nested list of values,
-    as ``compile_vector``; its ``jets`` key the entries (k, l)."""
-    vector = compile_vector([t for row in rows for t in row], params,
-                            [(k, l) for k, row in enumerate(rows) for l in range(len(row))])
-
-    def fn(env):
-        entries = iter(vector(env))
-        return [[next(entries) for _ in row] for row in rows]
-
-    fn.jets, fn.reads = vector.jets, vector.reads
-    return fn
+    """Compile rows of expression strings as ``compile_vector`` does, its
+    ``jets`` and ``reads`` keying the entries (k, l)."""
+    return compile_vector([t for row in rows for t in row], params,
+                          [(k, l) for k, row in enumerate(rows) for l in range(len(row))])

@@ -330,8 +330,8 @@ def check_interior_nonvanishing(patch, field_spec: VectorFieldSpec):
         for c, rad in exclusions:
             keep &= ~(np.linalg.norm(amb - c, axis=1) < rad)
         x = x[keep]
-        V = dict(enumerate(field_spec.components(list(x.T))))
-        VGV = _contract({(0, k): v for k, v in V.items()}, _contract(patch.metric_values(x), V))
+        V = field_spec.components.jets(x, 0)[0]
+        VGV = _contract({(0, k): v for k, v in V.items()}, _contract(patch.metric_jets(x, 0)[0], V))
         norm = np.sqrt(np.maximum(0.0, np.broadcast_to(VGV.get(0, 0.0), (len(x),))))
         low = np.flatnonzero(norm < field_spec.margin)
         if low.size:

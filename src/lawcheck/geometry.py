@@ -4,12 +4,12 @@ Every layer takes N chart (or boundary) points as an (N, dim) array, in
 chunks of ``node_chunks`` when a quadrature passes its grid.  Derivatives are
 forward mode, truncated Taylor arithmetic (Griewank & Walther 2008).  Every
 input, the metric (second order only where a curvature follows), the
-boundary embedding (second order, for d2x), outward vectors, fields and
-frame twists, is read one way: called on parameter columns for its values,
-and through its ``jets(x, order)``, the derivative programs of compiled
-expressions (``expressions``), for node-last values, gradients and
-Hessians.  A field on the boundary, and a chart field on the sphere of an
-index map, is differentiated along t by the chain rule through the map.
+boundary embedding (second order, for d2x), outward vectors, fields, frame
+twists and the chart map, is read one way, through its ``jets(x, order)``:
+the value program (order 0) or derivative programs of compiled expressions
+(``expressions``), giving node-last values, gradients and Hessians.  A field
+on the boundary, and a chart field on the sphere of an index map, is
+differentiated along t by the chain rule through the map.
 Frames carry first derivatives only, as nothing reads second ones.
 One idiom contracts: every layer is node-last and knows its structure.  The
 inputs' values, gradients and Hessians, the metric, L^-1, the Christoffel
@@ -165,12 +165,13 @@ jet_cos = _dispatch(Jet.cos, np.cos, math.cos)
 jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 
 
-def stack_values(entries, count):
-    """Stack k values (plain numbers or arrays (N,)) at ``count`` nodes as
-    an (N, k) array of points, node axis first."""
-    out = np.zeros((count, len(entries)))
-    for i, e in enumerate(entries):
-        out[:, i] = e
+def stack_values(values, keys, count):
+    """Stack the entries ``keys`` of a value map (plain numbers or arrays
+    (N,)) at ``count`` nodes as an (N, k) array of points, node axis first,
+    an absent key a structurally zero column."""
+    out = np.zeros((count, len(keys)))
+    for i, key in enumerate(keys):
+        out[:, i] = values.get(key, 0.0)
     return out
 
 
@@ -294,12 +295,11 @@ def _positive_definite(entries, n, points):
 class RiemannianPatch:
     """Chart of an n-manifold: box domain, compiled metric, optional embedding.
 
-    ``metric`` maps a list of n parameters (floats or node arrays) to an
-    n x n nested list, and its ``jets(x, order)`` gives the node-last maps of
+    ``metric`` is read through its ``jets(x, order)``, the node-last maps of
     its values, gradients and Hessians, keyed (k, l), as a compiled matrix
-    (``expressions.compile_matrix``) does.  ``chart_map`` maps parameters to
-    ambient coordinates and is used for locating singular points, not for
-    geometry.
+    (``expressions.compile_matrix``) gives them.  ``chart_map``, a compiled
+    vector of the parameters, gives ambient coordinates through ``jets`` and
+    ``reads``; it locates singular points and is not used for geometry.
     Every method takes chart points as an (N, n) node array.
     """
 
@@ -314,15 +314,16 @@ class RiemannianPatch:
 
     def metric_jets(self, x, order=2):
         """Metric G at the nodes x, its derivatives dG along the chart
-        parameters and, at ``order`` 2 (None at order 1), its Hessians hess,
-        then L^-1 and diag(L) of its checked Cholesky factor L
+        parameters (empty at order 0) and, at ``order`` 2 (None below), its
+        Hessians hess, then L^-1 and diag(L) of its checked Cholesky factor L
         (``_cholesky_inverse``).  G maps each (k, l) whose g_kl is not
         structurally zero to its values, as ``_positive_definite`` gives it;
         dG and hess map each (i, k, l) and (i, j, k, l) whose d_i g_kl or
         d_i d_j g_kl is not structurally zero to its values, (N,) or a plain
-        number, as the metric's ``jets`` gives them.  G and dG do not depend
-        on the order.  A derivative that is not finite where G is positive
-        definite (it overflowed) raises ConfigError naming the entry."""
+        number, as the metric's ``jets`` gives them.  G does not depend on
+        the order, nor does dG from order 1.  A derivative that is not finite
+        where G is positive definite (it overflowed) raises ConfigError
+        naming the entry."""
         x = np.asarray(x, dtype=float)
         values, dG, hess = self.metric.jets(x, order)
         G, *factors = _positive_definite(values, self.n, x)
@@ -334,17 +335,13 @@ class RiemannianPatch:
                               f"at chart point {[float(v) for v in x[node]]}")
         return (G, dG, hess if order == 2 else None, *factors)
 
-    def metric_values(self, x):
-        """The checked metric G at the nodes x, the map of ``_positive_definite``."""
-        x = np.asarray(x, dtype=float)
-        return _positive_definite({(k, l): e for k, row in enumerate(self.metric(list(x.T)))
-                                   for l, e in enumerate(row)}, self.n, x)[0]
-
     def ambient(self, x):
+        """The ambient points (N, d) of the chart points x (N, n), every entry
+        of the chart map a column, a structurally zero one included."""
         x = np.asarray(x, dtype=float)
         if self._chart_map is None:
             return x
-        return stack_values(self._chart_map(list(x.T)), len(x))
+        return stack_values(self._chart_map.jets(x, 0)[0], self._chart_map.reads(), len(x))
 
 
 class BoundaryPatch:
@@ -560,7 +557,7 @@ def adapted_frame(bpatch, t, order=1):
     N, m = t.shape
     n = m + 1
     x, dx, d2x = bpatch.embed.jets(t, 2)  # x[k], dx[i, k], d2x[i, j, k]
-    points = stack_values([x.get(k, 0.0) for k in range(n)], N)
+    points = stack_values(x, range(n), N)
     jets = bpatch.parent.metric_jets(points, order)
     G, dGx = jets[0], jets[1]
     dG = {(i, *kl): v for (i, kl), v in _product(

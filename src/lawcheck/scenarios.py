@@ -171,19 +171,18 @@ def _load(cfg):
                                     "field components"), params)
     interior = []
     sing_cfgs = cfg.get("interior_singularities", [])
-    for k, sc in enumerate(sing_cfgs):
-        sname = _text(_require(sc, "name", "singularity"), "singularity name")
+    names = [_text(_require(sc, "name", "singularity"), "singularity name") for sc in sing_cfgs]
+    ambients = [_finite_list(_require(sc, "ambient", "singularity"), ambient_dim,
+                             f"ambient of {sname}") for sc, sname in zip(sing_cfgs, names)]
+    for k, (sc, sname, ambient) in enumerate(zip(sing_cfgs, names, ambients)):
         chart_params = _counted(_require(sc, "chart_params", "singularity"), n,
                                 f"chart_params of {sname}")
-        ambient = _finite_list(_require(sc, "ambient", "singularity"), ambient_dim,
-                               f"ambient of {sname}")
         if "radius" in sc:
             radius = _positive(sc["radius"], f"radius of {sname}")
         else:
             # default rule: half the distance to the nearest other
             # singularity or boundary point, capped at 0.1
-            others = [_finite_list(o["ambient"], ambient_dim, "ambient")
-                      for j, o in enumerate(sing_cfgs) if j != k]
+            others = ambients[:k] + ambients[k + 1:]
             try:
                 radius = default_index_radius(
                     ambient, others, _boundary_point_cloud(patch, boundaries))
@@ -263,8 +262,7 @@ def _boundary_point_cloud(patch, boundaries):
     points = []
     for bp in boundaries:
         t = grid_points([np.linspace(lo, hi, 16) for lo, hi in bp.box])
-        x = stack_values(bp.embed(list(t.T)), len(t))
-        points.extend(patch.ambient(x))
+        points.extend(patch.ambient(stack_values(bp.embed.jets(t, 0)[0], range(patch.n), len(t))))
     return points
 
 

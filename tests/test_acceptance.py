@@ -22,7 +22,7 @@ from lawcheck.chern import (
     build_upsilon_and_check,
     check_dphi,
 )
-from lawcheck.geometry import BoundaryPatch, RiemannianPatch, jet_cos, jet_sin
+from lawcheck.geometry import BoundaryPatch, RiemannianPatch
 from lawcheck.integrate import (
     gauss_grid,
     integrate_fiber_volume,
@@ -32,7 +32,7 @@ from lawcheck.fields import InteriorSingularity, index_at
 from lawcheck.runner import run_scenario
 from lawcheck.scenarios import catalog_names, load_catalog_scenario
 
-from callable_input import OnJets
+from callable_input import CONSTANT_POLAR, OnJets
 from test_algebra import rand_form
 
 
@@ -171,9 +171,8 @@ def test_criterion_8_property_suites():
         c, s = gamma.cos(), gamma.sin()
         return [[c, -1.0 * s], [s, c]]
 
-    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     max_shift = 0.0
-    for section in (None, const):
+    for section in (None, CONSTANT_POLAR):
         ((base,),), *_ = integrate_phi_over_section(rim, (section,), grid)
         ((rot,),), *_ = integrate_phi_over_section(rim, (section,), grid,
                                                    frame_twist=twist)

@@ -3,9 +3,10 @@ its classes, has a caller in src/.
 
 A reference is a name, an attribute or an import anywhere in src/lawcheck
 outside the definition itself and outside ``__init__.py``: a re-export is
-not a caller.  A definition that only tests read is dead code kept alive by
-its own test; the few paper checks and methods that exist to be called by
-the tests are listed below, each with its reason.
+not a caller, and neither is an attribute of an imported module (``np.sin``
+does not call ``TrigScalar.sin``).  A definition that only tests read is
+dead code kept alive by its own test; the few paper checks and methods that
+exist to be called by the tests are listed below, each with its reason.
 """
 
 import ast
@@ -26,31 +27,44 @@ METHOD_ENTRY_POINTS = {
     "ScenarioReport.from_json": "the lossless JSON round trip that README promises; "
                                 "bench's worker and self-test read reports through it",
     "Form.degrees": "the acceptance wedge-law check reads the degrees of a form",
+    "_ArgumentParser.error": "argparse calls it on a bad argument; the override "
+                             "makes that a one-line configuration error",
     "Jet.variables": "the tests' callable adapter makes its Jets; Jet itself moves "
                      "out of src/ after the benchmark's counter stops wrapping it",
 }
 
 
-def _names(node):
+def _names(node, modules=frozenset()):
+    """The names ``node`` references, an attribute of one of the imported
+    ``modules`` (a receiver such as np or math) left out."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            if getattr(sub.value, "id", None) not in modules:
+                yield sub.attr
         elif isinstance(sub, ast.alias):
             yield sub.name  # an import from another module is a reference
 
 
-def _uncalled():
+def _imported_modules(tree):
+    """The names that ``import`` statements of ``tree`` bind to modules."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names}
+
+
+def _uncalled(root=SRC):
     """{qualified name: module} of the module-level functions and classes
-    and the methods of module-level classes, dunders left out, whose bare
-    name has no reference in src/ outside the definition itself."""
+    and the methods of module-level classes of the modules in ``root``,
+    dunders left out, whose bare name has no reference there outside the
+    definition itself."""
     refs = Counter()
     definitions = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
+        modules = _imported_modules(tree)
         if path.name != "__init__.py":
-            refs.update(_names(tree))
+            refs.update(_names(tree, modules))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -59,10 +73,24 @@ def _uncalled():
             for owner, qualified in [(node, node.name),
                                      *((sub, f"{node.name}.{sub.name}") for sub in methods)]:
                 # references inside the definition itself do not count
-                own = sum(1 for name in _names(owner) if name == owner.name)
+                own = sum(1 for name in _names(owner, modules) if name == owner.name)
                 definitions.append((path.name, qualified, own))
     return {qualified: module for module, qualified, own in definitions
             if refs[qualified.rsplit(".", 1)[-1]] == own}
+
+
+def test_the_scan_does_not_count_a_module_attribute(tmp_path):
+    """``np.sin`` and ``math.cos`` name no method of a src/ class, while a
+    call through an instance or a module of src/ does."""
+    (tmp_path / "t.py").write_text(
+        "import math\nimport numpy as np\n"
+        "class T:\n"
+        "    def sin(self):\n        return np.sin(0.0)\n"
+        "    def cos(self):\n        return math.cos(0.0)\n"
+        "    def exp(self):\n        return 1.0\n")
+    (tmp_path / "u.py").write_text("from . import t\n"
+                                   "def use(x):\n    return x.exp(), t.T\n")
+    assert _uncalled(tmp_path) == {"T.sin": "t.py", "T.cos": "t.py", "use": "u.py"}
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -182,12 +210,12 @@ def _literal_orders(node):
 
 def test_second_order_programs_only_on_curvature_paths():
     """Every call of a callee of ORDER_POSITION in src/ passes its order as
-    a literal (or the callee's default), a conditional between literals, or
-    the ``order`` parameter of the function or lambda it is in, which
-    forwards its own caller's order; an order of 2 starts only on the
-    curvature paths of CURVATURE_PATHS, so only they build second-order
-    derivative programs of the metric, and in SECOND_ORDER_INPUTS, for the
-    embedding."""
+    a literal 0, 1 or 2 (or the callee's default; 0 reads values and builds
+    no derivative program), a conditional between literals, or the ``order``
+    parameter of the function or lambda it is in, which forwards its own
+    caller's order; an order of 2 starts only on the curvature paths of
+    CURVATURE_PATHS, so only they build second-order derivative programs of
+    the metric, and in SECOND_ORDER_INPUTS, for the embedding."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     defaults = {}
     for tree in trees:
@@ -220,13 +248,46 @@ def test_second_order_programs_only_on_curvature_paths():
                 continue
             else:
                 orders = _literal_orders(arg)
-            if orders is None or not orders <= {1, 2}:
+            if orders is None or not orders <= {0, 1, 2}:
                 bad.append(where)
             elif 2 in orders:
                 starts.add(fn.name)
     assert calls >= len(ORDER_POSITION)
-    assert not bad, f"order neither 1, 2 nor forwarded: {bad}"
+    assert not bad, f"order neither 0, 1, 2 nor forwarded: {bad}"
     assert starts == set(CURVATURE_PATHS) | set(SECOND_ORDER_INPUTS)
+
+
+# -- one read path -----------------------------------------------------------------
+
+INPUTS = {"metric", "_chart_map", "embed", "outward", "components", "chart_field",
+          "section", "frame_twist"}
+
+
+def _input_calls(source):
+    """(callee, line) of each call in ``source`` whose callee, a bare name or
+    an attribute, is named as an input of INPUTS, by line."""
+    return sorted(((_callee(node), node.lineno) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and _callee(node) in INPUTS),
+                  key=lambda site: (site[1], site[0]))
+
+
+def test_the_check_finds_planted_input_calls():
+    source = ("def metric_values(self, x):\n"
+              "    return self.metric(list(x.T))\n"
+              "def sweep(spec, bp, x, section):\n"
+              "    v = spec.components.jets(x, 0)[0]\n"
+              "    return spec.components(x), bp.embed.jets(x, 0), section(x)\n")
+    assert _input_calls(source) == [("metric", 2), ("components", 5), ("section", 5)]
+
+
+def test_src_reads_inputs_only_through_jets_and_reads():
+    """No call in src/ invokes a numeric input (a metric, chart map,
+    embedding, outward vector, field, chart field, section or frame twist):
+    src/ reads each through its ``jets``, values at order 0, and its
+    ``reads``, so a compiled input evaluates node arrays in one place."""
+    calls = [(path.name, *site) for path in sorted(SRC.glob("*.py"))
+             for site in _input_calls(path.read_text())]
+    assert calls == [], calls
 
 
 # -- no Jets in src/ -------------------------------------------------------------------

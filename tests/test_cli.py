@@ -95,6 +95,18 @@ def _rename(old, new):
     return mutate
 
 
+def _two_singularities(first, second):
+    """Mutation that doubles the first interior singularity, the first copy
+    without the key ``first`` and the second without ``second``."""
+    def mutate(cfg):
+        sing = cfg["interior_singularities"][0]
+        copies = [dict(sing), dict(sing, name=sing["name"] + "-copy")]
+        for copy, key in zip(copies, (first, second)):
+            copy.pop(key, None)
+        cfg["interior_singularities"] = copies
+    return mutate
+
+
 _SADDLE = ("interior_singularities", 0)
 _MALFORMED = {
     "dimension-abc": ("disk-constant", _set("dimension", "abc")),
@@ -153,6 +165,10 @@ _MALFORMED = {
     "boundary-box-reversed": ("disk-constant", _set("boundaries", 0, "box", [["2*pi", 0]])),
     "center-infinite": ("disk-saddle", _set(*_SADDLE, "center", [1e400, 0])),
     "ambient-nan": ("disk-saddle", _set(*_SADDLE, "ambient", [math.nan, 0])),
+    "ambient-missing-after-default-radius": ("disk-saddle",
+                                             _two_singularities("radius", "ambient")),
+    "ambient-missing-before-default-radius": ("disk-saddle",
+                                              _two_singularities("ambient", "radius")),
     "location-infinite": ("disk-constant",
                           _set("tangential_singularities", 0, "location", [1e400])),
     "chi-huge": ("disk-constant", _set("chi", 10 ** 400)),
@@ -208,6 +224,20 @@ def test_cli_refused_expression_names_its_cause(case, message, tmp_path, capsys)
     path.write_text(json.dumps(cfg))
     err = _assert_one_config_error_line(cli.main(["run", "--scenario", str(path)]), capsys)
     assert message in err
+
+
+@pytest.mark.parametrize("case", ["ambient-missing-after-default-radius",
+                                  "ambient-missing-before-default-radius"])
+def test_cli_missing_ambient_names_the_key_in_either_order(case, tmp_path, capsys):
+    """A singularity without ``ambient`` is named the same way whether or not
+    an earlier singularity computes its default radius from the others."""
+    base, mutate = _MALFORMED[case]
+    cfg = load_catalog_raw(base)
+    mutate(cfg)
+    path = tmp_path / "ambient.json"
+    path.write_text(json.dumps(cfg))
+    err = _assert_one_config_error_line(cli.main(["run", "--scenario", str(path)]), capsys)
+    assert err == "configuration error: missing 'ambient' in singularity\n"
 
 
 @pytest.mark.parametrize("argv", [

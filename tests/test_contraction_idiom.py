@@ -2,8 +2,8 @@
 
 The metric, frame and section layers contract node-last maps entry by entry
 (``geometry._product``), the form templates read those maps as they are,
-and so do the value sweeps of ``fields`` and
-``RiemannianPatch.metric_values``.  ``np.einsum`` with two or more array
+and so do the value sweeps of ``fields``, which read the metric through
+``RiemannianPatch.metric_jets`` at order 0.  ``np.einsum`` with two or more array
 operands builds an iterator over every index and runs far slower; the
 numeric modules may use einsum to transpose a single array only.  No module
 stacks a map node first (``node_first``) to feed a contraction, nor uses a

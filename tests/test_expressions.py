@@ -21,8 +21,6 @@ from lawcheck.expressions import (
 )
 from lawcheck.geometry import ConfigError, Jet
 
-from test_geometry import stack_first_order
-
 
 def ev(text, params=(), env=()):
     return compile_expression(text, list(params))(list(env))
@@ -142,10 +140,13 @@ def test_vector_and_matrix_compilation():
     v = compile_vector(["x", "2*x"], ["x"])
     assert v([3.0]) == [3.0, 6.0]
     m = compile_matrix([["1", "0"], ["0", "x*x"]], ["x"])
-    assert m([2.0]) == [[1.0, 0.0], [0.0, 4.0]]
+    assert m([2.0]) == [1.0, 0.0, 0.0, 4.0]
+    values = m.jets(np.array([[2.0], [3.0]]), 0)[0]
+    assert list(values) == [(0, 0), (1, 1)] and values[0, 0] == 1.0
+    assert np.array_equal(values[1, 1], [4.0, 9.0])
 
 
-# -- arrays against Python floats -------------------------------------------------
+# -- node arrays against Python floats --------------------------------------------
 
 _LEAVES = st.sampled_from(["x", "y", "pi", "0", "0.5", "2", "3e2", "1e200"])
 _EXPRESSIONS = st.recursive(_LEAVES, lambda inner: st.one_of(
@@ -169,38 +170,35 @@ def _first_point_error(fn, points):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_EXPRESSIONS, st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=6))
 def test_arrays_agree_with_python_floats(text, points):
-    """On a point array an expression either gives what Python floats give
-    point by point, or raises the ConfigError of the first point that fails
-    under floats; numpy emits no RuntimeWarning either way."""
-    fn = compile_expression(text, ["x", "y"])
+    """At nodes, through ``jets(x, 0)``, an expression either gives what
+    Python floats give point by point, or raises the ConfigError of the
+    first point that fails under floats; numpy emits no RuntimeWarning
+    either way."""
+    fn = compile_vector([text], ["x", "y"])
     points = [list(p) for p in points]
     expected = _first_point_error(fn, points)
-    env = [np.array([p[0] for p in points]), np.array([p[1] for p in points])]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         if expected is not None:
             with pytest.raises(ConfigError) as err:
-                fn(env)
+                fn.jets(np.array(points), 0)
             assert str(err.value) == expected
         else:
-            got = np.broadcast_to(fn(env), len(points))
-            np.testing.assert_allclose(got, [fn(p) for p in points], rtol=1e-14)
+            got = np.broadcast_to(fn.jets(np.array(points), 0)[0].get(0, 0.0), len(points))
+            np.testing.assert_allclose(got, [fn(p)[0] for p in points], rtol=1e-14)
 
 
 def test_empty_node_batch_has_no_failing_node():
     """With no node no node fails: every entry comes back with zero nodes,
     a constant that fails under Python floats included, while one node
     names the fault."""
-    fn = compile_expression("exp(1000)+x", ["x"])
-    assert fn([np.zeros(0)]).shape == (0,)
+    fn = compile_vector(["exp(1000)+x"], ["x"])
+    assert fn.jets(np.zeros((0, 1)), 0)[0][0].shape == (0,)
     with pytest.raises(ConfigError, match=r"fails at \[0\.0\]: math range error"):
-        fn([np.zeros(2)])
+        fn.jets(np.zeros((2, 1)), 0)
     vector = compile_vector(["exp(1000)", "1/0", "x"], ["x"])
-    assert [v.shape for v in vector([np.zeros(0)])] == [(0,)] * 3
     nodes = np.zeros((0, 1))
-    values, grads = stack_first_order(vector(Jet.variables(nodes, 1)), nodes)
-    assert values.shape == (0, 3) and grads.shape == (0, 1, 3)
-    for order in (1, 2):
+    for order in (0, 1, 2):
         values = vector.jets(nodes, order)[0]
         assert list(values) == [0, 1, 2] and [v.shape for v in values.values()] == [(0,)] * 3
 
@@ -236,29 +234,33 @@ def _jet_bits(value):
 @example(["(x) - (y)", "(y) - (x)", "(y) / (x) + (x) / (y)"], [(0.5, 2.0)])
 def test_shared_program_agrees_with_entries_one_by_one(texts, points):
     """compile_vector and compile_matrix give bit for bit what the entries
-    compiled one by one give, on node arrays and on Jets, or raise the
-    ConfigError of the first failing node and, in it, the first failing
-    entry; numpy emits no RuntimeWarning either way."""
+    compiled one by one give, at nodes through ``jets(x, 0)`` and called on
+    Jets, or raise at nodes the ConfigError of the first failing node and,
+    in it, the first failing entry; numpy emits no RuntimeWarning at nodes."""
     params = ["x", "y"]
-    single = [compile_expression(t, params) for t in texts]
+    single = [compile_vector([t], params) for t in texts]
     vector = compile_vector(texts, params)
-    rows = [texts[:1], texts[1:]]
-    matrix = compile_matrix(rows, params)
-    expected = _first_point_error(lambda p: [f(p) for f in single],
-                                  [list(p) for p in points])
-    arrays = [np.array([p[0] for p in points]), np.array([p[1] for p in points])]
+    matrix = compile_matrix([texts[:1], texts[1:]], params)
+    keys = [(0, 0)] + [(1, l) for l in range(len(texts) - 1)]
+    nodes = np.array(points)
+    expected = _first_point_error(lambda p: [f(p) for f in single], nodes.tolist())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for env in (arrays, Jet.variables(points, 2)):
-            if expected is not None:
-                for fn in (vector, matrix):
-                    with pytest.raises(ConfigError) as err:
-                        fn(env)
-                    assert str(err.value) == expected
-                continue
-            want = [_jet_bits(f(env)) for f in single]
-            assert [_jet_bits(v) for v in vector(env)] == want
-            assert [_jet_bits(v) for row in matrix(env) for v in row] == want
+        if expected is not None:
+            for fn in (vector, matrix):
+                with pytest.raises(ConfigError) as err:
+                    fn.jets(nodes, 0)
+                assert str(err.value) == expected
+            return
+        want = {k: _bits(v) for k, f in enumerate(single) for v in f.jets(nodes, 0)[0].values()}
+        assert {k: _bits(v) for k, v in vector.jets(nodes, 0)[0].items()} == want
+        assert matrix.jets(nodes, 0)[0].keys() == {keys[k] for k in want}
+        assert {keys.index(key): _bits(v) for key, v in matrix.jets(nodes, 0)[0].items()} == want
+    env = Jet.variables(points, 2)
+    with np.errstate(all="ignore"):  # the Jet reference leaves numpy's faults to its caller
+        want = [_jet_bits(f(env)[0]) for f in single]
+        assert [_jet_bits(v) for v in vector(env)] == want
+        assert [_jet_bits(v) for v in matrix(env)] == want
 
 
 def test_shared_calls_run_once_per_evaluation(monkeypatch):
@@ -295,9 +297,11 @@ def test_an_output_that_later_entries_read_is_kept():
     texts = ["sin(x)", "x*y + sin(x)", "(x*y + sin(x)) * 2 - x"]
     vector = compile_vector(texts, ["x", "y"])
     nodes = np.array([[0.3, 1.5], [-0.7, 2.0]])
-    for env in (list(nodes.T), Jet.variables(nodes, 2), [0.3, 1.5]):
+    for env in (Jet.variables(nodes, 2), [0.3, 1.5]):
         want = [_jet_bits(compile_expression(t, ["x", "y"])(env)) for t in texts]
         assert [_jet_bits(v) for v in vector(env)] == want
+    want = [_bits(compile_vector([t], ["x", "y"]).jets(nodes, 0)[0][0]) for t in texts]
+    assert [_bits(v) for v in vector.jets(nodes, 0)[0].values()] == want
 
 
 def test_a_fault_after_dropped_slots_names_its_node_and_entry():
@@ -308,10 +312,7 @@ def test_a_fault_after_dropped_slots_names_its_node_and_entry():
     with pytest.raises(ConfigError, match=fault):
         vector([0.5, 1.0])
     nodes = np.array([[0.1, 3.0], [0.5, 1.0], [0.2, 1.0]])
-    for env in (list(nodes.T), Jet.variables(nodes, 2)):
-        with pytest.raises(ConfigError, match=fault):
-            vector(env)
-    for order in (1, 2):
+    for order in (0, 1, 2):
         with pytest.raises(ConfigError, match=fault):
             vector.jets(nodes, order)
 
@@ -415,7 +416,7 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
     fn = compile_vector(texts, params)
     m = len(params)
     try:
-        values = fn(list(nodes.T))
+        v0 = fn.jets(nodes, 0)[0]
     except ConfigError as exc:
         for order in (1, 2):
             with pytest.raises(ConfigError) as err:
@@ -430,11 +431,11 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
     assert h1 == {} and set(g1) == set(g2)
     assert [_bits(g1[key]) for key in g1] == [_bits(g2[key]) for key in g1]
     assert all(h2[j, i, k] is d for (i, j, k), d in h2.items())
-    for k, (text, value, want) in enumerate(zip(texts, values, reference)):
-        if k in v1:
-            assert _bits(v1[k]) == _bits(v2[k]) == _bits(value)
+    for k, (text, want) in enumerate(zip(texts, reference)):
+        if k in v0:
+            assert _bits(v0[k]) == _bits(v1[k]) == _bits(v2[k])
         else:  # a structural zero: a plain-number 0 value
-            assert k not in v2 and not isinstance(value, np.ndarray) and value == 0
+            assert k not in v1 and k not in v2 and want == 0
         grad = {i: d for (i, e), d in g2.items() if e == k}
         hess = {(i, j): d for (i, j, e), d in h2.items() if e == k}
         if not _reads(text, params):
@@ -475,7 +476,7 @@ def test_reads_are_structural_not_numeric():
     """exp(0*r) is 1 at every node, and reads r: the analysis follows the
     program, not the values."""
     fn = compile_vector(["exp(0*r)"], ["r", "s"])
-    assert np.array_equal(fn([np.array([0.5, 2.0]), np.array([1.0, 3.0])])[0], [1.0, 1.0])
+    assert np.array_equal(fn.jets(np.array([[0.5, 1.0], [2.0, 3.0]]), 0)[0][0], [1.0, 1.0])
     assert fn.reads() == fn.reads(2) == {0: {0}}
 
 

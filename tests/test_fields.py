@@ -32,7 +32,7 @@ from lawcheck.geometry import (
 )
 from lawcheck.scenarios import load_catalog_scenario
 
-from callable_input import OnJets
+from callable_input import CONSTANT_POLAR, OnJets
 from test_geometry import stack_first_order
 from test_integrate import node_first
 
@@ -47,8 +47,7 @@ def sing2(field, name="s", center=(0, 0), radius=0.2):
 def disk_patch():
     return RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
                            OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]),
-                           chart_map=lambda x: [x[0] * jet_cos(x[1]),
-                                                x[0] * jet_sin(x[1])])
+                           chart_map=compile_vector(["r*cos(t)", "r*sin(t)"], ["r", "t"]))
 
 
 def disk_rim(patch=None):
@@ -56,9 +55,6 @@ def disk_rim(patch=None):
     return BoundaryPatch(patch, [(0, 2 * math.pi)],
                          embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0]]),
                          outward=OnJets(lambda t: [1.0, 0.0]))
-
-
-CONSTANT_POLAR = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
 
 
 # -- interior indices -----------------------------------------------------------
@@ -435,9 +431,8 @@ def ball_setup():
         3, [(0, 1), (0, math.pi), (0, 2 * math.pi)],
         OnJets(lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
                           [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]]),
-        chart_map=lambda x: [x[0] * jet_sin(x[1]) * jet_cos(x[2]),
-                             x[0] * jet_sin(x[1]) * jet_sin(x[2]),
-                             x[0] * jet_cos(x[1])])
+        chart_map=compile_vector(["r*sin(a)*cos(b)", "r*sin(a)*sin(b)", "r*cos(a)"],
+                                 ["r", "a", "b"]))
     sph = BoundaryPatch(ball, [(0, math.pi), (-math.pi / 2, 3 * math.pi / 2)],
                         embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0], t[1]]),
                         outward=OnJets(lambda t: [1.0, 0.0, 0.0]))

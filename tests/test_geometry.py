@@ -104,8 +104,9 @@ def pair_core(patch, points):
 
 
 def metric_array(patch, x):
-    """``metric_values`` at the nodes x, stacked node first: (N, n, n)."""
-    return node_first(patch.metric_values(x), (len(x), patch.n, patch.n))
+    """The checked metric at the nodes x, ``metric_jets`` at order 0,
+    stacked node first: (N, n, n)."""
+    return node_first(patch.metric_jets(x, 0)[0], (len(x), patch.n, patch.n))
 
 
 def dense_hessians(hess, N, n):
@@ -350,15 +351,15 @@ def test_metric_symmetry_allows_round_off_only():
     written = lambda d: RiemannianPatch(
         2, [(0, 1), (0, 1)], OnJets(lambda y: [[1 + y[0] * y[1], y[0] * y[1] * 0.1],
                                                [0.1 * y[1] * y[0] + d * y[0], 2.0 + 0 * y[0]]]))
-    assert all(g.shape == (3,) for g in written(0.0).metric_jets(x)[0].values())
-    assert all(g.shape == (3,) for g in written(0.0).metric_values(x).values())
+    for order in (0, 2):
+        assert all(g.shape == (3,) for g in written(0.0).metric_jets(x, order)[0].values())
     # a structural zero in one triangle only: Cholesky would read 0 or 0.5
     one_triangle = [RiemannianPatch(2, [(0, 1), (0, 1)], compile_matrix(rows, ["s", "r"]))
                     for rows in ([["1", "0.5"], ["0", "r*r"]], [["1", "0"], ["0.5", "r*r"]])]
-    for make in (lambda p: p.metric_jets(x), lambda p: p.metric_values(x)):
+    for order in (0, 2):
         for patch in (written(1e-3), *one_triangle):
             with pytest.raises(ConfigError, match=r"not symmetric at chart point \[0\.3, 0\.4\]"):
-                make(patch)
+                patch.metric_jets(x, order)
 
 _OVERFLOWING = {  # entry: (as a callable, an r where its value is finite and d_r overflows)
     "exp(705*r)": (lambda s, r: jet_exp(705 * r), 1.0),
@@ -931,8 +932,7 @@ def test_euler_density_sphere_formula():
 def disk_boundary():
     disk = RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
                            OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]),
-                           chart_map=lambda x: [x[0] * jet_cos(x[1]),
-                                                x[0] * jet_sin(x[1])])
+                           chart_map=compile_vector(["r*cos(t)", "r*sin(t)"], ["r", "t"]))
     return BoundaryPatch(disk, [(0, 2 * math.pi)],
                          embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0]]),
                          outward=OnJets(lambda t: [1.0, 0.0]))
@@ -1022,8 +1022,8 @@ def reversed_rim(bpatch):
     (lo, hi), *rest = bpatch.box
     back = lambda t: [-t[0], *t[1:]]
     return BoundaryPatch(bpatch.parent, [(-hi, -lo), *rest],
-                         embed=OnJets(lambda t: bpatch.embed(back(t))),
-                         outward=OnJets(lambda t: bpatch.outward(back(t))))
+                         embed=OnJets(lambda t: bpatch.embed.fn(back(t))),
+                         outward=OnJets(lambda t: bpatch.outward.fn(back(t))))
 
 
 @pytest.mark.parametrize("reverse", [True, False])
@@ -1122,6 +1122,13 @@ def reference_frame_connection(G, Gamma, E, dE, dx):
     return (0.5 * (omega - omega.swapaxes(-1, -2))).transpose(0, 2, 3, 1)
 
 
+def on_jets(fn, jets):
+    """The entries of the input ``fn`` on the Jets ``jets``, by Jet
+    arithmetic: a compiled vector is called on them, an ``OnJets`` runs its
+    callable."""
+    return (fn.fn if isinstance(fn, OnJets) else fn)(jets)
+
+
 def reference_boundary_frame(bpatch, t, frame_twist=None):
     """The boundary frame at the nodes t (N, m), node first, from Jets of the
     embedding, ``outward`` and the twist: Gram-Schmidt on (dx/dt, outward),
@@ -1132,19 +1139,19 @@ def reference_boundary_frame(bpatch, t, frame_twist=None):
     t = np.asarray(t, dtype=float)
     N, m = t.shape
     n = m + 1
-    x_jets = bpatch.embed(Jet.variables(t, 2))
+    x_jets = on_jets(bpatch.embed, Jet.variables(t, 2))
     x, dx = stack_first_order(x_jets, t)
     d2x = stack_hessians(x_jets, t)
     jets = bpatch.parent.metric_jets(x)
     G = node_first(jets[0], (N, n, n))
     dG = (dx @ node_first(jets[1], (N, n, n, n)).reshape(N, n, -1)).reshape(N, m, n, n)
-    outward, doutward = stack_first_order(bpatch.outward(Jet.variables(t, 1)), t)
+    outward, doutward = stack_first_order(on_jets(bpatch.outward, Jet.variables(t, 1)), t)
     E, dE = reference_orthonormal_rows(G, dG, np.concatenate([dx, outward[:, None]], axis=1),
                                        np.concatenate([d2x, doutward[:, :, None]], axis=2), t)
     E, dE = np.roll(E, 1, axis=1), np.roll(dE, 1, axis=2)
     normal, dnormal = E[:, 0], dE[:, :, 0]
     if frame_twist is not None:
-        R, dR = stack_first_order([e for row in frame_twist(Jet.variables(t, 1))
+        R, dR = stack_first_order([e for row in frame_twist.fn(Jet.variables(t, 1))
                                    for e in row], t)
         R, dR = R.reshape(E.shape), dR.reshape(dE.shape)
         E, dE = R @ E, dR @ E[:, None] + R[:, None] @ dE
@@ -1163,7 +1170,7 @@ def reference_bind(section, t, frame):
     if section is None:
         W, dW = frame.normal, frame.dnormal
     else:
-        W, dW = stack_first_order(section(frame.x_jets), np.asarray(t, dtype=float))
+        W, dW = stack_first_order(on_jets(section, frame.x_jets), np.asarray(t, dtype=float))
     s, ds = reference_metric_inner(frame.metric, frame.dmetric,
                                    np.concatenate([frame.frame, W[:, None]], axis=1),
                                    np.concatenate([frame.dframe, dW[:, :, None]], axis=2), W, dW)
@@ -1251,7 +1258,7 @@ def test_node_last_frames_match_the_node_first_reference(case, twisted):
                 reference_bind(section, t, want), ("u", "theta", "angle", "v_dot_n")):
             _assert_close(value, reference, what)
     plain = want if twist is None else reference_boundary_frame(bpatch, t)
-    V, dV = stack_first_order(field(plain.x_jets), t)
+    V, dV = stack_first_order(on_jets(field, plain.x_jets), t)
     s, ds = _field_frame_components(bpatch, field, t)
     for value, reference, what in zip((node_first(s, (N, n)), node_first(ds, (N, m, n))),
                                       reference_metric_inner(plain.metric, plain.dmetric,

@@ -53,7 +53,7 @@ from lawcheck.templates import (
 )
 from lawcheck.trig import TrigScalar, sphere_volume
 
-from callable_input import OnJets
+from callable_input import CONSTANT_POLAR, OnJets
 
 
 # -- shared patches -----------------------------------------------------------
@@ -61,8 +61,7 @@ from callable_input import OnJets
 def disk_patch():
     return RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
                            OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]),
-                           chart_map=lambda x: [x[0] * jet_cos(x[1]),
-                                                x[0] * jet_sin(x[1])])
+                           chart_map=compile_vector(["r*cos(t)", "r*sin(t)"], ["r", "t"]))
 
 
 def disk_rim(reverse=False):
@@ -266,8 +265,7 @@ def test_disk_normal_section():
 def test_disk_constant_field_section():
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
-    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
-    ((section,),), *_ = integrate_phi_over_section(rim, (const,), grid)
+    ((section,),), *_ = integrate_phi_over_section(rim, (CONSTANT_POLAR,), grid)
     assert section == pytest.approx(0.0, abs=1e-6)
 
 
@@ -600,7 +598,7 @@ def test_section_norm_guard():
 
 def test_section_unit_residual():
     rim = disk_rim()
-    pull = SectionPullback(OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]]))
+    pull = SectionPullback(CONSTANT_POLAR)
     for t in (0.3, 2.1, 5.5):
         u, *_ = pull.bind([[t]], boundary_frame(rim, [[t]]))
         assert abs(float(sum(v * v for v in u.values())[0]) - 1.0) < 1e-12
@@ -626,9 +624,9 @@ def test_section_angle_near_the_normal_to_a_few_ulps(delta):
 
 def test_quadrature_convergence_on_doubling():
     rim = disk_rim()
-    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
-    ((v64,),), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [64]))
-    ((v128,),), *_ = integrate_phi_over_section(rim, (const,), gauss_grid(rim.box, [128]))
+    ((v64,),), *_ = integrate_phi_over_section(rim, (CONSTANT_POLAR,), gauss_grid(rim.box, [64]))
+    ((v128,),), *_ = integrate_phi_over_section(rim, (CONSTANT_POLAR,),
+                                                gauss_grid(rim.box, [128]))
     assert abs(v128 - v64) < 1e-8
 
 
@@ -772,7 +770,6 @@ def test_frame_rotation_invariance_n2():
     # rotating the whole frame by a smooth angle must not move the integral
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
-    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
 
     @OnJets
     def twist(t_jets):
@@ -780,7 +777,7 @@ def test_frame_rotation_invariance_n2():
         c, s = gamma.cos(), gamma.sin()
         return [[c, -1.0 * s], [s, c]]
 
-    for section in (None, const):
+    for section in (None, CONSTANT_POLAR):
         ((base,),), *_ = integrate_phi_over_section(rim, (section,), grid)
         ((rotated,),), *_ = integrate_phi_over_section(rim, (section,), grid,
                                                        frame_twist=twist)
@@ -1004,16 +1001,15 @@ def test_numeric_transgression_n2():
     from lawcheck.chern import boundary_family
 
     rim = disk_rim()
-    const = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
     gamma_form = boundary_family(2).gamma
     gamma_coeff = gamma_form.terms.get(((), ()), TrigScalar.zero())
 
     a, b = 0.4, 2.7  # inside (0, pi): projection sign is -1 throughout
     grid = gauss_grid([(a, b)], [48])
-    ((section, normal),), *_ = integrate_phi_over_section(rim, (const, None), grid)
+    ((section, normal),), *_ = integrate_phi_over_section(rim, (CONSTANT_POLAR, None), grid)
     lhs = section - normal
 
-    pull = SectionPullback(const)
+    pull = SectionPullback(CONSTANT_POLAR)
     angles = {}
     signs = {}
     for t in (a, b):
