@@ -43,9 +43,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ConfigError, _present, jet_cos, jet_exp, jet_sin
+from .geometry import ConfigError, _present
 
-_FUNCTIONS = {"sin": jet_sin, "cos": jet_cos, "exp": jet_exp}
+# numpy on a node array, math on a Python float (a constant slot, or the
+# node-by-node re-run): the fault messages and the bits of constant slots are math's
+_FUNCTIONS = {"sin": lambda x: (np.sin if isinstance(x, np.ndarray) else math.sin)(x),
+              "cos": lambda x: (np.cos if isinstance(x, np.ndarray) else math.cos)(x),
+              "exp": lambda x: (np.exp if isinstance(x, np.ndarray) else math.exp)(x)}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _CHAIN = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.USub: "neg"}
 _CHARACTERS = re.compile(r"[\w\s.+\-*/^()]*", re.ASCII)
@@ -165,11 +169,10 @@ def _differentiate(program, outputs, m, order):
     """The forward-mode derivative program (Griewank & Walther 2008) of
     ``program`` in m parameters, in the same instruction set: each value
     instruction, then its derivatives d_i and, at ``order`` 2, d_i d_j,
-    i <= j, each where it is not structurally zero, by the Jet arithmetic's
-    formula (^k by k x^(k-1)) with zero terms dropped and products with one
-    folded; value numbering shares equal instructions.  Returns the program,
-    its dead slots and, per output, its value slot, {i: slot} and
-    {(i, j): slot}."""
+    i <= j, each where it is not structurally zero, by forward-mode rules
+    (^k by k x^(k-1)) with zero terms dropped and products with one folded;
+    value numbering shares equal instructions.  Returns the program, its
+    dead slots and, per output, its value slot, {i: slot} and {(i, j): slot}."""
     prog, slots = [], {}
 
     def emit(*ins):
@@ -189,7 +192,7 @@ def _differentiate(program, outputs, m, order):
         return (b if a == one else a if b == one else
                 emit("*", a, b) if a < b else emit("*", b, a))
 
-    def add(*terms):  # left to right, as the Jet arithmetic sums
+    def add(*terms):  # left to right, in the order each rule lists its terms
         total = None
         for t in terms:
             total = t if total is None else total if t is None else emit("+", total, t)

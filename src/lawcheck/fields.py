@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,7 +94,7 @@ def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
     """Mapping degree of the field direction over a small chart sphere, by a
     rule of ``order`` nodes per circle (2-D) or per colatitude (3-D).  The
     circle or sphere map x(t) and its t-derivatives are closed forms,
-    multiplied in the order Jets would multiply them, and the chart field's
+    multiplied in the order forward-mode arithmetic would, and the chart field's
     values and t-gradients, the maps the degree integrals read, come from
     ``pullback_jets`` through them."""
     r = float(radius if radius is not None else sing.radius)
@@ -103,14 +102,14 @@ def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
     dim = len(c)
     if dim == 2:
         def map_fn(t):
-            sin, cos = _node_trig(t.tobytes(), t.shape)
+            sin, cos = np.sin(t), np.cos(t)
             x = np.stack([c[0] + r * cos, c[1] + r * sin], axis=1)
             return pullback_jets(sing.chart_field, x, {(0, 0): r * -sin, (0, 1): r * cos})
 
         raw = degree_integral_circle(map_fn, order=order)
     elif dim == 3:
         def map_fn(nodes):
-            (sin_a, sin_b), (cos_a, cos_b) = _node_trig(nodes.tobytes(), nodes.shape)
+            (sin_a, sin_b), (cos_a, cos_b) = np.sin(nodes.T), np.cos(nodes.T)
             rs, rc = r * sin_a, r * cos_a  # x = c + (r sin a) (cos b, sin b) + (0, 0, r cos a)
             x = np.stack([c[0] + rs * cos_b, c[1] + rs * sin_b, c[2] + rc], axis=1)
             return pullback_jets(sing.chart_field, x, {
@@ -121,20 +120,6 @@ def index_at(sing: InteriorSingularity, order, radius=None) -> IndexResult:
     else:
         raise ValueError(f"index computation supports chart dimension 2 or 3, got {dim}")
     return _degree_index(sing.name, raw, "degree integral")
-
-
-@lru_cache(maxsize=8)
-def _node_trig(raw, shape):
-    """sin and cos of the float nodes (N,) or (N, 2) whose bytes are raw,
-    transposed to node-last rows.  Cached, so the index at a singularity's
-    radius and at half of it (``runner.run_scenario``) take them once per
-    chunk of the degree grid (at most 3 chunks at the catalog orders); the
-    arrays are read-only, as both calls share them."""
-    nodes = np.frombuffer(raw).reshape(shape).T
-    out = np.sin(nodes), np.cos(nodes)
-    for values in out:
-        values.flags.writeable = False
-    return out
 
 
 def _degree_index(name, raw, what):

@@ -67,9 +67,9 @@ class Jet:
     """Values v (N,), gradients g (m, N) and Hessians h (m, m, N) of N nodes
     with respect to m chart parameters, or v (), g (m,), h (m, m) at one
     point; h is None at first order, and in every result a first-order jet
-    takes part in.  The node axis is last, so each numpy operation runs its
-    inner loop over the nodes, and a node array (N,) or a plain number acts
-    as a constant.  Built by ``variables``."""
+    takes part in.  The node axis is last, and a node array (N,) or a plain
+    number acts as a constant.  Built by ``variables``.  No runtime path runs
+    it: it is the tests' forward-mode oracle, and the benchmark counts its products."""
 
     __slots__ = ("v", "g", "h")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
@@ -153,16 +153,6 @@ class Jet:
     def exp(self):
         e = np.exp(self.v)
         return self._chain(e, e, e)
-
-
-def _dispatch(jet_fn, array_fn, float_fn):
-    return lambda x: (jet_fn if isinstance(x, Jet) else
-                      array_fn if isinstance(x, np.ndarray) else float_fn)(x)
-
-
-jet_sin = _dispatch(Jet.sin, np.sin, math.sin)
-jet_cos = _dispatch(Jet.cos, np.cos, math.cos)
-jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
 
 
 def stack_values(values, keys, count):
@@ -314,7 +304,7 @@ class RiemannianPatch:
 
     def metric_jets(self, x, order=2):
         """Metric G at the nodes x, its derivatives dG along the chart
-        parameters (empty at order 0) and, at ``order`` 2 (None below), its
+        parameters (empty at order 0) and, at ``order`` 2 (empty below), its
         Hessians hess, then L^-1 and diag(L) of its checked Cholesky factor L
         (``_cholesky_inverse``).  G maps each (k, l) whose g_kl is not
         structurally zero to its values, as ``_positive_definite`` gives it;
@@ -333,7 +323,7 @@ class RiemannianPatch:
             node, k, l = min(bad)
             raise ConfigError(f"metric entry ({k}, {l}) has a derivative that is not finite "
                               f"at chart point {[float(v) for v in x[node]]}")
-        return (G, dG, hess if order == 2 else None, *factors)
+        return (G, dG, hess, *factors)
 
     def ambient(self, x):
         """The ambient points (N, d) of the chart points x (N, n), every entry
@@ -503,15 +493,13 @@ def _frame_curvature(R, E, dx, m):
 
 def euler_form_density(patch, points):
     """Euler curvature density against the chart coordinates at the nodes
-    points (N, n), as an (N,) array (zeros for odd n).
+    points (N, n), as an (N,) array.
 
     chern's Euler form is alternating in the frame indices, so on the frame
     curvature R(E, E) it picks up det E = 1/sqrt(det g) against the
-    coordinate curvature: no frame is built.
+    coordinate curvature: no frame is built.  At odd n the form is zero.
     """
     n = patch.n
-    if n % 2:
-        return np.zeros(len(points))
     _, dG, hess, Linv, diag = patch.metric_jets(points)
     curv = pair_curvature(*christoffel_symbols(dG, Linv), hess, n)
     return evaluate_template(euler_template(n), None, None, curv, len(points)) / math.prod(diag)

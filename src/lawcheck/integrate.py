@@ -214,22 +214,13 @@ def _part_sums(grid, values):
     return tuple(fsum(values[..., part]) for part in grid.parts)
 
 
-def _quadrature(grid, weighted):
-    """``_part_sums`` of ``weighted(nodes, weights)`` on each chunk of nodes."""
-    return _part_sums(grid, np.concatenate([weighted(grid.nodes[c], grid.weights[c])
-                                            for c in node_chunks(len(grid))], axis=-1))
-
-
 def integrate_euler(patch, grid):
-    """Integrals of the Euler curvature density, one per part of the grid;
-    0 immediately for odd n.  The density reads what the metric reads."""
-    if patch.n % 2:
-        return (0.0,) * len(grid.parts)
+    """Integrals of the Euler curvature density, one per part of the grid (0.0
+    at odd n, where the form is zero); the density reads what the metric reads."""
     if grid.nodes.shape[1] != patch.n:
         raise ValueError("grid dimension does not match the patch")
     density = _node_values(grid, lambda x: euler_form_density(patch, x), _reads(patch.metric))
-    density *= grid.weights
-    return _part_sums(grid, density)
+    return _part_sums(grid, grid.weights * density)
 
 
 def _phi_reads(bpatch, sections, frame_twist):
@@ -287,13 +278,13 @@ def integrate_fiber_form(form, grid):
     coords = polar_coordinates(n)
     dcoords = {(A, i - 1): c.deriv(i) for A, c in enumerate(coords) for i in range(1, n)}
 
-    def weighted(nodes, weights):
+    def values(nodes):
         angles = dict(enumerate(nodes.T, start=1))
         u = {A: trig_values(c, angles) for A, c in enumerate(coords)}
         theta = {key: trig_values(c, angles) for key, c in dcoords.items()}
-        return weights * evaluate_template(tpl, u, theta, {}, len(nodes))
+        return evaluate_template(tpl, u, theta, {}, len(nodes))
 
-    return _quadrature(grid, weighted)[0]
+    return _part_sums(grid, grid.weights * _node_values(grid, values))[0]
 
 
 def integrate_fiber_volume(n):
@@ -314,20 +305,26 @@ def _norm2(w, count, where):
     return norm2
 
 
+def _degree_integral(box, orders, fraction):
+    """Sum weight * num / den over the Gauss grid of ``box``, num and den from ``fraction``."""
+    grid = gauss_grid(box, orders)
+    num, den = _node_values(grid, lambda nodes: np.broadcast_arrays(*fraction(nodes)))
+    return _part_sums(grid, grid.weights * num / den)[0]
+
+
 def degree_integral_circle(map_fn, order):
     """Degree of a nonvanishing plane-valued map over [0, 2pi): ``map_fn(t)``
     takes node angles t (N,) and returns the node-last maps w[k] and
     dw[0, k], k < 2, of ``pullback_jets``, an absent entry zero, and
     (w1 w2' - w2 w1') / |w|^2 is integrated."""
-    def weighted(nodes, weights):
+    def fraction(nodes):
         t = nodes[:, 0]
         w, dw = map_fn(t)
         norm2 = _norm2(w, len(t), lambda k: f"circle at t={float(t[k])}")
         w0, w1 = (w.get(k, 0.0) for k in range(2))
-        return weights * (w0 * dw.get((0, 1), 0.0) - w1 * dw.get((0, 0), 0.0)) / norm2
+        return w0 * dw.get((0, 1), 0.0) - w1 * dw.get((0, 0), 0.0), norm2
 
-    grid = gauss_grid([(0.0, 2 * math.pi)], [order])
-    return _quadrature(grid, weighted)[0] / (2 * math.pi)
+    return _degree_integral([(0.0, 2 * math.pi)], [order], fraction) / (2 * math.pi)
 
 
 def degree_integral_sphere(map_fn, order):
@@ -335,13 +332,13 @@ def degree_integral_sphere(map_fn, order):
     ``map_fn(nodes)`` takes nodes (N, 2) and returns the node-last maps w[k]
     and dw[i, k], k < 3, of ``pullback_jets``, an absent entry zero, and
     det[w, dw] / |w|^3, det by cofactors along w, is integrated."""
-    def weighted(nodes, weights):
+    def fraction(nodes):
         w, dw = map_fn(nodes)
         norm2 = _norm2(w, len(nodes), lambda k: f"sphere at {[float(a) for a in nodes[k]]}")
         w0, w1, w2 = (w.get(k, 0.0) for k in range(3))
         (a0, a1, a2), (b0, b1, b2) = ([dw.get((i, k), 0.0) for k in range(3)] for i in (0, 1))
         det = w0 * (a1 * b2 - a2 * b1) - w1 * (a0 * b2 - a2 * b0) + w2 * (a0 * b1 - a1 * b0)
-        return weights * det / (norm2 * np.sqrt(norm2))
+        return det, norm2 * np.sqrt(norm2)
 
-    grid = gauss_grid([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order])
-    return _quadrature(grid, weighted)[0] / (4 * math.pi)
+    return _degree_integral([(0.0, math.pi), (0.0, 2 * math.pi)], [order, 2 * order],
+                            fraction) / (4 * math.pi)

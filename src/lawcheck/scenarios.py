@@ -22,7 +22,9 @@ from .suite import catalog_names, load_catalog_raw  # re-exported: the catalog r
 
 
 def _const(value):
-    """Evaluate a parameter-free literal (number or expression string)."""
+    """Evaluate a parameter-free literal (number or expression string), not a bool."""
+    if isinstance(value, bool):
+        raise ConfigError(f"bad constant {value!r}: a boolean is not a number")
     if isinstance(value, (int, float)):
         return float(value)
     try:

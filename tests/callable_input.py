@@ -9,13 +9,39 @@ forward mode by Jet arithmetic, an independent path beside the compiled
 derivative programs.  It has no ``reads``, so the quadratures evaluate it on
 every axis.  ``CONSTANT_POLAR`` is the constant field e_x of the unit disk in
 polar coordinates (r, psi), the tests' shared section and field.
+
+This module is the tests' one import point for ``Jet`` and for ``jet_sin``,
+``jet_cos`` and ``jet_exp``, which apply sin, cos and exp to a Jet, a node
+array or a float.  lawcheck's own expression table calls numpy or math
+only; ``install_jet_functions`` puts these dispatchers in its place for a
+test that runs a compiled vector on Jets (the ``jet_functions`` fixture of
+``conftest.py``).
 """
 
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from lawcheck.geometry import Jet, _present, jet_cos, jet_sin
+from lawcheck import expressions
+from lawcheck.geometry import Jet, _present
+
+
+def _dispatch(jet_fn, array_fn, float_fn):
+    return lambda x: (jet_fn if isinstance(x, Jet) else
+                      array_fn if isinstance(x, np.ndarray) else float_fn)(x)
+
+
+jet_sin = _dispatch(Jet.sin, np.sin, math.sin)
+jet_cos = _dispatch(Jet.cos, np.cos, math.cos)
+jet_exp = _dispatch(Jet.exp, np.exp, math.exp)
+
+
+def install_jet_functions(patch):
+    """Let compiled expressions call sin, cos and exp on Jets, through
+    ``patch`` (a pytest MonkeyPatch), which restores lawcheck's table."""
+    for name, fn in (("sin", jet_sin), ("cos", jet_cos), ("exp", jet_exp)):
+        patch.setitem(expressions._FUNCTIONS, name, fn)
 
 
 class OnJets:

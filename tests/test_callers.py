@@ -10,6 +10,7 @@ exist to be called by the tests are listed below, each with its reason.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +22,8 @@ TEST_ENTRY_POINTS = {
                               "identity of the paper",
     "rotate_frame": "frame-rotation invariance of Phi and of the boundary "
                     "family",
+    "Jet": "the tests' forward-mode oracle; bench/tracing.py counts its products "
+           "(Jet.__mul__, Jet.__rmul__) in every traced pass",
 }
 
 METHOD_ENTRY_POINTS = {
@@ -292,37 +295,42 @@ def test_src_reads_inputs_only_through_jets_and_reads():
 
 # -- no Jets in src/ -------------------------------------------------------------------
 
-def _jet_variables_sites(source):
-    """(innermost enclosing function, or None, and line) of each reference
-    to ``Jet.variables`` in ``source``, by line."""
+_JET = re.compile(r"\bJet")
+
+
+def _jet_sites(source):
+    """The lines of ``source`` that name ``Jet`` (or Jets), in code, a comment
+    or a docstring, outside the block of a module-level ``class Jet``."""
     tree = ast.parse(source)
-    owner = {}
-    for fn in ast.walk(tree):  # breadth first, so the innermost function wins
-        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
-            owner.update((id(node), getattr(fn, "name", "lambda")) for node in ast.walk(fn))
-    return sorted(((owner.get(id(node)), node.lineno) for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr == "variables"
-                   and "Jet" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))),
-                  key=lambda site: site[1])
+    allowed = {line for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Jet"
+               for line in range(node.lineno, node.end_lineno + 1)}
+    return [k for k, line in enumerate(source.splitlines(), start=1)
+            if _JET.search(line) and k not in allowed]
 
 
 def test_the_check_finds_planted_jet_variables():
-    source = ("def _input_jets(fn, x, order):\n"
+    source = ("class Jet:\n"
+              "    def sin(self):\n"
+              "        return Jet(self.v, self.g, self.h)\n"
+              "def _input_jets(fn, x, order):\n"
               "    return fn(Jet.variables(x, 1))\n"
-              "def index_at(sing, nodes):\n"
-              "    def map_fn(t):\n"
-              "        return geometry.Jet.variables(t, 1)\n"
-              "make = Jet.variables\n")
-    assert _jet_variables_sites(source) == [("_input_jets", 2), ("map_fn", 5), (None, 6)]
+              "def index_at(sing, nodes):  # as Jets would\n"
+              "    return isinstance(nodes, geometry.Jet)\n"
+              "make = Jet.variables\n"
+              "def jets(x):\n"
+              "    \"\"\"No Jet here.\"\"\"\n"
+              "    return OnJets, metric_jets\n")
+    assert _jet_sites(source) == [5, 6, 7, 8, 10]
 
 
 def test_src_makes_no_jets():
-    """No module of src/ references ``Jet.variables``: every input gives its
-    derivatives through its own ``jets`` as node-last maps, and only the
-    tests' callable adapter runs a Python callable on Jets."""
-    sites = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
-             for owner, _ in _jet_variables_sites(path.read_text())}
-    assert sites == set(), sites
+    """No module of src/ names ``Jet`` outside geometry's ``class Jet`` block:
+    every input gives its derivatives through its own ``jets`` as node-last
+    maps, compiled expressions call numpy or math, and only the tests run a
+    Python callable or a compiled vector on Jets."""
+    sites = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _jet_sites(path.read_text()))}
+    assert sites == {}, sites
 
 
 # -- one gate table ------------------------------------------------------------------

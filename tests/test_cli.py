@@ -175,6 +175,12 @@ _MALFORMED = {
     "param-named-pi": ("disk-constant", _rename("psi", "pi")),
     "params-repeated": ("disk-constant", _set("patch", "params", ["r", "r"])),
     "exponent-1e400": ("disk-constant", _set("field", "components", 0, "r ^ 1e400")),
+    "box-boolean": ("disk-double-vortex", _set("patch", "box", [[False, True], [0, "2*pi"]])),
+    "radius-boolean": ("disk-double-vortex", _set(*_SADDLE, "radius", True)),
+    "margin-boolean": ("disk-double-vortex", _set("field", "margin", True)),
+    "center-boolean": ("disk-double-vortex", _set(*_SADDLE, "center", [True, 0])),
+    "location-boolean": ("disk-double-vortex",
+                         _set("tangential_singularities", 0, "location", [True])),
 }
 
 

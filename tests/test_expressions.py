@@ -19,7 +19,9 @@ from lawcheck.expressions import (
     compile_matrix,
     compile_vector,
 )
-from lawcheck.geometry import ConfigError, Jet
+from lawcheck.geometry import ConfigError
+
+from callable_input import Jet, install_jet_functions
 
 
 def ev(text, params=(), env=()):
@@ -58,7 +60,7 @@ def test_parameters_positional():
     assert f([2.0, 6.0]) == 9.0
 
 
-def test_jets_flow_through():
+def test_jets_flow_through(jet_functions):
     f = compile_expression("sin(x)*y + x^2", ["x", "y"])
     jx, jy = Jet.variables([0.5, 2.0], 1)
     out = f([jx, jy])
@@ -257,13 +259,15 @@ def test_shared_program_agrees_with_entries_one_by_one(texts, points):
         assert matrix.jets(nodes, 0)[0].keys() == {keys[k] for k in want}
         assert {keys.index(key): _bits(v) for key, v in matrix.jets(nodes, 0)[0].items()} == want
     env = Jet.variables(points, 2)
-    with np.errstate(all="ignore"):  # the Jet reference leaves numpy's faults to its caller
+    # the Jet reference leaves numpy's faults to its caller
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        install_jet_functions(patch)
         want = [_jet_bits(f(env)[0]) for f in single]
         assert [_jet_bits(v) for v in vector(env)] == want
         assert [_jet_bits(v) for v in matrix(env)] == want
 
 
-def test_shared_calls_run_once_per_evaluation(monkeypatch):
+def test_shared_calls_run_once_per_evaluation(jet_functions, monkeypatch):
     """A conformal metric exp(2*f) * g with f and g sharing sin(th) calls sin,
     cos and exp once each per evaluation, however often they repeat, and its
     derivative program once per distinct argument."""
@@ -290,7 +294,7 @@ def test_shared_calls_run_once_per_evaluation(monkeypatch):
 
 # -- slot liveness ----------------------------------------------------------------
 
-def test_an_output_that_later_entries_read_is_kept():
+def test_an_output_that_later_entries_read_is_kept(jet_functions):
     """A slot is dropped after its last reader unless it is an entry's
     value: sin(x) is the first entry and an operand of the second, x*y the
     second entry and an operand of the third."""
@@ -317,7 +321,7 @@ def test_a_fault_after_dropped_slots_names_its_node_and_entry():
             vector.jets(nodes, order)
 
 
-def test_a_long_chain_keeps_a_few_slots_alive():
+def test_a_long_chain_keeps_a_few_slots_alive(jet_functions):
     """The peak memory of a chain of k products of second-order jets, or of
     its second-order derivative program, stays within a few slots (a slot:
     values, gradients and Hessians of every node), whatever k."""
@@ -424,6 +428,7 @@ def test_derivative_programs_agree_with_jet_arithmetic(program):
             assert str(err.value) == str(exc)
         return
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        install_jet_functions(patch)
         for name in _ARRAY_OPERATIONS:
             patch.setattr(Jet, name, _with_array_values(name))
         reference = fn(Jet.variables(nodes, 2))

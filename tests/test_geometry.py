@@ -16,7 +16,6 @@ from lawcheck.expressions import compile_matrix, compile_vector
 from lawcheck.geometry import (
     BoundaryPatch,
     ConfigError,
-    Jet,
     RiemannianPatch,
     _cholesky_inverse,
     _frame_connection,
@@ -25,16 +24,13 @@ from lawcheck.geometry import (
     boundary_frame,
     christoffel_symbols,
     euler_form_density,
-    jet_cos,
-    jet_exp,
-    jet_sin,
     pair_curvature,
 )
 from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_section
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
 from lawcheck.templates import pairs
 
-from callable_input import OnJets
+from callable_input import Jet, OnJets, jet_cos, jet_exp, jet_sin
 from test_integrate import _traced_beyond_result, disk_rim, entries, node_first, unpack_pairs
 
 
@@ -289,7 +285,7 @@ _LAYOUT_TEXTS = ["x * y - y", "(x + 2) / (y * y + 1)", "x^3 * y^-2", "(x - y)^2 
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_batched_jets_equal_point_jets(order):
+def test_batched_jets_equal_point_jets(order, jet_functions):
     """Jets of compiled expressions on a node batch give, at each node and
     bit for bit, the jet that the same expressions give at that node alone;
     ``stack_first_order`` and ``stack_hessians`` keep their node-first
@@ -653,7 +649,7 @@ def test_metric_jets_build_hessians_for_varying_entries_only():
     # d_rho d_rho rho^2 = 2 is a plain number, as the derivative program gives it
     assert all(h.shape == (9,) for key, h in jets[2].items() if key != (0, 0, 1, 1))
     assert jets[2][0, 0, 1, 1] == 2.0
-    assert patch.metric_jets(points, order=1)[2] is None
+    assert patch.metric_jets(points, order=1)[2] == {}
     want, got = reference_core(jets, len(points)), pair_core(patch, points)
     assert np.max(np.abs(got.Gamma - want.Gamma)) < 1e-15
     assert np.max(np.abs(got.riemann - want.riemann)) < 1e-15
@@ -763,16 +759,6 @@ def test_two_dimensional_boundary_frame_builds_no_curvature(monkeypatch):
     bf = boundary_frame(disk_rim(), [[0.3], [1.2]])
     assert bf.curvature is None and set(bf.omega) == {(0, 1, 0), (1, 0, 0)}
     assert orders == [1]
-
-
-def test_odd_euler_density_builds_no_curvature(monkeypatch):
-    """At odd n the Euler form is zero: no metric jet, Christoffel symbol or
-    curvature is computed."""
-    for name in ("pair_curvature", "christoffel_symbols"):
-        monkeypatch.setattr(geometry, name, _refuse)
-    monkeypatch.setattr(RiemannianPatch, "metric_jets", _refuse)
-    points = np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6]])
-    assert euler_form_density(wavy_patch(3, seed=1), points).tolist() == [0.0, 0.0]
 
 
 def _row_gram_schmidt(G, dG, vectors, dvectors):
@@ -1229,7 +1215,7 @@ ORACLE_CASES = _oracle_cases()
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-def test_node_last_frames_match_the_node_first_reference(case, twisted):
+def test_node_last_frames_match_the_node_first_reference(case, twisted, jet_functions):
     """The boundary frame, its connection and curvature, both section
     pullbacks (the normal and the field) and the field's frame components of
     ``fields`` equal the node-first reference within 1e-13, with and without

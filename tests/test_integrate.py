@@ -16,15 +16,13 @@ from hypothesis import strategies as st
 
 from lawcheck.algebra import DEGREE, K_U, Form
 from lawcheck.chern import build_phi, signed_permutations
-from lawcheck import geometry, integrate
+from lawcheck import geometry, integrate, runner
 from lawcheck.geometry import (
     BoundaryPatch,
     GenericityError,
     RiemannianPatch,
     boundary_frame,
     euler_form_density,
-    jet_cos,
-    jet_sin,
 )
 from lawcheck.expressions import compile_matrix, compile_vector
 from lawcheck.integrate import (
@@ -53,7 +51,7 @@ from lawcheck.templates import (
 )
 from lawcheck.trig import TrigScalar, sphere_volume
 
-from callable_input import CONSTANT_POLAR, OnJets
+from callable_input import CONSTANT_POLAR, Jet, OnJets, jet_cos, jet_sin
 
 
 # -- shared patches -----------------------------------------------------------
@@ -280,9 +278,25 @@ def test_hemisphere_normal_section_and_euler():
 
 
 def test_euler_odd_dimension_short_circuit():
+    """At odd n the Euler form is zero: its template has no entry, so every
+    node's density, and the integral, is 0.0."""
     ball = RiemannianPatch(3, [(0, 1)] * 3,
                            OnJets(lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert integrate_euler(ball, gauss_grid(ball.box, 4)) == (0.0,)
+
+
+def test_odd_dimension_runs_no_euler_integral(monkeypatch):
+    """``run_scenario`` decides odd n in one place: at n = 3 it neither
+    integrates nor evaluates the Euler density, and both integrals read 0.0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Euler integral at odd n")
+
+    monkeypatch.setattr(runner, "integrate_euler", refuse)
+    for module in (geometry, integrate):
+        monkeypatch.setattr(module, "euler_form_density", refuse)
+    report = run_scenario(load_catalog_scenario("ball3-radial"))
+    assert report.passed and report.integrals["omega_x"] == 0.0
+    assert report.convergence["omega_x"] == 0.0
 
 
 def test_euler_grid_dimension_mismatch():
@@ -567,8 +581,8 @@ def test_boundary_path_runs_no_jet_arithmetic(name, monkeypatch):
 
     recorded.jets = lambda x, order: calls.append((x, components.jets(x, order))) or calls[-1][1]
     for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
-        monkeypatch.setattr(geometry.Jet, attr, refuse)
-    monkeypatch.setattr(geometry.Jet, "variables", staticmethod(refuse))
+        monkeypatch.setattr(Jet, attr, refuse)
+    monkeypatch.setattr(Jet, "variables", staticmethod(refuse))
     indexed = 0
     for k, bpatch in enumerate(scenario.boundaries):
         grid = gauss_grid(bpatch.box, scenario.boundary_order)
