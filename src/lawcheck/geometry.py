@@ -4,8 +4,8 @@ Every layer takes N chart (or boundary) points as an (N, dim) array, in
 chunks of ``node_chunks`` when a quadrature passes its grid.  Derivatives are
 forward mode, truncated Taylor arithmetic (Griewank & Walther 2008).  Every
 input, the metric (second order only where a curvature follows), the
-boundary embedding (second order, for d2x), outward vectors, fields, frame
-twists and the chart map, is read one way, through its ``jets(x, order)``:
+boundary embedding (second order, for d2x), outward vectors, fields and the
+chart map, is read one way, through its ``jets(x, order)``:
 the value program (order 0) or derivative programs of compiled expressions
 (``expressions``), giving node-last values, gradients and Hessians.  A field
 on the boundary, and a chart field on the sphere of an index map, is
@@ -397,6 +397,7 @@ def _orthonormal_rows(G, dG, V, dV, points, m):
     return E, dE
 
 
+# not ``_product``: low sums three signed dG entries, and Gamma and Ginv through it ran slower
 @lru_cache(maxsize=None)
 def _christoffel_terms(n, dG, Linv):
     """Given the keys of dG and L^-1, the terms that are not structurally
@@ -425,6 +426,7 @@ def christoffel_symbols(dG, Linv):
                  for (i, j, k), ls in terms[2].items()}
 
 
+# not ``_product``: U as one product builds the n^4 and gathered temporaries that this avoids
 @lru_cache(maxsize=None)
 def _pair_terms(n, low, Gamma):
     """Given the keys of low and Gamma, for each entry R[I, J], I <= J, of
@@ -519,9 +521,7 @@ class BoundaryFrame:
     pushforward: dict              # pushforward[i, k] = d x^k / d t_i
     metric: dict                   # metric[k, l] = g_kl
     dmetric: dict                  # dmetric[i, k, l] = d g_kl / d t_i
-    normal: dict                   # normal[k]: the untwisted outward unit normal
-    dnormal: dict                  # dnormal[i, k]
-    frame: dict                    # frame[A, k] = e_A^k, the adapted frame rows
+    frame: dict                    # frame[A, k] = e_A^k, row 0 the outward unit normal
     dframe: dict                   # dframe[i, A, k] = d e_A^k / d t_i
     omega: dict = None             # omega[A, B, i], A != B, on boundary coordinate directions
     curvature: dict = None         # curvature[I, J], frame pairs I on boundary bivectors J
@@ -557,10 +557,8 @@ def adapted_frame(bpatch, t, order=1):
     E, dE = _orthonormal_rows(G, dG, V, dV, t, m)
     E = {((A + 1) % n, k): v for (A, k), v in E.items()}
     dE = {(i, (A + 1) % n, k): v for (i, A, k), v in dE.items()}
-    return (BoundaryFrame(points=points, pushforward=dx, metric=G, dmetric=dG,
-                          normal={k: v for (A, k), v in E.items() if A == 0},
-                          dnormal={(i, k): v for (i, A, k), v in dE.items() if A == 0},
-                          frame=E, dframe=dE), jets)
+    return BoundaryFrame(points=points, pushforward=dx, metric=G, dmetric=dG,
+                         frame=E, dframe=dE), jets
 
 
 def pullback_jets(fn, points, pushforward):
@@ -574,13 +572,10 @@ def pullback_jets(fn, points, pushforward):
     return W, _product(pushforward, dWx)
 
 
-def boundary_frame(bpatch, t, frame_twist=None):
+def boundary_frame(bpatch, t):
     """``adapted_frame`` at the boundary nodes t (N, m) with its connection
     values and, where Phi has a 2-form factor, its curvature values, from the
-    same metric jets.  ``frame_twist``, an n x n rotation R of the boundary
-    parameters read through its first-order ``jets``, replaces the frame E by
-    R E; ``normal`` stays the untwisted e_1."""
-    t = np.asarray(t, dtype=float)
+    same metric jets."""
     n, m = bpatch.parent.n, bpatch.m
     curved = phi_template(n).curved
     bf, (_, dG, hess, Linv, _) = adapted_frame(bpatch, t, 2 if curved else 1)
@@ -588,12 +583,6 @@ def boundary_frame(bpatch, t, frame_twist=None):
     del dG, Linv  # read: freed before the curvature's products
     curv = pair_curvature(low, Gamma, hess, n) if curved else None
     del hess, low  # read: freed before the frame's products
-    if frame_twist is not None:
-        R, dR, _ = frame_twist.jets(t, 1)
-        E, dE = bf.frame, bf.dframe
-        # d(R E)[i, a, k] = dR[i, a, b] E[b, k] + R[a, b] dE[i, b, k]
-        bf.frame, bf.dframe = _product(R, E), {(i, *ak): v for i in range(m) for ak, v in _add(
-            _product(_along(dR, i), E), _product(R, _along(dE, i))).items()}
     if curved:
         bf.curvature = _frame_curvature(curv, bf.frame, bf.pushforward, m)
     bf.omega = _frame_connection(bf.metric, Gamma, bf.frame, bf.dframe, bf.pushforward, m)

@@ -128,7 +128,7 @@ class SectionPullback:
     the bindings a form template reads beside the frame's curvature."""
 
     def __init__(self, section=None):
-        self.section = section            # None means the outward normal
+        self.section = section            # None means the outward normal, frame row 0
 
     def bind(self, t, frame):
         """Pull the section back at the nodes t (N, m) through ``frame``, the
@@ -145,8 +145,9 @@ class SectionPullback:
         t = np.asarray(t, dtype=float)
         N, m = t.shape
         n = m + 1
+        normal = {k: v for (A, k), v in frame.frame.items() if A == 0}
         if self.section is None:
-            W, dW = frame.normal, frame.dnormal
+            W, dW = normal, {(i, k): v for (i, A, k), v in frame.dframe.items() if A == 0}
         else:
             W, dW = pullback_jets(self.section, frame.points, frame.pushforward)
         # s_A = <W, e_A> and, as row n, |W|^2 = <W, W>
@@ -171,17 +172,15 @@ class SectionPullback:
         angle = np.arctan2(np.broadcast_to(0.0 if tangential is None else np.sqrt(tangential),
                                            (N,)), u.get(0, 0.0))
         v_dot_n = _contract({(0, k): w for k, w in W.items()},
-                            _contract(frame.metric, frame.normal)).get(0, 0.0)
+                            _contract(frame.metric, normal)).get(0, 0.0)
         return u, theta, angle, np.broadcast_to(v_dot_n, (N,))
 
 
 # -- the integrals -------------------------------------------------------------------
 
 def _reads(fn, order=0):
-    """The parameters that the entries of an input read, by its
-    ``reads(order)``; None for an input without ``reads``, which reads every
-    one."""
-    return set().union(*fn.reads(order).values()) if hasattr(fn, "reads") else None
+    """The parameters that the entries of an input read, by its ``reads(order)``."""
+    return set().union(*fn.reads(order).values())
 
 
 def _node_values(grid, values, reads=None):
@@ -223,20 +222,17 @@ def integrate_euler(patch, grid):
     return _part_sums(grid, grid.weights * density)
 
 
-def _phi_reads(bpatch, sections, frame_twist):
-    """The boundary parameters that the Phi integrand reads, None for all (a
-    frame twist or an input without ``reads``): what ``outward`` and the
-    embedding's derivatives read, and embedding entry p for each chart
+def _phi_reads(bpatch, sections):
+    """The boundary parameters that the Phi integrand reads: what ``outward``
+    and the embedding's derivatives read, and embedding entry p for each chart
     parameter p that the metric or a section's field reads."""
-    chart = [_reads(bpatch.parent.metric), *(_reads(s) for s in sections if s is not None)]
-    if frame_twist is not None or None in chart or not hasattr(bpatch.embed, "reads"):
-        return None
+    chart = set().union(_reads(bpatch.parent.metric),
+                        *(_reads(s) for s in sections if s is not None))
     x = bpatch.embed.reads()
-    reads = [_reads(bpatch.embed, 2), _reads(bpatch.outward), *(x[p] for p in set().union(*chart))]
-    return None if None in reads else set().union(*reads)
+    return set().union(_reads(bpatch.embed, 2), _reads(bpatch.outward), *(x[p] for p in chart))
 
 
-def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
+def integrate_phi_over_section(bpatch, sections, grid):
     """Integrals of the secondary form over sections of the boundary bundle.
 
     Each of ``sections`` is None for the outward normal or a field, a
@@ -252,7 +248,7 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
     pulls = [SectionPullback(s) for s in sections]
 
     def values(t):
-        bf = boundary_frame(bpatch, t, frame_twist)
+        bf = boundary_frame(bpatch, t)
 
         def profile(pull):  # one section's u and theta alive at a time
             u, theta, angle, v_dot_n = pull.bind(t, bf)
@@ -260,8 +256,8 @@ def integrate_phi_over_section(bpatch, sections, grid, frame_twist=None):
 
         return np.array([profile(pull) for pull in pulls])
 
-    dens, angle, v_dot_n = _node_values(
-        grid, values, _phi_reads(bpatch, sections, frame_twist)).transpose(1, 0, 2)
+    reads = _phi_reads(bpatch, sections)
+    dens, angle, v_dot_n = _node_values(grid, values, reads).transpose(1, 0, 2)
     return _part_sums(grid, grid.weights * dens), dens, angle, v_dot_n
 
 

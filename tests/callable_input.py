@@ -1,14 +1,17 @@
 """The tests' Python-callable inputs, given the ``jets`` that lawcheck reads.
 
-lawcheck reads every numeric input (a metric, embedding, outward vector,
-field or frame twist) one way, as the compiled expressions give it: through
+lawcheck reads every numeric input (a metric, embedding, outward vector or
+field) one way, as the compiled expressions give it: through
 ``jets(x, order)``, the node-last maps of its values (order 0), gradients
 and Hessians.  ``OnJets`` wraps a Python callable so that it reads the same
 way: its ``jets`` runs the callable on the parameter Jets of the nodes,
 forward mode by Jet arithmetic, an independent path beside the compiled
-derivative programs.  It has no ``reads``, so the quadratures evaluate it on
-every axis.  ``CONSTANT_POLAR`` is the constant field e_x of the unit disk in
-polar coordinates (r, psi), the tests' shared section and field.
+derivative programs.  It has no ``reads``, so the Euler and Phi integrals,
+which read the parameters each input reads, take compiled inputs only.
+``CONSTANT_POLAR`` is the constant field e_x of the unit disk in polar
+coordinates (r, psi), compiled, the tests' shared section and field.
+``rotated_frames`` rotates every boundary frame by a twist, for the
+frame-rotation invariance of Phi.
 
 This module is the tests' one import point for ``Jet`` and for ``jet_sin``,
 ``jet_cos`` and ``jet_exp``, which apply sin, cos and exp to a Jet, a node
@@ -19,12 +22,15 @@ test that runs a compiled vector on Jets (the ``jet_functions`` fixture of
 """
 
 import math
+from contextlib import contextmanager
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 
-from lawcheck import expressions
-from lawcheck.geometry import Jet, _present
+from lawcheck import expressions, geometry
+from lawcheck.expressions import compile_vector
+from lawcheck.geometry import Jet, _add, _along, _present, _product
 
 
 def _dispatch(jet_fn, array_fn, float_fn):
@@ -80,4 +86,27 @@ class OnJets:
         return values, grads, hess
 
 
-CONSTANT_POLAR = OnJets(lambda x: [jet_cos(x[1]), -1.0 * jet_sin(x[1]) / x[0]])
+CONSTANT_POLAR = compile_vector(["cos(psi)", "-sin(psi)/r"], ["r", "psi"])
+
+
+@contextmanager
+def rotated_frames(twist):
+    """Within the block, every frame that ``geometry.boundary_frame`` builds
+    is rotated by ``twist``, an n x n rotation R of the boundary parameters
+    read through its first-order ``jets``: E becomes R E, with
+    d(R E)[i, a, k] = dR[i, a, b] E[b, k] + R[a, b] dE[i, b, k], before the
+    connection and curvature are built from it, so row 0 is no longer the
+    normal.  A twist of None leaves the frames as they are."""
+    adapted = geometry.adapted_frame
+
+    def rotated(bpatch, t, order=1):
+        bf, jets = adapted(bpatch, t, order)
+        R, dR, _ = twist.jets(np.asarray(t, dtype=float), 1)
+        E, dE = bf.frame, bf.dframe
+        bf.frame = _product(R, E)
+        bf.dframe = {(i, *ak): v for i in range(bpatch.m) for ak, v in _add(
+            _product(_along(dR, i), E), _product(R, _along(dE, i))).items()}
+        return bf, jets
+
+    with mock.patch.object(geometry, "adapted_frame", adapted if twist is None else rotated):
+        yield

@@ -3,9 +3,10 @@
     PYTHONPATH=src python tests/line_trace.py
 
 runs, in one process and through ``lawcheck.cli.main``, every command of
-``COMMANDS``: each catalog scenario in the json, text and csv formats,
-``list``, ``suite``, and ``symbolic-check`` at n = 2 to 5 with ``--print
-phi`` and with ``--print gamma``.  Their output is discarded.  Under
+``COMMANDS``: each catalog scenario by name in the json, text and csv
+formats, one catalog file by its path, ``list``, ``suite`` in the text and
+json formats, and ``symbolic-check`` at n = 2 to 5 with ``--print phi`` and
+with ``--print gamma``.  Their output is discarded.  Under
 ``sys.settrace`` it records the lines that run in the modules of
 src/lawcheck, then prints, per module, its executable statements, how many
 did not run and their line numbers, and last the functions none of whose
@@ -36,7 +37,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lawcheck"
 CATALOG = sorted(p.stem for p in (SRC / "catalog").glob("*.json"))
 COMMANDS = ([["run", "--scenario", name, "--format", fmt]
              for name in CATALOG for fmt in ("json", "text", "csv")]
-            + [["list"], ["suite"]]
+            + [["run", "--scenario", str(SRC / "catalog" / f"{CATALOG[0]}.json")],
+               ["list"], ["suite"], ["suite", "--format", "json"]]
             + [["symbolic-check", "--n", str(n), "--print", form]
                for n in range(2, 6) for form in ("phi", "gamma")])
 _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -22,6 +22,7 @@ from lawcheck.chern import (
     build_upsilon_and_check,
     check_dphi,
 )
+from lawcheck.expressions import compile_matrix, compile_vector
 from lawcheck.geometry import BoundaryPatch, RiemannianPatch
 from lawcheck.integrate import (
     gauss_grid,
@@ -32,8 +33,9 @@ from lawcheck.fields import InteriorSingularity, index_at
 from lawcheck.runner import run_scenario
 from lawcheck.scenarios import catalog_names, load_catalog_scenario
 
-from callable_input import CONSTANT_POLAR, OnJets
+from callable_input import CONSTANT_POLAR, OnJets, rotated_frames
 from test_algebra import rand_form
+from test_integrate import every_node
 
 
 def _line(criterion, passed, detail=""):
@@ -157,12 +159,12 @@ def test_criterion_8_property_suites():
             sign = -1 if (a.degrees()[0] % 2 and b.degrees()[0] % 2) else 1
             assert a * b == (b * a).scale(sign)
 
-    # frame-rotation invariance of the section integrals
+    # frame-rotation invariance of the section integrals, the normal d/dr
+    # given as a field: the rotated e_1 is not the normal
     disk = RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
-                           OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]))
-    rim = BoundaryPatch(disk, [(0, 2 * math.pi)],
-                        embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0]]),
-                        outward=OnJets(lambda t: [1.0, 0.0]))
+                           compile_matrix([["1", "0"], ["0", "r*r"]], ["r", "psi"]))
+    rim = BoundaryPatch(disk, [(0, 2 * math.pi)], embed=compile_vector(["1", "t"], ["t"]),
+                        outward=compile_vector(["1", "0"], ["t"]))
     grid = gauss_grid(rim.box, [64])
 
     @OnJets
@@ -172,10 +174,10 @@ def test_criterion_8_property_suites():
         return [[c, -1.0 * s], [s, c]]
 
     max_shift = 0.0
-    for section in (None, CONSTANT_POLAR):
+    for section in (compile_vector(["1", "0"], ["r", "psi"]), CONSTANT_POLAR):
         ((base,),), *_ = integrate_phi_over_section(rim, (section,), grid)
-        ((rot,),), *_ = integrate_phi_over_section(rim, (section,), grid,
-                                                   frame_twist=twist)
+        with rotated_frames(twist):
+            ((rot,),), *_ = integrate_phi_over_section(rim, (section,), every_node(grid))
         max_shift = max(max_shift, abs(rot - base))
     assert max_shift < 1e-8
 

@@ -123,9 +123,6 @@ def test_every_method_has_a_caller_in_src():
 DEFAULT_ENTRY_POINTS = {
     ("main", "argv"): "tests drive the command line in-process; the console "
                       "script calls main() with no argument",
-    ("integrate_phi_over_section", "frame_twist"): "the SO(n)-invariance seam: "
-                                                   "tests rotate the boundary "
-                                                   "frame through it",
 }
 
 
@@ -263,7 +260,7 @@ def test_second_order_programs_only_on_curvature_paths():
 # -- one read path -----------------------------------------------------------------
 
 INPUTS = {"metric", "_chart_map", "embed", "outward", "components", "chart_field",
-          "section", "frame_twist"}
+          "section"}
 
 
 def _input_calls(source):
@@ -285,12 +282,44 @@ def test_the_check_finds_planted_input_calls():
 
 def test_src_reads_inputs_only_through_jets_and_reads():
     """No call in src/ invokes a numeric input (a metric, chart map,
-    embedding, outward vector, field, chart field, section or frame twist):
-    src/ reads each through its ``jets``, values at order 0, and its
-    ``reads``, so a compiled input evaluates node arrays in one place."""
+    embedding, outward vector, field, chart field or section): src/ reads
+    each through its ``jets``, values at order 0, and its ``reads``, so a
+    compiled input evaluates node arrays in one place."""
     calls = [(path.name, *site) for path in sorted(SRC.glob("*.py"))
              for site in _input_calls(path.read_text())]
     assert calls == [], calls
+
+
+_PROBES = {"hasattr", "getattr"}
+_READ_ATTRIBUTES = {"jets", "reads"}
+
+
+def _read_probes(source):
+    """The lines of ``source`` that call ``hasattr`` or ``getattr`` on the
+    attribute ``jets`` or ``reads``, named by a string constant."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _callee(node) in _PROBES
+                  and any(isinstance(a, ast.Constant) and a.value in _READ_ATTRIBUTES
+                          for a in node.args[1:]))
+
+
+def test_the_check_finds_planted_read_probes():
+    source = ("def _reads(fn, order=0):\n"
+              "    return fn.reads(order) if hasattr(fn, 'reads') else None\n"
+              "def values(fn, x):\n"
+              "    jets = getattr(fn, 'jets', None)\n"
+              "    right = getattr(node, 'right', None)\n"
+              "    return hasattr(fn, 'jets') and jets(x, 0), builtins.getattr(fn, 'reads')\n")
+    assert _read_probes(source) == [2, 4, 6, 6]
+
+
+def test_src_never_probes_an_input_for_jets_or_reads():
+    """Every input that src/ reads has ``jets`` and ``reads``, as every
+    compiled input does: no module asks whether an input has them, so no
+    branch serves an input without them."""
+    probes = {path.name: lines for path in sorted(SRC.glob("*.py"))
+              if (lines := _read_probes(path.read_text()))}
+    assert probes == {}, probes
 
 
 # -- no Jets in src/ -------------------------------------------------------------------

@@ -28,9 +28,9 @@ from lawcheck.geometry import (
 )
 from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_section
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
-from lawcheck.templates import pairs
+from lawcheck.templates import evaluate_template, pairs, phi_template
 
-from callable_input import Jet, OnJets, jet_cos, jet_exp, jet_sin
+from callable_input import Jet, OnJets, jet_cos, jet_exp, jet_sin, rotated_frames
 from test_integrate import _traced_beyond_result, disk_rim, entries, node_first, unpack_pairs
 
 
@@ -929,17 +929,16 @@ def dense_frame(bf, N, n, m):
     BoundaryFrame, zeros where an entry is structurally zero; the curvature
     is None where the frame has none."""
     P, Q = n * (n - 1) // 2, m * (m - 1) // 2
-    shapes = {"pushforward": (m, n), "metric": (n, n), "dmetric": (m, n, n), "normal": (n,),
-              "dnormal": (m, n), "frame": (n, n), "dframe": (m, n, n), "omega": (n, n, m),
-              "curvature": (P, Q)}
+    shapes = {"pushforward": (m, n), "metric": (n, n), "dmetric": (m, n, n),
+              "frame": (n, n), "dframe": (m, n, n), "omega": (n, n, m), "curvature": (P, Q)}
     return SimpleNamespace(points=bf.points, **{
         key: None if getattr(bf, key) is None else node_first(getattr(bf, key), (N, *shape))
         for key, shape in shapes.items()})
 
 
-def frame_at(bpatch, t, frame_twist=None):
+def frame_at(bpatch, t):
     """The boundary frame at one node t, node-first with the node axis dropped."""
-    bf = dense_frame(boundary_frame(bpatch, [t], frame_twist), 1, bpatch.parent.n, bpatch.m)
+    bf = dense_frame(boundary_frame(bpatch, [t]), 1, bpatch.parent.n, bpatch.m)
     return SimpleNamespace(**{key: value[0] for key, value in vars(bf).items()
                               if value is not None})
 
@@ -1023,9 +1022,12 @@ def reversed_rim(bpatch):
 def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
                                                               reverse):
     """With ``reverse`` the rim runs backwards, so its frames have det < 0,
-    as on the inner circle of an annulus; no sign is applied to them."""
+    as on the inner circle of an annulus; no sign is applied to them.  Row 0
+    of an untwisted frame is the unit normal, so its derivative is checked
+    with the frame's."""
     def frame(tt):
-        return frame_at(bpatch, tt, frame_twist=twist)
+        with rotated_frames(twist):
+            return frame_at(bpatch, tt)
 
     bpatch = reversed_rim(rim()) if reverse else rim()
     t = np.array([-t[0], *t[1:]] if reverse else t)
@@ -1037,22 +1039,12 @@ def test_boundary_frame_derivatives_match_central_differences(rim, t, twist,
         step = h * np.eye(bpatch.m)[i]
         plus = frame(t + step)
         minus = frame(t - step)
-        for name in ("frame", "metric", "normal"):
+        for name in ("frame", "metric"):
             fd = (getattr(plus, name) - getattr(minus, name)) / (2 * h)
             exact = getattr(bf, "d" + name)[i]
             assert np.max(np.abs(fd - exact)) <= 1e-6, name
     assert np.max(np.abs(bf.dframe)) > 0.01
     assert np.max(np.abs(bf.dmetric)) > 0.01
-
-
-def test_boundary_frame_twist_rotates_frame_but_not_normal():
-    bpatch = wavy_ball3_sphere()
-    plain = frame_at(bpatch, [1.1, 0.7])
-    twisted = frame_at(bpatch, [1.1, 0.7], frame_twist=sphere_twist)
-    assert np.array_equal(twisted.normal, plain.normal)
-    assert abs(twisted.frame @ twisted.metric @ twisted.frame.T
-               - np.eye(3)).max() < 1e-12
-    assert np.max(np.abs(twisted.frame[1:] - plain.frame[1:])) > 0.1
 
 
 # -- the node-first reference of the frame layer -------------------------------------
@@ -1115,7 +1107,7 @@ def on_jets(fn, jets):
     return (fn.fn if isinstance(fn, OnJets) else fn)(jets)
 
 
-def reference_boundary_frame(bpatch, t, frame_twist=None):
+def reference_boundary_frame(bpatch, t, twist=None):
     """The boundary frame at the nodes t (N, m), node first, from Jets of the
     embedding, ``outward`` and the twist: Gram-Schmidt on (dx/dt, outward),
     the normal rolled to the front, then the twist, the connection and, at
@@ -1135,26 +1127,25 @@ def reference_boundary_frame(bpatch, t, frame_twist=None):
     E, dE = reference_orthonormal_rows(G, dG, np.concatenate([dx, outward[:, None]], axis=1),
                                        np.concatenate([d2x, doutward[:, :, None]], axis=2), t)
     E, dE = np.roll(E, 1, axis=1), np.roll(dE, 1, axis=2)
-    normal, dnormal = E[:, 0], dE[:, :, 0]
-    if frame_twist is not None:
-        R, dR = stack_first_order([e for row in frame_twist.fn(Jet.variables(t, 1))
+    if twist is not None:
+        R, dR = stack_first_order([e for row in twist.fn(Jet.variables(t, 1))
                                    for e in row], t)
         R, dR = R.reshape(E.shape), dR.reshape(dE.shape)
         E, dE = R @ E, dR @ E[:, None] + R[:, None] @ dE
     core = reference_core(jets, N)
     return SimpleNamespace(
-        points=x, pushforward=dx, metric=G, dmetric=dG, normal=normal, dnormal=dnormal,
-        frame=E, dframe=dE,
+        points=x, pushforward=dx, metric=G, dmetric=dG, frame=E, dframe=dE,
         omega=reference_frame_connection(G, core.Gamma.transpose(0, 2, 3, 1), E, dE, dx),
         curvature=reference_frame_curvature(core.riemann, E, dx) if n == 3 else None,
         x_jets=[Jet(e.v, e.g, None) if isinstance(e, Jet) else e for e in x_jets])
 
 
 def reference_bind(section, t, frame):
-    """u (N, n), theta (N, n, m), the angle to the normal and <W, n> of the
-    section (None for the normal) through a ``reference_boundary_frame``."""
+    """u (N, n), theta (N, n, m), the angle to e_1 and <W, e_1> of the
+    section (None for e_1, the normal of an untwisted frame) through a
+    ``reference_boundary_frame``."""
     if section is None:
-        W, dW = frame.normal, frame.dnormal
+        W, dW = frame.frame[:, 0], frame.dframe[:, :, 0]
     else:
         W, dW = stack_first_order(on_jets(section, frame.x_jets), np.asarray(t, dtype=float))
     s, ds = reference_metric_inner(frame.metric, frame.dmetric,
@@ -1168,7 +1159,7 @@ def reference_bind(section, t, frame):
     du = du.swapaxes(1, 2)  # theta[A,i] = du[i,A] + u[B] omega[B,A,i]
     theta = du + (u[:, None] @ frame.omega.reshape(u.shape + (-1,))).reshape(du.shape)
     angle = np.arctan2(np.linalg.norm(u[:, 1:], axis=1), u[:, 0])
-    return u, theta, angle, (W[:, None] @ frame.metric @ frame.normal[..., None])[:, 0, 0]
+    return u, theta, angle, (W[:, None] @ frame.metric @ frame.frame[:, 0, :, None])[:, 0, 0]
 
 
 def _assert_close(got, want, what, rel=1e-13):
@@ -1217,9 +1208,10 @@ ORACLE_CASES = _oracle_cases()
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_node_last_frames_match_the_node_first_reference(case, twisted, jet_functions):
     """The boundary frame, its connection and curvature, both section
-    pullbacks (the normal and the field) and the field's frame components of
+    pullbacks (e_1 and the field) and the field's frame components of
     ``fields`` equal the node-first reference within 1e-13, with and without
-    a frame twist (``sphere_twist`` at n = 3)."""
+    a frame twist (``sphere_twist`` at n = 3), which ``rotated_frames``
+    applies inside ``boundary_frame``."""
     from lawcheck.fields import _field_frame_components
 
     _, bpatch, field = case
@@ -1229,10 +1221,10 @@ def test_node_last_frames_match_the_node_first_reference(case, twisted, jet_func
     t = np.stack([rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 7)
                   for lo, hi in bpatch.box], axis=1)
     want = reference_boundary_frame(bpatch, t, twist)
-    bf = boundary_frame(bpatch, t, twist)
+    with rotated_frames(twist):
+        bf = boundary_frame(bpatch, t)
     got = dense_frame(bf, len(t), n, m)
-    for key in ("points", "pushforward", "metric", "dmetric", "normal", "dnormal", "frame",
-                "dframe", "omega"):
+    for key in ("points", "pushforward", "metric", "dmetric", "frame", "dframe", "omega"):
         _assert_close(getattr(got, key), getattr(want, key), key)
     if n == 3:
         _assert_close(unpack_pairs(got.curvature, n, m), want.curvature, "curvature")
@@ -1271,6 +1263,17 @@ COMPILED_TWINS = {
 }
 
 
+def phi_at_every_node(bpatch, sections, grid):
+    """The integrals of Phi over ``sections`` from one boundary frame at every
+    node of ``grid``, summed with math.fsum: the quadrature without its read
+    sets, for inputs that have no ``reads``."""
+    t, bf = grid.nodes, boundary_frame(bpatch, grid.nodes)
+    tpl = phi_template(bpatch.parent.n)
+    return [math.fsum((grid.weights * evaluate_template(
+        tpl, *SectionPullback(s).bind(t, bf)[:2], bf.curvature, len(t))).tolist())
+        for s in sections]
+
+
 @pytest.mark.parametrize("name", sorted(COMPILED_TWINS))
 def test_compiled_dense_boundaries_match_their_callables(name):
     """A scenario file's boundary, read through derivative programs, gives
@@ -1293,7 +1296,6 @@ def test_compiled_dense_boundaries_match_their_callables(name):
     assert np.max(np.abs(got.dframe)) > 0.01 and np.max(np.abs(got.omega)) > 0.01
     ((normal, section),), *_ = integrate_phi_over_section(
         compiled, (None, scenario.field_spec.components), grid)
-    ((normal_want, section_want),), *_ = integrate_phi_over_section(
-        written, (None, callable_field), grid)
+    normal_want, section_want = phi_at_every_node(written, (None, callable_field), grid)
     assert abs(normal - normal_want) <= 1e-12 and abs(section - section_want) <= 1e-12
     assert abs(normal_want) > 0.1

@@ -51,38 +51,39 @@ from lawcheck.templates import (
 )
 from lawcheck.trig import TrigScalar, sphere_volume
 
-from callable_input import CONSTANT_POLAR, Jet, OnJets, jet_cos, jet_sin
+from callable_input import CONSTANT_POLAR, Jet, OnJets, rotated_frames
 
 
 # -- shared patches -----------------------------------------------------------
 
 def disk_patch():
     return RiemannianPatch(2, [(0, 1), (0, 2 * math.pi)],
-                           OnJets(lambda x: [[1, 0], [0, x[0] * x[0]]]),
+                           compile_matrix([["1", "0"], ["0", "r*r"]], ["r", "t"]),
                            chart_map=compile_vector(["r*cos(t)", "r*sin(t)"], ["r", "t"]))
 
 
 def disk_rim(reverse=False):
-    patch = disk_patch()
-    if reverse:
-        embed = OnJets(lambda t: [1.0 + 0 * t[0], 2 * math.pi - t[0]])
-    else:
-        embed = OnJets(lambda t: [1.0 + 0 * t[0], t[0]])
-    return BoundaryPatch(patch, [(0, 2 * math.pi)], embed=embed,
-                         outward=OnJets(lambda t: [1.0, 0.0]))
+    embed = compile_vector(["1", "2*pi - t" if reverse else "t"], ["t"])
+    return BoundaryPatch(disk_patch(), [(0, 2 * math.pi)], embed=embed,
+                         outward=compile_vector(["1", "0"], ["t"]))
 
 
 def cap_patch(theta_max):
     return RiemannianPatch(2, [(0, theta_max), (0, 2 * math.pi)],
-                           OnJets(lambda x: [[1, 0],
-                                             [0, jet_sin(x[0]) * jet_sin(x[0])]]))
+                           compile_matrix([["1", "0"], ["0", "sin(th)*sin(th)"]], ["th", "ps"]))
 
 
 def cap_rim(theta_max):
-    patch = cap_patch(theta_max)
-    return BoundaryPatch(patch, [(0, 2 * math.pi)],
-                         embed=OnJets(lambda t: [theta_max + 0 * t[0], t[0]]),
-                         outward=OnJets(lambda t: [1.0, 0.0]))
+    return BoundaryPatch(cap_patch(theta_max), [(0, 2 * math.pi)],
+                         embed=compile_vector([repr(theta_max), "t"], ["t"]),
+                         outward=compile_vector(["1", "0"], ["t"]))
+
+
+def every_node(grid):
+    """``grid`` with no product structure, so that every integrand runs at
+    every node, whatever the parameters it reads."""
+    return QuadratureGrid(nodes=grid.nodes, weights=grid.weights, orders=grid.orders,
+                          parts=grid.parts)
 
 
 # -- grids and summation ---------------------------------------------------------
@@ -280,8 +281,8 @@ def test_hemisphere_normal_section_and_euler():
 def test_euler_odd_dimension_short_circuit():
     """At odd n the Euler form is zero: its template has no entry, so every
     node's density, and the integral, is 0.0."""
-    ball = RiemannianPatch(3, [(0, 1)] * 3,
-                           OnJets(lambda x: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    ball = RiemannianPatch(3, [(0, 1)] * 3, compile_matrix(
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], ["x", "y", "z"]))
     assert integrate_euler(ball, gauss_grid(ball.box, 4)) == (0.0,)
 
 
@@ -307,7 +308,7 @@ def test_euler_grid_dimension_mismatch():
 def test_section_tuple_shares_frames_and_matches_single_calls():
     rim = cap_rim(1.2)
     grid = gauss_grid(rim.box, [24])
-    field = OnJets(lambda x: [jet_cos(x[1]) + 0.3, jet_sin(x[1] * 2.0)])
+    field = compile_vector(["cos(ps) + 0.3", "sin(ps*2)"], ["th", "ps"])
     (normal,), *arrays_n = integrate_phi_over_section(rim, (None,), grid)
     (section,), *arrays_f = integrate_phi_over_section(rim, (field,), grid)
     (both,), *arrays = integrate_phi_over_section(rim, (None, field), grid)
@@ -403,7 +404,7 @@ def test_chunk_seams_do_not_change_densities(monkeypatch):
         sections = (None, scenario.field_spec.components)
         frames = []
         monkeypatch.setattr(integrate, "boundary_frame",
-                            lambda b, t, twist: frames.append(len(t)) or frame(b, t, twist))
+                            lambda b, t: frames.append(len(t)) or frame(b, t))
         _, *chunked = integrate_phi_over_section(rim, sections, grid)
         assert frames[:len(sizes)] == sizes
         assert [a.shape for a in chunked] == [(2, len(grid))] * 3
@@ -411,16 +412,6 @@ def test_chunk_seams_do_not_change_densities(monkeypatch):
             _, *alone = integrate_phi_over_section(rim, sections, _one_node(grid, k))
             for a_chunked, a_alone in zip(chunked, alone):  # density, angle, v_dot_n
                 assert np.array_equal(a_chunked[:, k:k + 1], a_alone)
-
-
-def _opaque(fn):
-    """``fn`` as a Python callable with its ``jets`` and no ``reads``: it reads
-    every parameter, so a quadrature evaluates it at every node."""
-    def call(env):
-        return fn(env)
-
-    call.jets = fn.jets
-    return call
 
 
 def _conformal_seed_1():
@@ -451,37 +442,36 @@ def test_separable_quadrature_matches_every_node(name, monkeypatch):
     """The integrals of Omega and of Phi over the normal and the field, the
     Euler densities and the Phi densities, angles and v_dot_n, evaluated only
     where the parameters their integrands read differ, equal, bit for bit,
-    those of the inputs as Python callables, evaluated at every node.  All
-    2-D catalog interiors and the rims of ``SEPARABLE_RIMS`` run on fewer
-    nodes than their grids; the conformal metrics read both chart parameters,
-    and a sheared outward vector the longitude."""
+    those on the same nodes with no product structure, evaluated at every
+    node.  All 2-D catalog interiors and the rims of ``SEPARABLE_RIMS`` run on
+    fewer nodes than their grids; the conformal metrics read both chart
+    parameters, and a sheared outward vector the longitude."""
     scenario = (load_scenario(BEYOND_CATALOG[name]) if name in BEYOND_CATALOG
                 else load_catalog_scenario(name))
     patch = scenario.patch
-    full = RiemannianPatch(patch.n, patch.box, _opaque(patch.metric), name=patch.name)
     ran, frame = [], integrate.boundary_frame
     monkeypatch.setattr(integrate, "boundary_frame",
-                        lambda b, t, twist: ran.append(len(t)) or frame(b, t, twist))
+                        lambda b, t: ran.append(len(t)) or frame(b, t))
 
     def both_orders(box, k):
         return joined_grid([gauss_grid(box, k), gauss_grid(box, 2 * k)])
 
     grid = both_orders(patch.box, scenario.interior_order)
     if patch.n == 2:
-        assert integrate_euler(patch, grid) == integrate_euler(full, grid)
-        densities = [integrate._node_values(grid, lambda x: euler_form_density(p, x), reads)
-                     for p, reads in ((patch, integrate._reads(patch.metric)), (full, None))]
+        assert integrate_euler(patch, grid) == integrate_euler(patch, every_node(grid))
+        reads = integrate._reads(patch.metric)
+        densities = [integrate._node_values(g, lambda x: euler_form_density(patch, x), reads)
+                     for g in (grid, every_node(grid))]
         assert densities[0].tobytes() == densities[1].tobytes()
-        assert (integrate._reads(patch.metric) == {0}) == (not name.startswith("conformal"))
+        assert (reads == {0}) == (not name.startswith("conformal"))
     field = scenario.field_spec.components
     for rim in scenario.boundaries:
         grid = both_orders(rim.box, scenario.boundary_order)
-        opaque = BoundaryPatch(full, rim.box, _opaque(rim.embed), _opaque(rim.outward))
         ran.clear()
         reduced = integrate_phi_over_section(rim, (None, field), grid)
         assert (sum(ran) < len(grid)) == (name in SEPARABLE_RIMS)
         ran.clear()
-        every = integrate_phi_over_section(opaque, (None, _opaque(field)), grid)
+        every = integrate_phi_over_section(rim, (None, field), every_node(grid))
         assert sum(ran) == len(grid)
         assert reduced[0] == every[0]
         for got, want in zip(reduced[1:], every[1:]):  # densities, angles, v_dot_n
@@ -499,29 +489,13 @@ def test_a_vanishing_section_names_the_same_node_on_both_paths():
     colatitude = float(grid.axes[0][0][3])
     field = compile_vector([f"rho*(th - {colatitude!r})", "0", "0"], ["rho", "th", "ps"])
     errors = []
-    for section, bpatch in ((field, rim), (_opaque(field), BoundaryPatch(
-            rim.parent, rim.box, _opaque(rim.embed), _opaque(rim.outward)))):
+    for g in (grid, every_node(grid)):
         with pytest.raises(GenericityError) as err:
-            integrate_phi_over_section(bpatch, (None, section), grid)
+            integrate_phi_over_section(rim, (None, field), g)
         errors.append(str(err.value))
     assert errors[0] == errors[1]
     assert errors[0] == ("section norm below 1e-9 at boundary point "
                          f"{[colatitude, float(grid.axes[0][1][0])]}")
-
-
-def test_a_frame_twist_reads_every_axis(monkeypatch):
-    """Phi under a compiled frame twist that turns with the longitude runs at
-    every node of ``ball3-radial``'s sphere, though its inputs read the
-    colatitude alone."""
-    scenario = load_catalog_scenario("ball3-radial")
-    rim, grid = scenario.boundaries[0], gauss_grid(scenario.boundaries[0].box, [6, 8])
-    twist = compile_matrix([["1", "0", "0"], ["0", "cos(b)", "-sin(b)"],
-                            ["0", "sin(b)", "cos(b)"]], ["a", "b"])
-    ran, frame = [], integrate.boundary_frame
-    monkeypatch.setattr(integrate, "boundary_frame",
-                        lambda b, t, twist: ran.append(len(t)) or frame(b, t, twist))
-    integrate_phi_over_section(rim, (None, scenario.field_spec.components), grid, twist)
-    assert ran == [len(grid)]
 
 
 @given(st.integers(1, 64), st.integers(0, 1000))
@@ -580,6 +554,7 @@ def test_boundary_path_runs_no_jet_arithmetic(name, monkeypatch):
         raise AssertionError("Jet arithmetic on the boundary path")
 
     recorded.jets = lambda x, order: calls.append((x, components.jets(x, order))) or calls[-1][1]
+    recorded.reads = components.reads
     for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Jet, attr, refuse)
     monkeypatch.setattr(Jet, "variables", staticmethod(refuse))
@@ -602,7 +577,7 @@ def test_boundary_path_runs_no_jet_arithmetic(name, monkeypatch):
 
 def test_section_norm_guard():
     rim = disk_rim()
-    dying = OnJets(lambda x: [jet_cos(x[1]) - jet_cos(x[1]), 0.0])
+    dying = compile_vector(["cos(t) - cos(t)", "0"], ["r", "t"])
     with pytest.raises(GenericityError):
         integrate_phi_over_section(rim, (dying,), gauss_grid(rim.box, [8]))
     with pytest.raises(GenericityError, match="section norm below 1e-9"):
@@ -655,10 +630,9 @@ def test_integral_is_parametrization_and_chart_invariant():
     assert reparam == pytest.approx(forward, abs=1e-9)
 
     mirrored = RiemannianPatch(2, [(0, 2 * math.pi), (0, 1)],
-                               OnJets(lambda x: [[x[1] * x[1], 0], [0, 1]]))
-    rim = BoundaryPatch(mirrored, [(0, 2 * math.pi)],
-                        embed=OnJets(lambda t: [t[0], 1.0 + 0 * t[0]]),
-                        outward=OnJets(lambda t: [0.0, 1.0]))
+                               compile_matrix([["r*r", "0"], ["0", "1"]], ["t", "r"]))
+    rim = BoundaryPatch(mirrored, [(0, 2 * math.pi)], embed=compile_vector(["t", "1"], ["t"]),
+                        outward=compile_vector(["0", "1"], ["t"]))
     ((swapped,),), *_ = integrate_phi_over_section(rim, (None,), grid)
     assert swapped == pytest.approx(forward, abs=1e-9)
 
@@ -671,9 +645,18 @@ def _assert_same_integers(base, other):
         assert [i["value"] for i in other.indices[kind]] == [i["value"] for i in indices]
 
 
+_SHEAR_DEFECT = ("the Gram matrix of (outward, dx/dt) squares the condition number "
+                 "of its rows, so a tangential part c in outward costs about c^2 * 1e-16 "
+                 "of accuracy (ROADMAP item 1)")
+
+
 @pytest.mark.parametrize("name, shear", [
     ("disk-saddle", ["0.3 + 0.2*cos(t)"]),
     ("ball3-constant", ["-2", "0.5*sin(b)"]),
+    pytest.param("ball3-constant", ["0", "1e6"],
+                 marks=pytest.mark.xfail(strict=True, reason=_SHEAR_DEFECT)),
+    pytest.param("cap-tilted", ["1e6"],
+                 marks=pytest.mark.xfail(strict=True, reason=_SHEAR_DEFECT)),
 ])
 def test_outward_shear_moves_no_integer_and_no_integral(name, shear):
     """The outward vector need only point outward: adding tangent vectors
@@ -780,8 +763,12 @@ def test_conformal_change_of_the_ball_moves_densities_not_integers():
         assert moved > 1e-3, column
 
 
+# Phi is SO(n)-invariant: rotating the whole frame by a smooth angle must not
+# move the integral.  The rotated e_1 is not the normal, so the normal d/dr
+# is given as a field, and the rotated frames run at every node, as the twist
+# reads the boundary parameters that the inputs do not.
+
 def test_frame_rotation_invariance_n2():
-    # rotating the whole frame by a smooth angle must not move the integral
     rim = disk_rim()
     grid = gauss_grid(rim.box, [64])
 
@@ -791,20 +778,20 @@ def test_frame_rotation_invariance_n2():
         c, s = gamma.cos(), gamma.sin()
         return [[c, -1.0 * s], [s, c]]
 
-    for section in (None, CONSTANT_POLAR):
+    for section in (compile_vector(["1", "0"], ["r", "t"]), CONSTANT_POLAR):
         ((base,),), *_ = integrate_phi_over_section(rim, (section,), grid)
-        ((rotated,),), *_ = integrate_phi_over_section(rim, (section,), grid,
-                                                       frame_twist=twist)
+        with rotated_frames(twist):
+            ((rotated,),), *_ = integrate_phi_over_section(rim, (section,), every_node(grid))
         assert abs(rotated - base) < 1e-8
 
 
 def test_frame_rotation_invariance_n3():
-    ball = RiemannianPatch(3, [(0, 1), (0, math.pi), (0, 2 * math.pi)],
-                           OnJets(lambda x: [[1, 0, 0], [0, x[0] * x[0], 0],
-                                             [0, 0, x[0] * x[0] * jet_sin(x[1]) * jet_sin(x[1])]]))
+    params = ["rho", "th", "ps"]
+    ball = RiemannianPatch(3, [(0, 1), (0, math.pi), (0, 2 * math.pi)], compile_matrix(
+        [["1", "0", "0"], ["0", "rho*rho", "0"], ["0", "0", "rho*rho*sin(th)*sin(th)"]], params))
     sph = BoundaryPatch(ball, [(0, math.pi), (0, 2 * math.pi)],
-                        embed=OnJets(lambda t: [1.0 + 0 * t[0], t[0], t[1]]),
-                        outward=OnJets(lambda t: [1.0, 0.0, 0.0]))
+                        embed=compile_vector(["1", "a", "b"], ["a", "b"]),
+                        outward=compile_vector(["1", "0", "0"], ["a", "b"]))
     grid = gauss_grid(sph.box, [20, 20])
 
     @OnJets
@@ -815,8 +802,10 @@ def test_frame_rotation_invariance_n3():
         zero = t_jets[0] * 0.0
         return [[one, zero, zero], [zero, c, -1.0 * s], [zero, s, c]]
 
-    ((base,),), *_ = integrate_phi_over_section(sph, (None,), grid)
-    ((rotated,),), *_ = integrate_phi_over_section(sph, (None,), grid, frame_twist=twist)
+    normal = compile_vector(["1", "0", "0"], params)
+    ((base,),), *_ = integrate_phi_over_section(sph, (normal,), grid)
+    with rotated_frames(twist):
+        ((rotated,),), *_ = integrate_phi_over_section(sph, (normal,), every_node(grid))
     assert abs(rotated - base) < 1e-8
 
 

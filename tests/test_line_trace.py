@@ -1,5 +1,8 @@
 """The line trace of user commands (``tests/line_trace.py``) on a small case."""
 
+import argparse
+from pathlib import Path
+
 import line_trace
 
 
@@ -37,3 +40,18 @@ def test_tracing_lawcheck_list_runs_the_list_command_alone():
     lines = line_trace.report(ran)
     assert len(lines) == len(list(line_trace.SRC.glob("*.py"))) + 2
     assert lines[-2].startswith("total") and "cli.py:_cmd_run" in lines[-1]
+
+
+def test_the_commands_use_every_subcommand_and_format():
+    """``COMMANDS`` runs every subcommand that lawcheck's parser declares,
+    each with every choice of its ``--format`` (the default counts), both
+    read from the parser, and ``run`` on a scenario file by its path."""
+    from lawcheck import cli
+
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {(name, choice) for name, p in sub.choices.items() for choice in next(
+        (a.choices for a in p._actions if "--format" in a.option_strings), [None])}
+    parsed = [parser.parse_args(argv) for argv in line_trace.COMMANDS]
+    assert {(ns.command, getattr(ns, "format", None)) for ns in parsed} == declared
+    assert any(Path(ns.scenario).is_file() for ns in parsed if ns.command == "run")
