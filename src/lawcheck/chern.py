@@ -8,8 +8,10 @@ Builds, over the free algebra of :mod:`lawcheck.algebra`:
   stabilizer of the outward normal (two nonzero fiber coordinates, one
   angle);
 * the boundary form family PhiM(i, j) over the index region D1, the
-  fiber-angle coefficient functions T, I, a, A, the angular derivative
-  Upsilon and the transgression primitive Gamma.
+  fiber-angle functions T = cos^p sin^q (``_power_tcs``) and its
+  antiderivative I (``_integral_tcs``), the coefficients a(i, j) and A(i, j)
+  made of them (``coefficient``), and the sums over D1 of a and A times PhiM
+  (``region_sum``): the angular derivative Upsilon and the primitive Gamma.
 
 Each check_* function returns a residual Form whose vanishing is the
 verified identity.  The closed-manifold check normalizes through the exact
@@ -212,37 +214,17 @@ def region_d1(n: int):
     return [(i, j) for i in range((n - 2) // 2 + 1) for j in range(n - 1 - 2 * i)]
 
 
-@dataclass(frozen=True)
-class CoeffFunctions:
-    n: int
-
-    def T(self, p, q):
-        if p < 0 or q < 0:
-            raise ValueError("powers must be non-negative")
-        return _power_tcs(p, q)
-
-    def I(self, p, q):
-        if p < 0 or q < 0:
-            raise ValueError("powers must be non-negative")
-        return _integral_tcs(p, q)
-
-    def a(self, i, j):
-        return self._series(i, j, self.T)
-
-    def A(self, i, j):
-        return self._series(i, j, self.I)
-
-    def _series(self, i, j, primitive):
-        """The terms of a(i, j) or A(i, j) summed in one accumulator,
-        normalized once."""
-        n = self.n
-        acc = Accumulator(SCALARS)
-        for k in range(i, (n - j) // 2):
-            num = (-1) ** (n + j + k) * double_factorial(n - 2 * k - 2)
-            den = (2 ** k * math.factorial(j) * math.factorial(n - 2 * k - j - 2)
-                   * math.factorial(i) * math.factorial(k - i))
-            acc.add_product(primitive(n - 2 * k - j - 2, j), TrigScalar.rational(num, den))
-        return TrigScalar._new(*lowest_terms(acc.num, acc.den))
+def coefficient(n, i, j, primitive):
+    """The coefficient of PhiM(i, j): a(i, j) with the primitive
+    ``_power_tcs`` (T), A(i, j) with ``_integral_tcs`` (I), its terms summed in
+    one accumulator and normalized once."""
+    acc = Accumulator(SCALARS)
+    for k in range(i, (n - j) // 2):
+        num = (-1) ** (n + j + k) * double_factorial(n - 2 * k - 2)
+        den = (2 ** k * math.factorial(j) * math.factorial(n - 2 * k - j - 2)
+               * math.factorial(i) * math.factorial(k - i))
+        acc.add_product(primitive(n - 2 * k - j - 2, j), TrigScalar.rational(num, den))
+    return TrigScalar._new(*lowest_terms(acc.num, acc.den))
 
 
 @lru_cache(maxsize=None)
@@ -286,11 +268,17 @@ def boundary_form(n: int, i: int, j: int) -> Form:
                             + [to_direction] * j, boundary=True)
 
 
+def region_sum(n: int, primitive) -> Form:
+    """The sum over D1 of coefficient(n, i, j, primitive) / ((n-2)!! c_{n-1})
+    times PhiM(i, j): Upsilon with ``_power_tcs``, Gamma with ``_integral_tcs``."""
+    inv_norm = phi_normalization(n)
+    return Form.wedge_sum(n, [(1, Form.scalar(n, coefficient(n, i, j, primitive) * inv_norm, True),
+                               boundary_form(n, i, j)) for (i, j) in region_d1(n)], boundary=True)
+
+
 @dataclass(frozen=True)
 class BoundaryFamily:
     n: int
-    coeffs: CoeffFunctions
-    phi_m: dict            # (i, j) -> Form on the boundary algebra
     phi: Form              # the secondary form specialized to the boundary
     upsilon: Form          # its interior product
     gamma: Form            # transgression primitive, degree n - 2
@@ -300,22 +288,13 @@ class BoundaryFamily:
 def boundary_family(n: int) -> BoundaryFamily:
     if n < 2:
         raise ValueError("boundary machinery needs ambient dimension >= 2")
-    coeffs = CoeffFunctions(n)
-    phi_m = {(i, j): boundary_form(n, i, j) for (i, j) in region_d1(n)}
-    inv_norm = phi_normalization(n)
     phi = specialize_boundary(build_phi(n).phi)
-    gamma = Form.wedge_sum(n, [(1, Form.scalar(n, coeffs.A(i, j) * inv_norm, True), fm)
-                               for (i, j), fm in phi_m.items()], boundary=True)
-    return BoundaryFamily(n, coeffs, phi_m, phi, phi.interior_dphi(), gamma)
+    return BoundaryFamily(n, phi, phi.interior_dphi(), region_sum(n, _integral_tcs))
 
 
 def build_upsilon_and_check(n: int) -> Form:
     """Residual of the concrete angular-derivative formula; contract: zero."""
-    fam = boundary_family(n)
-    inv_norm = phi_normalization(n)
-    rhs = Form.wedge_sum(n, [(1, Form.scalar(n, fam.coeffs.a(i, j) * inv_norm, True), fm)
-                             for (i, j), fm in fam.phi_m.items()], boundary=True)
-    return fam.upsilon - rhs
+    return boundary_family(n).upsilon - region_sum(n, _power_tcs)
 
 
 def build_gamma_and_check(n: int) -> Form:

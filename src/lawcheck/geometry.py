@@ -340,9 +340,9 @@ class BoundaryPatch:
     ``embed`` maps the n-1 boundary parameters into the parent chart and
     ``outward`` gives an outward-pointing vector there (parent-chart
     components), not necessarily normal: e_1 of the adapted frame is the unit
-    normal on its side.  Both are read as the metric is, through ``jets``:
-    compiled vectors (``expressions.compile_vector``) of the boundary
-    parameters.
+    normal on its side.  Both are compiled vectors
+    (``expressions.compile_vector``) of the boundary parameters, read through
+    ``jets``: the embedding to second order, ``outward`` for its values only.
     """
 
     def __init__(self, parent, box, embed, outward, name=""):
@@ -377,8 +377,10 @@ def _orthonormal_rows(G, dG, V, dV, points, m):
     dE_i = (K_i - Phi(S_i)) E (Murray, arXiv:1602.07527), where
     S_i = E dG_i E^T, K_i = U - U^T for U the strict upper triangle of
     L^-1 dV_i G E^T, and Phi keeps the strict lower triangle and half the
-    diagonal.  Returns the maps E[A, k] and dE[i, A, k].  The first node with
-    a pivot L_jj^2 that is not finite or is <= 1e-14 raises ConfigError."""
+    diagonal.  dV holds the first m rows: L^-1 is lower triangular, so a last
+    row would reach no entry of U.  Returns the maps E[A, k] and dE[i, A, k];
+    the first node with a pivot L_jj^2 that is not finite or is <= 1e-14
+    raises ConfigError."""
     M = _product(_product(V, G), _transpose(V), "lower")
     inv, _ = _cholesky_inverse(M, 1 + max(k for k, _ in G), points, 1e-14,
                                "degenerate frame: outward vector and tangents "
@@ -531,16 +533,17 @@ def adapted_frame(bpatch, t, order=1):
     """Adapted orthonormal frames at the boundary nodes t (N, m), outward
     normal first, without connection or curvature; returns the BoundaryFrame
     and the parent metric jets of ``order`` (2 when a curvature follows; the
-    frame reads first order only).  The embedding and ``outward`` come from
-    their ``jets``; the pulled-back dG[i, k, l] = dx[i, a] d_a g_kl reads the
-    lower triangle.  The frame is Gram-Schmidt on (dx/dt_1, ..., dx/dt_m,
-    outward), whose last row, the unit normal on the side of ``outward``, is
-    relabelled first.  L^-1 V with diag(L) > 0 has det of the sign of
-    det[dx | outward], and the relabelling multiplies it by (-1)^m, as moving
-    outward to the front does: det E has the sign of det[outward | dx].  Every
-    monomial of Phi holds the frame index n once, so Phi changes sign with
-    e_n just as the measure dt does with the chart: Phi on E is already the
-    integrand of the outward-first boundary, and no sign is applied."""
+    frame reads first order only).  The embedding comes from its ``jets`` of
+    order 2, ``outward`` from its values; the pulled-back dG[i, k, l] =
+    dx[i, a] d_a g_kl reads the lower triangle.  The frame is Gram-Schmidt on
+    (dx/dt_1, ..., dx/dt_m, outward), differentiated through d2x alone, and
+    its last row, the unit normal on the side of ``outward``, is relabelled
+    first.  L^-1 V with diag(L) > 0 has det of the sign of det[dx | outward],
+    and the relabelling multiplies it by (-1)^m, as moving outward to the
+    front does: det E has the sign of det[outward | dx].  Every monomial of
+    Phi holds the frame index n once, so Phi changes sign with e_n just as
+    the measure dt does with the chart: Phi on E is already the integrand of
+    the outward-first boundary, and no sign is applied."""
     t = np.asarray(t, dtype=float)
     N, m = t.shape
     n = m + 1
@@ -551,10 +554,9 @@ def adapted_frame(bpatch, t, order=1):
     dG = {(i, *kl): v for (i, kl), v in _product(
         dx, {(a, (k, l)): v for (a, k, l), v in dGx.items() if k >= l}).items()}
     dG.update({(i, l, k): v for (i, k, l), v in dG.items()})
-    outward, doutward, _ = bpatch.outward.jets(t, 1)
+    outward = bpatch.outward.jets(t, 0)[0]
     V = {**dx, **{(m, k): v for k, v in outward.items()}}  # rows dx/dt_A, then outward
-    dV = {**d2x, **{(i, m, k): v for (i, k), v in doutward.items()}}
-    E, dE = _orthonormal_rows(G, dG, V, dV, t, m)
+    E, dE = _orthonormal_rows(G, dG, V, d2x, t, m)
     E = {((A + 1) % n, k): v for (A, k), v in E.items()}
     dE = {(i, (A + 1) % n, k): v for (i, A, k), v in dE.items()}
     return BoundaryFrame(points=points, pushforward=dx, metric=G, dmetric=dG,

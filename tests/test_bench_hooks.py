@@ -2,11 +2,11 @@
 
 ``bench/tracing.install()`` wraps lawcheck functions and methods by name, so
 renaming one of them, or a parameter its span reads, breaks the traced pass.
-One test runs one catalog scenario, both degree integrals and one symbolic
-identity through the tracer in a fresh interpreter and reads the per-layer
-metrics back; another runs ``ball3-radial``, whose Phi integrand reads one of
-its two boundary parameters, in an interpreter and span file of its own, as
-the metrics sum over the whole file.
+One test runs one catalog scenario, both degree integrals and the three
+symbolic identities at n = 3 through the tracer in a fresh interpreter and
+reads the per-layer metrics back; another runs ``ball3-radial``, whose Phi
+integrand reads one of its two boundary parameters, in an interpreter and
+span file of its own, as the metrics sum over the whole file.
 """
 
 import json
@@ -32,11 +32,11 @@ SCRIPT = textwrap.dedent("""
         order=16)
     integrate.degree_integral_sphere(lambda ab: ({2: 1.0}, {}), order=4)
     tracer.begin_op(1)
-    symbolic = runner.run_symbolic("dphi", 3)
+    symbolic = [runner.run_symbolic(identity, 3) for identity in ("dphi", "upsilon", "gamma")]
     tracer.write(sys.argv[3], {"workload": "hooks"})
     print(json.dumps({
         "passed": report.ScenarioReport.from_json(text).passed,
-        "symbolic_passed": symbolic.passed,
+        "symbolic_passed": all(r.passed for r in symbolic),
         "metrics": tracing.layer_metrics(sys.argv[3])}))
 """)
 
@@ -60,6 +60,8 @@ def test_traced_pass_records_layers(tmp_path):
     assert out["metrics"]["trig.muls"] > 0
     assert out["metrics"]["algebra.form_muls"] > 0
     assert out["metrics"]["chern.polar_substitute_s"] > 0
+    assert out["metrics"]["chern.upsilon_s"] > 0
+    assert out["metrics"]["chern.gamma_s"] > 0
 
 
 SEPARABLE_SCRIPT = textwrap.dedent("""

@@ -8,7 +8,8 @@ import pytest
 from lawcheck import trig
 from lawcheck.algebra import Form
 from lawcheck.chern import (
-    CoeffFunctions,
+    _integral_tcs,
+    _power_tcs,
     boundary_family,
     boundary_form,
     build_gamma_and_check,
@@ -16,11 +17,13 @@ from lawcheck.chern import (
     build_upsilon_and_check,
     check_boundary_closure,
     check_dphi,
+    coefficient,
     double_factorial,
     perm_sign,
     polar_coordinates,
     polar_substitute,
     region_d1,
+    region_sum,
     rotate_frame,
     specialize_boundary,
 )
@@ -179,19 +182,17 @@ def test_region_d1():
 
 def test_integral_derivative_property():
     # d/dphi I(p,q) = cos^p sin^q and I(p,q)(0) = 0, for a grid of powers
-    c = CoeffFunctions(5)
     for p in range(5):
         for q in range(5):
-            I = c.I(p, q)
-            assert (I.deriv() - c.T(p, q)).is_zero
+            I = _integral_tcs(p, q)
+            assert (I.deriv() - _power_tcs(p, q)).is_zero
             assert I.eval_angle(1, "0").is_zero
 
 
 def test_integral_examples():
-    c = CoeffFunctions(3)
-    assert c.I(0, 1) == TrigScalar.rational(1) - TrigScalar.cos()
+    assert _integral_tcs(0, 1) == TrigScalar.rational(1) - TrigScalar.cos()
     # closed form phi/2 - sin cos / 2 evaluated at pi
-    val = c.I(0, 2).eval_angle(1, "pi")
+    val = _integral_tcs(0, 2).eval_angle(1, "pi")
     assert val == TrigScalar.pi_power(1, Fraction(1, 2))
     # quadrature cross-check of the same number
     import numpy as np
@@ -201,35 +202,38 @@ def test_integral_examples():
     assert val.to_float() == pytest.approx(quad, abs=1e-12)
 
 
-def test_integral_negative_powers_raise():
-    c = CoeffFunctions(3)
-    with pytest.raises(ValueError):
-        c.I(-1, 0)
-    with pytest.raises(ValueError):
-        c.T(0, -2)
-
-
 def test_capital_a_vanishes_at_zero():
     for n in (3, 4, 5):
-        c = CoeffFunctions(n)
         for (i, j) in region_d1(n):
-            assert c.A(i, j).eval_angle(1, "0").is_zero
+            assert coefficient(n, i, j, _integral_tcs).eval_angle(1, "0").is_zero
 
 
 def test_a_is_derivative_of_capital_a():
     for n in (3, 4, 5):
-        c = CoeffFunctions(n)
         for (i, j) in region_d1(n):
-            assert (c.A(i, j).deriv() - c.a(i, j)).is_zero
+            a = coefficient(n, i, j, _power_tcs)
+            assert (coefficient(n, i, j, _integral_tcs).deriv() - a).is_zero
+
+
+def test_gamma_angular_derivative_is_the_upsilon_sum():
+    # d/dphi of the whole Gamma sum, not only of each coefficient, is the
+    # sum of the T coefficients that the interior product must equal
+    for n in (3, 4, 5):
+        gamma = boundary_family(n).gamma
+        assert gamma == region_sum(n, _integral_tcs)
+        derivative = Form(n, {mono: c.deriv(1) for mono, c in gamma.terms.items()},
+                          boundary=True)
+        assert (derivative - region_sum(n, _power_tcs)).is_zero
+        assert not derivative.is_zero
 
 
 def test_leading_transgression_coefficient():
     # A(0, n-2) is (n-2)!!/(n-2)! times the pure sine antiderivative
     for n in (3, 4, 5):
-        c = CoeffFunctions(n)
         ratio = TrigScalar.rational(
             Fraction(double_factorial(n - 2), math.factorial(n - 2)))
-        assert (c.A(0, n - 2) - c.I(0, n - 2) * ratio).is_zero
+        A = coefficient(n, 0, n - 2, _integral_tcs)
+        assert (A - _integral_tcs(0, n - 2) * ratio).is_zero
 
 
 # -- boundary family and the transgression identities -----------------------------
@@ -293,8 +297,8 @@ def test_phi_so_invariance(n, plane):
 
 def test_boundary_family_partial_invariance():
     for n in (4, 5):
-        fam = boundary_family(n)
-        for fm in fam.phi_m.values():
+        for (i, j) in region_d1(n):
+            fm = boundary_form(n, i, j)
             assert (rotate_frame(fm, 2, 3) - fm).is_zero
 
 

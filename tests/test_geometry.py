@@ -27,6 +27,8 @@ from lawcheck.geometry import (
     pair_curvature,
 )
 from lawcheck.integrate import SectionPullback, gauss_grid, integrate_phi_over_section
+from lawcheck.report import emit_report
+from lawcheck.runner import run_scenario
 from lawcheck.scenarios import catalog_names, load_catalog_scenario, load_scenario
 from lawcheck.templates import evaluate_template, pairs, phi_template
 
@@ -951,6 +953,28 @@ def test_boundary_frame_outward_normal_first():
     assert np.linalg.det(frame_at(disk_rim(reverse=True), [1.2]).frame) < 0
     # geodesic curvature of the unit circle in the adapted frame
     assert bf.omega[0, 1, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+class ValuesOnly:
+    """A compiled input whose ``jets`` refuses every order above 0."""
+
+    def __init__(self, fn):
+        self.fn, self.reads = fn, fn.reads
+
+    def jets(self, x, order):
+        assert order == 0, f"read at order {order}"
+        return self.fn.jets(x, 0)
+
+
+@pytest.mark.parametrize("name", ["ball3-radial", "disk-saddle"])
+def test_frames_read_outward_for_its_values_only(name):
+    """L^-1 is lower triangular, so the derivative of the outward row never
+    reaches dE: the report is the same with ``outward`` read at order 0 only."""
+    expected = emit_report(run_scenario(load_catalog_scenario(name)), "json")
+    scenario = load_catalog_scenario(name)
+    for bpatch in scenario.boundaries:
+        bpatch.outward = ValuesOnly(bpatch.outward)
+    assert emit_report(run_scenario(scenario), "json") == expected
 
 
 def test_boundary_frame_normal_is_unit_and_orthogonal():

@@ -11,8 +11,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from lawcheck.chern import (CoeffFunctions, boundary_family, build_phi,
-                            polar_substitute, region_d1, specialize_boundary)
+from lawcheck.chern import (_integral_tcs, _power_tcs, boundary_family, build_phi,
+                            coefficient, polar_substitute, region_d1,
+                            specialize_boundary)
 
 GOLDEN = Path(__file__).parent / "data" / "symbolic_golden.json"
 
@@ -31,10 +32,9 @@ def symbolic_forms():
         forms[f"boundary_family({n}).upsilon"] = fam.upsilon
     for n in range(2, 5):
         forms[f"polar_substitute(build_phi({n}).phi)"] = polar_substitute(build_phi(n).phi)
-    coeffs = CoeffFunctions(5)  # recorded under the names coeff_functions(5).*
-    for i, j in region_d1(5):
-        forms[f"coeff_functions(5).a({i}, {j})"] = coeffs.a(i, j)
-        forms[f"coeff_functions(5).A({i}, {j})"] = coeffs.A(i, j)
+    for i, j in region_d1(5):  # recorded under the names coeff_functions(5).*
+        forms[f"coeff_functions(5).a({i}, {j})"] = coefficient(5, i, j, _power_tcs)
+        forms[f"coeff_functions(5).A({i}, {j})"] = coefficient(5, i, j, _integral_tcs)
     return forms
 
 
