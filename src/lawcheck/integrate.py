@@ -5,15 +5,17 @@ compiled from chern's forms into numeric templates that read node-last maps,
 u and theta of the section pullbacks and the curvature of the geometry layer,
 by chunks of nodes; on a product grid, only at the nodes that differ on the
 parameters the integrand reads.  The fiber sphere is chern's polar
-parametrization, evaluated by ``trig_values``.  Sums are math.fsum over the
-per-node products, exactly rounded: no result depends on node order or chunks.
+parametrization, evaluated by ``trig_values``.  Sums over the per-node products
+are exactly rounded by extraction, bit for bit math.fsum: no result depends on
+node order or chunks.  Gauss-Legendre rules are cached per order, and
+``legendre_rules`` builds all the rules of a scenario in one batched recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -48,50 +50,79 @@ class QuadratureGrid:
         return len(self.weights)
 
 
-def _legendre_p(order, x):
-    """P_order(x) and P_order'(x) by the three-term recurrence, for |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(2, order + 1):
-        # P_j = ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j, in four array operations
-        xp = x * p1
-        p0, p1 = p1, xp + (xp - p0) * ((j - 1) / j)
-    return p1, order * (x * p1 - p0) / (x * x - 1.0)
+def _legendre_p(x, order, counts):
+    """P_order(x) and P_order'(x) by the three-term recurrence, for |x| < 1, at
+    the nodes of several orders in one pass: ``order`` per node, ascending, in
+    runs of ``counts[k]`` nodes of order k.  A run keeps P_k and P_{k-1} when the
+    recurrence reaches k and leaves the live suffix, so its arithmetic is k's own."""
+    p, q = np.empty_like(x), np.empty_like(x)  # P_order and P_{order-1}
+    p0, p1, live, start, top = np.ones_like(x), x, x, 0, 1
+    for k, count in counts.items():
+        for j in range(top + 1, k + 1):
+            # P_j = ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j, in four array operations
+            xp = live * p1
+            p0, p1 = p1, xp + (xp - p0) * ((j - 1) / j)
+        top, end = k, start + count
+        p[start:end], q[start:end] = p1[:count], p0[:count]
+        p0, p1, live, start = p0[count:], p1[count:], live[count:], end
+    return p, order * (x * p - q) / (x * x - 1.0)
 
 
-@lru_cache(maxsize=None)
-def _legendre(order):
-    """Gauss-Legendre rule on [-1, 1], once per order, in O(order) memory.
-
-    Two Halley steps h = t / (1 + t P'' / (2 P')), t = -P / P', from
-    Tricomi's estimates find the (order + 1) // 2 non-negative nodes to
-    round-off; the others are their exact mirror images, and an odd order's
-    centre node is exactly 0.  Each step runs the three-term recurrence once,
-    for P and P'; Legendre's equation gives P'' and P'''.  The weights
-    2 / ((1 - x^2) P'(x)^2) take P' at the new nodes as P' + P'' h + P''' h^2 / 2,
-    so no third pass runs.  The cached arrays are read-only, as every caller
-    shares them.
-    """
+def _tricomi(order):
+    """Tricomi's estimates of the non-negative nodes, descending; an odd order's
+    centre node is exactly 0."""
     k = np.arange(1, (order + 1) // 2 + 1)
     x = (np.cos(math.pi * (k - 0.25) / (order + 0.5))
          * (1.0 - (order - 1) / (8.0 * order ** 3)))
     if order % 2:
         x[-1] = 0.0
-    nn1 = order * (order + 1.0)
-    for _ in range(2):
-        p, dp = _legendre_p(order, x)
-        s = 1.0 - x * x
-        d2p = (2.0 * x * dp - nn1 * p) / s
-        d3p = (4.0 * x * d2p - (nn1 - 2.0) * dp) / s
-        t = -p / dp
-        h = t / (1.0 + t * d2p / (2.0 * dp))
-        x = x + h
-    dp = dp + h * (d2p + 0.5 * h * d3p)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    half = order // 2
-    rule = (np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]]))
-    for a in rule:
-        a.setflags(write=False)
-    return rule
+    return x
+
+
+_RULES = {}  # order -> Gauss-Legendre nodes and weights on [-1, 1], read-only
+
+
+def legendre_rules(orders):
+    """Gauss-Legendre rules on [-1, 1], one per entry of ``orders``; the ones
+    not cached yet are built together, in O(order) memory per order.
+
+    Two Halley steps h = t / (1 + t P'' / (2 P')), t = -P / P', from
+    Tricomi's estimates find the (order + 1) // 2 non-negative nodes to
+    round-off; the others are their exact mirror images.  Each step runs the
+    three-term recurrence once over the nodes of every missing order, for P
+    and P'; Legendre's equation gives P'' and P'''.  The weights
+    2 / ((1 - x^2) P'(x)^2) take P' at the new nodes as P' + P'' h + P''' h^2 / 2,
+    so no third pass runs.  The cached arrays are read-only, as every caller
+    shares them.
+    """
+    counts = {k: (k + 1) // 2 for k in sorted(set(orders)) if k not in _RULES}
+    if counts:
+        x = np.concatenate([_tricomi(k) for k in counts])
+        order = np.repeat(np.array(list(counts), dtype=float), list(counts.values()))
+        nn1 = order * (order + 1.0)
+        for _ in range(2):
+            p, dp = _legendre_p(x, order, counts)
+            s = 1.0 - x * x
+            d2p = (2.0 * x * dp - nn1 * p) / s
+            d3p = (4.0 * x * d2p - (nn1 - 2.0) * dp) / s
+            t = -p / dp
+            h = t / (1.0 + t * d2p / (2.0 * dp))
+            x = x + h
+        dp = dp + h * (d2p + 0.5 * h * d3p)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        start = 0
+        for k, count in counts.items():
+            xk, wk, half = x[start:start + count], w[start:start + count], k // 2
+            rule = (np.concatenate([-xk[:half], xk[::-1]]), np.concatenate([wk[:half], wk[::-1]]))
+            for a in rule:
+                a.setflags(write=False)
+            _RULES[k], start = rule, start + count
+    return [_RULES[k] for k in orders]
+
+
+def _legendre(order):
+    """The Gauss-Legendre rule of ``order`` on [-1, 1], built once."""
+    return _RULES[order] if order in _RULES else legendre_rules([order])[0]
 
 
 def _gauss_1d(lo, hi, order):
@@ -205,12 +236,35 @@ def _node_values(grid, values, reads=None):
     return full
 
 
+def _exact_sum(a):
+    """``math.fsum(a.tolist())`` bit for bit, for a 1-D array, by two rounds of
+    error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)):
+    with sigma = 2^e >= (N + 2) max|a|, q = (sigma + a) - sigma sums exactly and
+    a - q is exact.  fsum takes empty, all-zero and non-finite arrays, and those
+    whose bound reaches 2^1000 (tested itself, as it may overflow to inf)."""
+    n = a.size
+    m = float(abs(a).max()) if n else 0.0
+    if not (0.0 < m and (n + 2) * m < 2.0 ** 1000):
+        return math.fsum(a.tolist())
+    sums = []
+    for _ in range(2):
+        sigma = math.ldexp(1.0, math.frexp((n + 2) * m)[1])
+        q = (sigma + a) - sigma
+        sums.append(float(q.sum()))
+        a = a - q
+        m = float(abs(a).max())
+        if m == 0.0:
+            return math.fsum(sums)
+    return math.fsum(sums + a[a != 0.0].tolist())
+
+
 def _part_sums(grid, values):
-    """math.fsum over the node axis, the last, of ``values`` on each part of
-    the grid: per part, a float for values (N,), a tuple for values (S, N)."""
-    def fsum(a):
-        return math.fsum(a.tolist()) if a.ndim == 1 else tuple(map(fsum, a))
-    return tuple(fsum(values[..., part]) for part in grid.parts)
+    """Exactly rounded sums (``_exact_sum``) over the node axis, the last, of
+    ``values`` on each part of the grid: per part, a float for values (N,), a
+    tuple for values (S, N)."""
+    def exact(a):
+        return _exact_sum(a) if a.ndim == 1 else tuple(map(exact, a))
+    return tuple(exact(values[..., part]) for part in grid.parts)
 
 
 def integrate_euler(patch, grid):

@@ -16,7 +16,8 @@ from .fields import (
     index_at,
     index_tangential,
 )
-from .integrate import gauss_grid, integrate_euler, integrate_phi_over_section, joined_grid
+from .integrate import (gauss_grid, integrate_euler, integrate_phi_over_section, joined_grid,
+                        legendre_rules)
 from .report import ScenarioReport
 from .scenarios import Scenario
 from .suite import run_suite
@@ -39,6 +40,13 @@ def run_scenario(scenario: Scenario, order=None) -> ScenarioReport:
     tol = scenario.tolerances
     warnings = []
     gates = []  # one (value, bound, failure) record per gate, in report order
+    spec, d = scenario.field_spec, scenario.degree_order
+    # every rule the run reads, in one batched recurrence: the grids at k and 2k,
+    # the index circles (d) and, at n = 3, the interior index spheres ([d, 2d])
+    legendre_rules([boundary_order, 2 * boundary_order]
+                   + ([] if n % 2 else [interior_order, 2 * interior_order])
+                   + ([d] if spec.interior or (n == 3 and spec.tangential) else [])
+                   + ([2 * d] if n == 3 and spec.interior else []))
 
     check_interior_nonvanishing(scenario.patch, scenario.field_spec)
 

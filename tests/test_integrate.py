@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lawcheck.algebra import DEGREE, K_U, Form
@@ -110,6 +110,71 @@ def test_grid_polynomial_exactness():
     assert val == pytest.approx(1 / 12, abs=1e-15)
 
 
+def _sum_outcome(sum_array, a):
+    """The repr of a sum, so that -0.0 and nan compare too, or the type of
+    the exception it raised."""
+    try:
+        return repr(sum_array(a))
+    except Exception as exc:  # the outcome under test
+        return type(exc)
+
+
+_SCALES = [1e-300, 1e-150, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e150, 1e300]
+_SUMMANDS = st.one_of(
+    st.floats(-1.0, 1.0).flatmap(lambda v: st.sampled_from([v * c for c in _SCALES])),
+    st.integers(-2 ** 20, 2 ** 20).map(lambda k: k * 5e-324),  # subnormals
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _fsum_arrays(draw):
+    """Lists of mixed magnitudes, subnormals and non-finite values, some
+    followed by their own negatives in reverse, which cancel exactly."""
+    values = draw(st.lists(_SUMMANDS, max_size=64))
+    if draw(st.booleans()):
+        values += [-v for v in reversed(values)]
+    return np.array(values, dtype=float)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fsum_arrays())
+@example(np.array([]))
+@example(np.array([-0.0]))
+@example(np.array([0.0, -0.0, -0.0]))
+@example(np.array([5e-324, -0.0, 5e-324 * 7]))
+@example(np.array([1e300, 1.0, -1e300, 1e-300]))
+@example(np.array([math.inf]))
+@example(np.array([-math.inf]))
+@example(np.array([math.nan]))
+@example(np.array([math.inf, -math.inf]))
+@example(np.array([1e308, 1e308]))
+def test_exact_sum_is_fsum_bit_for_bit(a):
+    """The extraction sum is math.fsum: the same value, sign of zero and nan,
+    or the same exception."""
+    assert _sum_outcome(integrate._exact_sum, a) == _sum_outcome(
+        lambda v: math.fsum(v.tolist()), a)
+
+
+def test_exact_sum_tests_its_bound_not_sigma():
+    """Here (N + 2) max|a| overflows to inf, where frexp's exponent is 0 and
+    sigma would be 1; the sum must still be fsum's, or raise as fsum does."""
+    assert repr(integrate._exact_sum(np.array([1e308, 1.0, -1e308]))) == "1.0"
+    assert repr(integrate._exact_sum(np.full(3, 4e307))) == repr(1.2e308)
+    with pytest.raises(OverflowError):
+        integrate._exact_sum(np.array([1e308, 1e308]))
+
+
+def test_exact_sum_runs_in_two_extraction_rounds():
+    """A catalog-like sum is exact after two rounds and never turns its
+    array into a list: fsum sees the two partial sums alone."""
+    a = np.random.default_rng(0).standard_normal(11520) * 1e-3
+    with mock.patch.object(integrate.math, "fsum", wraps=math.fsum) as fsum:
+        total = integrate._exact_sum(a)
+    assert fsum.call_count == 1 and len(fsum.call_args.args[0]) == 2
+    assert repr(total) == repr(math.fsum(a.tolist()))
+
+
 # -- Gauss-Legendre rules ------------------------------------------------------
 
 def test_legendre_rule_matches_eigenvalue_rule():
@@ -152,11 +217,84 @@ def test_legendre_rule_matches_a_high_precision_oracle(order):
 
 @pytest.mark.parametrize("order", [1, 2, 48, 192, 1024])
 def test_legendre_rule_runs_the_recurrence_twice(monkeypatch, order):
+    """One batch of k orders runs the recurrence exactly twice, once per
+    Halley step, each time over the nodes of all k orders, ascending."""
     calls, legendre_p = [], integrate._legendre_p
+    monkeypatch.setattr(integrate, "_RULES", {})
+    monkeypatch.setattr(integrate, "_legendre_p", lambda x, order, counts: calls.append(
+        list(counts)) or legendre_p(x, order, counts))
+    integrate.legendre_rules([2 * order + 1, order, order + 1])
+    assert calls == [[order, order + 1, 2 * order + 1]] * 2
+
+
+def _legendre_per_order(order):
+    """The Gauss-Legendre rule of one order by a recurrence of its own: the
+    bit oracle of the batched ``legendre_rules``."""
+    def legendre_p(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, order + 1):
+            xp = x * p1
+            p0, p1 = p1, xp + (xp - p0) * ((j - 1) / j)
+        return p1, order * (x * p1 - p0) / (x * x - 1.0)
+
+    k = np.arange(1, (order + 1) // 2 + 1)
+    x = (np.cos(math.pi * (k - 0.25) / (order + 0.5))
+         * (1.0 - (order - 1) / (8.0 * order ** 3)))
+    if order % 2:
+        x[-1] = 0.0
+    nn1 = order * (order + 1.0)
+    for _ in range(2):
+        p, dp = legendre_p(x)
+        s = 1.0 - x * x
+        d2p = (2.0 * x * dp - nn1 * p) / s
+        d3p = (4.0 * x * d2p - (nn1 - 2.0) * dp) / s
+        t = -p / dp
+        h = t / (1.0 + t * d2p / (2.0 * dp))
+        x = x + h
+    dp = dp + h * (d2p + 0.5 * h * d3p)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    half = order // 2
+    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
+
+
+@pytest.mark.parametrize("orders", [[1, 2, 3], [48, 64, 96, 128, 192], [32, 48, 64, 96],
+                                    [7, 9, 4096], [96, 7, 48, 7, 1, 96, 2]])
+def test_batched_rules_are_the_per_order_rules_bit_for_bit(monkeypatch, orders):
+    monkeypatch.setattr(integrate, "_RULES", {})
+    rules = integrate.legendre_rules(orders)
+    assert len(rules) == len(orders)
+    for order, rule in zip(orders, rules):
+        assert rule is integrate._legendre(order)
+        for got, want in zip(rule, _legendre_per_order(order)):
+            assert np.array_equal(got, want), order
+            assert np.array_equal(np.signbit(got), np.signbit(want)), order
+
+
+@pytest.mark.parametrize("name, order", [("disk-saddle", None), ("ball3-radial", None),
+                                         ("disk-saddle", 16)])
+def test_scenario_builds_its_rules_in_one_recurrence(monkeypatch, name, order):
+    """From an empty cache, a run builds the rules it reads, and only those,
+    in the one ``legendre_rules`` call at its top: the recurrence runs twice,
+    both times inside that call, and no rule is built after it."""
+    events, batched, read = [], [], set()
+    legendre, legendre_p, legendre_rules = (
+        integrate._legendre, integrate._legendre_p, runner.legendre_rules)
+
+    def batch(orders):
+        events.append("batch")
+        batched.extend(orders)
+        rules = legendre_rules(orders)
+        events.append("end")
+        return rules
+
+    monkeypatch.setattr(integrate, "_RULES", {})
     monkeypatch.setattr(integrate, "_legendre_p",
-                        lambda n, x: calls.append(n) or legendre_p(n, x))
-    integrate._legendre.__wrapped__(order)
-    assert calls == [order, order]
+                        lambda *args: events.append("recurrence") or legendre_p(*args))
+    monkeypatch.setattr(integrate, "_legendre", lambda k: read.add(k) or legendre(k))
+    monkeypatch.setattr(runner, "legendre_rules", batch)
+    assert run_scenario(load_catalog_scenario(name), order=order).passed
+    assert events == ["batch", "recurrence", "recurrence", "end"]
+    assert sorted(set(batched)) == sorted(read)
 
 
 def test_legendre_rule_integrates_monomials_exactly():
@@ -197,15 +335,17 @@ def test_numeric_track_solves_no_eigenproblem(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    integrate._legendre.cache_clear()
+    monkeypatch.setattr(integrate, "_RULES", {})
     assert run_scenario(load_catalog_scenario("disk-saddle"), order=16).passed
 
 
-def test_legendre_rule_memory_is_linear_in_order():
-    """An order-1024 rule peaks well below the 8 MB of one 1024 x 1024 matrix."""
+def test_legendre_rule_memory_is_linear_in_order(monkeypatch):
+    """A batch of the order-512 and order-1024 rules peaks well below the 8 MB
+    of one 1024 x 1024 matrix."""
+    monkeypatch.setattr(integrate, "_RULES", {})
     tracemalloc.start()
     try:
-        integrate._legendre.__wrapped__(1024)
+        integrate.legendre_rules([512, 1024])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
